@@ -2,6 +2,7 @@
 """Time the hot kernels across their three implementations.
 
 ingest: plain-python scalar loop, vectorized numpy, jitted scalar loop.
+ledgers: the same stream through make_ledger(...).ingest_many per regime.
 search: same trio over the m**J assignment enumeration.
 
 Run from the repo root:
@@ -22,6 +23,7 @@ import numpy as np
 from streamspan import _kernels
 from streamspan.capacity import MachinePark, MachineTimeline, capacity_at
 from streamspan.grouping import derive_params
+from streamspan.pipeline import make_ledger
 from streamspan.search import time_grid
 
 
@@ -56,6 +58,17 @@ def bench_ingest(fn, stream, offset, retain_limit, n_bounded, chunk, repeats):
             block = stream[lo : lo + chunk]
             fn(block, start, offset, retain_limit, *state)
             start += block.size
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def bench_ledger(params, regime, ledger_args, stream, chunk, repeats):
+    best = math.inf
+    for _ in range(repeats):
+        ledger = make_ledger(params, regime, **ledger_args)
+        t0 = time.perf_counter()
+        for lo in range(0, stream.size, chunk):
+            ledger.ingest_many(stream[lo : lo + chunk])
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -102,6 +115,19 @@ def main():
         secs = bench_ingest(fn, data, offset, retain_limit, n_bounded, args.chunk, repeats)
         per_job = secs / data.size
         print(f"  {name:>6}: {per_job * 1e9:9.1f} ns/job   ({1.0 / per_job:,.0f} jobs/s)")
+
+    ledgers = (
+        ("pmax-given", {"pmax": 1024.0}),
+        ("pmax-estimate", {"pmax_estimate": 8192.0, "alpha": 8.0}),
+        ("pmax-unknown", {}),
+    )
+    print(f"ledgers: make_ledger(...).ingest_many, {_kernels.backend()} backend")
+    given = None
+    for regime, ledger_args in ledgers:
+        secs = bench_ledger(params, regime, ledger_args, stream, args.chunk, args.repeats)
+        per_job = secs / stream.size
+        given = given or per_job
+        print(f"  {regime:>13}: {per_job * 1e9:7.1f} ns/job   ({per_job / given:.2f}x pmax-given)")
 
     m = args.machines
     park = make_park(m)

@@ -26,7 +26,7 @@ try:
     from numba import njit
 
     _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is optional (the `jit` extra)
     njit = None
     _HAVE_NUMBA = False
 

@@ -6,8 +6,10 @@ k = 0..top_band, and the open low band collects everything at or below
 2^offset.  Each bounded band keeps (count, load, retained jobs); a band
 stops retaining the moment its count reaches retain_limit, because a band
 that full makes every job at or below its upper edge "small" for the
-search.  Three ledgers cover the ways the anchor can be known: given
-exactly, given as an overestimate, or not given at all.
+search.  One array ledger serves the three ways the anchor can be known:
+given exactly (the window is fixed), given as an overestimate (the window
+is widened and re-anchored at the end), or not given at all (the window
+rebases mid-stream whenever a larger job arrives).
 """
 
 from __future__ import annotations
@@ -91,8 +93,8 @@ def derive_params(
         raise ConfigError(f"floor machine count must be in [1, {m}], got {floor_machines}")
     if not (0.0 < ratio_floor <= 1.0):
         raise ConfigError(f"ratio floor must be in (0, 1], got {ratio_floor}")
-    if not epsilon > 0:
-        raise ConfigError(f"epsilon must be > 0, got {epsilon}")
+    if not (epsilon > 0) or math.isinf(epsilon):
+        raise ConfigError(f"epsilon must be finite and > 0, got {epsilon}")
     if epsilon >= 1:
         warnings.warn(
             f"epsilon = {epsilon} is outside the analyzed range (0, 1); "
@@ -177,33 +179,56 @@ def _extract_large_set(params, state) -> LargeJobSet:
     )
 
 
-def _check_positive(p: float, position: int) -> float:
-    p = float(p)
-    if not (p > 0) or math.isinf(p) or math.isnan(p):
-        raise JobValueError(
-            f"processing time must be finite and > 0, got {p} at position {position}",
-            position=position,
-        )
-    return p
+def _first_overflow(total: float, arr: np.ndarray) -> int:
+    """Index of the first job whose arrival makes the running total load
+    infinite, or -1; the fold is the kernels' left fold seeded with total."""
+    for lo in range(0, arr.size, _CHUNK):
+        block = arr[lo:lo + _CHUNK]
+        acc = np.empty(block.size + 1)
+        acc[0] = total
+        acc[1:] = block
+        with np.errstate(over="ignore"):
+            np.cumsum(acc, out=acc)
+        if np.isinf(acc[-1]):
+            return lo + int(np.argmax(np.isinf(acc[1:])))
+        total = acc[-1]
+    return -1
 
 
 class _BandedLedger:
-    """Array-backed band statistics for a window fixed before streaming."""
+    """Array-backed band statistics over a window of bounded bands.
 
-    def __init__(self, params: SchedulingParams, anchor_exp: int, n_bounded: int, p_limit: float, limit_label: str):
+    Slot 0 of counts/loads is the open low band; slot k+1 is bounded band
+    k, i.e. p in (2^(offset+k), 2^(offset+k+1)].  With an anchor the
+    window's top edge is 2^anchor for the whole stream; without one it
+    follows the largest job seen: each chunk is split where its running
+    maximum passes the top, and between the pieces the window shifts up,
+    folding the bands that sink below it into the low band.
+    """
+
+    def __init__(
+        self,
+        params: SchedulingParams,
+        anchor_exp: int | None,
+        extra_bands: int,
+        p_limit: float,
+        limit_label: str,
+    ):
         self.params = params
-        self._n_bounded = n_bounded
-        self._stream_offset = anchor_exp - n_bounded
+        n = params.bounded_bands + extra_bands
+        self._n_bounded = n
+        self._offset = None if anchor_exp is None else anchor_exp - n
         self._p_limit = p_limit
         self._limit_label = limit_label
         cap = max(params.retain_limit - 1, 1)
-        self._counts = np.zeros(n_bounded + 1, np.int64)
-        self._loads = np.zeros(n_bounded + 1, np.float64)
-        self._ret_len = np.zeros(n_bounded, np.int64)
-        self._ret_ids = np.zeros((n_bounded, cap), np.int64)
-        self._ret_ps = np.zeros((n_bounded, cap), np.float64)
+        self._counts = np.zeros(n + 1, np.int64)
+        self._loads = np.zeros(n + 1, np.float64)
+        self._ret_len = np.zeros(n, np.int64)
+        self._ret_ids = np.zeros((n, cap), np.int64)
+        self._ret_ps = np.zeros((n, cap), np.float64)
         self._fstate = np.zeros(2, np.float64)  # total_load, max_seen
         self._istate = np.zeros(3, np.int64)  # job_count, retained_total, peak_retained
+        self._peak_records = 1  # the low band always exists
 
     # -- reading -------------------------------------------------------
 
@@ -220,6 +245,12 @@ class _BandedLedger:
         return float(self._fstate[1])
 
     @property
+    def band_offset(self) -> int | None:
+        """Offset of the streaming window; None before an unanchored
+        ledger sees its first job."""
+        return self._offset
+
+    @property
     def retained_total(self) -> int:
         return int(self._istate[1])
 
@@ -229,8 +260,10 @@ class _BandedLedger:
 
     @property
     def peak_group_records(self) -> int:
-        # the record array is materialized up front
-        return self._n_bounded + 1
+        """1 (the low band) plus the peak number of bounded bands holding
+        a job.  Bands appear only between rebases, so sampling before each
+        rebase and now sees every peak."""
+        return max(self._peak_records, self._live_records())
 
     @property
     def retained_bound(self) -> int:
@@ -244,30 +277,20 @@ class _BandedLedger:
         ln = int(self._ret_len[k])
         return [(int(self._ret_ids[k, s]), float(self._ret_ps[k, s])) for s in range(ln)]
 
-    # -- streaming -----------------------------------------------------
+    def _live_records(self) -> int:
+        return 1 + int(np.count_nonzero(self._counts[1:]))
 
-    def _check_limit(self, p: float, position: int) -> None:
-        if p > self._p_limit:
-            raise PmaxContractError(
-                f"job at position {position} has processing time {p} above "
-                f"the declared {self._limit_label} {self._p_limit}",
-                position=position,
-            )
+    # -- streaming -----------------------------------------------------
 
     def ingest(self, p: float) -> None:
         """Account one job; its id is its 0-based stream position."""
-        position = self.job_count
-        p = _check_positive(p, position)
-        self._check_limit(p, position)
-        one = np.array([p], np.float64)
-        _kernels._ingest_scalar(
-            one, position, self._stream_offset, self.params.retain_limit,
-            self._counts, self._loads, self._ret_len, self._ret_ids, self._ret_ps,
-            self._fstate, self._istate,
-        )
+        self.ingest_many([p])
 
     def ingest_many(self, ps) -> None:
-        """Account a chunk of jobs through the selected kernel backend."""
+        """Account a chunk of jobs through the selected kernel backend.
+
+        The whole chunk is validated before any of it is accounted.
+        """
         arr = np.ascontiguousarray(ps, dtype=np.float64)
         if arr.ndim != 1:
             raise ConfigError("job chunk must be one-dimensional")
@@ -276,36 +299,93 @@ class _BandedLedger:
         start = self.job_count
         bad = np.flatnonzero(~(np.isfinite(arr) & (arr > 0)))
         if bad.size:
-            _check_positive(float(arr[bad[0]]), start + int(bad[0]))
+            pos = start + int(bad[0])
+            raise JobValueError(
+                f"processing time must be finite and > 0, got {float(arr[bad[0]])} "
+                f"at position {pos}",
+                position=pos,
+            )
         over = np.flatnonzero(arr > self._p_limit)
         if over.size:
-            self._check_limit(float(arr[over[0]]), start + int(over[0]))
+            pos = start + int(over[0])
+            raise PmaxContractError(
+                f"job at position {pos} has processing time {float(arr[over[0]])} above "
+                f"the declared {self._limit_label} {self._p_limit}",
+                position=pos,
+            )
+        inf_at = _first_overflow(self.total_load, arr)
+        if inf_at >= 0:
+            pos = start + inf_at
+            raise JobValueError(
+                f"total load overflows to infinity at position {pos}", position=pos
+            )
+        n = self._n_bounded
+        cut = 0
+        if self._offset is None or ceil_log2(float(arr.max())) > self._offset + n:
+            mant, ex = np.frexp(arr)
+            tops = ex.astype(np.int64) - (mant == 0.5)  # exact ceil(log2 p)
+            # an unanchored window rises to meet its first job
+            window_top = int(tops[0]) - 1 if self._offset is None else self._offset + n
+            running = np.maximum.accumulate(np.maximum(tops, window_top))
+            for rise in np.flatnonzero(np.diff(running, prepend=window_top) > 0):
+                self._ingest_blocks(arr[cut:rise], start + cut)
+                self._rebase(int(running[rise]) - n)
+                cut = rise
+        self._ingest_blocks(arr[cut:], start + cut)
+
+    def _ingest_blocks(self, arr: np.ndarray, start: int) -> None:
         for lo in range(0, arr.size, _CHUNK):
-            chunk = arr[lo:lo + _CHUNK]
             _kernels.ingest_block(
-                chunk, start + lo, self._stream_offset, self.params.retain_limit,
+                arr[lo:lo + _CHUNK], start + lo, self._offset, self.params.retain_limit,
                 self._counts, self._loads, self._ret_len, self._ret_ids, self._ret_ps,
                 self._fstate, self._istate,
             )
 
+    def _folded_low(self, sunk: int) -> tuple[int, float]:
+        """Low band (count, load) with bounded bands 0..sunk-1 folded in,
+        ascending, one float add per band."""
+        count = int(self._counts[0])
+        load = float(self._loads[0])
+        for b in range(1, sunk + 1):
+            count += int(self._counts[b])
+            load += float(self._loads[b])
+        return count, load
+
+    def _rebase(self, offset: int) -> None:
+        """Move the window up to a larger offset, folding sunk bands."""
+        if self._offset is not None:
+            self._peak_records = self.peak_group_records
+            sunk = min(offset - self._offset, self._n_bounded)
+            self._counts[0], self._loads[0] = self._folded_low(sunk)
+            self._istate[1] -= self._ret_len[:sunk].sum()
+            keep = self._n_bounded - sunk
+            for a in (self._counts[1:], self._loads[1:], self._ret_len, self._ret_ids, self._ret_ps):
+                a[:keep] = a[sunk:]
+                a[keep:] = 0
+        self._offset = offset
+
     # -- state extraction ------------------------------------------------
 
-    def _band_entries(self):
-        entries = []
-        for k in range(self._n_bounded):
-            count = int(self._counts[k + 1])
-            if count == 0:
-                continue
-            entries.append((
-                self._stream_offset + k + 1,
-                count,
-                float(self._loads[k + 1]),
-                tuple(self.retained_in_band(k)),
-            ))
-        return tuple(entries)
+    def _reanchor_shift(self) -> int:
+        """How many bands the final window sits above the streaming one."""
+        return 0
 
     def _merged_state(self):
-        raise NotImplementedError
+        if self.job_count == 0:
+            return (None, 0, 0.0, (), 0.0)
+        sunk = self._reanchor_shift()
+        low_count, low_load = self._folded_low(sunk)
+        entries = tuple(
+            (
+                self._offset + k + 1,
+                int(self._counts[k + 1]),
+                float(self._loads[k + 1]),
+                tuple(self.retained_in_band(k)),
+            )
+            for k in range(sunk, self._n_bounded)
+            if self._counts[k + 1]
+        )
+        return (self._offset + sunk, low_count, low_load, entries, self.total_load)
 
     def snapshot(self):
         """Canonical (offset, low_count, low_load, entries) for equality tests."""
@@ -322,23 +402,8 @@ class KnownPmaxLedger(_BandedLedger):
     def __init__(self, params: SchedulingParams, p_max: float):
         if not (p_max > 0) or math.isinf(p_max):
             raise ConfigError(f"p_max must be finite and > 0, got {p_max}")
-        super().__init__(params, ceil_log2(p_max), params.bounded_bands, p_max, "p_max")
+        super().__init__(params, ceil_log2(p_max), 0, p_max, "p_max")
         self.p_max = float(p_max)
-
-    @property
-    def band_offset(self) -> int:
-        return self._stream_offset
-
-    def _merged_state(self):
-        if self.job_count == 0:
-            return (None, 0, 0.0, (), 0.0)
-        return (
-            self._stream_offset,
-            int(self._counts[0]),
-            float(self._loads[0]),
-            self._band_entries(),
-            self.total_load,
-        )
 
 
 class EstimatePmaxLedger(_BandedLedger):
@@ -356,165 +421,26 @@ class EstimatePmaxLedger(_BandedLedger):
         if not alpha >= 1.0 or math.isinf(alpha):
             raise ConfigError(f"estimate factor alpha must be finite and >= 1, got {alpha}")
         extra = ceil_log2(alpha) if alpha > 1 else 0
-        super().__init__(
-            params,
-            ceil_log2(p_max_estimate),
-            params.bounded_bands + extra,
-            p_max_estimate,
-            "p_max estimate",
-        )
+        super().__init__(params, ceil_log2(p_max_estimate), extra, p_max_estimate, "p_max estimate")
         self.p_max_estimate = float(p_max_estimate)
         self.alpha = float(alpha)
         self.extra_bands = extra
 
-    def _merged_state(self):
-        if self.job_count == 0:
-            return (None, 0, 0.0, (), 0.0)
-        offset = ceil_log2(self.max_seen) - self.params.top_band - 1
-        shift = offset - self._stream_offset
+    def _reanchor_shift(self) -> int:
+        shift = ceil_log2(self.max_seen) - self.params.top_band - 1 - self._offset
         if shift < 0:
             raise PmaxContractError(
                 f"estimate {self.p_max_estimate} exceeds alpha={self.alpha} times "
                 f"the observed maximum {self.max_seen}; the widened window cannot "
                 "re-anchor that far down"
             )
-        low_count = int(self._counts[0])
-        low_load = float(self._loads[0])
-        entries = []
-        for k in range(self._n_bounded):
-            count = int(self._counts[k + 1])
-            if count == 0:
-                continue
-            if k - shift < 0:
-                low_count += count
-                low_load += float(self._loads[k + 1])
-            else:
-                entries.append((
-                    self._stream_offset + k + 1,
-                    count,
-                    float(self._loads[k + 1]),
-                    tuple(self.retained_in_band(k)),
-                ))
-        return (offset, low_count, low_load, tuple(entries), self.total_load)
+        return shift
 
 
-class UnknownPmaxLedger:
-    """Streaming ledger with no size hint: bands rebase as the maximum grows.
-
-    Band records live in a map keyed by the band's absolute upper-edge
-    exponent, so a rebase never rewrites keys -- it only folds the bands
-    that sink below the window into the open low bucket.  At every prefix
-    the state equals what KnownPmaxLedger would hold given the prefix
-    maximum.
-    """
+class UnknownPmaxLedger(_BandedLedger):
+    """Streaming ledger with no size hint: the window rebases as the
+    maximum grows, so at every prefix the state equals what
+    KnownPmaxLedger would hold given the prefix maximum."""
 
     def __init__(self, params: SchedulingParams):
-        self.params = params
-        self._bands: dict[int, list] = {}  # top exponent -> [count, load, retained list]
-        self._offset: int | None = None
-        self._low_count = 0
-        self._low_load = 0.0
-        self._total_load = 0.0
-        self._max_seen = 0.0
-        self._job_count = 0
-        self._retained_total = 0
-        self._peak_retained = 0
-        self._peak_records = 1  # the low bucket always exists
-
-    @property
-    def job_count(self) -> int:
-        return self._job_count
-
-    @property
-    def total_load(self) -> float:
-        return self._total_load
-
-    @property
-    def max_seen(self) -> float:
-        return self._max_seen
-
-    @property
-    def band_offset(self) -> int | None:
-        return self._offset
-
-    @property
-    def retained_total(self) -> int:
-        return self._retained_total
-
-    @property
-    def peak_retained(self) -> int:
-        return self._peak_retained
-
-    @property
-    def peak_group_records(self) -> int:
-        return self._peak_records
-
-    @property
-    def retained_bound(self) -> int:
-        return self.params.bounded_bands * self.params.retain_limit
-
-    @property
-    def group_record_bound(self) -> int:
-        return self.params.bounded_bands + 1
-
-    def ingest(self, p: float) -> None:
-        position = self._job_count
-        p = _check_positive(p, position)
-        top = ceil_log2(p)
-        if self._offset is None or top - self._offset - 1 > self.params.top_band:
-            # rebase the window so this (necessarily maximal) job lands in
-            # the top band, folding bands that sink below the new offset
-            new_offset = top - self.params.top_band - 1
-            for key in sorted(self._bands):
-                if key <= new_offset:
-                    count, load, retained = self._bands.pop(key)
-                    self._low_count += count
-                    self._low_load += load
-                    self._retained_total -= len(retained)
-            self._offset = new_offset
-        k = top - self._offset - 1
-        if k < 0:
-            self._low_count += 1
-            self._low_load += p
-        else:
-            rec = self._bands.get(top)
-            if rec is None:
-                rec = [0, 0.0, []]
-                self._bands[top] = rec
-                records = 1 + len(self._bands)
-                if records > self._peak_records:
-                    self._peak_records = records
-            rec[0] += 1
-            rec[1] += p
-            if rec[0] >= self.params.retain_limit:
-                self._retained_total -= len(rec[2])
-                rec[2] = []
-            else:
-                rec[2].append((position, p))
-                self._retained_total += 1
-                if self._retained_total > self._peak_retained:
-                    self._peak_retained = self._retained_total
-        self._total_load += p
-        if p > self._max_seen:
-            self._max_seen = p
-        self._job_count += 1
-
-    def ingest_many(self, ps) -> None:
-        for p in np.asarray(ps, dtype=np.float64).ravel():
-            self.ingest(float(p))
-
-    def _merged_state(self):
-        if self._job_count == 0:
-            return (None, 0, 0.0, (), 0.0)
-        entries = tuple(
-            (top, rec[0], rec[1], tuple(rec[2]))
-            for top, rec in sorted(self._bands.items())
-        )
-        return (self._offset, self._low_count, self._low_load, entries, self._total_load)
-
-    def snapshot(self):
-        offset, low_count, low_load, entries, _ = self._merged_state()
-        return (offset, low_count, low_load, entries)
-
-    def finalize(self) -> LargeJobSet:
-        return _extract_large_set(self.params, self._merged_state())
+        super().__init__(params, None, 0, math.inf, "p_max")

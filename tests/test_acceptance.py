@@ -195,9 +195,9 @@ def test_ingest_cost_per_job_is_flat():
     stream = _million_job_stream()
     small, big = stream[: 10**5], stream
 
-    def mean_per_job(build, data, repeats):
+    def mean_per_job(build, data):
         best = float("inf")
-        for _ in range(repeats):
+        for _ in range(3):
             ledger = build()
             t0 = time.perf_counter()
             for start in range(0, data.size, 1 << 16):
@@ -209,9 +209,8 @@ def test_ingest_cost_per_job_is_flat():
         build()  # construction aside, warm any lazy compilation
         ledger = build()
         ledger.ingest_many(small[:1000])
-        repeats = 1 if name == "pmax-unknown" else 3
-        at_small = mean_per_job(build, small, repeats)
-        at_big = mean_per_job(build, big, repeats)
+        at_small = mean_per_job(build, small)
+        at_big = mean_per_job(build, big)
         assert at_big <= 3.0 * at_small + 1e-7, (name, at_small, at_big)
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import subprocess
 import sys
@@ -310,6 +311,27 @@ class TestExitCodes:
             assert code == 3
             assert "position 1" in err
 
+    def test_overflowing_load_is_3(self, capsys, instance, tmp_path):
+        cfg, _ = instance
+        jobs = tmp_path / "jobs.txt"
+        jobs.write_text("1e308 1e308 1e308\n")
+        for extra in ([], ["--regime", "pmax-given", "--pmax", "1e308"]):
+            code, out, err = _run_main(
+                capsys, ["run", "--config", cfg, "--jobs", str(jobs), *extra]
+            )
+            assert code == 3
+            assert "position 1" in err
+            assert "inf" not in out
+
+    def test_nonfinite_epsilon_is_2(self, capsys, instance):
+        cfg, jobs = instance
+        code, out, err = _run_main(
+            capsys, ["run", "--config", cfg, "--jobs", jobs, "--epsilon", "inf"]
+        )
+        assert code == 2
+        assert "epsilon" in err
+        assert out == ""
+
     def test_pmax_contract_violation_is_4(self, capsys, instance, tmp_path):
         cfg, _ = instance
         jobs = tmp_path / "jobs.txt"
@@ -419,7 +441,11 @@ class TestGenerateCommand:
 
 
 def test_backends_print_identical_reports(instance):
-    """The numpy fallback must be bit-for-bit the numba path, timings aside."""
+    """The numpy fallback must be bit-for-bit the numba path, timings aside.
+
+    Without numba installed both runs use the numpy kernels, so the test
+    then checks the fallback: asking for numba still runs, on numpy.
+    """
     cfg, jobs = instance
     argv = [
         sys.executable, "-m", "streamspan.cli", "run",
@@ -431,10 +457,15 @@ def test_backends_print_identical_reports(instance):
         env = dict(os.environ, STREAMSPAN_NUMBA=flag)
         res = subprocess.run(argv, capture_output=True, text=True, env=env)
         assert res.returncode == 0, res.stderr
-        return {
+        report = {
             k: v
             for k, v in _report_dict(res.stdout).items()
-            if not k.endswith("_seconds") and k != "backend"
+            if not k.endswith("_seconds")
         }
+        return report.pop("backend"), report
 
-    assert run("1") == run("0")
+    jit_backend = "'numba'" if importlib.util.find_spec("numba") else "'numpy'"
+    backend_on, report_on = run("1")
+    backend_off, report_off = run("0")
+    assert (backend_on, backend_off) == (jit_backend, "'numpy'")
+    assert report_on == report_off

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamspan import (
@@ -333,23 +333,36 @@ class TestUnknownPmaxLedger:
         with pytest.raises(JobValueError, match="position 0"):
             led.ingest(-2.0)
 
+    def test_rejects_an_overflowing_total(self, params_small):
+        led = UnknownPmaxLedger(params_small)
+        led.ingest_many(np.array([5e307, 5e307, 5e307]))  # near the float range, finite
+        assert math.isfinite(led.total_load)
+        with pytest.raises(JobValueError, match="position 4") as exc:
+            led.ingest_many(np.array([1.0, 5e307, 1.0]))
+        assert exc.value.position == 4
+        assert led.job_count == 3  # the rejected chunk is not accounted
+
 
 @settings(max_examples=100, deadline=None)
 @given(
     jobs=st.lists(st.integers(1, 4000), min_size=1, max_size=60),
     retain_limit=st.integers(1, 5),
+    chunk=st.sampled_from([1, 7, None]),
 )
-def test_all_ledgers_agree_with_replay(jobs, retain_limit):
+def test_all_ledgers_agree_with_replay(jobs, retain_limit, chunk):
     params = quiet_params(2, 1, 1.0, 1.0, retain_limit_override=retain_limit)
     arr = np.array(jobs, np.float64)
     pmax = float(arr.max())
+    # chunk None feeds the whole stream at once; 1 and 7 put window rebases
+    # on chunk boundaries and inside chunks
+    step = chunk or arr.size
 
     known = KnownPmaxLedger(params, pmax)
-    known.ingest_many(arr)
     unknown = UnknownPmaxLedger(params)
-    unknown.ingest_many(arr)
     estimate = EstimatePmaxLedger(params, 4.0 * pmax, alpha=4.0)
-    estimate.ingest_many(arr)
+    for ledger in (known, unknown, estimate):
+        for lo in range(0, arr.size, step):
+            ledger.ingest_many(arr[lo:lo + step])
 
     expected = replay_grouping(jobs, params, p_max=pmax)
     assert known.snapshot() == expected
@@ -359,3 +372,60 @@ def test_all_ledgers_agree_with_replay(jobs, retain_limit):
     assert known.peak_retained <= known.retained_bound
     assert estimate.peak_retained <= estimate.retained_bound
     assert known.finalize() == unknown.finalize() == estimate.finalize()
+
+
+def _rebasing_replay(jobs, params):
+    """Per-job dict replay of the unknown-maximum ledger: the reference for
+    the order in which a rebase folds sunk bands into the low band, and for
+    the peaks, on streams whose sums are not exact."""
+    offset, low_count, low_load = None, 0, 0.0
+    bands: dict[int, list] = {}  # band top exponent -> [count, load, retained]
+    retained = peak_retained = 0
+    peak_records = 1
+    for job_id, p in enumerate(jobs):
+        top = ceil_log2(p)
+        if offset is None or top - offset - 1 > params.top_band:
+            offset = top - params.top_band - 1
+            for key in sorted(k for k in bands if k <= offset):
+                count, load, kept = bands.pop(key)
+                low_count += count
+                low_load += load
+                retained -= len(kept)
+        if top <= offset:
+            low_count += 1
+            low_load += p
+            continue
+        rec = bands.setdefault(top, [0, 0.0, []])
+        peak_records = max(peak_records, 1 + len(bands))
+        rec[0] += 1
+        rec[1] += p
+        if rec[0] >= params.retain_limit:
+            retained -= len(rec[2])
+            rec[2] = []
+        else:
+            rec[2].append((job_id, p))
+            retained += 1
+            peak_retained = max(peak_retained, retained)
+    entries = tuple((top, c, load, tuple(kept)) for top, (c, load, kept) in sorted(bands.items()))
+    return (offset, low_count, low_load, entries), peak_retained, peak_records
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    jobs=st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=1, max_size=80),
+    retain_limit=st.integers(1, 5),
+    chunk=st.sampled_from([1, 7, None]),
+)
+# three bands and the low band fill, then one job sinks them all: the fold
+# order shows in low_load and the record peak lies before the rebase
+@example(jobs=[0.7, 0.1, 0.2, 0.35, 100.0], retain_limit=5, chunk=None)
+def test_unknown_ledger_matches_a_per_job_rebasing_replay(jobs, retain_limit, chunk):
+    params = quiet_params(2, 1, 1.0, 1.0, retain_limit_override=retain_limit)
+    arr = np.array(jobs, np.float64)
+    step = chunk or arr.size
+    ledger = UnknownPmaxLedger(params)
+    for lo in range(0, arr.size, step):
+        ledger.ingest_many(arr[lo:lo + step])
+    snapshot, peak_retained, peak_records = _rebasing_replay(jobs, params)
+    assert ledger.snapshot() == snapshot
+    assert (ledger.peak_retained, ledger.peak_group_records) == (peak_retained, peak_records)
