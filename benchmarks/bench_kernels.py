@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time the hot kernels across their three implementations.
 
+parse: the CLI's job-stream parser over the ingest stream as text.
 ingest: plain-python scalar loop, vectorized numpy, jitted scalar loop.
 ledgers: the same stream through make_ledger(...).ingest_many per regime.
 search: same trio over the m**J assignment enumeration.
@@ -15,6 +16,7 @@ with the fallback forced the script still reports the other two.
 """
 
 import argparse
+import io
 import math
 import time
 
@@ -22,6 +24,7 @@ import numpy as np
 
 from streamspan import _kernels
 from streamspan.capacity import MachinePark, MachineTimeline, capacity_at
+from streamspan.cli import _float_chunks
 from streamspan.grouping import derive_params
 from streamspan.pipeline import make_ledger
 from streamspan.search import time_grid
@@ -46,6 +49,16 @@ def _fresh_state(n_bounded, retain_limit):
         np.zeros(2, np.float64),
         np.zeros(3, np.int64),
     )
+
+
+def bench_parse(text, repeats):
+    best = math.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _chunk in _float_chunks(io.StringIO(text)):
+            pass
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def bench_ingest(fn, stream, offset, retain_limit, n_bounded, chunk, repeats):
@@ -98,6 +111,11 @@ def main():
     rng = np.random.default_rng(7)
     stream = rng.integers(1, 1025, size=args.jobs).astype(np.float64)
     offset = 10 - params.top_band - 1  # anchor for p_max 1024
+
+    # one job per line, as `streamspan generate` and the benchmark inputs write them
+    text = "\n".join(map(str, stream.astype(np.int64).tolist())) + "\n"
+    secs = bench_parse(text, args.repeats)
+    print(f"parse: {secs / stream.size * 1e9:.1f} ns/token   (_float_chunks, {args.jobs} tokens)")
 
     impls = [
         ("python", _kernels._ingest_scalar, 1),

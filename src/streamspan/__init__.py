@@ -4,24 +4,13 @@ One pass over a job stream in bounded memory yields a (1+epsilon)
 guarantee on the makespan; a second pass turns it into an explicit
 schedule.  Machines deliver processing at piecewise-constant rates, so
 capacities are piecewise linear and invertible.
+
+The names below take a stream to a validated schedule; everything else
+lives in its submodule.  The command line is `streamspan.cli`.
 """
 
-from ._kernels import NUMBA_ENABLED, backend
-from .capacity import (
-    MachinePark,
-    MachineTimeline,
-    capacity_at,
-    completion_time,
-    park_capacity_at,
-    search_bounds,
-)
-from .cli import (
-    generate_instance,
-    main,
-    parse_machine_config,
-    parse_machine_config_text,
-    write_schedule_csv,
-)
+from ._kernels import backend
+from .capacity import MachinePark, MachineTimeline
 from .errors import (
     BudgetExceededError,
     ConfigError,
@@ -31,63 +20,18 @@ from .errors import (
     StreamspanError,
     TwoPassMismatchError,
 )
-from .grouping import (
-    EstimatePmaxLedger,
-    KnownPmaxLedger,
-    LargeJobSet,
-    SchedulingParams,
-    UnknownPmaxLedger,
-    ceil_log2,
-    derive_params,
-    group_index,
-)
-from .oracle import (
-    OracleResult,
-    exact_optimum,
-    grid_scan_t,
-    naive_capacity_at,
-    replay_grouping,
-)
+from .grouping import SchedulingParams, derive_params
+from .oracle import exact_optimum
 from .pipeline import REGIMES, RunReport, make_ledger, run_stream
-from .schedule import (
-    FirstPassArtifacts,
-    JobPlacement,
-    Schedule,
-    crossing_counts,
-    offline_schedule,
-    place_small_jobs,
-    second_pass,
-    validate_schedule,
-)
-from .search import (
-    DEFAULT_BUDGET,
-    LargeAssignment,
-    SearchOutcome,
-    crossing_allowance,
-    enumerate_and_select,
-    feasible,
-    makespan_value,
-    smallest_grid_t,
-    time_grid,
-)
+from .schedule import Schedule, second_pass, validate_schedule
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "NUMBA_ENABLED",
     "backend",
     "MachineTimeline",
     "MachinePark",
-    "capacity_at",
-    "park_capacity_at",
-    "completion_time",
-    "search_bounds",
-    "parse_machine_config",
-    "parse_machine_config_text",
-    "generate_instance",
-    "write_schedule_csv",
-    "main",
     "StreamspanError",
     "ConfigError",
     "JobValueError",
@@ -97,36 +41,12 @@ __all__ = [
     "ScheduleContractError",
     "SchedulingParams",
     "derive_params",
-    "ceil_log2",
-    "group_index",
-    "LargeJobSet",
-    "KnownPmaxLedger",
-    "EstimatePmaxLedger",
-    "UnknownPmaxLedger",
-    "LargeAssignment",
-    "SearchOutcome",
-    "DEFAULT_BUDGET",
-    "time_grid",
-    "feasible",
-    "smallest_grid_t",
-    "crossing_allowance",
-    "makespan_value",
-    "enumerate_and_select",
-    "JobPlacement",
-    "Schedule",
-    "FirstPassArtifacts",
-    "place_small_jobs",
-    "offline_schedule",
-    "second_pass",
-    "validate_schedule",
-    "crossing_counts",
-    "OracleResult",
-    "exact_optimum",
-    "grid_scan_t",
-    "naive_capacity_at",
-    "replay_grouping",
     "RunReport",
     "REGIMES",
     "make_ledger",
     "run_stream",
+    "Schedule",
+    "second_pass",
+    "validate_schedule",
+    "exact_optimum",
 ]

@@ -2,8 +2,11 @@
 
 Two subcommands: `run` executes a scheduling pass over a machine config
 and a job stream; `generate` writes a seeded random instance.  Reports go
-to stdout as `key: value` lines; schedules to a CSV file.  Every error
-class has its own exit code so pipelines can branch on failures:
+to stdout as `key: value` lines; schedules to a CSV file.  The two-pass
+and offline modes share one path: a first pass over parsed chunks, then
+a second pass over the same chunks, re-read from the file (two-pass) or
+from an in-memory buffer (offline).  Every error class has its own exit
+code so pipelines can branch on failures:
 
     0  success
     1  internal contract violation (should not happen)
@@ -18,9 +21,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import random
 import sys
 from dataclasses import replace
+from functools import partial
 from typing import Iterator, Sequence, TextIO
 
 import numpy as np
@@ -34,7 +39,7 @@ from .errors import (
     StreamspanError,
     TwoPassMismatchError,
 )
-from .grouping import KnownPmaxLedger, UnknownPmaxLedger, derive_params
+from .grouping import derive_params
 from .oracle import exact_optimum
 from .pipeline import REGIMES, make_ledger, run_stream
 from .schedule import Schedule, second_pass
@@ -195,28 +200,27 @@ def _parse_job(tok: str, position: int) -> float:
 
 
 def _float_chunks(fh: TextIO) -> Iterator[np.ndarray]:
+    """Parsed job values in bounded-size chunks, with float() semantics."""
     position = 0
     for toks in _token_chunks(fh):
-        vals = np.empty(len(toks), np.float64)
-        for i, tok in enumerate(toks):
-            vals[i] = _parse_job(tok, position + i)
+        try:
+            vals = np.array(list(map(float, toks)), np.float64)
+        except ValueError:
+            # only to name the failing position
+            for i, tok in enumerate(toks):
+                _parse_job(tok, position + i)
+            raise
         position += len(toks)
         yield vals
 
 
-def _iter_floats(fh: TextIO) -> Iterator[float]:
-    position = 0
-    for toks in _token_chunks(fh):
-        for tok in toks:
-            yield _parse_job(tok, position)
-            position += 1
-
-
-def _read_all_jobs(fh: TextIO) -> np.ndarray:
-    chunks = list(_float_chunks(fh))
-    if not chunks:
-        return np.empty(0, np.float64)
-    return np.concatenate(chunks)
+def _job_chunks(path: str) -> Iterator[np.ndarray]:
+    """_float_chunks of the file at path, or of stdin for '-'."""
+    if path == "-":
+        yield from _float_chunks(sys.stdin)
+        return
+    with open(path, "r", encoding="utf-8") as fh:
+        yield from _float_chunks(fh)
 
 
 # --- schedule output ----------------------------------------------------------
@@ -290,12 +294,6 @@ def generate_instance(
 # --- run subcommand -------------------------------------------------------------
 
 
-def _open_jobs(path: str) -> TextIO:
-    if path == "-":
-        return sys.stdin
-    return open(path, "r", encoding="utf-8")
-
-
 def _cmd_run(args) -> int:
     park = parse_machine_config(args.config)
     params = derive_params(
@@ -313,22 +311,16 @@ def _cmd_run(args) -> int:
         raise ConfigError("--schedule-out only applies to two-pass and offline modes")
     if args.mode == "two-pass" and args.jobs == "-":
         raise ConfigError("two-pass reads the stream twice; pass a file, not stdin")
+    if args.budget < 1:
+        raise ConfigError(f"--budget must be >= 1, got {args.budget}")
 
     if args.mode == "oracle":
-        fh = _open_jobs(args.jobs)
-        try:
-            jobs = _read_all_jobs(fh)
-        finally:
-            if fh is not sys.stdin:
-                fh.close()
-        bad = np.flatnonzero(~(np.isfinite(jobs) & (jobs > 0)))
-        if bad.size:
-            pos = int(bad[0])
-            raise JobValueError(
-                f"processing time must be finite and > 0, got {jobs[pos]} "
-                f"at position {pos}",
-                position=pos,
-            )
+        buffer = list(_job_chunks(args.jobs))
+        # the ledger's value checks: finite, positive, no overflowing total
+        checker = make_ledger(params, "pmax-unknown")
+        for chunk in buffer:
+            checker.ingest_many(chunk)
+        jobs = np.concatenate(buffer) if buffer else np.empty(0, np.float64)
         result = exact_optimum(park, jobs, budget=args.budget)
         print(f"mode: {args.mode!r}")
         print(f"job_count: {len(jobs)}")
@@ -338,54 +330,30 @@ def _cmd_run(args) -> int:
         return 0
 
     if args.mode == "offline":
-        fh = _open_jobs(args.jobs)
-        try:
-            jobs = _read_all_jobs(fh)
-        finally:
-            if fh is not sys.stdin:
-                fh.close()
-        if jobs.size:
-            ledger = KnownPmaxLedger(params, float(jobs.max()))
-        else:
-            ledger = UnknownPmaxLedger(params)
-        report, artifacts = run_stream(
-            park, params, ledger, [jobs], mode="offline",
-            regime="pmax-given", budget=args.budget,
+        # two-pass over a buffer, anchored at its exact maximum; a maximum
+        # that is no valid anchor is left to the ledger's value checks
+        buffer = list(_job_chunks(args.jobs))
+        read = buffer.__iter__
+        regime = "pmax-given"
+        top = max((float(chunk.max()) for chunk in buffer), default=0.0)
+        ledger = make_ledger(params, regime if 0 < top < math.inf else "pmax-unknown", pmax=top)
+    else:
+        read = partial(_job_chunks, args.jobs)
+        regime = args.regime
+        ledger = make_ledger(
+            params, regime,
+            pmax=args.pmax, pmax_estimate=args.pmax_estimate, alpha=args.alpha,
         )
-        schedule = second_pass(park, artifacts, (float(p) for p in jobs))
-        write_schedule_csv(args.schedule_out, schedule)
-        report = _with_schedule(report, schedule, args.schedule_out)
-        for line in report.as_lines(stats=args.stats):
-            print(line)
-        return 0
-
-    ledger = make_ledger(
-        params, args.regime,
-        pmax=args.pmax, pmax_estimate=args.pmax_estimate, alpha=args.alpha,
+    report, artifacts = run_stream(
+        park, params, ledger, read(), mode=args.mode, regime=regime, budget=args.budget,
     )
-    fh = _open_jobs(args.jobs)
-    try:
-        report, artifacts = run_stream(
-            park, params, ledger, _float_chunks(fh),
-            mode=args.mode, regime=args.regime, budget=args.budget,
-        )
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
-
-    if args.mode == "two-pass":
-        with open(args.jobs, "r", encoding="utf-8") as fh2:
-            schedule = second_pass(park, artifacts, _iter_floats(fh2))
+    if needs_schedule:
+        schedule = second_pass(park, artifacts, read())
         write_schedule_csv(args.schedule_out, schedule)
-        report = _with_schedule(report, schedule, args.schedule_out)
-
+        report = replace(report, makespan=schedule.makespan, schedule_path=args.schedule_out)
     for line in report.as_lines(stats=args.stats):
         print(line)
     return 0
-
-
-def _with_schedule(report, schedule: Schedule, path: str):
-    return replace(report, makespan=schedule.makespan, schedule_path=path)
 
 
 def _cmd_generate(args) -> int:

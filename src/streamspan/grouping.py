@@ -224,8 +224,14 @@ class _BandedLedger:
         self._counts = np.zeros(n + 1, np.int64)
         self._loads = np.zeros(n + 1, np.float64)
         self._ret_len = np.zeros(n, np.int64)
-        self._ret_ids = np.zeros((n, cap), np.int64)
-        self._ret_ps = np.zeros((n, cap), np.float64)
+        try:
+            self._ret_ids = np.zeros((n, cap), np.int64)
+            self._ret_ps = np.zeros((n, cap), np.float64)
+        except MemoryError:
+            raise ConfigError(
+                f"cannot allocate room for retained_job_bound = {self.retained_bound} "
+                "jobs; raise epsilon or lower the retain limit"
+            ) from None
         self._fstate = np.zeros(2, np.float64)  # total_load, max_seen
         self._istate = np.zeros(3, np.int64)  # job_count, retained_total, peak_retained
         self._peak_records = 1  # the low band always exists

@@ -7,28 +7,25 @@ is still under its capacity at t.  The job that pushes a machine over
 closes it; on a floor machine it stays as that machine's late job, on
 any other machine it is rerouted to the floor machine carrying the
 fewest late jobs so far.  Machines close in index order under this
-greedy, so reroute decisions never lack information and the same code
-serves both the offline build and the streaming second pass.
+greedy, so reroute decisions never lack information and the second pass
+can place each job the moment it arrives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .capacity import MachinePark, capacity_at, completion_time
 from .errors import JobValueError, ScheduleContractError, TwoPassMismatchError
-from .grouping import KnownPmaxLedger, SchedulingParams
-from .search import DEFAULT_BUDGET, SearchOutcome, enumerate_and_select
+from .search import SearchOutcome
 
 __all__ = [
     "JobPlacement",
     "Schedule",
     "FirstPassArtifacts",
-    "place_small_jobs",
-    "offline_schedule",
     "second_pass",
     "validate_schedule",
     "crossing_counts",
@@ -63,7 +60,7 @@ class FirstPassArtifacts:
 
 
 class _SmallPlacer:
-    """Greedy filler used by both the offline build and the second pass."""
+    """Greedy filler of the second pass."""
 
     def __init__(self, park: MachinePark, t: float, per_machine_large: Sequence[float]):
         self.park = park
@@ -141,73 +138,45 @@ def _assemble(park: MachinePark, sequences) -> Schedule:
     return Schedule(tuple(placements), makespan)
 
 
-def place_small_jobs(
-    park: MachinePark,
-    outcome: SearchOutcome,
-    small_jobs: Iterable[tuple[int, float]],
-) -> Schedule:
-    """Fill the searched large placement with the remaining jobs."""
-    placer = _SmallPlacer(park, outcome.t, outcome.assignment.per_machine_load)
-    for job_id, p in small_jobs:
-        placer.place(job_id, p)
-    return _assemble(park, placer.sequences(_large_sequences(park, outcome)))
-
-
-def offline_schedule(
-    park: MachinePark,
-    params: SchedulingParams,
-    jobs: Sequence[float],
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[Schedule, float]:
-    """Full in-memory run: ledger, search, then placement.
-
-    Produces the same value bit-for-bit as the streaming regimes on the
-    same stream.
-    """
-    if len(jobs) == 0:
-        return Schedule((), 0.0), 0.0
-    ledger = KnownPmaxLedger(params, max(jobs))
-    ledger.ingest_many(np.asarray(jobs, dtype=np.float64))
-    large = ledger.finalize()
-    outcome = enumerate_and_select(park, large, params.epsilon, budget=budget)
-    large_ids = {job_id for job_id, _ in large.jobs}
-    smalls = ((j, float(p)) for j, p in enumerate(jobs) if j not in large_ids)
-    return place_small_jobs(park, outcome, smalls), outcome.value
-
-
 def second_pass(
     park: MachinePark,
     artifacts: FirstPassArtifacts,
-    jobs: Iterable[float],
+    chunks: Iterable,
 ) -> Schedule:
-    """Replay the stream and route each small job as it arrives.
+    """Replay the stream, chunk by chunk, and route each small job.
 
     The replayed stream must match the first pass: same length, and no
-    processing time above the recorded maximum.
+    processing time above the recorded maximum.  Of the faults in a
+    stream, the one at the earliest position is reported.
     """
     placer = _SmallPlacer(park, artifacts.outcome.t, artifacts.outcome.assignment.per_machine_load)
+    large_ids = artifacts.large_ids
     seen = 0
-    for p in jobs:
-        job_id = seen
-        seen += 1
-        if seen > artifacts.job_count:
-            raise TwoPassMismatchError(
-                f"second stream is longer than the first pass ({artifacts.job_count} jobs)"
-            )
-        p = float(p)
-        if not p > 0:
-            raise JobValueError(
-                f"processing time must be > 0, got {p} at position {job_id}",
-                position=job_id,
-            )
-        if p > artifacts.max_seen:
+    for chunk in chunks:
+        arr = np.asarray(chunk, dtype=np.float64)
+        start = seen
+        seen += arr.size
+        head = arr[:max(artifacts.job_count - start, 0)]
+        bad = np.flatnonzero(~(head > 0) | (head > artifacts.max_seen))
+        if bad.size:
+            job_id = start + int(bad[0])
+            p = float(head[bad[0]])
+            if not p > 0:
+                raise JobValueError(
+                    f"processing time must be > 0, got {p} at position {job_id}",
+                    position=job_id,
+                )
             raise TwoPassMismatchError(
                 f"job at position {job_id} has processing time {p} above the "
                 f"first-pass maximum {artifacts.max_seen}"
             )
-        if job_id in artifacts.large_ids:
-            continue
-        placer.place(job_id, p)
+        if head.size < arr.size:
+            raise TwoPassMismatchError(
+                f"second stream is longer than the first pass ({artifacts.job_count} jobs)"
+            )
+        for job_id, p in enumerate(arr.tolist(), start):
+            if job_id not in large_ids:
+                placer.place(job_id, p)
     if seen != artifacts.job_count:
         raise TwoPassMismatchError(
             f"second stream ended after {seen} jobs; first pass saw {artifacts.job_count}"

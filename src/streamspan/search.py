@@ -3,31 +3,28 @@
 A candidate time t is feasible for an assignment of the large jobs when
 the park's aggregate capacity covers the total load and each machine's
 own capacity covers its assigned large load.  Both conditions are
-monotone in t, so the search walks a geometric grid LB * (1+eps/2)^x by
-binary search, and the returned value adds the worst-case tail of small
-jobs that may finish after t.
+monotone in t, so per assignment the kernels binary-search a geometric
+grid LB * (1+eps/2)^x for the first feasible point, and the returned
+value adds the worst-case tail of small jobs that may finish after t.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
 from .capacity import MachinePark, capacity_at, park_capacity_at, search_bounds
-from .errors import BudgetExceededError, StreamspanError
-from .grouping import LargeJobSet, SchedulingParams
+from .errors import BudgetExceededError, JobValueError, StreamspanError
+from .grouping import LargeJobSet
 
 __all__ = [
     "LargeAssignment",
     "SearchOutcome",
     "DEFAULT_BUDGET",
     "time_grid",
-    "feasible",
-    "smallest_grid_t",
     "crossing_allowance",
     "makespan_value",
     "enumerate_and_select",
@@ -76,45 +73,6 @@ def time_grid(park: MachinePark, total_load: float, epsilon: float) -> list[floa
     return [lower * base**x for x in range(top + 1)]
 
 
-def feasible(
-    park: MachinePark,
-    per_machine_load: Sequence[float],
-    total_load: float,
-    t: float,
-) -> bool:
-    """Both load-coverage conditions at time t, compared exactly."""
-    if park_capacity_at(park, t) < total_load:
-        return False
-    for tl, load in zip(park.machines, per_machine_load):
-        if capacity_at(tl, t) < load:
-            return False
-    return True
-
-
-def smallest_grid_t(
-    park: MachinePark,
-    per_machine_load: Sequence[float],
-    total_load: float,
-    epsilon: float,
-) -> float | None:
-    """Smallest grid point where feasible() holds, by binary search.
-
-    None when even the top grid point fails (possible for assignments that
-    overload a machine whose capacity never catches up).
-    """
-    grid = time_grid(park, total_load, epsilon)
-    if not feasible(park, per_machine_load, total_load, grid[-1]):
-        return None
-    lo, hi = 0, len(grid) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(park, per_machine_load, total_load, grid[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return grid[lo]
-
-
 def crossing_allowance(park: MachinePark) -> int:
     """Max small jobs that may finish late on any one floor machine."""
     return -(-(park.m - 1) // park.floor_machines)
@@ -144,6 +102,10 @@ def enumerate_and_select(
         )
     total_load = large.total_load
     grid = time_grid(park, total_load, epsilon)
+    if not math.isfinite(grid[-1]):
+        raise JobValueError(
+            f"total load {total_load} is too large: the search grid overflows"
+        )
     grid_size = len(grid)
     # aggregate-coverage floor: first grid point whose park capacity
     # reaches the total load (machine 1 alone guarantees one exists)
@@ -186,12 +148,15 @@ def enumerate_and_select(
         ordinal=best_ord,
     )
     t = grid[best_x]
+    value = makespan_value(park, large, t)
+    if not math.isfinite(value):
+        raise JobValueError(f"the makespan value overflows at t = {t}")
     lower, upper = search_bounds(park, total_load)
     return SearchOutcome(
         assignment=assignment,
         t=t,
         grid_exponent=best_x,
-        value=makespan_value(park, large, t),
+        value=value,
         lower_bound=lower,
         upper_bound=upper,
     )

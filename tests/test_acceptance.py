@@ -12,24 +12,26 @@ import time
 import numpy as np
 import pytest
 
-from streamspan import (
-    KnownPmaxLedger,
+from streamspan import exact_optimum, run_stream, second_pass, validate_schedule
+from streamspan.capacity import capacity_at
+from streamspan.grouping import (
     EstimatePmaxLedger,
+    KnownPmaxLedger,
+    LargeJobSet,
     UnknownPmaxLedger,
-    capacity_at,
-    crossing_allowance,
-    crossing_counts,
-    exact_optimum,
-    grid_scan_t,
-    naive_capacity_at,
-    offline_schedule,
-    run_stream,
-    second_pass,
-    smallest_grid_t,
-    validate_schedule,
 )
+from streamspan.oracle import grid_scan_t, naive_capacity_at
+from streamspan.schedule import crossing_counts
+from streamspan.search import crossing_allowance, enumerate_and_select
 
-from _support import make_instance, quiet_params, random_timeline
+from _support import (
+    assignment_grid_exponents,
+    brute_force_selection,
+    make_instance,
+    offline,
+    quiet_params,
+    random_timeline,
+)
 
 # float slack on the multiplicative guarantee, pinned once for the suite
 REL_TOL = 1e-9
@@ -71,10 +73,9 @@ class SolvedInstance:
             self.values[name] = report.value
             if name == "pmax-given":
                 self.artifacts = artifacts
-        self.offline, self.offline_value = offline_schedule(
-            self.park, self.params, self.jobs
-        )
-        self.two_pass = second_pass(self.park, self.artifacts, iter(self.jobs))
+        self.offline, report = offline(self.park, self.params, self.jobs)
+        self.offline_value = report.value
+        self.two_pass = second_pass(self.park, self.artifacts, [self.jobs])
         self.optimum = exact_optimum(self.park, self.jobs).makespan
 
 
@@ -218,8 +219,10 @@ def test_ingest_cost_per_job_is_flat():
 
 
 def test_feasibility_search_matches_a_linear_scan():
+    # each case's machine loads become large jobs, so the search kernel
+    # weighs every assignment of them against the oracle's linear scans
     rng = random.Random(4242)
-    checked = 0
+    infeasible = 0
     for case in range(1000):
         m = rng.choice([1, 2, 3])
         m1 = rng.randint(1, m)
@@ -228,13 +231,21 @@ def test_feasibility_search_matches_a_linear_scan():
         loads = [0.25 * rng.randint(0, 160) for _ in range(m)]
         total = sum(loads) + 0.25 * rng.randint(0, 80)
         epsilon = rng.choice([0.5, 1.0])
-        fast = smallest_grid_t(park, loads, total, epsilon)
-        slow = grid_scan_t(park, loads, total, epsilon)
-        assert fast == slow, (case, loads, total)
-        checked += fast is not None
-    assert checked > 900  # feasible cases dominate; Nones are exercised too
+        large = LargeJobSet(
+            saturated_band=-1,
+            jobs=tuple(enumerate(loads)),
+            total_load=total,
+            small_bound=0.0,
+            band_offset=0,
+        )
+        out = enumerate_and_select(park, large, epsilon)
+        want = brute_force_selection(park, large, epsilon)
+        assert (out.grid_exponent, out.assignment.ordinal) == want, (case, loads, total)
+        infeasible += list(assignment_grid_exponents(park, large, epsilon)).count(None)
+    assert infeasible > 0  # the kernel had infeasible assignments to skip
     park, _ = make_instance(1, 2, 1, 0.5, 0)
-    assert smallest_grid_t(park, (0.0, 0.0), 0.0, 0.5) == 0.0
+    zero = LargeJobSet(-1, ((0, 0.0), (1, 0.0)), 0.0, 0.0, 0)
+    assert enumerate_and_select(park, zero, 0.5).t == 0.0
     assert grid_scan_t(park, (0.0, 0.0), 0.0, 0.5) == 0.0
 
 

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamspan import (
-    ConfigError,
-    MachinePark,
-    MachineTimeline,
+from streamspan import ConfigError, MachinePark, MachineTimeline
+from streamspan.capacity import (
     capacity_at,
     completion_time,
     park_capacity_at,

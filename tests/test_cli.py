@@ -5,15 +5,15 @@ import sys
 
 import pytest
 
-from streamspan import (
-    ConfigError,
-    MachinePark,
-    exact_optimum,
+from streamspan import ConfigError, JobValueError, MachinePark, exact_optimum
+from streamspan.cli import (
+    _float_chunks,
+    _token_chunks,
     generate_instance,
+    main,
     parse_machine_config,
     parse_machine_config_text,
 )
-from streamspan.cli import main, _float_chunks, _token_chunks
 import streamspan.cli as cli_mod
 
 
@@ -116,8 +116,6 @@ class TestStreamTokenizer:
 
     def test_float_chunks_report_positions(self, monkeypatch):
         monkeypatch.setattr(cli_mod, "_READ_CHARS", 4)
-        from streamspan import JobValueError
-
         with pytest.raises(JobValueError, match="position 2") as exc_info:
             for _ in _float_chunks(io.StringIO("1 2 oops 4")):
                 pass
@@ -249,6 +247,17 @@ class TestRunCommand:
         assert two["value"] == off["value"]
         assert two["makespan"] == off["makespan"]
 
+    def test_offline_reads_stdin(self, capsys, instance, tmp_path, monkeypatch):
+        cfg, jobs = instance
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["run", "--config", cfg, "--mode", "offline"]
+        _, out_file, _ = _run_main(capsys, argv + ["--jobs", jobs, "--schedule-out", str(a)])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(open(jobs).read()))
+        code, out_stdin, _ = _run_main(capsys, argv + ["--schedule-out", str(b)])
+        assert code == 0
+        assert a.read_text() == b.read_text()
+        assert _report_dict(out_file)["value"] == _report_dict(out_stdin)["value"]
+
     def test_oracle_mode_matches_the_library(self, capsys, instance):
         cfg, jobs = instance
         code, out, _ = _run_main(
@@ -315,13 +324,60 @@ class TestExitCodes:
         cfg, _ = instance
         jobs = tmp_path / "jobs.txt"
         jobs.write_text("1e308 1e308 1e308\n")
-        for extra in ([], ["--regime", "pmax-given", "--pmax", "1e308"]):
+        for extra in ([], ["--regime", "pmax-given", "--pmax", "1e308"], ["--mode", "oracle"]):
             code, out, err = _run_main(
                 capsys, ["run", "--config", cfg, "--jobs", str(jobs), *extra]
             )
             assert code == 3
             assert "position 1" in err
             assert "inf" not in out
+
+    def test_overflowing_search_grid_is_3(self, capsys, instance, tmp_path):
+        # one job is a finite load, but the grid tops out near P/e0 = 3.4e308
+        cfg, _ = instance
+        jobs = tmp_path / "jobs.txt"
+        jobs.write_text("1.7e308\n")
+        sched = ["--schedule-out", str(tmp_path / "s.csv")]
+        for extra in ([], ["--mode", "two-pass", *sched], ["--mode", "offline", *sched]):
+            code, out, err = _run_main(
+                capsys, ["run", "--config", cfg, "--jobs", str(jobs), *extra]
+            )
+            assert code == 3, extra
+            assert "grid overflows" in err
+            assert out == ""
+
+    @pytest.mark.parametrize("stream, position", [("-4\n", 0), ("1 nan 3\n", 1)])
+    def test_offline_without_a_valid_maximum_is_3(self, capsys, instance, tmp_path,
+                                                 stream, position):
+        cfg, _ = instance
+        jobs = tmp_path / "jobs.txt"
+        jobs.write_text(stream)
+        code, _, err = _run_main(
+            capsys,
+            ["run", "--config", cfg, "--jobs", str(jobs), "--mode", "offline",
+             "--schedule-out", str(tmp_path / "s.csv")],
+        )
+        assert code == 3
+        assert f"position {position}" in err
+
+    def test_unallocatable_epsilon_is_2(self, capsys, instance):
+        # the retained-job arrays would need petabytes, beyond any address space
+        cfg, jobs = instance
+        code, out, err = _run_main(
+            capsys, ["run", "--config", cfg, "--jobs", jobs, "--epsilon", "1e-12"]
+        )
+        assert code == 2
+        assert "retained_job_bound" in err
+        assert out == ""
+
+    def test_budget_below_one_is_2(self, capsys, instance):
+        cfg, jobs = instance
+        code, out, err = _run_main(
+            capsys, ["run", "--config", cfg, "--jobs", jobs, "--budget", "0"]
+        )
+        assert code == 2
+        assert "--budget" in err
+        assert out == ""
 
     def test_nonfinite_epsilon_is_2(self, capsys, instance):
         cfg, jobs = instance
@@ -457,6 +513,7 @@ def test_backends_print_identical_reports(instance):
         env = dict(os.environ, STREAMSPAN_NUMBA=flag)
         res = subprocess.run(argv, capture_output=True, text=True, env=env)
         assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
         report = {
             k: v
             for k, v in _report_dict(res.stdout).items()
@@ -469,3 +526,9 @@ def test_backends_print_identical_reports(instance):
     backend_off, report_off = run("0")
     assert (backend_on, backend_off) == (jit_backend, "'numpy'")
     assert report_on == report_off
+
+
+def test_importing_the_package_leaves_the_cli_out():
+    code = "import sys, streamspan; sys.exit('streamspan.cli' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

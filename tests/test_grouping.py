@@ -6,15 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from streamspan import (
-    ConfigError,
+from streamspan import ConfigError, JobValueError, PmaxContractError, derive_params
+from streamspan.grouping import (
     EstimatePmaxLedger,
-    JobValueError,
     KnownPmaxLedger,
-    PmaxContractError,
     UnknownPmaxLedger,
     ceil_log2,
-    derive_params,
     group_index,
 )
 from streamspan.oracle import replay_grouping

@@ -7,20 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamspan import (
-    BudgetExceededError,
-    MachinePark,
-    MachineTimeline,
-    capacity_at,
-    completion_time,
-    exact_optimum,
-    grid_scan_t,
-    naive_capacity_at,
-    smallest_grid_t,
-)
+from streamspan import BudgetExceededError, MachinePark, MachineTimeline, exact_optimum
+from streamspan.capacity import capacity_at, completion_time
 from streamspan.grouping import KnownPmaxLedger
+from streamspan.oracle import grid_scan_t, naive_capacity_at
+from streamspan.search import enumerate_and_select
 
-from _support import identity_park, make_instance, quiet_params, random_timeline
+from _support import (
+    brute_force_selection,
+    identity_park,
+    make_instance,
+    quiet_params,
+    random_timeline,
+)
 
 
 def ramp():
@@ -142,12 +141,10 @@ class TestGridScan:
         led = KnownPmaxLedger(params, max(jobs))
         led.ingest_many(jobs)
         large = led.finalize()
-        loads = [0.0] * m
-        for idx, (j, p) in enumerate(large.jobs):
-            loads[idx % m] += p
-        fast = smallest_grid_t(park, loads, large.total_load, 0.5)
-        slow = grid_scan_t(park, loads, large.total_load, 0.5)
-        assert fast == slow
+        out = enumerate_and_select(park, large, 0.5)
+        assert (out.grid_exponent, out.assignment.ordinal) == brute_force_selection(
+            park, large, 0.5
+        )
 
     def test_zero_load_scans_to_zero(self):
         park = identity_park(2, m1=1, e0=1.0)
@@ -160,4 +157,3 @@ class TestGridScan:
         slow = MachineTimeline(2, (1e6,), (0.25,))
         park = MachinePark((MachineTimeline(1, (), ()), slow), 1, 1.0)
         assert grid_scan_t(park, (0.0, 8.0), 8.0, 0.5) is None
-        assert smallest_grid_t(park, (0.0, 8.0), 8.0, 0.5) is None

@@ -2,16 +2,8 @@ import dataclasses
 
 import pytest
 
-from streamspan import (
-    ConfigError,
-    EstimatePmaxLedger,
-    KnownPmaxLedger,
-    RunReport,
-    UnknownPmaxLedger,
-    backend,
-    make_ledger,
-    run_stream,
-)
+from streamspan import ConfigError, RunReport, backend, make_ledger, run_stream
+from streamspan.grouping import EstimatePmaxLedger, KnownPmaxLedger, UnknownPmaxLedger
 
 from _support import identity_park, make_instance, quiet_params
 

@@ -9,21 +9,17 @@ from streamspan import (
     MachineTimeline,
     ScheduleContractError,
     TwoPassMismatchError,
-    completion_time,
-    crossing_allowance,
-    crossing_counts,
-    enumerate_and_select,
     exact_optimum,
-    offline_schedule,
-    place_small_jobs,
+    run_stream,
     second_pass,
     validate_schedule,
 )
+from streamspan.capacity import completion_time
 from streamspan.grouping import KnownPmaxLedger
-from streamspan.pipeline import run_stream
-from streamspan.schedule import FirstPassArtifacts
+from streamspan.schedule import FirstPassArtifacts, crossing_counts
+from streamspan.search import crossing_allowance, enumerate_and_select
 
-from _support import identity_park, make_instance, quiet_params
+from _support import identity_park, make_instance, offline, quiet_params
 
 
 def _machine_sequences(schedule):
@@ -46,16 +42,16 @@ class TestPlaceSmallJobs:
         park = identity_park(2, m1=1, e0=1.0)
         params = quiet_params(2, 1, 1.0, 1.0)
         jobs = [4.0, 4.0]
-        large, outcome = _run(park, params, jobs, 1.0)
-        sched = place_small_jobs(park, outcome, [])
-        assert sched.makespan <= outcome.t
+        sched, report = offline(park, params, jobs)
+        assert report.search_jobs == 2
+        assert sched.makespan <= report.selected_t
         validate_schedule(park, sched, jobs)
 
     def test_single_machine_is_sequential(self):
         park = identity_park(1)
         params = quiet_params(1, 1, 1.0, 1.0)
         jobs = [3.0, 1.0, 2.0]
-        sched, value = offline_schedule(park, params, jobs)
+        sched, report = offline(park, params, jobs)
         assert sched.makespan == completion_time(park.machines[0], 0.0, 6.0)
         assert [pl.machine for pl in sched.placements] == [1, 1, 1]
         validate_schedule(park, sched, jobs)
@@ -66,22 +62,21 @@ class TestPlaceSmallJobs:
         park = identity_park(2, m1=1, e0=1.0)
         params = quiet_params(2, 1, 1.0, 1.0)
         jobs = [4.0, 3.0, 3.0]
-        sched, value = offline_schedule(park, params, jobs)
+        sched, report = offline(park, params, jobs)
         validate_schedule(park, sched, jobs)
         opt = exact_optimum(park, jobs)
-        assert opt.makespan <= sched.makespan <= value
-        large, outcome = _run(park, params, jobs, 1.0)
-        counts = crossing_counts(park, sched, jobs, outcome.t)
+        assert opt.makespan <= sched.makespan <= report.value
+        counts = crossing_counts(park, sched, jobs, report.selected_t)
         assert counts[1] == 0  # machines above the floor end clean
         assert counts[0] <= crossing_allowance(park)
 
     def test_empty_instance(self):
         park = identity_park(2, m1=1, e0=1.0)
         params = quiet_params(2, 1, 1.0, 1.0)
-        sched, value = offline_schedule(park, params, [])
+        sched, report = offline(park, params, [])
         assert sched.placements == ()
         assert sched.makespan == 0.0
-        assert value == 0.0
+        assert report.value == 0.0
         validate_schedule(park, sched, [])
 
 
@@ -95,12 +90,11 @@ class TestOfflineAgainstOracle:
         epsilon = rng.choice([0.5, 1.0])
         park, jobs = make_instance(seed + 1000, m, m1, e0, rng.randint(0, 8))
         params = quiet_params(m, m1, e0, epsilon)
-        sched, value = offline_schedule(park, params, jobs)
+        sched, report = offline(park, params, jobs)
         validate_schedule(park, sched, jobs)
-        assert sched.makespan <= value
+        assert sched.makespan <= report.value
         if jobs:
-            _, outcome = _run(park, params, jobs, epsilon)
-            counts = crossing_counts(park, sched, jobs, outcome.t)
+            counts = crossing_counts(park, sched, jobs, report.selected_t)
             allowance = crossing_allowance(park)
             for i in range(park.m):
                 if i < m1:
@@ -126,17 +120,17 @@ class TestSecondPass:
             m1 = rng.randint(1, m)
             park, jobs = make_instance(seed + 2000, m, m1, 0.5, rng.randint(1, 8))
             params = quiet_params(m, m1, 0.5, 0.5)
-            offline, _ = offline_schedule(park, params, jobs)
+            whole, _ = offline(park, params, jobs)
             art = self._artifacts(park, params, jobs, 0.5)
-            online = second_pass(park, art, iter(jobs))
-            assert online == offline
+            one_by_one = second_pass(park, art, [[p] for p in jobs])
+            assert one_by_one == whole
 
     def test_large_jobs_are_skipped_not_replaced(self):
         park = identity_park(2, m1=1, e0=1.0)
         params = quiet_params(2, 1, 1.0, 1.0)
         jobs = [4.0, 1.0, 4.0]
         art = self._artifacts(park, params, jobs, 1.0)
-        sched = second_pass(park, art, iter(jobs))
+        sched = second_pass(park, art, [jobs])
         validate_schedule(park, sched, jobs)
         seqs = _machine_sequences(sched)
         placed = sorted(j for ids in seqs.values() for j in ids)
@@ -148,7 +142,7 @@ class TestSecondPass:
         jobs = [4.0, 2.0]
         art = self._artifacts(park, params, jobs, 1.0)
         with pytest.raises(TwoPassMismatchError, match="longer"):
-            second_pass(park, art, iter(jobs + [1.0]))
+            second_pass(park, art, [jobs, [1.0]])
 
     def test_shorter_stream_rejected(self):
         park = identity_park(2, m1=1, e0=1.0)
@@ -156,7 +150,7 @@ class TestSecondPass:
         jobs = [4.0, 2.0]
         art = self._artifacts(park, params, jobs, 1.0)
         with pytest.raises(TwoPassMismatchError, match="ended after 1"):
-            second_pass(park, art, iter(jobs[:1]))
+            second_pass(park, art, [jobs[:1]])
 
     def test_grown_maximum_rejected(self):
         park = identity_park(2, m1=1, e0=1.0)
@@ -164,7 +158,7 @@ class TestSecondPass:
         jobs = [4.0, 2.0]
         art = self._artifacts(park, params, jobs, 1.0)
         with pytest.raises(TwoPassMismatchError, match="maximum"):
-            second_pass(park, art, iter([4.0, 5.0]))
+            second_pass(park, art, [[4.0, 5.0]])
 
     def test_bad_value_rejected_with_position(self):
         park = identity_park(2, m1=1, e0=1.0)
@@ -172,7 +166,19 @@ class TestSecondPass:
         jobs = [4.0, 2.0]
         art = self._artifacts(park, params, jobs, 1.0)
         with pytest.raises(JobValueError, match="position 1"):
-            second_pass(park, art, iter([4.0, -2.0]))
+            second_pass(park, art, [[4.0, -2.0]])
+
+    def test_the_earliest_fault_wins(self):
+        park = identity_park(2, m1=1, e0=1.0)
+        params = quiet_params(2, 1, 1.0, 1.0)
+        jobs = [4.0, 2.0]
+        art = self._artifacts(park, params, jobs, 1.0)
+        with pytest.raises(JobValueError, match="position 1"):
+            second_pass(park, art, [[4.0, -2.0, 1.0]])
+        with pytest.raises(TwoPassMismatchError, match="position 0"):
+            second_pass(park, art, [[5.0, -2.0]])
+        with pytest.raises(TwoPassMismatchError, match="longer"):
+            second_pass(park, art, [[4.0, 2.0, -1.0]])
 
     def test_roundtrip_through_pipeline_chunks(self):
         park = identity_park(2, m1=1, e0=1.0)
@@ -180,7 +186,7 @@ class TestSecondPass:
         jobs = [4.0, 1.0, 3.0, 2.0, 4.0]
         led = KnownPmaxLedger(params, 4.0)
         report, art = run_stream(park, params, led, [jobs])
-        sched = second_pass(park, art, iter(jobs))
+        sched = second_pass(park, art, [jobs])
         validate_schedule(park, sched, jobs)
         assert sched.makespan <= report.value
 
@@ -190,7 +196,7 @@ class TestValidator:
         park = identity_park(2, m1=1, e0=1.0)
         params = quiet_params(2, 1, 1.0, 1.0)
         jobs = [4.0, 3.0, 1.0, 2.0]
-        sched, _ = offline_schedule(park, params, jobs)
+        sched, _ = offline(park, params, jobs)
         return park, jobs, sched
 
     def test_detects_missing_job(self):
@@ -272,7 +278,7 @@ def test_crossing_counts_by_hand():
     )
     params = quiet_params(2, 2, 0.5, 1.0)
     jobs = [1.0, 1.0, 1.0, 1.0, 1.0]
-    sched, _ = offline_schedule(park, params, jobs)
+    sched, _ = offline(park, params, jobs)
     validate_schedule(park, sched, jobs)
     counts = crossing_counts(park, sched, jobs, 4.0)
     per_machine_load = {m: len(ids) for m, ids in _machine_sequences(sched).items()}

@@ -5,22 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamspan import (
-    BudgetExceededError,
-    KnownPmaxLedger,
-    LargeJobSet,
-    MachinePark,
-    MachineTimeline,
+from streamspan import BudgetExceededError, MachinePark, MachineTimeline
+from streamspan.capacity import search_bounds
+from streamspan.grouping import KnownPmaxLedger, LargeJobSet
+from streamspan.oracle import grid_scan_t
+from streamspan.search import (
     crossing_allowance,
     enumerate_and_select,
-    feasible,
     makespan_value,
-    search_bounds,
-    smallest_grid_t,
     time_grid,
 )
 
-from _support import identity_park, quiet_params, random_timeline
+from _support import brute_force_selection, identity_park, quiet_params, random_timeline
 
 
 def large_set(jobs, small_bound=0.5, band_offset=0, saturated_band=-1):
@@ -61,35 +57,22 @@ class TestTimeGrid:
             assert grid[x] == grid[0] * base**x
 
 
-class TestFeasible:
-    def test_balanced_loads_on_identity_machines(self):
-        park = identity_park(2, m1=1, e0=1.0)
-        assert feasible(park, [5.0, 5.0], 10.0, 5.0)
-        assert not feasible(park, [5.0, 5.0], 10.0, 4.999)
-
-    def test_slow_machine_blocks(self):
-        park = MachinePark(
-            (MachineTimeline(1, (), ()), MachineTimeline(2, (100.0,), (0.25,))),
-            1,
-            1.0,
-        )
-        # A_2(20) = 5 < 10 even though the park total covers it
-        assert not feasible(park, [0.0, 10.0], 10.0, 20.0)
-        assert feasible(park, [10.0, 0.0], 10.0, 20.0)
-
-
 class TestSmallestGridT:
+    """The smallest feasible grid time the search selects, traced by hand."""
+
     def test_single_machine_exact_fit(self):
         park = identity_park(1)
-        assert smallest_grid_t(park, [4.0], 4.0, 1.0) == 4.0
+        assert enumerate_and_select(park, large_set([(0, 4.0)]), 1.0).t == 4.0
 
     def test_unbalanced_assignment_pays(self):
+        # one job of 6 must sit on one machine: grid 3, 4.5, 6.75
         park = identity_park(2, m1=1, e0=1.0)
-        assert smallest_grid_t(park, [6.0, 0.0], 6.0, 1.0) == 6.75
+        out = enumerate_and_select(park, large_set([(0, 6.0)]), 1.0)
+        assert (out.t, out.grid_exponent) == (6.75, 2)
 
     def test_zero_load(self):
         park = identity_park(2, m1=1, e0=1.0)
-        assert smallest_grid_t(park, [0.0, 0.0], 0.0, 1.0) == 0.0
+        assert enumerate_and_select(park, large_set([]), 1.0).t == 0.0
 
     def test_starved_machine_is_infeasible(self):
         # machine 2 delivers only t/4 for a very long time, so within the
@@ -99,7 +82,8 @@ class TestSmallestGridT:
             1,
             1.0,
         )
-        assert smallest_grid_t(park, [0.0, 8.0], 8.0, 1.0) is None
+        out = enumerate_and_select(park, large_set([(0, 8.0)]), 1.0)
+        assert out.assignment.machine_of == (1,)
 
 
 def test_crossing_allowance():
@@ -161,27 +145,6 @@ class TestEnumerateAndSelect:
         assert tuple(loads) == out.assignment.per_machine_load
 
 
-def _brute_force_selection(park, large, epsilon):
-    """Reference selection: try ordinals in order, keep the smallest x."""
-    grid = time_grid(park, large.total_load, epsilon)
-    m = park.m
-    njobs = large.job_count
-    best = None
-    for ordinal in range(m**njobs):
-        loads = [0.0] * m
-        rem = ordinal
-        for _, p in large.jobs:
-            loads[rem % m] += p
-            rem //= m
-        t = smallest_grid_t(park, loads, large.total_load, epsilon)
-        if t is None:
-            continue
-        x = grid.index(t)
-        if best is None or x < best[0]:
-            best = (x, ordinal)
-    return best
-
-
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_selection_matches_brute_force(data):
@@ -199,12 +162,12 @@ def test_selection_matches_brute_force(data):
     epsilon = data.draw(st.sampled_from([0.5, 1.0]))
     large = large_set(jobs)
     out = enumerate_and_select(park, large, epsilon)
-    want = _brute_force_selection(park, large, epsilon)
+    want = brute_force_selection(park, large, epsilon)
     assert want is not None
     assert (out.grid_exponent, out.assignment.ordinal) == want
     grid = time_grid(park, large.total_load, epsilon)
     assert out.t == grid[out.grid_exponent]
-    assert feasible(park, out.assignment.per_machine_load, large.total_load, out.t)
+    assert grid_scan_t(park, out.assignment.per_machine_load, large.total_load, epsilon) == out.t
     assert out.value == makespan_value(park, large, out.t)
 
 
@@ -218,7 +181,7 @@ def test_selection_skips_unreachable_exponents_below_aggregate_floor():
     )
     large = large_set([(0, 4.0), (1, 4.0)])
     out = enumerate_and_select(park, large, 1.0)
-    want = _brute_force_selection(park, large, 1.0)
+    want = brute_force_selection(park, large, 1.0)
     assert (out.grid_exponent, out.assignment.ordinal) == want
 
 
