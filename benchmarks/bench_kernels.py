@@ -4,30 +4,42 @@
 parse: the CLI's job-stream parser over the ingest stream as text.
 ingest: plain-python scalar loop, vectorized numpy, jitted scalar loop.
 ledgers: the same stream through make_ledger(...).ingest_many per regime.
+schedule: second_pass and write_schedule_csv over 1M jobs on a 3-machine
+park with 400 shared intervals per machine.
 search: same trio over the m**J assignment enumeration.
 
 Run from the repo root:
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --jobs 4000000 --search-jobs 14
+    python3 benchmarks/bench_kernels.py --json benchmarks/BENCH_kernels.json --label after
 
+--json adds this run's figures to the file under --label, keeping the
+other labels' entries, so one file holds a change's before and after.
 The numba rows need the default backend (STREAMSPAN_NUMBA unset or 1);
 with the fallback forced the script still reports the other two.
 """
 
 import argparse
 import io
+import json
 import math
+import os
+import platform
+import tempfile
 import time
 
 import numpy as np
 
-from streamspan import _kernels
+from streamspan import _kernels, run_stream, second_pass
 from streamspan.capacity import MachinePark, MachineTimeline, capacity_at
-from streamspan.cli import _float_chunks
+from streamspan.cli import _float_chunks, write_schedule_csv
 from streamspan.grouping import derive_params
 from streamspan.pipeline import make_ledger
 from streamspan.search import time_grid
+
+SCHEDULE_JOBS = 1_000_000
+SCHEDULE_INTERVALS = 400
 
 
 def make_park(m):
@@ -86,6 +98,63 @@ def bench_ledger(params, regime, ledger_args, stream, chunk, repeats):
     return best
 
 
+def make_dense_park(rng, total_load):
+    """3 machines, machine 1 never below ratio 0.5, SCHEDULE_INTERVALS shared
+    intervals each spread over twice the mean per-machine load."""
+    horizon = max(int(2 * total_load / 3), SCHEDULE_INTERVALS)
+    machines = []
+    for i in range(1, 4):
+        bps = np.sort(rng.choice(horizon, size=SCHEDULE_INTERVALS, replace=False) + 1)
+        ratios = rng.choice((0.5, 1.0) if i == 1 else (0.25, 0.5, 1.0), size=bps.size)
+        machines.append(MachineTimeline(i, tuple(bps.tolist()), tuple(ratios.tolist())))
+    return MachinePark(tuple(machines), 1, 0.5)
+
+
+def bench_schedule(stream, chunk, repeats, rng):
+    """Best (second_pass, write_schedule_csv) seconds over a two-pass run."""
+    park = make_dense_park(rng, float(stream.sum()))
+    params = derive_params(m=3, floor_machines=1, ratio_floor=0.5, epsilon=0.5)
+    chunks = [stream[lo : lo + chunk] for lo in range(0, stream.size, chunk)]
+    ledger = make_ledger(params, "pmax-given", pmax=float(stream.max()))
+    _, artifacts = run_stream(park, params, ledger, chunks)
+    best_pass = best_write = math.inf
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "schedule.csv")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            schedule = second_pass(park, artifacts, chunks)
+            t1 = time.perf_counter()
+            write_schedule_csv(path, schedule)
+            t2 = time.perf_counter()
+            best_pass, best_write = min(best_pass, t1 - t0), min(best_write, t2 - t1)
+            del schedule
+    return best_pass, best_write
+
+
+def save_figures(path, label, args, figures):
+    """Add this run's figures to the JSON file at path under label."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        doc = {"runs": {}}
+    options = {k: v for k, v in vars(args).items() if k not in ("json", "label")}
+    doc["runs"][label] = {
+        "env": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "backend": _kernels.backend(),
+            "cpus": os.cpu_count(),
+            "machine": platform.machine(),
+        },
+        "options": options,
+        "figures": figures,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def bench_search(fn, job_ps, m, capgrid, repeats):
     n_total = m ** job_ps.size
     best = math.inf
@@ -103,7 +172,10 @@ def main():
     ap.add_argument("--search-jobs", type=int, default=12, help="large jobs J; search visits m**J")
     ap.add_argument("--machines", type=int, default=3)
     ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--json", default=None, help="add the figures to this JSON file")
+    ap.add_argument("--label", default="current", help="entry name in the --json file")
     args = ap.parse_args()
+    figures = {}
 
     params = derive_params(m=2, floor_machines=1, ratio_floor=0.5, epsilon=0.5)
     n_bounded = params.bounded_bands
@@ -115,7 +187,8 @@ def main():
     # one job per line, as `streamspan generate` and the benchmark inputs write them
     text = "\n".join(map(str, stream.astype(np.int64).tolist())) + "\n"
     secs = bench_parse(text, args.repeats)
-    print(f"parse: {secs / stream.size * 1e9:.1f} ns/token   (_float_chunks, {args.jobs} tokens)")
+    figures["parse_ns_per_token"] = secs / stream.size * 1e9
+    print(f"parse: {figures['parse_ns_per_token']:.1f} ns/token   (_float_chunks, {args.jobs} tokens)")
 
     impls = [
         ("python", _kernels._ingest_scalar, 1),
@@ -132,6 +205,7 @@ def main():
         data = stream if name != "python" else stream[: max(args.jobs // 20, 1)]
         secs = bench_ingest(fn, data, offset, retain_limit, n_bounded, args.chunk, repeats)
         per_job = secs / data.size
+        figures[f"ingest_{name}_ns_per_job"] = per_job * 1e9
         print(f"  {name:>6}: {per_job * 1e9:9.1f} ns/job   ({1.0 / per_job:,.0f} jobs/s)")
 
     ledgers = (
@@ -145,7 +219,16 @@ def main():
         secs = bench_ledger(params, regime, ledger_args, stream, args.chunk, args.repeats)
         per_job = secs / stream.size
         given = given or per_job
+        figures[f"ledger_{regime}_ns_per_job"] = per_job * 1e9
         print(f"  {regime:>13}: {per_job * 1e9:7.1f} ns/job   ({per_job / given:.2f}x pmax-given)")
+
+    schedule_stream = stream[:SCHEDULE_JOBS]
+    pass_s, write_s = bench_schedule(schedule_stream, args.chunk, args.repeats, rng)
+    figures["second_pass_ns_per_job"] = pass_s / schedule_stream.size * 1e9
+    figures["schedule_csv_ns_per_job"] = write_s / schedule_stream.size * 1e9
+    print(f"schedule: {schedule_stream.size} jobs, 3 machines x {SCHEDULE_INTERVALS} shared intervals")
+    print(f"   second pass: {figures['second_pass_ns_per_job']:7.1f} ns/job")
+    print(f"  schedule CSV: {figures['schedule_csv_ns_per_job']:7.1f} ns/job")
 
     m = args.machines
     park = make_park(m)
@@ -170,7 +253,11 @@ def main():
             js = job_ps
         secs, n_total = bench_search(fn, js, m, capgrid, repeats)
         rate = n_total / secs
+        figures[f"search_{name}_assignments_per_s"] = rate
         print(f"  {name:>6}: {rate:15,.0f} assignments/s")
+
+    if args.json:
+        save_figures(args.json, args.label, args, figures)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ strictly increasing and invertible.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -20,6 +21,7 @@ __all__ = [
     "MachinePark",
     "capacity_at",
     "park_capacity_at",
+    "completion_chain",
     "completion_time",
     "search_bounds",
 ]
@@ -39,6 +41,12 @@ class MachineTimeline:
     breakpoints: tuple[float, ...]
     ratios: tuple[float, ...]
     cumulative: tuple[float, ...] = field(init=False, compare=False)
+    # Segment k (k = 0..interval_count) starts at time seg_time[k] with
+    # capacity seg_cap[k] and runs at rate seg_rate[k]; the last segment is
+    # the exclusive tail at rate 1.
+    seg_time: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    seg_cap: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    seg_rate: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         bps = tuple(float(b) for b in self.breakpoints)
@@ -75,6 +83,9 @@ class MachineTimeline:
             cum.append(total)
             prev = b
         object.__setattr__(self, "cumulative", tuple(cum))
+        object.__setattr__(self, "seg_time", (0.0,) + bps)
+        object.__setattr__(self, "seg_cap", (0.0,) + tuple(cum))
+        object.__setattr__(self, "seg_rate", rs + (1.0,))
 
     @property
     def interval_count(self) -> int:
@@ -131,15 +142,8 @@ def capacity_at(timeline: MachineTimeline, t: float) -> float:
     """Processing delivered by time t (A_i(t)).  t must be >= 0."""
     if t < 0:
         raise ConfigError(f"time must be >= 0, got {t}")
-    bps = timeline.breakpoints
-    if not bps:
-        return t
-    i = bisect_left(bps, t)  # first breakpoint >= t
-    if i == len(bps):
-        return timeline.cumulative[-1] + (t - bps[-1])
-    left_t = bps[i - 1] if i else 0.0
-    left_c = timeline.cumulative[i - 1] if i else 0.0
-    return left_c + (t - left_t) * timeline.ratios[i]
+    i = bisect_left(timeline.breakpoints, t)  # t lies in segment i
+    return timeline.seg_cap[i] + (t - timeline.seg_time[i]) * timeline.seg_rate[i]
 
 
 def park_capacity_at(park: MachinePark, t: float) -> float:
@@ -150,6 +154,37 @@ def park_capacity_at(park: MachinePark, t: float) -> float:
     return total
 
 
+def completion_chain(
+    timeline: MachineTimeline, start: float, amounts: Sequence[float]
+) -> list[float]:
+    """Completion times of amounts run back to back from start.
+
+    Each amount starts when the one before it completes, at the smallest
+    t with A_i(t) - A_i(clock) >= amount.  Amounts must be > 0; start >= 0.
+    """
+    bps, cum = timeline.breakpoints, timeline.cumulative
+    seg_time, seg_cap, seg_rate = timeline.seg_time, timeline.seg_cap, timeline.seg_rate
+    seg_end = bps + (math.inf,)  # segment k covers times (seg_time[k], seg_end[k]]
+    cap_end = cum + (math.inf,)  # and capacities (seg_cap[k], cap_end[k]]
+    out: list[float] = []
+    append = out.append
+    clock = start
+    k = bisect_left(bps, clock)
+    for amount in amounts:
+        # Both lookups try segment k, where the previous job completed,
+        # before they bisect; they take k only where bisect_left would.
+        if not seg_time[k] < clock <= seg_end[k]:
+            k = bisect_left(bps, clock)
+        target = seg_cap[k] + (clock - seg_time[k]) * seg_rate[k] + amount
+        if not seg_cap[k] < target <= cap_end[k]:
+            k = bisect_left(cum, target)  # first segment whose end capacity >= target
+        t = seg_time[k] + (target - seg_cap[k]) / seg_rate[k]
+        # guard against division rounding pulling the answer below the start
+        clock = t if t > clock else clock
+        append(clock)
+    return out
+
+
 def completion_time(timeline: MachineTimeline, start: float, amount: float) -> float:
     """Smallest t >= start with A_i(t) - A_i(start) >= amount."""
     if start < 0:
@@ -158,19 +193,7 @@ def completion_time(timeline: MachineTimeline, start: float, amount: float) -> f
         raise ConfigError(f"amount must be >= 0, got {amount}")
     if amount == 0:
         return start
-    target = capacity_at(timeline, start) + amount
-    cum = timeline.cumulative
-    j = bisect_left(cum, target)  # first segment whose end capacity >= target
-    if j == len(cum):
-        base_c = cum[-1] if cum else 0.0
-        base_t = timeline.breakpoints[-1] if cum else 0.0
-        t = base_t + (target - base_c)
-    else:
-        left_t = timeline.breakpoints[j - 1] if j else 0.0
-        left_c = cum[j - 1] if j else 0.0
-        t = left_t + (target - left_c) / timeline.ratios[j]
-    # Guard against division rounding pulling the answer below start.
-    return t if t > start else start
+    return completion_chain(timeline, start, (amount,))[0]
 
 
 def search_bounds(park: MachinePark, total_load: float) -> tuple[float, float]:

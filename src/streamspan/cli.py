@@ -20,10 +20,10 @@ code so pipelines can branch on failures:
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import random
 import sys
+import time
 from dataclasses import replace
 from functools import partial
 from typing import Iterator, Sequence, TextIO
@@ -36,6 +36,7 @@ from .errors import (
     ConfigError,
     JobValueError,
     PmaxContractError,
+    ScheduleContractError,
     StreamspanError,
     TwoPassMismatchError,
 )
@@ -65,6 +66,7 @@ EXIT_CODES = {
 }
 
 _READ_CHARS = 1 << 16
+_CSV_ROWS = 1 << 14
 
 
 # --- machine config ---------------------------------------------------------
@@ -227,13 +229,35 @@ def _job_chunks(path: str) -> Iterator[np.ndarray]:
 
 
 def write_schedule_csv(path: str, schedule: Schedule) -> None:
-    """One row per job plus a trailing makespan row."""
+    """One row per job plus a trailing makespan row, with CRLF line ends.
+
+    Each completion is formatted once and reused as the start of the next
+    job on the same machine; a start column that is not back to back is
+    refused rather than written wrong.
+    """
+    n = schedule.machine.size
+    done = list(map(repr, schedule.completion.tolist()))
+    before = np.full(n, n, np.int64)  # the job run just before, n for none
+    for run in schedule.runs:
+        before[run[1:]] = run[:-1]
+    if np.append(schedule.completion, 0.0)[before].tobytes() != schedule.start.tobytes():
+        raise ScheduleContractError("schedule start times do not run back to back")
+    starts = np.array(done + [repr(0.0)], dtype=object)[before].tolist()
+    machine_fields = np.array([f",{i}," for i in range(len(schedule.runs) + 1)], dtype=object)
+    machines = machine_fields[schedule.machine].tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["job_id", "machine", "start", "completion"])
-        for pl in schedule.placements:
-            w.writerow([pl.job_id, pl.machine, repr(pl.start), repr(pl.completion)])
-        w.writerow(["makespan", repr(schedule.makespan)])
+        fh.write("job_id,machine,start,completion\r\n")
+        for lo in range(0, n, _CSV_ROWS):
+            hi = min(lo + _CSV_ROWS, n)
+            # row fields: job_id, ",machine,", start, ",", completion, CRLF
+            fields = [","] * (6 * (hi - lo))
+            fields[0::6] = map(str, range(lo, hi))
+            fields[1::6] = machines[lo:hi]
+            fields[2::6] = starts[lo:hi]
+            fields[4::6] = done[lo:hi]
+            fields[5::6] = ["\r\n"] * (hi - lo)
+            fh.write("".join(fields))
+        fh.write(f"makespan,{float(schedule.makespan)!r}\r\n")
 
 
 # --- instance generator --------------------------------------------------------
@@ -348,9 +372,17 @@ def _cmd_run(args) -> int:
         park, params, ledger, read(), mode=args.mode, regime=regime, budget=args.budget,
     )
     if needs_schedule:
+        t0 = time.perf_counter()
         schedule = second_pass(park, artifacts, read())
+        t1 = time.perf_counter()
         write_schedule_csv(args.schedule_out, schedule)
-        report = replace(report, makespan=schedule.makespan, schedule_path=args.schedule_out)
+        report = replace(
+            report,
+            makespan=schedule.makespan,
+            schedule_path=args.schedule_out,
+            second_pass_seconds=t1 - t0,
+            write_seconds=time.perf_counter() - t1,
+        )
     for line in report.as_lines(stats=args.stats):
         print(line)
     return 0

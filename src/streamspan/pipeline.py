@@ -11,6 +11,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from . import _kernels
 from .capacity import MachinePark
 from .errors import ConfigError
@@ -20,7 +22,7 @@ from .grouping import (
     SchedulingParams,
     UnknownPmaxLedger,
 )
-from .schedule import FirstPassArtifacts
+from .schedule import FirstPassArtifacts, fingerprint_update
 from .search import DEFAULT_BUDGET, enumerate_and_select
 
 __all__ = ["RunReport", "make_ledger", "run_stream", "REGIMES"]
@@ -63,6 +65,8 @@ class RunReport:
     mean_ingest_seconds: float
     makespan: float | None = None
     schedule_path: str | None = None
+    second_pass_seconds: float | None = None
+    write_seconds: float | None = None
 
     _CORE = (
         "mode",
@@ -96,6 +100,8 @@ class RunReport:
         "ingest_seconds",
         "search_seconds",
     )
+    # stage times of a run that wrote a schedule, after the extras
+    _SCHEDULE_STAGES = ("second_pass_seconds", "write_seconds")
 
     def as_lines(self, stats: bool = False) -> list[str]:
         keys = list(self._CORE)
@@ -105,6 +111,7 @@ class RunReport:
             keys.append("schedule_path")
         if stats:
             keys.extend(self._EXTRA)
+            keys.extend(k for k in self._SCHEDULE_STAGES if getattr(self, k) is not None)
         out = []
         for key in keys:
             val = getattr(self, key)
@@ -154,10 +161,15 @@ def run_stream(
         )
     t0 = time.perf_counter()
     ingest = 0.0
+    fingerprint = 0
+    seen = 0
     for chunk in chunks:
+        arr = np.asarray(chunk, dtype=np.float64)
         s = time.perf_counter()
-        ledger.ingest_many(chunk)
+        ledger.ingest_many(arr)
         ingest += time.perf_counter() - s
+        fingerprint = fingerprint_update(fingerprint, arr, seen)
+        seen += arr.size
     large = ledger.finalize()
     s = time.perf_counter()
     outcome = enumerate_and_select(park, large, params.epsilon, budget=budget)
@@ -196,8 +208,8 @@ def run_stream(
     )
     artifacts = FirstPassArtifacts(
         outcome=outcome,
-        large_ids=frozenset(job_id for job_id, _ in large.jobs),
         job_count=n,
         max_seen=ledger.max_seen,
+        fingerprint=fingerprint,
     )
     return report, artifacts

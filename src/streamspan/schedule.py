@@ -9,6 +9,11 @@ any other machine it is rerouted to the floor machine carrying the
 fewest late jobs so far.  Machines close in index order under this
 greedy, so reroute decisions never lack information and the second pass
 can place each job the moment it arrives.
+
+The second pass is columnar: the open machine takes a whole run of a
+chunk's small jobs at once, found by a running sum of their sizes, and
+only the job at a run's end goes through the per-job rule.  Start and
+completion times then come from one completion chain per machine.
 """
 
 from __future__ import annotations
@@ -18,124 +23,175 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .capacity import MachinePark, capacity_at, completion_time
+from .capacity import MachinePark, capacity_at, completion_chain
 from .errors import JobValueError, ScheduleContractError, TwoPassMismatchError
 from .search import SearchOutcome
 
 __all__ = [
-    "JobPlacement",
     "Schedule",
     "FirstPassArtifacts",
+    "fingerprint_update",
     "second_pass",
     "validate_schedule",
     "crossing_counts",
 ]
 
 
-@dataclass(frozen=True)
-class JobPlacement:
-    job_id: int
-    machine: int  # 1-based
-    position: int  # 0-based slot within the machine's run order
-    start: float
-    completion: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
-    """Every job's machine and back-to-back run times, sorted by job id."""
+    """Every job's machine and back-to-back run times as columns indexed
+    by job id; runs[i] lists machine i+1's job ids in run order.  Two
+    schedules are equal when every column matches bit for bit."""
 
-    placements: tuple[JobPlacement, ...]
+    machine: np.ndarray  # int64, 1-based
+    start: np.ndarray  # float64
+    completion: np.ndarray  # float64
+    runs: tuple[np.ndarray, ...]
     makespan: float
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self.machine, self.start, self.completion, *self.runs)
+
+    def __eq__(self, other):
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        mine, theirs = self._columns(), other._columns()
+        return (
+            self.makespan == other.makespan
+            and len(mine) == len(theirs)
+            and all(
+                a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                for a, b in zip(mine, theirs)
+            )
+        )
 
 
 @dataclass(frozen=True)
 class FirstPassArtifacts:
-    """What the streaming pass must remember to build the schedule later."""
+    """What the streaming pass must remember to build the schedule later.
+
+    fingerprint is the fingerprint_update fold over the whole stream, so
+    the second pass can tell a changed stream from the one it replays.
+    """
 
     outcome: SearchOutcome
-    large_ids: frozenset[int]
     job_count: int
     max_seen: float
+    fingerprint: int
+
+    @property
+    def large_ids(self) -> frozenset[int]:
+        return frozenset(job_id for job_id, _ in self.outcome.assignment.jobs)
 
 
-class _SmallPlacer:
-    """Greedy filler of the second pass."""
-
-    def __init__(self, park: MachinePark, t: float, per_machine_large: Sequence[float]):
-        self.park = park
-        self.cap_at_t = [capacity_at(tl, t) for tl in park.machines]
-        self.committed = list(per_machine_large)
-        self.closed = [False] * park.m
-        self.smalls: list[list[tuple[int, float]]] = [[] for _ in range(park.m)]
-        self.movers: list[list[tuple[int, float]]] = [[] for _ in range(park.m)]
-        self.late_count = [0] * park.m
-        self._first_open = 0
-
-    def _reroute(self, job_id: int, p: float) -> None:
-        floor = self.park.floor_machines
-        dest = 0
-        for i in range(1, floor):
-            if self.late_count[i] < self.late_count[dest]:
-                dest = i
-        self.movers[dest].append((job_id, p))
-        self.late_count[dest] += 1
-
-    def place(self, job_id: int, p: float) -> None:
-        m = self.park.m
-        while self._first_open < m and (
-            self.closed[self._first_open]
-            or self.committed[self._first_open] >= self.cap_at_t[self._first_open]
-        ):
-            self._first_open += 1
-        if self._first_open >= m:
-            # every machine is full at t; the job is late wherever it goes
-            self._reroute(job_id, p)
-            return
-        dest = self._first_open
-        new_load = self.committed[dest] + p
-        if new_load > self.cap_at_t[dest]:
-            if dest < self.park.floor_machines:
-                self.committed[dest] = new_load
-                self.smalls[dest].append((job_id, p))
-                self.late_count[dest] += 1
-            else:
-                # keep the machine's sub-t load; the closing job moves to a
-                # floor machine, and this machine accepts nothing further
-                self.closed[dest] = True
-                self._reroute(job_id, p)
-        else:
-            self.committed[dest] = new_load
-            self.smalls[dest].append((job_id, p))
-
-    def sequences(self, large_per_machine: Sequence[Sequence[tuple[int, float]]]):
-        return [
-            list(large_per_machine[i]) + self.smalls[i] + self.movers[i]
-            for i in range(self.park.m)
-        ]
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_POSITION_KEY = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _large_sequences(park: MachinePark, outcome: SearchOutcome):
-    seqs: list[list[tuple[int, float]]] = [[] for _ in range(park.m)]
-    for (job_id, p), machine in zip(outcome.assignment.jobs, outcome.assignment.machine_of):
-        seqs[machine - 1].append((job_id, p))
-    return seqs
+def fingerprint_update(fingerprint: int, values: np.ndarray, start: int) -> int:
+    """Fold the float64 values at stream positions start.. into fingerprint.
+
+    Each value's bits, xor-ed with its position times a key, go through
+    the splitmix64 finalizer; the hashes add up mod 2**64.  The sum does
+    not depend on how the stream is chunked, and a change of any value or
+    of the order of two different values changes it.
+    """
+    positions = np.arange(start, start + values.size, dtype=np.uint64)
+    z = values.view(np.uint64) ^ (positions * _POSITION_KEY)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return (fingerprint + int(z.sum(dtype=np.uint64))) % (1 << 64)
 
 
-def _assemble(park: MachinePark, sequences) -> Schedule:
-    placements = []
+class _GreedyFill:
+    """The second pass's greedy filler, one run of jobs at a time.
+
+    Machines fill in index order, so `open` only moves forward: past a
+    machine whose committed load reached its capacity at t, and past a
+    machine above the floor that closed by rerouting its crossing job.
+    """
+
+    def __init__(self, park: MachinePark, t: float, committed: Sequence[float]):
+        self.floor = park.floor_machines
+        self.cap = [capacity_at(tl, t) for tl in park.machines]
+        self.committed = list(committed)
+        self.open = 0
+        self.late = [0] * park.m
+        self.smalls: list[list[np.ndarray]] = [[] for _ in range(park.m)]
+        self.movers: list[list[int]] = [[] for _ in range(park.m)]
+
+    def _reroute(self, job_id: int) -> None:
+        late = self.late
+        dest = late.index(min(late[: self.floor]))  # lowest index among the fewest
+        self.movers[dest].append(job_id)
+        late[dest] += 1
+
+    def place(self, ids: np.ndarray, sizes: np.ndarray) -> None:
+        """Place the small jobs ids (stream order) of the given sizes."""
+        m, cap, committed = len(self.cap), self.cap, self.committed
+        k, n = 0, sizes.size
+        while k < n:
+            i = self.open
+            while i < m and committed[i] >= cap[i]:
+                i += 1
+            self.open = i
+            if i == m:
+                # every machine is full at t; each job is late wherever it goes
+                for job_id in ids[k:].tolist():
+                    self._reroute(job_id)
+                return
+            # loads[q] is the committed load before job k+q: an exact left fold
+            loads = np.empty(n - k + 1)
+            loads[0] = committed[i]
+            loads[1:] = sizes[k:]
+            np.add.accumulate(loads, out=loads)
+            # job k+q fits while loads[q] < cap and loads[q+1] <= cap
+            below = int(np.searchsorted(loads, cap[i], side="left"))
+            within = int(np.searchsorted(loads, cap[i], side="right"))
+            took = min(below, within - 1)
+            self.smalls[i].append(ids[k : k + took])
+            committed[i] = float(loads[took])
+            k += took
+            if k < n and committed[i] < cap[i]:
+                # job k crosses the capacity and closes machine i
+                if i < self.floor:
+                    committed[i] = float(loads[took + 1])
+                    self.smalls[i].append(ids[k : k + 1])
+                    self.late[i] += 1
+                else:
+                    self.open = i + 1
+                    self._reroute(int(ids[k]))
+                k += 1
+
+    def runs(self, large_runs: Sequence[Sequence[int]]) -> tuple[np.ndarray, ...]:
+        """Per machine: its large jobs, its small jobs, then rerouted jobs."""
+        return tuple(
+            np.concatenate([np.array(large, np.int64), *smalls, np.array(movers, np.int64)])
+            for large, smalls, movers in zip(large_runs, self.smalls, self.movers)
+        )
+
+
+def _timed(park: MachinePark, runs: tuple[np.ndarray, ...], sizes: np.ndarray) -> Schedule:
+    """The schedule that runs each machine's jobs back to back from 0."""
+    n = sizes.size
+    machine = np.empty(n, np.int64)
+    start = np.empty(n, np.float64)
+    completion = np.empty(n, np.float64)
     makespan = 0.0
-    for i, seq in enumerate(sequences):
-        tl = park.machines[i]
-        clock = 0.0
-        for position, (job_id, p) in enumerate(seq):
-            done = completion_time(tl, clock, p)
-            placements.append(JobPlacement(job_id, i + 1, position, clock, done))
-            clock = done
-        if clock > makespan:
-            makespan = clock
-    placements.sort(key=lambda pl: pl.job_id)
-    return Schedule(tuple(placements), makespan)
+    for index, (tl, run) in enumerate(zip(park.machines, runs), start=1):
+        if not run.size:
+            continue
+        done = np.array(completion_chain(tl, 0.0, sizes[run].tolist()), np.float64)
+        machine[run] = index
+        completion[run] = done
+        start[run[0]] = 0.0
+        start[run[1:]] = done[:-1]
+        makespan = max(makespan, float(done[-1]))
+    return Schedule(machine, start, completion, runs, makespan)
 
 
 def second_pass(
@@ -145,84 +201,136 @@ def second_pass(
 ) -> Schedule:
     """Replay the stream, chunk by chunk, and route each small job.
 
-    The replayed stream must match the first pass: same length, and no
-    processing time above the recorded maximum.  Of the faults in a
-    stream, the one at the earliest position is reported.
+    The replayed stream must match the first pass: same length, no
+    processing time above the recorded maximum, every retained large job
+    at its id with its size, and the same fingerprint.  Of the faults at
+    positions, the earliest is reported.
     """
-    placer = _SmallPlacer(park, artifacts.outcome.t, artifacts.outcome.assignment.per_machine_load)
-    large_ids = artifacts.large_ids
+    outcome = artifacts.outcome
+    assignment = outcome.assignment
+    n = artifacts.job_count
+    large_runs: list[list[int]] = [[] for _ in range(park.m)]
+    for (job_id, _), machine in zip(assignment.jobs, assignment.machine_of):
+        large_runs[machine - 1].append(job_id)
+    order = sorted(assignment.jobs)
+    large_ids = np.array([job_id for job_id, _ in order], np.int64)
+    large_sizes = np.array([p for _, p in order], np.float64)
+    fill = _GreedyFill(park, outcome.t, assignment.per_machine_load)
+    sizes = np.empty(n, np.float64)
+    fingerprint = 0
     seen = 0
+    lo = 0  # large_ids[lo:] lie at or after the current chunk
     for chunk in chunks:
         arr = np.asarray(chunk, dtype=np.float64)
         start = seen
         seen += arr.size
-        head = arr[:max(artifacts.job_count - start, 0)]
-        bad = np.flatnonzero(~(head > 0) | (head > artifacts.max_seen))
-        if bad.size:
-            job_id = start + int(bad[0])
-            p = float(head[bad[0]])
-            if not p > 0:
-                raise JobValueError(
-                    f"processing time must be > 0, got {p} at position {job_id}",
-                    position=job_id,
-                )
-            raise TwoPassMismatchError(
-                f"job at position {job_id} has processing time {p} above the "
-                f"first-pass maximum {artifacts.max_seen}"
-            )
+        head = arr[:max(n - start, 0)]
+        hi = lo + int(np.searchsorted(large_ids[lo:], start + head.size))
+        here = large_ids[lo:hi] - start
+        bad = ~(head > 0) | (head > artifacts.max_seen)
+        bad[here[head[here] != large_sizes[lo:hi]]] = True
+        first = np.flatnonzero(bad)
+        if first.size:
+            _raise_fault(artifacts, head, start, int(first[0]), here, large_sizes[lo:hi])
         if head.size < arr.size:
             raise TwoPassMismatchError(
-                f"second stream is longer than the first pass ({artifacts.job_count} jobs)"
+                f"second stream is longer than the first pass ({n} jobs)"
             )
-        for job_id, p in enumerate(arr.tolist(), start):
-            if job_id not in large_ids:
-                placer.place(job_id, p)
-    if seen != artifacts.job_count:
+        sizes[start:seen] = arr
+        fingerprint = fingerprint_update(fingerprint, arr, start)
+        if here.size:
+            small = np.ones(arr.size, bool)
+            small[here] = False
+            fill.place(np.flatnonzero(small) + start, arr[small])
+        else:
+            fill.place(np.arange(start, seen), arr)
+        lo = hi
+    if seen != n:
         raise TwoPassMismatchError(
-            f"second stream ended after {seen} jobs; first pass saw {artifacts.job_count}"
+            f"second stream ended after {seen} jobs; first pass saw {n}"
         )
-    return _assemble(park, placer.sequences(_large_sequences(park, artifacts.outcome)))
+    if fingerprint != artifacts.fingerprint:
+        raise TwoPassMismatchError(
+            "second stream has the first pass's length and maximum but not its "
+            "values in the same order (fingerprint mismatch)"
+        )
+    return _timed(park, fill.runs(large_runs), sizes)
+
+
+def _raise_fault(artifacts, head, start, q, here, kept) -> None:
+    """Raise for the fault at chunk offset q."""
+    job_id = start + q
+    p = float(head[q])
+    if not p > 0:
+        raise JobValueError(
+            f"processing time must be > 0, got {p} at position {job_id}",
+            position=job_id,
+        )
+    if p > artifacts.max_seen:
+        raise TwoPassMismatchError(
+            f"job at position {job_id} has processing time {p} above the "
+            f"first-pass maximum {artifacts.max_seen}"
+        )
+    size = float(kept[int(np.searchsorted(here, q))])
+    raise TwoPassMismatchError(
+        f"job at position {job_id} has processing time {p}; the first pass "
+        f"kept it as a large job of size {size}"
+    )
 
 
 def validate_schedule(park: MachinePark, schedule: Schedule, jobs: Sequence[float]) -> None:
     """Recompute everything from scratch; raise on any inconsistency."""
-    if len(schedule.placements) != len(jobs):
+    sizes = np.asarray(jobs, dtype=np.float64)
+    n = sizes.size
+    for column in (schedule.machine, schedule.start, schedule.completion):
+        if column.shape != (n,):
+            raise ScheduleContractError(
+                f"schedule covers {column.size} jobs, instance has {n}"
+            )
+    if len(schedule.runs) != park.m:
         raise ScheduleContractError(
-            f"schedule covers {len(schedule.placements)} jobs, instance has {len(jobs)}"
+            f"schedule has runs for {len(schedule.runs)} machines, park has {park.m}"
         )
-    seen_ids = set()
-    by_machine: dict[int, list[JobPlacement]] = {}
-    for pl in schedule.placements:
-        if pl.job_id in seen_ids:
-            raise ScheduleContractError(f"job {pl.job_id} placed twice")
-        seen_ids.add(pl.job_id)
-        if not (0 <= pl.job_id < len(jobs)):
-            raise ScheduleContractError(f"unknown job id {pl.job_id}")
-        if not (1 <= pl.machine <= park.m):
-            raise ScheduleContractError(f"job {pl.job_id} on unknown machine {pl.machine}")
-        by_machine.setdefault(pl.machine, []).append(pl)
+    listed = np.concatenate([np.asarray(run, np.int64) for run in schedule.runs])
+    unknown = listed[(listed < 0) | (listed >= n)]
+    if unknown.size:
+        raise ScheduleContractError(f"unknown job id {unknown[0]}")
+    count = np.bincount(listed, minlength=n)
+    if (count > 1).any():
+        raise ScheduleContractError(f"job {int(np.argmax(count > 1))} placed twice")
+    if (count == 0).any():
+        raise ScheduleContractError(f"job {int(np.argmin(count))} is in no machine's run")
+    off_park = np.flatnonzero((schedule.machine < 1) | (schedule.machine > park.m))
+    if off_park.size:
+        j = int(off_park[0])
+        raise ScheduleContractError(f"job {j} on unknown machine {schedule.machine[j]}")
     top = 0.0
-    for machine, pls in by_machine.items():
-        pls.sort(key=lambda pl: pl.position)
-        tl = park.machines[machine - 1]
-        clock = 0.0
-        for position, pl in enumerate(pls):
-            if pl.position != position:
+    for index, (tl, run) in enumerate(zip(park.machines, schedule.runs), start=1):
+        run = np.asarray(run, np.int64)
+        elsewhere = np.flatnonzero(schedule.machine[run] != index)
+        if elsewhere.size:
+            j = int(run[elsewhere[0]])
+            raise ScheduleContractError(
+                f"job {j} is in machine {index}'s run but placed on machine "
+                f"{schedule.machine[j]}"
+            )
+        if not run.size:
+            continue
+        done = np.array(completion_chain(tl, 0.0, sizes[run].tolist()), np.float64)
+        clock = np.concatenate(([0.0], done[:-1]))
+        start, completion = schedule.start[run], schedule.completion[run]
+        wrong = np.flatnonzero((start != clock) | (completion != done))
+        if wrong.size:
+            k = int(wrong[0])
+            j = int(run[k])
+            if start[k] != clock[k]:
                 raise ScheduleContractError(
-                    f"machine {machine}: positions not contiguous at {pl.position}"
+                    f"job {j} starts at {start[k]}, expected {clock[k]} (no idle time)"
                 )
-            if pl.start != clock:
-                raise ScheduleContractError(
-                    f"job {pl.job_id} starts at {pl.start}, expected {clock} (no idle time)"
-                )
-            done = completion_time(tl, pl.start, jobs[pl.job_id])
-            if pl.completion != done:
-                raise ScheduleContractError(
-                    f"job {pl.job_id} completion {pl.completion} != recomputed {done}"
-                )
-            clock = done
-        if clock > top:
-            top = clock
+            raise ScheduleContractError(
+                f"job {j} completion {completion[k]} != recomputed {done[k]}"
+            )
+        top = max(top, float(done[-1]))
     if schedule.makespan != top:
         raise ScheduleContractError(
             f"makespan {schedule.makespan} != recomputed {top}"
@@ -236,16 +344,8 @@ def crossing_counts(
     t: float,
 ) -> list[int]:
     """Per machine, how many jobs finish after t (exact load comparison)."""
-    by_machine: dict[int, list[JobPlacement]] = {}
-    for pl in schedule.placements:
-        by_machine.setdefault(pl.machine, []).append(pl)
-    counts = [0] * park.m
-    for machine, pls in by_machine.items():
-        pls.sort(key=lambda pl: pl.position)
-        cap = capacity_at(park.machines[machine - 1], t)
-        running = 0.0
-        for pl in pls:
-            running += jobs[pl.job_id]
-            if running > cap:
-                counts[machine - 1] += 1
-    return counts
+    sizes = np.asarray(jobs, dtype=np.float64)
+    return [
+        int(np.count_nonzero(np.add.accumulate(sizes[run]) > capacity_at(tl, t)))
+        for tl, run in zip(park.machines, schedule.runs)
+    ]

@@ -5,17 +5,22 @@ from __future__ import annotations
 import random
 import warnings
 
+import numpy as np
+
 from streamspan import (
     MachinePark,
     MachineTimeline,
+    Schedule,
     derive_params,
     make_ledger,
     run_stream,
     second_pass,
 )
+from streamspan.capacity import capacity_at, completion_time
 from streamspan.cli import generate_instance, parse_machine_config_text
 from streamspan.oracle import grid_scan_t
-from streamspan.search import time_grid
+from streamspan.schedule import FirstPassArtifacts, fingerprint_update
+from streamspan.search import LargeAssignment, SearchOutcome, time_grid
 
 
 def quiet_params(m, m1, e0, epsilon, **kw):
@@ -81,3 +86,105 @@ def brute_force_selection(park, large, epsilon):
         if x is not None and (best is None or x < best[0]):
             best = (x, ordinal)
     return best
+
+
+def hand_artifacts(park, jobs, large, t):
+    """First-pass artifacts for jobs with a chosen placement of large jobs
+    (a {job id: machine} dict, 1-based machines) and target time t."""
+    pairs = tuple((j, float(jobs[j])) for j in large)
+    loads = [0.0] * park.m
+    for j, p in pairs:
+        loads[large[j] - 1] += p
+    outcome = SearchOutcome(
+        assignment=LargeAssignment(pairs, tuple(large.values()), tuple(loads), 0),
+        t=t, grid_exponent=0, value=t, lower_bound=0.0, upper_bound=t,
+    )
+    arr = np.asarray(jobs, np.float64)
+    return FirstPassArtifacts(
+        outcome=outcome,
+        job_count=len(jobs),
+        max_seen=max(jobs, default=0.0),
+        fingerprint=fingerprint_update(0, arr, 0),
+    )
+
+
+class _PerJobPlacer:
+    """The greedy filler one job at a time: the reference for second_pass."""
+
+    def __init__(self, park, t, per_machine_large):
+        self.park = park
+        self.cap_at_t = [capacity_at(tl, t) for tl in park.machines]
+        self.committed = list(per_machine_large)
+        self.closed = [False] * park.m
+        self.smalls = [[] for _ in range(park.m)]
+        self.movers = [[] for _ in range(park.m)]
+        self.late_count = [0] * park.m
+        self._first_open = 0
+
+    def _reroute(self, job_id, p):
+        dest = 0
+        for i in range(1, self.park.floor_machines):
+            if self.late_count[i] < self.late_count[dest]:
+                dest = i
+        self.movers[dest].append((job_id, p))
+        self.late_count[dest] += 1
+
+    def place(self, job_id, p):
+        m = self.park.m
+        while self._first_open < m and (
+            self.closed[self._first_open]
+            or self.committed[self._first_open] >= self.cap_at_t[self._first_open]
+        ):
+            self._first_open += 1
+        if self._first_open >= m:
+            self._reroute(job_id, p)
+            return
+        dest = self._first_open
+        new_load = self.committed[dest] + p
+        if new_load > self.cap_at_t[dest]:
+            if dest < self.park.floor_machines:
+                self.committed[dest] = new_load
+                self.smalls[dest].append((job_id, p))
+                self.late_count[dest] += 1
+            else:
+                self.closed[dest] = True
+                self._reroute(job_id, p)
+        else:
+            self.committed[dest] = new_load
+            self.smalls[dest].append((job_id, p))
+
+
+def reference_second_pass(park, artifacts, jobs):
+    """second_pass rebuilt per job: place each small job on its own, then
+    fold completion_time along each machine's run."""
+    assignment = artifacts.outcome.assignment
+    placer = _PerJobPlacer(park, artifacts.outcome.t, assignment.per_machine_load)
+    large_ids = artifacts.large_ids
+    for job_id, p in enumerate(jobs):
+        if job_id not in large_ids:
+            placer.place(job_id, float(p))
+    n = len(jobs)
+    machine = np.empty(n, np.int64)
+    start = np.empty(n, np.float64)
+    completion = np.empty(n, np.float64)
+    runs = []
+    makespan = 0.0
+    for i, tl in enumerate(park.machines):
+        seq = [(j, p) for (j, p), mach in zip(assignment.jobs, assignment.machine_of)
+               if mach == i + 1]
+        seq += placer.smalls[i] + placer.movers[i]
+        clock = 0.0
+        for job_id, p in seq:
+            done = completion_time(tl, clock, p)
+            machine[job_id], start[job_id], completion[job_id] = i + 1, clock, done
+            clock = done
+        makespan = max(makespan, clock)
+        runs.append(np.array([j for j, _ in seq], np.int64))
+    return Schedule(machine, start, completion, tuple(runs), makespan)
+
+
+def column_bytes(schedule):
+    """A schedule's columns, runs and makespan as bytes and text, for
+    bit-for-bit comparisons that do not go through Schedule.__eq__."""
+    columns = (schedule.machine, schedule.start, schedule.completion, *schedule.runs)
+    return [(c.dtype.str, c.tobytes()) for c in columns] + [repr(schedule.makespan)]

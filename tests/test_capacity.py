@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from streamspan import ConfigError, MachinePark, MachineTimeline
 from streamspan.capacity import (
     capacity_at,
+    completion_chain,
     completion_time,
     park_capacity_at,
     search_bounds,
@@ -166,6 +167,36 @@ def test_completion_chaining_matches_combined_load(tl, start, a, b):
     # back-to-back jobs end exactly where one merged job would
     step = completion_time(tl, completion_time(tl, start, a), b)
     assert step == completion_time(tl, start, a + b)
+
+
+_real_timelines = st.builds(
+    lambda pairs: MachineTimeline(
+        1,
+        tuple(b for b, _ in pairs),
+        tuple(r for _, r in pairs),
+    ),
+    st.lists(
+        st.tuples(st.floats(0.01, 60.0), st.sampled_from([0.1, 0.3, 0.7, 1 / 3, 1.0])),
+        max_size=6,
+        unique_by=lambda pair: pair[0],
+    ).map(lambda ps: sorted(ps)),
+)
+_amounts = st.one_of(
+    st.floats(1e-3, 30.0), st.sampled_from([5e-324, 1e-300, 1e-15]), _quarters.filter(bool)
+)
+
+
+@settings(max_examples=300)
+@given(tl=_real_timelines, data=st.data(), amounts=st.lists(_amounts, max_size=30))
+def test_completion_chain_is_the_completion_time_fold(tl, data, amounts):
+    # the chain's segment shortcuts must land where per-job bisects do,
+    # from starts on breakpoints as well as between them
+    start = data.draw(st.one_of(st.floats(0.0, 70.0), st.sampled_from((0.0,) + tl.breakpoints)))
+    expected, clock = [], start
+    for amount in amounts:
+        clock = completion_time(tl, clock, amount)
+        expected.append(clock)
+    assert completion_chain(tl, start, amounts) == expected
 
 
 @settings(max_examples=200)

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import importlib.util
 import io
 import subprocess
@@ -5,7 +7,13 @@ import sys
 
 import pytest
 
-from streamspan import ConfigError, JobValueError, MachinePark, exact_optimum
+from streamspan import (
+    ConfigError,
+    JobValueError,
+    MachinePark,
+    ScheduleContractError,
+    exact_optimum,
+)
 from streamspan.cli import (
     _float_chunks,
     _token_chunks,
@@ -13,8 +21,11 @@ from streamspan.cli import (
     main,
     parse_machine_config,
     parse_machine_config_text,
+    write_schedule_csv,
 )
 import streamspan.cli as cli_mod
+
+from _support import make_instance, offline, quiet_params
 
 
 GOOD_CONFIG = """\
@@ -229,6 +240,43 @@ class TestRunCommand:
         assert len(lines) == n_jobs + 2
         assert float(report["makespan"]) <= float(report["value"])
 
+    def test_stats_time_the_schedule_stages(self, capsys, instance, tmp_path):
+        cfg, jobs = instance
+        argv = ["run", "--config", cfg, "--jobs", jobs, "--stats"]
+        _, out, _ = _run_main(capsys, argv)
+        assert "second_pass_seconds" not in _report_dict(out)
+        for mode in ("two-pass", "offline"):
+            code, out, _ = _run_main(
+                capsys, argv + ["--mode", mode, "--schedule-out", str(tmp_path / "s.csv")]
+            )
+            assert code == 0
+            keys = list(_report_dict(out))
+            assert keys[-2:] == ["second_pass_seconds", "write_seconds"]
+
+    def test_schedule_csv_matches_the_csv_module(self, tmp_path):
+        park, jobs = make_instance(5, 3, 1, 0.5, 200, ratio_choices=(0.3, 0.7, 1.0))
+        jobs = [p * 0.37 for p in jobs]  # real-valued completions
+        params = quiet_params(3, 1, 0.5, 0.5, retain_limit_override=3)  # a small search
+        sched, _ = offline(park, params, jobs)
+        path = tmp_path / "s.csv"
+        write_schedule_csv(str(path), sched)
+        expected = io.StringIO(newline="")
+        w = csv.writer(expected)
+        w.writerow(["job_id", "machine", "start", "completion"])
+        for j in range(len(jobs)):
+            w.writerow([j, int(sched.machine[j]), repr(float(sched.start[j])),
+                        repr(float(sched.completion[j]))])
+        w.writerow(["makespan", repr(sched.makespan)])
+        assert path.read_bytes() == expected.getvalue().encode()
+
+    def test_schedule_csv_refuses_a_start_that_is_not_back_to_back(self, tmp_path):
+        park, jobs = make_instance(5, 2, 1, 0.5, 20)
+        sched, _ = offline(park, quiet_params(2, 1, 0.5, 0.5), jobs)
+        start = sched.start.copy()
+        start[sched.runs[0][-1]] += 0.5
+        with pytest.raises(ScheduleContractError, match="back to back"):
+            write_schedule_csv(str(tmp_path / "s.csv"), dataclasses.replace(sched, start=start))
+
     def test_offline_equals_two_pass(self, capsys, instance, tmp_path):
         cfg, jobs = instance
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -430,6 +478,35 @@ class TestExitCodes:
         )
         assert code == 6
         assert "longer" in err
+
+    def test_a_reordered_stream_between_passes_is_6(self, capsys, instance, tmp_path,
+                                                   monkeypatch):
+        # same length and maximum, different values: only the fingerprint
+        # and the retained large jobs can tell
+        cfg, _ = instance
+        jobs = str(tmp_path / "jobs.txt")
+        with open(jobs, "w") as fh:
+            fh.write("5 3 8 2 7 1\n")
+        out_csv = tmp_path / "sched.csv"
+        real_open = open
+        calls = []
+
+        def replaying_open(path, *a, **kw):
+            if str(path) == jobs:
+                calls.append(path)
+                if len(calls) > 1:
+                    return io.StringIO("1 1 8 1 1 1\n")
+            return real_open(path, *a, **kw)
+
+        monkeypatch.setattr("builtins.open", replaying_open)
+        code, _, err = _run_main(
+            capsys,
+            ["run", "--config", cfg, "--jobs", jobs, "--mode", "two-pass",
+             "--schedule-out", str(out_csv)],
+        )
+        assert code == 6, err
+        assert "second stream" in err or "first pass" in err
+        assert not out_csv.exists()
 
     def test_schedule_flag_misuse_is_2(self, capsys, instance, tmp_path):
         cfg, jobs = instance

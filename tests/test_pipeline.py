@@ -115,6 +115,15 @@ class TestReportLines:
         keys = [ln.split(":", 1)[0] for ln in lines]
         assert keys == list(RunReport._CORE) + list(RunReport._EXTRA)
 
+    def test_stats_appends_the_schedule_stage_times(self):
+        report = self._report(makespan=3.5, schedule_path="out.csv",
+                              second_pass_seconds=0.25, write_seconds=0.5)
+        keys = [ln.split(":", 1)[0] for ln in report.as_lines(stats=True)]
+        assert keys == (list(RunReport._CORE) + ["makespan", "schedule_path"]
+                        + list(RunReport._EXTRA) + ["second_pass_seconds", "write_seconds"])
+        keys = [ln.split(":", 1)[0] for ln in report.as_lines()]
+        assert keys == list(RunReport._CORE) + ["makespan", "schedule_path"]
+
     def test_schedule_fields_appear_when_set(self):
         report = self._report(makespan=3.5, schedule_path="out.csv")
         lines = report.as_lines()

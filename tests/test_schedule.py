@@ -1,7 +1,10 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamspan import (
     JobValueError,
@@ -16,25 +19,24 @@ from streamspan import (
 )
 from streamspan.capacity import completion_time
 from streamspan.grouping import KnownPmaxLedger
-from streamspan.schedule import FirstPassArtifacts, crossing_counts
-from streamspan.search import crossing_allowance, enumerate_and_select
+from streamspan.schedule import crossing_counts, fingerprint_update
+from streamspan.search import crossing_allowance
 
-from _support import identity_park, make_instance, offline, quiet_params
+from _support import (
+    column_bytes,
+    hand_artifacts,
+    identity_park,
+    make_instance,
+    offline,
+    quiet_params,
+    random_timeline,
+    reference_second_pass,
+)
 
 
 def _machine_sequences(schedule):
-    seqs = {}
-    for pl in sorted(schedule.placements, key=lambda pl: (pl.machine, pl.position)):
-        seqs.setdefault(pl.machine, []).append(pl.job_id)
-    return seqs
-
-
-def _run(park, params, jobs, epsilon):
-    led = KnownPmaxLedger(params, max(jobs))
-    led.ingest_many(jobs)
-    large = led.finalize()
-    outcome = enumerate_and_select(park, large, epsilon)
-    return large, outcome
+    """{machine: job ids in run order} for machines that run anything."""
+    return {i: run.tolist() for i, run in enumerate(schedule.runs, start=1) if run.size}
 
 
 class TestPlaceSmallJobs:
@@ -53,7 +55,8 @@ class TestPlaceSmallJobs:
         jobs = [3.0, 1.0, 2.0]
         sched, report = offline(park, params, jobs)
         assert sched.makespan == completion_time(park.machines[0], 0.0, 6.0)
-        assert [pl.machine for pl in sched.placements] == [1, 1, 1]
+        assert sched.machine.tolist() == [1, 1, 1]
+        assert sorted(sched.runs[0].tolist()) == [0, 1, 2]
         validate_schedule(park, sched, jobs)
 
     def test_crossing_job_moves_to_floor_machine(self):
@@ -74,7 +77,8 @@ class TestPlaceSmallJobs:
         park = identity_park(2, m1=1, e0=1.0)
         params = quiet_params(2, 1, 1.0, 1.0)
         sched, report = offline(park, params, [])
-        assert sched.placements == ()
+        assert sched.machine.size == sched.start.size == sched.completion.size == 0
+        assert [run.size for run in sched.runs] == [0, 0]
         assert sched.makespan == 0.0
         assert report.value == 0.0
         validate_schedule(park, sched, [])
@@ -105,13 +109,9 @@ class TestOfflineAgainstOracle:
 
 class TestSecondPass:
     def _artifacts(self, park, params, jobs, epsilon):
-        large, outcome = _run(park, params, jobs, epsilon)
-        return FirstPassArtifacts(
-            outcome=outcome,
-            large_ids=frozenset(j for j, _ in large.jobs),
-            job_count=len(jobs),
-            max_seen=max(jobs),
-        )
+        assert params.epsilon == epsilon
+        _, artifacts = run_stream(park, params, KnownPmaxLedger(params, max(jobs)), [jobs])
+        return artifacts
 
     def test_matches_offline_placement_exactly(self):
         for seed in range(20):
@@ -191,6 +191,123 @@ class TestSecondPass:
         assert sched.makespan <= report.value
 
 
+class TestStreamFingerprint:
+    def test_a_changed_stream_of_the_same_length_and_maximum_is_rejected(self):
+        park = identity_park(2, m1=1, e0=1.0)
+        params = quiet_params(2, 1, 1.0, 0.5)
+        first = [5.0, 3.0, 8.0, 2.0, 7.0, 1.0]
+        _, art = run_stream(park, params, KnownPmaxLedger(params, 8.0), [first])
+        with pytest.raises(TwoPassMismatchError):
+            second_pass(park, art, [[1.0, 1.0, 8.0, 1.0, 1.0, 1.0]])
+
+    def test_swapped_small_jobs_fail_the_fingerprint(self):
+        park = identity_park(2, m1=1, e0=1.0)
+        jobs = [1.0, 2.0, 3.0]
+        art = hand_artifacts(park, jobs, {}, 4.0)
+        second_pass(park, art, [jobs])
+        with pytest.raises(TwoPassMismatchError, match="fingerprint"):
+            second_pass(park, art, [[2.0, 1.0, 3.0]])
+
+    def test_a_changed_large_job_is_named_by_position(self):
+        park = identity_park(2, m1=1, e0=1.0)
+        jobs = [1.0, 4.0, 2.0]
+        art = hand_artifacts(park, jobs, {1: 1}, 4.0)
+        with pytest.raises(TwoPassMismatchError, match="position 1 .* large job of size 4.0"):
+            second_pass(park, art, [[1.0], [3.0, 2.0]])
+        # a bad value earlier in the chunk still wins
+        with pytest.raises(JobValueError, match="position 0"):
+            second_pass(park, art, [[-1.0, 3.0, 2.0]])
+
+    def test_the_fingerprint_ignores_chunking_and_sees_order(self):
+        values = np.random.default_rng(3).uniform(0.1, 9.0, 50)
+        whole = fingerprint_update(0, values, 0)
+        for size in (1, 7, 49):
+            folded = 0
+            for lo in range(0, values.size, size):
+                folded = fingerprint_update(folded, values[lo : lo + size], lo)
+            assert folded == whole
+        swapped = values.copy()
+        swapped[[3, 4]] = swapped[[4, 3]]
+        assert fingerprint_update(0, swapped, 0) != whole
+        assert 0 <= whole < 2**64
+
+
+_RATIOS = (0.3, 0.7, 0.25, 0.5, 1.0)
+
+
+def _random_case(seed):
+    """A park, real-valued jobs, hand-placed large jobs and a target time
+    that is tight as often as it is loose."""
+    rng = random.Random(seed)
+    m = rng.randint(1, 3)
+    m1 = rng.randint(1, m)
+    machines = tuple(
+        random_timeline(rng, i, max_intervals=5, bp_max=30, ratio_choices=_RATIOS)
+        for i in range(1, m + 1)
+    )
+    e0 = min((r for tl in machines[:m1] for r in tl.ratios), default=1.0)
+    park = MachinePark(machines, m1, e0)
+    n = rng.randint(0, 60)
+    jobs = [rng.choice([rng.uniform(0.05, 9.0), float(rng.randint(1, 8))]) for _ in range(n)]
+    large = {j: rng.randint(1, m) for j in rng.sample(range(n), min(n, rng.randint(0, 3)))}
+    t = rng.choice([0.0, rng.uniform(0.0, 1.3 * sum(jobs) / m)])
+    return park, jobs, hand_artifacts(park, jobs, large, t)
+
+
+def _chunked(jobs, size):
+    return [jobs[lo : lo + size] for lo in range(0, len(jobs), size)]
+
+
+class TestColumnarMatchesPerJob:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.sampled_from([1, 7, None]))
+    def test_random_streams_bit_for_bit(self, seed, size):
+        park, jobs, art = _random_case(seed)
+        chunks = _chunked(jobs, size or max(len(jobs), 1))
+        fast = second_pass(park, art, chunks)
+        assert column_bytes(fast) == column_bytes(reference_second_pass(park, art, jobs))
+        validate_schedule(park, fast, jobs)
+
+    def _check(self, park, jobs, art, runs):
+        ref = reference_second_pass(park, art, jobs)
+        assert [run.tolist() for run in ref.runs] == runs
+        for size in (1, 7, len(jobs)):
+            fast = second_pass(park, art, _chunked(jobs, size))
+            assert column_bytes(fast) == column_bytes(ref)
+
+    def test_jobs_after_every_machine_is_full_go_to_the_floor(self):
+        park = identity_park(3, m1=2, e0=1.0)
+        jobs = [1.0] * 10
+        art = hand_artifacts(park, jobs, {}, 2.0)
+        # the fewest late jobs first, the lowest index on ties
+        self._check(park, jobs, art, [[0, 1, 6, 8], [2, 3, 7, 9], [4, 5]])
+
+    def test_an_exact_fill_closes_the_machine_without_a_late_job(self):
+        park = identity_park(2, m1=1, e0=1.0)
+        jobs = [2.0, 2.0, 1.0]
+        art = hand_artifacts(park, jobs, {}, 4.0)
+        self._check(park, jobs, art, [[0, 1], [2]])
+        # 2**53 + 1 rounds back to 2**53: the machine is full all the same
+        jobs = [2.0**53 - 2.0, 2.0, 1.0]
+        art = hand_artifacts(park, jobs, {}, 2.0**53)
+        self._check(park, jobs, art, [[0, 1], [2]])
+
+    def test_a_machine_above_the_floor_closes_and_reroutes(self):
+        park = identity_park(2, m1=1, e0=1.0)
+        jobs = [4.0, 3.0, 3.0, 1.0]
+        art = hand_artifacts(park, jobs, {}, 4.0)
+        # job 2 would cross on machine 2: it moves to machine 1, and so
+        # does job 3, since machine 2 accepts nothing after closing
+        self._check(park, jobs, art, [[0, 2, 3], [1]])
+
+    def test_large_jobs_run_first_and_are_masked_out(self):
+        park = identity_park(2, m1=1, e0=1.0)
+        jobs = [1.0, 5.0, 1.0, 5.0, 1.0]
+        art = hand_artifacts(park, jobs, {3: 1, 1: 2}, 6.0)
+        # jobs 0 and 2 fill the machines to 6; job 4 is late on the floor
+        self._check(park, jobs, art, [[3, 0, 4], [1, 2]])
+
+
 class TestValidator:
     def _valid(self):
         park = identity_park(2, m1=1, e0=1.0)
@@ -199,50 +316,70 @@ class TestValidator:
         sched, _ = offline(park, params, jobs)
         return park, jobs, sched
 
+    def _edited(self, sched, **columns):
+        """sched with copies of its columns, edited by the given functions."""
+        fields = {}
+        for name, edit in columns.items():
+            value = getattr(sched, name)
+            value = [run.copy() for run in value] if name == "runs" else value.copy()
+            fields[name] = edit(value)
+        return dataclasses.replace(sched, **fields)
+
     def test_detects_missing_job(self):
         park, jobs, sched = self._valid()
-        broken = dataclasses.replace(sched, placements=sched.placements[:-1])
+        broken = self._edited(sched, machine=lambda c: c[:-1], start=lambda c: c[:-1],
+                              completion=lambda c: c[:-1])
         with pytest.raises(ScheduleContractError, match="covers 3 jobs"):
             validate_schedule(park, broken, jobs)
+        # a job left out of every run
+        dropped = self._edited(sched, runs=lambda runs: tuple(run[run != 3] for run in runs))
+        with pytest.raises(ScheduleContractError, match="job 3 is in no machine's run"):
+            validate_schedule(park, dropped, jobs)
 
     def test_detects_duplicate_job(self):
         park, jobs, sched = self._valid()
-        broken = dataclasses.replace(
-            sched, placements=sched.placements[:-1] + (sched.placements[0],)
-        )
+        victim = next(i for i, run in enumerate(sched.runs) if run.size)
+
+        def twice(runs):
+            runs[victim] = np.append(runs[victim], runs[victim][0])
+            return tuple(runs)
+
+        broken = self._edited(sched, runs=twice)
         with pytest.raises(ScheduleContractError, match="twice"):
             validate_schedule(park, broken, jobs)
 
     def test_detects_unknown_machine(self):
         park, jobs, sched = self._valid()
-        bad = dataclasses.replace(sched.placements[0], machine=9)
-        broken = dataclasses.replace(sched, placements=(bad,) + sched.placements[1:])
+
+        def nine(col):
+            col[0] = 9
+            return col
+
+        broken = self._edited(sched, machine=nine)
         with pytest.raises(ScheduleContractError, match="machine 9"):
             validate_schedule(park, broken, jobs)
 
     def test_detects_idle_gap(self):
         park, jobs, sched = self._valid()
-        seqs = _machine_sequences(sched)
-        victim_machine = next(m for m, ids in seqs.items() if len(ids) >= 2)
-        mutated = []
-        bumped = False
-        for pl in sched.placements:
-            if pl.machine == victim_machine and pl.position == 1 and not bumped:
-                mutated.append(
-                    dataclasses.replace(pl, start=pl.start + 0.5, completion=pl.completion + 0.5)
-                )
-                bumped = True
-            else:
-                mutated.append(pl)
-        broken = dataclasses.replace(sched, placements=tuple(mutated))
+        second = next(run[1] for run in sched.runs if run.size >= 2)
+
+        def later(col):
+            col[second] += 0.5
+            return col
+
+        broken = self._edited(sched, start=later, completion=later)
         with pytest.raises(ScheduleContractError, match="no idle time"):
             validate_schedule(park, broken, jobs)
 
     def test_detects_wrong_completion(self):
         park, jobs, sched = self._valid()
-        bad = dataclasses.replace(sched.placements[0], completion=sched.placements[0].completion + 1.0)
-        broken = dataclasses.replace(sched, placements=(bad,) + sched.placements[1:])
-        with pytest.raises(ScheduleContractError):
+
+        def off_by_one(col):
+            col[0] += 1.0
+            return col
+
+        broken = self._edited(sched, completion=off_by_one)
+        with pytest.raises(ScheduleContractError, match="job 0 completion"):
             validate_schedule(park, broken, jobs)
 
     def test_detects_wrong_makespan(self):
@@ -252,19 +389,22 @@ class TestValidator:
             validate_schedule(park, broken, jobs)
 
     def test_detects_noncontiguous_positions(self):
+        # the run order broken: two jobs of one machine swapped in its run
         park, jobs, sched = self._valid()
-        seqs = _machine_sequences(sched)
-        victim_machine = next(m for m, ids in seqs.items() if len(ids) >= 1)
-        mutated = []
-        bumped = False
-        for pl in sched.placements:
-            if pl.machine == victim_machine and not bumped:
-                mutated.append(dataclasses.replace(pl, position=pl.position + 5))
-                bumped = True
-            else:
-                mutated.append(pl)
-        broken = dataclasses.replace(sched, placements=tuple(mutated))
-        with pytest.raises(ScheduleContractError):
+        victim = next(i for i, run in enumerate(sched.runs) if run.size >= 2)
+
+        def swapped(runs):
+            runs[victim][[0, 1]] = runs[victim][[1, 0]]
+            return tuple(runs)
+
+        broken = self._edited(sched, runs=swapped)
+        with pytest.raises(ScheduleContractError, match="no idle time"):
+            validate_schedule(park, broken, jobs)
+
+    def test_detects_a_run_on_the_wrong_machine(self):
+        park, jobs, sched = self._valid()
+        broken = self._edited(sched, runs=lambda runs: tuple(reversed(runs)))
+        with pytest.raises(ScheduleContractError, match="run but placed on machine"):
             validate_schedule(park, broken, jobs)
 
 
