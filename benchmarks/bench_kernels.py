@@ -6,18 +6,20 @@ ingest: plain-python scalar loop, vectorized numpy, jitted scalar loop.
 ledgers: the same stream through make_ledger(...).ingest_many per regime.
 schedule: second_pass and write_schedule_csv over 1M jobs on a 3-machine
 park with 400 shared intervals per machine.
-search: same trio over the m**J assignment enumeration.
+search: enumerate_and_select's branch and bound on J large jobs with
+aggregate slack (J = --search-jobs, m**J assignments) and on the retained
+jobs of a generated n=300 stream: nodes, wall time, nodes/s.
 
 Run from the repo root:
 
     python3 benchmarks/bench_kernels.py
-    python3 benchmarks/bench_kernels.py --jobs 4000000 --search-jobs 14
+    python3 benchmarks/bench_kernels.py --jobs 4000000 --search-jobs 20
     python3 benchmarks/bench_kernels.py --json benchmarks/BENCH_kernels.json --label after
 
 --json adds this run's figures to the file under --label, keeping the
 other labels' entries, so one file holds a change's before and after.
-The numba rows need the default backend (STREAMSPAN_NUMBA unset or 1);
-with the fallback forced the script still reports the other two.
+The numba ingest row needs the default backend (STREAMSPAN_NUMBA unset or
+1); with the fallback forced the script still reports the other two.
 """
 
 import argparse
@@ -32,11 +34,11 @@ import time
 import numpy as np
 
 from streamspan import _kernels, run_stream, second_pass
-from streamspan.capacity import MachinePark, MachineTimeline, capacity_at
-from streamspan.cli import _float_chunks, write_schedule_csv
-from streamspan.grouping import derive_params
+from streamspan.capacity import MachinePark, MachineTimeline
+from streamspan.cli import _float_chunks, generate_instance, parse_machine_config_text, write_schedule_csv
+from streamspan.grouping import LargeJobSet, derive_params
 from streamspan.pipeline import make_ledger
-from streamspan.search import time_grid
+from streamspan.search import enumerate_and_select
 
 SCHEDULE_JOBS = 1_000_000
 SCHEDULE_INTERVALS = 400
@@ -155,21 +157,31 @@ def save_figures(path, label, args, figures):
         fh.write("\n")
 
 
-def bench_search(fn, job_ps, m, capgrid, repeats):
-    n_total = m ** job_ps.size
+def bench_search(park, large, repeats):
+    """Best enumerate_and_select seconds and the search's node count."""
     best = math.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        fn(job_ps, m, capgrid, 0, n_total)
+        outcome = enumerate_and_select(park, large, 0.5)
         best = min(best, time.perf_counter() - t0)
-    return best, n_total
+    return best, outcome.nodes
+
+
+def sweep_instance(n, seed=0):
+    """(park, retained jobs) of a `streamspan generate` stream on 3 machines
+    (m1 1, e0 0.5) under default flags."""
+    config_text, jobs_text = generate_instance(seed, 3, 1, 0.5, n)
+    params = derive_params(m=3, floor_machines=1, ratio_floor=0.5, epsilon=0.5)
+    ledger = make_ledger(params, "pmax-unknown")
+    ledger.ingest_many(np.array(jobs_text.split(), np.float64))
+    return parse_machine_config_text(config_text), ledger.finalize()
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--jobs", type=int, default=2_000_000, help="stream length for ingest")
     ap.add_argument("--chunk", type=int, default=1 << 16)
-    ap.add_argument("--search-jobs", type=int, default=12, help="large jobs J; search visits m**J")
+    ap.add_argument("--search-jobs", type=int, default=14, help="large jobs J of the m**J search case")
     ap.add_argument("--machines", type=int, default=3)
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--json", default=None, help="add the figures to this JSON file")
@@ -231,30 +243,21 @@ def main():
     print(f"  schedule CSV: {figures['schedule_csv_ns_per_job']:7.1f} ns/job")
 
     m = args.machines
-    park = make_park(m)
     job_ps = rng.integers(8, 17, size=args.search_jobs).astype(np.float64)
-    grid = time_grid(park, float(job_ps.sum()) * 3, 0.5)
-    capgrid = np.array([[capacity_at(tl, t) for t in grid] for tl in park.machines])
-
-    search_impls = [
-        ("python", _kernels._search_scalar, 1),
-        ("numpy", _kernels._search_numpy, args.repeats),
-    ]
-    if _kernels.NUMBA_ENABLED:
-        _kernels.search_assignments(job_ps[:2].copy(), m, capgrid, 0, m**2)  # compile
-        search_impls.append(("numba", _kernels.search_assignments, args.repeats))
-
-    total = m**args.search_jobs
-    print(f"search: {m}**{args.search_jobs} = {total} assignments, grid {len(grid)}")
-    for name, fn, repeats in search_impls:
-        if name == "python" and total > 200_000:
-            js = job_ps[: max(1, int(math.log(200_000, m)))]
-        else:
-            js = job_ps
-        secs, n_total = bench_search(fn, js, m, capgrid, repeats)
-        rate = n_total / secs
-        figures[f"search_{name}_assignments_per_s"] = rate
-        print(f"  {name:>6}: {rate:15,.0f} assignments/s")
+    # small jobs carry twice the large load, as in a long stream
+    slack = LargeJobSet(-1, tuple(enumerate(job_ps.tolist())), float(job_ps.sum()) * 3, 8.0, 3)
+    cases = (
+        (f"j{args.search_jobs}", f"{m}**{args.search_jobs} assignments", make_park(m), slack),
+        ("sweep300", "generated n=300 stream", *sweep_instance(300)),
+    )
+    print("search: enumerate_and_select, epsilon 0.5")
+    for key, what, park, large in cases:
+        secs, nodes = bench_search(park, large, args.repeats)
+        figures[f"search_{key}_seconds"] = secs
+        figures[f"search_{key}_nodes"] = nodes
+        figures[f"search_{key}_nodes_per_s"] = nodes / secs
+        print(f"  {what:>24}: {large.job_count:3d} jobs  {nodes:6d} nodes  "
+              f"{secs * 1e3:8.3f} ms  ({nodes / secs:,.0f} nodes/s)")
 
     if args.json:
         save_figures(args.json, args.label, args, figures)

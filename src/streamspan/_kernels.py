@@ -1,11 +1,11 @@
-"""Hot numeric kernels with selectable backends.
+"""Hot numeric kernels.
 
-Two entry points: bulk band-statistics ingest and assignment-enumeration
-search.  Each exists as a scalar loop (jitted with numba when available)
-and as a vectorized numpy fallback.  Set STREAMSPAN_NUMBA=0 to force the
-numpy path.  Both paths are written to produce bit-identical results --
-same fold order for every floating-point accumulation -- and the test
-suite asserts that.
+Two entry points: bulk band-statistics ingest and the exact assignment
+search.  Ingest exists as a scalar loop (jitted with numba when available)
+and as a vectorized numpy fallback; set STREAMSPAN_NUMBA=0 to force the
+numpy path.  Both ingest paths produce bit-identical results -- same fold
+order for every floating-point accumulation -- and the test suite asserts
+that.  The search is one plain-Python branch and bound on either backend.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import math
 import os
 
 import numpy as np
+
+from .errors import BudgetExceededError
 
 __all__ = [
     "NUMBA_ENABLED",
@@ -155,100 +157,173 @@ def _ingest_numpy(ps, start_id, offset, retain_limit, counts, loads, ret_len, re
     istate[0] += n
 
 
-# --- assignment-enumeration search -----------------------------------------
+# --- exact assignment search ----------------------------------------------
 #
-# Enumerates all m^J machine assignments of the J large jobs in mixed-radix
-# order (job 0 varies fastest).  capgrid[i, x] holds machine i's capacity at
-# grid point x (rows nondecreasing).  For each assignment the smallest grid
-# exponent x >= x_floor with capgrid[i, x] >= load[i] for all i is found;
-# the result is the assignment minimizing x, earliest ordinal on ties.
-# Returns (best_x, best_ordinal); best_x == grid size means infeasible.
+# The J retained large jobs go to m machines; an assignment's ordinal is its
+# mixed-radix rank with job 0 varying fastest.  capacity(x) returns the m
+# machine capacities at grid point x, each nondecreasing in x.  An
+# assignment fits at x when the left fold of every machine's sizes, in job
+# order, is at most that machine's capacity.  The answer is the smallest
+# x >= x_floor at which some assignment fits and the earliest ordinal that
+# fits there: what trying all m**J assignments would select.
 #
-# Per-machine loads are recomputed as a fresh left fold per assignment so
-# they match LargeAssignment/validator folds exactly; incremental updates
-# would drift.
+# Fit is monotone in x, so x is bisected, x_floor first.  Each probe is a
+# depth-first search that places job J-1 first and job 0 last, trying
+# machines in index order, so it meets leaves in ordinal order and the
+# first leaf whose exact fold fits is the earliest.  A branch is cut only
+# when none of its leaves can be that one:
+#   - a machine's partial load, or the open jobs' load, exceeds what the
+#     machines can still take: their largest subset sum within each
+#     machine's room (integer sizes whose total is below 2**53, so every
+#     sum is exact), else their room where it fits the smallest open job,
+#     with a margin that covers the rounding of partial sums;
+#   - the machine is a later twin of one with the same capacity and the
+#     same jobs so far (the same load, when sums are exact; none, else):
+#     swapping the two machines' open jobs gives an earlier leaf that fits
+#     exactly when this one does;
+#   - the job has the size of a later job (the next one, unless sums are
+#     exact) and would take a lower machine than it: swapping the two
+#     jobs gives an earlier leaf with the same folds.
+
+_EXACT_TOTAL = 2**53
+_SUBSET_BITS = 1 << 26  # cap on the bits of the prefix subset-sum tables
 
 
-def _search_scalar(job_ps, m, capgrid, x_floor, n_total):
-    njobs = job_ps.shape[0]
-    grid_size = capgrid.shape[1]
-    digits = np.zeros(njobs, np.int64)
-    loads = np.zeros(m, np.float64)
-    best_x = grid_size
-    best_ord = -1
-    for ordinal in range(n_total):
-        if ordinal > 0:
-            d = 0
-            while True:
-                digits[d] += 1
-                if digits[d] < m:
-                    break
-                digits[d] = 0
-                d += 1
-        for i in range(m):
-            loads[i] = 0.0
-        for j in range(njobs):
-            loads[digits[j]] += job_ps[j]
-        lo = x_floor
-        hi = grid_size
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            ok = True
-            for i in range(m):
-                if capgrid[i, mid] < loads[i]:
-                    ok = False
-                    break
-            if ok:
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo < best_x:
-            best_x = lo
-            best_ord = ordinal
-    return best_x, best_ord
+def search_assignments(job_ps, m, capacity, x_floor, grid_size, budget):
+    """(best_x, best_ordinal, nodes) for the J = len(job_ps) positive sizes.
 
+    best_x is grid_size and best_ordinal -1 when nothing fits below
+    grid_size.  nodes counts the partial assignments examined, over every
+    probe; examining more than budget raises BudgetExceededError.
+    """
+    ps = [float(p) for p in job_ps]
+    njobs = len(ps)
+    exact = all(p.is_integer() for p in ps) and math.fsum(ps) < _EXACT_TOTAL
+    if exact:
+        ps = [int(p) for p in ps]
+    zero = 0 if exact else 0.0
+    # jobs 0..d-1 are still open below job d: their load, smallest size and
+    # (exact sizes only) reachable subset sums as a bitset
+    open_load = [zero]
+    open_min = [math.inf]
+    for p in ps:
+        open_load.append(open_load[-1] + p)
+        open_min.append(min(open_min[-1], p))
+    reach = None
+    if exact and (njobs + 1) * (open_load[-1] + 1) <= _SUBSET_BITS:
+        reach = [1]
+        for p in ps:
+            reach.append(reach[-1] | reach[-1] << p)
+    # job j may not take a machine below that of the later job twin[j]
+    twin = [-1] * njobs
+    if exact:
+        later = {}
+        for j in reversed(range(njobs)):
+            twin[j] = later.get(ps[j], -1)
+            later[ps[j]] = j
+    else:
+        for j in range(njobs - 1):
+            if ps[j] == ps[j + 1]:
+                twin[j] = j + 1
+    nodes = 0
 
-def _search_numpy(job_ps, m, capgrid, x_floor, n_total):
-    njobs = job_ps.shape[0]
-    grid_size = capgrid.shape[1]
-    radix = m ** np.arange(njobs, dtype=np.int64)
-    block = max(1024, (1 << 22) // max(1, njobs * m))
-    machines = np.arange(m, dtype=np.int64)
-    best_x = grid_size
-    best_ord = -1
-    for lo in range(0, n_total, block):
-        ordinals = np.arange(lo, min(lo + block, n_total), dtype=np.int64)
-        if njobs == 0:
-            loads = np.zeros((ordinals.shape[0], m), np.float64)
+    def first_fit(x):
+        """Earliest ordinal that fits at grid point x, or -1."""
+        nonlocal nodes
+        caps = [float(c) for c in capacity(x)]
+        if exact:
+            limits = [math.floor(c) for c in caps]
         else:
-            digits = (ordinals[:, None] // radix[None, :]) % m
-            contrib = np.where(
-                digits[:, :, None] == machines[None, None, :],
-                job_ps[None, :, None],
-                0.0,
-            )
-            # cumsum reproduces the scalar left fold; adding 0.0 is exact
-            loads = np.cumsum(contrib, axis=1)[:, -1, :]
-        xneed = np.empty((ordinals.shape[0], m), np.int64)
-        for i in range(m):
-            xneed[:, i] = np.searchsorted(capgrid[i], loads[:, i], side="left")
-        xreq = xneed.max(axis=1)
-        np.maximum(xreq, x_floor, out=xreq)
-        bi = int(np.argmin(xreq))  # first minimum within the block
-        bx = int(xreq[bi])
-        if bx < best_x:
-            best_x = bx
-            best_ord = lo + bi
-    return best_x, best_ord
+            # partial sums and the final folds each err by under J ulps
+            tol = (njobs + m + 2) * 2.0**-50 * (math.fsum(caps) + open_load[-1])
+            limits = [c + tol for c in caps]
+        same_cap = [[a for a in range(i) if caps[a] == caps[i]] for i in range(m)]
+        loads = [zero] * m
+        digits = [0] * njobs
+        before = [0] * njobs  # load of job d's machine before job d
+        d = njobs - 1
+        i = 0 if d < 0 or twin[d] < 0 else digits[twin[d]]
+        while d >= 0:
+            if i == m:  # every machine tried for job d: back up to job d+1
+                d += 1
+                if d == njobs:
+                    return -1
+                i = digits[d]
+                loads[i] = before[d]
+                i += 1
+                continue
+            load = loads[i]
+            if (exact or not load) and any(loads[a] == load for a in same_cap[i]):
+                i += 1
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(
+                    f"the search over {njobs} large jobs on {m} machines needs "
+                    f"more than the node budget {budget}"
+                )
+            load += ps[d]
+            if load > limits[i]:
+                i += 1
+                continue
+            digits[d] = i
+            before[d] = loads[i]
+            loads[i] = load
+            if d == 0:
+                if exact or _folds_fit(ps, digits, caps):
+                    break
+                loads[i] = before[0]
+                i += 1
+            elif _room(loads, limits, open_load[d], open_min[d], reach[d] if reach else 0):
+                d -= 1
+                i = 0 if twin[d] < 0 else digits[twin[d]]
+            else:
+                loads[i] = before[d]
+                i += 1
+        ordinal = 0
+        for digit in reversed(digits):
+            ordinal = ordinal * m + digit
+        return ordinal
+
+    best = first_fit(x_floor)
+    if best >= 0:
+        return x_floor, best, nodes
+    lo, hi = x_floor + 1, grid_size
+    while lo < hi:
+        mid = (lo + hi) // 2
+        found = first_fit(mid)
+        if found >= 0:
+            hi, best = mid, found
+        else:
+            lo = mid + 1
+    return hi, best, nodes
+
+
+def _room(loads, limits, rest, smallest, reach):
+    """Whether the machines can still take the open jobs' load rest."""
+    room = 0
+    for load, limit in zip(loads, limits):
+        slack = limit - load
+        if slack >= rest:
+            return True
+        if reach:
+            room += (reach & ((2 << slack) - 1)).bit_length() - 1
+        elif slack >= smallest:
+            room += slack
+        if room >= rest:
+            return True
+    return False
+
+
+def _folds_fit(ps, digits, caps):
+    """Whether the left fold of each machine's sizes, in job order, fits."""
+    folds = [0.0] * len(caps)
+    for p, digit in zip(ps, digits):
+        folds[digit] += p
+    return all(f <= c for f, c in zip(folds, caps))
 
 
 if NUMBA_ENABLED:
-    _ingest_numba = njit(cache=True)(_ingest_scalar)
-    _search_numba = njit(cache=True)(_search_scalar)
-    ingest_block = _ingest_numba
-    search_assignments = _search_numba
+    ingest_block = njit(cache=True)(_ingest_scalar)
 else:  # pragma: no cover - exercised via STREAMSPAN_NUMBA=0 runs
-    _ingest_numba = None
-    _search_numba = None
     ingest_block = _ingest_numpy
-    search_assignments = _search_numpy

@@ -13,7 +13,7 @@ code so pipelines can branch on failures:
     2  bad usage, config file, or machine park
     3  bad job value (position reported)
     4  declared maximum or estimate contract violated
-    5  enumeration budget exceeded
+    5  search budget exceeded
     6  second pass saw a different stream than the first
 """
 
@@ -449,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--n0-override", type=int, default=None,
                      help="override the derived retain limit (drops the guarantee)")
     run.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                     help="max assignments the search may enumerate")
+                     help="max search nodes (oracle mode: max assignments)")
     run.add_argument("--schedule-out", default=None,
                      help="schedule CSV path (two-pass and offline modes)")
     run.add_argument("--stats", action="store_true",

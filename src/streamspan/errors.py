@@ -32,7 +32,7 @@ class PmaxContractError(StreamspanError):
 
 
 class BudgetExceededError(StreamspanError):
-    """The assignment enumeration would exceed the configured budget."""
+    """The search, or the oracle's enumeration, would exceed its budget."""
 
 
 class TwoPassMismatchError(StreamspanError):

@@ -49,6 +49,7 @@ class RunReport:
     max_seen: float
     small_bound: float
     assignments: int
+    search_nodes: int
     lower_bound: float
     upper_bound: float
     epsilon: float
@@ -89,6 +90,7 @@ class RunReport:
         "max_seen",
         "small_bound",
         "assignments",
+        "search_nodes",
         "lower_bound",
         "upper_bound",
         "epsilon",
@@ -191,6 +193,7 @@ def run_stream(
         max_seen=ledger.max_seen,
         small_bound=large.small_bound,
         assignments=park.m ** large.job_count,
+        search_nodes=outcome.nodes,
         lower_bound=outcome.lower_bound,
         upper_bound=outcome.upper_bound,
         epsilon=params.epsilon,

@@ -3,9 +3,11 @@
 A candidate time t is feasible for an assignment of the large jobs when
 the park's aggregate capacity covers the total load and each machine's
 own capacity covers its assigned large load.  Both conditions are
-monotone in t, so per assignment the kernels binary-search a geometric
-grid LB * (1+eps/2)^x for the first feasible point, and the returned
-value adds the worst-case tail of small jobs that may finish after t.
+monotone in t, so the search works on a geometric grid LB * (1+eps/2)^x
+whose points it computes only where it looks: a bisection finds the
+first point the aggregate covers, and the kernel's branch and bound
+finds the first point some assignment fits.  The returned value adds the
+worst-case tail of small jobs that may finish after t.
 """
 
 from __future__ import annotations
@@ -13,11 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernels
 from .capacity import MachinePark, capacity_at, park_capacity_at, search_bounds
-from .errors import BudgetExceededError, JobValueError, StreamspanError
+from .errors import JobValueError, StreamspanError
 from .grouping import LargeJobSet
 
 __all__ = [
@@ -54,23 +54,31 @@ class SearchOutcome:
     assignment: LargeAssignment
     t: float
     grid_exponent: int
+    nodes: int  # partial assignments the search examined
     value: float
     lower_bound: float
     upper_bound: float
 
 
-def time_grid(park: MachinePark, total_load: float, epsilon: float) -> list[float]:
-    """Geometric candidate times from P/m up to at least P/e0."""
+def _grid_shape(park: MachinePark, total_load: float, epsilon: float) -> tuple[float, float, int]:
+    """(lower, base, size) of the candidate times: point x is
+    lower * base**x for 0 <= x < size, from P/m up to at least P/e0."""
     lower, upper = search_bounds(park, total_load)
-    if total_load <= 0:
-        return [0.0]
     base = 1.0 + epsilon / 2.0
+    if total_load <= 0:
+        return lower, base, 1
     top = math.ceil(math.log(park.m / park.ratio_floor, base))
     if top < 0:
         top = 0
     while lower * base**top < upper:  # guard against log() rounding short
         top += 1
-    return [lower * base**x for x in range(top + 1)]
+    return lower, base, top + 1
+
+
+def time_grid(park: MachinePark, total_load: float, epsilon: float) -> list[float]:
+    """Every candidate time, as a list."""
+    lower, base, size = _grid_shape(park, total_load, epsilon)
+    return [lower * base**x for x in range(size)]
 
 
 def crossing_allowance(park: MachinePark) -> int:
@@ -90,48 +98,44 @@ def enumerate_and_select(
     epsilon: float,
     budget: int = DEFAULT_BUDGET,
 ) -> SearchOutcome:
-    """Try every machine assignment of the large jobs; keep the one with
-    the smallest feasible grid time, earliest ordinal on ties."""
+    """The machine assignment of the large jobs with the smallest feasible
+    grid time, earliest ordinal on ties, found by exact branch and bound
+    within budget search nodes."""
     m = park.m
     njobs = large.job_count
-    total_assignments = m**njobs
-    if total_assignments > budget:
-        raise BudgetExceededError(
-            f"enumerating m**|large jobs| = {m}**{njobs} = {total_assignments} "
-            f"assignments exceeds the budget {budget}"
-        )
     total_load = large.total_load
-    grid = time_grid(park, total_load, epsilon)
-    if not math.isfinite(grid[-1]):
+    lower, base, grid_size = _grid_shape(park, total_load, epsilon)
+
+    def point(x: int) -> float:
+        return lower * base**x
+
+    if not math.isfinite(point(grid_size - 1)):
         raise JobValueError(
             f"total load {total_load} is too large: the search grid overflows"
         )
-    grid_size = len(grid)
     # aggregate-coverage floor: first grid point whose park capacity
     # reaches the total load (machine 1 alone guarantees one exists)
-    x_floor = -1
-    for x, t in enumerate(grid):
-        if park_capacity_at(park, t) >= total_load:
-            x_floor = x
-            break
-    if x_floor < 0:
+    lo, hi = 0, grid_size
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if park_capacity_at(park, point(mid)) >= total_load:
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo == grid_size:
         raise StreamspanError("no grid point covers the total load")
+    x_floor = lo
 
-    if njobs == 0:
-        best_x, best_ord = x_floor, 0
-    else:
-        capgrid = np.empty((m, grid_size), np.float64)
-        for i, tl in enumerate(park.machines):
-            for x, t in enumerate(grid):
-                capgrid[i, x] = capacity_at(tl, t)
-        job_ps = np.array([p for _, p in large.jobs], np.float64)
-        best_x, best_ord = _kernels.search_assignments(
-            job_ps, m, capgrid, x_floor, total_assignments
-        )
-        best_x = int(best_x)
-        best_ord = int(best_ord)
-        if best_ord < 0 or best_x >= grid_size:
-            raise StreamspanError("no feasible assignment within the grid")
+    def capacities(x: int) -> list[float]:
+        t = point(x)
+        return [capacity_at(tl, t) for tl in park.machines]
+
+    job_ps = [p for _, p in large.jobs]
+    best_x, best_ord, nodes = _kernels.search_assignments(
+        job_ps, m, capacities, x_floor, grid_size, budget
+    )
+    if best_ord < 0:
+        raise StreamspanError("no feasible assignment within the grid")
 
     digits = []
     rem = best_ord
@@ -147,15 +151,16 @@ def enumerate_and_select(
         per_machine_load=tuple(loads),
         ordinal=best_ord,
     )
-    t = grid[best_x]
+    t = point(best_x)
     value = makespan_value(park, large, t)
     if not math.isfinite(value):
         raise JobValueError(f"the makespan value overflows at t = {t}")
-    lower, upper = search_bounds(park, total_load)
+    _, upper = search_bounds(park, total_load)
     return SearchOutcome(
         assignment=assignment,
         t=t,
         grid_exponent=best_x,
+        nodes=nodes,
         value=value,
         lower_bound=lower,
         upper_bound=upper,

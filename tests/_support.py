@@ -88,6 +88,81 @@ def brute_force_selection(park, large, epsilon):
     return best
 
 
+def reference_search(job_ps, m, capgrid, x_floor, n_total):
+    """The search by enumeration: for each of the n_total = m**J assignments
+    in mixed-radix order (job 0 varies fastest), fold each machine's sizes
+    in job order and binary-search the first x >= x_floor at which every
+    capgrid[i, x] covers machine i's load; keep the smallest x, earliest
+    ordinal on ties.  (grid size, -1) when none fits."""
+    njobs = job_ps.shape[0]
+    grid_size = capgrid.shape[1]
+    digits = np.zeros(njobs, np.int64)
+    loads = np.zeros(m, np.float64)
+    best_x = grid_size
+    best_ord = -1
+    for ordinal in range(n_total):
+        if ordinal > 0:
+            d = 0
+            while True:
+                digits[d] += 1
+                if digits[d] < m:
+                    break
+                digits[d] = 0
+                d += 1
+        for i in range(m):
+            loads[i] = 0.0
+        for j in range(njobs):
+            loads[digits[j]] += job_ps[j]
+        lo = x_floor
+        hi = grid_size
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            ok = True
+            for i in range(m):
+                if capgrid[i, mid] < loads[i]:
+                    ok = False
+                    break
+            if ok:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo < best_x:
+            best_x = lo
+            best_ord = ordinal
+    return best_x, best_ord
+
+
+def integer_loads_fit(sizes, limits):
+    """Whether the integer sizes split over len(limits) machines with machine
+    i's load at most limits[i]: a DP over reachable load vectors, keyed by
+    the first m-2 loads with machine m-1's loads as a bitset, machine m's
+    load implied by the total placed so far."""
+    m = len(limits)
+    if m == 1:
+        return sum(sizes) <= limits[0]
+    keep = (2 << limits[m - 2]) - 1
+    states = {(0,) * (m - 2): 1}
+    placed = 0
+    for p in sizes:
+        placed += p
+        grown = {}
+        for key, bits in states.items():
+            moves = [(key, (bits | bits << p) & keep)]
+            for i in range(m - 2):
+                if key[i] + p <= limits[i]:
+                    moves.append((key[:i] + (key[i] + p,) + key[i + 1:], bits))
+            for new_key, new_bits in moves:
+                low = placed - sum(new_key) - limits[m - 1]  # least load for machine m-1
+                if low > 0:
+                    new_bits = new_bits >> low << low
+                if new_bits:
+                    grown[new_key] = grown.get(new_key, 0) | new_bits
+        states = grown
+        if not states:
+            return False
+    return True
+
+
 def hand_artifacts(park, jobs, large, t):
     """First-pass artifacts for jobs with a chosen placement of large jobs
     (a {job id: machine} dict, 1-based machines) and target time t."""
@@ -97,7 +172,7 @@ def hand_artifacts(park, jobs, large, t):
         loads[large[j] - 1] += p
     outcome = SearchOutcome(
         assignment=LargeAssignment(pairs, tuple(large.values()), tuple(loads), 0),
-        t=t, grid_exponent=0, value=t, lower_bound=0.0, upper_bound=t,
+        t=t, grid_exponent=0, nodes=0, value=t, lower_bound=0.0, upper_bound=t,
     )
     arr = np.asarray(jobs, np.float64)
     return FirstPassArtifacts(

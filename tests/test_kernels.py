@@ -1,11 +1,18 @@
-"""The three ingest/search implementations must agree bit for bit:
-the plain-python scalar loop, the vectorized numpy fallback, and (when
-enabled) the jitted scalar loop that backs the default build."""
+"""The ingest implementations must agree bit for bit: the plain-python
+scalar loop, the vectorized numpy fallback, and (when enabled) the jitted
+scalar loop that backs the default build.  The search must select what
+enumerating every assignment selects."""
+
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from streamspan import _kernels
+from streamspan import BudgetExceededError, _kernels
+
+from _support import reference_search
 
 
 def _fresh_state(n_bounded, retain_limit):
@@ -100,41 +107,137 @@ def test_peak_retained_tracks_within_chunk_maximum(name, fn):
     assert got["istate"][2] == 4  # but four jobs were retained at once
 
 
-def _search_case(rng, m, njobs, grid_size):
-    job_ps = rng.uniform(0.5, 8.0, size=njobs)
-    # nondecreasing capacity rows with distinct shapes per machine
-    steps = rng.uniform(0.0, 4.0, size=(m, grid_size))
-    capgrid = np.cumsum(steps, axis=1)
-    x_floor = int(rng.integers(0, grid_size))
-    return job_ps, capgrid, x_floor
+def _search(job_ps, m, capgrid, x_floor, budget=10**9):
+    """search_assignments over a full capacity table: (best_x, best_ordinal)."""
+    best_x, best_ord, _ = _kernels.search_assignments(
+        job_ps, m, lambda x: capgrid[:, x], x_floor, capgrid.shape[1], budget
+    )
+    return best_x, best_ord
 
 
-SEARCH_IMPLS = [("numpy", _kernels._search_numpy)]
-if _kernels.NUMBA_ENABLED:
-    SEARCH_IMPLS.append(("numba", _kernels.search_assignments))
+def _reference(job_ps, m, capgrid, x_floor):
+    want = reference_search(np.asarray(job_ps, np.float64), m, capgrid, x_floor, m ** len(job_ps))
+    return int(want[0]), int(want[1])
 
 
-@pytest.mark.parametrize("name,fn", SEARCH_IMPLS)
 @pytest.mark.parametrize("seed", range(8))
-def test_search_matches_scalar_reference(name, fn, seed):
+def test_search_matches_the_enumeration(seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 4))
     njobs = int(rng.integers(0, 6))
     grid_size = int(rng.integers(1, 7))
-    job_ps, capgrid, x_floor = _search_case(rng, m, njobs, grid_size)
-    n_total = m**njobs
-    want = _kernels._search_scalar(job_ps, m, capgrid, x_floor, n_total)
-    got = fn(job_ps, m, capgrid, x_floor, n_total)
-    assert (int(got[0]), int(got[1])) == (int(want[0]), int(want[1]))
+    job_ps = rng.uniform(0.5, 8.0, size=njobs)
+    # nondecreasing capacity rows with distinct shapes per machine
+    capgrid = np.cumsum(rng.uniform(0.0, 4.0, size=(m, grid_size)), axis=1)
+    x_floor = int(rng.integers(0, grid_size))
+    assert _search(job_ps, m, capgrid, x_floor) == _reference(job_ps, m, capgrid, x_floor)
 
 
-@pytest.mark.parametrize("name,fn", SEARCH_IMPLS)
-def test_search_reports_infeasible_as_grid_size(name, fn):
+def test_search_reports_infeasible_as_grid_size():
     capgrid = np.array([[1.0, 2.0]])
     job_ps = np.array([10.0])
-    got = fn(job_ps, 1, capgrid, 0, 1)
-    assert int(got[0]) == 2
-    assert int(got[1]) == -1
+    assert _reference(job_ps, 1, capgrid, 0) == (2, -1)
+    assert _search(job_ps, 1, capgrid, 0) == (2, -1)
+
+
+def test_search_counts_one_node_per_job_when_the_first_ordinal_fits():
+    capgrid = np.full((3, 4), 100.0)
+    got = _kernels.search_assignments([5.0, 7.0, 9.0], 3, lambda x: capgrid[:, x], 1, 4, 3)
+    assert got == (1, 0, 3)
+
+
+def test_search_stops_at_the_node_budget():
+    # three 4s on two identical machines: at room 6 the first node leaves
+    # too little room for the rest and the second machine mirrors the
+    # first; at room 9 the path 4+4+4 fails at its leaf and job 0 moves over
+    capgrid = np.array([[6.0, 9.0], [6.0, 9.0]])
+    args = ([4.0, 4.0, 4.0], 2, lambda x: capgrid[:, x], 0, 2)
+    assert _kernels.search_assignments(*args, 5) == (1, 1, 5)
+    with pytest.raises(BudgetExceededError, match="node budget 4"):
+        _kernels.search_assignments(*args, 4)
+
+
+def test_search_bounds_integer_rooms_by_subset_sums():
+    # even sizes summing to 194 on three machines of room 65: the rooms
+    # cover the total, but each machine can reach 64 at most, so nothing
+    # fits at x = 0, and only the subset-sum bound sees it before
+    # backtracking through the 3**20 assignments
+    ps = [10.0, 14, 10, 14, 14, 12, 14, 8, 12, 2, 10, 6, 12, 4, 8, 10, 10, 4, 4, 16]
+    rooms = (65.0, 85.0)
+    best_x, best_ord, nodes = _kernels.search_assignments(ps, 3, lambda x: [rooms[x]] * 3, 0, 2, 40)
+    loads = [0.0] * 3
+    for p in ps:
+        loads[best_ord % 3] += p
+        best_ord //= 3
+    assert best_x == 1
+    assert max(loads) <= rooms[1]
+    assert nodes <= 2 * len(ps)
+
+
+@pytest.mark.parametrize(
+    "ps, room",
+    [
+        # leaves whose partial sums fit in search order but whose folds in
+        # job order do not, two identical machines with equal but differently
+        # made loads, and equal sizes that are not neighbours
+        ([0.1, 1.1, 0.3, 0.1], 0.3),
+        ([0.1, 0.2, 0.7, 0.1, 0.4], 0.7999999999999999),
+        ([0.7, 0.3, 0.6, 0.3, 1.1], 1.5999999999999999),
+    ],
+)
+def test_search_judges_real_sizes_by_their_folds_in_job_order(ps, room):
+    capgrid = np.array([[room, 3 * room], [room, 3 * room]])
+    assert _search(ps, 2, capgrid, 0) == _reference(ps, 2, capgrid, 0)
+
+
+@st.composite
+def search_cases(draw):
+    """Small search instances, m**J at most 4096 so the enumeration stays
+    quick: equal sizes, tenths whose sums round, real sizes, identical
+    machines, and capacities equal to some assignment's loads."""
+    m = draw(st.integers(1, 4))
+    njobs = draw(st.integers(0, {1: 12, 2: 12, 3: 7, 4: 6}[m]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["integers", "tenths", "real", "equal"]))
+    if kind == "integers":
+        ps = [float(rng.randint(1, 6)) for _ in range(njobs)]
+    elif kind == "tenths":
+        ps = [rng.randint(1, 30) / 10 for _ in range(njobs)]
+    elif kind == "real":
+        ps = [rng.uniform(0.5, 8.0) for _ in range(njobs)]
+    else:
+        ps = [rng.choice([1.0, 0.1, 0.3, 2.5])] * njobs
+    grid_size = draw(st.integers(1, 7))
+    share = sum(ps) / m
+    rows = []
+    for i in range(m):
+        if i and draw(st.booleans()):
+            rows.append(list(rows[rng.randrange(i)]))  # an identical machine
+            continue
+        row = [rng.uniform(0.1, 0.7) * share]
+        for _ in range(grid_size - 1):
+            row.append(row[-1] + rng.choice([0.0, rng.uniform(0.0, 0.4) * share]))
+        rows.append(row)
+    if njobs and draw(st.booleans()):
+        # one column holds some assignment's loads summed in job order, or in
+        # the search's reverse order: a tie, or a near miss, at the margin
+        x = rng.randrange(grid_size)
+        loads = [0.0] * m
+        for p in ps[:: draw(st.sampled_from([1, -1]))]:
+            loads[rng.randrange(m)] += p
+        for i in range(m):
+            rows[i][x] = loads[i]
+            for k in range(1, grid_size):
+                rows[i][k] = max(rows[i][k], rows[i][k - 1])
+    capgrid = np.array(rows, np.float64).reshape(m, grid_size)
+    return ps, m, capgrid, draw(st.integers(0, grid_size - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=search_cases())
+def test_search_matches_the_enumeration_on_small_instances(case):
+    ps, m, capgrid, x_floor = case
+    assert _search(ps, m, capgrid, x_floor) == _reference(ps, m, capgrid, x_floor)
 
 
 def test_backend_reflects_environment():

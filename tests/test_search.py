@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamspan import BudgetExceededError, MachinePark, MachineTimeline
-from streamspan.capacity import search_bounds
+from streamspan import BudgetExceededError, MachinePark, MachineTimeline, make_ledger, run_stream
+from streamspan.capacity import capacity_at, park_capacity_at, search_bounds
+from streamspan.cli import generate_instance, main, parse_machine_config_text
 from streamspan.grouping import KnownPmaxLedger, LargeJobSet
 from streamspan.oracle import grid_scan_t
 from streamspan.search import (
@@ -16,7 +18,13 @@ from streamspan.search import (
     time_grid,
 )
 
-from _support import brute_force_selection, identity_park, quiet_params, random_timeline
+from _support import (
+    brute_force_selection,
+    identity_park,
+    integer_loads_fit,
+    quiet_params,
+    random_timeline,
+)
 
 
 def large_set(jobs, small_bound=0.5, band_offset=0, saturated_band=-1):
@@ -130,10 +138,15 @@ class TestEnumerateAndSelect:
         assert out.value == 0.0
 
     def test_budget_guard(self):
+        # room 6 per machine at x_floor cannot take three 4s, so the search
+        # bisects on and backtracks: more nodes than jobs
         park = identity_park(2, m1=1, e0=1.0)
         large = large_set([(0, 4.0), (1, 4.0), (2, 4.0)])
-        with pytest.raises(BudgetExceededError, match="2\\*\\*3 = 8"):
-            enumerate_and_select(park, large, 1.0, budget=7)
+        nodes = enumerate_and_select(park, large, 1.0).nodes
+        assert nodes > large.job_count
+        assert enumerate_and_select(park, large, 1.0, budget=nodes).nodes == nodes
+        with pytest.raises(BudgetExceededError, match=f"node budget {nodes - 1}$"):
+            enumerate_and_select(park, large, 1.0, budget=nodes - 1)
 
     def test_recorded_loads_match_mapping(self):
         park = identity_park(3, m1=2, e0=0.5)
@@ -192,3 +205,36 @@ def test_search_consumes_ledger_output():
     out = enumerate_and_select(identity_park(2, m1=1, e0=1.0), led.finalize(), 1.0)
     assert out.t == 7.0  # P=14, LB=7, balanced split 7/7 fits exactly
     assert out.grid_exponent == 0
+
+
+@pytest.mark.parametrize("n", range(20, 301, 20))
+def test_generated_streams_settle_within_the_default_budget(n, tmp_path, capsys):
+    # default flags retain up to 300 jobs here, far beyond enumerating 3**J
+    params = quiet_params(3, 1, 0.5, 0.5)
+    for seed in range(5):
+        config_text, jobs_text = generate_instance(seed, 3, 1, 0.5, n)
+        cfg, jobs = tmp_path / "park.cfg", tmp_path / "jobs.txt"
+        cfg.write_text(config_text)
+        jobs.write_text(jobs_text)
+        assert main(["run", "--config", str(cfg), "--jobs", str(jobs)]) == 0, seed
+        printed = capsys.readouterr().out
+        park = parse_machine_config_text(config_text)
+        ledger = make_ledger(params, "pmax-unknown")
+        report, artifacts = run_stream(
+            park, params, ledger, [[float(p) for p in jobs_text.split()]], regime="pmax-unknown"
+        )
+        timed = ("wall_seconds", "mean_ingest_seconds")
+        assert [ln for ln in printed.splitlines() if not ln.startswith(timed)] == [
+            ln for ln in report.as_lines() if not ln.startswith(timed)
+        ]
+        outcome = artifacts.outcome
+        grid = time_grid(park, report.total_load, 0.5)
+        assert outcome.t == grid[outcome.grid_exponent]
+        caps = [capacity_at(tl, outcome.t) for tl in park.machines]
+        assert all(load <= cap for load, cap in zip(outcome.assignment.per_machine_load, caps))
+        x_floor = next(x for x, t in enumerate(grid) if park_capacity_at(park, t) >= report.total_load)
+        if outcome.grid_exponent > x_floor:
+            below = grid[outcome.grid_exponent - 1]
+            limits = [math.floor(capacity_at(tl, below)) for tl in park.machines]
+            sizes = [int(p) for _, p in outcome.assignment.jobs]
+            assert not integer_loads_fit(sizes, limits), (n, seed)
