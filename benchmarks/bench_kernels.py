@@ -6,6 +6,8 @@ ingest: plain-python scalar loop, vectorized numpy, jitted scalar loop.
 ledgers: the same stream through make_ledger(...).ingest_many per regime.
 schedule: second_pass and write_schedule_csv over 1M jobs on a 3-machine
 park with 400 shared intervals per machine.
+chain: completion_chain of one machine's share of those jobs on machine 2
+of that park, for their integer sizes and for the sizes times 0.37.
 search: enumerate_and_select's branch and bound on J large jobs with
 aggregate slack (J = --search-jobs, m**J assignments) and on the retained
 jobs of a generated n=300 stream: nodes, wall time, nodes/s.
@@ -34,7 +36,7 @@ import time
 import numpy as np
 
 from streamspan import _kernels, run_stream, second_pass
-from streamspan.capacity import MachinePark, MachineTimeline
+from streamspan.capacity import MachinePark, MachineTimeline, completion_chain
 from streamspan.cli import _float_chunks, generate_instance, parse_machine_config_text, write_schedule_csv
 from streamspan.grouping import LargeJobSet, derive_params
 from streamspan.pipeline import make_ledger
@@ -112,9 +114,18 @@ def make_dense_park(rng, total_load):
     return MachinePark(tuple(machines), 1, 0.5)
 
 
-def bench_schedule(stream, chunk, repeats, rng):
+def bench_chain(timeline, amounts, repeats):
+    """Best completion_chain seconds over amounts, run back to back from 0."""
+    best = math.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        completion_chain(timeline, 0.0, amounts)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def bench_schedule(park, stream, chunk, repeats):
     """Best (second_pass, write_schedule_csv) seconds over a two-pass run."""
-    park = make_dense_park(rng, float(stream.sum()))
     params = derive_params(m=3, floor_machines=1, ratio_floor=0.5, epsilon=0.5)
     chunks = [stream[lo : lo + chunk] for lo in range(0, stream.size, chunk)]
     ledger = make_ledger(params, "pmax-given", pmax=float(stream.max()))
@@ -235,12 +246,19 @@ def main():
         print(f"  {regime:>13}: {per_job * 1e9:7.1f} ns/job   ({per_job / given:.2f}x pmax-given)")
 
     schedule_stream = stream[:SCHEDULE_JOBS]
-    pass_s, write_s = bench_schedule(schedule_stream, args.chunk, args.repeats, rng)
+    park = make_dense_park(rng, float(schedule_stream.sum()))
+    pass_s, write_s = bench_schedule(park, schedule_stream, args.chunk, args.repeats)
     figures["second_pass_ns_per_job"] = pass_s / schedule_stream.size * 1e9
     figures["schedule_csv_ns_per_job"] = write_s / schedule_stream.size * 1e9
     print(f"schedule: {schedule_stream.size} jobs, 3 machines x {SCHEDULE_INTERVALS} shared intervals")
     print(f"   second pass: {figures['second_pass_ns_per_job']:7.1f} ns/job")
     print(f"  schedule CSV: {figures['schedule_csv_ns_per_job']:7.1f} ns/job")
+    share = schedule_stream[: schedule_stream.size // 3]
+    for key, amounts in (("integer", share), ("real", share * 0.37)):
+        secs = bench_chain(park.machines[1], amounts, args.repeats)
+        figures[f"chain_{key}_ns_per_job"] = secs / amounts.size * 1e9
+        print(f"  chain {key:>7}: {figures[f'chain_{key}_ns_per_job']:7.1f} ns/job   "
+              f"(completion_chain, {amounts.size} jobs on machine 2)")
 
     m = args.machines
     job_ps = rng.integers(8, 17, size=args.search_jobs).astype(np.float64)

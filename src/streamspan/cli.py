@@ -206,7 +206,7 @@ def _float_chunks(fh: TextIO) -> Iterator[np.ndarray]:
     position = 0
     for toks in _token_chunks(fh):
         try:
-            vals = np.array(list(map(float, toks)), np.float64)
+            vals = np.array(toks, np.float64)
         except ValueError:
             # only to name the failing position
             for i, tok in enumerate(toks):
@@ -228,36 +228,130 @@ def _job_chunks(path: str) -> Iterator[np.ndarray]:
 # --- schedule output ----------------------------------------------------------
 
 
+_FILL = 0  # pads fixed-width byte fields; never part of the text
+# _QUADS[i] holds the four ASCII digits of i, zero-padded, in memory order
+_QUADS = (
+    (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0"))
+    .astype(np.uint8).view(np.uint32).ravel()
+)
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_FRACTION_BITS = 15  # a fraction j / 2**15 is j * 5**15 / 10**15
+_FIELD = 33  # 16 integer digits, '.', 16 fraction digits
+_REPR_AT = 9  # a repr (at most 24 characters) fills columns from here on
+
+
+def _digits(values: np.ndarray, width: int) -> np.ndarray:
+    """uint8 [n, width]: the last width decimal digits of values, zero-padded."""
+    quads = -(-width // 4)
+    out = np.empty((values.size, quads), np.uint32)
+    for c in range(quads - 1, -1, -1):
+        high = values // 10000
+        out[:, c] = np.take(_QUADS, values - high * 10000)
+        values = high
+    return out.view(np.uint8)[:, 4 * quads - width :]
+
+
+def _integers(values: np.ndarray, width: int) -> np.ndarray:
+    """_digits with leading zeros as _FILL; 0 keeps one '0'."""
+    digits = _digits(values, width)
+    if values.size and values.min() < _POW10[width - 1]:
+        digits[:, :-1] *= values[:, None] >= _POW10[width - 1 : 0 : -1]
+    return digits
+
+
+def _take_rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """table[index] for a C-contiguous uint8 table, one copy per row."""
+    width = table.shape[1]
+    return np.take(table.view(f"V{width}").ravel(), index).view(np.uint8).reshape(-1, width)
+
+
+def _float_fields(values: np.ndarray) -> np.ndarray:
+    """uint8 [n, w]: repr of each value, padded with _FILL.
+
+    A value in [1e-4, 1e16) whose fractional part is j / 2**k (k <= 15)
+    and whose exact decimal has at most 15 integer and fraction digits
+    together is written as that decimal in int64 digit arithmetic: a
+    decimal of at most 15 significant digits round-trips, and no shorter
+    decimal lies within half an ulp of it, so it is repr's shortest form
+    ('.0' for a whole number).  Other values go through repr.  Each field is a row of
+    fixed width whose unused columns hold _FILL.
+    """
+    n = values.size
+    pool = np.empty((n, _FIELD), np.uint8)  # '.' at column 16
+    lo, hi = _FIELD, 0  # the columns any value uses
+    for first in range(0, n, _CSV_ROWS):
+        v = values[first : first + _CSV_ROWS]
+        rows = pool[first : first + v.size]
+        usual = (v >= 1e-4) & (v < 1e16)
+        w = np.where(usual, v, 0.0)
+        whole = np.floor(w)
+        scaled = (w - whole) * 2.0**_FRACTION_BITS
+        j = scaled.astype(np.int64)
+        integer = whole.astype(np.int64)
+        # the fraction's binary places k are also its decimal places
+        places = np.where(j > 0, _FRACTION_BITS + 1 - np.frexp(j & -j)[1], 0)
+        length = np.searchsorted(_POW10, integer, side="right")  # 0 for 0
+        exact = usual & (scaled == j) & (length + places <= 15)
+        if exact.any():
+            a = max(int(length[exact].max()), 1)
+            f = max(int(places[exact].max()), 1)
+            rows[:, : 16 - a] = _FILL
+            rows[:, 16 - a : 16] = _integers(integer, a)
+            rows[:, 16] = ord(".")
+            fraction = _digits(j * 5**_FRACTION_BITS // _POW10[_FRACTION_BITS - f], f)
+            fraction[:, 1:] *= np.arange(1, f) < places[:, None]
+            rows[:, 17 : 17 + f] = fraction
+            rows[:, 17 + f :] = _FILL
+            lo, hi = min(lo, 16 - a), max(hi, 17 + f)
+        inexact = np.flatnonzero(~exact)
+        if inexact.size:
+            texts = np.array(list(map(repr, v[inexact].tolist())), f"S{_FIELD - _REPR_AT}")
+            chars = texts.view(np.uint8).reshape(inexact.size, -1)
+            rows[inexact, :_REPR_AT] = _FILL
+            rows[inexact, _REPR_AT:] = chars
+            used = np.flatnonzero(chars.any(axis=0))[-1] + 1
+            lo, hi = min(lo, _REPR_AT), max(hi, _REPR_AT + int(used))
+    return np.ascontiguousarray(pool[:, lo:hi])
+
+
 def write_schedule_csv(path: str, schedule: Schedule) -> None:
     """One row per job plus a trailing makespan row, with CRLF line ends.
 
-    Each completion is formatted once and reused as the start of the next
-    job on the same machine; a start column that is not back to back is
-    refused rather than written wrong.
+    Each completion is formatted once, and the field of a job's
+    predecessor on its machine is its start; a start column that is not
+    back to back is refused rather than written wrong.  Rows are
+    assembled as bytes, _CSV_ROWS at a time.
     """
     n = schedule.machine.size
-    done = list(map(repr, schedule.completion.tolist()))
     before = np.full(n, n, np.int64)  # the job run just before, n for none
     for run in schedule.runs:
         before[run[1:]] = run[:-1]
-    if np.append(schedule.completion, 0.0)[before].tobytes() != schedule.start.tobytes():
+    done = np.append(schedule.completion, 0.0)
+    if not np.array_equal(done[before].view(np.int64), schedule.start.view(np.int64)):
         raise ScheduleContractError("schedule start times do not run back to back")
-    starts = np.array(done + [repr(0.0)], dtype=object)[before].tolist()
-    machine_fields = np.array([f",{i}," for i in range(len(schedule.runs) + 1)], dtype=object)
-    machines = machine_fields[schedule.machine].tolist()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("job_id,machine,start,completion\r\n")
-        for lo in range(0, n, _CSV_ROWS):
-            hi = min(lo + _CSV_ROWS, n)
-            # row fields: job_id, ",machine,", start, ",", completion, CRLF
-            fields = [","] * (6 * (hi - lo))
-            fields[0::6] = map(str, range(lo, hi))
-            fields[1::6] = machines[lo:hi]
-            fields[2::6] = starts[lo:hi]
-            fields[4::6] = done[lo:hi]
-            fields[5::6] = ["\r\n"] * (hi - lo)
-            fh.write("".join(fields))
-        fh.write(f"makespan,{float(schedule.makespan)!r}\r\n")
+    times = _float_fields(done)
+    m = len(schedule.runs)
+    machines = _integers(np.arange(m + 1), len(str(m)))
+    machines = np.pad(machines, ((0, 0), (1, 1)), constant_values=ord(","))
+    # row layout: job_id, ",machine,", start, ",", completion, CRLF
+    a = len(str(max(n - 1, 0)))
+    b = a + machines.shape[1]
+    c = b + times.shape[1]
+    d = c + 1 + times.shape[1]
+    with open(path, "wb") as fh:
+        fh.write(b"job_id,machine,start,completion\r\n")
+        for first in range(0, n, _CSV_ROWS):
+            last = min(first + _CSV_ROWS, n)
+            rows = np.empty((last - first, d + 2), np.uint8)
+            rows[:, :a] = _integers(np.arange(first, last), a)
+            rows[:, a:b] = _take_rows(machines, schedule.machine[first:last])
+            rows[:, b:c] = _take_rows(times, before[first:last])
+            rows[:, c] = ord(",")
+            rows[:, c + 1 : d] = times[first:last]
+            rows[:, d] = ord("\r")
+            rows[:, d + 1] = ord("\n")
+            fh.write(rows[rows != _FILL])
+        fh.write(f"makespan,{float(schedule.makespan)!r}\r\n".encode())
 
 
 # --- instance generator --------------------------------------------------------

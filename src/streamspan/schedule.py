@@ -13,7 +13,12 @@ can place each job the moment it arrives.
 The second pass is columnar: the open machine takes a whole run of a
 chunk's small jobs at once, found by a running sum of their sizes, and
 only the job at a run's end goes through the per-job rule.  Start and
-completion times then come from one completion chain per machine.
+completion times then come from one completion chain per machine, which
+is evaluated in verified blocks (see streamspan.capacity).
+
+The validator does not rerun that chain: it checks every job's start
+against the completion before it in its run, and every completion
+against the chain's one-step rule applied to (start, size), column-wise.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .capacity import MachinePark, capacity_at, completion_chain
+from .capacity import MachinePark, capacity_at, completion_chain, completion_steps
 from .errors import JobValueError, ScheduleContractError, TwoPassMismatchError
 from .search import SearchOutcome
 
@@ -185,7 +190,7 @@ def _timed(park: MachinePark, runs: tuple[np.ndarray, ...], sizes: np.ndarray) -
     for index, (tl, run) in enumerate(zip(park.machines, runs), start=1):
         if not run.size:
             continue
-        done = np.array(completion_chain(tl, 0.0, sizes[run].tolist()), np.float64)
+        done = completion_chain(tl, 0.0, sizes[run])
         machine[run] = index
         completion[run] = done
         start[run[0]] = 0.0
@@ -279,7 +284,11 @@ def _raise_fault(artifacts, head, start, q, here, kept) -> None:
 
 
 def validate_schedule(park: MachinePark, schedule: Schedule, jobs: Sequence[float]) -> None:
-    """Recompute everything from scratch; raise on any inconsistency."""
+    """Check the schedule against the instance; raise on any inconsistency.
+
+    Each run starts at 0 and runs back to back, and each completion is
+    the one-step rule applied to the job's own start and size.
+    """
     sizes = np.asarray(jobs, dtype=np.float64)
     n = sizes.size
     for column in (schedule.machine, schedule.start, schedule.completion):
@@ -316,9 +325,9 @@ def validate_schedule(park: MachinePark, schedule: Schedule, jobs: Sequence[floa
             )
         if not run.size:
             continue
-        done = np.array(completion_chain(tl, 0.0, sizes[run].tolist()), np.float64)
-        clock = np.concatenate(([0.0], done[:-1]))
         start, completion = schedule.start[run], schedule.completion[run]
+        clock = np.concatenate(([0.0], completion[:-1]))
+        done = completion_steps(tl, start, sizes[run])
         wrong = np.flatnonzero((start != clock) | (completion != done))
         if wrong.size:
             k = int(wrong[0])
@@ -330,7 +339,7 @@ def validate_schedule(park: MachinePark, schedule: Schedule, jobs: Sequence[floa
             raise ScheduleContractError(
                 f"job {j} completion {completion[k]} != recomputed {done[k]}"
             )
-        top = max(top, float(done[-1]))
+        top = max(top, float(completion[-1]))
     if schedule.makespan != top:
         raise ScheduleContractError(
             f"makespan {schedule.makespan} != recomputed {top}"

@@ -1,11 +1,13 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamspan import ConfigError, MachinePark, MachineTimeline
+import streamspan.capacity as capacity
 from streamspan.capacity import (
     capacity_at,
     completion_chain,
@@ -196,7 +198,102 @@ def test_completion_chain_is_the_completion_time_fold(tl, data, amounts):
     for amount in amounts:
         clock = completion_time(tl, clock, amount)
         expected.append(clock)
-    assert completion_chain(tl, start, amounts) == expected
+    got = completion_chain(tl, start, amounts)
+    assert got.tobytes() == np.array(expected, np.float64).tobytes()
+
+
+def _completion_fold(tl, start, amounts):
+    out, clock = [], start
+    for amount in amounts:
+        clock = completion_time(tl, clock, amount)
+        out.append(clock)
+    return np.array(out, np.float64)
+
+
+_amount_kinds = {
+    "integer": st.integers(1, 12).map(float),
+    "quarter": st.integers(1, 48).map(lambda q: q / 4.0),
+    "tenths": st.integers(1, 120).map(lambda q: q / 10.0),
+    "real": st.floats(1e-3, 12.0),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tl=st.one_of(_exact_timelines, _real_timelines),
+    data=st.data(),
+    block=st.integers(1, 8),
+)
+def test_blocked_completion_chain_is_the_completion_time_fold(tl, data, block):
+    # streams several blocks long, whose amounts may turn inexact midway,
+    # from starts on breakpoints or inside segments, into the rate-1 tail
+    head, tail = (data.draw(st.sampled_from(sorted(_amount_kinds))) for _ in range(2))
+    amounts = data.draw(st.lists(_amount_kinds[head], max_size=40))
+    amounts += data.draw(st.lists(_amount_kinds[tail], max_size=40))
+    start = data.draw(
+        st.one_of(_quarters, st.floats(0.0, 70.0), st.sampled_from((0.0,) + tl.breakpoints))
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(capacity, "_CHAIN_BLOCK", block)
+        got = completion_chain(tl, start, amounts)
+    assert got.dtype == np.float64
+    assert got.tobytes() == _completion_fold(tl, start, amounts).tobytes()
+
+
+def _dense_timeline():
+    rng = random.Random(3)
+    bps = sorted(rng.sample(range(1, 4000), 300))
+    return MachineTimeline(1, tuple(map(float, bps)), tuple(rng.choice([0.25, 0.5, 1.0]) for _ in bps))
+
+
+def test_exact_chains_skip_the_per_job_loop(monkeypatch):
+    tl = _dense_timeline()
+    amounts = [random.Random(5).randint(1, 64) / 4.0 for _ in range(2000)]
+    expected = _completion_fold(tl, 0.5, amounts)
+    folds = []
+    monkeypatch.setattr(capacity, "_CHAIN_BLOCK", 64)
+    monkeypatch.setattr(capacity, "_fold", lambda tl, start, rest: folds.append(rest))
+    assert completion_chain(tl, 0.5, amounts).tobytes() == expected.tobytes()
+    assert folds == []
+
+
+def test_a_chain_that_turns_inexact_falls_back_once(monkeypatch):
+    tl = _dense_timeline()
+    rng = random.Random(2)
+    amounts = [2.0] * 1000 + [rng.uniform(0.1, 9.0) for _ in range(1000)]
+    expected = _completion_fold(tl, 0.0, amounts)
+    folds = []
+    fold = capacity._fold
+
+    def counted(tl, start, rest):
+        folds.append(len(rest))
+        return fold(tl, start, rest)
+
+    monkeypatch.setattr(capacity, "_CHAIN_BLOCK", 64)
+    monkeypatch.setattr(capacity, "_fold", counted)
+    assert completion_chain(tl, 0.0, amounts).tobytes() == expected.tobytes()
+    # blocks before job 1000 verify; the fold finishes from the first miss on
+    assert len(folds) == 1 and folds[0] < 1000
+
+
+def test_targets_on_the_cumulative_table_take_the_segment_they_end():
+    # 1.1 == cumulative[2] ends segment 2, and inverting it there gives
+    # 3.000000000000001, not breakpoint 3.0: bisect_left, not bisect_right
+    tl = MachineTimeline(1, (1.0, 2.0, 3.0, 4.5), (0.3, 0.7, 0.1, 1 / 3))
+    for target in tl.cumulative:
+        amounts = [target] + [0.25] * 9  # more keys than table entries
+        got = completion_chain(tl, 0.0, amounts)
+        assert got.tobytes() == _completion_fold(tl, 0.0, amounts).tobytes()
+    assert completion_chain(tl, 0.0, [1.1] * 6)[0] == 3.000000000000001
+
+
+def test_completion_steps_are_single_completions():
+    tl = _dense_timeline()
+    rng = random.Random(9)
+    clocks = [rng.choice([0.0, rng.uniform(0, 5000), rng.choice(tl.breakpoints)]) for _ in range(500)]
+    amounts = [rng.choice([rng.uniform(1e-3, 50), rng.randint(1, 200) / 4.0]) for _ in range(500)]
+    expected = np.array([completion_time(tl, c, a) for c, a in zip(clocks, amounts)])
+    assert capacity.completion_steps(tl, clocks, amounts).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=200)

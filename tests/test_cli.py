@@ -2,10 +2,15 @@ import csv
 import dataclasses
 import importlib.util
 import io
+import math
+import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from streamspan import (
     ConfigError,
@@ -24,6 +29,7 @@ from streamspan.cli import (
     write_schedule_csv,
 )
 import streamspan.cli as cli_mod
+from streamspan.schedule import _timed
 
 from _support import make_instance, offline, quiet_params
 
@@ -132,9 +138,77 @@ class TestStreamTokenizer:
                 pass
         assert exc_info.value.position == 2
 
+    # float() accepts or refuses each of these; the parser must agree bit for bit
+    FLOAT_CORPUS = (
+        "1_000", "\u0661\u0662\u0663", "\uff11\uff12\uff13", "inf", "-Infinity", "iNf",
+        "nan", "-nan", "+nan", "NaN", "1e400", "1e-400", "-0", "+.5", "5.", "1e5_0",
+        "0x10", "1__0", "_1", "1,5", "e5", "0b1", "5e-324", "0.1", "1e16", "12345678901234567890",
+        "5\x00", "\x005",
+    )
+    REFUSED = ("0x10", "1__0", "_1", "1,5", "e5", "0b1", "5\x00", "\x005")
+
+    @pytest.mark.parametrize("token", FLOAT_CORPUS)
+    def test_float_chunks_parse_like_float(self, token):
+        try:
+            expected = float(token)
+        except ValueError:
+            with pytest.raises(JobValueError, match="position 1"):
+                list(_float_chunks(io.StringIO(f"2 {token} 3\n")))
+            return
+        (values,) = list(_float_chunks(io.StringIO(f"2 {token} 3\n")))
+        assert values.dtype == np.float64
+        assert values[1:2].tobytes() == struct.pack("=d", expected)
+
+    def test_float_chunks_parse_a_chunk_like_float(self):
+        tokens = [t for t in self.FLOAT_CORPUS if t not in self.REFUSED]
+        (values,) = list(_float_chunks(io.StringIO(" ".join(tokens) + "\n")))
+        assert values.tobytes() == struct.pack(f"={len(tokens)}d", *map(float, tokens))
+
     def test_empty_stream_yields_nothing(self):
         assert list(_token_chunks(io.StringIO(""))) == []
         assert list(_float_chunks(io.StringIO(" \n\t "))) == []
+
+
+def _formatted(values):
+    """Each value as the schedule CSV's float formatter writes it."""
+    fields = cli_mod._float_fields(np.array(values, np.float64))
+    return [row[row != cli_mod._FILL].tobytes().decode() for row in fields]
+
+
+FORMAT_EDGES = (
+    1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), 1e16,
+    math.nextafter(1e16, 0.0), 2.0**53, 2.0**53 + 2, 2.0**53 - 1, 0.0, -0.0, 5e-324,
+    1e15, 999999999999999.0, 123456789012345.5, 0.5, 0.25, 0.0001220703125,
+    2.0**-15, 2.0**-16, 1.5 + 2.0**-14, 0.1, 0.3, 1.1, 1e-5, 123.0, math.inf, -math.inf,
+    math.nan, -1.25, 1e300, 2.2250738585072014e-308, -2.2250738585072014e-308,
+)
+
+
+class TestFloatFields:
+    def test_edges_match_repr(self):
+        assert _formatted(FORMAT_EDGES) == [repr(v) for v in FORMAT_EDGES]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.floats(1e-4, 1e16),
+                st.integers(0, 2**56).map(lambda q: q / 4.0),
+                st.integers(0, 10**12).map(lambda q: q * 0.1),
+                st.builds(lambda i, k: i / 2.0**k, st.integers(0, 2**53), st.integers(0, 60)),
+                st.sampled_from(FORMAT_EDGES),
+            ),
+            max_size=40,
+        ),
+        st.integers(1, 8),
+    )
+    @example([0.25, 0.1, 3.0, 2.0**53], 1)
+    def test_fields_match_repr(self, values, rows):
+        # _CSV_ROWS small: chunks of differing widths share one column span
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli_mod, "_CSV_ROWS", rows)
+            assert _formatted(values) == [repr(float(v)) for v in values]
 
 
 class TestGenerator:
@@ -276,6 +350,22 @@ class TestRunCommand:
         start[sched.runs[0][-1]] += 0.5
         with pytest.raises(ScheduleContractError, match="back to back"):
             write_schedule_csv(str(tmp_path / "s.csv"), dataclasses.replace(sched, start=start))
+
+    @pytest.mark.parametrize("m", [3, 11])
+    def test_schedule_csv_of_exact_completions_matches_repr(self, tmp_path, monkeypatch, m):
+        # integer sizes on a park of power-of-two ratios: the digit path;
+        # jobs dealt round robin, so every machine number is written
+        monkeypatch.setattr(cli_mod, "_CSV_ROWS", 7)  # rows and fields in many chunks
+        park, jobs = make_instance(3, m, 1, 0.5, 300, jobs_max=4000)
+        runs = tuple(np.arange(i, len(jobs), m) for i in range(m))
+        sched = _timed(park, runs, np.array(jobs))
+        path = tmp_path / "s.csv"
+        write_schedule_csv(str(path), sched)
+        rows = [f"{j},{int(sched.machine[j])},{float(sched.start[j])!r},"
+                f"{float(sched.completion[j])!r}" for j in range(len(jobs))]
+        expected = "\r\n".join(["job_id,machine,start,completion", *rows,
+                                 f"makespan,{sched.makespan!r}", ""])
+        assert path.read_bytes() == expected.encode()
 
     def test_offline_equals_two_pass(self, capsys, instance, tmp_path):
         cfg, jobs = instance

@@ -382,6 +382,23 @@ class TestValidator:
         with pytest.raises(ScheduleContractError, match="job 0 completion"):
             validate_schedule(park, broken, jobs)
 
+    def test_validation_does_not_rerun_the_chain(self, monkeypatch):
+        # each completion is checked against its own start, job by job
+        park, jobs = make_instance(4, 3, 1, 0.5, 400, ratio_choices=(0.3, 0.7, 1.0))
+        jobs = [p * 0.37 for p in jobs]
+        sched, _ = offline(park, quiet_params(3, 1, 0.5, 0.5, retain_limit_override=3), jobs)
+
+        def refuse(*args):
+            raise AssertionError("validate_schedule ran the completion chain")
+
+        monkeypatch.setattr("streamspan.schedule.completion_chain", refuse)
+        validate_schedule(park, sched, jobs)
+        last = sched.runs[0][-1]
+        broken = self._edited(sched, completion=lambda c: np.where(np.arange(c.size) == last,
+                                                                    np.nextafter(c, np.inf), c))
+        with pytest.raises(ScheduleContractError, match=f"job {last} completion"):
+            validate_schedule(park, broken, jobs)
+
     def test_detects_wrong_makespan(self):
         park, jobs, sched = self._valid()
         broken = dataclasses.replace(sched, makespan=sched.makespan + 1.0)
