@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Time the hot kernels across their three implementations.
 
-parse: the CLI's job-stream parser over the ingest stream as text.
+parse: the CLI's job-stream parser over the ingest stream as text, once
+as integers (the digit path) and once times 0.37 written with repr (the
+split-and-convert path).
 ingest: plain-python scalar loop, vectorized numpy, jitted scalar loop.
 ledgers: the same stream through make_ledger(...).ingest_many per regime.
 schedule: second_pass and write_schedule_csv over 1M jobs on a 3-machine
@@ -208,10 +210,12 @@ def main():
     offset = 10 - params.top_band - 1  # anchor for p_max 1024
 
     # one job per line, as `streamspan generate` and the benchmark inputs write them
-    text = "\n".join(map(str, stream.astype(np.int64).tolist())) + "\n"
-    secs = bench_parse(text, args.repeats)
-    figures["parse_ns_per_token"] = secs / stream.size * 1e9
-    print(f"parse: {figures['parse_ns_per_token']:.1f} ns/token   (_float_chunks, {args.jobs} tokens)")
+    print(f"parse: _float_chunks, {args.jobs} tokens")
+    for key, sizes in (("digits", stream.astype(np.int64)), ("real", stream * 0.37)):
+        text = "\n".join(map(repr, sizes.tolist())) + "\n"
+        secs = bench_parse(text, args.repeats)
+        figures[f"parse_{key}_ns_per_token"] = secs / stream.size * 1e9
+        print(f"  {key:>6}: {figures[f'parse_{key}_ns_per_token']:7.1f} ns/token")
 
     impls = [
         ("python", _kernels._ingest_scalar, 1),

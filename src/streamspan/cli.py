@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import math
 import random
+import re
 import sys
 import time
 from dataclasses import replace
@@ -66,6 +67,10 @@ EXIT_CODES = {
 }
 
 _READ_CHARS = 1 << 16
+# a block of only these characters takes the digit path; the whitespace is
+# what both str.split() and bytes.split() split on
+_PLAIN = re.compile(r"[0-9 \t\n\r\x0b\x0c]*")
+_PLAIN_DIGITS = 18  # every 18-digit integer is an int64
 _CSV_ROWS = 1 << 14
 
 
@@ -173,25 +178,6 @@ def parse_machine_config(path: str) -> MachinePark:
 # --- job streams -------------------------------------------------------------
 
 
-def _token_chunks(fh: TextIO) -> Iterator[list[str]]:
-    """Whitespace-separated tokens in bounded-size batches."""
-    carry = ""
-    while True:
-        block = fh.read(_READ_CHARS)
-        if not block:
-            break
-        block = carry + block
-        toks = block.split()
-        if toks and not block[-1].isspace():
-            carry = toks.pop()
-        else:
-            carry = ""
-        if toks:
-            yield toks
-    if carry:
-        yield [carry]
-
-
 def _parse_job(tok: str, position: int) -> float:
     try:
         return float(tok)
@@ -201,19 +187,70 @@ def _parse_job(tok: str, position: int) -> float:
         ) from None
 
 
+def _plain_values(text: str) -> np.ndarray | None:
+    """float64 values of a text of ASCII digit runs and ASCII whitespace, or
+    None when a run has more than _PLAIN_DIGITS digits.
+
+    Each run is read as an int64, one place at a time, and converted once;
+    an int64 of at most 18 digits is exact and its conversion is correctly
+    rounded, so each value is float() of its run bit for bit.
+    """
+    chars = np.frombuffer(text.encode("ascii"), np.uint8)
+    # digit[i] for chars[i - 1], padded with a non-digit at both ends;
+    # z holds the digits' values and 0 for everything else
+    z = np.full(chars.size + 2, 255, np.uint8)
+    np.subtract(chars, ord("0"), out=z[1:-1])  # whitespace wraps past 9
+    digit = z < 10
+    z *= digit
+    flips = np.flatnonzero(digit[1:] != digit[:-1])
+    before, last = flips[0::2], flips[1::2]  # the z index before each run, its last digit
+    width = int((last - before).max(initial=0))
+    if width > _PLAIN_DIGITS:
+        return None
+    values = np.zeros(last.size, np.int64)
+    at = np.empty_like(last)
+    for place in range(width - 1, -1, -1):
+        # a run shorter than place + 1 reads the 0 just before it
+        np.maximum(np.subtract(last, place, out=at), before, out=at)
+        values *= 10
+        values += z.take(at)
+    return values.astype(np.float64)
+
+
 def _float_chunks(fh: TextIO) -> Iterator[np.ndarray]:
-    """Parsed job values in bounded-size chunks, with float() semantics."""
+    """Parsed job values in bounded-size chunks, one per block read.
+
+    Tokens are split as str.split() splits them and read with float()
+    semantics.  A block of plain digit runs takes _plain_values; any
+    other block is split and converted by numpy, and a token it refuses
+    is named with its position by _parse_job.
+    """
     position = 0
-    for toks in _token_chunks(fh):
-        try:
-            vals = np.array(toks, np.float64)
-        except ValueError:
-            # only to name the failing position
-            for i, tok in enumerate(toks):
-                _parse_job(tok, position + i)
-            raise
-        position += len(toks)
-        yield vals
+    carry = ""
+    while True:
+        block = fh.read(_READ_CHARS)
+        text, carry = carry + block, ""
+        if block and not text[-1].isspace():
+            # the last token may go on in the next block
+            *head, carry = text.rsplit(None, 1)
+            text = head[0] if head else ""
+        vals = None
+        if _PLAIN.match(text).end() == len(text):
+            vals = _plain_values(text)
+        if vals is None:
+            toks = text.split()
+            try:
+                vals = np.array(toks, np.float64)
+            except ValueError:
+                # only to name the failing position
+                for i, tok in enumerate(toks):
+                    _parse_job(tok, position + i)
+                raise
+        if vals.size:
+            position += vals.size
+            yield vals
+        if not block:
+            return
 
 
 def _job_chunks(path: str) -> Iterator[np.ndarray]:

@@ -61,6 +61,7 @@ class RunReport:
     peak_group_records: int
     group_record_bound: int
     ingest_seconds: float
+    parse_seconds: float
     search_seconds: float
     wall_seconds: float
     mean_ingest_seconds: float
@@ -100,6 +101,7 @@ class RunReport:
         "retained_job_bound",
         "group_record_bound",
         "ingest_seconds",
+        "parse_seconds",
         "search_seconds",
     )
     # stage times of a run that wrote a schedule, after the extras
@@ -162,10 +164,16 @@ def run_stream(
             f"parameters were derived for {params.m} machines, park has {park.m}"
         )
     t0 = time.perf_counter()
-    ingest = 0.0
+    parse = ingest = 0.0
     fingerprint = 0
     seen = 0
-    for chunk in chunks:
+    chunks = iter(chunks)
+    while True:
+        s = time.perf_counter()
+        chunk = next(chunks, None)
+        parse += time.perf_counter() - s
+        if chunk is None:
+            break
         arr = np.asarray(chunk, dtype=np.float64)
         s = time.perf_counter()
         ledger.ingest_many(arr)
@@ -205,6 +213,7 @@ def run_stream(
         peak_group_records=ledger.peak_group_records,
         group_record_bound=ledger.group_record_bound,
         ingest_seconds=ingest,
+        parse_seconds=parse,
         search_seconds=search,
         wall_seconds=wall,
         mean_ingest_seconds=ingest / n if n else 0.0,

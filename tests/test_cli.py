@@ -21,7 +21,6 @@ from streamspan import (
 )
 from streamspan.cli import (
     _float_chunks,
-    _token_chunks,
     generate_instance,
     main,
     parse_machine_config,
@@ -124,12 +123,20 @@ class TestConfigParsing:
             parse_machine_config(str(cfg))
 
 
+def _float_refuses(token):
+    try:
+        float(token)
+    except ValueError:
+        return True
+    return False
+
+
 class TestStreamTokenizer:
     def test_tokens_survive_chunk_boundaries(self, monkeypatch):
         monkeypatch.setattr(cli_mod, "_READ_CHARS", 3)
-        text = "12.5  7\n 3.25\t\t19 4"
-        toks = [t for chunk in _token_chunks(io.StringIO(text)) for t in chunk]
-        assert toks == text.split()
+        for text in ("12.5  7\n 3.25\t\t19 4", "12  7\n 325\t\t19 4", "1 2345678 9\n"):
+            values = np.concatenate(list(_float_chunks(io.StringIO(text))))
+            assert values.tobytes() == np.array(text.split(), np.float64).tobytes()
 
     def test_float_chunks_report_positions(self, monkeypatch):
         monkeypatch.setattr(cli_mod, "_READ_CHARS", 4)
@@ -165,8 +172,53 @@ class TestStreamTokenizer:
         assert values.tobytes() == struct.pack(f"={len(tokens)}d", *map(float, tokens))
 
     def test_empty_stream_yields_nothing(self):
-        assert list(_token_chunks(io.StringIO(""))) == []
+        assert list(_float_chunks(io.StringIO(""))) == []
         assert list(_float_chunks(io.StringIO(" \n\t "))) == []
+
+    # digit runs either side of the 18 digits the digit path takes, 2**53 + 1
+    DIGIT_RUNS = (
+        "9" * 18, "9" * 19, "1" + "0" * 18, "0" * 17 + "1", "0" * 24 + "7",
+        "9007199254740993", "999999999999999999", "123456789012345678",
+    )
+    # str.split() also splits on the last seven, bytes.split() does not
+    SEPARATORS = " \t\n\r\x0b\x0c" + "\x1c\x1d\x1e\x1f\x85\xa0\u3000"
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.text("0123456789", min_size=1, max_size=25),
+                    st.sampled_from(DIGIT_RUNS),
+                    st.sampled_from(FLOAT_CORPUS),
+                ),
+                st.text(SEPARATORS, min_size=1, max_size=3),
+            ),
+            max_size=30,
+        ),
+        st.text(SEPARATORS, max_size=2),
+        st.booleans(),
+        st.sampled_from((1, 3, 7, 65536)),
+    )
+    @example([("9007199254740993", " "), ("9" * 19, "\n")], "", True, 65536)
+    @example([("12", "\xa0"), ("7", " ")], "", True, 65536)
+    def test_float_chunks_parse_like_split_and_float(self, pairs, lead, closed, read_chars):
+        text = lead + "".join(tok + sep for tok, sep in pairs)
+        if not closed and pairs:
+            text = text[: -len(pairs[-1][1])]  # the stream ends inside its last token
+        toks = text.split()
+        refused = [i for i, tok in enumerate(toks) if _float_refuses(tok)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli_mod, "_READ_CHARS", read_chars)
+            if refused:
+                with pytest.raises(JobValueError) as exc_info:
+                    list(_float_chunks(io.StringIO(text)))
+                assert exc_info.value.position == refused[0]
+                return
+            chunks = list(_float_chunks(io.StringIO(text)))
+        values = np.concatenate(chunks) if chunks else np.empty(0, np.float64)
+        assert values.dtype == np.float64
+        assert values.tobytes() == np.array(toks, np.float64).tobytes()
 
 
 def _formatted(values):

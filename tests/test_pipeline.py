@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import pytest
 
@@ -75,6 +76,20 @@ class TestRunStream:
         assert report.search_jobs == 0
         assert report.mean_ingest_seconds == 0.0
         assert art.large_ids == frozenset()
+
+    def test_parse_time_is_the_chunk_iterators(self):
+        park, params, jobs = self._instance()
+
+        def slow_chunks():
+            for chunk in (jobs[:3], jobs[3:]):
+                time.sleep(0.02)
+                yield chunk
+
+        ledger = KnownPmaxLedger(params, max(jobs))
+        report, _ = run_stream(park, params, ledger, slow_chunks())
+        assert report.parse_seconds >= 0.04
+        stages = report.parse_seconds + report.ingest_seconds + report.search_seconds
+        assert stages <= report.wall_seconds
 
     def test_machine_count_mismatch_is_rejected(self):
         park, _, jobs = self._instance()
