@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Time the hot kernels across their three implementations.
+"""Time the hot kernels and the stages around them.
 
 parse: the CLI's job-stream parser over the ingest stream as text, once
 as integers (the digit path) and once times 0.37 written with repr (the
 split-and-convert path).
-ingest: plain-python scalar loop, vectorized numpy, jitted scalar loop.
+ingest: the vectorized ingest kernel, _kernels.ingest_block, alone.
 ledgers: the same stream through make_ledger(...).ingest_many per regime.
 schedule: second_pass and write_schedule_csv over 1M jobs on a 3-machine
 park with 400 shared intervals per machine.
@@ -22,8 +22,6 @@ Run from the repo root:
 
 --json adds this run's figures to the file under --label, keeping the
 other labels' entries, so one file holds a change's before and after.
-The numba ingest row needs the default backend (STREAMSPAN_NUMBA unset or
-1); with the fallback forced the script still reports the other two.
 """
 
 import argparse
@@ -79,7 +77,7 @@ def bench_parse(text, repeats):
     return best
 
 
-def bench_ingest(fn, stream, offset, retain_limit, n_bounded, chunk, repeats):
+def bench_ingest(stream, offset, retain_limit, n_bounded, chunk, repeats):
     best = math.inf
     for _ in range(repeats):
         state = _fresh_state(n_bounded, retain_limit)
@@ -87,7 +85,7 @@ def bench_ingest(fn, stream, offset, retain_limit, n_bounded, chunk, repeats):
         start = 0
         for lo in range(0, stream.size, chunk):
             block = stream[lo : lo + chunk]
-            fn(block, start, offset, retain_limit, *state)
+            _kernels.ingest_block(block, start, offset, retain_limit, *state)
             start += block.size
         best = min(best, time.perf_counter() - t0)
     return best
@@ -158,7 +156,6 @@ def save_figures(path, label, args, figures):
         "env": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "backend": _kernels.backend(),
             "cpus": os.cpu_count(),
             "machine": platform.machine(),
         },
@@ -217,30 +214,19 @@ def main():
         figures[f"parse_{key}_ns_per_token"] = secs / stream.size * 1e9
         print(f"  {key:>6}: {figures[f'parse_{key}_ns_per_token']:7.1f} ns/token")
 
-    impls = [
-        ("python", _kernels._ingest_scalar, 1),
-        ("numpy", _kernels._ingest_numpy, args.repeats),
-    ]
-    if _kernels.NUMBA_ENABLED:
-        _kernels.ingest_block(stream[:8].copy(), 0, offset, retain_limit,
-                              *_fresh_state(n_bounded, retain_limit))  # compile
-        impls.append(("numba", _kernels.ingest_block, args.repeats))
-
-    print(f"ingest: {args.jobs} jobs, chunk {args.chunk}, retain_limit {retain_limit}")
-    for name, fn, repeats in impls:
-        # the pure-python row gets one pass over a 1/20 slice, scaled up
-        data = stream if name != "python" else stream[: max(args.jobs // 20, 1)]
-        secs = bench_ingest(fn, data, offset, retain_limit, n_bounded, args.chunk, repeats)
-        per_job = secs / data.size
-        figures[f"ingest_{name}_ns_per_job"] = per_job * 1e9
-        print(f"  {name:>6}: {per_job * 1e9:9.1f} ns/job   ({1.0 / per_job:,.0f} jobs/s)")
+    print(f"ingest: _kernels.ingest_block, {args.jobs} jobs, chunk {args.chunk}, "
+          f"retain_limit {retain_limit}")
+    secs = bench_ingest(stream, offset, retain_limit, n_bounded, args.chunk, args.repeats)
+    per_job = secs / stream.size
+    figures["ingest_numpy_ns_per_job"] = per_job * 1e9  # the key of earlier runs in BENCH_kernels.json
+    print(f"  {per_job * 1e9:9.1f} ns/job   ({1.0 / per_job:,.0f} jobs/s)")
 
     ledgers = (
         ("pmax-given", {"pmax": 1024.0}),
         ("pmax-estimate", {"pmax_estimate": 8192.0, "alpha": 8.0}),
         ("pmax-unknown", {}),
     )
-    print(f"ledgers: make_ledger(...).ingest_many, {_kernels.backend()} backend")
+    print("ledgers: make_ledger(...).ingest_many")
     given = None
     for regime, ledger_args in ledgers:
         secs = bench_ledger(params, regime, ledger_args, stream, args.chunk, args.repeats)

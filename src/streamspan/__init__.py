@@ -9,7 +9,6 @@ The names below take a stream to a validated schedule; everything else
 lives in its submodule.  The command line is `streamspan.cli`.
 """
 
-from ._kernels import backend
 from .capacity import MachinePark, MachineTimeline
 from .errors import (
     BudgetExceededError,
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "backend",
     "MachineTimeline",
     "MachinePark",
     "StreamspanError",

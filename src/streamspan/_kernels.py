@@ -1,48 +1,24 @@
 """Hot numeric kernels.
 
 Two entry points: bulk band-statistics ingest and the exact assignment
-search.  Ingest exists as a scalar loop (jitted with numba when available)
-and as a vectorized numpy fallback; set STREAMSPAN_NUMBA=0 to force the
-numpy path.  Both ingest paths produce bit-identical results -- same fold
-order for every floating-point accumulation -- and the test suite asserts
-that.  The search is one plain-Python branch and bound on either backend.
+search.  Ingest is one vectorized numpy kernel whose every floating-point
+accumulation folds in arrival order, so it is bit for bit the per-job
+loop kept as the reference in tests/_support.py.  The search is a
+plain-Python branch and bound.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from .errors import BudgetExceededError
 
 __all__ = [
-    "NUMBA_ENABLED",
-    "backend",
     "ingest_block",
     "search_assignments",
 ]
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # numba is optional (the `jit` extra)
-    njit = None
-    _HAVE_NUMBA = False
-
-
-def _env_wants_numba() -> bool:
-    val = os.environ.get("STREAMSPAN_NUMBA", "1").strip().lower()
-    return val not in ("0", "false", "no", "off")
-
-
-NUMBA_ENABLED = _HAVE_NUMBA and _env_wants_numba()
-
-
-def backend() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
 
 
 # --- bulk band ingest ------------------------------------------------------
@@ -60,47 +36,8 @@ def backend() -> str:
 # (band index <= ret_len.size - 1).
 
 
-def _ingest_scalar(ps, start_id, offset, retain_limit, counts, loads, ret_len, ret_ids, ret_ps, fstate, istate):
-    total = fstate[0]
-    max_seen = fstate[1]
-    job_count = istate[0]
-    retained_total = istate[1]
-    peak_retained = istate[2]
-    for i in range(ps.shape[0]):
-        p = ps[i]
-        frac, ex = math.frexp(p)
-        top = ex - 1 if frac == 0.5 else ex  # exact ceil(log2 p)
-        k = top - offset - 1
-        if k < 0:
-            counts[0] += 1
-            loads[0] += p
-        else:
-            b = k + 1
-            counts[b] += 1
-            loads[b] += p
-            if counts[b] >= retain_limit:
-                retained_total -= ret_len[k]
-                ret_len[k] = 0
-            else:
-                slot = ret_len[k]
-                ret_ids[k, slot] = start_id + i
-                ret_ps[k, slot] = p
-                ret_len[k] = slot + 1
-                retained_total += 1
-                if retained_total > peak_retained:
-                    peak_retained = retained_total
-        total += p
-        if p > max_seen:
-            max_seen = p
-        job_count += 1
-    fstate[0] = total
-    fstate[1] = max_seen
-    istate[0] = job_count
-    istate[1] = retained_total
-    istate[2] = peak_retained
-
-
-def _ingest_numpy(ps, start_id, offset, retain_limit, counts, loads, ret_len, ret_ids, ret_ps, fstate, istate):
+def ingest_block(ps, start_id, offset, retain_limit, counts, loads, ret_len, ret_ids, ret_ps, fstate, istate):
+    """Account the jobs ps, with ids from start_id on, into the state in place."""
     n = ps.shape[0]
     if n == 0:
         return
@@ -117,7 +54,7 @@ def _ingest_numpy(ps, start_id, offset, retain_limit, counts, loads, ret_len, re
         pos = np.flatnonzero(b == band)
         vals = ps[pos]
         # seed the cumulative sum with the prior load so the fold order
-        # matches the scalar loop bit for bit
+        # matches a per-job left fold bit for bit
         acc = np.empty(vals.shape[0] + 1)
         acc[0] = loads[band]
         acc[1:] = vals
@@ -322,8 +259,3 @@ def _folds_fit(ps, digits, caps):
         folds[digit] += p
     return all(f <= c for f, c in zip(folds, caps))
 
-
-if NUMBA_ENABLED:
-    ingest_block = njit(cache=True)(_ingest_scalar)
-else:  # pragma: no cover - exercised via STREAMSPAN_NUMBA=0 runs
-    ingest_block = _ingest_numpy

@@ -411,6 +411,10 @@ def generate_instance(
     from ratio_choices, restricted to >= e0 on machines 1..m1; job times
     are integers in [1, jobs_max].
     """
+    if n < 0:
+        raise ConfigError(f"job count must be >= 0, got {n}")
+    if not (0.0 < e0 <= 1.0):
+        raise ConfigError(f"e0 must be in (0, 1], got {e0}")
     lo, hi = intervals
     if not (0 <= lo <= hi):
         raise ConfigError(f"interval count range must satisfy 0 <= lo <= hi, got {lo}:{hi}")

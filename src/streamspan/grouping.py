@@ -221,16 +221,17 @@ class _BandedLedger:
         self._p_limit = p_limit
         self._limit_label = limit_label
         cap = max(params.retain_limit - 1, 1)
-        self._counts = np.zeros(n + 1, np.int64)
-        self._loads = np.zeros(n + 1, np.float64)
-        self._ret_len = np.zeros(n, np.int64)
-        try:
+        try:  # numpy refuses shapes past its size limit with ValueError
+            self._counts = np.zeros(n + 1, np.int64)
+            self._loads = np.zeros(n + 1, np.float64)
+            self._ret_len = np.zeros(n, np.int64)
             self._ret_ids = np.zeros((n, cap), np.int64)
             self._ret_ps = np.zeros((n, cap), np.float64)
-        except MemoryError:
+        except (MemoryError, ValueError):
             raise ConfigError(
-                f"cannot allocate room for retained_job_bound = {self.retained_bound} "
-                "jobs; raise epsilon or lower the retain limit"
+                f"cannot allocate {n} bounded bands with room for retained_job_bound = "
+                f"{self.retained_bound} jobs; raise epsilon or lower the band count "
+                "or the retain limit"
             ) from None
         self._fstate = np.zeros(2, np.float64)  # total_load, max_seen
         self._istate = np.zeros(3, np.int64)  # job_count, retained_total, peak_retained
@@ -293,7 +294,7 @@ class _BandedLedger:
         self.ingest_many([p])
 
     def ingest_many(self, ps) -> None:
-        """Account a chunk of jobs through the selected kernel backend.
+        """Account a chunk of jobs through the ingest kernel.
 
         The whole chunk is validated before any of it is accounted.
         """

@@ -13,7 +13,6 @@ from typing import Iterable
 
 import numpy as np
 
-from . import _kernels
 from .capacity import MachinePark
 from .errors import ConfigError
 from .grouping import (
@@ -37,7 +36,6 @@ class RunReport:
 
     mode: str
     regime: str
-    backend: str
     value: float
     selected_t: float
     grid_exponent: int
@@ -73,7 +71,6 @@ class RunReport:
     _CORE = (
         "mode",
         "regime",
-        "backend",
         "value",
         "selected_t",
         "grid_exponent",
@@ -189,7 +186,6 @@ def run_stream(
     report = RunReport(
         mode=mode,
         regime=regime,
-        backend=_kernels.backend(),
         value=outcome.value,
         selected_t=outcome.t,
         grid_exponent=outcome.grid_exponent,

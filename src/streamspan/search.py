@@ -24,7 +24,6 @@ __all__ = [
     "LargeAssignment",
     "SearchOutcome",
     "DEFAULT_BUDGET",
-    "time_grid",
     "crossing_allowance",
     "makespan_value",
     "enumerate_and_select",
@@ -73,12 +72,6 @@ def _grid_shape(park: MachinePark, total_load: float, epsilon: float) -> tuple[f
     while lower * base**top < upper:  # guard against log() rounding short
         top += 1
     return lower, base, top + 1
-
-
-def time_grid(park: MachinePark, total_load: float, epsilon: float) -> list[float]:
-    """Every candidate time, as a list."""
-    lower, base, size = _grid_shape(park, total_load, epsilon)
-    return [lower * base**x for x in range(size)]
 
 
 def crossing_allowance(park: MachinePark) -> int:

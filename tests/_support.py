@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
 
@@ -20,7 +21,7 @@ from streamspan.capacity import capacity_at, completion_time
 from streamspan.cli import generate_instance, parse_machine_config_text
 from streamspan.oracle import grid_scan_t
 from streamspan.schedule import FirstPassArtifacts, fingerprint_update
-from streamspan.search import LargeAssignment, SearchOutcome, time_grid
+from streamspan.search import LargeAssignment, SearchOutcome, _grid_shape
 
 
 def quiet_params(m, m1, e0, epsilon, **kw):
@@ -61,6 +62,12 @@ def offline(park, params, jobs):
               else make_ledger(params, "pmax-unknown"))
     report, artifacts = run_stream(park, params, ledger, [jobs])
     return second_pass(park, artifacts, [jobs]), report
+
+
+def time_grid(park, total_load, epsilon):
+    """Every candidate time of the search, as a list."""
+    lower, base, size = _grid_shape(park, total_load, epsilon)
+    return [lower * base**x for x in range(size)]
 
 
 def assignment_grid_exponents(park, large, epsilon):
@@ -130,6 +137,49 @@ def reference_search(job_ps, m, capgrid, x_floor, n_total):
             best_x = lo
             best_ord = ordinal
     return best_x, best_ord
+
+
+def reference_ingest(ps, start_id, offset, retain_limit, counts, loads, ret_len, ret_ids,
+                     ret_ps, fstate, istate):
+    """_kernels.ingest_block one job at a time: the same state, updated in
+    place by a plain loop that folds every sum in arrival order."""
+    total = fstate[0]
+    max_seen = fstate[1]
+    job_count = istate[0]
+    retained_total = istate[1]
+    peak_retained = istate[2]
+    for i in range(ps.shape[0]):
+        p = ps[i]
+        frac, ex = math.frexp(p)
+        top = ex - 1 if frac == 0.5 else ex  # exact ceil(log2 p)
+        k = top - offset - 1
+        if k < 0:
+            counts[0] += 1
+            loads[0] += p
+        else:
+            b = k + 1
+            counts[b] += 1
+            loads[b] += p
+            if counts[b] >= retain_limit:
+                retained_total -= ret_len[k]
+                ret_len[k] = 0
+            else:
+                slot = ret_len[k]
+                ret_ids[k, slot] = start_id + i
+                ret_ps[k, slot] = p
+                ret_len[k] = slot + 1
+                retained_total += 1
+                if retained_total > peak_retained:
+                    peak_retained = retained_total
+        total += p
+        if p > max_seen:
+            max_seen = p
+        job_count += 1
+    fstate[0] = total
+    fstate[1] = max_seen
+    istate[0] = job_count
+    istate[1] = retained_total
+    istate[2] = peak_retained
 
 
 def integer_loads_fit(sizes, limits):

@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import importlib.util
 import io
 import math
 import struct
@@ -673,6 +672,16 @@ class TestExitCodes:
         assert code == 2
         assert "stdin" in err
 
+    @pytest.mark.parametrize("flag", ["--gamma0-override", "--n0-override"])
+    def test_oversized_override_is_2(self, capsys, instance, flag):
+        # numpy refuses a ledger this large before allocating any of it
+        cfg, jobs = instance
+        code, _, err = _run_main(
+            capsys, ["run", "--config", cfg, "--jobs", jobs, flag, str(2**62)]
+        )
+        assert code == 2
+        assert "cannot allocate" in err and "retained_job_bound" in err
+
     def test_no_arguments_is_usage_error(self):
         with pytest.raises(SystemExit) as exc_info:
             main([])
@@ -714,37 +723,23 @@ class TestGenerateCommand:
         assert code == 2
         assert "m1 must be in [1, 2]" in err
 
-
-def test_backends_print_identical_reports(instance):
-    """The numpy fallback must be bit-for-bit the numba path, timings aside.
-
-    Without numba installed both runs use the numpy kernels, so the test
-    then checks the fallback: asking for numba still runs, on numpy.
-    """
-    cfg, jobs = instance
-    argv = [
-        sys.executable, "-m", "streamspan.cli", "run",
-        "--config", cfg, "--jobs", jobs, "--stats",
-    ]
-    import os
-
-    def run(flag):
-        env = dict(os.environ, STREAMSPAN_NUMBA=flag)
-        res = subprocess.run(argv, capture_output=True, text=True, env=env)
-        assert res.returncode == 0, res.stderr
-        assert res.stderr == ""
-        report = {
-            k: v
-            for k, v in _report_dict(res.stdout).items()
-            if not k.endswith("_seconds")
-        }
-        return report.pop("backend"), report
-
-    jit_backend = "'numba'" if importlib.util.find_spec("numba") else "'numpy'"
-    backend_on, report_on = run("1")
-    backend_off, report_off = run("0")
-    assert (backend_on, backend_off) == (jit_backend, "'numpy'")
-    assert report_on == report_off
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--n", "-3", "job count must be >= 0"),
+         ("--e0", "-0.5", "e0 must be in (0, 1]"),
+         ("--e0", "0", "e0 must be in (0, 1]")],
+    )
+    def test_instance_that_run_refuses_is_2(self, capsys, tmp_path, flag, value, message):
+        # the last of a repeated flag wins
+        code, _, err = _run_main(
+            capsys,
+            ["generate", "--seed", "7", "--m", "2", "--m1", "1", "--e0", "0.5",
+             "--n", "5", "--config-out", str(tmp_path / "c"), "--jobs-out",
+             str(tmp_path / "j"), flag, value],
+        )
+        assert code == 2
+        assert message in err
+        assert not (tmp_path / "c").exists() and not (tmp_path / "j").exists()
 
 
 def test_importing_the_package_leaves_the_cli_out():

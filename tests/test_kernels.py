@@ -1,7 +1,7 @@
-"""The ingest implementations must agree bit for bit: the plain-python
-scalar loop, the vectorized numpy fallback, and (when enabled) the jitted
-scalar loop that backs the default build.  The search must select what
-enumerating every assignment selects."""
+"""The vectorized ingest kernel must leave the band state bit for bit as
+the per-job reference loop in _support leaves it, however the stream is
+chunked.  The search must select what enumerating every assignment
+selects."""
 
 import random
 
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from streamspan import BudgetExceededError, _kernels
 
-from _support import reference_search
+from _support import reference_ingest, reference_search
 
 
 def _fresh_state(n_bounded, retain_limit):
@@ -53,37 +53,29 @@ def _random_stream(rng, size, offset, n_bounded):
     return np.ldexp(mant, exps + 1).astype(np.float64)
 
 
-IMPLS = [("numpy", _kernels._ingest_numpy)]
-if _kernels.NUMBA_ENABLED:
-    IMPLS.append(("numba", _kernels.ingest_block))
-
-
-@pytest.mark.parametrize("name,fn", IMPLS)
 @pytest.mark.parametrize("retain_limit", [1, 2, 3, 16])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_ingest_matches_scalar_reference(name, fn, retain_limit, seed):
+def test_ingest_matches_scalar_reference(retain_limit, seed):
     rng = np.random.default_rng(seed)
     offset, n_bounded = -1, 6
     stream = _random_stream(rng, 700, offset, n_bounded)
-    want = _run_ingest(_kernels._ingest_scalar, [stream], offset, retain_limit, n_bounded)
-    got = _run_ingest(fn, [stream], offset, retain_limit, n_bounded)
+    want = _run_ingest(reference_ingest, [stream], offset, retain_limit, n_bounded)
+    got = _run_ingest(_kernels.ingest_block, [stream], offset, retain_limit, n_bounded)
     _assert_states_equal(want, got)
 
 
-@pytest.mark.parametrize("name,fn", IMPLS)
 @pytest.mark.parametrize("split", [1, 3, 7, 64, 699, 700])
-def test_ingest_is_chunk_invariant(name, fn, split):
+def test_ingest_is_chunk_invariant(split):
     rng = np.random.default_rng(9)
     offset, n_bounded, retain_limit = 0, 5, 3
     stream = _random_stream(rng, 700, offset, n_bounded)
-    whole = _run_ingest(_kernels._ingest_scalar, [stream], offset, retain_limit, n_bounded)
+    whole = _run_ingest(reference_ingest, [stream], offset, retain_limit, n_bounded)
     pieces = [stream[i:i + split] for i in range(0, stream.size, split)]
-    got = _run_ingest(fn, pieces, offset, retain_limit, n_bounded)
+    got = _run_ingest(_kernels.ingest_block, pieces, offset, retain_limit, n_bounded)
     _assert_states_equal(whole, got)
 
 
-@pytest.mark.parametrize("name,fn", IMPLS)
-def test_saturation_straddles_chunk_boundaries(name, fn):
+def test_saturation_straddles_chunk_boundaries():
     # retain_limit 3: the third arrival into a band clears it; place that
     # arrival before, at, and after a chunk split
     offset, n_bounded, retain_limit = 0, 2, 3
@@ -91,18 +83,17 @@ def test_saturation_straddles_chunk_boundaries(name, fn):
     q = 3.0  # band 1
     stream = np.array([p, p, q, p, q, p, q])
     for split in range(1, len(stream)):
-        want = _run_ingest(_kernels._ingest_scalar, [stream], offset, retain_limit, n_bounded)
+        want = _run_ingest(reference_ingest, [stream], offset, retain_limit, n_bounded)
         pieces = [stream[:split], stream[split:]]
-        got = _run_ingest(fn, pieces, offset, retain_limit, n_bounded)
+        got = _run_ingest(_kernels.ingest_block, pieces, offset, retain_limit, n_bounded)
         _assert_states_equal(want, got)
 
 
-@pytest.mark.parametrize("name,fn", IMPLS)
-def test_peak_retained_tracks_within_chunk_maximum(name, fn):
+def test_peak_retained_tracks_within_chunk_maximum():
     # fill two bands, then saturate both: the peak happens mid-chunk
     offset, n_bounded, retain_limit = 0, 2, 3
     stream = np.array([1.5, 3.0, 1.5, 3.0, 1.5, 3.0, 1.5, 3.0])
-    got = _run_ingest(fn, [stream], offset, retain_limit, n_bounded)
+    got = _run_ingest(_kernels.ingest_block, [stream], offset, retain_limit, n_bounded)
     assert got["istate"][1] == 0  # both bands cleared by their third arrival
     assert got["istate"][2] == 4  # but four jobs were retained at once
 
@@ -238,8 +229,3 @@ def search_cases(draw):
 def test_search_matches_the_enumeration_on_small_instances(case):
     ps, m, capgrid, x_floor = case
     assert _search(ps, m, capgrid, x_floor) == _reference(ps, m, capgrid, x_floor)
-
-
-def test_backend_reflects_environment():
-    assert _kernels.backend() in ("numba", "numpy")
-    assert _kernels.backend() == ("numba" if _kernels.NUMBA_ENABLED else "numpy")

@@ -15,7 +15,6 @@ from streamspan.search import (
     crossing_allowance,
     enumerate_and_select,
     makespan_value,
-    time_grid,
 )
 
 from _support import (
@@ -24,6 +23,7 @@ from _support import (
     integer_loads_fit,
     quiet_params,
     random_timeline,
+    time_grid,
 )
 
 
