@@ -4,7 +4,8 @@
 parse: the CLI's job-stream parser over the ingest stream as text, once
 as integers (the digit path) and once times 0.37 written with repr (the
 split-and-convert path).
-ingest: the vectorized ingest kernel, _kernels.ingest_block, alone.
+ingest: the vectorized ingest kernel, _kernels.ingest_block, alone, with
+the np.frexp of each block that gives it the band tops.
 ledgers: the same stream through make_ledger(...).ingest_many per regime.
 schedule: second_pass and write_schedule_csv over 1M jobs on a 3-machine
 park with 400 shared intervals per machine.
@@ -62,8 +63,6 @@ def _fresh_state(n_bounded, retain_limit):
         np.zeros(n_bounded, np.int64),
         np.zeros((n_bounded, cap), np.int64),
         np.zeros((n_bounded, cap), np.float64),
-        np.zeros(2, np.float64),
-        np.zeros(3, np.int64),
     )
 
 
@@ -81,12 +80,13 @@ def bench_ingest(stream, offset, retain_limit, n_bounded, chunk, repeats):
     best = math.inf
     for _ in range(repeats):
         state = _fresh_state(n_bounded, retain_limit)
+        retained = 0
         t0 = time.perf_counter()
-        start = 0
         for lo in range(0, stream.size, chunk):
             block = stream[lo : lo + chunk]
-            _kernels.ingest_block(block, start, offset, retain_limit, *state)
-            start += block.size
+            mant, ex = np.frexp(block)
+            tops = ex.astype(np.int64) - (mant == 0.5)
+            retained, _ = _kernels.ingest_block(block, tops, lo, offset, retain_limit, *state, retained)
         best = min(best, time.perf_counter() - t0)
     return best
 

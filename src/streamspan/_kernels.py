@@ -1,10 +1,11 @@
 """Hot numeric kernels.
 
 Two entry points: bulk band-statistics ingest and the exact assignment
-search.  Ingest is one vectorized numpy kernel whose every floating-point
-accumulation folds in arrival order, so it is bit for bit the per-job
-loop kept as the reference in tests/_support.py.  The search is a
-plain-Python branch and bound.
+search.  Ingest is one vectorized numpy kernel that accounts a block's
+band counts, band loads and retained jobs; every band load folds in
+arrival order, so the state is bit for bit what the per-job loop kept as
+the reference in tests/_support.py leaves.  The search is a plain-Python
+branch and bound.
 """
 
 from __future__ import annotations
@@ -23,75 +24,53 @@ __all__ = [
 
 # --- bulk band ingest ------------------------------------------------------
 #
-# State layout shared with grouping._BandedLedger:
+# Band state owned by grouping._BandedLedger:
 #   counts[0] / loads[0]        open low band (every p <= 2^offset)
 #   counts[k+1] / loads[k+1]    bounded band k, i.e. p in (2^(offset+k), 2^(offset+k+1)]
 #   ret_len[k], ret_ids[k,:], ret_ps[k,:]   retained jobs of bounded band k
-#   fstate = [total_load, max_seen]
-#   istate = [job_count, retained_total, peak_retained]
 #
 # A bounded band appends arrivals while its count stays below retain_limit;
 # the arrival that reaches the limit empties the band's retained list for
-# good.  The caller guarantees 0 < p and that every p fits the window
-# (band index <= ret_len.size - 1).
+# good.  The caller guarantees 0 < p, that tops holds each p's exact
+# ceil(log2 p), and that every p fits the window (band index <=
+# ret_len.size - 1).  The stream's total, maximum and job count are the
+# caller's.
 
 
-def ingest_block(ps, start_id, offset, retain_limit, counts, loads, ret_len, ret_ids, ret_ps, fstate, istate):
-    """Account the jobs ps, with ids from start_id on, into the state in place."""
-    n = ps.shape[0]
-    if n == 0:
-        return
-    mant, ex = np.frexp(ps)
-    top = ex.astype(np.int64) - (mant == 0.5)
-    k = top - offset - 1
-    b = np.where(k < 0, 0, k + 1)
-    prior_counts = counts.copy()
-    counts += np.bincount(b, minlength=counts.shape[0]).astype(np.int64)
-    # retained-total deltas per element, for exact running-peak tracking
-    deltas = np.zeros(n, np.int64)
-    for band in np.unique(b):
-        band = int(band)
+def ingest_block(ps, tops, start_id, offset, retain_limit, counts, loads, ret_len, ret_ids,
+                 ret_ps, retained_total):
+    """Account the jobs ps, with ids from start_id on, into the band state
+    in place.  Returns the retained total after the block and the largest
+    it reached, counting the retained_total it started from."""
+    b = np.maximum(tops - offset, 0)  # slot: 0 for the low band, else k + 1
+    added = np.bincount(b, minlength=counts.shape[0])
+    # running[0] is the retained total before the block; running[i+1]
+    # changes by job i's delta, for exact running-peak tracking
+    running = np.zeros(ps.shape[0] + 1, np.int64)
+    running[0] = retained_total
+    deltas = running[1:]
+    for band in np.flatnonzero(added):
         pos = np.flatnonzero(b == band)
         vals = ps[pos]
         # seed the cumulative sum with the prior load so the fold order
         # matches a per-job left fold bit for bit
-        acc = np.empty(vals.shape[0] + 1)
-        acc[0] = loads[band]
-        acc[1:] = vals
-        loads[band] = np.cumsum(acc)[-1]
+        loads[band] = np.cumsum(np.concatenate(([loads[band]], vals)))[-1]
         if band == 0:
             continue
         bk = band - 1
-        prior_c = int(prior_counts[band])
         prior_l = int(ret_len[bk])
-        cnt = vals.shape[0]
-        sat_rank = retain_limit - prior_c  # 1-based arrival rank that saturates
-        if sat_rank > cnt:
-            ret_ids[bk, prior_l:prior_l + cnt] = start_id + pos
-            ret_ps[bk, prior_l:prior_l + cnt] = vals
-            ret_len[bk] = prior_l + cnt
-            deltas[pos] = 1
-        elif sat_rank >= 1:
-            keep = sat_rank - 1
-            ret_ids[bk, prior_l:prior_l + keep] = start_id + pos[:keep]
-            ret_ps[bk, prior_l:prior_l + keep] = vals[:keep]
-            deltas[pos[:keep]] = 1
+        # arrivals retained before one reaches the limit (none once saturated)
+        keep = min(max(retain_limit - int(counts[band]) - 1, 0), pos.shape[0])
+        ret_ids[bk, prior_l:prior_l + keep] = start_id + pos[:keep]
+        ret_ps[bk, prior_l:prior_l + keep] = vals[:keep]
+        deltas[pos[:keep]] = 1
+        ret_len[bk] = prior_l + keep
+        if keep < pos.shape[0]:  # arrival keep saturates: the band stops retaining
             deltas[pos[keep]] = -(prior_l + keep)
             ret_len[bk] = 0
-        # else: saturated before this chunk; retained stays empty
-    running = istate[1] + np.cumsum(deltas)
-    chunk_peak = int(running.max())
-    istate[1] = int(running[-1])
-    if chunk_peak > istate[2]:
-        istate[2] = chunk_peak
-    acc = np.empty(n + 1)
-    acc[0] = fstate[0]
-    acc[1:] = ps
-    fstate[0] = np.cumsum(acc)[-1]
-    mx = float(ps.max())
-    if mx > fstate[1]:
-        fstate[1] = mx
-    istate[0] += n
+    counts += added
+    np.cumsum(running, out=running)
+    return int(running[-1]), int(running.max())
 
 
 # --- exact assignment search ----------------------------------------------

@@ -34,8 +34,6 @@ __all__ = [
     "UnknownPmaxLedger",
 ]
 
-_CHUNK = 1 << 16
-
 
 def ceil_log2(p: float) -> int:
     """Exact ceil(log2 p) for p > 0, read off the float representation."""
@@ -102,11 +100,17 @@ def derive_params(
             RuntimeWarning,
             stacklevel=2,
         )
-    need = math.ceil((m + floor_machines - 1) / ((epsilon / 2.0) * floor_machines * ratio_floor))
+    try:
+        need = math.ceil((m + floor_machines - 1) / ((epsilon / 2.0) * floor_machines * ratio_floor))
+        retain_limit = math.ceil(
+            m * (m + floor_machines - 1) / ((epsilon / 4.0) * ratio_floor * floor_machines)
+        )
+    except (OverflowError, ZeroDivisionError):
+        raise ConfigError(
+            f"epsilon {epsilon} with ratio floor {ratio_floor} is too small: "
+            "the derived band count or retain limit is not finite"
+        ) from None
     top_band = (need - 1).bit_length()  # minimal g with 2^g >= need
-    retain_limit = math.ceil(
-        m * (m + floor_machines - 1) / ((epsilon / 4.0) * ratio_floor * floor_machines)
-    )
     override = False
     if top_band_override is not None:
         if top_band_override < 0:
@@ -155,8 +159,8 @@ _EMPTY_LARGE_SET = LargeJobSet(
 )
 
 
-def _extract_large_set(params, state) -> LargeJobSet:
-    offset, low_count, low_load, entries, total_load = state
+def _extract_large_set(params, state, total_load) -> LargeJobSet:
+    offset, low_count, low_load, entries = state
     if offset is None:
         return _EMPTY_LARGE_SET
     saturated = -1
@@ -179,22 +183,6 @@ def _extract_large_set(params, state) -> LargeJobSet:
     )
 
 
-def _first_overflow(total: float, arr: np.ndarray) -> int:
-    """Index of the first job whose arrival makes the running total load
-    infinite, or -1; the fold is the kernels' left fold seeded with total."""
-    for lo in range(0, arr.size, _CHUNK):
-        block = arr[lo:lo + _CHUNK]
-        acc = np.empty(block.size + 1)
-        acc[0] = total
-        acc[1:] = block
-        with np.errstate(over="ignore"):
-            np.cumsum(acc, out=acc)
-        if np.isinf(acc[-1]):
-            return lo + int(np.argmax(np.isinf(acc[1:])))
-        total = acc[-1]
-    return -1
-
-
 class _BandedLedger:
     """Array-backed band statistics over a window of bounded bands.
 
@@ -204,6 +192,10 @@ class _BandedLedger:
     follows the largest job seen: each chunk is split where its running
     maximum passes the top, and between the pieces the window shifts up,
     folding the bands that sink below it into the low band.
+
+    job_count, total_load (the left fold of the jobs in arrival order),
+    max_seen, retained_total and peak_retained are plain fields; the
+    ingest kernel accounts only the bands and returns the retained total.
     """
 
     def __init__(
@@ -233,23 +225,14 @@ class _BandedLedger:
                 f"{self.retained_bound} jobs; raise epsilon or lower the band count "
                 "or the retain limit"
             ) from None
-        self._fstate = np.zeros(2, np.float64)  # total_load, max_seen
-        self._istate = np.zeros(3, np.int64)  # job_count, retained_total, peak_retained
+        self.job_count = 0
+        self.total_load = 0.0
+        self.max_seen = 0.0
+        self.retained_total = 0
+        self.peak_retained = 0
         self._peak_records = 1  # the low band always exists
 
     # -- reading -------------------------------------------------------
-
-    @property
-    def job_count(self) -> int:
-        return int(self._istate[0])
-
-    @property
-    def total_load(self) -> float:
-        return float(self._fstate[0])
-
-    @property
-    def max_seen(self) -> float:
-        return float(self._fstate[1])
 
     @property
     def band_offset(self) -> int | None:
@@ -258,19 +241,11 @@ class _BandedLedger:
         return self._offset
 
     @property
-    def retained_total(self) -> int:
-        return int(self._istate[1])
-
-    @property
-    def peak_retained(self) -> int:
-        return int(self._istate[2])
-
-    @property
     def peak_group_records(self) -> int:
         """1 (the low band) plus the peak number of bounded bands holding
         a job.  Bands appear only between rebases, so sampling before each
         rebase and now sees every peak."""
-        return max(self._peak_records, self._live_records())
+        return max(self._peak_records, 1 + int(np.count_nonzero(self._counts[1:])))
 
     @property
     def retained_bound(self) -> int:
@@ -283,9 +258,6 @@ class _BandedLedger:
     def retained_in_band(self, k: int) -> list[tuple[int, float]]:
         ln = int(self._ret_len[k])
         return [(int(self._ret_ids[k, s]), float(self._ret_ps[k, s])) for s in range(ln)]
-
-    def _live_records(self) -> int:
-        return 1 + int(np.count_nonzero(self._counts[1:]))
 
     # -- streaming -----------------------------------------------------
 
@@ -320,33 +292,42 @@ class _BandedLedger:
                 f"the declared {self._limit_label} {self._p_limit}",
                 position=pos,
             )
-        inf_at = _first_overflow(self.total_load, arr)
-        if inf_at >= 0:
-            pos = start + inf_at
+        # one seeded left fold: the overflow check and the new total load
+        folds = np.concatenate(([self.total_load], arr))
+        with np.errstate(over="ignore"):
+            np.cumsum(folds, out=folds)
+        if np.isinf(folds[-1]):
+            pos = start + int(np.argmax(np.isinf(folds[1:])))
             raise JobValueError(
                 f"total load overflows to infinity at position {pos}", position=pos
             )
+        mant, ex = np.frexp(arr)
+        tops = ex.astype(np.int64) - (mant == 0.5)  # exact ceil(log2 p)
+        chunk_max = float(arr.max())
         n = self._n_bounded
+        if self._offset is None:  # an unanchored window rises to meet its first job
+            self._rebase(int(tops[0]) - n)
         cut = 0
-        if self._offset is None or ceil_log2(float(arr.max())) > self._offset + n:
-            mant, ex = np.frexp(arr)
-            tops = ex.astype(np.int64) - (mant == 0.5)  # exact ceil(log2 p)
-            # an unanchored window rises to meet its first job
-            window_top = int(tops[0]) - 1 if self._offset is None else self._offset + n
+        window_top = self._offset + n
+        if ceil_log2(chunk_max) > window_top:
             running = np.maximum.accumulate(np.maximum(tops, window_top))
             for rise in np.flatnonzero(np.diff(running, prepend=window_top) > 0):
-                self._ingest_blocks(arr[cut:rise], start + cut)
+                self._ingest_segment(arr[cut:rise], tops[cut:rise], start + cut)
                 self._rebase(int(running[rise]) - n)
                 cut = rise
-        self._ingest_blocks(arr[cut:], start + cut)
+        self._ingest_segment(arr[cut:], tops[cut:], start + cut)
+        self.job_count += arr.size
+        self.total_load = float(folds[-1])
+        self.max_seen = max(self.max_seen, chunk_max)
 
-    def _ingest_blocks(self, arr: np.ndarray, start: int) -> None:
-        for lo in range(0, arr.size, _CHUNK):
-            _kernels.ingest_block(
-                arr[lo:lo + _CHUNK], start + lo, self._offset, self.params.retain_limit,
-                self._counts, self._loads, self._ret_len, self._ret_ids, self._ret_ps,
-                self._fstate, self._istate,
-            )
+    def _ingest_segment(self, ps: np.ndarray, tops: np.ndarray, start: int) -> None:
+        """Account one piece of a chunk that fits the current window."""
+        self.retained_total, peak = _kernels.ingest_block(
+            ps, tops, start, self._offset, self.params.retain_limit,
+            self._counts, self._loads, self._ret_len, self._ret_ids, self._ret_ps,
+            self.retained_total,
+        )
+        self.peak_retained = max(self.peak_retained, peak)
 
     def _folded_low(self, sunk: int) -> tuple[int, float]:
         """Low band (count, load) with bounded bands 0..sunk-1 folded in,
@@ -364,7 +345,7 @@ class _BandedLedger:
             self._peak_records = self.peak_group_records
             sunk = min(offset - self._offset, self._n_bounded)
             self._counts[0], self._loads[0] = self._folded_low(sunk)
-            self._istate[1] -= self._ret_len[:sunk].sum()
+            self.retained_total -= int(self._ret_len[:sunk].sum())
             keep = self._n_bounded - sunk
             for a in (self._counts[1:], self._loads[1:], self._ret_len, self._ret_ids, self._ret_ps):
                 a[:keep] = a[sunk:]
@@ -377,9 +358,11 @@ class _BandedLedger:
         """How many bands the final window sits above the streaming one."""
         return 0
 
-    def _merged_state(self):
+    def snapshot(self):
+        """Canonical (offset, low_count, low_load, entries) of the final
+        window: what finalize reads and equality tests compare."""
         if self.job_count == 0:
-            return (None, 0, 0.0, (), 0.0)
+            return (None, 0, 0.0, ())
         sunk = self._reanchor_shift()
         low_count, low_load = self._folded_low(sunk)
         entries = tuple(
@@ -392,15 +375,10 @@ class _BandedLedger:
             for k in range(sunk, self._n_bounded)
             if self._counts[k + 1]
         )
-        return (self._offset + sunk, low_count, low_load, entries, self.total_load)
-
-    def snapshot(self):
-        """Canonical (offset, low_count, low_load, entries) for equality tests."""
-        offset, low_count, low_load, entries, _ = self._merged_state()
-        return (offset, low_count, low_load, entries)
+        return (self._offset + sunk, low_count, low_load, entries)
 
     def finalize(self) -> LargeJobSet:
-        return _extract_large_set(self.params, self._merged_state())
+        return _extract_large_set(self.params, self.snapshot(), self.total_load)
 
 
 class KnownPmaxLedger(_BandedLedger):

@@ -102,6 +102,14 @@ def enumerate_and_select(
     def point(x: int) -> float:
         return lower * base**x
 
+    job_ps = [p for _, p in large.jobs]
+    fold = 0.0
+    for p in job_ps:
+        fold += p
+    # P/e0 can fall an ulp short of the large jobs' job-order fold: extend
+    # the grid until they all fit on machine 1, a floor machine
+    while capacity_at(park.machines[0], point(grid_size - 1)) < fold:
+        grid_size += 1
     if not math.isfinite(point(grid_size - 1)):
         raise JobValueError(
             f"total load {total_load} is too large: the search grid overflows"
@@ -123,7 +131,6 @@ def enumerate_and_select(
         t = point(x)
         return [capacity_at(tl, t) for tl in park.machines]
 
-    job_ps = [p for _, p in large.jobs]
     best_x, best_ord, nodes = _kernels.search_assignments(
         job_ps, m, capacities, x_floor, grid_size, budget
     )

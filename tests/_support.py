@@ -139,15 +139,13 @@ def reference_search(job_ps, m, capgrid, x_floor, n_total):
     return best_x, best_ord
 
 
-def reference_ingest(ps, start_id, offset, retain_limit, counts, loads, ret_len, ret_ids,
-                     ret_ps, fstate, istate):
-    """_kernels.ingest_block one job at a time: the same state, updated in
-    place by a plain loop that folds every sum in arrival order."""
-    total = fstate[0]
-    max_seen = fstate[1]
-    job_count = istate[0]
-    retained_total = istate[1]
-    peak_retained = istate[2]
+def reference_ingest(ps, tops, start_id, offset, retain_limit, counts, loads, ret_len, ret_ids,
+                     ret_ps, retained_total):
+    """_kernels.ingest_block one job at a time: the same band state, updated
+    in place by a plain loop that folds every sum in arrival order, and the
+    same (retained total, peak) return.  tops is ignored: each band is
+    recomputed from p."""
+    peak = retained_total
     for i in range(ps.shape[0]):
         p = ps[i]
         frac, ex = math.frexp(p)
@@ -169,17 +167,8 @@ def reference_ingest(ps, start_id, offset, retain_limit, counts, loads, ret_len,
                 ret_ps[k, slot] = p
                 ret_len[k] = slot + 1
                 retained_total += 1
-                if retained_total > peak_retained:
-                    peak_retained = retained_total
-        total += p
-        if p > max_seen:
-            max_seen = p
-        job_count += 1
-    fstate[0] = total
-    fstate[1] = max_seen
-    istate[0] = job_count
-    istate[1] = retained_total
-    istate[2] = peak_retained
+                peak = max(peak, retained_total)
+    return retained_total, peak
 
 
 def integer_loads_fit(sizes, limits):

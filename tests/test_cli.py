@@ -459,6 +459,26 @@ class TestRunCommand:
         want = exact_optimum(park, stream)
         assert float(report["optimal_makespan"]) == want.makespan
 
+    @pytest.mark.parametrize("flags", [
+        ["--regime", "pmax-unknown"],
+        ["--regime", "pmax-given", "--pmax", "371.85"],
+        ["--regime", "pmax-estimate", "--pmax-estimate", "500", "--alpha", "2"],
+        ["--mode", "two-pass"],
+        ["--mode", "offline"],
+    ])
+    def test_grid_covers_the_large_jobs_on_machine_1(self, capsys, tmp_path, flags):
+        # P/e0 = 2275.5 is the top of the grid's usual span, but the ten
+        # jobs, all large, fold band by band to 2275.5000000000005
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("m 1\nm1 1\ne0 1\nmachine 1\n")
+        jobs = tmp_path / "jobs.txt"
+        jobs.write_text("329.67 194.25 192.77 371.85 128.39 235.32 83.25 159.47 261.96 318.57\n")
+        if "--mode" in flags:
+            flags = flags + ["--schedule-out", str(tmp_path / "s.csv")]
+        code, out, err = _run_main(capsys, ["run", "--config", str(cfg), "--jobs", str(jobs), *flags])
+        assert code == 0, err
+        assert _report_dict(out)["value"] == "2844.375"
+
     def test_stdin_works_for_one_pass(self, capsys, instance, monkeypatch):
         cfg, jobs = instance
         stream = open(jobs).read()
@@ -575,6 +595,21 @@ class TestExitCodes:
         )
         assert code == 2
         assert "epsilon" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("flags, e0", [
+        (["--epsilon", "1e-320"], "0.5"),  # the band count overflows
+        (["--epsilon", "5e-324"], "0.5"),  # epsilon / 2 rounds to zero
+        ([], "1e-320"),
+    ])
+    def test_epsilon_or_floor_too_small_to_derive_is_2(self, capsys, instance, tmp_path,
+                                                       flags, e0):
+        cfg, jobs = instance
+        tiny = tmp_path / "tiny.cfg"
+        tiny.write_text(open(cfg).read().replace("e0 0.5", f"e0 {e0}"))
+        code, out, err = _run_main(capsys, ["run", "--config", str(tiny), "--jobs", jobs, *flags])
+        assert code == 2
+        assert "not finite" in err
         assert out == ""
 
     def test_pmax_contract_violation_is_4(self, capsys, instance, tmp_path):

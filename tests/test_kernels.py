@@ -23,8 +23,8 @@ def _fresh_state(n_bounded, retain_limit):
         ret_len=np.zeros(n_bounded, np.int64),
         ret_ids=np.zeros((n_bounded, cap), np.int64),
         ret_ps=np.zeros((n_bounded, cap), np.float64),
-        fstate=np.zeros(2, np.float64),
-        istate=np.zeros(3, np.int64),
+        retained_total=0,
+        peak=0,
     )
 
 
@@ -33,9 +33,13 @@ def _run_ingest(fn, chunks, offset, retain_limit, n_bounded):
     start = 0
     for chunk in chunks:
         arr = np.asarray(chunk, np.float64)
-        fn(arr, start, offset, retain_limit, state["counts"], state["loads"],
-           state["ret_len"], state["ret_ids"], state["ret_ps"],
-           state["fstate"], state["istate"])
+        mant, ex = np.frexp(arr)
+        tops = ex.astype(np.int64) - (mant == 0.5)
+        retained, peak = fn(arr, tops, start, offset, retain_limit, state["counts"],
+                            state["loads"], state["ret_len"], state["ret_ids"],
+                            state["ret_ps"], state["retained_total"])
+        state["retained_total"] = retained
+        state["peak"] = max(state["peak"], peak)
         start += arr.size
     return state
 
@@ -94,8 +98,8 @@ def test_peak_retained_tracks_within_chunk_maximum():
     offset, n_bounded, retain_limit = 0, 2, 3
     stream = np.array([1.5, 3.0, 1.5, 3.0, 1.5, 3.0, 1.5, 3.0])
     got = _run_ingest(_kernels.ingest_block, [stream], offset, retain_limit, n_bounded)
-    assert got["istate"][1] == 0  # both bands cleared by their third arrival
-    assert got["istate"][2] == 4  # but four jobs were retained at once
+    assert got["retained_total"] == 0  # both bands cleared by their third arrival
+    assert got["peak"] == 4  # but four jobs were retained at once
 
 
 def _search(job_ps, m, capgrid, x_floor, budget=10**9):

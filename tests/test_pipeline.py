@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import operator
 import time
 
 import numpy as np
@@ -94,6 +96,10 @@ class TestRunStream:
                 outcomes.append((_masked(report), second_pass(park, artifacts, chunks)))
             except StreamspanError as exc:
                 outcomes.append((type(exc), str(exc)))
+            # the ledger's own figures are the plain left fold, max and count
+            assert ledger.total_load == functools.reduce(operator.add, jobs.tolist(), 0.0)
+            assert ledger.max_seen == max(jobs.tolist())
+            assert ledger.job_count == len(jobs)
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
     def test_artifacts_describe_the_pass(self):
