@@ -2,9 +2,10 @@
 
 Two entry points: bulk band-statistics ingest and the exact assignment
 search.  Ingest is one vectorized numpy kernel that accounts a block's
-band counts, band loads and retained jobs; every band load folds in
-arrival order, so the state is bit for bit what the per-job loop kept as
-the reference in tests/_support.py leaves.  The search is a plain-Python
+band counts, band loads and retained jobs.  One in-order ufunc.at folds
+every band load in arrival order, so the state is bit for bit what the
+per-job loop kept as the reference in tests/_support.py leaves; per-band
+work runs only for bands that still retain.  The search is a plain-Python
 branch and bound.
 """
 
@@ -29,9 +30,11 @@ __all__ = [
 #   counts[k+1] / loads[k+1]    bounded band k, i.e. p in (2^(offset+k), 2^(offset+k+1)]
 #   ret_len[k], ret_ids[k,:], ret_ps[k,:]   retained jobs of bounded band k
 #
-# A bounded band appends arrivals while its count stays below retain_limit;
-# the arrival that reaches the limit empties the band's retained list for
-# good.  The caller guarantees 0 < p, that tops holds each p's exact
+# Every band's load is the left fold of its arrivals, in order, folded by a
+# single np.add.at.  A bounded band appends arrivals while its count stays
+# below retain_limit; the arrival that reaches the limit empties the band's
+# retained list for good, and from then on the band costs no per-band work.
+# The caller guarantees 0 < p, that tops holds each p's exact
 # ceil(log2 p), and that every p fits the window (band index <=
 # ret_len.size - 1).  The stream's total, maximum and job count are the
 # caller's.
@@ -42,27 +45,30 @@ def ingest_block(ps, tops, start_id, offset, retain_limit, counts, loads, ret_le
     """Account the jobs ps, with ids from start_id on, into the band state
     in place.  Returns the retained total after the block and the largest
     it reached, counting the retained_total it started from."""
-    b = np.maximum(tops - offset, 0)  # slot: 0 for the low band, else k + 1
+    b = tops - offset
+    np.maximum(b, 0, out=b)  # slot: 0 for the low band, else k + 1
     added = np.bincount(b, minlength=counts.shape[0])
+    # ufunc.at adds unbuffered in index order: each band's load is the left
+    # fold of its arrivals seeded with its prior load
+    np.add.at(loads, b, ps)
+    # bounded bands that take arrivals while still retaining
+    live = np.flatnonzero((added[1:] > 0) & (counts[1:] < retain_limit)) + 1
+    if live.size == 0:
+        counts += added
+        return retained_total, retained_total
     # running[0] is the retained total before the block; running[i+1]
     # changes by job i's delta, for exact running-peak tracking
     running = np.zeros(ps.shape[0] + 1, np.int64)
     running[0] = retained_total
     deltas = running[1:]
-    for band in np.flatnonzero(added):
+    for band in live:
         pos = np.flatnonzero(b == band)
-        vals = ps[pos]
-        # seed the cumulative sum with the prior load so the fold order
-        # matches a per-job left fold bit for bit
-        loads[band] = np.cumsum(np.concatenate(([loads[band]], vals)))[-1]
-        if band == 0:
-            continue
         bk = band - 1
         prior_l = int(ret_len[bk])
-        # arrivals retained before one reaches the limit (none once saturated)
-        keep = min(max(retain_limit - int(counts[band]) - 1, 0), pos.shape[0])
+        # arrivals retained before one reaches the limit
+        keep = min(retain_limit - int(counts[band]) - 1, pos.shape[0])
         ret_ids[bk, prior_l:prior_l + keep] = start_id + pos[:keep]
-        ret_ps[bk, prior_l:prior_l + keep] = vals[:keep]
+        ret_ps[bk, prior_l:prior_l + keep] = ps[pos[:keep]]
         deltas[pos[:keep]] = 1
         ret_len[bk] = prior_l + keep
         if keep < pos.shape[0]:  # arrival keep saturates: the band stops retaining

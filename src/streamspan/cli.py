@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import math
 import random
-import re
 import sys
 import time
 from dataclasses import replace
@@ -67,9 +66,6 @@ EXIT_CODES = {
 }
 
 _READ_CHARS = 1 << 16
-# a block of only these characters takes the digit path; the whitespace is
-# what both str.split() and bytes.split() split on
-_PLAIN = re.compile(r"[0-9 \t\n\r\x0b\x0c]*")
 _PLAIN_DIGITS = 18  # every 18-digit integer is an int64
 _CSV_ROWS = 1 << 14
 
@@ -188,8 +184,11 @@ def _parse_job(tok: str, position: int) -> float:
 
 
 def _plain_values(text: str) -> np.ndarray | None:
-    """float64 values of a text of ASCII digit runs and ASCII whitespace, or
-    None when a run has more than _PLAIN_DIGITS digits.
+    """float64 values of an ASCII text of digit runs and whitespace, or None
+    when it holds any other byte or a run of more than _PLAIN_DIGITS digits.
+
+    The whitespace is the six bytes that both str.split() and bytes.split()
+    split on: tab, newline, vertical tab, form feed, carriage return, space.
 
     Each run is read as an int64, one place at a time, and converted once;
     an int64 of at most 18 digits is exact and its conversion is correctly
@@ -201,6 +200,9 @@ def _plain_values(text: str) -> np.ndarray | None:
     z = np.full(chars.size + 2, 255, np.uint8)
     np.subtract(chars, ord("0"), out=z[1:-1])  # whitespace wraps past 9
     digit = z < 10
+    # any byte that is neither a digit nor one of the six whitespaces
+    if ((chars - 9 >= 5) & (chars != 32) & ~digit[1:-1]).any():
+        return None
     z *= digit
     flips = np.flatnonzero(digit[1:] != digit[:-1])
     before, last = flips[0::2], flips[1::2]  # the z index before each run, its last digit
@@ -221,9 +223,11 @@ def _float_chunks(fh: TextIO) -> Iterator[np.ndarray]:
     """Parsed job values in bounded-size chunks, one per block read.
 
     Tokens are split as str.split() splits them and read with float()
-    semantics.  A block of plain digit runs takes _plain_values; any
-    other block is split and converted by numpy, and a token it refuses
-    is named with its position by _parse_job.
+    semantics.  An ASCII block with no decimal point goes to
+    _plain_values, which reads it when it is only digit runs and
+    whitespace; the "." test keeps real-valued text from paying for that
+    scan.  Any other block is split and converted by numpy, and a token it
+    refuses is named with its position by _parse_job.
     """
     position = 0
     carry = ""
@@ -235,7 +239,7 @@ def _float_chunks(fh: TextIO) -> Iterator[np.ndarray]:
             *head, carry = text.rsplit(None, 1)
             text = head[0] if head else ""
         vals = None
-        if _PLAIN.match(text).end() == len(text):
+        if text.isascii() and "." not in text:
             vals = _plain_values(text)
         if vals is None:
             toks = text.split()

@@ -110,6 +110,11 @@ def derive_params(
             f"epsilon {epsilon} with ratio floor {ratio_floor} is too small: "
             "the derived band count or retain limit is not finite"
         ) from None
+    if 1.0 + epsilon / 2.0 == 1.0:
+        raise ConfigError(
+            f"epsilon {epsilon} is too small: the candidate grid ratio 1 + epsilon/2 "
+            "rounds to 1"
+        )
     top_band = (need - 1).bit_length()  # minimal g with 2^g >= need
     override = False
     if top_band_override is not None:

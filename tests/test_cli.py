@@ -612,6 +612,22 @@ class TestExitCodes:
         assert "not finite" in err
         assert out == ""
 
+    def test_epsilon_too_small_for_a_grid_is_2(self, capsys, tmp_path):
+        # 1 + epsilon/2 rounds to 1, so the candidate grid has no ratio; the
+        # overrides keep the retained-job arrays small enough to allocate
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("m 1\nm1 1\ne0 1\nmachine 1\n")
+        jobs = tmp_path / "jobs.txt"
+        jobs.write_text("3 4 5\n")
+        code, out, err = _run_main(
+            capsys,
+            ["run", "--config", str(cfg), "--jobs", str(jobs), "--epsilon", "1e-17",
+             "--n0-override", "4", "--gamma0-override", "2"],
+        )
+        assert code == 2
+        assert "rounds to 1" in err
+        assert out == ""
+
     def test_pmax_contract_violation_is_4(self, capsys, instance, tmp_path):
         cfg, _ = instance
         jobs = tmp_path / "jobs.txt"

@@ -102,6 +102,43 @@ def test_peak_retained_tracks_within_chunk_maximum():
     assert got["peak"] == 4  # but four jobs were retained at once
 
 
+@pytest.mark.parametrize("retain_limit", [1, 2, 16])
+def test_band_loads_fold_in_arrival_order(retain_limit):
+    # the first chunk seeds both bands' loads; the second interleaves their
+    # arrivals with sizes whose sum depends on association order, so a fold
+    # that adds a band's arrivals before its prior load lands an ulp off
+    offset, n_bounded = 0, 2
+    first = [1.1, 2.1]
+    second = [1.1, 2.2, 1.2, 2.3, 1.3, 2.4]
+    assert ((1.1 + 1.1) + 1.2) + 1.3 != 1.1 + ((1.1 + 1.2) + 1.3)
+    want = _run_ingest(reference_ingest, [first, second], offset, retain_limit, n_bounded)
+    got = _run_ingest(_kernels.ingest_block, [first, second], offset, retain_limit, n_bounded)
+    _assert_states_equal(want, got)
+    assert want["loads"][1] == ((1.1 + 1.1) + 1.2) + 1.3
+
+
+def test_block_into_saturated_bands_touches_only_counts_and_loads():
+    # bands 0 and 1 saturate at their third arrival; band 2 keeps one job
+    offset, n_bounded, retain_limit = 0, 3, 3
+    state = _run_ingest(reference_ingest, [[1.5, 3.0, 1.5, 3.0, 1.5, 3.0, 5.0]], offset,
+                        retain_limit, n_bounded)
+    assert state["retained_total"] == 1
+    block = np.array([1.25, 0.5, 3.5, 1.75, 0.25, 2.5])  # bands 0, 1 and the low band
+    mant, ex = np.frexp(block)
+    tops = ex.astype(np.int64) - (mant == 0.5)
+    want_counts, want_loads = state["counts"].copy(), state["loads"].copy()
+    reference_ingest(block, tops, 7, offset, retain_limit, want_counts, want_loads,
+                     state["ret_len"].copy(), state["ret_ids"].copy(), state["ret_ps"].copy(), 1)
+    ret_before = [state[k].tobytes() for k in ("ret_len", "ret_ids", "ret_ps")]
+    got = _kernels.ingest_block(block, tops, 7, offset, retain_limit, state["counts"],
+                                state["loads"], state["ret_len"], state["ret_ids"],
+                                state["ret_ps"], 1)
+    assert got == (1, 1)
+    assert np.array_equal(state["counts"], want_counts)
+    assert np.array_equal(state["loads"], want_loads)
+    assert [state[k].tobytes() for k in ("ret_len", "ret_ids", "ret_ps")] == ret_before
+
+
 def _search(job_ps, m, capgrid, x_floor, budget=10**9):
     """search_assignments over a full capacity table: (best_x, best_ordinal)."""
     best_x, best_ord, _ = _kernels.search_assignments(
