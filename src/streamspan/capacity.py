@@ -6,18 +6,15 @@ slope e_k on the interval (t_{k-1}, t_k] between consecutive breakpoints,
 slope 1 beyond the last breakpoint.  All ratios lie in (0, 1], so A_i is
 strictly increasing and invertible.
 
-The completion chain of a machine's run is a left fold of one scalar
-step.  Long chains are evaluated in blocks: a block's completions are
-guessed at once by inverting A_i at the running sums of its amounts,
-then the step is applied to every job elementwise, from the guessed
-completion before it.  Where that reproduces the guess bit for bit, the
-guess is the fold (by induction over the block); from the first job
-where it does not, the scalar fold finishes the chain.
+A machine's run completes job by job where A_i has delivered the run's
+prefix load: A_i^{-1} applied to A_i(start) plus the left fold of the
+sizes so far, one vectorized expression for the whole run.  A running
+max keeps the completions non-decreasing: a target on an entry of the
+cumulative table can invert an ulp later than the next target does.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -32,7 +29,6 @@ __all__ = [
     "capacity_at",
     "park_capacity_at",
     "completion_chain",
-    "completion_steps",
     "completion_time",
     "search_bounds",
 ]
@@ -72,7 +68,7 @@ class MachineTimeline:
             )
         prev = 0.0
         for k, b in enumerate(bps):
-            if b <= prev:
+            if not b > prev:  # NaN compares false both ways
                 raise ConfigError(
                     f"machine {self.machine_index}: breakpoint {k + 1} ({b}) "
                     f"not greater than previous ({prev})"
@@ -165,108 +161,29 @@ def park_capacity_at(park: MachinePark, t: float) -> float:
     return total
 
 
-# amounts per guessed-then-verified block of completion_chain
-_CHAIN_BLOCK = 1 << 15
-
-
-def _tables(timeline: MachineTimeline) -> tuple[np.ndarray, ...]:
-    """breakpoints, cumulative, seg_time, seg_cap, seg_rate as float64 arrays."""
-    return tuple(
-        np.array(column, np.float64)
-        for column in (
-            timeline.breakpoints, timeline.cumulative,
-            timeline.seg_time, timeline.seg_cap, timeline.seg_rate,
-        )
-    )
-
-
-def _steps(tables, clocks: np.ndarray, amounts: np.ndarray) -> np.ndarray:
-    bps, cum, seg_time, seg_cap, seg_rate = tables
-    k = np.searchsorted(bps, clocks, side="left")
-    target = seg_cap[k] + (clocks - seg_time[k]) * seg_rate[k] + amounts
-    k = np.searchsorted(cum, target, side="left")
-    t = seg_time[k] + (target - seg_cap[k]) / seg_rate[k]
-    return np.where(t > clocks, t, clocks)
-
-
-def completion_steps(
-    timeline: MachineTimeline, clocks: np.ndarray, amounts: np.ndarray
-) -> np.ndarray:
-    """Elementwise, the completion of each amount started at its clock.
-
-    This is the completion chain's step, job by job: the same operations
-    in the same order, so each result equals completion_time(timeline,
-    clock, amount) bit for bit for amounts > 0.
-    """
-    return _steps(_tables(timeline), np.asarray(clocks, np.float64), np.asarray(amounts, np.float64))
-
-
-def _fold(timeline: MachineTimeline, start: float, amounts: Sequence[float]) -> list[float]:
-    """The completion chain one job at a time, in Python floats."""
-    bps, cum = timeline.breakpoints, timeline.cumulative
-    seg_time, seg_cap, seg_rate = timeline.seg_time, timeline.seg_cap, timeline.seg_rate
-    seg_end = bps + (math.inf,)  # segment k covers times (seg_time[k], seg_end[k]]
-    cap_end = cum + (math.inf,)  # and capacities (seg_cap[k], cap_end[k]]
-    out: list[float] = []
-    append = out.append
-    clock = start
-    k = bisect_left(bps, clock)
-    for amount in amounts:
-        # Both lookups try segment k, where the previous job completed,
-        # before they bisect; they take k only where bisect_left would.
-        if not seg_time[k] < clock <= seg_end[k]:
-            k = bisect_left(bps, clock)
-        target = seg_cap[k] + (clock - seg_time[k]) * seg_rate[k] + amount
-        if not seg_cap[k] < target <= cap_end[k]:
-            k = bisect_left(cum, target)  # first segment whose end capacity >= target
-        t = seg_time[k] + (target - seg_cap[k]) / seg_rate[k]
-        # guard against division rounding pulling the answer below the start
-        clock = t if t > clock else clock
-        append(clock)
-    return out
-
-
 def completion_chain(
     timeline: MachineTimeline, start: float, amounts: Sequence[float]
 ) -> np.ndarray:
     """Completion times (float64) of amounts run back to back from start.
 
-    Each amount starts when the one before it completes, at the smallest
-    t with A_i(t) - A_i(clock) >= amount.  Amounts must be > 0; start >= 0.
-    The result is the scalar fold bit for bit; blocks whose guess the
-    elementwise step confirms skip the per-job loop.
+    Job i completes at A_i^{-1}(A_i(start) + amounts[0] + ... + amounts[i]),
+    the targets summed as one left fold, and never before the completion
+    before it.  Amounts must be > 0; start >= 0.
     """
-    amounts = np.asarray(amounts, np.float64)
-    tables = _tables(timeline)
-    cum, seg_time, seg_cap, seg_rate = tables[1:]
-    out = np.empty(amounts.size)
-    clock = float(start)
-    for lo in range(0, amounts.size, _CHAIN_BLOCK):
-        block = amounts[lo : lo + _CHAIN_BLOCK]
-        # guess: invert A_i at A_i(clock) plus the running sums, an exact
-        # left fold in the order the scalar targets add up
-        k = bisect_left(timeline.breakpoints, clock)
-        targets = np.empty(block.size + 1)
-        targets[0] = timeline.seg_cap[k] + (clock - timeline.seg_time[k]) * timeline.seg_rate[k]
-        targets[1:] = block
-        np.add.accumulate(targets, out=targets)
-        k = np.searchsorted(cum, targets[1:], side="left")
-        guess = seg_time[k] + (targets[1:] - seg_cap[k]) / seg_rate[k]
-        # verify: one step from each guessed clock must land on the next guess
-        clocks = np.empty(block.size)
-        clocks[0] = clock
-        clocks[1:] = guess[:-1]
-        step = _steps(tables, clocks, block)
-        wrong = np.flatnonzero(step.view(np.int64) != guess.view(np.int64))
-        if wrong.size:
-            # steps up to the first mismatch start from verified clocks
-            q = lo + int(wrong[0]) + 1
-            out[lo:q] = step[: q - lo]
-            out[q:] = _fold(timeline, float(out[q - 1]), amounts[q:].tolist())
-            return out
-        out[lo : lo + block.size] = guess
-        clock = float(guess[-1])
-    return out
+    cum, seg_time, seg_cap, seg_rate = (
+        np.array(column, np.float64)
+        for column in (timeline.cumulative, timeline.seg_time, timeline.seg_cap, timeline.seg_rate)
+    )
+    head = (capacity_at(timeline, start),)
+    targets = np.add.accumulate(np.concatenate((head, np.asarray(amounts, np.float64))))[1:]
+    # a target equal to cumulative[k] ends segment k: bisect_left, not right
+    k = np.searchsorted(cum, targets, side="left")
+    t = seg_time[k] + (targets - seg_cap[k]) / seg_rate[k]
+    if t.size:
+        # a target on a cumulative entry can invert an ulp past the next one's
+        t[0] = max(t[0], start)
+        np.maximum.accumulate(t, out=t)
+    return t
 
 
 def completion_time(timeline: MachineTimeline, start: float, amount: float) -> float:
@@ -277,7 +194,7 @@ def completion_time(timeline: MachineTimeline, start: float, amount: float) -> f
         raise ConfigError(f"amount must be >= 0, got {amount}")
     if amount == 0:
         return start
-    return _fold(timeline, start, (amount,))[0]
+    return float(completion_chain(timeline, start, (amount,))[0])
 
 
 def search_bounds(park: MachinePark, total_load: float) -> tuple[float, float]:

@@ -136,9 +136,13 @@ def parse_machine_config_text(text: str, source: str = "<config>") -> MachinePar
         raise ConfigError(f"{source}: missing m1 line")
     if e0 is None:
         raise ConfigError(f"{source}: missing e0 line")
-    missing = [i for i in range(1, m + 1) if i not in machine_lines]
-    if missing:
-        raise ConfigError(f"{source}: missing machine line(s) for {missing}")
+    missing = m - sum(1 <= i <= m for i in machine_lines)
+    if missing > 0:
+        # the first few gaps lie among the first len(machine_lines) + 5 indices
+        scan = range(1, min(m, len(machine_lines) + 5) + 1)
+        shown = [i for i in scan if i not in machine_lines][:5]
+        more = f" and {missing - len(shown)} more" if missing > len(shown) else ""
+        raise ConfigError(f"{source}: missing machine line(s) for {shown}{more}")
     extra = [i for i in machine_lines if not (1 <= i <= m)]
     if extra:
         raise ConfigError(f"{source}: machine index(es) {sorted(extra)} outside 1..{m}")

@@ -22,6 +22,7 @@ from .grouping import SchedulingParams, ceil_log2, group_index
 
 __all__ = [
     "naive_capacity_at",
+    "completion_from_zero",
     "grid_scan_t",
     "OracleResult",
     "exact_optimum",
@@ -102,8 +103,9 @@ class OracleResult:
 _CHUNK_CELLS = 1 << 22
 
 
-def _complete_vec(timeline: MachineTimeline, loads: np.ndarray) -> np.ndarray:
-    """Completion time from 0 of each load, matching completion_time."""
+def completion_from_zero(timeline: MachineTimeline, loads: np.ndarray) -> np.ndarray:
+    """A_i^{-1} of each load: its completion from 0, written apart from
+    capacity.completion_chain and equal to that chain's inversion."""
     cum = np.asarray(timeline.cumulative, np.float64)
     if cum.size == 0:
         return loads.copy()
@@ -155,7 +157,7 @@ def exact_optimum(
             radix *= m
         spans = None
         for i, tl in enumerate(park.machines):
-            done = _complete_vec(tl, loads[i])
+            done = completion_from_zero(tl, loads[i])
             spans = done if spans is None else np.maximum(spans, done)
         k = int(np.argmin(spans))  # first minimum within the chunk
         if float(spans[k]) < best_span:

@@ -13,12 +13,14 @@ can place each job the moment it arrives.
 The second pass is columnar: the open machine takes a whole run of a
 chunk's small jobs at once, found by a running sum of their sizes, and
 only the job at a run's end goes through the per-job rule.  Start and
-completion times then come from one completion chain per machine, which
-is evaluated in verified blocks (see streamspan.capacity).
+completion times then come from one completion chain per machine: each
+job completes where the machine has delivered the run's prefix load
+(see streamspan.capacity).
 
 The validator does not rerun that chain: it checks every job's start
-against the completion before it in its run, and every completion
-against the chain's one-step rule applied to (start, size), column-wise.
+against the completion before it in its run, and recomputes every
+completion from the run's prefix loads with the oracle's independent
+inversion of A_i.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .capacity import MachinePark, capacity_at, completion_chain, completion_steps
+from .capacity import MachinePark, capacity_at, completion_chain
 from .errors import JobValueError, ScheduleContractError, TwoPassMismatchError
+from .oracle import completion_from_zero
 from .search import SearchOutcome
 
 __all__ = [
@@ -287,7 +290,8 @@ def validate_schedule(park: MachinePark, schedule: Schedule, jobs: Sequence[floa
     """Check the schedule against the instance; raise on any inconsistency.
 
     Each run starts at 0 and runs back to back, and each completion is
-    the one-step rule applied to the job's own start and size.
+    where the machine has delivered the run's prefix load, with the
+    chain's running max, recomputed by the oracle's inversion.
     """
     sizes = np.asarray(jobs, dtype=np.float64)
     n = sizes.size
@@ -327,7 +331,7 @@ def validate_schedule(park: MachinePark, schedule: Schedule, jobs: Sequence[floa
             continue
         start, completion = schedule.start[run], schedule.completion[run]
         clock = np.concatenate(([0.0], completion[:-1]))
-        done = completion_steps(tl, start, sizes[run])
+        done = np.maximum.accumulate(completion_from_zero(tl, np.add.accumulate(sizes[run])))
         wrong = np.flatnonzero((start != clock) | (completion != done))
         if wrong.size:
             k = int(wrong[0])

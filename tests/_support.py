@@ -17,9 +17,9 @@ from streamspan import (
     run_stream,
     second_pass,
 )
-from streamspan.capacity import capacity_at, completion_time
+from streamspan.capacity import capacity_at
 from streamspan.cli import generate_instance, parse_machine_config_text
-from streamspan.oracle import grid_scan_t
+from streamspan.oracle import completion_from_zero, grid_scan_t, naive_capacity_at
 from streamspan.schedule import FirstPassArtifacts, fingerprint_update
 from streamspan.search import LargeAssignment, SearchOutcome, _grid_shape
 
@@ -268,9 +268,18 @@ class _PerJobPlacer:
             self.smalls[dest].append((job_id, p))
 
 
+def prefix_chain(tl, start, amounts):
+    """The completion chain recomputed apart from streamspan.capacity: the
+    oracle's A^{-1} at naive A(start) plus each prefix of the amounts, as
+    one left fold, then a running max from start."""
+    targets = np.add.accumulate(np.concatenate(([naive_capacity_at(tl, start)], amounts)))
+    done = np.maximum(completion_from_zero(tl, targets[1:]), start)
+    return np.maximum.accumulate(done)
+
+
 def reference_second_pass(park, artifacts, jobs):
     """second_pass rebuilt per job: place each small job on its own, then
-    fold completion_time along each machine's run."""
+    time each machine's run with prefix_chain."""
     assignment = artifacts.outcome.assignment
     placer = _PerJobPlacer(park, artifacts.outcome.t, assignment.per_machine_load)
     large_ids = artifacts.large_ids
@@ -287,13 +296,15 @@ def reference_second_pass(park, artifacts, jobs):
         seq = [(j, p) for (j, p), mach in zip(assignment.jobs, assignment.machine_of)
                if mach == i + 1]
         seq += placer.smalls[i] + placer.movers[i]
-        clock = 0.0
-        for job_id, p in seq:
-            done = completion_time(tl, clock, p)
-            machine[job_id], start[job_id], completion[job_id] = i + 1, clock, done
-            clock = done
-        makespan = max(makespan, clock)
-        runs.append(np.array([j for j, _ in seq], np.int64))
+        run = np.array([j for j, _ in seq], np.int64)
+        runs.append(run)
+        if not seq:
+            continue
+        done = prefix_chain(tl, 0.0, np.array([p for _, p in seq], np.float64))
+        machine[run] = i + 1
+        completion[run] = done
+        start[run] = np.concatenate(([0.0], done[:-1]))
+        makespan = max(makespan, float(done[-1]))
     return Schedule(machine, start, completion, tuple(runs), makespan)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamspan import ConfigError, MachinePark, MachineTimeline
-import streamspan.capacity as capacity
 from streamspan.capacity import (
     capacity_at,
     completion_chain,
@@ -16,7 +16,9 @@ from streamspan.capacity import (
     search_bounds,
 )
 
-from _support import identity_park
+from streamspan.oracle import completion_from_zero
+
+from _support import identity_park, prefix_chain
 
 
 def ramp():
@@ -40,6 +42,8 @@ class TestMachineTimeline:
             MachineTimeline(1, (3.0, 3.0), (0.5, 0.5))
         with pytest.raises(ConfigError, match="breakpoint 1"):
             MachineTimeline(1, (0.0,), (0.5,))
+        with pytest.raises(ConfigError, match=r"breakpoint 2 \(nan\)"):
+            MachineTimeline(1, (2.0, math.nan, 5.0), (0.5, 0.5, 1.0))
 
     def test_rejects_bad_ratios(self):
         with pytest.raises(ConfigError, match="ratio 1"):
@@ -188,20 +192,6 @@ _amounts = st.one_of(
 )
 
 
-@settings(max_examples=300)
-@given(tl=_real_timelines, data=st.data(), amounts=st.lists(_amounts, max_size=30))
-def test_completion_chain_is_the_completion_time_fold(tl, data, amounts):
-    # the chain's segment shortcuts must land where per-job bisects do,
-    # from starts on breakpoints as well as between them
-    start = data.draw(st.one_of(st.floats(0.0, 70.0), st.sampled_from((0.0,) + tl.breakpoints)))
-    expected, clock = [], start
-    for amount in amounts:
-        clock = completion_time(tl, clock, amount)
-        expected.append(clock)
-    got = completion_chain(tl, start, amounts)
-    assert got.tobytes() == np.array(expected, np.float64).tobytes()
-
-
 def _completion_fold(tl, start, amounts):
     out, clock = [], start
     for amount in amounts:
@@ -210,34 +200,41 @@ def _completion_fold(tl, start, amounts):
     return np.array(out, np.float64)
 
 
+@settings(max_examples=300)
+@given(tl=_exact_timelines, start=_quarters, amounts=st.lists(_quarters.filter(bool), max_size=30))
+def test_completion_chain_is_the_completion_time_fold(tl, start, amounts):
+    # on dyadic inputs A(completion) is exact, so the prefix rule lands
+    # where completion_time from each previous completion does
+    got = completion_chain(tl, start, amounts)
+    assert got.tobytes() == _completion_fold(tl, start, amounts).tobytes()
+    assert got.tobytes() == prefix_chain(tl, start, amounts).tobytes()
+
+
 _amount_kinds = {
     "integer": st.integers(1, 12).map(float),
     "quarter": st.integers(1, 48).map(lambda q: q / 4.0),
     "tenths": st.integers(1, 120).map(lambda q: q / 10.0),
     "real": st.floats(1e-3, 12.0),
+    "extreme": _amounts,
 }
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    tl=st.one_of(_exact_timelines, _real_timelines),
-    data=st.data(),
-    block=st.integers(1, 8),
-)
-def test_blocked_completion_chain_is_the_completion_time_fold(tl, data, block):
-    # streams several blocks long, whose amounts may turn inexact midway,
-    # from starts on breakpoints or inside segments, into the rate-1 tail
+@settings(max_examples=500, deadline=None)
+@given(tl=st.one_of(_exact_timelines, _real_timelines), data=st.data())
+def test_completion_chain_is_the_prefix_inversion(tl, data):
+    # every job completes where A has delivered A(start) plus the run's
+    # prefix load, on streams whose amounts may turn inexact midway, from
+    # starts on breakpoints or inside segments, into the rate-1 tail
     head, tail = (data.draw(st.sampled_from(sorted(_amount_kinds))) for _ in range(2))
     amounts = data.draw(st.lists(_amount_kinds[head], max_size=40))
     amounts += data.draw(st.lists(_amount_kinds[tail], max_size=40))
     start = data.draw(
         st.one_of(_quarters, st.floats(0.0, 70.0), st.sampled_from((0.0,) + tl.breakpoints))
     )
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(capacity, "_CHAIN_BLOCK", block)
-        got = completion_chain(tl, start, amounts)
+    got = completion_chain(tl, start, amounts)
     assert got.dtype == np.float64
-    assert got.tobytes() == _completion_fold(tl, start, amounts).tobytes()
+    assert got.tobytes() == prefix_chain(tl, start, amounts).tobytes()
+    assert (got[1:] >= got[:-1]).all() and (got >= start).all()
 
 
 def _dense_timeline():
@@ -246,34 +243,27 @@ def _dense_timeline():
     return MachineTimeline(1, tuple(map(float, bps)), tuple(rng.choice([0.25, 0.5, 1.0]) for _ in bps))
 
 
-def test_exact_chains_skip_the_per_job_loop(monkeypatch):
+def test_exact_chains_are_the_per_job_fold():
+    # with dyadic sizes and ratios A(clock) is exact at every completion,
+    # so the prefix rule is the job-by-job fold of completion_time
     tl = _dense_timeline()
     amounts = [random.Random(5).randint(1, 64) / 4.0 for _ in range(2000)]
-    expected = _completion_fold(tl, 0.5, amounts)
-    folds = []
-    monkeypatch.setattr(capacity, "_CHAIN_BLOCK", 64)
-    monkeypatch.setattr(capacity, "_fold", lambda tl, start, rest: folds.append(rest))
-    assert completion_chain(tl, 0.5, amounts).tobytes() == expected.tobytes()
-    assert folds == []
+    got = completion_chain(tl, 0.5, amounts)
+    assert got.tobytes() == _completion_fold(tl, 0.5, amounts).tobytes()
+    assert got.tobytes() == prefix_chain(tl, 0.5, amounts).tobytes()
 
 
-def test_a_chain_that_turns_inexact_falls_back_once(monkeypatch):
+def test_a_chain_that_turns_inexact_keeps_the_prefix_rule():
     tl = _dense_timeline()
     rng = random.Random(2)
     amounts = [2.0] * 1000 + [rng.uniform(0.1, 9.0) for _ in range(1000)]
-    expected = _completion_fold(tl, 0.0, amounts)
-    folds = []
-    fold = capacity._fold
-
-    def counted(tl, start, rest):
-        folds.append(len(rest))
-        return fold(tl, start, rest)
-
-    monkeypatch.setattr(capacity, "_CHAIN_BLOCK", 64)
-    monkeypatch.setattr(capacity, "_fold", counted)
-    assert completion_chain(tl, 0.0, amounts).tobytes() == expected.tobytes()
-    # blocks before job 1000 verify; the fold finishes from the first miss on
-    assert len(folds) == 1 and folds[0] < 1000
+    got = completion_chain(tl, 0.0, amounts)
+    assert got.tobytes() == prefix_chain(tl, 0.0, amounts).tobytes()
+    # the exact head is the per-job fold; the inexact tail is not re-rounded
+    # at every job, so it drifts from that fold
+    fold = _completion_fold(tl, 0.0, amounts)
+    assert got[:1000].tobytes() == fold[:1000].tobytes()
+    assert (got[1000:] != fold[1000:]).any()
 
 
 def test_targets_on_the_cumulative_table_take_the_segment_they_end():
@@ -283,17 +273,32 @@ def test_targets_on_the_cumulative_table_take_the_segment_they_end():
     for target in tl.cumulative:
         amounts = [target] + [0.25] * 9  # more keys than table entries
         got = completion_chain(tl, 0.0, amounts)
-        assert got.tobytes() == _completion_fold(tl, 0.0, amounts).tobytes()
+        assert got.tobytes() == prefix_chain(tl, 0.0, amounts).tobytes()
     assert completion_chain(tl, 0.0, [1.1] * 6)[0] == 3.000000000000001
 
 
-def test_completion_steps_are_single_completions():
+def test_completions_never_decrease_past_a_cumulative_entry():
+    # the first target is cumulative[0] and inverts to 15.148962555767325;
+    # one ulp more lies in segment 1 and inverts to the breakpoint, an ulp
+    # earlier, so the running max holds the chain at the first completion
+    tl = MachineTimeline(
+        1, (15.148962555767323, 24.976174043273883, 44.633088698840595), (0.1, 1.0, 0.1)
+    )
+    c = tl.cumulative[0]
+    ulp = float(np.spacing(c))
+    raw = completion_from_zero(tl, np.add.accumulate([c, ulp, ulp]))
+    assert raw.tolist() == [15.148962555767325, 15.148962555767323, 15.148962555767323]
+    assert completion_chain(tl, 0.0, [c, ulp, ulp]).tolist() == [15.148962555767325] * 3
+
+
+def test_single_completions_are_one_job_chains():
     tl = _dense_timeline()
     rng = random.Random(9)
     clocks = [rng.choice([0.0, rng.uniform(0, 5000), rng.choice(tl.breakpoints)]) for _ in range(500)]
     amounts = [rng.choice([rng.uniform(1e-3, 50), rng.randint(1, 200) / 4.0]) for _ in range(500)]
-    expected = np.array([completion_time(tl, c, a) for c, a in zip(clocks, amounts)])
-    assert capacity.completion_steps(tl, clocks, amounts).tobytes() == expected.tobytes()
+    got = np.array([completion_time(tl, c, a) for c, a in zip(clocks, amounts)])
+    expected = np.concatenate([prefix_chain(tl, c, [a]) for c, a in zip(clocks, amounts)])
+    assert got.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=200)

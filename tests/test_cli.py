@@ -5,6 +5,7 @@ import math
 import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -92,6 +93,10 @@ class TestConfigParsing:
     def test_missing_machine_line(self):
         text = "m 2\nm1 1\ne0 0.5\nmachine 1\n"
         with pytest.raises(ConfigError, match=r"missing machine line\(s\) for \[2\]"):
+            parse_machine_config_text(text)
+        # the first five gaps, then a count
+        text = "m 8\nm1 1\ne0 0.5\nmachine 1\nmachine 3\n"
+        with pytest.raises(ConfigError, match=r"for \[2, 4, 5, 6, 7\] and 1 more$"):
             parse_machine_config_text(text)
 
     def test_machine_index_outside_range(self):
@@ -509,6 +514,28 @@ class TestExitCodes:
         code, _, err = _run_main(capsys, ["run", "--config", str(cfg), "--jobs", jobs])
         assert code == 2
         assert "streamspan: error:" in err
+
+    @pytest.mark.parametrize("machine", ["machine 1 nan 0.5", "machine 1 2 0.5 nan 0.5 5 1"])
+    def test_nan_breakpoint_is_2(self, capsys, tmp_path, machine):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(f"m 1\nm1 1\ne0 0.5\n{machine}\n")
+        jobs = tmp_path / "jobs.txt"
+        jobs.write_text("1 2 9\n")
+        code, out, err = _run_main(capsys, ["run", "--config", str(cfg), "--jobs", str(jobs)])
+        assert code == 2
+        assert "(nan) not greater than previous" in err
+        assert out == ""
+
+    def test_missing_machine_lines_for_a_huge_m_is_2_and_brief(self, capsys, tmp_path, instance):
+        _, jobs = instance
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("m 1000000000\nm1 1\ne0 0.5\nmachine 1\n")
+        t0 = time.perf_counter()
+        code, _, err = _run_main(capsys, ["run", "--config", str(cfg), "--jobs", jobs])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert "missing machine line(s) for [2, 3, 4, 5, 6] and 999999994 more" in err
+        assert len(err) < 200
 
     def test_bad_job_token_is_3(self, capsys, instance, tmp_path):
         cfg, _ = instance
