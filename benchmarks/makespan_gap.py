@@ -5,7 +5,9 @@ README promises a second-pass makespan of at most V.  On real-valued
 streams it can exceed V by ulps (ROADMAP item 1).  This script runs
 `streamspan run --mode two-pass` in-process on a fixed seeded corpus of
 real-valued streams and prints how many runs break the promise and by how
-much.  Every schedule is also passed through validate_schedule.
+much.  Each run's schedule is also rebuilt with second_pass from the
+run's first-pass artifacts, checked against the reported makespan and
+passed through validate_schedule.
 
 Corpus entry i comes from numpy.random.default_rng([3, i]) and from
 nothing else:
@@ -33,7 +35,7 @@ import warnings
 import numpy as np
 
 import streamspan.cli as cli
-from streamspan import ScheduleContractError, validate_schedule
+from streamspan import ScheduleContractError, second_pass, validate_schedule
 
 RATIOS = (0.1, 0.3, 0.7, 1 / 3, 0.5, 1.0)
 E0 = 0.1
@@ -64,14 +66,14 @@ def main():
     args = ap.parse_args()
 
     captured = {}
-    second_pass = cli.second_pass
+    run_stream = cli.run_stream
 
-    def capture(park, artifacts, chunks):
-        captured["park"] = park
-        captured["schedule"] = second_pass(park, artifacts, chunks)
-        return captured["schedule"]
+    def capture(park, *args, **kwargs):
+        report, artifacts = run_stream(park, *args, **kwargs)
+        captured["park"], captured["artifacts"] = park, artifacts
+        return report, artifacts
 
-    cli.second_pass = capture
+    cli.run_stream = capture
     counts = {"completed": 0, "over budget": 0, "makespan > value": 0, "invalid": 0}
     worst = 0.0
     with tempfile.TemporaryDirectory() as tmp:
@@ -101,9 +103,12 @@ def main():
             if makespan > value:
                 counts["makespan > value"] += 1
                 worst = max(worst, makespan / value - 1.0)
+            sizes = [float(tok) for tok in jobs_text.split()]
+            schedule = second_pass(captured["park"], captured["artifacts"], [sizes])
+            if schedule.makespan != makespan:
+                raise SystemExit(f"corpus entry {i}: the schedule's makespan is not the report's")
             try:
-                validate_schedule(captured["park"], captured["schedule"],
-                                  [float(tok) for tok in jobs_text.split()])
+                validate_schedule(captured["park"], schedule, sizes)
             except ScheduleContractError as exc:
                 counts["invalid"] += 1
                 print(f"entry {i}: {exc}")

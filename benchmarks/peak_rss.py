@@ -1,0 +1,145 @@
+#!/usr/bin/env python3
+"""Peak resident memory of whole `streamspan run` processes, by job count.
+
+For each job count the script writes a seeded instance like the
+benchmark's two-pass workload: integer sizes uniform in [1, 1024], one
+per line, on 3 machines (m1 1, e0 0.5) with 400 shared intervals each
+and ratios 1/4, 1/2 and 1.  It then runs `streamspan run` on it in
+`one-pass` mode and in `two-pass` mode with a schedule CSV (pmax-given
+1024), each --repeats times, and reports the process's own peak RSS
+(ru_maxrss from os.wait4) per mode and job count, the median of the
+repeats.
+
+The launcher imports no numpy and holds no instance: the instance is
+written by a child process, and each timed run is started from this
+small process.  A child's ru_maxrss starts from the memory its launcher
+had when it started it, so a launcher that holds the instance or the
+previous results would read as the child's floor.
+
+Run from the repo root:
+
+    python3 benchmarks/peak_rss.py
+    python3 benchmarks/peak_rss.py --jobs 1000000 4000000 --repeats 3 \\
+        --json benchmarks/BENCH_memory.json --label NAME
+    python3 benchmarks/peak_rss.py --src ../other-checkout/src --label other
+
+--src runs the package found there instead of this checkout's `src`, so
+one launcher measures two versions.  --json adds this run's figures to
+the file under --label, keeping the other labels' entries.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ENTRY = "import sys; from streamspan.cli import main; sys.exit(main())"
+KIB_PER_MB = 1024.0  # ru_maxrss is in KiB on Linux
+
+# run in a child process: write park.cfg and jobs.txt for n jobs into a folder
+GENERATE = """
+import sys
+import numpy as np
+folder, n, seed = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+rng = np.random.default_rng(seed)
+jobs = rng.integers(1, 1025, size=n)
+horizon = max(int(2 * jobs.sum() / 3), 400)
+lines = ["m 3", "m1 1", "e0 0.5"]
+for i in range(1, 4):
+    bps = np.sort(rng.choice(horizon, size=400, replace=False) + 1)
+    ratios = rng.choice((0.5, 1.0) if i == 1 else (0.25, 0.5, 1.0), size=400)
+    lines.append(f"machine {i} " + " ".join(f"{b} {r!r}" for b, r in zip(bps.tolist(), ratios.tolist())))
+with open(f"{folder}/park.cfg", "w") as fh:
+    fh.write("\\n".join(lines) + "\\n")
+with open(f"{folder}/jobs.txt", "w") as fh:
+    fh.write("\\n".join(map(str, jobs.tolist())) + "\\n")
+"""
+
+MODES = {
+    "one-pass": [],
+    "two-pass": ["--mode", "two-pass", "--regime", "pmax-given", "--pmax", "1024",
+                 "--schedule-out", "{folder}/schedule.csv"],
+}
+
+
+def peak_mb(argv, env):
+    """The peak RSS in MB of the process argv, which must exit 0."""
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    with proc.stderr:
+        err = proc.stderr.read().decode()  # to the end: the process has closed it
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}: {err}")
+    return usage.ru_maxrss / KIB_PER_MB
+
+
+def measure(src, job_counts, repeats, workdir, seed):
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    figures = {}
+    for n in job_counts:
+        folder = os.path.join(workdir, f"jobs{n}")
+        if not os.path.exists(os.path.join(folder, "jobs.txt")):
+            os.makedirs(folder, exist_ok=True)
+            subprocess.run([sys.executable, "-c", GENERATE, folder, str(n), str(seed)], check=True)
+        for mode, flags in MODES.items():
+            argv = [sys.executable, "-c", ENTRY, "run", "--config", f"{folder}/park.cfg",
+                    "--jobs", f"{folder}/jobs.txt", *(f.format(folder=folder) for f in flags)]
+            runs = [peak_mb(argv, env) for _ in range(repeats)]
+            figures[f"{mode}_{n}_peak_rss_mb"] = statistics.median(runs)
+            print(f"{mode:>8} {n:>9} jobs: peak RSS {statistics.median(runs):7.1f} MB "
+                  f"(median of {repeats}: {', '.join(f'{r:.1f}' for r in runs)})")
+    return figures
+
+
+def save_figures(path, label, args, figures):
+    """Add this run's figures to the JSON file at path under label."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        doc = {"runs": {}}
+    options = {k: v for k, v in vars(args).items()
+               if k not in ("json", "label", "workdir", "src")}
+    doc["runs"][label] = {
+        "env": {
+            "python": platform.python_version(),
+            "cpus": os.cpu_count(),
+            "machine": platform.machine(),
+        },
+        "options": options,
+        "figures": figures,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--jobs", type=int, nargs="+", default=[1_000_000, 4_000_000])
+    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--seed", type=int, default=21)
+    ap.add_argument("--src", default=os.path.join(HERE, "..", "src"),
+                    help="the streamspan package's parent folder")
+    ap.add_argument("--workdir", default=None,
+                    help="keep the instances here (default: a temporary folder)")
+    ap.add_argument("--json", default=None, help="add the figures to this JSON file")
+    ap.add_argument("--label", default="current", help="entry name in the --json file")
+    args = ap.parse_args()
+    if args.workdir:
+        figures = measure(args.src, args.jobs, args.repeats, args.workdir, args.seed)
+    else:
+        with tempfile.TemporaryDirectory() as workdir:
+            figures = measure(args.src, args.jobs, args.repeats, workdir, args.seed)
+    if args.json:
+        save_figures(args.json, args.label, args, figures)
+
+
+if __name__ == "__main__":
+    main()

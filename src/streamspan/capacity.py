@@ -10,11 +10,14 @@ A machine's run completes job by job where A_i has delivered the run's
 prefix load: A_i^{-1} applied to A_i(start) plus the left fold of the
 sizes so far, one vectorized expression for the whole run.  A running
 max keeps the completions non-decreasing: a target on an entry of the
-cumulative table can invert an ulp later than the next target does.
+cumulative table can invert an ulp later than the next target does.  A
+run can be continued piece by piece from its last completion and the
+load it has delivered (continue_chain), bit for bit the whole run.
 """
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -29,6 +32,7 @@ __all__ = [
     "capacity_at",
     "park_capacity_at",
     "completion_chain",
+    "continue_chain",
     "completion_time",
     "search_bounds",
 ]
@@ -93,6 +97,18 @@ class MachineTimeline:
         object.__setattr__(self, "seg_time", (0.0,) + bps)
         object.__setattr__(self, "seg_cap", (0.0,) + tuple(cum))
         object.__setattr__(self, "seg_rate", rs + (1.0,))
+
+    @functools.cached_property
+    def tables(self) -> tuple[np.ndarray, ...]:
+        """cumulative, seg_time, seg_cap and seg_rate as read-only float64
+        arrays for the vectorized chain, built on first use."""
+        tables = tuple(
+            np.array(column, np.float64)
+            for column in (self.cumulative, self.seg_time, self.seg_cap, self.seg_rate)
+        )
+        for table in tables:
+            table.flags.writeable = False
+        return tables
 
     @property
     def interval_count(self) -> int:
@@ -170,20 +186,38 @@ def completion_chain(
     the targets summed as one left fold, and never before the completion
     before it.  Amounts must be > 0; start >= 0.
     """
-    cum, seg_time, seg_cap, seg_rate = (
-        np.array(column, np.float64)
-        for column in (timeline.cumulative, timeline.seg_time, timeline.seg_cap, timeline.seg_rate)
-    )
-    head = (capacity_at(timeline, start),)
-    targets = np.add.accumulate(np.concatenate((head, np.asarray(amounts, np.float64))))[1:]
-    # a target equal to cumulative[k] ends segment k: bisect_left, not right
-    k = np.searchsorted(cum, targets, side="left")
+    return continue_chain(timeline, start, capacity_at(timeline, start), amounts)[0]
+
+
+def continue_chain(
+    timeline: MachineTimeline, start: float, load: float, amounts: Sequence[float]
+) -> tuple[np.ndarray, float]:
+    """A run continued: (completions, load after the last amount) of amounts
+    run back to back from start, where the run has delivered load by start.
+
+    The targets are load plus the left fold of the amounts, so a run
+    continued piece by piece, each piece from the last completion and load
+    of the one before, gives the whole run's completions bit for bit.
+    Amounts must be > 0, so the targets do not decrease.
+    """
+    cum, seg_time, seg_cap, seg_rate = timeline.tables
+    targets = np.empty(len(amounts) + 1)
+    targets[0] = load
+    targets[1:] = amounts
+    np.add.accumulate(targets, out=targets)
+    targets = targets[1:]
+    # a target equal to cumulative[k] ends segment k: bisect_left, not
+    # right.  The targets do not decrease, so k steps up at each entry's
+    # place among them, found by one search per entry instead of per target.
+    steps = np.searchsorted(targets, cum, side="right")
+    k = np.repeat(np.arange(cum.size + 1), np.diff(steps, prepend=0, append=targets.size))
     t = seg_time[k] + (targets - seg_cap[k]) / seg_rate[k]
     if t.size:
         # a target on a cumulative entry can invert an ulp past the next one's
         t[0] = max(t[0], start)
         np.maximum.accumulate(t, out=t)
-    return t
+        load = float(targets[-1])
+    return t, load
 
 
 def completion_time(timeline: MachineTimeline, start: float, amount: float) -> float:

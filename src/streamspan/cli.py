@@ -5,8 +5,9 @@ and a job stream; `generate` writes a seeded random instance.  Reports go
 to stdout as `key: value` lines; schedules to a CSV file.  The two-pass
 and offline modes share one path: a first pass over parsed chunks, then
 a second pass over the same chunks, re-read from the file (two-pass) or
-from an in-memory buffer (offline).  Every error class has its own exit
-code so pipelines can branch on failures:
+from an in-memory buffer (offline), that writes each chunk's schedule
+rows as it goes, to a temporary file renamed on success.  Every error
+class has its own exit code so pipelines can branch on failures:
 
     0  success
     1  internal contract violation (should not happen)
@@ -20,13 +21,17 @@ code so pipelines can branch on failures:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import math
+import os
 import random
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from functools import partial
-from typing import Iterator, Sequence, TextIO
+from typing import BinaryIO, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -36,14 +41,13 @@ from .errors import (
     ConfigError,
     JobValueError,
     PmaxContractError,
-    ScheduleContractError,
     StreamspanError,
     TwoPassMismatchError,
 )
 from .grouping import derive_params
 from .oracle import exact_optimum
 from .pipeline import REGIMES, make_ledger, run_stream
-from .schedule import Schedule, second_pass
+from .schedule import SecondPass
 from .search import DEFAULT_BUDGET
 
 __all__ = [
@@ -67,7 +71,6 @@ EXIT_CODES = {
 
 _READ_CHARS = 1 << 16
 _PLAIN_DIGITS = 18  # every 18-digit integer is an int64
-_CSV_ROWS = 1 << 14
 
 
 # --- machine config ---------------------------------------------------------
@@ -171,8 +174,16 @@ def parse_machine_config_text(text: str, source: str = "<config>") -> MachinePar
 
 
 def parse_machine_config(path: str) -> MachinePark:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_machine_config_text(fh.read(), source=path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{path}: byte {exc.object[exc.start]:#04x} at offset {exc.start} is not UTF-8"
+        ) from None
+    return parse_machine_config_text(text, source=path)
 
 
 # --- job streams -------------------------------------------------------------
@@ -182,9 +193,11 @@ def _parse_job(tok: str, position: int) -> float:
     try:
         return float(tok)
     except ValueError:
-        raise JobValueError(
-            f"unparsable job value {tok!r} at position {position}", position=position
-        ) from None
+        # streams are decoded with surrogateescape: a byte that is not
+        # UTF-8 comes back as a lone surrogate
+        raw = [ord(ch) - 0xDC00 for ch in tok if 0xDC80 <= ord(ch) <= 0xDCFF]
+        what = f"byte {raw[0]:#04x}, which is not UTF-8," if raw else f"unparsable job value {tok!r}"
+        raise JobValueError(f"{what} at position {position}", position=position) from None
 
 
 def _plain_values(text: str) -> np.ndarray | None:
@@ -262,11 +275,21 @@ def _float_chunks(fh: TextIO) -> Iterator[np.ndarray]:
 
 
 def _job_chunks(path: str) -> Iterator[np.ndarray]:
-    """_float_chunks of the file at path, or of stdin for '-'."""
+    """_float_chunks of the file at path, or of stdin for '-'.
+
+    Bytes that are not UTF-8 are decoded as lone surrogates, so the token
+    that holds one is refused at its position.
+    """
     if path == "-":
+        if hasattr(sys.stdin, "reconfigure"):
+            sys.stdin.reconfigure(errors="surrogateescape")
         yield from _float_chunks(sys.stdin)
         return
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise ConfigError(f"cannot read job stream {path}: {exc.strerror}") from None
+    with fh:
         yield from _float_chunks(fh)
 
 
@@ -274,40 +297,98 @@ def _job_chunks(path: str) -> Iterator[np.ndarray]:
 
 
 _FILL = 0  # pads fixed-width byte fields; never part of the text
-# _QUADS[i] holds the four ASCII digits of i, zero-padded, in memory order
-_QUADS = (
-    (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0"))
-    .astype(np.uint8).view(np.uint32).ravel()
-)
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 _FRACTION_BITS = 15  # a fraction j / 2**15 is j * 5**15 / 10**15
-_FIELD = 33  # 16 integer digits, '.', 16 fraction digits
-_REPR_AT = 9  # a repr (at most 24 characters) fills columns from here on
 
 
-def _digits(values: np.ndarray, width: int) -> np.ndarray:
-    """uint8 [n, width]: the last width decimal digits of values, zero-padded."""
-    quads = -(-width // 4)
-    out = np.empty((values.size, quads), np.uint32)
+@functools.cache
+def _quad_tables() -> tuple[np.ndarray, ...]:
+    """uint32 tables of four ASCII digits in memory order, 20000 entries
+    each: entry 10000 + i holds i zero-padded; entry i holds i with its
+    leading zeros (integer quads) or trailing zeros (fraction quads) as
+    _FILL.  A quad with a nonzero digit further out takes the first kind.
+    For 0, the lowest integer quad and the first fraction quad keep one
+    '0'; the other tables give four _FILL.
+
+    Returns (lowest integer quad, other integer quads, first fraction
+    quad, other fraction quads).  Built on first use, so runs that write
+    no schedule do not pay for them.
+    """
+    digits = np.empty((10000, 4), np.uint8)
+    for k in range(4):
+        digits[:, k] = np.tile(np.repeat(np.arange(48, 58, dtype=np.uint8), 10 ** (3 - k)), 10**k)
+    padded = digits.view(np.uint32).ravel()
+    nonzero = digits != ord("0")
+    tables = []
+    for keep, zero in (
+        (np.logical_or.accumulate(nonzero, axis=1), 3),  # past the leading zeros
+        (np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1], 0),  # before trailing
+    ):
+        filled = digits * keep
+        for zero_keeps_one in (True, False):
+            table = filled.copy()
+            table[0, zero] = ord("0") if zero_keeps_one else _FILL
+            tables.append(np.concatenate((table.view(np.uint32).ravel(), padded)))
+    for table in tables:
+        table.flags.writeable = False
+    return tuple(tables)
+
+
+def _quad(fields: np.ndarray, at: int) -> np.ndarray:
+    """The four bytes of each row of fields from column at, as uint32."""
+    return fields[:, at : at + 4].view(np.uint32)[:, 0]
+
+
+def _put(rows: np.ndarray, at: int, fields: np.ndarray) -> None:
+    """rows[:, at:at + w] = fields for a uint8 [n, w] fields, one w-byte
+    copy per row."""
+    width = fields.shape[1]
+    rows[:, at : at + width].view(f"V{width}")[:, 0] = fields.view(f"V{width}")[:, 0]
+
+
+def _integer_quads(fields: np.ndarray, quads: int, values: np.ndarray) -> None:
+    """Write the last 4 * quads decimal digits of the non-negative values
+    into the first 4 * quads columns of fields, leading zeros as _FILL;
+    0 keeps one '0'."""
+    lowest, others = _quad_tables()[:2]
     for c in range(quads - 1, -1, -1):
-        high = values // 10000
-        out[:, c] = np.take(_QUADS, values - high * 10000)
-        values = high
-    return out.view(np.uint8)[:, 4 * quads - width :]
+        higher = values // 10000
+        index = values - higher * 10000
+        index += (higher > 0) * 10000  # a nonzero digit further left
+        _quad(fields, 4 * c)[:] = np.take(lowest if c == quads - 1 else others, index)
+        values = higher
 
 
 def _integers(values: np.ndarray, width: int) -> np.ndarray:
-    """_digits with leading zeros as _FILL; 0 keeps one '0'."""
-    digits = _digits(values, width)
-    if values.size and values.min() < _POW10[width - 1]:
-        digits[:, :-1] *= values[:, None] >= _POW10[width - 1 : 0 : -1]
-    return digits
+    """uint8 [n, width]: the decimal digits of the non-negative values,
+    each below 10**width, right-aligned with leading zeros as _FILL; 0
+    keeps one '0'."""
+    quads = -(-width // 4)
+    fields = np.empty((values.size, 4 * quads), np.uint8)
+    _integer_quads(fields, quads, values)
+    return fields[:, 4 * quads - width :]
 
 
-def _take_rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """table[index] for a C-contiguous uint8 table, one copy per row."""
-    width = table.shape[1]
-    return np.take(table.view(f"V{width}").ravel(), index).view(np.uint8).reshape(-1, width)
+def _job_ids(rows: np.ndarray, first: int, width: int) -> None:
+    """Write the job ids first, first + 1, ... right-aligned into the
+    width first columns of rows.
+
+    Past 9999 every id has all four low digits: they cycle through the
+    zero-padded quads, and the digits above them change once per 10000
+    ids, so they are formatted once per distinct value and repeated.
+    """
+    n = rows.shape[0]
+    if first < 10000:
+        _put(rows, 0, _integers(np.arange(first, first + n), width))
+        return
+    padded = _quad_tables()[0][10000:]
+    low = first % 10000
+    _quad(rows, width - 4)[:] = np.take(padded, np.arange(low, low + n), mode="wrap")
+    high = _integers(np.arange(first // 10000, (first + n - 1) // 10000 + 1), width - 4)
+    counts = np.diff(np.concatenate(([0], np.arange(10000 - low, n, 10000), [n])))
+    rows[:, : width - 4].view(f"V{width - 4}")[:, 0] = np.repeat(
+        high.view(f"V{width - 4}")[:, 0], counts
+    )
 
 
 def _float_fields(values: np.ndarray) -> np.ndarray:
@@ -318,85 +399,139 @@ def _float_fields(values: np.ndarray) -> np.ndarray:
     together is written as that decimal in int64 digit arithmetic: a
     decimal of at most 15 significant digits round-trips, and no shorter
     decimal lies within half an ulp of it, so it is repr's shortest form
-    ('.0' for a whole number).  Other values go through repr.  Each field is a row of
-    fixed width whose unused columns hold _FILL.
+    ('.0' for a whole number).  Other values go through repr.  Each field
+    is a row of fixed width whose unused columns hold _FILL.
+
+    The digits are written four at a time from the quad tables: the
+    integer part's leading zeros and the fraction's trailing zeros (past
+    its k places, since its last place is a 5) come out as _FILL.
     """
     n = values.size
-    pool = np.empty((n, _FIELD), np.uint8)  # '.' at column 16
-    lo, hi = _FIELD, 0  # the columns any value uses
-    for first in range(0, n, _CSV_ROWS):
-        v = values[first : first + _CSV_ROWS]
-        rows = pool[first : first + v.size]
-        usual = (v >= 1e-4) & (v < 1e16)
-        w = np.where(usual, v, 0.0)
-        whole = np.floor(w)
-        scaled = (w - whole) * 2.0**_FRACTION_BITS
-        j = scaled.astype(np.int64)
-        integer = whole.astype(np.int64)
-        # the fraction's binary places k are also its decimal places
-        places = np.where(j > 0, _FRACTION_BITS + 1 - np.frexp(j & -j)[1], 0)
-        length = np.searchsorted(_POW10, integer, side="right")  # 0 for 0
-        exact = usual & (scaled == j) & (length + places <= 15)
-        if exact.any():
-            a = max(int(length[exact].max()), 1)
-            f = max(int(places[exact].max()), 1)
-            rows[:, : 16 - a] = _FILL
-            rows[:, 16 - a : 16] = _integers(integer, a)
-            rows[:, 16] = ord(".")
-            fraction = _digits(j * 5**_FRACTION_BITS // _POW10[_FRACTION_BITS - f], f)
-            fraction[:, 1:] *= np.arange(1, f) < places[:, None]
-            rows[:, 17 : 17 + f] = fraction
-            rows[:, 17 + f :] = _FILL
-            lo, hi = min(lo, 16 - a), max(hi, 17 + f)
-        inexact = np.flatnonzero(~exact)
-        if inexact.size:
-            texts = np.array(list(map(repr, v[inexact].tolist())), f"S{_FIELD - _REPR_AT}")
-            chars = texts.view(np.uint8).reshape(inexact.size, -1)
-            rows[inexact, :_REPR_AT] = _FILL
-            rows[inexact, _REPR_AT:] = chars
-            used = np.flatnonzero(chars.any(axis=0))[-1] + 1
-            lo, hi = min(lo, _REPR_AT), max(hi, _REPR_AT + int(used))
-    return np.ascontiguousarray(pool[:, lo:hi])
+    usual = (values >= 1e-4) & (values < 1e16)
+    w = np.where(usual, values, 0.0)
+    whole = np.floor(w)
+    scaled = (w - whole) * 2.0**_FRACTION_BITS
+    j = scaled.astype(np.int64)
+    integer = whole.astype(np.int64)
+    # the fraction's binary places k are also its decimal places
+    places = np.where(j > 0, _FRACTION_BITS + 1 - np.frexp(j & -j)[1], 0)
+    exact = usual & (scaled == j) & (integer < _POW10[15 - places])
+    inexact = np.flatnonzero(~exact)
+    a = len(str(integer.max(where=exact, initial=0)))
+    f = max(int(places.max(where=exact, initial=0)), 1)
+    qi, qf = -(-a // 4), -(-f // 4)
+    texts = np.array(list(map(repr, values[inexact].tolist())), "S24")
+    chars = texts.view(np.uint8).reshape(inexact.size, 24)
+    used = int(np.flatnonzero(chars.any(axis=0))[-1]) + 1 if inexact.size else 0
+    width = max(a + 1 + f, used)
+    lo = 4 * qi - a  # the field's first column
+    fields = np.empty((n, max(lo + width, 4 * (qi + qf) + 1)), np.uint8)
+    if inexact.size < n:
+        _integer_quads(fields, qi, integer)
+        fields[:, 4 * qi] = ord(".")
+        first, later = _quad_tables()[2:]
+        # the fraction's first 4 * qf of its 15 decimal places
+        digits = j * 5**_FRACTION_BITS
+        if 4 * qf <= _FRACTION_BITS:
+            digits //= 10 ** (_FRACTION_BITS - 4 * qf)
+        else:
+            digits *= 10 ** (4 * qf - _FRACTION_BITS)
+        for c in range(qf - 1, -1, -1):
+            higher = digits // 10000
+            index = digits - higher * 10000
+            index += (places > 4 * c + 4) * 10000  # a nonzero digit further right
+            _quad(fields, 4 * qi + 1 + 4 * c)[:] = np.take(first if c == 0 else later, index)
+            digits = higher
+        fields[:, 4 * (qi + qf) + 1 : lo + width] = _FILL
+    if inexact.size:
+        fields[inexact, lo : lo + used] = chars[:, :used]
+        fields[inexact, lo + used : lo + width] = _FILL
+    return fields[:, lo : lo + width]
 
 
-def write_schedule_csv(path: str, schedule: Schedule) -> None:
-    """One row per job plus a trailing makespan row, with CRLF line ends.
+def write_schedule_csv(out: BinaryIO, stage: SecondPass) -> None:
+    """Write the schedule CSV to the binary file out, block by block as
+    the stage yields them: one row per job in job id order, then a
+    trailing makespan row, with CRLF line ends.
 
-    Each completion is formatted once, and the field of a job's
-    predecessor on its machine is its start; a start column that is not
-    back to back is refused rather than written wrong.  Rows are
-    assembled as bytes, _CSV_ROWS at a time.
+    Each completion is formatted once.  A row's start field is the
+    completion field of the job run just before it on its machine when
+    that job is in the same block, and is formatted from the block's start
+    column otherwise.
     """
-    n = schedule.machine.size
-    before = np.full(n, n, np.int64)  # the job run just before, n for none
-    for run in schedule.runs:
-        before[run[1:]] = run[:-1]
-    done = np.append(schedule.completion, 0.0)
-    if not np.array_equal(done[before].view(np.int64), schedule.start.view(np.int64)):
-        raise ScheduleContractError("schedule start times do not run back to back")
-    times = _float_fields(done)
-    m = len(schedule.runs)
-    machines = _integers(np.arange(m + 1), len(str(m)))
-    machines = np.pad(machines, ((0, 0), (1, 1)), constant_values=ord(","))
-    # row layout: job_id, ",machine,", start, ",", completion, CRLF
-    a = len(str(max(n - 1, 0)))
-    b = a + machines.shape[1]
-    c = b + times.shape[1]
-    d = c + 1 + times.shape[1]
-    with open(path, "wb") as fh:
-        fh.write(b"job_id,machine,start,completion\r\n")
-        for first in range(0, n, _CSV_ROWS):
-            last = min(first + _CSV_ROWS, n)
-            rows = np.empty((last - first, d + 2), np.uint8)
-            rows[:, :a] = _integers(np.arange(first, last), a)
-            rows[:, a:b] = _take_rows(machines, schedule.machine[first:last])
-            rows[:, b:c] = _take_rows(times, before[first:last])
-            rows[:, c] = ord(",")
-            rows[:, c + 1 : d] = times[first:last]
-            rows[:, d] = ord("\r")
-            rows[:, d + 1] = ord("\n")
-            fh.write(rows[rows != _FILL])
-        fh.write(f"makespan,{float(schedule.makespan)!r}\r\n".encode())
+    m = stage.park.m
+    # ",i," for machine i, padded at the end with NUL bytes, that is _FILL
+    machines = np.array([f",{i},".encode() for i in range(m + 1)], f"S{len(str(m)) + 2}")
+    out.write(b"job_id,machine,start,completion\r\n")
+    for block in stage:
+        n = block.machine.size
+        if not n:
+            continue
+        source = block.before.copy()
+        outside = np.flatnonzero(source < 0)
+        source[outside] = n + np.arange(outside.size)
+        times = _float_fields(np.concatenate((block.completion, block.start[outside])))
+        # row layout: job_id, ",machine,", start, ",", completion, CRLF
+        a = len(str(block.first + n - 1))
+        b = a + machines.dtype.itemsize
+        c = b + times.shape[1]
+        d = c + 1 + times.shape[1]
+        rows = np.empty((n, d + 2), np.uint8)
+        _job_ids(rows, block.first, a)
+        rows[:, a:b].view(f"V{b - a}")[:, 0] = np.take(machines, block.machine).view(f"V{b - a}")
+        # most rows follow the row just before them on their machine
+        _put(rows[1:], b, times[: n - 1])
+        moved = np.flatnonzero(source != np.arange(-1, n - 1))
+        rows[moved, b:c] = times[source[moved]]
+        rows[:, c] = ord(",")
+        _put(rows, c + 1, times[:n])
+        rows[:, d] = ord("\r")
+        rows[:, d + 1] = ord("\n")
+        # rows hold a few _FILL bytes each: bytes.replace drops them faster
+        # than a boolean mask does
+        out.write(rows.tobytes().replace(bytes([_FILL]), b""))
+    out.write(f"makespan,{float(stage.makespan)!r}\r\n".encode())
+
+
+@contextlib.contextmanager
+def _replaced_on_success(path: str) -> Iterator[BinaryIO]:
+    """A new binary file in path's directory that replaces path when the
+    block exits normally and is deleted when it raises, so a failed run
+    leaves no partial file and an existing file at path untouched.
+
+    The file is made on entry: a path that cannot be written fails before
+    any work is done.  A symbolic link is followed, so its target is
+    replaced.  A path that exists but is no regular file or directory,
+    such as a pipe or a terminal, is written in place: there is no file
+    to replace.
+    """
+    target = os.path.realpath(path)
+    if os.path.isdir(target):
+        raise ConfigError(f"cannot write the schedule to {path}: it is a directory")
+    if os.path.exists(target) and not os.path.isfile(target):
+        try:
+            fh = open(target, "wb")
+        except OSError as exc:
+            raise ConfigError(f"cannot write the schedule to {path}: {exc.strerror}") from None
+        with fh:
+            yield fh
+        return
+    folder, name = os.path.split(target)
+    try:
+        fd, part = tempfile.mkstemp(prefix=f".{name}.", suffix=".part", dir=folder)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the schedule to {path}: {exc.strerror}") from None
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(part, 0o666 & ~umask)  # as open() would have made it
+        os.replace(part, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(part)
+        raise
 
 
 # --- instance generator --------------------------------------------------------
@@ -496,6 +631,16 @@ def _cmd_run(args) -> int:
             print(f"witness_ordinal: {result.ordinal}")
         return 0
 
+    with (_replaced_on_success(args.schedule_out) if needs_schedule
+          else contextlib.nullcontext()) as out:
+        report = _run_passes(args, park, params, out)
+    for line in report.as_lines(stats=args.stats):
+        print(line)
+    return 0
+
+
+def _run_passes(args, park: MachinePark, params, out: BinaryIO | None):
+    """The first pass, then, when out is a file, the second pass written to it."""
     if args.mode == "offline":
         # two-pass over a buffer, anchored at its exact maximum; a maximum
         # that is no valid anchor is left to the ledger's value checks
@@ -514,21 +659,18 @@ def _cmd_run(args) -> int:
     report, artifacts = run_stream(
         park, params, ledger, read(), mode=args.mode, regime=regime, budget=args.budget,
     )
-    if needs_schedule:
-        t0 = time.perf_counter()
-        schedule = second_pass(park, artifacts, read())
-        t1 = time.perf_counter()
-        write_schedule_csv(args.schedule_out, schedule)
-        report = replace(
-            report,
-            makespan=schedule.makespan,
-            schedule_path=args.schedule_out,
-            second_pass_seconds=t1 - t0,
-            write_seconds=time.perf_counter() - t1,
-        )
-    for line in report.as_lines(stats=args.stats):
-        print(line)
-    return 0
+    if out is None:
+        return report
+    stage = SecondPass(park, artifacts, read())
+    t0 = time.perf_counter()
+    write_schedule_csv(out, stage)
+    return replace(
+        report,
+        makespan=stage.makespan,
+        schedule_path=args.schedule_out,
+        second_pass_seconds=stage.seconds,
+        write_seconds=time.perf_counter() - t0 - stage.seconds,
+    )
 
 
 def _cmd_generate(args) -> int:

@@ -10,12 +10,19 @@ fewest late jobs so far.  Machines close in index order under this
 greedy, so reroute decisions never lack information and the second pass
 can place each job the moment it arrives.
 
-The second pass is columnar: the open machine takes a whole run of a
-chunk's small jobs at once, found by a running sum of their sizes, and
-only the job at a run's end goes through the per-job rule.  Start and
-completion times then come from one completion chain per machine: each
-job completes where the machine has delivered the run's prefix load
-(see streamspan.capacity).
+The second pass streams: SecondPass replays the stream chunk by chunk
+and yields one ScheduleBlock per chunk, the rows of that chunk's jobs.
+In a chunk the open machine takes a whole run of small jobs at once,
+found by a running sum of their sizes, and only the job at a run's end
+goes through the per-job rule.  Each machine runs its large jobs first,
+then its small jobs in stream order, then its rerouted jobs; since every
+floor machine is closed before the first reroute, that is stream order
+after the large jobs.  So each machine carries only its run's prefix
+load and last completion from chunk to chunk, continues its completion
+chain through the chunk's jobs (see streamspan.capacity), and a job's
+machine, start and completion are final when the replay reaches it.
+Memory does not grow with the stream.  second_pass concatenates the
+blocks into one Schedule for library use.
 
 The validator does not rerun that chain: it checks every job's start
 against the completion before it in its run, and recomputes every
@@ -25,12 +32,13 @@ inversion of A_i.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .capacity import MachinePark, capacity_at, completion_chain
+from .capacity import MachinePark, capacity_at, continue_chain
 from .errors import JobValueError, ScheduleContractError, TwoPassMismatchError
 from .oracle import completion_from_zero
 from .search import SearchOutcome
@@ -39,6 +47,8 @@ __all__ = [
     "Schedule",
     "FirstPassArtifacts",
     "fingerprint_update",
+    "ScheduleBlock",
+    "SecondPass",
     "second_pass",
     "validate_schedule",
     "crossing_counts",
@@ -116,11 +126,13 @@ def fingerprint_update(fingerprint: int, values: np.ndarray, start: int) -> int:
 
 
 class _GreedyFill:
-    """The second pass's greedy filler, one run of jobs at a time.
+    """The second pass's greedy filler, one chunk of small jobs at a time.
 
     Machines fill in index order, so `open` only moves forward: past a
     machine whose committed load reached its capacity at t, and past a
     machine above the floor that closed by rerouting its crossing job.
+    Every floor machine is therefore closed before the first reroute, and
+    a rerouted job runs after every small job its floor machine takes.
     """
 
     def __init__(self, park: MachinePark, t: float, committed: Sequence[float]):
@@ -129,18 +141,28 @@ class _GreedyFill:
         self.committed = list(committed)
         self.open = 0
         self.late = [0] * park.m
-        self.smalls: list[list[np.ndarray]] = [[] for _ in range(park.m)]
-        self.movers: list[list[int]] = [[] for _ in range(park.m)]
 
-    def _reroute(self, job_id: int) -> None:
-        late = self.late
-        dest = late.index(min(late[: self.floor]))  # lowest index among the fewest
-        self.movers[dest].append(job_id)
-        late[dest] += 1
+    def place(self, sizes: np.ndarray) -> list[list]:
+        """Place a chunk's small jobs, of the given sizes in stream order.
 
-    def place(self, ids: np.ndarray, sizes: np.ndarray) -> None:
-        """Place the small jobs ids (stream order) of the given sizes."""
-        m, cap, committed = len(self.cap), self.cap, self.committed
+        Returns per machine the positions in sizes of the jobs it takes,
+        in order, as ranges and index arrays.
+        """
+        m, cap, committed, late = len(self.cap), self.cap, self.committed, self.late
+        taken: list[list] = [[] for _ in range(m)]
+
+        def take(i: int, lo: int, hi: int) -> None:
+            parts = taken[i]
+            if parts and type(parts[-1]) is range and parts[-1].stop == lo:
+                parts[-1] = range(parts[-1].start, hi)
+            else:
+                parts.append(range(lo, hi))
+
+        def reroute(lo: int, hi: int) -> None:
+            for dest, positions in _late_rounds(late[: self.floor], lo, hi):
+                taken[dest].append(positions)
+                late[dest] += positions.size
+
         k, n = 0, sizes.size
         while k < n:
             i = self.open
@@ -149,9 +171,8 @@ class _GreedyFill:
             self.open = i
             if i == m:
                 # every machine is full at t; each job is late wherever it goes
-                for job_id in ids[k:].tolist():
-                    self._reroute(job_id)
-                return
+                reroute(k, n)
+                break
             # loads[q] is the committed load before job k+q: an exact left fold
             loads = np.empty(n - k + 1)
             loads[0] = committed[i]
@@ -161,45 +182,181 @@ class _GreedyFill:
             below = int(np.searchsorted(loads, cap[i], side="left"))
             within = int(np.searchsorted(loads, cap[i], side="right"))
             took = min(below, within - 1)
-            self.smalls[i].append(ids[k : k + took])
+            if took:
+                take(i, k, k + took)
             committed[i] = float(loads[took])
             k += took
             if k < n and committed[i] < cap[i]:
                 # job k crosses the capacity and closes machine i
                 if i < self.floor:
                     committed[i] = float(loads[took + 1])
-                    self.smalls[i].append(ids[k : k + 1])
-                    self.late[i] += 1
+                    take(i, k, k + 1)
+                    late[i] += 1
                 else:
                     self.open = i + 1
-                    self._reroute(int(ids[k]))
+                    reroute(k, k + 1)
                 k += 1
+        return taken
 
-    def runs(self, large_runs: Sequence[Sequence[int]]) -> tuple[np.ndarray, ...]:
-        """Per machine: its large jobs, its small jobs, then rerouted jobs."""
-        return tuple(
-            np.concatenate([np.array(large, np.int64), *smalls, np.array(movers, np.int64)])
-            for large, smalls, movers in zip(large_runs, self.smalls, self.movers)
+
+def _late_rounds(late: list[int], k: int, n: int):
+    """(floor machine, positions) for jobs k..n-1 sent one by one to the
+    floor machine with the fewest late jobs, the lowest index on ties,
+    where late holds each floor machine's late jobs so far.
+
+    Job k+q takes the q-th smallest (count, machine) slot above the
+    machines' current counts.
+    """
+    f, jobs = len(late), n - k
+    counts = np.array(late, np.int64)
+    room = max(late) + -(-jobs // f) - counts + 1  # slots up to a level no job needs
+    machine = np.repeat(np.arange(f), room)
+    level = np.arange(machine.size) - np.repeat(np.cumsum(room) - room - counts, room)
+    dest = np.sort(level * f + machine)[:jobs] % f
+    return [(d, k + np.flatnonzero(dest == d)) for d in range(f) if (dest == d).any()]
+
+
+class ScheduleBlock(NamedTuple):
+    """The schedule's rows for the jobs of one replayed chunk, first to
+    first + len - 1, as columns indexed by row.
+
+    before[r] is the row of the job run just before job first + r on its
+    machine, whose completion is that job's start, or -1 for a large job
+    and for the first small job of a machine in the block: their starts
+    are read from start[r].
+    """
+
+    first: int
+    machine: np.ndarray  # int64, 1-based
+    start: np.ndarray  # float64
+    completion: np.ndarray  # float64
+    before: np.ndarray  # int64
+
+
+class SecondPass:
+    """The second pass as a stream of ScheduleBlocks, one per replayed chunk.
+
+    Iterating replays the chunks once.  Each chunk is checked against the
+    first pass, its small jobs are placed, and each machine's run is
+    continued through them from the load and completion it reached in the
+    chunk before; the large jobs, which open the runs, are timed up front.
+    A job's machine, start and completion are final when the replay
+    reaches it, so blocks hold only their own chunk's jobs.
+
+    The replayed stream must match the first pass: same length, no
+    processing time above the recorded maximum, every retained large job
+    at its id with its size, and the same fingerprint.  Of the faults at
+    positions, the earliest is reported.  When the iteration ends, the
+    whole stream has passed these checks and makespan holds the
+    schedule's makespan; seconds is the time spent inside the iteration.
+    """
+
+    def __init__(self, park: MachinePark, artifacts: FirstPassArtifacts, chunks: Iterable):
+        self.park = park
+        self.artifacts = artifacts
+        self.chunks = chunks
+        self.makespan: float | None = None
+        self.seconds = 0.0
+
+    def __iter__(self) -> Iterator[ScheduleBlock]:
+        began = time.perf_counter()
+        park, artifacts = self.park, self.artifacts
+        assignment = artifacts.outcome.assignment
+        n = artifacts.job_count
+        fill = _GreedyFill(park, artifacts.outcome.t, assignment.per_machine_load)
+        # each machine's run so far: the load it delivered and its last completion
+        loads = [capacity_at(tl, 0.0) for tl in park.machines]
+        clocks = [0.0] * park.m
+        # a machine runs its large jobs first, in the search's job order
+        timing = {}
+        for i, tl in enumerate(park.machines):
+            run = [(job_id, p) for (job_id, p), on in zip(assignment.jobs, assignment.machine_of)
+                   if on == i + 1]
+            done, loads[i] = continue_chain(tl, 0.0, loads[i], [p for _, p in run])
+            for (job_id, p), s, c in zip(run, [0.0, *done[:-1].tolist()], done.tolist()):
+                timing[job_id] = (p, i + 1, s, c)
+            clocks[i] = float(done[-1]) if run else 0.0
+        order = sorted(timing)
+        large_ids = np.array(order, np.int64)
+        large_sizes, large_machine, large_start, large_completion = (
+            np.array([timing[job_id][c] for job_id in order], dtype)
+            for c, dtype in enumerate((np.float64, np.int64, np.float64, np.float64))
         )
-
-
-def _timed(park: MachinePark, runs: tuple[np.ndarray, ...], sizes: np.ndarray) -> Schedule:
-    """The schedule that runs each machine's jobs back to back from 0."""
-    n = sizes.size
-    machine = np.empty(n, np.int64)
-    start = np.empty(n, np.float64)
-    completion = np.empty(n, np.float64)
-    makespan = 0.0
-    for index, (tl, run) in enumerate(zip(park.machines, runs), start=1):
-        if not run.size:
-            continue
-        done = completion_chain(tl, 0.0, sizes[run])
-        machine[run] = index
-        completion[run] = done
-        start[run[0]] = 0.0
-        start[run[1:]] = done[:-1]
-        makespan = max(makespan, float(done[-1]))
-    return Schedule(machine, start, completion, runs, makespan)
+        fingerprint = 0
+        seen = 0
+        lo = 0  # large_ids[lo:] lie at or after the current chunk
+        for chunk in self.chunks:
+            arr = np.asarray(chunk, dtype=np.float64)
+            first = seen
+            seen += arr.size
+            head = arr[:max(n - first, 0)]
+            hi = lo + int(np.searchsorted(large_ids[lo:], first + head.size))
+            here = large_ids[lo:hi] - first
+            bad = ~(head > 0) | (head > artifacts.max_seen)
+            bad[here[head[here] != large_sizes[lo:hi]]] = True
+            faults = np.flatnonzero(bad)
+            if faults.size:
+                _raise_fault(artifacts, head, first, int(faults[0]), here, large_sizes[lo:hi])
+            if head.size < arr.size:
+                raise TwoPassMismatchError(
+                    f"second stream is longer than the first pass ({n} jobs)"
+                )
+            fingerprint = fingerprint_update(fingerprint, arr, first)
+            machine = np.empty(arr.size, np.int64)
+            start = np.empty(arr.size, np.float64)
+            completion = np.empty(arr.size, np.float64)
+            before = np.empty(arr.size, np.int64)
+            if here.size:
+                small = np.ones(arr.size, bool)
+                small[here] = False
+                offsets = np.flatnonzero(small)
+                sizes = arr[offsets]
+                machine[here] = large_machine[lo:hi]
+                start[here] = large_start[lo:hi]
+                completion[here] = large_completion[lo:hi]
+                before[here] = -1
+            else:
+                offsets = None
+                sizes = arr
+            for i, parts in enumerate(fill.place(sizes)):
+                if not parts:
+                    continue
+                if offsets is None and len(parts) == 1 and type(parts[0]) is range:
+                    # one run of consecutive rows, the usual case: slices
+                    rows = slice(parts[0].start, parts[0].stop)
+                    taken = sizes[rows]
+                    opener, rest = rows.start, slice(rows.start + 1, rows.stop)
+                    prior = np.arange(rows.start, rows.stop - 1)
+                else:
+                    pos = np.concatenate([
+                        np.arange(p.start, p.stop) if type(p) is range else p for p in parts
+                    ])
+                    rows = pos if offsets is None else offsets[pos]
+                    taken = sizes[pos]
+                    opener, rest, prior = rows[0], rows[1:], rows[:-1]
+                done, loads[i] = continue_chain(park.machines[i], clocks[i], loads[i], taken)
+                machine[rows] = i + 1
+                completion[rows] = done
+                start[opener] = clocks[i]
+                start[rest] = done[:-1]
+                before[opener] = -1
+                before[rest] = prior
+                clocks[i] = float(done[-1])
+            lo = hi
+            self.seconds += time.perf_counter() - began
+            yield ScheduleBlock(first, machine, start, completion, before)
+            began = time.perf_counter()
+        if seen != n:
+            raise TwoPassMismatchError(
+                f"second stream ended after {seen} jobs; first pass saw {n}"
+            )
+        if fingerprint != artifacts.fingerprint:
+            raise TwoPassMismatchError(
+                "second stream has the first pass's length and maximum but not its "
+                "values in the same order (fingerprint mismatch)"
+            )
+        self.makespan = max(clocks)
+        self.seconds += time.perf_counter() - began
 
 
 def second_pass(
@@ -207,62 +364,27 @@ def second_pass(
     artifacts: FirstPassArtifacts,
     chunks: Iterable,
 ) -> Schedule:
-    """Replay the stream, chunk by chunk, and route each small job.
-
-    The replayed stream must match the first pass: same length, no
-    processing time above the recorded maximum, every retained large job
-    at its id with its size, and the same fingerprint.  Of the faults at
-    positions, the earliest is reported.
-    """
-    outcome = artifacts.outcome
-    assignment = outcome.assignment
-    n = artifacts.job_count
-    large_runs: list[list[int]] = [[] for _ in range(park.m)]
-    for (job_id, _), machine in zip(assignment.jobs, assignment.machine_of):
-        large_runs[machine - 1].append(job_id)
-    order = sorted(assignment.jobs)
-    large_ids = np.array([job_id for job_id, _ in order], np.int64)
-    large_sizes = np.array([p for _, p in order], np.float64)
-    fill = _GreedyFill(park, outcome.t, assignment.per_machine_load)
-    sizes = np.empty(n, np.float64)
-    fingerprint = 0
-    seen = 0
-    lo = 0  # large_ids[lo:] lie at or after the current chunk
-    for chunk in chunks:
-        arr = np.asarray(chunk, dtype=np.float64)
-        start = seen
-        seen += arr.size
-        head = arr[:max(n - start, 0)]
-        hi = lo + int(np.searchsorted(large_ids[lo:], start + head.size))
-        here = large_ids[lo:hi] - start
-        bad = ~(head > 0) | (head > artifacts.max_seen)
-        bad[here[head[here] != large_sizes[lo:hi]]] = True
-        first = np.flatnonzero(bad)
-        if first.size:
-            _raise_fault(artifacts, head, start, int(first[0]), here, large_sizes[lo:hi])
-        if head.size < arr.size:
-            raise TwoPassMismatchError(
-                f"second stream is longer than the first pass ({n} jobs)"
-            )
-        sizes[start:seen] = arr
-        fingerprint = fingerprint_update(fingerprint, arr, start)
-        if here.size:
-            small = np.ones(arr.size, bool)
-            small[here] = False
-            fill.place(np.flatnonzero(small) + start, arr[small])
-        else:
-            fill.place(np.arange(start, seen), arr)
-        lo = hi
-    if seen != n:
-        raise TwoPassMismatchError(
-            f"second stream ended after {seen} jobs; first pass saw {n}"
-        )
-    if fingerprint != artifacts.fingerprint:
-        raise TwoPassMismatchError(
-            "second stream has the first pass's length and maximum but not its "
-            "values in the same order (fingerprint mismatch)"
-        )
-    return _timed(park, fill.runs(large_runs), sizes)
+    """Replay the stream, chunk by chunk, and route each small job: the
+    blocks of SecondPass, concatenated into one Schedule."""
+    stage = SecondPass(park, artifacts, chunks)
+    blocks = list(stage)
+    machine, start, completion = (
+        np.concatenate([getattr(b, name) for b in blocks]) if blocks else np.empty(0, dtype)
+        for name, dtype in (("machine", np.int64), ("start", np.float64),
+                            ("completion", np.float64))
+    )
+    assignment = artifacts.outcome.assignment
+    small = np.ones(machine.size, bool)
+    small[[job_id for job_id, _ in assignment.jobs]] = False
+    runs = tuple(
+        np.concatenate((
+            np.array([job_id for (job_id, _), on in zip(assignment.jobs, assignment.machine_of)
+                      if on == i], np.int64),
+            np.flatnonzero(small & (machine == i)),
+        ))
+        for i in range(1, park.m + 1)
+    )
+    return Schedule(machine, start, completion, runs, stage.makespan)
 
 
 def _raise_fault(artifacts, head, start, q, here, kept) -> None:

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import operator
 import random
 
 import numpy as np
@@ -12,6 +14,7 @@ from streamspan.capacity import (
     capacity_at,
     completion_chain,
     completion_time,
+    continue_chain,
     park_capacity_at,
     search_bounds,
 )
@@ -235,6 +238,33 @@ def test_completion_chain_is_the_prefix_inversion(tl, data):
     assert got.dtype == np.float64
     assert got.tobytes() == prefix_chain(tl, start, amounts).tobytes()
     assert (got[1:] >= got[:-1]).all() and (got >= start).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(tl=st.one_of(_exact_timelines, _real_timelines), data=st.data())
+def test_a_chain_continued_piece_by_piece_is_the_whole_chain(tl, data):
+    # each piece starts from the last completion and the load the pieces
+    # before it delivered: the second pass's run carried across chunks
+    amounts = data.draw(st.lists(st.one_of(_amount_kinds["real"], _amount_kinds["quarter"]),
+                                 max_size=60))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(amounts)), max_size=5)))
+    start = data.draw(st.one_of(_quarters, st.sampled_from((0.0,) + tl.breakpoints)))
+    clock, load, pieces = start, capacity_at(tl, start), []
+    for lo, hi in zip([0, *cuts], [*cuts, len(amounts)]):
+        done, load = continue_chain(tl, clock, load, amounts[lo:hi])
+        pieces.append(done)
+        clock = float(done[-1]) if done.size else clock
+    whole = completion_chain(tl, start, amounts)
+    assert np.concatenate(pieces).tobytes() == whole.tobytes()
+    assert load == functools.reduce(operator.add, amounts, capacity_at(tl, start))
+
+
+def test_chain_tables_are_read_only_float64_arrays():
+    tl = ramp()
+    for table, column in zip(tl.tables, (tl.cumulative, tl.seg_time, tl.seg_cap, tl.seg_rate)):
+        assert table.dtype == np.float64 and table.tolist() == list(column)
+        with pytest.raises(ValueError):
+            table[0] = 1.0
 
 
 def _dense_timeline():

@@ -2,9 +2,11 @@ import csv
 import dataclasses
 import io
 import math
+import os
 import struct
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -28,9 +30,10 @@ from streamspan.cli import (
     write_schedule_csv,
 )
 import streamspan.cli as cli_mod
-from streamspan.schedule import _timed
+from streamspan import make_ledger, run_stream, second_pass
+from streamspan.schedule import SecondPass
 
-from _support import make_instance, offline, quiet_params
+from _support import hand_artifacts, make_instance, quiet_params
 
 
 GOOD_CONFIG = """\
@@ -261,10 +264,12 @@ class TestFloatFields:
     )
     @example([0.25, 0.1, 3.0, 2.0**53], 1)
     def test_fields_match_repr(self, values, rows):
-        # _CSV_ROWS small: chunks of differing widths share one column span
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli_mod, "_CSV_ROWS", rows)
-            assert _formatted(values) == [repr(float(v)) for v in values]
+        # formatted in blocks of `rows` values, as the writer formats a
+        # block's fields, so blocks of differing widths are compared too
+        pieces = [values[i : i + rows] for i in range(0, len(values), rows)]
+        assert [text for piece in pieces for text in _formatted(piece)] == [
+            repr(float(v)) for v in values
+        ]
 
 
 class TestGenerator:
@@ -383,13 +388,22 @@ class TestRunCommand:
             keys = list(_report_dict(out))
             assert keys[-2:] == ["second_pass_seconds", "write_seconds"]
 
+    @staticmethod
+    def _written(path, park, artifacts, chunks):
+        """The CSV write_schedule_csv makes of the stage over chunks, and the
+        schedule second_pass builds from them."""
+        with open(path, "wb") as fh:
+            write_schedule_csv(fh, SecondPass(park, artifacts, chunks))
+        return path.read_bytes(), second_pass(park, artifacts, chunks)
+
     def test_schedule_csv_matches_the_csv_module(self, tmp_path):
         park, jobs = make_instance(5, 3, 1, 0.5, 200, ratio_choices=(0.3, 0.7, 1.0))
         jobs = [p * 0.37 for p in jobs]  # real-valued completions
         params = quiet_params(3, 1, 0.5, 0.5, retain_limit_override=3)  # a small search
-        sched, _ = offline(park, params, jobs)
-        path = tmp_path / "s.csv"
-        write_schedule_csv(str(path), sched)
+        _, artifacts = run_stream(park, params, make_ledger(params, "pmax-given", pmax=max(jobs)),
+                                  [jobs])
+        chunks = [jobs[i : i + 16] for i in range(0, len(jobs), 16)]
+        written, sched = self._written(tmp_path / "s.csv", park, artifacts, chunks)
         expected = io.StringIO(newline="")
         w = csv.writer(expected)
         w.writerow(["job_id", "machine", "start", "completion"])
@@ -397,31 +411,68 @@ class TestRunCommand:
             w.writerow([j, int(sched.machine[j]), repr(float(sched.start[j])),
                         repr(float(sched.completion[j]))])
         w.writerow(["makespan", repr(sched.makespan)])
-        assert path.read_bytes() == expected.getvalue().encode()
-
-    def test_schedule_csv_refuses_a_start_that_is_not_back_to_back(self, tmp_path):
-        park, jobs = make_instance(5, 2, 1, 0.5, 20)
-        sched, _ = offline(park, quiet_params(2, 1, 0.5, 0.5), jobs)
-        start = sched.start.copy()
-        start[sched.runs[0][-1]] += 0.5
-        with pytest.raises(ScheduleContractError, match="back to back"):
-            write_schedule_csv(str(tmp_path / "s.csv"), dataclasses.replace(sched, start=start))
+        assert written == expected.getvalue().encode()
 
     @pytest.mark.parametrize("m", [3, 11])
-    def test_schedule_csv_of_exact_completions_matches_repr(self, tmp_path, monkeypatch, m):
+    def test_schedule_csv_of_exact_completions_matches_repr(self, tmp_path, m):
         # integer sizes on a park of power-of-two ratios: the digit path;
-        # jobs dealt round robin, so every machine number is written
-        monkeypatch.setattr(cli_mod, "_CSV_ROWS", 7)  # rows and fields in many chunks
+        # every job large and dealt round robin, so every machine number is
+        # written and most starts lie in other blocks of 7 rows
         park, jobs = make_instance(3, m, 1, 0.5, 300, jobs_max=4000)
-        runs = tuple(np.arange(i, len(jobs), m) for i in range(m))
-        sched = _timed(park, runs, np.array(jobs))
-        path = tmp_path / "s.csv"
-        write_schedule_csv(str(path), sched)
+        artifacts = hand_artifacts(park, jobs, {j: j % m + 1 for j in range(len(jobs))}, 0.0)
+        chunks = [jobs[i : i + 7] for i in range(0, len(jobs), 7)]
+        written, sched = self._written(tmp_path / "s.csv", park, artifacts, chunks)
         rows = [f"{j},{int(sched.machine[j])},{float(sched.start[j])!r},"
                 f"{float(sched.completion[j])!r}" for j in range(len(jobs))]
         expected = "\r\n".join(["job_id,machine,start,completion", *rows,
                                  f"makespan,{sched.makespan!r}", ""])
-        assert path.read_bytes() == expected.encode()
+        assert written == expected.encode()
+
+    def test_job_ids_match_their_decimal_text(self):
+        # ids from any first id on, across boundaries of 10**4 and 10**k
+        for first, n in ((0, 12), (9995, 10), (10**4, 3), (12345, 20007), (99990, 20),
+                         (10**8 - 5, 9)):
+            width = len(str(first + n - 1))
+            rows = np.zeros((n, width), np.uint8)
+            cli_mod._job_ids(rows, first, width)
+            assert [row[row != cli_mod._FILL].tobytes().decode() for row in rows] == [
+                str(i) for i in range(first, first + n)
+            ]
+
+    def test_schedule_out_through_a_symlink_replaces_its_target(self, capsys, instance,
+                                                                tmp_path):
+        cfg, jobs = instance
+        target = tmp_path / "real.csv"
+        target.write_bytes(b"an earlier schedule\r\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        code, _, err = _run_main(
+            capsys,
+            ["run", "--config", cfg, "--jobs", jobs, "--mode", "two-pass",
+             "--schedule-out", str(link)],
+        )
+        assert code == 0, err
+        assert link.is_symlink()
+        assert target.read_text().startswith("job_id,machine,start,completion")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "jobs.txt", "link.csv", "park.cfg", "real.csv"]
+
+    def test_schedule_out_to_a_pipe_is_written_in_place(self, capsys, instance, tmp_path):
+        cfg, jobs = instance
+        argv = ["run", "--config", cfg, "--jobs", jobs, "--mode", "two-pass", "--schedule-out"]
+        _run_main(capsys, argv + [str(tmp_path / "s.csv")])
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code, _, err = _run_main(capsys, argv + [str(fifo)])
+        reader.join(timeout=10)
+        assert code == 0, err
+        assert not reader.is_alive()
+        assert got == [(tmp_path / "s.csv").read_bytes()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fifo", "jobs.txt", "park.cfg", "s.csv"]
 
     def test_offline_equals_two_pass(self, capsys, instance, tmp_path):
         cfg, jobs = instance
@@ -536,6 +587,80 @@ class TestExitCodes:
         assert code == 2
         assert "missing machine line(s) for [2, 3, 4, 5, 6] and 999999994 more" in err
         assert len(err) < 200
+
+    @pytest.mark.parametrize("which", ["missing", "directory"])
+    def test_unreadable_config_is_2(self, capsys, instance, tmp_path, which):
+        _, jobs = instance
+        cfg = tmp_path / "nothing.cfg" if which == "missing" else tmp_path
+        code, out, err = _run_main(capsys, ["run", "--config", str(cfg), "--jobs", jobs])
+        assert code == 2
+        assert f"cannot read config {cfg}" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("which", ["missing", "directory"])
+    @pytest.mark.parametrize("mode", ["one-pass", "two-pass", "offline"])
+    def test_unreadable_job_stream_is_2(self, capsys, instance, tmp_path, which, mode):
+        cfg, _ = instance
+        jobs = tmp_path / "nothing.txt" if which == "missing" else tmp_path
+        out_csv = tmp_path / "s.csv"
+        sched = [] if mode == "one-pass" else ["--schedule-out", str(out_csv)]
+        code, out, err = _run_main(
+            capsys, ["run", "--config", cfg, "--jobs", str(jobs), "--mode", mode, *sched]
+        )
+        assert code == 2
+        assert f"cannot read job stream {jobs}" in err
+        assert out == ""
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("target", ["nodir/x.csv", "."])
+    @pytest.mark.parametrize("mode", ["two-pass", "offline"])
+    def test_unwritable_schedule_out_is_2_before_any_job_is_read(
+        self, capsys, instance, tmp_path, monkeypatch, target, mode
+    ):
+        cfg, _ = instance
+        jobs = tmp_path / "jobs.txt"
+        jobs.write_text("3 4 five 6\n")  # exit 3 had it been read
+        monkeypatch.chdir(tmp_path)
+        code, out, err = _run_main(
+            capsys,
+            ["run", "--config", cfg, "--jobs", str(jobs), "--mode", mode,
+             "--schedule-out", target],
+        )
+        assert code == 2
+        assert f"cannot write the schedule to {target}" in err
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.txt", "park.cfg"]
+
+    @pytest.mark.parametrize("mode", ["one-pass", "two-pass", "offline"])
+    def test_a_byte_that_is_not_utf8_is_3_with_its_position(self, capsys, instance, tmp_path,
+                                                            mode):
+        cfg, _ = instance
+        jobs = tmp_path / "jobs.txt"
+        jobs.write_bytes(b"3 4 5\xff 6\n")
+        sched = [] if mode == "one-pass" else ["--schedule-out", str(tmp_path / "s.csv")]
+        code, out, err = _run_main(
+            capsys, ["run", "--config", cfg, "--jobs", str(jobs), "--mode", mode, *sched]
+        )
+        assert code == 3
+        assert "byte 0xff, which is not UTF-8, at position 2" in err
+        assert out == ""
+
+    def test_a_byte_that_is_not_utf8_on_stdin_is_3(self, instance):
+        cfg, _ = instance
+        res = subprocess.run(
+            [sys.executable, "-m", "streamspan.cli", "run", "--config", cfg],
+            input=b"3 4\n\xfe 6\n", capture_output=True,
+        )
+        assert res.returncode == 3, res.stderr
+        assert b"byte 0xfe, which is not UTF-8, at position 2" in res.stderr
+
+    def test_a_config_byte_that_is_not_utf8_is_2(self, capsys, instance, tmp_path):
+        _, jobs = instance
+        cfg = tmp_path / "park.cfg"
+        cfg.write_bytes(b"m 1\nm1 1\ne0 1\nmachine 1 # \xff\n")
+        code, _, err = _run_main(capsys, ["run", "--config", str(cfg), "--jobs", jobs])
+        assert code == 2
+        assert "byte 0xff at offset 26 is not UTF-8" in err
 
     def test_bad_job_token_is_3(self, capsys, instance, tmp_path):
         cfg, _ = instance
@@ -726,6 +851,64 @@ class TestExitCodes:
         assert code == 6, err
         assert "second stream" in err or "first pass" in err
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("fault, code", [
+        ("a longer stream", 6),
+        ("a changed value", 6),
+        ("an unparsable token", 3),
+        ("a declared maximum broken", 4),
+    ])
+    def test_a_failed_run_leaves_no_file_and_keeps_the_old_one(
+        self, capsys, tmp_path, monkeypatch, fault, code
+    ):
+        # blocks of 4 characters: the replay writes rows before the fault
+        monkeypatch.setattr(cli_mod, "_READ_CHARS", 4)
+        config_text, jobs_text = generate_instance(21, 2, 1, 0.5, 60)
+        cfg, jobs = tmp_path / "park.cfg", tmp_path / "jobs.txt"
+        cfg.write_text(config_text)
+        jobs.write_text(jobs_text)
+        toks = jobs_text.split()
+        replay = {
+            "a longer stream": " ".join(toks + ["1"]),
+            "a changed value": " ".join(toks[:-1] + ["0.5"]),  # caught at the end
+            "an unparsable token": " ".join(toks[:-1] + ["x"]),
+        }.get(fault)
+        real_open = open
+        reads = []
+
+        def replaying_open(path, *a, **kw):
+            if str(path) == str(jobs):
+                reads.append(path)
+                if len(reads) > 1 and replay is not None:
+                    return io.StringIO(replay)
+            return real_open(path, *a, **kw)
+
+        monkeypatch.setattr("builtins.open", replaying_open)
+        out_csv = tmp_path / "s.csv"
+        out_csv.write_bytes(b"an earlier schedule\r\n")
+        flags = ["--regime", "pmax-given", "--pmax", "1" if code == 4 else "16"]
+        status, out, err = _run_main(
+            capsys,
+            ["run", "--config", str(cfg), "--jobs", str(jobs), "--mode", "two-pass",
+             *flags, "--schedule-out", str(out_csv)],
+        )
+        assert status == code, err
+        assert out == ""
+        assert out_csv.read_bytes() == b"an earlier schedule\r\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.txt", "park.cfg", "s.csv"]
+
+    def test_a_written_schedule_replaces_the_old_file(self, capsys, instance, tmp_path):
+        cfg, jobs = instance
+        out_csv = tmp_path / "s.csv"
+        out_csv.write_bytes(b"an earlier schedule\r\n")
+        code, out, _ = _run_main(
+            capsys,
+            ["run", "--config", cfg, "--jobs", jobs, "--mode", "two-pass",
+             "--schedule-out", str(out_csv)],
+        )
+        assert code == 0
+        assert out_csv.read_text().startswith("job_id,machine,start,completion")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.txt", "park.cfg", "s.csv"]
 
     def test_schedule_flag_misuse_is_2(self, capsys, instance, tmp_path):
         cfg, jobs = instance

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import io
 import operator
 import time
 
@@ -16,7 +17,9 @@ from streamspan import (
     run_stream,
     second_pass,
 )
+from streamspan.cli import write_schedule_csv
 from streamspan.grouping import EstimatePmaxLedger, KnownPmaxLedger, UnknownPmaxLedger
+from streamspan.schedule import SecondPass
 
 from _support import identity_park, make_instance, quiet_params
 
@@ -76,9 +79,9 @@ class TestRunStream:
     def test_chunking_does_not_change_the_report(
         self, seed, m, m1, e0, epsilon, n, jobs_max, scale, retain_limit, regime
     ):
-        """Reports (timings masked) and schedule columns are the same bit
-        for bit whatever the chunk size, in every regime, with and without
-        saturated bands; a run that fails, fails alike."""
+        """Reports (timings masked), schedule columns and the schedule CSV's
+        bytes are the same whatever the chunk size, in every regime, with
+        and without saturated bands; a run that fails, fails alike."""
         if retain_limit is None:
             n = min(n, 10)  # every job may stay large: keep the search small
         m1 = min(m1, m)
@@ -93,7 +96,10 @@ class TestRunStream:
             ledger = make_ledger(params, regime, pmax=pmax, pmax_estimate=3 * pmax, alpha=4.0)
             try:
                 report, artifacts = run_stream(park, params, ledger, chunks, regime=regime)
-                outcomes.append((_masked(report), second_pass(park, artifacts, chunks)))
+                csv = io.BytesIO()
+                write_schedule_csv(csv, SecondPass(park, artifacts, chunks))
+                outcomes.append((_masked(report), second_pass(park, artifacts, chunks),
+                                 csv.getvalue()))
             except StreamspanError as exc:
                 outcomes.append((type(exc), str(exc)))
             # the ledger's own figures are the plain left fold, max and count

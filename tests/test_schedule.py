@@ -260,12 +260,42 @@ def _chunked(jobs, size):
 
 class TestColumnarMatchesPerJob:
     @settings(max_examples=300, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), size=st.sampled_from([1, 7, None]))
+    @given(seed=st.integers(0, 2**32 - 1), size=st.sampled_from([1, 7, 65536]))
     def test_random_streams_bit_for_bit(self, seed, size):
         park, jobs, art = _random_case(seed)
-        chunks = _chunked(jobs, size or max(len(jobs), 1))
+        chunks = _chunked(jobs, size)
         fast = second_pass(park, art, chunks)
         assert column_bytes(fast) == column_bytes(reference_second_pass(park, art, jobs))
+        validate_schedule(park, fast, jobs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.sampled_from([1, 7, 65536]),
+        dyadic=st.booleans(),
+        room=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    )
+    def test_floor_machines_and_full_parks_bit_for_bit(self, seed, size, dyadic, room):
+        # m1 >= 2, and a target time that leaves room for only a share of
+        # the load, so every machine fills and the late jobs are dealt over
+        # the floor machines
+        rng = random.Random(seed)
+        m = rng.randint(2, 4)
+        m1 = rng.randint(2, m)
+        ratios = (0.25, 0.5, 1.0) if dyadic else _RATIOS
+        machines = tuple(
+            random_timeline(rng, i, max_intervals=5, bp_max=30, ratio_choices=ratios)
+            for i in range(1, m + 1)
+        )
+        e0 = min((r for tl in machines[:m1] for r in tl.ratios), default=1.0)
+        park = MachinePark(machines, m1, e0)
+        n = rng.randint(0, 200)
+        jobs = [float(rng.randint(1, 8)) if dyadic else rng.uniform(0.05, 9.0) for _ in range(n)]
+        large = {j: rng.randint(1, m) for j in rng.sample(range(n), min(n, rng.randint(0, 3)))}
+        art = hand_artifacts(park, jobs, large, room * sum(jobs) / m)
+        ref = reference_second_pass(park, art, jobs)
+        fast = second_pass(park, art, _chunked(jobs, size))
+        assert column_bytes(fast) == column_bytes(ref)
         validate_schedule(park, fast, jobs)
 
     def _check(self, park, jobs, art, runs):
@@ -391,7 +421,7 @@ class TestValidator:
         def refuse(*args):
             raise AssertionError("validate_schedule ran the completion chain")
 
-        monkeypatch.setattr("streamspan.schedule.completion_chain", refuse)
+        monkeypatch.setattr("streamspan.schedule.continue_chain", refuse)
         validate_schedule(park, sched, jobs)
         last = sched.runs[0][-1]
         broken = self._edited(sched, completion=lambda c: np.where(np.arange(c.size) == last,
