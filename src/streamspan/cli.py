@@ -27,10 +27,10 @@ import math
 import os
 import random
 import sys
-import tempfile
 import time
 from dataclasses import replace
 from functools import partial
+from stat import S_IMODE, S_ISDIR, S_ISREG
 from typing import BinaryIO, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -493,6 +493,18 @@ def write_schedule_csv(out: BinaryIO, stage: SecondPass) -> None:
     out.write(f"makespan,{float(stage.makespan)!r}\r\n".encode())
 
 
+def _standard_stream_on(st: os.stat_result) -> int | None:
+    """1 or 2 when standard output or error is open on the file st
+    describes, else None."""
+    for fd in (1, 2):
+        try:
+            if os.path.samestat(st, os.fstat(fd)):
+                return fd
+        except OSError:  # the stream is closed
+            pass
+    return None
+
+
 @contextlib.contextmanager
 def _replaced_on_success(path: str) -> Iterator[BinaryIO]:
     """A new binary file in path's directory that replaces path when the
@@ -501,32 +513,50 @@ def _replaced_on_success(path: str) -> Iterator[BinaryIO]:
 
     The file is made on entry: a path that cannot be written fails before
     any work is done.  A symbolic link is followed, so its target is
-    replaced.  A path that exists but is no regular file or directory,
-    such as a pipe or a terminal, is written in place: there is no file
-    to replace.
+    replaced, and an existing file's permission bits are kept.  A path
+    that exists but is no regular file or directory, such as a pipe or a
+    terminal, is written in place: there is no file to replace.  So is
+    the file behind standard output or error (as /dev/stdout is), through
+    that stream's own descriptor, so the report printed after the
+    schedule follows it instead of going to a replaced file.
     """
-    target = os.path.realpath(path)
-    if os.path.isdir(target):
+    try:
+        st = os.stat(path)
+    except OSError:
+        st = None  # made below, or refused there
+    if st is not None and S_ISDIR(st.st_mode):
         raise ConfigError(f"cannot write the schedule to {path}: it is a directory")
-    if os.path.exists(target) and not os.path.isfile(target):
+    shared = _standard_stream_on(st) if st is not None else None
+    if shared is not None:
+        with os.fdopen(os.dup(shared), "wb") as fh:
+            yield fh
+        return
+    if st is not None and not S_ISREG(st.st_mode):
         try:
-            fh = open(target, "wb")
+            fh = open(path, "wb")
         except OSError as exc:
             raise ConfigError(f"cannot write the schedule to {path}: {exc.strerror}") from None
         with fh:
             yield fh
         return
+    import tempfile  # only schedule-writing runs need it
+
+    target = os.path.realpath(path)
     folder, name = os.path.split(target)
     try:
         fd, part = tempfile.mkstemp(prefix=f".{name}.", suffix=".part", dir=folder)
     except OSError as exc:
         raise ConfigError(f"cannot write the schedule to {path}: {exc.strerror}") from None
+    if st is not None:
+        mode = S_IMODE(st.st_mode)
+    else:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask  # as open() would have made it
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(part, 0o666 & ~umask)  # as open() would have made it
+        os.chmod(part, mode)
         os.replace(part, target)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

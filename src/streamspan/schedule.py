@@ -142,26 +142,19 @@ class _GreedyFill:
         self.open = 0
         self.late = [0] * park.m
 
-    def place(self, sizes: np.ndarray) -> list[list]:
+    def place(self, sizes: np.ndarray) -> list[list[range]]:
         """Place a chunk's small jobs, of the given sizes in stream order.
 
-        Returns per machine the positions in sizes of the jobs it takes,
-        in order, as ranges and index arrays.
+        Returns per machine the ranges of positions in sizes of the jobs
+        it takes, in order.
         """
         m, cap, committed, late = len(self.cap), self.cap, self.committed, self.late
-        taken: list[list] = [[] for _ in range(m)]
+        taken: list[list[range]] = [[] for _ in range(m)]
 
-        def take(i: int, lo: int, hi: int) -> None:
-            parts = taken[i]
-            if parts and type(parts[-1]) is range and parts[-1].stop == lo:
-                parts[-1] = range(parts[-1].start, hi)
-            else:
-                parts.append(range(lo, hi))
-
-        def reroute(lo: int, hi: int) -> None:
-            for dest, positions in _late_rounds(late[: self.floor], lo, hi):
-                taken[dest].append(positions)
-                late[dest] += positions.size
+        def reroute(q: int) -> None:
+            dest = late.index(min(late[: self.floor]))  # lowest index among the fewest
+            taken[dest].append(range(q, q + 1))
+            late[dest] += 1
 
         k, n = 0, sizes.size
         while k < n:
@@ -171,7 +164,8 @@ class _GreedyFill:
             self.open = i
             if i == m:
                 # every machine is full at t; each job is late wherever it goes
-                reroute(k, n)
+                for q in range(k, n):
+                    reroute(q)
                 break
             # loads[q] is the committed load before job k+q: an exact left fold
             loads = np.empty(n - k + 1)
@@ -183,37 +177,20 @@ class _GreedyFill:
             within = int(np.searchsorted(loads, cap[i], side="right"))
             took = min(below, within - 1)
             if took:
-                take(i, k, k + took)
+                taken[i].append(range(k, k + took))
             committed[i] = float(loads[took])
             k += took
             if k < n and committed[i] < cap[i]:
                 # job k crosses the capacity and closes machine i
                 if i < self.floor:
                     committed[i] = float(loads[took + 1])
-                    take(i, k, k + 1)
+                    taken[i].append(range(k, k + 1))
                     late[i] += 1
                 else:
                     self.open = i + 1
-                    reroute(k, k + 1)
+                    reroute(k)
                 k += 1
         return taken
-
-
-def _late_rounds(late: list[int], k: int, n: int):
-    """(floor machine, positions) for jobs k..n-1 sent one by one to the
-    floor machine with the fewest late jobs, the lowest index on ties,
-    where late holds each floor machine's late jobs so far.
-
-    Job k+q takes the q-th smallest (count, machine) slot above the
-    machines' current counts.
-    """
-    f, jobs = len(late), n - k
-    counts = np.array(late, np.int64)
-    room = max(late) + -(-jobs // f) - counts + 1  # slots up to a level no job needs
-    machine = np.repeat(np.arange(f), room)
-    level = np.arange(machine.size) - np.repeat(np.cumsum(room) - room - counts, room)
-    dest = np.sort(level * f + machine)[:jobs] % f
-    return [(d, k + np.flatnonzero(dest == d)) for d in range(f) if (dest == d).any()]
 
 
 class ScheduleBlock(NamedTuple):
@@ -321,26 +298,16 @@ class SecondPass:
             for i, parts in enumerate(fill.place(sizes)):
                 if not parts:
                     continue
-                if offsets is None and len(parts) == 1 and type(parts[0]) is range:
-                    # one run of consecutive rows, the usual case: slices
-                    rows = slice(parts[0].start, parts[0].stop)
-                    taken = sizes[rows]
-                    opener, rest = rows.start, slice(rows.start + 1, rows.stop)
-                    prior = np.arange(rows.start, rows.stop - 1)
-                else:
-                    pos = np.concatenate([
-                        np.arange(p.start, p.stop) if type(p) is range else p for p in parts
-                    ])
-                    rows = pos if offsets is None else offsets[pos]
-                    taken = sizes[pos]
-                    opener, rest, prior = rows[0], rows[1:], rows[:-1]
-                done, loads[i] = continue_chain(park.machines[i], clocks[i], loads[i], taken)
+                pos = np.concatenate([np.arange(p.start, p.stop) for p in parts])
+                rows = pos if offsets is None else offsets[pos]
+                opener, rest = rows[0], rows[1:]
+                done, loads[i] = continue_chain(park.machines[i], clocks[i], loads[i], sizes[pos])
                 machine[rows] = i + 1
                 completion[rows] = done
                 start[opener] = clocks[i]
                 start[rest] = done[:-1]
                 before[opener] = -1
-                before[rest] = prior
+                before[rest] = rows[:-1]
                 clocks[i] = float(done[-1])
             lo = hi
             self.seconds += time.perf_counter() - began

@@ -474,6 +474,40 @@ class TestRunCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "fifo", "jobs.txt", "park.cfg", "s.csv"]
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    @pytest.mark.parametrize("stdout", ["a pipe", "a file"])
+    def test_schedule_out_to_dev_stdout_comes_before_the_report(self, capsys, instance,
+                                                                tmp_path, stdout):
+        cfg, jobs = instance
+        argv = ["run", "--config", cfg, "--jobs", jobs, "--mode", "two-pass", "--schedule-out"]
+        _run_main(capsys, argv + [str(tmp_path / "s.csv")])
+        command = [sys.executable, "-m", "streamspan.cli", *argv, "/dev/stdout"]
+        if stdout == "a pipe":
+            res = subprocess.run(command, capture_output=True)
+            written = res.stdout
+        else:
+            with open(tmp_path / "out.txt", "wb") as fh:
+                res = subprocess.run(command, stdout=fh, stderr=subprocess.PIPE)
+            written = (tmp_path / "out.txt").read_bytes()
+        assert res.returncode == 0, res.stderr
+        schedule = (tmp_path / "s.csv").read_bytes()
+        assert written.startswith(schedule)
+        assert b"\nschedule_path: '/dev/stdout'\n" in written[len(schedule):]
+
+    def test_a_replaced_schedule_keeps_the_old_file_mode(self, capsys, instance, tmp_path):
+        cfg, jobs = instance
+        out_csv = tmp_path / "s.csv"
+        out_csv.write_bytes(b"an earlier schedule\r\n")
+        out_csv.chmod(0o640)
+        code, _, err = _run_main(
+            capsys,
+            ["run", "--config", cfg, "--jobs", jobs, "--mode", "two-pass",
+             "--schedule-out", str(out_csv)],
+        )
+        assert code == 0, err
+        assert out_csv.read_text().startswith("job_id,machine,start,completion")
+        assert out_csv.stat().st_mode & 0o777 == 0o640
+
     def test_offline_equals_two_pass(self, capsys, instance, tmp_path):
         cfg, jobs = instance
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
