@@ -19,9 +19,9 @@ jobs of a generated n=300 stream: nodes, wall time, nodes/s.
 
 Run from the repo root:
 
-    python3 benchmarks/bench_kernels.py
-    python3 benchmarks/bench_kernels.py --jobs 4000000 --search-jobs 20
-    python3 benchmarks/bench_kernels.py --json benchmarks/BENCH_kernels.json --label after
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py --jobs 4000000 --search-jobs 20
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py --json benchmarks/BENCH_kernels.json --label after
 
 --json adds this run's figures to the file under --label, keeping the
 other labels' entries, so one file holds a change's before and after.

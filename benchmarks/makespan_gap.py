@@ -19,8 +19,8 @@ nothing else:
 
 Run from the repo root:
 
-    python3 benchmarks/makespan_gap.py
-    python3 benchmarks/makespan_gap.py --runs 300 --budget 200000
+    PYTHONPATH=src python3 benchmarks/makespan_gap.py
+    PYTHONPATH=src python3 benchmarks/makespan_gap.py --runs 300 --budget 200000
 
 Runs that exceed the search budget exit 5 and are counted apart.
 """

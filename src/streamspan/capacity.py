@@ -7,12 +7,13 @@ slope 1 beyond the last breakpoint.  All ratios lie in (0, 1], so A_i is
 strictly increasing and invertible.
 
 A machine's run completes job by job where A_i has delivered the run's
-prefix load: A_i^{-1} applied to A_i(start) plus the left fold of the
-sizes so far, one vectorized expression for the whole run.  A running
-max keeps the completions non-decreasing: a target on an entry of the
-cumulative table can invert an ulp later than the next target does.  A
-run can be continued piece by piece from its last completion and the
-load it has delivered (continue_chain), bit for bit the whole run.
+prefix load, its target: A_i(start) plus the left fold of the sizes so
+far (completion_chain).  completions_at inverts the targets in one
+vectorized expression, with a running max that keeps the completions
+non-decreasing: a target on an entry of the cumulative table can invert
+an ulp later than the next target does.  Whoever folds the targets can
+invert them piece by piece, each piece from the last completion of the
+one before, bit for bit the whole run.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ __all__ = [
     "capacity_at",
     "park_capacity_at",
     "completion_chain",
-    "continue_chain",
+    "completions_at",
     "completion_time",
     "search_bounds",
 ]
@@ -186,26 +187,18 @@ def completion_chain(
     the targets summed as one left fold, and never before the completion
     before it.  Amounts must be > 0; start >= 0.
     """
-    return continue_chain(timeline, start, capacity_at(timeline, start), amounts)[0]
-
-
-def continue_chain(
-    timeline: MachineTimeline, start: float, load: float, amounts: Sequence[float]
-) -> tuple[np.ndarray, float]:
-    """A run continued: (completions, load after the last amount) of amounts
-    run back to back from start, where the run has delivered load by start.
-
-    The targets are load plus the left fold of the amounts, so a run
-    continued piece by piece, each piece from the last completion and load
-    of the one before, gives the whole run's completions bit for bit.
-    Amounts must be > 0, so the targets do not decrease.
-    """
-    cum, seg_time, seg_cap, seg_rate = timeline.tables
     targets = np.empty(len(amounts) + 1)
-    targets[0] = load
+    targets[0] = capacity_at(timeline, start)
     targets[1:] = amounts
     np.add.accumulate(targets, out=targets)
-    targets = targets[1:]
+    return completions_at(timeline, start, targets[1:])
+
+
+def completions_at(timeline: MachineTimeline, start: float, targets: np.ndarray) -> np.ndarray:
+    """Completion times (float64) of a run from start whose jobs end where
+    the machine has delivered the non-decreasing float64 targets, each
+    never before start or the completion before it."""
+    cum, seg_time, seg_cap, seg_rate = timeline.tables
     # a target equal to cumulative[k] ends segment k: bisect_left, not
     # right.  The targets do not decrease, so k steps up at each entry's
     # place among them, found by one search per entry instead of per target.
@@ -216,8 +209,7 @@ def continue_chain(
         # a target on a cumulative entry can invert an ulp past the next one's
         t[0] = max(t[0], start)
         np.maximum.accumulate(t, out=t)
-        load = float(targets[-1])
-    return t, load
+    return t
 
 
 def completion_time(timeline: MachineTimeline, start: float, amount: float) -> float:

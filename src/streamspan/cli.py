@@ -506,18 +506,19 @@ def _standard_stream_on(st: os.stat_result) -> int | None:
 
 
 @contextlib.contextmanager
-def _replaced_on_success(path: str) -> Iterator[BinaryIO]:
+def _replaced_on_success(path: str, inputs: dict[str, str]) -> Iterator[BinaryIO]:
     """A new binary file in path's directory that replaces path when the
     block exits normally and is deleted when it raises, so a failed run
     leaves no partial file and an existing file at path untouched.
 
-    The file is made on entry: a path that cannot be written fails before
-    any work is done.  A symbolic link is followed, so its target is
-    replaced, and an existing file's permission bits are kept.  A path
-    that exists but is no regular file or directory, such as a pipe or a
-    terminal, is written in place: there is no file to replace.  So is
-    the file behind standard output or error (as /dev/stdout is), through
-    that stream's own descriptor, so the report printed after the
+    The file is made on entry: a path that cannot be written, or a regular
+    file that is one of the inputs ({what: path}, '-' for standard input),
+    fails before any work is done.  A symbolic link is followed, so its
+    target is replaced, and an existing file's permission bits are kept.
+    A path that exists but is no regular file or directory, such as a
+    pipe or a terminal, is written in place: there is no file to replace.
+    So is the file behind standard output or error (as /dev/stdout is),
+    through that stream's own descriptor, so the report printed after the
     schedule follows it instead of going to a replaced file.
     """
     try:
@@ -526,6 +527,11 @@ def _replaced_on_success(path: str) -> Iterator[BinaryIO]:
         st = None  # made below, or refused there
     if st is not None and S_ISDIR(st.st_mode):
         raise ConfigError(f"cannot write the schedule to {path}: it is a directory")
+    if st is not None and S_ISREG(st.st_mode):
+        for what, source in inputs.items():
+            with contextlib.suppress(OSError):  # an input that cannot be read is refused later
+                if os.path.samestat(st, os.fstat(0) if source == "-" else os.stat(source)):
+                    raise ConfigError(f"cannot write the schedule to {path}: it is the {what}")
     shared = _standard_stream_on(st) if st is not None else None
     if shared is not None:
         with os.fdopen(os.dup(shared), "wb") as fh:
@@ -661,7 +667,8 @@ def _cmd_run(args) -> int:
             print(f"witness_ordinal: {result.ordinal}")
         return 0
 
-    with (_replaced_on_success(args.schedule_out) if needs_schedule
+    inputs = {"config": args.config, "job stream": args.jobs}
+    with (_replaced_on_success(args.schedule_out, inputs) if needs_schedule
           else contextlib.nullcontext()) as out:
         report = _run_passes(args, park, params, out)
     for line in report.as_lines(stats=args.stats):
@@ -728,10 +735,12 @@ def _cmd_generate(args) -> int:
         ratio_choices=ratio_choices,
         jobs_max=args.jobs_max,
     )
-    with open(args.config_out, "w", encoding="utf-8") as fh:
-        fh.write(config_text)
-    with open(args.jobs_out, "w", encoding="utf-8") as fh:
-        fh.write(jobs_text)
+    for path, text in ((args.config_out, config_text), (args.jobs_out, jobs_text)):
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
     print(f"config: {args.config_out}")
     print(f"jobs: {args.jobs_out}")
     return 0

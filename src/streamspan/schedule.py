@@ -2,8 +2,8 @@
 
 The search fixes the large-job placement and a target time t with
 capacity to spare for everything else.  Small jobs then fill machines
-greedily: each goes to the lowest-indexed machine whose committed load
-is still under its capacity at t.  The job that pushes a machine over
+greedily: each goes to the lowest-indexed machine whose load is still
+under its capacity at t.  The job that pushes a machine over
 closes it; on a floor machine it stays as that machine's late job, on
 any other machine it is rerouted to the floor machine carrying the
 fewest late jobs so far.  Machines close in index order under this
@@ -13,16 +13,16 @@ can place each job the moment it arrives.
 The second pass streams: SecondPass replays the stream chunk by chunk
 and yields one ScheduleBlock per chunk, the rows of that chunk's jobs.
 In a chunk the open machine takes a whole run of small jobs at once,
-found by a running sum of their sizes, and only the job at a run's end
-goes through the per-job rule.  Each machine runs its large jobs first,
-then its small jobs in stream order, then its rerouted jobs; since every
-floor machine is closed before the first reroute, that is stream order
-after the large jobs.  So each machine carries only its run's prefix
-load and last completion from chunk to chunk, continues its completion
-chain through the chunk's jobs (see streamspan.capacity), and a job's
-machine, start and completion are final when the replay reaches it.
-Memory does not grow with the stream.  second_pass concatenates the
-blocks into one Schedule for library use.
+found by a left fold of its load over their sizes, and only the job at
+a run's end goes through the per-job rule.  Each machine runs its large
+jobs first, then its small jobs in stream order, then its rerouted
+jobs; since every floor machine is closed before the first reroute,
+that is stream order after the large jobs.  So a machine's greedy load
+is its run's prefix load, and each job completes where the machine has
+delivered the load it reached with that job (see streamspan.capacity):
+a job's machine, start and completion are final when the replay reaches
+it.  Memory does not grow with the stream.  second_pass concatenates
+the blocks into one Schedule for library use.
 
 The validator does not rerun that chain: it checks every job's start
 against the completion before it in its run, and recomputes every
@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .capacity import MachinePark, capacity_at, continue_chain
+from .capacity import MachinePark, capacity_at, completion_chain, completions_at
 from .errors import JobValueError, ScheduleContractError, TwoPassMismatchError
 from .oracle import completion_from_zero
 from .search import SearchOutcome
@@ -128,38 +128,44 @@ def fingerprint_update(fingerprint: int, values: np.ndarray, start: int) -> int:
 class _GreedyFill:
     """The second pass's greedy filler, one chunk of small jobs at a time.
 
+    loads[i] is machine i's run load so far, folded in run order.
     Machines fill in index order, so `open` only moves forward: past a
-    machine whose committed load reached its capacity at t, and past a
-    machine above the floor that closed by rerouting its crossing job.
-    Every floor machine is therefore closed before the first reroute, and
-    a rerouted job runs after every small job its floor machine takes.
+    machine whose load reached its capacity at t, and past a machine above
+    the floor that closed by rerouting its crossing job.  Every floor
+    machine is therefore closed before the first reroute: a rerouted job
+    runs after every small job its floor machine takes, and its size adds
+    to a load that stays closed.
     """
 
-    def __init__(self, park: MachinePark, t: float, committed: Sequence[float]):
+    def __init__(self, park: MachinePark, t: float, loads: Sequence[float]):
         self.floor = park.floor_machines
         self.cap = [capacity_at(tl, t) for tl in park.machines]
-        self.committed = list(committed)
+        self.loads = list(loads)
         self.open = 0
         self.late = [0] * park.m
 
-    def place(self, sizes: np.ndarray) -> list[list[range]]:
+    def place(self, sizes: np.ndarray) -> tuple[list[list[range]], np.ndarray]:
         """Place a chunk's small jobs, of the given sizes in stream order.
 
         Returns per machine the ranges of positions in sizes of the jobs
-        it takes, in order.
+        it takes, in order, and each job's completion target: its
+        machine's load once the job is done.
         """
-        m, cap, committed, late = len(self.cap), self.cap, self.committed, self.late
+        m, cap, loads, late = len(self.cap), self.cap, self.loads, self.late
         taken: list[list[range]] = [[] for _ in range(m)]
+        targets = np.empty(sizes.size)
 
         def reroute(q: int) -> None:
             dest = late.index(min(late[: self.floor]))  # lowest index among the fewest
             taken[dest].append(range(q, q + 1))
             late[dest] += 1
+            loads[dest] += float(sizes[q])
+            targets[q] = loads[dest]
 
         k, n = 0, sizes.size
         while k < n:
             i = self.open
-            while i < m and committed[i] >= cap[i]:
+            while i < m and loads[i] >= cap[i]:
                 i += 1
             self.open = i
             if i == m:
@@ -167,30 +173,31 @@ class _GreedyFill:
                 for q in range(k, n):
                     reroute(q)
                 break
-            # loads[q] is the committed load before job k+q: an exact left fold
-            loads = np.empty(n - k + 1)
-            loads[0] = committed[i]
-            loads[1:] = sizes[k:]
-            np.add.accumulate(loads, out=loads)
-            # job k+q fits while loads[q] < cap and loads[q+1] <= cap
-            below = int(np.searchsorted(loads, cap[i], side="left"))
-            within = int(np.searchsorted(loads, cap[i], side="right"))
+            # fold[q] is the load before job k+q: an exact left fold
+            fold = np.empty(n - k + 1)
+            fold[0] = loads[i]
+            fold[1:] = sizes[k:]
+            np.add.accumulate(fold, out=fold)
+            # job k+q fits while fold[q] < cap and fold[q+1] <= cap
+            below = int(np.searchsorted(fold, cap[i], side="left"))
+            within = int(np.searchsorted(fold, cap[i], side="right"))
             took = min(below, within - 1)
-            if took:
-                taken[i].append(range(k, k + took))
-            committed[i] = float(loads[took])
-            k += took
-            if k < n and committed[i] < cap[i]:
-                # job k crosses the capacity and closes machine i
+            # job k+took, if any, crosses the capacity and closes machine i;
+            # a floor machine keeps it as its late job
+            crosses = k + took < n and bool(fold[took] < cap[i])
+            kept = took + (crosses and i < self.floor)
+            if kept:
+                taken[i].append(range(k, k + kept))
+                targets[k : k + kept] = fold[1 : kept + 1]
+            loads[i] = float(fold[kept])
+            if crosses:
                 if i < self.floor:
-                    committed[i] = float(loads[took + 1])
-                    taken[i].append(range(k, k + 1))
                     late[i] += 1
                 else:
                     self.open = i + 1
-                    reroute(k)
-                k += 1
-        return taken
+                    reroute(k + took)
+            k += took + crosses
+        return taken, targets
 
 
 class ScheduleBlock(NamedTuple):
@@ -215,8 +222,8 @@ class SecondPass:
 
     Iterating replays the chunks once.  Each chunk is checked against the
     first pass, its small jobs are placed, and each machine's run is
-    continued through them from the load and completion it reached in the
-    chunk before; the large jobs, which open the runs, are timed up front.
+    continued through them from the completion it reached in the chunk
+    before; the large jobs, which open the runs, are timed up front.
     A job's machine, start and completion are final when the replay
     reaches it, so blocks hold only their own chunk's jobs.
 
@@ -241,23 +248,22 @@ class SecondPass:
         assignment = artifacts.outcome.assignment
         n = artifacts.job_count
         fill = _GreedyFill(park, artifacts.outcome.t, assignment.per_machine_load)
-        # each machine's run so far: the load it delivered and its last completion
-        loads = [capacity_at(tl, 0.0) for tl in park.machines]
-        clocks = [0.0] * park.m
         # a machine runs its large jobs first, in the search's job order
-        timing = {}
+        large_sizes = np.array([p for _, p in assignment.jobs], np.float64)
+        large_machine = np.array(assignment.machine_of, np.int64)
+        large_start, large_completion = np.zeros(large_sizes.size), np.empty(large_sizes.size)
+        clocks = []  # each machine's last completion so far
         for i, tl in enumerate(park.machines):
-            run = [(job_id, p) for (job_id, p), on in zip(assignment.jobs, assignment.machine_of)
-                   if on == i + 1]
-            done, loads[i] = continue_chain(tl, 0.0, loads[i], [p for _, p in run])
-            for (job_id, p), s, c in zip(run, [0.0, *done[:-1].tolist()], done.tolist()):
-                timing[job_id] = (p, i + 1, s, c)
-            clocks[i] = float(done[-1]) if run else 0.0
-        order = sorted(timing)
-        large_ids = np.array(order, np.int64)
-        large_sizes, large_machine, large_start, large_completion = (
-            np.array([timing[job_id][c] for job_id in order], dtype)
-            for c, dtype in enumerate((np.float64, np.int64, np.float64, np.float64))
+            run = np.flatnonzero(large_machine == i + 1)
+            done = completion_chain(tl, 0.0, large_sizes[run])
+            large_completion[run] = done
+            large_start[run[1:]] = done[:-1]
+            clocks.append(float(done[-1]) if run.size else 0.0)
+        large_ids = np.array([job_id for job_id, _ in assignment.jobs], np.int64)
+        order = np.argsort(large_ids)
+        large_ids, large_sizes, large_machine, large_start, large_completion = (
+            column[order] for column in
+            (large_ids, large_sizes, large_machine, large_start, large_completion)
         )
         fingerprint = 0
         seen = 0
@@ -283,25 +289,19 @@ class SecondPass:
             start = np.empty(arr.size, np.float64)
             completion = np.empty(arr.size, np.float64)
             before = np.empty(arr.size, np.int64)
-            if here.size:
-                small = np.ones(arr.size, bool)
-                small[here] = False
-                offsets = np.flatnonzero(small)
-                sizes = arr[offsets]
-                machine[here] = large_machine[lo:hi]
-                start[here] = large_start[lo:hi]
-                completion[here] = large_completion[lo:hi]
-                before[here] = -1
-            else:
-                offsets = None
-                sizes = arr
-            for i, parts in enumerate(fill.place(sizes)):
+            machine[here] = large_machine[lo:hi]
+            start[here] = large_start[lo:hi]
+            completion[here] = large_completion[lo:hi]
+            before[here] = -1
+            offsets = np.delete(np.arange(arr.size), here) if here.size else None
+            taken, targets = fill.place(arr if offsets is None else arr[offsets])
+            for i, parts in enumerate(taken):
                 if not parts:
                     continue
                 pos = np.concatenate([np.arange(p.start, p.stop) for p in parts])
                 rows = pos if offsets is None else offsets[pos]
                 opener, rest = rows[0], rows[1:]
-                done, loads[i] = continue_chain(park.machines[i], clocks[i], loads[i], sizes[pos])
+                done = completions_at(park.machines[i], clocks[i], targets[pos])
                 machine[rows] = i + 1
                 completion[rows] = done
                 start[opener] = clocks[i]
@@ -326,11 +326,7 @@ class SecondPass:
         self.seconds += time.perf_counter() - began
 
 
-def second_pass(
-    park: MachinePark,
-    artifacts: FirstPassArtifacts,
-    chunks: Iterable,
-) -> Schedule:
+def second_pass(park: MachinePark, artifacts: FirstPassArtifacts, chunks: Iterable) -> Schedule:
     """Replay the stream, chunk by chunk, and route each small job: the
     blocks of SecondPass, concatenated into one Schedule."""
     stage = SecondPass(park, artifacts, chunks)

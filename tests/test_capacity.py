@@ -1,7 +1,5 @@
 import dataclasses
-import functools
 import math
-import operator
 import random
 
 import numpy as np
@@ -14,7 +12,7 @@ from streamspan.capacity import (
     capacity_at,
     completion_chain,
     completion_time,
-    continue_chain,
+    completions_at,
     park_capacity_at,
     search_bounds,
 )
@@ -243,20 +241,21 @@ def test_completion_chain_is_the_prefix_inversion(tl, data):
 @settings(max_examples=300, deadline=None)
 @given(tl=st.one_of(_exact_timelines, _real_timelines), data=st.data())
 def test_a_chain_continued_piece_by_piece_is_the_whole_chain(tl, data):
-    # each piece starts from the last completion and the load the pieces
-    # before it delivered: the second pass's run carried across chunks
+    # the run's prefix targets, inverted piece by piece, each piece from the
+    # last completion of the one before: the second pass's run carried
+    # across chunks
     amounts = data.draw(st.lists(st.one_of(_amount_kinds["real"], _amount_kinds["quarter"]),
                                  max_size=60))
     cuts = sorted(data.draw(st.lists(st.integers(0, len(amounts)), max_size=5)))
     start = data.draw(st.one_of(_quarters, st.sampled_from((0.0,) + tl.breakpoints)))
-    clock, load, pieces = start, capacity_at(tl, start), []
+    targets = np.add.accumulate([capacity_at(tl, start), *amounts])[1:]
+    clock, pieces = start, []
     for lo, hi in zip([0, *cuts], [*cuts, len(amounts)]):
-        done, load = continue_chain(tl, clock, load, amounts[lo:hi])
+        done = completions_at(tl, clock, targets[lo:hi])
         pieces.append(done)
         clock = float(done[-1]) if done.size else clock
     whole = completion_chain(tl, start, amounts)
     assert np.concatenate(pieces).tobytes() == whole.tobytes()
-    assert load == functools.reduce(operator.add, amounts, capacity_at(tl, start))
 
 
 def test_chain_tables_are_read_only_float64_arrays():

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,10 @@ from streamspan import make_ledger, run_stream, second_pass
 from streamspan.schedule import SecondPass
 
 from _support import hand_artifacts, make_instance, quiet_params
+
+# subprocesses import the package from where this process found it
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [os.path.dirname(os.path.dirname(cli_mod.__file__)), os.environ.get("PYTHONPATH", "")]))
 
 
 GOOD_CONFIG = """\
@@ -483,11 +488,11 @@ class TestRunCommand:
         _run_main(capsys, argv + [str(tmp_path / "s.csv")])
         command = [sys.executable, "-m", "streamspan.cli", *argv, "/dev/stdout"]
         if stdout == "a pipe":
-            res = subprocess.run(command, capture_output=True)
+            res = subprocess.run(command, capture_output=True, env=_ENV)
             written = res.stdout
         else:
             with open(tmp_path / "out.txt", "wb") as fh:
-                res = subprocess.run(command, stdout=fh, stderr=subprocess.PIPE)
+                res = subprocess.run(command, stdout=fh, stderr=subprocess.PIPE, env=_ENV)
             written = (tmp_path / "out.txt").read_bytes()
         assert res.returncode == 0, res.stderr
         schedule = (tmp_path / "s.csv").read_bytes()
@@ -665,6 +670,39 @@ class TestExitCodes:
         assert out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.txt", "park.cfg"]
 
+    @pytest.mark.parametrize("mode", ["two-pass", "offline"])
+    @pytest.mark.parametrize("which", ["job stream", "config"])
+    def test_a_schedule_out_that_is_an_input_is_2_and_leaves_it(
+        self, capsys, instance, tmp_path, mode, which
+    ):
+        cfg, jobs = instance
+        target = jobs if which == "job stream" else cfg
+        link = tmp_path / "link.csv"  # the same file under another name
+        link.symlink_to(target)
+        kept = Path(target).read_bytes()
+        code, out, err = _run_main(
+            capsys,
+            ["run", "--config", cfg, "--jobs", jobs, "--mode", mode, "--schedule-out", str(link)],
+        )
+        assert code == 2
+        assert f"cannot write the schedule to {link}: it is the {which}" in err
+        assert out == ""
+        assert Path(target).read_bytes() == kept
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.txt", "link.csv", "park.cfg"]
+
+    def test_a_schedule_out_that_is_standard_input_is_2(self, instance):
+        cfg, jobs = instance
+        kept = Path(jobs).read_bytes()
+        with open(jobs, "rb") as stdin:
+            res = subprocess.run(
+                [sys.executable, "-m", "streamspan.cli", "run", "--config", cfg,
+                 "--mode", "offline", "--schedule-out", jobs],
+                stdin=stdin, capture_output=True, env=_ENV,
+            )
+        assert res.returncode == 2, res.stderr
+        assert b"it is the job stream" in res.stderr
+        assert Path(jobs).read_bytes() == kept
+
     @pytest.mark.parametrize("mode", ["one-pass", "two-pass", "offline"])
     def test_a_byte_that_is_not_utf8_is_3_with_its_position(self, capsys, instance, tmp_path,
                                                             mode):
@@ -683,7 +721,7 @@ class TestExitCodes:
         cfg, _ = instance
         res = subprocess.run(
             [sys.executable, "-m", "streamspan.cli", "run", "--config", cfg],
-            input=b"3 4\n\xfe 6\n", capture_output=True,
+            input=b"3 4\n\xfe 6\n", capture_output=True, env=_ENV,
         )
         assert res.returncode == 3, res.stderr
         assert b"byte 0xfe, which is not UTF-8, at position 2" in res.stderr
@@ -998,6 +1036,19 @@ class TestGenerateCommand:
         assert park.m == 2
         assert len(jobs.read_text().split()) == 5
 
+    @pytest.mark.parametrize("flag", ["--config-out", "--jobs-out"])
+    def test_unwritable_output_is_2(self, capsys, tmp_path, flag):
+        paths = {"--config-out": str(tmp_path / "c"), "--jobs-out": str(tmp_path / "j")}
+        paths[flag] = str(tmp_path / "nodir" / "x")
+        code, out, err = _run_main(
+            capsys,
+            ["generate", "--seed", "7", "--m", "2", "--m1", "1", "--e0", "0.5", "--n", "5",
+             "--config-out", paths["--config-out"], "--jobs-out", paths["--jobs-out"]],
+        )
+        assert code == 2
+        assert err == f"streamspan: error: cannot write {paths[flag]}: No such file or directory\n"
+        assert out == ""
+
     def test_bad_intervals_flag_is_2(self, capsys, tmp_path):
         code, _, err = _run_main(
             capsys,
@@ -1039,5 +1090,5 @@ class TestGenerateCommand:
 
 def test_importing_the_package_leaves_the_cli_out():
     code = "import sys, streamspan; sys.exit('streamspan.cli' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_ENV)
     assert res.returncode == 0, res.stderr

@@ -19,7 +19,7 @@ from streamspan import (
 )
 from streamspan.capacity import completion_time
 from streamspan.grouping import KnownPmaxLedger
-from streamspan.schedule import crossing_counts, fingerprint_update
+from streamspan.schedule import _GreedyFill, crossing_counts, fingerprint_update
 from streamspan.search import crossing_allowance
 
 from _support import (
@@ -72,6 +72,26 @@ class TestPlaceSmallJobs:
         counts = crossing_counts(park, sched, jobs, report.selected_t)
         assert counts[1] == 0  # machines above the floor end clean
         assert counts[0] <= crossing_allowance(park)
+
+    def test_one_chunk_placed_by_hand(self):
+        # identity machines, so each capacity at t=5 is 5; machines 1 and 2
+        # are floor machines, and machine 1 starts with a large load of 1
+        park = identity_park(3, m1=2, e0=1.0)
+        fill = _GreedyFill(park, 5.0, [1.0, 0.0, 0.0])
+        sizes = np.array([1.0, 2.0, 2.0, 5.0, 1.0, 3.0, 2.0, 1.0])
+        taken, targets = fill.place(sizes)
+        # machine 1 takes jobs 0-1 and keeps job 2, which crosses, as its
+        # late job; job 3 fills machine 2 exactly; machine 3 takes jobs 4-5
+        # and reroutes job 6, which crosses, to machine 2, the floor
+        # machine with fewer late jobs; job 7 finds every machine full and
+        # goes to machine 1, the lower index of a tie
+        assert taken == [[range(0, 3), range(7, 8)], [range(3, 4), range(6, 7)], [range(4, 6)]]
+        assert targets.tolist() == [2.0, 4.0, 6.0, 5.0, 1.0, 4.0, 7.0, 7.0]
+        for load, parts in zip([1.0, 0.0, 0.0], taken):
+            pos = [q for part in parts for q in part]
+            assert targets[pos].tolist() == np.add.accumulate([load, *sizes[pos]])[1:].tolist()
+        assert fill.loads == [7.0, 7.0, 4.0]
+        assert fill.late == [2, 1, 0] and fill.open == 3
 
     def test_empty_instance(self):
         park = identity_park(2, m1=1, e0=1.0)
@@ -421,7 +441,8 @@ class TestValidator:
         def refuse(*args):
             raise AssertionError("validate_schedule ran the completion chain")
 
-        monkeypatch.setattr("streamspan.schedule.continue_chain", refuse)
+        for name in ("completion_chain", "completions_at"):
+            monkeypatch.setattr(f"streamspan.schedule.{name}", refuse)
         validate_schedule(park, sched, jobs)
         last = sched.runs[0][-1]
         broken = self._edited(sched, completion=lambda c: np.where(np.arange(c.size) == last,
