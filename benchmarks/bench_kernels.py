@@ -62,7 +62,6 @@ def _fresh_state(n_bounded, retain_limit):
     cap = max(retain_limit - 1, 1)
     return (
         np.zeros(n_bounded + 1, np.int64),
-        np.zeros(n_bounded + 1, np.float64),
         np.zeros(n_bounded, np.int64),
         np.zeros((n_bounded, cap), np.int64),
         np.zeros((n_bounded, cap), np.float64),

@@ -2,11 +2,9 @@
 
 Two entry points: bulk band-statistics ingest and the exact assignment
 search.  Ingest is one vectorized numpy kernel that accounts a block's
-band counts, band loads and retained jobs.  One in-order ufunc.at folds
-every band load in arrival order, so the state is bit for bit what the
-per-job loop kept as the reference in tests/_support.py leaves; per-band
-work runs only for bands that still retain.  The search is a plain-Python
-branch and bound.
+band counts and retained jobs, bit for bit what the per-job loop kept as
+the reference in tests/_support.py leaves; per-band work runs only for
+bands that still retain.  The search is a plain-Python branch and bound.
 """
 
 from __future__ import annotations
@@ -26,13 +24,12 @@ __all__ = [
 # --- bulk band ingest ------------------------------------------------------
 #
 # Band state owned by grouping._BandedLedger:
-#   counts[0] / loads[0]        open low band (every p <= 2^offset)
-#   counts[k+1] / loads[k+1]    bounded band k, i.e. p in (2^(offset+k), 2^(offset+k+1)]
+#   counts[0]       open low band (every p <= 2^offset)
+#   counts[k+1]     bounded band k, i.e. p in (2^(offset+k), 2^(offset+k+1)]
 #   ret_len[k], ret_ids[k,:], ret_ps[k,:]   retained jobs of bounded band k
 #
-# Every band's load is the left fold of its arrivals, in order, folded by a
-# single np.add.at.  A bounded band appends arrivals while its count stays
-# below retain_limit; the arrival that reaches the limit empties the band's
+# A bounded band appends arrivals while its count stays below
+# retain_limit; the arrival that reaches the limit empties the band's
 # retained list for good, and from then on the band costs no per-band work.
 # The caller guarantees 0 < p, that tops holds each p's exact
 # ceil(log2 p), and that every p fits the window (band index <=
@@ -40,17 +37,14 @@ __all__ = [
 # caller's.
 
 
-def ingest_block(ps, tops, start_id, offset, retain_limit, counts, loads, ret_len, ret_ids,
-                 ret_ps, retained_total):
+def ingest_block(ps, tops, start_id, offset, retain_limit, counts, ret_len, ret_ids, ret_ps,
+                 retained_total):
     """Account the jobs ps, with ids from start_id on, into the band state
     in place.  Returns the retained total after the block and the largest
     it reached, counting the retained_total it started from."""
     b = tops - offset
     np.maximum(b, 0, out=b)  # slot: 0 for the low band, else k + 1
     added = np.bincount(b, minlength=counts.shape[0])
-    # ufunc.at adds unbuffered in index order: each band's load is the left
-    # fold of its arrivals seeded with its prior load
-    np.add.at(loads, b, ps)
     # bounded bands that take arrivals while still retaining
     live = np.flatnonzero((added[1:] > 0) & (counts[1:] < retain_limit)) + 1
     if live.size == 0:

@@ -16,6 +16,7 @@ class has its own exit code so pipelines can branch on failures:
     4  declared maximum or estimate contract violated
     5  search budget exceeded
     6  second pass saw a different stream than the first
+    7  an output was closed by its reader
 """
 
 from __future__ import annotations
@@ -455,9 +456,9 @@ def write_schedule_csv(out: BinaryIO, stage: SecondPass) -> None:
     trailing makespan row, with CRLF line ends.
 
     Each completion is formatted once.  A row's start field is the
-    completion field of the job run just before it on its machine when
-    that job is in the same block, and is formatted from the block's start
-    column otherwise.
+    completion field of the row above it in the block when the two floats
+    have the same bits, as they do for most small jobs, and is formatted
+    from the block's start column otherwise.
     """
     m = stage.park.m
     # ",i," for machine i, padded at the end with NUL bytes, that is _FILL
@@ -467,10 +468,10 @@ def write_schedule_csv(out: BinaryIO, stage: SecondPass) -> None:
         n = block.machine.size
         if not n:
             continue
-        source = block.before.copy()
-        outside = np.flatnonzero(source < 0)
-        source[outside] = n + np.arange(outside.size)
-        times = _float_fields(np.concatenate((block.completion, block.start[outside])))
+        # rows whose start is not the row above's completion, bit for bit
+        start, done = block.start.view(np.int64), block.completion.view(np.int64)
+        fresh = np.flatnonzero(np.concatenate(([True], start[1:] != done[:-1])))
+        times = _float_fields(np.concatenate((block.completion, block.start[fresh])))
         # row layout: job_id, ",machine,", start, ",", completion, CRLF
         a = len(str(block.first + n - 1))
         b = a + machines.dtype.itemsize
@@ -479,10 +480,8 @@ def write_schedule_csv(out: BinaryIO, stage: SecondPass) -> None:
         rows = np.empty((n, d + 2), np.uint8)
         _job_ids(rows, block.first, a)
         rows[:, a:b].view(f"V{b - a}")[:, 0] = np.take(machines, block.machine).view(f"V{b - a}")
-        # most rows follow the row just before them on their machine
         _put(rows[1:], b, times[: n - 1])
-        moved = np.flatnonzero(source != np.arange(-1, n - 1))
-        rows[moved, b:c] = times[source[moved]]
+        rows[fresh, b:c] = times[n:]
         rows[:, c] = ord(",")
         _put(rows, c + 1, times[:n])
         rows[:, d] = ord("\r")
@@ -506,10 +505,11 @@ def _standard_stream_on(st: os.stat_result) -> int | None:
 
 
 @contextlib.contextmanager
-def _replaced_on_success(path: str, inputs: dict[str, str]) -> Iterator[BinaryIO]:
+def _replaced_on_success(path: str, label: str, inputs: dict[str, str]) -> Iterator[BinaryIO]:
     """A new binary file in path's directory that replaces path when the
     block exits normally and is deleted when it raises, so a failed run
-    leaves no partial file and an existing file at path untouched.
+    leaves no partial file and an existing file at path untouched.  Errors
+    say "cannot write {label}".
 
     The file is made on entry: a path that cannot be written, or a regular
     file that is one of the inputs ({what: path}, '-' for standard input),
@@ -526,12 +526,12 @@ def _replaced_on_success(path: str, inputs: dict[str, str]) -> Iterator[BinaryIO
     except OSError:
         st = None  # made below, or refused there
     if st is not None and S_ISDIR(st.st_mode):
-        raise ConfigError(f"cannot write the schedule to {path}: it is a directory")
+        raise ConfigError(f"cannot write {label}: it is a directory")
     if st is not None and S_ISREG(st.st_mode):
         for what, source in inputs.items():
             with contextlib.suppress(OSError):  # an input that cannot be read is refused later
                 if os.path.samestat(st, os.fstat(0) if source == "-" else os.stat(source)):
-                    raise ConfigError(f"cannot write the schedule to {path}: it is the {what}")
+                    raise ConfigError(f"cannot write {label}: it is the {what}")
     shared = _standard_stream_on(st) if st is not None else None
     if shared is not None:
         with os.fdopen(os.dup(shared), "wb") as fh:
@@ -541,18 +541,18 @@ def _replaced_on_success(path: str, inputs: dict[str, str]) -> Iterator[BinaryIO
         try:
             fh = open(path, "wb")
         except OSError as exc:
-            raise ConfigError(f"cannot write the schedule to {path}: {exc.strerror}") from None
+            raise ConfigError(f"cannot write {label}: {exc.strerror}") from None
         with fh:
             yield fh
         return
-    import tempfile  # only schedule-writing runs need it
+    import tempfile  # only runs that write a file need it
 
     target = os.path.realpath(path)
     folder, name = os.path.split(target)
     try:
         fd, part = tempfile.mkstemp(prefix=f".{name}.", suffix=".part", dir=folder)
     except OSError as exc:
-        raise ConfigError(f"cannot write the schedule to {path}: {exc.strerror}") from None
+        raise ConfigError(f"cannot write {label}: {exc.strerror}") from None
     if st is not None:
         mode = S_IMODE(st.st_mode)
     else:
@@ -668,7 +668,8 @@ def _cmd_run(args) -> int:
         return 0
 
     inputs = {"config": args.config, "job stream": args.jobs}
-    with (_replaced_on_success(args.schedule_out, inputs) if needs_schedule
+    label = f"the schedule to {args.schedule_out}"
+    with (_replaced_on_success(args.schedule_out, label, inputs) if needs_schedule
           else contextlib.nullcontext()) as out:
         report = _run_passes(args, park, params, out)
     for line in report.as_lines(stats=args.stats):
@@ -735,12 +736,19 @@ def _cmd_generate(args) -> int:
         ratio_choices=ratio_choices,
         jobs_max=args.jobs_max,
     )
-    for path, text in ((args.config_out, config_text), (args.jobs_out, jobs_text)):
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    # neither file is made or replaced unless both are written
+    path = args.config_out
+    try:
+        with (_replaced_on_success(args.config_out, args.config_out, {}) as config_fh,
+              _replaced_on_success(args.jobs_out, args.jobs_out, {}) as jobs_fh):
+            for path, fh, text in ((args.config_out, config_fh, config_text),
+                                   (args.jobs_out, jobs_fh, jobs_text)):
+                fh.write(text.encode())
+                fh.flush()  # so a failed write names this path
+    except BrokenPipeError:
+        raise
+    except OSError as exc:  # a device that is full, say
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
     print(f"config: {args.config_out}")
     print(f"jobs: {args.jobs_out}")
     return 0
@@ -800,7 +808,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when the process started without one
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # as the standard SIGPIPE recipe does: standard output goes nowhere,
+        # so the interpreter's final flush of it stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 7
     except StreamspanError as exc:
         print(f"streamspan: error: {exc}", file=sys.stderr)
         for cls in type(exc).__mro__:

@@ -3,12 +3,13 @@
 Jobs are bucketed by size into one-doubling bands anchored at the largest
 processing time: band k holds p in (2^(offset+k), 2^(offset+k+1)] for
 k = 0..top_band, and the open low band collects everything at or below
-2^offset.  Each bounded band keeps (count, load, retained jobs); a band
-stops retaining the moment its count reaches retain_limit, because a band
-that full makes every job at or below its upper edge "small" for the
-search.  One array ledger serves the three ways the anchor can be known:
-given exactly (the window is fixed), given as an overestimate (the window
-is widened and re-anchored at the end), or not given at all (the window
+2^offset.  Each bounded band keeps its count and its retained jobs; a
+band stops retaining the moment its count reaches retain_limit, because
+a band that full makes every job at or below its upper edge "small" for
+the search.  The small jobs' mass is in the stream's total load.  One
+array ledger serves the three ways the anchor can be known: given
+exactly (the window is fixed), given as an overestimate (the window is
+widened and re-anchored at the end), or not given at all (the window
 rebases mid-stream whenever a larger job arrives).
 """
 
@@ -27,7 +28,6 @@ __all__ = [
     "SchedulingParams",
     "derive_params",
     "ceil_log2",
-    "group_index",
     "LargeJobSet",
     "KnownPmaxLedger",
     "EstimatePmaxLedger",
@@ -41,12 +41,6 @@ def ceil_log2(p: float) -> int:
         raise JobValueError(f"need a finite positive value, got {p}")
     frac, ex = math.frexp(p)
     return ex - 1 if frac == 0.5 else ex
-
-
-def group_index(p: float, band_offset: int) -> int:
-    """Band index of a job: -1 for the open low band, else 0..top_band."""
-    k = ceil_log2(p) - band_offset - 1
-    return k if k >= 0 else -1
 
 
 @dataclass(frozen=True)
@@ -165,18 +159,18 @@ _EMPTY_LARGE_SET = LargeJobSet(
 
 
 def _extract_large_set(params, state, total_load) -> LargeJobSet:
-    offset, low_count, low_load, entries = state
+    offset, low_count, entries = state
     if offset is None:
         return _EMPTY_LARGE_SET
     saturated = -1
-    for top, count, load, retained in entries:
+    for top, count, retained in entries:
         k = top - offset - 1
         if not (0 <= k <= params.top_band):
             raise ConfigError(f"band {k} outside the window after merging")
         if count >= params.retain_limit and k > saturated:
             saturated = k
     jobs: list[tuple[int, float]] = []
-    for top, count, load, retained in entries:
+    for top, count, retained in entries:
         if top - offset - 1 > saturated:
             jobs.extend(retained)
     return LargeJobSet(
@@ -191,12 +185,12 @@ def _extract_large_set(params, state, total_load) -> LargeJobSet:
 class _BandedLedger:
     """Array-backed band statistics over a window of bounded bands.
 
-    Slot 0 of counts/loads is the open low band; slot k+1 is bounded band
-    k, i.e. p in (2^(offset+k), 2^(offset+k+1)].  With an anchor the
-    window's top edge is 2^anchor for the whole stream; without one it
-    follows the largest job seen: each chunk is split where its running
-    maximum passes the top, and between the pieces the window shifts up,
-    folding the bands that sink below it into the low band.
+    Slot 0 of counts is the open low band; slot k+1 is bounded band k,
+    i.e. p in (2^(offset+k), 2^(offset+k+1)].  With an anchor the window's
+    top edge is 2^anchor for the whole stream; without one it follows the
+    largest job seen: each chunk is split where its running maximum passes
+    the top, and between the pieces the window shifts up, folding the
+    bands that sink below it into the low band.
 
     job_count, total_load (the left fold of the jobs in arrival order),
     max_seen, retained_total and peak_retained are plain fields; the
@@ -220,7 +214,6 @@ class _BandedLedger:
         cap = max(params.retain_limit - 1, 1)
         try:  # numpy refuses shapes past its size limit with ValueError
             self._counts = np.zeros(n + 1, np.int64)
-            self._loads = np.zeros(n + 1, np.float64)
             self._ret_len = np.zeros(n, np.int64)
             self._ret_ids = np.zeros((n, cap), np.int64)
             self._ret_ps = np.zeros((n, cap), np.float64)
@@ -329,30 +322,19 @@ class _BandedLedger:
         """Account one piece of a chunk that fits the current window."""
         self.retained_total, peak = _kernels.ingest_block(
             ps, tops, start, self._offset, self.params.retain_limit,
-            self._counts, self._loads, self._ret_len, self._ret_ids, self._ret_ps,
-            self.retained_total,
+            self._counts, self._ret_len, self._ret_ids, self._ret_ps, self.retained_total,
         )
         self.peak_retained = max(self.peak_retained, peak)
-
-    def _folded_low(self, sunk: int) -> tuple[int, float]:
-        """Low band (count, load) with bounded bands 0..sunk-1 folded in,
-        ascending, one float add per band."""
-        count = int(self._counts[0])
-        load = float(self._loads[0])
-        for b in range(1, sunk + 1):
-            count += int(self._counts[b])
-            load += float(self._loads[b])
-        return count, load
 
     def _rebase(self, offset: int) -> None:
         """Move the window up to a larger offset, folding sunk bands."""
         if self._offset is not None:
             self._peak_records = self.peak_group_records
             sunk = min(offset - self._offset, self._n_bounded)
-            self._counts[0], self._loads[0] = self._folded_low(sunk)
+            self._counts[0] = self._counts[: sunk + 1].sum()
             self.retained_total -= int(self._ret_len[:sunk].sum())
             keep = self._n_bounded - sunk
-            for a in (self._counts[1:], self._loads[1:], self._ret_len, self._ret_ids, self._ret_ps):
+            for a in (self._counts[1:], self._ret_len, self._ret_ids, self._ret_ps):
                 a[:keep] = a[sunk:]
                 a[keep:] = 0
         self._offset = offset
@@ -364,23 +346,18 @@ class _BandedLedger:
         return 0
 
     def snapshot(self):
-        """Canonical (offset, low_count, low_load, entries) of the final
-        window: what finalize reads and equality tests compare."""
+        """Canonical (offset, low_count, entries) of the final window, each
+        entry (top, count, retained) of a band holding a job: what finalize
+        reads and equality tests compare."""
         if self.job_count == 0:
-            return (None, 0, 0.0, ())
+            return (None, 0, ())
         sunk = self._reanchor_shift()
-        low_count, low_load = self._folded_low(sunk)
         entries = tuple(
-            (
-                self._offset + k + 1,
-                int(self._counts[k + 1]),
-                float(self._loads[k + 1]),
-                tuple(self.retained_in_band(k)),
-            )
+            (self._offset + k + 1, int(self._counts[k + 1]), tuple(self.retained_in_band(k)))
             for k in range(sunk, self._n_bounded)
             if self._counts[k + 1]
         )
-        return (self._offset + sunk, low_count, low_load, entries)
+        return (self._offset + sunk, int(self._counts[: sunk + 1].sum()), entries)
 
     def finalize(self) -> LargeJobSet:
         return _extract_large_set(self.params, self.snapshot(), self.total_load)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .capacity import MachinePark, MachineTimeline
 from .errors import BudgetExceededError
-from .grouping import SchedulingParams, ceil_log2, group_index
+from .grouping import SchedulingParams
 
 __all__ = [
     "naive_capacity_at",
@@ -26,6 +26,7 @@ __all__ = [
     "grid_scan_t",
     "OracleResult",
     "exact_optimum",
+    "group_index",
     "replay_grouping",
 ]
 
@@ -171,6 +172,19 @@ def exact_optimum(
     return OracleResult(best_span, tuple(d + 1 for d in digits), best_ord)
 
 
+def _exponent(p: float) -> int:
+    """The least g with p <= 2^g, for p > 0."""
+    frac, ex = math.frexp(p)
+    return ex - 1 if frac == 0.5 else ex
+
+
+def group_index(p: float, band_offset: int) -> int:
+    """Band index of a job: -1 for the open low band, else k with
+    p in (2^(band_offset+k), 2^(band_offset+k+1)]."""
+    k = _exponent(p) - band_offset - 1
+    return k if k >= 0 else -1
+
+
 def replay_grouping(
     ps: Sequence[float],
     params: SchedulingParams,
@@ -178,15 +192,17 @@ def replay_grouping(
 ):
     """Band statistics recomputed one job at a time in a plain dict.
 
-    Returns the canonical (offset, low_count, low_load, entries) snapshot
-    the ledgers expose, anchored at p_max when given, else at the stream
-    maximum.  Assumes a valid stream (all sizes positive, none above the
-    anchor).
+    Returns (offset, low_count, low_load, entries), each entry (top,
+    count, load, retained): the ledgers' (offset, low_count, entries)
+    snapshot, each entry (top, count, retained), with every band's load,
+    the left fold of its sizes in arrival order, added.  Anchored at p_max
+    when given, else at the stream maximum.  Assumes a valid stream (all
+    sizes positive, none above the anchor).
     """
     vals = [float(p) for p in ps]
     if not vals:
         return (None, 0, 0.0, ())
-    anchor = ceil_log2(p_max) if p_max is not None else ceil_log2(max(vals))
+    anchor = _exponent(p_max if p_max is not None else max(vals))
     offset = anchor - params.top_band - 1
     low_count = 0
     low_load = 0.0

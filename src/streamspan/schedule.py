@@ -202,19 +202,12 @@ class _GreedyFill:
 
 class ScheduleBlock(NamedTuple):
     """The schedule's rows for the jobs of one replayed chunk, first to
-    first + len - 1, as columns indexed by row.
-
-    before[r] is the row of the job run just before job first + r on its
-    machine, whose completion is that job's start, or -1 for a large job
-    and for the first small job of a machine in the block: their starts
-    are read from start[r].
-    """
+    first + len - 1, as columns indexed by row."""
 
     first: int
     machine: np.ndarray  # int64, 1-based
     start: np.ndarray  # float64
     completion: np.ndarray  # float64
-    before: np.ndarray  # int64
 
 
 class SecondPass:
@@ -288,11 +281,9 @@ class SecondPass:
             machine = np.empty(arr.size, np.int64)
             start = np.empty(arr.size, np.float64)
             completion = np.empty(arr.size, np.float64)
-            before = np.empty(arr.size, np.int64)
             machine[here] = large_machine[lo:hi]
             start[here] = large_start[lo:hi]
             completion[here] = large_completion[lo:hi]
-            before[here] = -1
             offsets = np.delete(np.arange(arr.size), here) if here.size else None
             taken, targets = fill.place(arr if offsets is None else arr[offsets])
             for i, parts in enumerate(taken):
@@ -300,18 +291,15 @@ class SecondPass:
                     continue
                 pos = np.concatenate([np.arange(p.start, p.stop) for p in parts])
                 rows = pos if offsets is None else offsets[pos]
-                opener, rest = rows[0], rows[1:]
                 done = completions_at(park.machines[i], clocks[i], targets[pos])
                 machine[rows] = i + 1
                 completion[rows] = done
-                start[opener] = clocks[i]
-                start[rest] = done[:-1]
-                before[opener] = -1
-                before[rest] = rows[:-1]
+                start[rows[0]] = clocks[i]
+                start[rows[1:]] = done[:-1]
                 clocks[i] = float(done[-1])
             lo = hi
             self.seconds += time.perf_counter() - began
-            yield ScheduleBlock(first, machine, start, completion, before)
+            yield ScheduleBlock(first, machine, start, completion)
             began = time.perf_counter()
         if seen != n:
             raise TwoPassMismatchError(

@@ -139,12 +139,11 @@ def reference_search(job_ps, m, capgrid, x_floor, n_total):
     return best_x, best_ord
 
 
-def reference_ingest(ps, tops, start_id, offset, retain_limit, counts, loads, ret_len, ret_ids,
-                     ret_ps, retained_total):
+def reference_ingest(ps, tops, start_id, offset, retain_limit, counts, ret_len, ret_ids, ret_ps,
+                     retained_total):
     """_kernels.ingest_block one job at a time: the same band state, updated
-    in place by a plain loop that folds every sum in arrival order, and the
-    same (retained total, peak) return.  tops is ignored: each band is
-    recomputed from p."""
+    in place by a plain loop in arrival order, and the same (retained
+    total, peak) return.  tops is ignored: each band is recomputed from p."""
     peak = retained_total
     for i in range(ps.shape[0]):
         p = ps[i]
@@ -153,11 +152,9 @@ def reference_ingest(ps, tops, start_id, offset, retain_limit, counts, loads, re
         k = top - offset - 1
         if k < 0:
             counts[0] += 1
-            loads[0] += p
         else:
             b = k + 1
             counts[b] += 1
-            loads[b] += p
             if counts[b] >= retain_limit:
                 retained_total -= ret_len[k]
                 ret_len[k] = 0

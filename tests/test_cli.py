@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -402,21 +403,34 @@ class TestRunCommand:
         return path.read_bytes(), second_pass(park, artifacts, chunks)
 
     def test_schedule_csv_matches_the_csv_module(self, tmp_path):
-        park, jobs = make_instance(5, 3, 1, 0.5, 200, ratio_choices=(0.3, 0.7, 1.0))
-        jobs = [p * 0.37 for p in jobs]  # real-valued completions
+        park, sizes = make_instance(5, 3, 1, 0.5, 200, ratio_choices=(0.3, 0.7, 1.0))
+        # two large jobs in each of the top two bands, shuffled among the
+        # small ones as in the search-j14 workload
+        mixed = sizes + [150, 170, 60, 80]
+        random.Random(4).shuffle(mixed)
         params = quiet_params(3, 1, 0.5, 0.5, retain_limit_override=3)  # a small search
-        _, artifacts = run_stream(park, params, make_ledger(params, "pmax-given", pmax=max(jobs)),
-                                  [jobs])
-        chunks = [jobs[i : i + 16] for i in range(0, len(jobs), 16)]
-        written, sched = self._written(tmp_path / "s.csv", park, artifacts, chunks)
-        expected = io.StringIO(newline="")
-        w = csv.writer(expected)
-        w.writerow(["job_id", "machine", "start", "completion"])
-        for j in range(len(jobs)):
-            w.writerow([j, int(sched.machine[j]), repr(float(sched.start[j])),
-                        repr(float(sched.completion[j]))])
-        w.writerow(["makespan", repr(sched.makespan)])
-        assert written == expected.getvalue().encode()
+        for jobs in (sizes, mixed):
+            jobs = [p * 0.37 for p in jobs]  # real-valued completions
+            _, artifacts = run_stream(
+                park, params, make_ledger(params, "pmax-given", pmax=max(jobs)), [jobs]
+            )
+            chunks = [jobs[i : i + 16] for i in range(0, len(jobs), 16)]
+            written, sched = self._written(tmp_path / "s.csv", park, artifacts, chunks)
+            expected = io.StringIO(newline="")
+            w = csv.writer(expected)
+            w.writerow(["job_id", "machine", "start", "completion"])
+            for j in range(len(jobs)):
+                w.writerow([j, int(sched.machine[j]), repr(float(sched.start[j])),
+                            repr(float(sched.completion[j]))])
+            w.writerow(["makespan", repr(sched.makespan)])
+            assert written == expected.getvalue().encode()
+        # small jobs that start where a job of their block two or more rows
+        # up completes, one of them just below a large job of its machine
+        large = {j for j, _ in artifacts.outcome.assignment.jobs}
+        assert len(large) == 4
+        after = {int(b): int(a) for run in sched.runs for a, b in zip(run[:-1], run[1:])}
+        far = [j for j, a in after.items() if j not in large and a // 16 == j // 16 and a < j - 1]
+        assert any(sched.machine[j - 1] == sched.machine[j] for j in far)
 
     @pytest.mark.parametrize("m", [3, 11])
     def test_schedule_csv_of_exact_completions_matches_repr(self, tmp_path, m):
@@ -702,6 +716,25 @@ class TestExitCodes:
         assert res.returncode == 2, res.stderr
         assert b"it is the job stream" in res.stderr
         assert Path(jobs).read_bytes() == kept
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_an_output_closed_by_its_reader_is_7(self, tmp_path):
+        # a schedule far larger than a pipe's buffer: the run is still
+        # writing it when the reader closes the pipe after one line
+        config_text, jobs_text = generate_instance(5, 2, 1, 0.5, 20_000)
+        cfg, jobs = tmp_path / "park.cfg", tmp_path / "jobs.txt"
+        cfg.write_text(config_text)
+        jobs.write_text(jobs_text)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "streamspan.cli", "run", "--config", str(cfg), "--jobs",
+             str(jobs), "--mode", "two-pass", "--schedule-out", "/dev/stdout"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_ENV,
+        )
+        assert proc.stdout.readline() == b"job_id,machine,start,completion\r\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 7, err
+        assert b"Traceback" not in err
 
     @pytest.mark.parametrize("mode", ["one-pass", "two-pass", "offline"])
     def test_a_byte_that_is_not_utf8_is_3_with_its_position(self, capsys, instance, tmp_path,
@@ -1048,6 +1081,19 @@ class TestGenerateCommand:
         assert code == 2
         assert err == f"streamspan: error: cannot write {paths[flag]}: No such file or directory\n"
         assert out == ""
+        assert list(tmp_path.iterdir()) == []  # neither file, nor a temporary one
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_an_output_that_fills_up_is_2_and_leaves_neither_file(self, capsys, tmp_path):
+        code, out, err = _run_main(
+            capsys,
+            ["generate", "--seed", "7", "--m", "2", "--m1", "1", "--e0", "0.5", "--n", "5",
+             "--config-out", str(tmp_path / "c"), "--jobs-out", "/dev/full"],
+        )
+        assert code == 2
+        assert err == "streamspan: error: cannot write /dev/full: No space left on device\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_intervals_flag_is_2(self, capsys, tmp_path):
         code, _, err = _run_main(

@@ -12,9 +12,8 @@ from streamspan.grouping import (
     KnownPmaxLedger,
     UnknownPmaxLedger,
     ceil_log2,
-    group_index,
 )
-from streamspan.oracle import replay_grouping
+from streamspan.oracle import group_index, replay_grouping
 
 from _support import quiet_params
 
@@ -149,18 +148,18 @@ class TestKnownPmaxLedger:
         led.ingest(1.0)
         led.ingest(100.0)
         # window anchored at ceil_log2(100)=7: bands cover (16,32],(32,64],(64,128]
-        assert led.snapshot() == (4, 1, 1.0, ((7, 1, 100.0, ((1, 100.0),)),))
+        assert led.snapshot() == (4, 1, ((7, 1, ((1, 100.0),)),))
         assert led.total_load == 101.0
         assert led.max_seen == 100.0
 
     def test_order_swap_changes_only_ids(self, params_small):
         led = KnownPmaxLedger(params_small, 100.0)
         led.ingest_many(np.array([100.0, 1.0]))
-        assert led.snapshot() == (4, 1, 1.0, ((7, 1, 100.0, ((0, 100.0),)),))
+        assert led.snapshot() == (4, 1, ((7, 1, ((0, 100.0),)),))
 
     def test_empty(self, params_small):
         led = KnownPmaxLedger(params_small, 8.0)
-        assert led.snapshot() == (None, 0, 0.0, ())
+        assert led.snapshot() == (None, 0, ())
         large = led.finalize()
         assert large.job_count == 0
         assert large.total_load == 0.0
@@ -214,7 +213,7 @@ class TestKnownPmaxLedger:
         led.ingest(8.0)  # and the band never retains again
         assert led.retained_in_band(2) == []
         state = led.snapshot()
-        assert state[3] == ((3, 5, 40.0, ()),)
+        assert state[2] == ((3, 5, ()),)
 
     def test_finalize_saturation_and_small_bound(self, params_tight):
         led = KnownPmaxLedger(params_tight, 8.0)
@@ -294,7 +293,7 @@ class TestUnknownPmaxLedger:
         led = UnknownPmaxLedger(params_small)
         led.ingest(1.0)
         assert led.band_offset == -3
-        assert led.snapshot() == (-3, 0, 0.0, ((0, 1, 1.0, ((0, 1.0),)),))
+        assert led.snapshot() == (-3, 0, ((0, 1, ((0, 1.0),)),))
 
     def test_growth_rebases_and_folds(self, params_small):
         led = UnknownPmaxLedger(params_small)
@@ -361,7 +360,9 @@ def test_all_ledgers_agree_with_replay(jobs, retain_limit, chunk):
         for lo in range(0, arr.size, step):
             ledger.ingest_many(arr[lo:lo + step])
 
-    expected = replay_grouping(jobs, params, p_max=pmax)
+    # the replay's band loads have no counterpart in the ledgers
+    offset, low_count, _, entries = replay_grouping(jobs, params, p_max=pmax)
+    expected = (offset, low_count, tuple((top, c, kept) for top, c, _, kept in entries))
     assert known.snapshot() == expected
     assert unknown.snapshot() == expected
     assert estimate.snapshot() == expected
@@ -373,10 +374,9 @@ def test_all_ledgers_agree_with_replay(jobs, retain_limit, chunk):
 
 def _rebasing_replay(jobs, params):
     """Per-job dict replay of the unknown-maximum ledger: the reference for
-    the order in which a rebase folds sunk bands into the low band, and for
-    the peaks, on streams whose sums are not exact."""
-    offset, low_count, low_load = None, 0, 0.0
-    bands: dict[int, list] = {}  # band top exponent -> [count, load, retained]
+    how a rebase folds sunk bands into the low band, and for the peaks."""
+    offset, low_count = None, 0
+    bands: dict[int, list] = {}  # band top exponent -> [count, retained]
     retained = peak_retained = 0
     peak_records = 1
     for job_id, p in enumerate(jobs):
@@ -384,27 +384,24 @@ def _rebasing_replay(jobs, params):
         if offset is None or top - offset - 1 > params.top_band:
             offset = top - params.top_band - 1
             for key in sorted(k for k in bands if k <= offset):
-                count, load, kept = bands.pop(key)
+                count, kept = bands.pop(key)
                 low_count += count
-                low_load += load
                 retained -= len(kept)
         if top <= offset:
             low_count += 1
-            low_load += p
             continue
-        rec = bands.setdefault(top, [0, 0.0, []])
+        rec = bands.setdefault(top, [0, []])
         peak_records = max(peak_records, 1 + len(bands))
         rec[0] += 1
-        rec[1] += p
         if rec[0] >= params.retain_limit:
-            retained -= len(rec[2])
-            rec[2] = []
+            retained -= len(rec[1])
+            rec[1] = []
         else:
-            rec[2].append((job_id, p))
+            rec[1].append((job_id, p))
             retained += 1
             peak_retained = max(peak_retained, retained)
-    entries = tuple((top, c, load, tuple(kept)) for top, (c, load, kept) in sorted(bands.items()))
-    return (offset, low_count, low_load, entries), peak_retained, peak_records
+    entries = tuple((top, c, tuple(kept)) for top, (c, kept) in sorted(bands.items()))
+    return (offset, low_count, entries), peak_retained, peak_records
 
 
 @settings(max_examples=100, deadline=None)
@@ -413,8 +410,8 @@ def _rebasing_replay(jobs, params):
     retain_limit=st.integers(1, 5),
     chunk=st.sampled_from([1, 7, None]),
 )
-# three bands and the low band fill, then one job sinks them all: the fold
-# order shows in low_load and the record peak lies before the rebase
+# three bands and the low band fill, then one job sinks them all: the
+# record peak lies before the rebase
 @example(jobs=[0.7, 0.1, 0.2, 0.35, 100.0], retain_limit=5, chunk=None)
 def test_unknown_ledger_matches_a_per_job_rebasing_replay(jobs, retain_limit, chunk):
     params = quiet_params(2, 1, 1.0, 1.0, retain_limit_override=retain_limit)

@@ -19,7 +19,6 @@ def _fresh_state(n_bounded, retain_limit):
     cap = max(retain_limit - 1, 1)
     return dict(
         counts=np.zeros(n_bounded + 1, np.int64),
-        loads=np.zeros(n_bounded + 1, np.float64),
         ret_len=np.zeros(n_bounded, np.int64),
         ret_ids=np.zeros((n_bounded, cap), np.int64),
         ret_ps=np.zeros((n_bounded, cap), np.float64),
@@ -36,8 +35,8 @@ def _run_ingest(fn, chunks, offset, retain_limit, n_bounded):
         mant, ex = np.frexp(arr)
         tops = ex.astype(np.int64) - (mant == 0.5)
         retained, peak = fn(arr, tops, start, offset, retain_limit, state["counts"],
-                            state["loads"], state["ret_len"], state["ret_ids"],
-                            state["ret_ps"], state["retained_total"])
+                            state["ret_len"], state["ret_ids"], state["ret_ps"],
+                            state["retained_total"])
         state["retained_total"] = retained
         state["peak"] = max(state["peak"], peak)
         start += arr.size
@@ -102,22 +101,7 @@ def test_peak_retained_tracks_within_chunk_maximum():
     assert got["peak"] == 4  # but four jobs were retained at once
 
 
-@pytest.mark.parametrize("retain_limit", [1, 2, 16])
-def test_band_loads_fold_in_arrival_order(retain_limit):
-    # the first chunk seeds both bands' loads; the second interleaves their
-    # arrivals with sizes whose sum depends on association order, so a fold
-    # that adds a band's arrivals before its prior load lands an ulp off
-    offset, n_bounded = 0, 2
-    first = [1.1, 2.1]
-    second = [1.1, 2.2, 1.2, 2.3, 1.3, 2.4]
-    assert ((1.1 + 1.1) + 1.2) + 1.3 != 1.1 + ((1.1 + 1.2) + 1.3)
-    want = _run_ingest(reference_ingest, [first, second], offset, retain_limit, n_bounded)
-    got = _run_ingest(_kernels.ingest_block, [first, second], offset, retain_limit, n_bounded)
-    _assert_states_equal(want, got)
-    assert want["loads"][1] == ((1.1 + 1.1) + 1.2) + 1.3
-
-
-def test_block_into_saturated_bands_touches_only_counts_and_loads():
+def test_block_into_saturated_bands_touches_only_counts():
     # bands 0 and 1 saturate at their third arrival; band 2 keeps one job
     offset, n_bounded, retain_limit = 0, 3, 3
     state = _run_ingest(reference_ingest, [[1.5, 3.0, 1.5, 3.0, 1.5, 3.0, 5.0]], offset,
@@ -126,16 +110,14 @@ def test_block_into_saturated_bands_touches_only_counts_and_loads():
     block = np.array([1.25, 0.5, 3.5, 1.75, 0.25, 2.5])  # bands 0, 1 and the low band
     mant, ex = np.frexp(block)
     tops = ex.astype(np.int64) - (mant == 0.5)
-    want_counts, want_loads = state["counts"].copy(), state["loads"].copy()
-    reference_ingest(block, tops, 7, offset, retain_limit, want_counts, want_loads,
+    want_counts = state["counts"].copy()
+    reference_ingest(block, tops, 7, offset, retain_limit, want_counts,
                      state["ret_len"].copy(), state["ret_ids"].copy(), state["ret_ps"].copy(), 1)
     ret_before = [state[k].tobytes() for k in ("ret_len", "ret_ids", "ret_ps")]
     got = _kernels.ingest_block(block, tops, 7, offset, retain_limit, state["counts"],
-                                state["loads"], state["ret_len"], state["ret_ids"],
-                                state["ret_ps"], 1)
+                                state["ret_len"], state["ret_ids"], state["ret_ps"], 1)
     assert got == (1, 1)
     assert np.array_equal(state["counts"], want_counts)
-    assert np.array_equal(state["loads"], want_loads)
     assert [state[k].tobytes() for k in ("ret_len", "ret_ids", "ret_ps")] == ret_before
 
 
