@@ -38,11 +38,10 @@ import time
 
 import numpy as np
 
-from streamspan import _kernels, run_stream
+from streamspan import _kernels, make_ledger, run_stream
 from streamspan.capacity import MachinePark, MachineTimeline, completion_chain
 from streamspan.cli import _float_chunks, generate_instance, parse_machine_config_text, write_schedule_csv
 from streamspan.grouping import LargeJobSet, derive_params
-from streamspan.pipeline import make_ledger
 from streamspan.schedule import SecondPass
 from streamspan.search import enumerate_and_select
 
@@ -132,7 +131,7 @@ def bench_schedule(park, stream, chunk, repeats):
     params = derive_params(m=3, floor_machines=1, ratio_floor=0.5, epsilon=0.5)
     chunks = [stream[lo : lo + chunk] for lo in range(0, stream.size, chunk)]
     ledger = make_ledger(params, "pmax-given", pmax=float(stream.max()))
-    _, artifacts = run_stream(park, params, ledger, chunks)
+    _, artifacts = run_stream(park, ledger, chunks)
     best_pass = best_write = best_stage = math.inf
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "schedule.csv")

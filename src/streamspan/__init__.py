@@ -19,9 +19,9 @@ from .errors import (
     StreamspanError,
     TwoPassMismatchError,
 )
-from .grouping import SchedulingParams, derive_params
+from .grouping import REGIMES, SchedulingParams, derive_params, make_ledger
 from .oracle import exact_optimum
-from .pipeline import REGIMES, RunReport, make_ledger, run_stream
+from .pipeline import RunReport, run_stream
 from .schedule import Schedule, second_pass, validate_schedule
 
 __version__ = "0.1.0"

@@ -45,9 +45,9 @@ from .errors import (
     StreamspanError,
     TwoPassMismatchError,
 )
-from .grouping import derive_params
+from .grouping import REGIMES, derive_params, make_ledger
 from .oracle import exact_optimum
-from .pipeline import REGIMES, make_ledger, run_stream
+from .pipeline import run_stream
 from .schedule import SecondPass
 from .search import DEFAULT_BUDGET
 
@@ -279,19 +279,20 @@ def _job_chunks(path: str) -> Iterator[np.ndarray]:
     """_float_chunks of the file at path, or of stdin for '-'.
 
     Bytes that are not UTF-8 are decoded as lone surrogates, so the token
-    that holds one is refused at its position.
+    that holds one is refused at its position.  A file that cannot be
+    opened or read is a ConfigError, so an OSError past this point comes
+    from an output.
     """
-    if path == "-":
-        if hasattr(sys.stdin, "reconfigure"):
-            sys.stdin.reconfigure(errors="surrogateescape")
-        yield from _float_chunks(sys.stdin)
-        return
     try:
-        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
+        if path == "-":
+            if hasattr(sys.stdin, "reconfigure"):
+                sys.stdin.reconfigure(errors="surrogateescape")
+            yield from _float_chunks(sys.stdin)
+        else:
+            with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+                yield from _float_chunks(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read job stream {path}: {exc.strerror}") from None
-    with fh:
-        yield from _float_chunks(fh)
 
 
 # --- schedule output ----------------------------------------------------------
@@ -651,6 +652,10 @@ def _cmd_run(args) -> int:
         raise ConfigError("two-pass reads the stream twice; pass a file, not stdin")
     if args.budget < 1:
         raise ConfigError(f"--budget must be >= 1, got {args.budget}")
+    if args.mode in ("offline", "oracle"):
+        for flag in ("--regime", "--pmax", "--pmax-estimate", "--alpha"):
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                raise ConfigError(f"{flag} only applies to one-pass and two-pass modes")
 
     if args.mode == "oracle":
         buffer = list(_job_chunks(args.jobs))
@@ -667,11 +672,18 @@ def _cmd_run(args) -> int:
             print(f"witness_ordinal: {result.ordinal}")
         return 0
 
-    inputs = {"config": args.config, "job stream": args.jobs}
-    label = f"the schedule to {args.schedule_out}"
-    with (_replaced_on_success(args.schedule_out, label, inputs) if needs_schedule
-          else contextlib.nullcontext()) as out:
-        report = _run_passes(args, park, params, out)
+    if not needs_schedule:
+        report = _run_passes(args, park, params, None)
+    else:
+        inputs = {"config": args.config, "job stream": args.jobs}
+        label = f"the schedule to {args.schedule_out}"
+        try:
+            with _replaced_on_success(args.schedule_out, label, inputs) as out:
+                report = _run_passes(args, park, params, out)
+        except BrokenPipeError:
+            raise
+        except OSError as exc:  # writing, flushing or closing it; reads raise ConfigError
+            raise ConfigError(f"cannot write {label}: {exc.strerror}") from None
     for line in report.as_lines(stats=args.stats):
         print(line)
     return 0
@@ -684,19 +696,16 @@ def _run_passes(args, park: MachinePark, params, out: BinaryIO | None):
         # that is no valid anchor is left to the ledger's value checks
         buffer = list(_job_chunks(args.jobs))
         read = buffer.__iter__
-        regime = "pmax-given"
         top = max((float(chunk.max()) for chunk in buffer), default=0.0)
-        ledger = make_ledger(params, regime if 0 < top < math.inf else "pmax-unknown", pmax=top)
+        ledger = (make_ledger(params, "pmax-given", pmax=top) if 0 < top < math.inf
+                  else make_ledger(params, "pmax-unknown"))
     else:
         read = partial(_job_chunks, args.jobs)
-        regime = args.regime
         ledger = make_ledger(
-            params, regime,
+            params, args.regime or "pmax-unknown",
             pmax=args.pmax, pmax_estimate=args.pmax_estimate, alpha=args.alpha,
         )
-    report, artifacts = run_stream(
-        park, params, ledger, read(), mode=args.mode, regime=regime, budget=args.budget,
-    )
+    report, artifacts = run_stream(park, ledger, read(), mode=args.mode, budget=args.budget)
     if out is None:
         return report
     stage = SecondPass(park, artifacts, read())
@@ -768,14 +777,15 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="machine config file")
     run.add_argument("--jobs", default="-", help="job stream file, or - for stdin")
     run.add_argument("--mode", choices=MODES, default="one-pass")
-    run.add_argument("--regime", choices=REGIMES, default="pmax-unknown")
+    run.add_argument("--regime", choices=REGIMES, default=None,
+                     help="how the largest processing time is known (default pmax-unknown)")
     run.add_argument("--epsilon", type=float, default=0.5, help="approximation slack")
     run.add_argument("--pmax", type=float, default=None,
                      help="exact largest processing time (regime pmax-given)")
     run.add_argument("--pmax-estimate", type=float, default=None,
                      help="overestimate of the largest processing time")
-    run.add_argument("--alpha", type=float, default=1.0,
-                     help="estimate is at most alpha times the true maximum")
+    run.add_argument("--alpha", type=float, default=None,
+                     help="estimate is at most alpha times the true maximum (default 1)")
     run.add_argument("--gamma0-override", type=int, default=None,
                      help="override the derived band count (drops the guarantee)")
     run.add_argument("--n0-override", type=int, default=None,

@@ -7,10 +7,11 @@ k = 0..top_band, and the open low band collects everything at or below
 band stops retaining the moment its count reaches retain_limit, because
 a band that full makes every job at or below its upper edge "small" for
 the search.  The small jobs' mass is in the stream's total load.  One
-array ledger serves the three ways the anchor can be known: given
-exactly (the window is fixed), given as an overestimate (the window is
-widened and re-anchored at the end), or not given at all (the window
-rebases mid-stream whenever a larger job arrives).
+array ledger serves the three REGIMES, which differ only in how the
+anchor is known: given exactly (the window is fixed), given as an
+overestimate (the window is widened and re-anchored at the end), or not
+given at all (the window rebases mid-stream whenever a larger job
+arrives).  make_ledger builds the ledger for a regime.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ __all__ = [
     "derive_params",
     "ceil_log2",
     "LargeJobSet",
-    "KnownPmaxLedger",
-    "EstimatePmaxLedger",
-    "UnknownPmaxLedger",
+    "REGIMES",
+    "make_ledger",
 ]
+
+REGIMES = ("pmax-given", "pmax-estimate", "pmax-unknown")
 
 
 def ceil_log2(p: float) -> int:
@@ -186,11 +188,16 @@ class _BandedLedger:
     """Array-backed band statistics over a window of bounded bands.
 
     Slot 0 of counts is the open low band; slot k+1 is bounded band k,
-    i.e. p in (2^(offset+k), 2^(offset+k+1)].  With an anchor the window's
-    top edge is 2^anchor for the whole stream; without one it follows the
-    largest job seen: each chunk is split where its running maximum passes
-    the top, and between the pieces the window shifts up, folding the
-    bands that sink below it into the low band.
+    i.e. p in (2^(offset+k), 2^(offset+k+1)].  A regime is an anchor and a
+    widening.  With an anchor, the declared maximum or its overestimate,
+    no job may exceed it and the window's top edge is the anchor's band
+    for the whole stream; the window carries `widening` bounded bands
+    below the usual ones, which retain jobs too, and at the end it
+    re-anchors at the observed maximum's band, folding whole bands into
+    the low band.  Without one the window follows the largest job seen:
+    each chunk is split where its running maximum passes the top, and
+    between the pieces the window shifts up, folding the bands that sink
+    below it into the low band.  label names the anchor in messages.
 
     job_count, total_load (the left fold of the jobs in arrival order),
     max_seen, retained_total and peak_retained are plain fields; the
@@ -200,17 +207,18 @@ class _BandedLedger:
     def __init__(
         self,
         params: SchedulingParams,
-        anchor_exp: int | None,
-        extra_bands: int,
-        p_limit: float,
-        limit_label: str,
+        regime: str = "pmax-unknown",
+        anchor: float | None = None,
+        widening: int = 0,
+        label: str = "p_max",
     ):
         self.params = params
-        n = params.bounded_bands + extra_bands
+        self.regime = regime
+        n = params.bounded_bands + widening
         self._n_bounded = n
-        self._offset = None if anchor_exp is None else anchor_exp - n
-        self._p_limit = p_limit
-        self._limit_label = limit_label
+        self._offset = None if anchor is None else ceil_log2(anchor) - n
+        self._p_limit = math.inf if anchor is None else anchor
+        self._limit_label = label
         cap = max(params.retain_limit - 1, 1)
         try:  # numpy refuses shapes past its size limit with ValueError
             self._counts = np.zeros(n + 1, np.int64)
@@ -341,17 +349,25 @@ class _BandedLedger:
 
     # -- state extraction ------------------------------------------------
 
-    def _reanchor_shift(self) -> int:
-        """How many bands the final window sits above the streaming one."""
-        return 0
-
     def snapshot(self):
         """Canonical (offset, low_count, entries) of the final window, each
         entry (top, count, retained) of a band holding a job: what finalize
-        reads and equality tests compare."""
+        reads and equality tests compare.
+
+        The final window's top is the observed maximum's band.  An
+        unanchored window already sits there; an anchored one re-anchors
+        by folding the sunk bands below it, and an anchor above the
+        widened window's reach breaks the declared contract.
+        """
         if self.job_count == 0:
             return (None, 0, ())
-        sunk = self._reanchor_shift()
+        sunk = ceil_log2(self.max_seen) - self.params.top_band - 1 - self._offset
+        if sunk < 0:
+            raise PmaxContractError(
+                f"the declared {self._limit_label} {self._p_limit} is too far above the "
+                f"observed maximum {self.max_seen} for the window to re-anchor; for an upper "
+                f"bound use --regime pmax-estimate with alpha >= {self._p_limit / self.max_seen!r}"
+            )
         entries = tuple(
             (self._offset + k + 1, int(self._counts[k + 1]), tuple(self.retained_in_band(k)))
             for k in range(sunk, self._n_bounded)
@@ -363,51 +379,45 @@ class _BandedLedger:
         return _extract_large_set(self.params, self.snapshot(), self.total_load)
 
 
-class KnownPmaxLedger(_BandedLedger):
-    """Streaming ledger when the exact largest processing time is declared."""
+# the arguments each regime reads, its anchor first
+_READS = {"pmax-given": ("pmax",), "pmax-estimate": ("pmax_estimate", "alpha"), "pmax-unknown": ()}
+_ARGUMENTS = {
+    "pmax": "a largest processing time (--pmax)",
+    "pmax_estimate": "an overestimate (--pmax-estimate)",
+    "alpha": "an estimate factor (--alpha)",
+}
 
-    def __init__(self, params: SchedulingParams, p_max: float):
-        if not (p_max > 0) or math.isinf(p_max):
-            raise ConfigError(f"p_max must be finite and > 0, got {p_max}")
-        super().__init__(params, ceil_log2(p_max), 0, p_max, "p_max")
-        self.p_max = float(p_max)
 
+def make_ledger(
+    params: SchedulingParams,
+    regime: str,
+    pmax: float | None = None,
+    pmax_estimate: float | None = None,
+    alpha: float | None = None,
+) -> _BandedLedger:
+    """The ledger for one of REGIMES.
 
-class EstimatePmaxLedger(_BandedLedger):
-    """Streaming ledger when only an overestimate of p_max is declared.
-
-    The window is widened by ceil(log2 alpha) extra bounded bands below the
-    usual ones; once the true maximum is known the bands re-anchor, which
-    can only fold whole bands into the open low band.  The widened bands
-    retain jobs too, since re-anchoring may promote them into the window.
+    pmax-given anchors at pmax, which must lie in the power-of-two band of
+    the stream's maximum; pmax-estimate at pmax_estimate, at most alpha
+    (default 1) times the maximum; pmax-unknown has no anchor.  A regime
+    refuses the arguments it does not read.
     """
-
-    def __init__(self, params: SchedulingParams, p_max_estimate: float, alpha: float = 1.0):
-        if not (p_max_estimate > 0) or math.isinf(p_max_estimate):
-            raise ConfigError(f"p_max estimate must be finite and > 0, got {p_max_estimate}")
-        if not alpha >= 1.0 or math.isinf(alpha):
-            raise ConfigError(f"estimate factor alpha must be finite and >= 1, got {alpha}")
-        extra = ceil_log2(alpha) if alpha > 1 else 0
-        super().__init__(params, ceil_log2(p_max_estimate), extra, p_max_estimate, "p_max estimate")
-        self.p_max_estimate = float(p_max_estimate)
-        self.alpha = float(alpha)
-        self.extra_bands = extra
-
-    def _reanchor_shift(self) -> int:
-        shift = ceil_log2(self.max_seen) - self.params.top_band - 1 - self._offset
-        if shift < 0:
-            raise PmaxContractError(
-                f"estimate {self.p_max_estimate} exceeds alpha={self.alpha} times "
-                f"the observed maximum {self.max_seen}; the widened window cannot "
-                "re-anchor that far down"
-            )
-        return shift
-
-
-class UnknownPmaxLedger(_BandedLedger):
-    """Streaming ledger with no size hint: the window rebases as the
-    maximum grows, so at every prefix the state equals what
-    KnownPmaxLedger would hold given the prefix maximum."""
-
-    def __init__(self, params: SchedulingParams):
-        super().__init__(params, None, 0, math.inf, "p_max")
+    if regime not in REGIMES:
+        raise ConfigError(f"unknown regime {regime!r}; expected one of {', '.join(REGIMES)}")
+    given = {"pmax": pmax, "pmax_estimate": pmax_estimate, "alpha": alpha}
+    for arg, value in given.items():
+        if value is not None and arg not in _READS[regime]:
+            raise ConfigError(f"regime {regime} does not take {_ARGUMENTS[arg]}")
+    if regime == "pmax-unknown":
+        return _BandedLedger(params, regime)
+    anchor_arg = _READS[regime][0]
+    anchor = given[anchor_arg]
+    if anchor is None:
+        raise ConfigError(f"regime {regime} needs {_ARGUMENTS[anchor_arg]}")
+    label = "p_max" if regime == "pmax-given" else "p_max estimate"
+    if not (anchor > 0) or math.isinf(anchor):
+        raise ConfigError(f"{label} must be finite and > 0, got {anchor}")
+    alpha = 1.0 if alpha is None else alpha
+    if not alpha >= 1.0 or math.isinf(alpha):
+        raise ConfigError(f"estimate factor alpha must be finite and >= 1, got {alpha}")
+    return _BandedLedger(params, regime, float(anchor), ceil_log2(alpha), label)

@@ -15,18 +15,10 @@ import numpy as np
 
 from .capacity import MachinePark
 from .errors import ConfigError
-from .grouping import (
-    EstimatePmaxLedger,
-    KnownPmaxLedger,
-    SchedulingParams,
-    UnknownPmaxLedger,
-)
 from .schedule import FirstPassArtifacts, fingerprint_update
 from .search import DEFAULT_BUDGET, enumerate_and_select
 
-__all__ = ["RunReport", "make_ledger", "run_stream", "REGIMES"]
-
-REGIMES = ("pmax-given", "pmax-estimate", "pmax-unknown")
+__all__ = ["RunReport", "run_stream"]
 
 
 @dataclass(frozen=True)
@@ -120,42 +112,20 @@ class RunReport:
         return out
 
 
-def make_ledger(
-    params: SchedulingParams,
-    regime: str,
-    pmax: float | None = None,
-    pmax_estimate: float | None = None,
-    alpha: float = 1.0,
-):
-    if regime == "pmax-given":
-        if pmax is None:
-            raise ConfigError("regime pmax-given needs a largest processing time (--pmax)")
-        return KnownPmaxLedger(params, pmax)
-    if regime == "pmax-estimate":
-        if pmax_estimate is None:
-            raise ConfigError(
-                "regime pmax-estimate needs an overestimate (--pmax-estimate)"
-            )
-        return EstimatePmaxLedger(params, pmax_estimate, alpha)
-    if regime == "pmax-unknown":
-        return UnknownPmaxLedger(params)
-    raise ConfigError(f"unknown regime {regime!r}; expected one of {', '.join(REGIMES)}")
-
-
 def run_stream(
     park: MachinePark,
-    params: SchedulingParams,
     ledger,
     chunks: Iterable,
     mode: str = "one-pass",
-    regime: str = "pmax-given",
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[RunReport, FirstPassArtifacts]:
     """Feed every chunk to the ledger, then search the retained jobs.
 
-    Returns the run report plus what a second pass needs.  An empty
-    stream reports value 0 through the same code path.
+    The parameters and the regime are the ledger's.  Returns the run
+    report plus what a second pass needs.  An empty stream reports value 0
+    through the same code path.
     """
+    params = ledger.params
     if params.m != park.m:
         raise ConfigError(
             f"parameters were derived for {params.m} machines, park has {park.m}"
@@ -185,7 +155,7 @@ def run_stream(
     n = ledger.job_count
     report = RunReport(
         mode=mode,
-        regime=regime,
+        regime=ledger.regime,
         value=outcome.value,
         selected_t=outcome.t,
         grid_exponent=outcome.grid_exponent,

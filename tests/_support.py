@@ -60,7 +60,7 @@ def offline(park, params, jobs):
     """In-memory two-pass run anchored at the stream maximum: (schedule, report)."""
     ledger = (make_ledger(params, "pmax-given", pmax=max(jobs)) if len(jobs)
               else make_ledger(params, "pmax-unknown"))
-    report, artifacts = run_stream(park, params, ledger, [jobs])
+    report, artifacts = run_stream(park, ledger, [jobs])
     return second_pass(park, artifacts, [jobs]), report
 
 

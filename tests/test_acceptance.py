@@ -12,14 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from streamspan import exact_optimum, run_stream, second_pass, validate_schedule
+from streamspan import exact_optimum, make_ledger, run_stream, second_pass, validate_schedule
 from streamspan.capacity import capacity_at
-from streamspan.grouping import (
-    EstimatePmaxLedger,
-    KnownPmaxLedger,
-    LargeJobSet,
-    UnknownPmaxLedger,
-)
+from streamspan.grouping import LargeJobSet
 from streamspan.oracle import grid_scan_t, naive_capacity_at
 from streamspan.schedule import crossing_counts
 from streamspan.search import crossing_allowance, enumerate_and_select
@@ -60,16 +55,16 @@ class SolvedInstance:
         self.params = quiet_params(m, m1, e0, epsilon)
         pmax = max(self.jobs) if self.jobs else 1.0
         ledgers = {
-            "pmax-given": KnownPmaxLedger(self.params, pmax),
-            "estimate-exact": EstimatePmaxLedger(self.params, pmax, 1.0),
-            "estimate-loose": EstimatePmaxLedger(self.params, 8.0 * pmax, 8.0),
-            "pmax-unknown": UnknownPmaxLedger(self.params),
+            "pmax-given": make_ledger(self.params, "pmax-given", pmax=pmax),
+            "estimate-exact": make_ledger(
+                self.params, "pmax-estimate", pmax_estimate=pmax, alpha=1.0),
+            "estimate-loose": make_ledger(
+                self.params, "pmax-estimate", pmax_estimate=8.0 * pmax, alpha=8.0),
+            "pmax-unknown": make_ledger(self.params, "pmax-unknown"),
         }
         self.values = {}
         for name, ledger in ledgers.items():
-            report, artifacts = run_stream(
-                self.park, self.params, ledger, [self.jobs]
-            )
+            report, artifacts = run_stream(self.park, ledger, [self.jobs])
             self.values[name] = report.value
             if name == "pmax-given":
                 self.artifacts = artifacts
@@ -121,11 +116,11 @@ def test_discovering_the_maximum_online_matches_declaring_it():
         checkpoints = set(range(1, n + 1)) if n <= 60 else (
             set(range(1, n + 1, 13)) | {n}
         )
-        online = UnknownPmaxLedger(params)
+        online = make_ledger(params, "pmax-unknown")
         for i, p in enumerate(stream, start=1):
             online.ingest(p)
             if i in checkpoints:
-                declared = KnownPmaxLedger(params, max(stream[:i]))
+                declared = make_ledger(params, "pmax-given", pmax=max(stream[:i]))
                 declared.ingest_many(stream[:i])
                 assert online.snapshot() == declared.snapshot(), (i, stream[:i])
 
@@ -169,9 +164,10 @@ def _million_job_stream():
 def _ledgers_for(params, stream):
     pmax = float(stream.max())
     return {
-        "pmax-given": lambda: KnownPmaxLedger(params, pmax),
-        "estimate-loose": lambda: EstimatePmaxLedger(params, 8.0 * pmax, 8.0),
-        "pmax-unknown": lambda: UnknownPmaxLedger(params),
+        "pmax-given": lambda: make_ledger(params, "pmax-given", pmax=pmax),
+        "estimate-loose": lambda: make_ledger(
+            params, "pmax-estimate", pmax_estimate=8.0 * pmax, alpha=8.0),
+        "pmax-unknown": lambda: make_ledger(params, "pmax-unknown"),
     }
 
 
@@ -266,7 +262,7 @@ def test_saturated_band_evicts_it_and_everything_below():
     params = quiet_params(2, 1, 1.0, 1.0)
     assert (params.top_band, params.retain_limit) == (2, 16)
 
-    ledger = KnownPmaxLedger(params, 16.0)
+    ledger = make_ledger(params, "pmax-given", pmax=16.0)
     ledger.ingest_many([4.0] * 16 + [16.0] * 3)
     large = ledger.finalize()
     assert large.saturated_band == 0
@@ -274,7 +270,7 @@ def test_saturated_band_evicts_it_and_everything_below():
     assert [job_id for job_id, _ in large.jobs] == [16, 17, 18]
     assert [p for _, p in large.jobs] == [16.0, 16.0, 16.0]
 
-    ledger = KnownPmaxLedger(params, 16.0)
+    ledger = make_ledger(params, "pmax-given", pmax=16.0)
     ledger.ingest_many([16.0] * 16)
     large = ledger.finalize()
     assert large.saturated_band == params.top_band  # the top band itself

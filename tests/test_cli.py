@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import io
 import math
 import os
@@ -364,6 +365,22 @@ class TestRunCommand:
             values[tuple(extra)] = _report_dict(out)["value"]
         assert len(set(values.values())) == 1
 
+    def test_a_pmax_in_the_band_of_the_maximum_reports_as_the_exact_one(self, capsys,
+                                                                         instance, tmp_path):
+        cfg, _ = instance
+        jobs = tmp_path / "jobs.txt"
+        jobs.write_text("3 1 2 3 1\n")
+        reports = []
+        for pmax in ("3", "4"):  # both in the band (2, 4]
+            code, out, _ = _run_main(
+                capsys,
+                ["run", "--config", cfg, "--jobs", str(jobs), "--stats",
+                 "--regime", "pmax-given", "--pmax", pmax],
+            )
+            assert code == 0
+            reports.append([ln for ln in out.splitlines() if "_seconds" not in ln])
+        assert reports[0] == reports[1]
+
     def test_two_pass_writes_the_schedule(self, capsys, instance, tmp_path):
         cfg, jobs = instance
         out_csv = tmp_path / "sched.csv"
@@ -411,9 +428,8 @@ class TestRunCommand:
         params = quiet_params(3, 1, 0.5, 0.5, retain_limit_override=3)  # a small search
         for jobs in (sizes, mixed):
             jobs = [p * 0.37 for p in jobs]  # real-valued completions
-            _, artifacts = run_stream(
-                park, params, make_ledger(params, "pmax-given", pmax=max(jobs)), [jobs]
-            )
+            ledger = make_ledger(params, "pmax-given", pmax=max(jobs))
+            _, artifacts = run_stream(park, ledger, [jobs])
             chunks = [jobs[i : i + 16] for i in range(0, len(jobs), 16)]
             written, sched = self._written(tmp_path / "s.csv", park, artifacts, chunks)
             expected = io.StringIO(newline="")
@@ -897,6 +913,54 @@ class TestExitCodes:
         assert code == 4
         assert "position 2" in err
 
+    @pytest.mark.parametrize("mode", ["one-pass", "two-pass"])
+    def test_a_pmax_above_the_band_of_the_maximum_is_4(self, capsys, tmp_path, mode):
+        # a window anchored 20 bands above every job holds none of them:
+        # the value would be 65537 against an optimum of 1
+        cfg, jobs, out_csv = tmp_path / "park.cfg", tmp_path / "jobs.txt", tmp_path / "s.csv"
+        cfg.write_text("m 2\nm1 1\ne0 1\nmachine 1\nmachine 2\n")
+        jobs.write_text("1 1\n")
+        sched = [] if mode == "one-pass" else ["--mode", mode, "--schedule-out", str(out_csv)]
+        code, out, err = _run_main(
+            capsys,
+            ["run", "--config", str(cfg), "--jobs", str(jobs),
+             "--regime", "pmax-given", "--pmax", "1048576", *sched],
+        )
+        assert code == 4
+        assert "observed maximum 1.0" in err and "--regime pmax-estimate" in err
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.txt", "park.cfg"]
+
+    @pytest.mark.parametrize("mode, flags, message", [
+        ("one-pass", ["--pmax", "10"],
+         "regime pmax-unknown does not take a largest processing time (--pmax)"),
+        ("one-pass", ["--alpha", "2"], "regime pmax-unknown does not take an estimate factor"),
+        ("two-pass", ["--regime", "pmax-estimate", "--pmax-estimate", "16", "--pmax", "16"],
+         "regime pmax-estimate does not take a largest processing time"),
+        ("one-pass", ["--regime", "pmax-given", "--pmax", "16", "--pmax-estimate", "16"],
+         "regime pmax-given does not take an overestimate (--pmax-estimate)"),
+        ("two-pass", ["--regime", "pmax-given", "--pmax", "16", "--alpha", "1"],
+         "regime pmax-given does not take an estimate factor (--alpha)"),
+        ("offline", ["--regime", "pmax-estimate", "--pmax-estimate", "5", "--alpha", "2"],
+         "--regime only applies to one-pass and two-pass modes"),
+        ("offline", ["--pmax", "16"], "--pmax only applies"),
+        ("oracle", ["--regime", "pmax-given", "--pmax", "1"], "--regime only applies"),
+        ("oracle", ["--pmax-estimate", "16"], "--pmax-estimate only applies"),
+        ("oracle", ["--alpha", "1"], "--alpha only applies"),
+    ])
+    def test_a_regime_flag_the_run_does_not_read_is_2(self, capsys, instance, tmp_path,
+                                                       mode, flags, message):
+        cfg, jobs = instance
+        out_csv = tmp_path / "s.csv"
+        sched = ["--schedule-out", str(out_csv)] if mode in ("two-pass", "offline") else []
+        code, out, err = _run_main(
+            capsys, ["run", "--config", cfg, "--jobs", jobs, "--mode", mode, *flags, *sched]
+        )
+        assert code == 2
+        assert message in err
+        assert out == ""
+        assert not out_csv.exists()
+
     def test_budget_exhaustion_is_5(self, capsys, instance):
         cfg, jobs = instance
         code, _, err = _run_main(
@@ -1001,6 +1065,55 @@ class TestExitCodes:
         assert out == ""
         assert out_csv.read_bytes() == b"an earlier schedule\r\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.txt", "park.cfg", "s.csv"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("mode", ["two-pass", "offline"])
+    def test_a_schedule_out_that_fills_up_is_2(self, capsys, instance, mode):
+        cfg, jobs = instance
+        code, out, err = _run_main(
+            capsys,
+            ["run", "--config", cfg, "--jobs", jobs, "--mode", mode,
+             "--schedule-out", "/dev/full"],
+        )
+        assert code == 2
+        assert err == (
+            "streamspan: error: cannot write the schedule to /dev/full: No space left on device\n"
+        )
+        assert out == ""
+
+    @pytest.mark.parametrize("failing_read", [1, 2])
+    def test_a_job_stream_that_fails_to_read_is_2_and_no_write_error(
+        self, capsys, instance, tmp_path, monkeypatch, failing_read
+    ):
+        # the second read runs while the schedule is being written
+        cfg, jobs = instance
+
+        class Failing(io.StringIO):
+            def read(self, *args):
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        real_open = open
+        reads = []
+
+        def failing_open(path, *a, **kw):
+            if str(path) == jobs:
+                reads.append(path)
+                if len(reads) == failing_read:
+                    return Failing()
+            return real_open(path, *a, **kw)
+
+        monkeypatch.setattr("builtins.open", failing_open)
+        out_csv = tmp_path / "s.csv"
+        code, out, err = _run_main(
+            capsys,
+            ["run", "--config", cfg, "--jobs", jobs, "--mode", "two-pass",
+             "--schedule-out", str(out_csv)],
+        )
+        assert code == 2
+        reason = os.strerror(errno.EIO)
+        assert err == f"streamspan: error: cannot read job stream {jobs}: {reason}\n"
+        assert out == ""
+        assert not out_csv.exists()
 
     def test_a_written_schedule_replaces_the_old_file(self, capsys, instance, tmp_path):
         cfg, jobs = instance

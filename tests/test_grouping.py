@@ -6,13 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from streamspan import ConfigError, JobValueError, PmaxContractError, derive_params
-from streamspan.grouping import (
-    EstimatePmaxLedger,
-    KnownPmaxLedger,
-    UnknownPmaxLedger,
-    ceil_log2,
-)
+from streamspan import ConfigError, JobValueError, PmaxContractError, derive_params, make_ledger
+from streamspan.grouping import ceil_log2
 from streamspan.oracle import group_index, replay_grouping
 
 from _support import quiet_params
@@ -144,7 +139,7 @@ def params_tight():
 
 class TestKnownPmaxLedger:
     def test_single_small_and_single_large(self, params_small):
-        led = KnownPmaxLedger(params_small, 100.0)
+        led = make_ledger(params_small, "pmax-given", pmax=100.0)
         led.ingest(1.0)
         led.ingest(100.0)
         # window anchored at ceil_log2(100)=7: bands cover (16,32],(32,64],(64,128]
@@ -153,12 +148,12 @@ class TestKnownPmaxLedger:
         assert led.max_seen == 100.0
 
     def test_order_swap_changes_only_ids(self, params_small):
-        led = KnownPmaxLedger(params_small, 100.0)
+        led = make_ledger(params_small, "pmax-given", pmax=100.0)
         led.ingest_many(np.array([100.0, 1.0]))
         assert led.snapshot() == (4, 1, ((7, 1, ((0, 100.0),)),))
 
     def test_empty(self, params_small):
-        led = KnownPmaxLedger(params_small, 8.0)
+        led = make_ledger(params_small, "pmax-given", pmax=8.0)
         assert led.snapshot() == (None, 0, ())
         large = led.finalize()
         assert large.job_count == 0
@@ -167,22 +162,27 @@ class TestKnownPmaxLedger:
 
     def test_rejects_bad_pmax(self, params_small):
         with pytest.raises(ConfigError):
-            KnownPmaxLedger(params_small, 0.0)
+            make_ledger(params_small, "pmax-given", pmax=0.0)
         with pytest.raises(ConfigError):
-            KnownPmaxLedger(params_small, math.inf)
+            make_ledger(params_small, "pmax-given", pmax=math.inf)
 
     def test_pmax_contract(self, params_small):
-        led = KnownPmaxLedger(params_small, 8.0)
+        led = make_ledger(params_small, "pmax-given", pmax=8.0)
         led.ingest(8.0)
         with pytest.raises(PmaxContractError, match="position 1"):
             led.ingest(8.5)
-        led2 = KnownPmaxLedger(params_small, 8.0)
+        led2 = make_ledger(params_small, "pmax-given", pmax=8.0)
         with pytest.raises(PmaxContractError, match="position 2") as exc:
             led2.ingest_many(np.array([1.0, 2.0, 9.0, 1.0]))
         assert exc.value.position == 2
+        # a declared p_max above the band of the stream's maximum
+        led3 = make_ledger(params_small, "pmax-given", pmax=16.0)
+        led3.ingest(8.0)
+        with pytest.raises(PmaxContractError, match="observed maximum 8.0"):
+            led3.finalize()
 
     def test_rejects_bad_values(self, params_small):
-        led = KnownPmaxLedger(params_small, 8.0)
+        led = make_ledger(params_small, "pmax-given", pmax=8.0)
         led.ingest(1.0)
         for bad in (0.0, -3.0, math.nan):
             with pytest.raises(JobValueError, match="position 1"):
@@ -194,9 +194,9 @@ class TestKnownPmaxLedger:
     def test_chunked_equals_streamed(self, params_small):
         rng = np.random.default_rng(3)
         jobs = rng.integers(1, 100, size=500).astype(np.float64)
-        a = KnownPmaxLedger(params_small, 100.0)
+        a = make_ledger(params_small, "pmax-given", pmax=100.0)
         a.ingest_many(jobs)
-        b = KnownPmaxLedger(params_small, 100.0)
+        b = make_ledger(params_small, "pmax-given", pmax=100.0)
         for p in jobs:
             b.ingest(float(p))
         assert a.snapshot() == b.snapshot()
@@ -204,7 +204,7 @@ class TestKnownPmaxLedger:
         assert a.peak_retained == b.peak_retained
 
     def test_retention_resets_at_limit_for_good(self, params_tight):
-        led = KnownPmaxLedger(params_tight, 8.0)
+        led = make_ledger(params_tight, "pmax-given", pmax=8.0)
         for _ in range(3):
             led.ingest(8.0)
         assert led.retained_in_band(2) == [(0, 8.0), (1, 8.0), (2, 8.0)]
@@ -216,7 +216,7 @@ class TestKnownPmaxLedger:
         assert state[2] == ((3, 5, ()),)
 
     def test_finalize_saturation_and_small_bound(self, params_tight):
-        led = KnownPmaxLedger(params_tight, 8.0)
+        led = make_ledger(params_tight, "pmax-given", pmax=8.0)
         # saturate band 0 (sizes in (1,2]), keep band 2 (sizes in (4,8]) alive
         led.ingest_many(np.array([2.0, 2.0, 2.0, 2.0, 8.0, 7.0]))
         large = led.finalize()
@@ -227,7 +227,7 @@ class TestKnownPmaxLedger:
         assert large.total_load == 23.0
 
     def test_unsaturated_finalize_keeps_band_order(self, params_small):
-        led = KnownPmaxLedger(params_small, 8.0)
+        led = make_ledger(params_small, "pmax-given", pmax=8.0)
         led.ingest_many(np.array([8.0, 1.5, 3.0]))
         large = led.finalize()
         # bands ascend: (1,2] then (2,4] then (4,8]
@@ -239,67 +239,67 @@ class TestKnownPmaxLedger:
 class TestEstimatePmaxLedger:
     def test_exact_estimate_matches_known(self, params_small):
         jobs = np.array([10.0, 1.0, 6.0, 2.5, 10.0])
-        known = KnownPmaxLedger(params_small, 10.0)
+        known = make_ledger(params_small, "pmax-given", pmax=10.0)
         known.ingest_many(jobs)
-        est = EstimatePmaxLedger(params_small, 10.0, alpha=1.0)
+        est = make_ledger(params_small, "pmax-estimate", pmax_estimate=10.0, alpha=1.0)
         est.ingest_many(jobs)
         assert est.snapshot() == known.snapshot()
-        assert est.extra_bands == 0
+        assert est.retained_bound == known.retained_bound  # alpha 1 widens nothing
 
     def test_overestimate_reanchors(self, params_small):
         # estimate 80 with alpha=8, true max 10: window re-anchors with no
         # band above the true top, folding nothing here
-        est = EstimatePmaxLedger(params_small, 80.0, alpha=8.0)
-        assert est.extra_bands == 3
+        est = make_ledger(params_small, "pmax-estimate", pmax_estimate=80.0, alpha=8.0)
+        assert est.band_offset == ceil_log2(80.0) - params_small.bounded_bands - 3
         jobs = np.array([10.0, 3.0, 1.7, 5.0, 2.0])
         est.ingest_many(jobs)
-        known = KnownPmaxLedger(params_small, 10.0)
+        known = make_ledger(params_small, "pmax-given", pmax=10.0)
         known.ingest_many(jobs)
         assert est.snapshot() == known.snapshot()
 
     def test_reanchor_folds_sunk_bands(self, params_small):
-        est = EstimatePmaxLedger(params_small, 80.0, alpha=8.0)
+        est = make_ledger(params_small, "pmax-estimate", pmax_estimate=80.0, alpha=8.0)
         # max stays at 80: nothing folds, all five stream bands survive
         jobs = np.array([80.0, 3.0, 1.7, 5.0, 2.0])
         est.ingest_many(jobs)
-        known = KnownPmaxLedger(params_small, 80.0)
+        known = make_ledger(params_small, "pmax-given", pmax=80.0)
         known.ingest_many(jobs)
         assert est.snapshot() == known.snapshot()
 
     def test_estimate_contract_violations(self, params_small):
-        est = EstimatePmaxLedger(params_small, 8.0, alpha=2.0)
+        est = make_ledger(params_small, "pmax-estimate", pmax_estimate=8.0, alpha=2.0)
         with pytest.raises(PmaxContractError, match="position 0"):
             est.ingest(8.5)  # above the declared estimate
         # stream max far below estimate/alpha: the declared pair was a lie
-        est2 = EstimatePmaxLedger(params_small, 80.0, alpha=2.0)
+        est2 = make_ledger(params_small, "pmax-estimate", pmax_estimate=80.0, alpha=2.0)
         est2.ingest(1.0)
         with pytest.raises(PmaxContractError, match="alpha"):
             est2.finalize()
 
     def test_validation(self, params_small):
         with pytest.raises(ConfigError):
-            EstimatePmaxLedger(params_small, 0.0)
+            make_ledger(params_small, "pmax-estimate", pmax_estimate=0.0)
         with pytest.raises(ConfigError):
-            EstimatePmaxLedger(params_small, 8.0, alpha=0.5)
+            make_ledger(params_small, "pmax-estimate", pmax_estimate=8.0, alpha=0.5)
 
     def test_memory_properties_widened(self, params_small):
-        est = EstimatePmaxLedger(params_small, 80.0, alpha=8.0)
+        est = make_ledger(params_small, "pmax-estimate", pmax_estimate=80.0, alpha=8.0)
         assert est.group_record_bound == params_small.bounded_bands + 3 + 1
         assert est.retained_bound == (params_small.bounded_bands + 3) * params_small.retain_limit
 
 
 class TestUnknownPmaxLedger:
     def test_first_job_anchors(self, params_small):
-        led = UnknownPmaxLedger(params_small)
+        led = make_ledger(params_small, "pmax-unknown")
         led.ingest(1.0)
         assert led.band_offset == -3
         assert led.snapshot() == (-3, 0, ((0, 1, ((0, 1.0),)),))
 
     def test_growth_rebases_and_folds(self, params_small):
-        led = UnknownPmaxLedger(params_small)
+        led = make_ledger(params_small, "pmax-unknown")
         led.ingest(1.0)
         led.ingest(100.0)
-        known = KnownPmaxLedger(params_small, 100.0)
+        known = make_ledger(params_small, "pmax-given", pmax=100.0)
         known.ingest_many(np.array([1.0, 100.0]))
         assert led.snapshot() == known.snapshot()
         assert led.band_offset == 4
@@ -307,17 +307,17 @@ class TestUnknownPmaxLedger:
     def test_matches_known_on_every_prefix(self, params_small):
         rng = np.random.default_rng(11)
         jobs = rng.integers(1, 2000, size=120).astype(np.float64)
-        led = UnknownPmaxLedger(params_small)
+        led = make_ledger(params_small, "pmax-unknown")
         for i, p in enumerate(jobs, start=1):
             led.ingest(float(p))
-            fresh = KnownPmaxLedger(params_small, float(jobs[:i].max()))
+            fresh = make_ledger(params_small, "pmax-given", pmax=float(jobs[:i].max()))
             fresh.ingest_many(jobs[:i])
             assert led.snapshot() == fresh.snapshot()
             assert led.total_load == fresh.total_load
 
     def test_bounds_hold_throughout(self, params_tight):
         rng = np.random.default_rng(5)
-        led = UnknownPmaxLedger(params_tight)
+        led = make_ledger(params_tight, "pmax-unknown")
         for p in rng.integers(1, 5000, size=400):
             led.ingest(float(p))
             assert led.retained_total <= led.retained_bound
@@ -325,12 +325,12 @@ class TestUnknownPmaxLedger:
         assert led.peak_retained <= led.retained_bound
 
     def test_rejects_bad_values(self, params_small):
-        led = UnknownPmaxLedger(params_small)
+        led = make_ledger(params_small, "pmax-unknown")
         with pytest.raises(JobValueError, match="position 0"):
             led.ingest(-2.0)
 
     def test_rejects_an_overflowing_total(self, params_small):
-        led = UnknownPmaxLedger(params_small)
+        led = make_ledger(params_small, "pmax-unknown")
         led.ingest_many(np.array([5e307, 5e307, 5e307]))  # near the float range, finite
         assert math.isfinite(led.total_load)
         with pytest.raises(JobValueError, match="position 4") as exc:
@@ -353,9 +353,9 @@ def test_all_ledgers_agree_with_replay(jobs, retain_limit, chunk):
     # on chunk boundaries and inside chunks
     step = chunk or arr.size
 
-    known = KnownPmaxLedger(params, pmax)
-    unknown = UnknownPmaxLedger(params)
-    estimate = EstimatePmaxLedger(params, 4.0 * pmax, alpha=4.0)
+    known = make_ledger(params, "pmax-given", pmax=pmax)
+    unknown = make_ledger(params, "pmax-unknown")
+    estimate = make_ledger(params, "pmax-estimate", pmax_estimate=4.0 * pmax, alpha=4.0)
     for ledger in (known, unknown, estimate):
         for lo in range(0, arr.size, step):
             ledger.ingest_many(arr[lo:lo + step])
@@ -417,7 +417,7 @@ def test_unknown_ledger_matches_a_per_job_rebasing_replay(jobs, retain_limit, ch
     params = quiet_params(2, 1, 1.0, 1.0, retain_limit_override=retain_limit)
     arr = np.array(jobs, np.float64)
     step = chunk or arr.size
-    ledger = UnknownPmaxLedger(params)
+    ledger = make_ledger(params, "pmax-unknown")
     for lo in range(0, arr.size, step):
         ledger.ingest_many(arr[lo:lo + step])
     snapshot, peak_retained, peak_records = _rebasing_replay(jobs, params)

@@ -7,9 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamspan import BudgetExceededError, MachinePark, MachineTimeline, exact_optimum
+from streamspan import (
+    BudgetExceededError,
+    MachinePark,
+    MachineTimeline,
+    exact_optimum,
+    make_ledger,
+)
 from streamspan.capacity import capacity_at, completion_time
-from streamspan.grouping import KnownPmaxLedger
 from streamspan.oracle import grid_scan_t, naive_capacity_at
 from streamspan.search import enumerate_and_select
 
@@ -138,7 +143,7 @@ class TestGridScan:
         e0 = rng.choice([0.25, 0.5, 1.0])
         park, jobs = make_instance(seed + 5000, m, m1, e0, rng.randint(1, 8))
         params = quiet_params(m, m1, e0, 0.5)
-        led = KnownPmaxLedger(params, max(jobs))
+        led = make_ledger(params, "pmax-given", pmax=max(jobs))
         led.ingest_many(jobs)
         large = led.finalize()
         out = enumerate_and_select(park, large, 0.5)

@@ -2,7 +2,9 @@ import dataclasses
 import functools
 import io
 import operator
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamspan import (
+    REGIMES,
     ConfigError,
     RunReport,
     StreamspanError,
@@ -18,7 +21,6 @@ from streamspan import (
     second_pass,
 )
 from streamspan.cli import write_schedule_csv
-from streamspan.grouping import EstimatePmaxLedger, KnownPmaxLedger, UnknownPmaxLedger
 from streamspan.schedule import SecondPass
 
 from _support import identity_park, make_instance, quiet_params
@@ -37,12 +39,13 @@ class TestMakeLedger:
         self.params = quiet_params(2, 1, 1.0, 1.0)
 
     def test_each_regime_builds_its_ledger(self):
-        assert isinstance(make_ledger(self.params, "pmax-given", pmax=4.0), KnownPmaxLedger)
-        assert isinstance(
-            make_ledger(self.params, "pmax-estimate", pmax_estimate=8.0, alpha=2.0),
-            EstimatePmaxLedger,
-        )
-        assert isinstance(make_ledger(self.params, "pmax-unknown"), UnknownPmaxLedger)
+        given = make_ledger(self.params, "pmax-given", pmax=4.0)
+        estimate = make_ledger(self.params, "pmax-estimate", pmax_estimate=8.0, alpha=2.0)
+        unknown = make_ledger(self.params, "pmax-unknown")
+        assert [led.regime for led in (given, estimate, unknown)] == list(REGIMES)
+        # anchored at the band of 4 and of 8, the latter widened by one band
+        assert (given.band_offset, estimate.band_offset, unknown.band_offset) == (
+            2 - self.params.bounded_bands, 3 - self.params.bounded_bands - 1, None)
 
     def test_missing_pmax_names_the_flag(self):
         with pytest.raises(ConfigError, match="--pmax"):
@@ -93,9 +96,13 @@ class TestRunStream:
         outcomes = []
         for size in (1, 7, 65536):
             chunks = [jobs[i:i + size] for i in range(0, n, size)]
-            ledger = make_ledger(params, regime, pmax=pmax, pmax_estimate=3 * pmax, alpha=4.0)
+            ledger = make_ledger(params, regime, **{
+                "pmax-given": {"pmax": pmax},
+                "pmax-estimate": {"pmax_estimate": 3 * pmax, "alpha": 4.0},
+                "pmax-unknown": {},
+            }[regime])
             try:
-                report, artifacts = run_stream(park, params, ledger, chunks, regime=regime)
+                report, artifacts = run_stream(park, ledger, chunks)
                 csv = io.BytesIO()
                 write_schedule_csv(csv, SecondPass(park, artifacts, chunks))
                 outcomes.append((_masked(report), second_pass(park, artifacts, chunks),
@@ -110,8 +117,8 @@ class TestRunStream:
 
     def test_artifacts_describe_the_pass(self):
         park, params, jobs = self._instance()
-        ledger = KnownPmaxLedger(params, max(jobs))
-        report, art = run_stream(park, params, ledger, [jobs])
+        ledger = make_ledger(params, "pmax-given", pmax=max(jobs))
+        report, art = run_stream(park, ledger, [jobs])
         assert art.job_count == len(jobs)
         assert art.max_seen == max(jobs)
         assert len(art.large_ids) == report.search_jobs
@@ -119,8 +126,8 @@ class TestRunStream:
 
     def test_empty_stream_reports_zero(self):
         park, params, _ = self._instance()
-        ledger = UnknownPmaxLedger(params)
-        report, art = run_stream(park, params, ledger, [], regime="pmax-unknown")
+        ledger = make_ledger(params, "pmax-unknown")
+        report, art = run_stream(park, ledger, [])
         assert report.value == 0.0
         assert report.selected_t == 0.0
         assert report.job_count == 0
@@ -136,8 +143,8 @@ class TestRunStream:
                 time.sleep(0.02)
                 yield chunk
 
-        ledger = KnownPmaxLedger(params, max(jobs))
-        report, _ = run_stream(park, params, ledger, slow_chunks())
+        ledger = make_ledger(params, "pmax-given", pmax=max(jobs))
+        report, _ = run_stream(park, ledger, slow_chunks())
         assert report.parse_seconds >= 0.04
         stages = report.parse_seconds + report.ingest_seconds + report.search_seconds
         assert stages <= report.wall_seconds
@@ -145,14 +152,14 @@ class TestRunStream:
     def test_machine_count_mismatch_is_rejected(self):
         park, _, jobs = self._instance()
         wrong = quiet_params(3, 1, 0.5, 0.5)
-        ledger = KnownPmaxLedger(wrong, max(jobs))
+        ledger = make_ledger(wrong, "pmax-given", pmax=max(jobs))
         with pytest.raises(ConfigError, match="3 machines, park has 2"):
-            run_stream(park, wrong, ledger, [jobs])
+            run_stream(park, ledger, [jobs])
 
     def test_memory_peaks_within_bounds(self):
         park, params, jobs = self._instance()
-        ledger = KnownPmaxLedger(params, max(jobs))
-        report, _ = run_stream(park, params, ledger, [jobs])
+        ledger = make_ledger(params, "pmax-given", pmax=max(jobs))
+        report, _ = run_stream(park, ledger, [jobs])
         assert report.peak_retained_jobs <= report.retained_job_bound
         assert report.peak_group_records <= report.group_record_bound
 
@@ -161,8 +168,8 @@ class TestReportLines:
     def _report(self, **overrides):
         park, jobs = make_instance(11, 2, 1, 0.5, 6)
         params = quiet_params(2, 1, 0.5, 0.5)
-        ledger = KnownPmaxLedger(params, max(jobs))
-        report, _ = run_stream(park, params, ledger, [jobs])
+        ledger = make_ledger(params, "pmax-given", pmax=max(jobs))
+        report, _ = run_stream(park, ledger, [jobs])
         return dataclasses.replace(report, **overrides) if overrides else report
 
     def test_core_lines_only_by_default(self):
@@ -207,6 +214,16 @@ def test_regimes_agree_on_one_instance():
         ("pmax-unknown", {}),
     ]:
         ledger = make_ledger(params, regime, **kwargs)
-        report, _ = run_stream(park, params, ledger, [jobs], regime=regime)
+        report, _ = run_stream(park, ledger, [jobs])
+        assert report.regime == ledger.regime == regime
         values.append(report.value)
     assert values[0] == values[1] == values[2]
+
+
+def test_the_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    scope = {}
+    exec(block, scope)
+    assert scope["report"].regime == "pmax-unknown"
+    assert scope["schedule"].makespan <= scope["report"].value

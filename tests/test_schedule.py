@@ -13,12 +13,12 @@ from streamspan import (
     ScheduleContractError,
     TwoPassMismatchError,
     exact_optimum,
+    make_ledger,
     run_stream,
     second_pass,
     validate_schedule,
 )
 from streamspan.capacity import completion_time
-from streamspan.grouping import KnownPmaxLedger
 from streamspan.schedule import _GreedyFill, crossing_counts, fingerprint_update
 from streamspan.search import crossing_allowance
 
@@ -130,7 +130,7 @@ class TestOfflineAgainstOracle:
 class TestSecondPass:
     def _artifacts(self, park, params, jobs, epsilon):
         assert params.epsilon == epsilon
-        _, artifacts = run_stream(park, params, KnownPmaxLedger(params, max(jobs)), [jobs])
+        _, artifacts = run_stream(park, make_ledger(params, "pmax-given", pmax=max(jobs)), [jobs])
         return artifacts
 
     def test_matches_offline_placement_exactly(self):
@@ -204,8 +204,8 @@ class TestSecondPass:
         park = identity_park(2, m1=1, e0=1.0)
         params = quiet_params(2, 1, 1.0, 1.0)
         jobs = [4.0, 1.0, 3.0, 2.0, 4.0]
-        led = KnownPmaxLedger(params, 4.0)
-        report, art = run_stream(park, params, led, [jobs])
+        led = make_ledger(params, "pmax-given", pmax=4.0)
+        report, art = run_stream(park, led, [jobs])
         sched = second_pass(park, art, [jobs])
         validate_schedule(park, sched, jobs)
         assert sched.makespan <= report.value
@@ -216,7 +216,7 @@ class TestStreamFingerprint:
         park = identity_park(2, m1=1, e0=1.0)
         params = quiet_params(2, 1, 1.0, 0.5)
         first = [5.0, 3.0, 8.0, 2.0, 7.0, 1.0]
-        _, art = run_stream(park, params, KnownPmaxLedger(params, 8.0), [first])
+        _, art = run_stream(park, make_ledger(params, "pmax-given", pmax=8.0), [first])
         with pytest.raises(TwoPassMismatchError):
             second_pass(park, art, [[1.0, 1.0, 8.0, 1.0, 1.0, 1.0]])
 

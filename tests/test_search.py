@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from streamspan import BudgetExceededError, MachinePark, MachineTimeline, make_ledger, run_stream
 from streamspan.capacity import capacity_at, park_capacity_at, search_bounds
 from streamspan.cli import generate_instance, main, parse_machine_config_text
-from streamspan.grouping import KnownPmaxLedger, LargeJobSet
+from streamspan.grouping import LargeJobSet
 from streamspan.oracle import grid_scan_t
 from streamspan.search import (
     crossing_allowance,
@@ -200,7 +200,7 @@ def test_selection_skips_unreachable_exponents_below_aggregate_floor():
 
 def test_search_consumes_ledger_output():
     params = quiet_params(2, 1, 1.0, 1.0)
-    led = KnownPmaxLedger(params, 4.0)
+    led = make_ledger(params, "pmax-given", pmax=4.0)
     led.ingest_many(np.array([4.0, 1.0, 3.0, 2.0, 4.0]))
     out = enumerate_and_select(identity_park(2, m1=1, e0=1.0), led.finalize(), 1.0)
     assert out.t == 7.0  # P=14, LB=7, balanced split 7/7 fits exactly
@@ -220,9 +220,7 @@ def test_generated_streams_settle_within_the_default_budget(n, tmp_path, capsys)
         printed = capsys.readouterr().out
         park = parse_machine_config_text(config_text)
         ledger = make_ledger(params, "pmax-unknown")
-        report, artifacts = run_stream(
-            park, params, ledger, [[float(p) for p in jobs_text.split()]], regime="pmax-unknown"
-        )
+        report, artifacts = run_stream(park, ledger, [[float(p) for p in jobs_text.split()]])
         timed = ("wall_seconds", "mean_ingest_seconds")
         assert [ln for ln in printed.splitlines() if not ln.startswith(timed)] == [
             ln for ln in report.as_lines() if not ln.startswith(timed)
