@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the hot kernels and the stages around them.
 
-parse: the CLI's job-stream parser over the ingest stream as text, once
+parse: textio's job-stream parser over the ingest stream as text, once
 as integers (the digit path) and once times 0.37 written with repr (the
 split-and-convert path).
 ingest: the vectorized ingest kernel, _kernels.ingest_block, alone, with
@@ -40,10 +40,11 @@ import numpy as np
 
 from streamspan import _kernels, make_ledger, run_stream
 from streamspan.capacity import MachinePark, MachineTimeline, completion_chain
-from streamspan.cli import _float_chunks, generate_instance, parse_machine_config_text, write_schedule_csv
+from streamspan.cli import generate_instance, parse_machine_config_text
 from streamspan.grouping import LargeJobSet, derive_params
 from streamspan.schedule import SecondPass
 from streamspan.search import enumerate_and_select
+from streamspan.textio import float_chunks, write_schedule_csv
 
 SCHEDULE_JOBS = 1_000_000
 SCHEDULE_INTERVALS = 400
@@ -71,7 +72,7 @@ def bench_parse(text, repeats):
     best = math.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        for _chunk in _float_chunks(io.StringIO(text)):
+        for _chunk in float_chunks(io.StringIO(text)):
             pass
         best = min(best, time.perf_counter() - t0)
     return best
@@ -210,7 +211,7 @@ def main():
     offset = 10 - params.top_band - 1  # anchor for p_max 1024
 
     # one job per line, as `streamspan generate` and the benchmark inputs write them
-    print(f"parse: _float_chunks, {args.jobs} tokens")
+    print(f"parse: float_chunks, {args.jobs} tokens")
     for key, sizes in (("digits", stream.astype(np.int64)), ("real", stream * 0.37)):
         text = "\n".join(map(repr, sizes.tolist())) + "\n"
         secs = bench_parse(text, args.repeats)

@@ -34,7 +34,6 @@ __all__ = [
     "park_capacity_at",
     "completion_chain",
     "completions_at",
-    "completion_time",
     "search_bounds",
 ]
 
@@ -53,7 +52,7 @@ class MachineTimeline:
     breakpoints: tuple[float, ...]
     ratios: tuple[float, ...]
     cumulative: tuple[float, ...] = field(init=False, compare=False)
-    # Segment k (k = 0..interval_count) starts at time seg_time[k] with
+    # Segment k (k = 0..len(breakpoints)) starts at time seg_time[k] with
     # capacity seg_cap[k] and runs at rate seg_rate[k]; the last segment is
     # the exclusive tail at rate 1.
     seg_time: tuple[float, ...] = field(init=False, compare=False, repr=False)
@@ -111,10 +110,6 @@ class MachineTimeline:
             table.flags.writeable = False
         return tables
 
-    @property
-    def interval_count(self) -> int:
-        return len(self.breakpoints)
-
 
 @dataclass(frozen=True)
 class MachinePark:
@@ -156,10 +151,6 @@ class MachinePark:
     @property
     def m(self) -> int:
         return len(self.machines)
-
-    @property
-    def total_intervals(self) -> int:
-        return sum(tl.interval_count for tl in self.machines)
 
 
 def capacity_at(timeline: MachineTimeline, t: float) -> float:
@@ -210,17 +201,6 @@ def completions_at(timeline: MachineTimeline, start: float, targets: np.ndarray)
         t[0] = max(t[0], start)
         np.maximum.accumulate(t, out=t)
     return t
-
-
-def completion_time(timeline: MachineTimeline, start: float, amount: float) -> float:
-    """Smallest t >= start with A_i(t) - A_i(start) >= amount."""
-    if start < 0:
-        raise ConfigError(f"start must be >= 0, got {start}")
-    if amount < 0:
-        raise ConfigError(f"amount must be >= 0, got {amount}")
-    if amount == 0:
-        return start
-    return float(completion_chain(timeline, start, (amount,))[0])
 
 
 def search_bounds(park: MachinePark, total_load: float) -> tuple[float, float]:

@@ -267,10 +267,6 @@ class _BandedLedger:
 
     # -- streaming -----------------------------------------------------
 
-    def ingest(self, p: float) -> None:
-        """Account one job; its id is its 0-based stream position."""
-        self.ingest_many([p])
-
     def ingest_many(self, ps) -> None:
         """Account a chunk of jobs through the ingest kernel.
 

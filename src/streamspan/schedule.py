@@ -51,7 +51,6 @@ __all__ = [
     "SecondPass",
     "second_pass",
     "validate_schedule",
-    "crossing_counts",
 ]
 
 
@@ -96,10 +95,6 @@ class FirstPassArtifacts:
     job_count: int
     max_seen: float
     fingerprint: int
-
-    @property
-    def large_ids(self) -> frozenset[int]:
-        return frozenset(job_id for job_id, _ in self.outcome.assignment.jobs)
 
 
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -421,17 +416,3 @@ def validate_schedule(park: MachinePark, schedule: Schedule, jobs: Sequence[floa
         raise ScheduleContractError(
             f"makespan {schedule.makespan} != recomputed {top}"
         )
-
-
-def crossing_counts(
-    park: MachinePark,
-    schedule: Schedule,
-    jobs: Sequence[float],
-    t: float,
-) -> list[int]:
-    """Per machine, how many jobs finish after t (exact load comparison)."""
-    sizes = np.asarray(jobs, dtype=np.float64)
-    return [
-        int(np.count_nonzero(np.add.accumulate(sizes[run]) > capacity_at(tl, t)))
-        for tl, run in zip(park.machines, schedule.runs)
-    ]

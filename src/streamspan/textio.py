@@ -1,0 +1,305 @@
+"""Job-stream parsing and schedule CSV formatting, a block at a time in
+numpy: float_chunks reads job values as float() does, and
+write_schedule_csv writes times as repr() does."""
+
+from __future__ import annotations
+
+import functools
+from typing import BinaryIO, Iterator, TextIO
+
+import numpy as np
+
+from .errors import JobValueError
+from .schedule import SecondPass
+
+__all__ = ["float_chunks", "write_schedule_csv"]
+
+_READ_CHARS = 1 << 16
+_PLAIN_DIGITS = 18  # every 18-digit integer is an int64
+
+
+# --- job streams -------------------------------------------------------------
+
+
+def _parse_job(tok: str, position: int) -> float:
+    try:
+        return float(tok)
+    except ValueError:
+        # streams are decoded with surrogateescape: a byte that is not
+        # UTF-8 comes back as a lone surrogate
+        raw = [ord(ch) - 0xDC00 for ch in tok if 0xDC80 <= ord(ch) <= 0xDCFF]
+        what = f"byte {raw[0]:#04x}, which is not UTF-8," if raw else f"unparsable job value {tok!r}"
+        raise JobValueError(f"{what} at position {position}", position=position) from None
+
+
+def _plain_values(text: str) -> np.ndarray | None:
+    """float64 values of an ASCII text of digit runs and whitespace, or None
+    when it holds any other byte or a run of more than _PLAIN_DIGITS digits.
+
+    The whitespace is the six bytes that both str.split() and bytes.split()
+    split on: tab, newline, vertical tab, form feed, carriage return, space.
+
+    Each run is read as an int64, one place at a time, and converted once;
+    an int64 of at most 18 digits is exact and its conversion is correctly
+    rounded, so each value is float() of its run bit for bit.
+    """
+    chars = np.frombuffer(text.encode("ascii"), np.uint8)
+    # digit[i] for chars[i - 1], padded with a non-digit at both ends;
+    # z holds the digits' values and 0 for everything else
+    z = np.full(chars.size + 2, 255, np.uint8)
+    np.subtract(chars, ord("0"), out=z[1:-1])  # whitespace wraps past 9
+    digit = z < 10
+    # any byte that is neither a digit nor one of the six whitespaces
+    if ((chars - 9 >= 5) & (chars != 32) & ~digit[1:-1]).any():
+        return None
+    z *= digit
+    flips = np.flatnonzero(digit[1:] != digit[:-1])
+    before, last = flips[0::2], flips[1::2]  # the z index before each run, its last digit
+    width = int((last - before).max(initial=0))
+    if width > _PLAIN_DIGITS:
+        return None
+    values = np.zeros(last.size, np.int64)
+    at = np.empty_like(last)
+    for place in range(width - 1, -1, -1):
+        # a run shorter than place + 1 reads the 0 just before it
+        np.maximum(np.subtract(last, place, out=at), before, out=at)
+        values *= 10
+        values += z.take(at)
+    return values.astype(np.float64)
+
+
+def float_chunks(fh: TextIO) -> Iterator[np.ndarray]:
+    """Parsed job values in bounded-size chunks, one per block read.
+
+    Tokens are split as str.split() splits them and read with float()
+    semantics.  An ASCII block with no decimal point goes to
+    _plain_values, which reads it when it is only digit runs and
+    whitespace; the "." test keeps real-valued text from paying for that
+    scan.  Any other block is split and converted by numpy, and a token it
+    refuses is named with its position by _parse_job.
+    """
+    position = 0
+    carry = ""
+    while True:
+        block = fh.read(_READ_CHARS)
+        text, carry = carry + block, ""
+        if block and not text[-1].isspace():
+            # the last token may go on in the next block
+            *head, carry = text.rsplit(None, 1)
+            text = head[0] if head else ""
+        vals = None
+        if text.isascii() and "." not in text:
+            vals = _plain_values(text)
+        if vals is None:
+            toks = text.split()
+            try:
+                vals = np.array(toks, np.float64)
+            except ValueError:
+                # only to name the failing position
+                for i, tok in enumerate(toks):
+                    _parse_job(tok, position + i)
+                raise
+        if vals.size:
+            position += vals.size
+            yield vals
+        if not block:
+            return
+
+
+
+# --- schedule output ----------------------------------------------------------
+
+
+_FILL = 0  # pads fixed-width byte fields; never part of the text
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_FRACTION_BITS = 15  # a fraction j / 2**15 is j * 5**15 / 10**15
+
+
+@functools.cache
+def _quad_tables() -> tuple[np.ndarray, ...]:
+    """uint32 tables of four ASCII digits in memory order, 20000 entries
+    each: entry 10000 + i holds i zero-padded; entry i holds i with its
+    leading zeros (integer quads) or trailing zeros (fraction quads) as
+    _FILL.  A quad with a nonzero digit further out takes the first kind.
+    For 0, the lowest integer quad and the first fraction quad keep one
+    '0'; the other tables give four _FILL.
+
+    Returns (lowest integer quad, other integer quads, first fraction
+    quad, other fraction quads).  Built on first use, so runs that write
+    no schedule do not pay for them.
+    """
+    digits = np.empty((10000, 4), np.uint8)
+    for k in range(4):
+        digits[:, k] = np.tile(np.repeat(np.arange(48, 58, dtype=np.uint8), 10 ** (3 - k)), 10**k)
+    padded = digits.view(np.uint32).ravel()
+    nonzero = digits != ord("0")
+    tables = []
+    for keep, zero in (
+        (np.logical_or.accumulate(nonzero, axis=1), 3),  # past the leading zeros
+        (np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1], 0),  # before trailing
+    ):
+        filled = digits * keep
+        for zero_keeps_one in (True, False):
+            table = filled.copy()
+            table[0, zero] = ord("0") if zero_keeps_one else _FILL
+            tables.append(np.concatenate((table.view(np.uint32).ravel(), padded)))
+    for table in tables:
+        table.flags.writeable = False
+    return tuple(tables)
+
+
+def _quad(fields: np.ndarray, at: int) -> np.ndarray:
+    """The four bytes of each row of fields from column at, as uint32."""
+    return fields[:, at : at + 4].view(np.uint32)[:, 0]
+
+
+def _put(rows: np.ndarray, at: int, fields: np.ndarray) -> None:
+    """rows[:, at:at + w] = fields for a uint8 [n, w] fields, one w-byte
+    copy per row."""
+    width = fields.shape[1]
+    rows[:, at : at + width].view(f"V{width}")[:, 0] = fields.view(f"V{width}")[:, 0]
+
+
+def _integer_quads(fields: np.ndarray, quads: int, values: np.ndarray) -> None:
+    """Write the last 4 * quads decimal digits of the non-negative values
+    into the first 4 * quads columns of fields, leading zeros as _FILL;
+    0 keeps one '0'."""
+    lowest, others = _quad_tables()[:2]
+    for c in range(quads - 1, -1, -1):
+        higher = values // 10000
+        index = values - higher * 10000
+        index += (higher > 0) * 10000  # a nonzero digit further left
+        _quad(fields, 4 * c)[:] = np.take(lowest if c == quads - 1 else others, index)
+        values = higher
+
+
+def _integers(values: np.ndarray, width: int) -> np.ndarray:
+    """uint8 [n, width]: the decimal digits of the non-negative values,
+    each below 10**width, right-aligned with leading zeros as _FILL; 0
+    keeps one '0'."""
+    quads = -(-width // 4)
+    fields = np.empty((values.size, 4 * quads), np.uint8)
+    _integer_quads(fields, quads, values)
+    return fields[:, 4 * quads - width :]
+
+
+def _job_ids(rows: np.ndarray, first: int, width: int) -> None:
+    """Write the job ids first, first + 1, ... right-aligned into the
+    width first columns of rows.
+
+    Past 9999 every id has all four low digits: they cycle through the
+    zero-padded quads, and the digits above them change once per 10000
+    ids, so they are formatted once per distinct value and repeated.
+    """
+    n = rows.shape[0]
+    if first < 10000:
+        _put(rows, 0, _integers(np.arange(first, first + n), width))
+        return
+    padded = _quad_tables()[0][10000:]
+    low = first % 10000
+    _quad(rows, width - 4)[:] = np.take(padded, np.arange(low, low + n), mode="wrap")
+    high = _integers(np.arange(first // 10000, (first + n - 1) // 10000 + 1), width - 4)
+    counts = np.diff(np.concatenate(([0], np.arange(10000 - low, n, 10000), [n])))
+    rows[:, : width - 4].view(f"V{width - 4}")[:, 0] = np.repeat(
+        high.view(f"V{width - 4}")[:, 0], counts
+    )
+
+
+def _float_fields(values: np.ndarray) -> np.ndarray:
+    """uint8 [n, w]: repr of each value, padded with _FILL.
+
+    A value in [1e-4, 1e16) whose fractional part is j / 2**k (k <= 15)
+    and whose exact decimal has at most 15 integer and fraction digits
+    together is written as that decimal in int64 digit arithmetic: a
+    decimal of at most 15 significant digits round-trips, and no shorter
+    decimal lies within half an ulp of it, so it is repr's shortest form
+    ('.0' for a whole number).  Other values go through repr.  Each field
+    is a row of fixed width whose unused columns hold _FILL.
+
+    The digits are written four at a time from the quad tables: the
+    integer part's leading zeros and the fraction's trailing zeros (past
+    its k places, since its last place is a 5) come out as _FILL.
+    """
+    n = values.size
+    usual = (values >= 1e-4) & (values < 1e16)
+    w = np.where(usual, values, 0.0)
+    whole = np.floor(w)
+    scaled = (w - whole) * 2.0**_FRACTION_BITS
+    j = scaled.astype(np.int64)
+    integer = whole.astype(np.int64)
+    # the fraction's binary places k are also its decimal places
+    places = np.where(j > 0, _FRACTION_BITS + 1 - np.frexp(j & -j)[1], 0)
+    exact = usual & (scaled == j) & (integer < _POW10[15 - places])
+    inexact = np.flatnonzero(~exact)
+    a = len(str(integer.max(where=exact, initial=0)))
+    f = max(int(places.max(where=exact, initial=0)), 1)
+    qi, qf = -(-a // 4), -(-f // 4)
+    texts = np.array(list(map(repr, values[inexact].tolist())), "S24")
+    chars = texts.view(np.uint8).reshape(inexact.size, 24)
+    used = int(np.flatnonzero(chars.any(axis=0))[-1]) + 1 if inexact.size else 0
+    width = max(a + 1 + f, used)
+    lo = 4 * qi - a  # the field's first column
+    fields = np.empty((n, max(lo + width, 4 * (qi + qf) + 1)), np.uint8)
+    if inexact.size < n:
+        _integer_quads(fields, qi, integer)
+        fields[:, 4 * qi] = ord(".")
+        first, later = _quad_tables()[2:]
+        # the fraction's first 4 * qf of its 15 decimal places
+        digits = j * 5**_FRACTION_BITS
+        if 4 * qf <= _FRACTION_BITS:
+            digits //= 10 ** (_FRACTION_BITS - 4 * qf)
+        else:
+            digits *= 10 ** (4 * qf - _FRACTION_BITS)
+        for c in range(qf - 1, -1, -1):
+            higher = digits // 10000
+            index = digits - higher * 10000
+            index += (places > 4 * c + 4) * 10000  # a nonzero digit further right
+            _quad(fields, 4 * qi + 1 + 4 * c)[:] = np.take(first if c == 0 else later, index)
+            digits = higher
+        fields[:, 4 * (qi + qf) + 1 : lo + width] = _FILL
+    if inexact.size:
+        fields[inexact, lo : lo + used] = chars[:, :used]
+        fields[inexact, lo + used : lo + width] = _FILL
+    return fields[:, lo : lo + width]
+
+
+def write_schedule_csv(out: BinaryIO, stage: SecondPass) -> None:
+    """Write the schedule CSV to the binary file out, block by block as
+    the stage yields them: one row per job in job id order, then a
+    trailing makespan row, with CRLF line ends.
+
+    Each completion is formatted once.  A row's start field is the
+    completion field of the row above it in the block when the two floats
+    have the same bits, as they do for most small jobs, and is formatted
+    from the block's start column otherwise.
+    """
+    m = stage.park.m
+    # ",i," for machine i, padded at the end with NUL bytes, that is _FILL
+    machines = np.array([f",{i},".encode() for i in range(m + 1)], f"S{len(str(m)) + 2}")
+    out.write(b"job_id,machine,start,completion\r\n")
+    for block in stage:
+        n = block.machine.size
+        if not n:
+            continue
+        # rows whose start is not the row above's completion, bit for bit
+        start, done = block.start.view(np.int64), block.completion.view(np.int64)
+        fresh = np.flatnonzero(np.concatenate(([True], start[1:] != done[:-1])))
+        times = _float_fields(np.concatenate((block.completion, block.start[fresh])))
+        # row layout: job_id, ",machine,", start, ",", completion, CRLF
+        a = len(str(block.first + n - 1))
+        b = a + machines.dtype.itemsize
+        c = b + times.shape[1]
+        d = c + 1 + times.shape[1]
+        rows = np.empty((n, d + 2), np.uint8)
+        _job_ids(rows, block.first, a)
+        rows[:, a:b].view(f"V{b - a}")[:, 0] = np.take(machines, block.machine).view(f"V{b - a}")
+        _put(rows[1:], b, times[: n - 1])
+        rows[fresh, b:c] = times[n:]
+        rows[:, c] = ord(",")
+        _put(rows, c + 1, times[:n])
+        rows[:, d] = ord("\r")
+        rows[:, d + 1] = ord("\n")
+        # rows hold a few _FILL bytes each: bytes.replace drops them faster
+        # than a boolean mask does
+        out.write(rows.tobytes().replace(bytes([_FILL]), b""))
+    out.write(f"makespan,{float(stage.makespan)!r}\r\n".encode())

@@ -17,7 +17,7 @@ from streamspan import (
     run_stream,
     second_pass,
 )
-from streamspan.capacity import capacity_at
+from streamspan.capacity import capacity_at, completion_chain
 from streamspan.cli import generate_instance, parse_machine_config_text
 from streamspan.oracle import completion_from_zero, grid_scan_t, naive_capacity_at
 from streamspan.schedule import FirstPassArtifacts, fingerprint_update
@@ -57,11 +57,25 @@ def random_timeline(rng: random.Random, index=1, max_intervals=4, bp_max=20,
 
 
 def offline(park, params, jobs):
-    """In-memory two-pass run anchored at the stream maximum: (schedule, report)."""
-    ledger = (make_ledger(params, "pmax-given", pmax=max(jobs)) if len(jobs)
-              else make_ledger(params, "pmax-unknown"))
-    report, artifacts = run_stream(park, ledger, [jobs])
+    """In-memory two-pass run on the pmax-unknown ledger, as `--mode
+    offline` runs it: (schedule, report)."""
+    report, artifacts = run_stream(park, make_ledger(params, "pmax-unknown"), [jobs])
     return second_pass(park, artifacts, [jobs]), report
+
+
+def completion_time(timeline, start, amount):
+    """Smallest t >= start with A_i(t) - A_i(start) >= amount: a one-job
+    completion_chain."""
+    return float(completion_chain(timeline, start, (amount,))[0])
+
+
+def crossing_counts(park, schedule, jobs, t):
+    """Per machine, how many jobs finish after t (exact load comparison)."""
+    sizes = np.asarray(jobs, dtype=np.float64)
+    return [
+        int(np.count_nonzero(np.add.accumulate(sizes[run]) > capacity_at(tl, t)))
+        for tl, run in zip(park.machines, schedule.runs)
+    ]
 
 
 def time_grid(park, total_load, epsilon):
@@ -279,7 +293,7 @@ def reference_second_pass(park, artifacts, jobs):
     time each machine's run with prefix_chain."""
     assignment = artifacts.outcome.assignment
     placer = _PerJobPlacer(park, artifacts.outcome.t, assignment.per_machine_load)
-    large_ids = artifacts.large_ids
+    large_ids = {job_id for job_id, _ in assignment.jobs}
     for job_id, p in enumerate(jobs):
         if job_id not in large_ids:
             placer.place(job_id, float(p))

@@ -16,12 +16,12 @@ from streamspan import exact_optimum, make_ledger, run_stream, second_pass, vali
 from streamspan.capacity import capacity_at
 from streamspan.grouping import LargeJobSet
 from streamspan.oracle import grid_scan_t, naive_capacity_at
-from streamspan.schedule import crossing_counts
 from streamspan.search import crossing_allowance, enumerate_and_select
 
 from _support import (
     assignment_grid_exponents,
     brute_force_selection,
+    crossing_counts,
     make_instance,
     offline,
     quiet_params,
@@ -118,7 +118,7 @@ def test_discovering_the_maximum_online_matches_declaring_it():
         )
         online = make_ledger(params, "pmax-unknown")
         for i, p in enumerate(stream, start=1):
-            online.ingest(p)
+            online.ingest_many([p])
             if i in checkpoints:
                 declared = make_ledger(params, "pmax-given", pmax=max(stream[:i]))
                 declared.ingest_many(stream[:i])

@@ -11,7 +11,6 @@ from streamspan import ConfigError, MachinePark, MachineTimeline
 from streamspan.capacity import (
     capacity_at,
     completion_chain,
-    completion_time,
     completions_at,
     park_capacity_at,
     search_bounds,
@@ -19,7 +18,7 @@ from streamspan.capacity import (
 
 from streamspan.oracle import completion_from_zero
 
-from _support import identity_park, prefix_chain
+from _support import completion_time, identity_park, prefix_chain
 
 
 def ramp():
@@ -31,7 +30,7 @@ class TestMachineTimeline:
     def test_cumulative_table(self):
         tl = ramp()
         assert tl.cumulative == (1.0, 3.0)
-        assert tl.interval_count == 2
+        assert len(tl.breakpoints) == 2
 
     def test_never_shared(self):
         tl = MachineTimeline(1, (), ())
@@ -70,7 +69,7 @@ class TestMachinePark:
     def test_properties(self):
         park = MachinePark((ramp(), MachineTimeline(2, (), ())), 1, 0.5)
         assert park.m == 2
-        assert park.total_intervals == 2
+        assert [len(tl.breakpoints) for tl in park.machines] == [2, 0]
 
     def test_floor_contract_names_machine(self):
         with pytest.raises(ConfigError, match="machine 1.*below e0"):
@@ -130,9 +129,7 @@ class TestCompletionTime:
 
     def test_rejects_negative_args(self):
         with pytest.raises(ConfigError):
-            completion_time(ramp(), -1.0, 1.0)
-        with pytest.raises(ConfigError):
-            completion_time(ramp(), 0.0, -1.0)
+            completion_chain(ramp(), -1.0, [1.0])
 
 
 def test_search_bounds():
@@ -274,7 +271,7 @@ def _dense_timeline():
 
 def test_exact_chains_are_the_per_job_fold():
     # with dyadic sizes and ratios A(clock) is exact at every completion,
-    # so the prefix rule is the job-by-job fold of completion_time
+    # so the prefix rule is the job-by-job fold of one-job chains
     tl = _dense_timeline()
     amounts = [random.Random(5).randint(1, 64) / 4.0 for _ in range(2000)]
     got = completion_chain(tl, 0.5, amounts)

@@ -1,9 +1,10 @@
 import csv
 import dataclasses
 import errno
+import importlib
 import io
-import math
 import os
+import pkgutil
 import random
 import struct
 import subprocess
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import streamspan
 from streamspan import (
     ConfigError,
     JobValueError,
@@ -25,14 +27,14 @@ from streamspan import (
     exact_optimum,
 )
 from streamspan.cli import (
-    _float_chunks,
     generate_instance,
     main,
     parse_machine_config,
     parse_machine_config_text,
-    write_schedule_csv,
 )
 import streamspan.cli as cli_mod
+import streamspan.textio as textio
+from streamspan.textio import float_chunks, write_schedule_csv
 from streamspan import make_ledger, run_stream, second_pass
 from streamspan.schedule import SecondPass
 
@@ -147,15 +149,15 @@ def _float_refuses(token):
 
 class TestStreamTokenizer:
     def test_tokens_survive_chunk_boundaries(self, monkeypatch):
-        monkeypatch.setattr(cli_mod, "_READ_CHARS", 3)
+        monkeypatch.setattr(textio, "_READ_CHARS", 3)
         for text in ("12.5  7\n 3.25\t\t19 4", "12  7\n 325\t\t19 4", "1 2345678 9\n"):
-            values = np.concatenate(list(_float_chunks(io.StringIO(text))))
+            values = np.concatenate(list(float_chunks(io.StringIO(text))))
             assert values.tobytes() == np.array(text.split(), np.float64).tobytes()
 
     def test_float_chunks_report_positions(self, monkeypatch):
-        monkeypatch.setattr(cli_mod, "_READ_CHARS", 4)
+        monkeypatch.setattr(textio, "_READ_CHARS", 4)
         with pytest.raises(JobValueError, match="position 2") as exc_info:
-            for _ in _float_chunks(io.StringIO("1 2 oops 4")):
+            for _ in float_chunks(io.StringIO("1 2 oops 4")):
                 pass
         assert exc_info.value.position == 2
 
@@ -174,20 +176,20 @@ class TestStreamTokenizer:
             expected = float(token)
         except ValueError:
             with pytest.raises(JobValueError, match="position 1"):
-                list(_float_chunks(io.StringIO(f"2 {token} 3\n")))
+                list(float_chunks(io.StringIO(f"2 {token} 3\n")))
             return
-        (values,) = list(_float_chunks(io.StringIO(f"2 {token} 3\n")))
+        (values,) = list(float_chunks(io.StringIO(f"2 {token} 3\n")))
         assert values.dtype == np.float64
         assert values[1:2].tobytes() == struct.pack("=d", expected)
 
     def test_float_chunks_parse_a_chunk_like_float(self):
         tokens = [t for t in self.FLOAT_CORPUS if t not in self.REFUSED]
-        (values,) = list(_float_chunks(io.StringIO(" ".join(tokens) + "\n")))
+        (values,) = list(float_chunks(io.StringIO(" ".join(tokens) + "\n")))
         assert values.tobytes() == struct.pack(f"={len(tokens)}d", *map(float, tokens))
 
     def test_empty_stream_yields_nothing(self):
-        assert list(_float_chunks(io.StringIO(""))) == []
-        assert list(_float_chunks(io.StringIO(" \n\t "))) == []
+        assert list(float_chunks(io.StringIO(""))) == []
+        assert list(float_chunks(io.StringIO(" \n\t "))) == []
 
     # digit runs either side of the 18 digits the digit path takes, 2**53 + 1
     DIGIT_RUNS = (
@@ -223,60 +225,16 @@ class TestStreamTokenizer:
         toks = text.split()
         refused = [i for i, tok in enumerate(toks) if _float_refuses(tok)]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli_mod, "_READ_CHARS", read_chars)
+            mp.setattr(textio, "_READ_CHARS", read_chars)
             if refused:
                 with pytest.raises(JobValueError) as exc_info:
-                    list(_float_chunks(io.StringIO(text)))
+                    list(float_chunks(io.StringIO(text)))
                 assert exc_info.value.position == refused[0]
                 return
-            chunks = list(_float_chunks(io.StringIO(text)))
+            chunks = list(float_chunks(io.StringIO(text)))
         values = np.concatenate(chunks) if chunks else np.empty(0, np.float64)
         assert values.dtype == np.float64
         assert values.tobytes() == np.array(toks, np.float64).tobytes()
-
-
-def _formatted(values):
-    """Each value as the schedule CSV's float formatter writes it."""
-    fields = cli_mod._float_fields(np.array(values, np.float64))
-    return [row[row != cli_mod._FILL].tobytes().decode() for row in fields]
-
-
-FORMAT_EDGES = (
-    1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), 1e16,
-    math.nextafter(1e16, 0.0), 2.0**53, 2.0**53 + 2, 2.0**53 - 1, 0.0, -0.0, 5e-324,
-    1e15, 999999999999999.0, 123456789012345.5, 0.5, 0.25, 0.0001220703125,
-    2.0**-15, 2.0**-16, 1.5 + 2.0**-14, 0.1, 0.3, 1.1, 1e-5, 123.0, math.inf, -math.inf,
-    math.nan, -1.25, 1e300, 2.2250738585072014e-308, -2.2250738585072014e-308,
-)
-
-
-class TestFloatFields:
-    def test_edges_match_repr(self):
-        assert _formatted(FORMAT_EDGES) == [repr(v) for v in FORMAT_EDGES]
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(
-                st.floats(allow_nan=True, allow_infinity=True),
-                st.floats(1e-4, 1e16),
-                st.integers(0, 2**56).map(lambda q: q / 4.0),
-                st.integers(0, 10**12).map(lambda q: q * 0.1),
-                st.builds(lambda i, k: i / 2.0**k, st.integers(0, 2**53), st.integers(0, 60)),
-                st.sampled_from(FORMAT_EDGES),
-            ),
-            max_size=40,
-        ),
-        st.integers(1, 8),
-    )
-    @example([0.25, 0.1, 3.0, 2.0**53], 1)
-    def test_fields_match_repr(self, values, rows):
-        # formatted in blocks of `rows` values, as the writer formats a
-        # block's fields, so blocks of differing widths are compared too
-        pieces = [values[i : i + rows] for i in range(0, len(values), rows)]
-        assert [text for piece in pieces for text in _formatted(piece)] == [
-            repr(float(v)) for v in values
-        ]
 
 
 class TestGenerator:
@@ -463,17 +421,6 @@ class TestRunCommand:
                                  f"makespan,{sched.makespan!r}", ""])
         assert written == expected.encode()
 
-    def test_job_ids_match_their_decimal_text(self):
-        # ids from any first id on, across boundaries of 10**4 and 10**k
-        for first, n in ((0, 12), (9995, 10), (10**4, 3), (12345, 20007), (99990, 20),
-                         (10**8 - 5, 9)):
-            width = len(str(first + n - 1))
-            rows = np.zeros((n, width), np.uint8)
-            cli_mod._job_ids(rows, first, width)
-            assert [row[row != cli_mod._FILL].tobytes().decode() for row in rows] == [
-                str(i) for i in range(first, first + n)
-            ]
-
     def test_schedule_out_through_a_symlink_replaces_its_target(self, capsys, instance,
                                                                 tmp_path):
         cfg, jobs = instance
@@ -545,21 +492,24 @@ class TestRunCommand:
 
     def test_offline_equals_two_pass(self, capsys, instance, tmp_path):
         cfg, jobs = instance
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        _, out_two, _ = _run_main(
-            capsys,
-            ["run", "--config", cfg, "--jobs", jobs, "--mode", "two-pass",
-             "--regime", "pmax-given", "--pmax", "16", "--schedule-out", str(a)],
-        )
-        _, out_off, _ = _run_main(
-            capsys,
-            ["run", "--config", cfg, "--jobs", jobs, "--mode", "offline",
-             "--schedule-out", str(b)],
-        )
-        assert a.read_text() == b.read_text()
-        two, off = _report_dict(out_two), _report_dict(out_off)
-        assert two["value"] == off["value"]
-        assert two["makespan"] == off["makespan"]
+        # small jobs, then a few large ones: a ledger anchored at the
+        # maximum would never have retained the small ones
+        rising = tmp_path / "rising.txt"
+        rising.write_text(" ".join(["1", "2", "3"] * 40 + ["900", "1000", "1100"]) + "\n")
+        for stream in (jobs, str(rising)):
+            reports = {}
+            for mode in ("two-pass", "offline"):
+                code, out, err = _run_main(
+                    capsys,
+                    ["run", "--config", cfg, "--jobs", stream, "--mode", mode, "--stats",
+                     "--schedule-out", str(tmp_path / f"{mode}.csv")],
+                )
+                assert code == 0, err
+                reports[mode] = {k: v for k, v in _report_dict(out).items()
+                                 if k not in ("mode", "schedule_path") and not k.endswith("_seconds")}
+            assert reports["offline"] == reports["two-pass"]
+            assert (tmp_path / "offline.csv").read_bytes() == (tmp_path / "two-pass.csv").read_bytes()
+        assert int(reports["offline"]["peak_retained_jobs"]) >= 120
 
     def test_offline_reads_stdin(self, capsys, instance, tmp_path, monkeypatch):
         cfg, jobs = instance
@@ -1031,7 +981,7 @@ class TestExitCodes:
         self, capsys, tmp_path, monkeypatch, fault, code
     ):
         # blocks of 4 characters: the replay writes rows before the fault
-        monkeypatch.setattr(cli_mod, "_READ_CHARS", 4)
+        monkeypatch.setattr(textio, "_READ_CHARS", 4)
         config_text, jobs_text = generate_instance(21, 2, 1, 0.5, 60)
         cfg, jobs = tmp_path / "park.cfg", tmp_path / "jobs.txt"
         cfg.write_text(config_text)
@@ -1208,6 +1158,26 @@ class TestGenerateCommand:
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_one_file_for_both_outputs_is_2_and_writes_nothing(self, capsys, tmp_path):
+        config = tmp_path / "c.txt"
+        link, hard = tmp_path / "link.txt", tmp_path / "hard.txt"
+        link.symlink_to(config)
+        for exists in (False, True):
+            if exists:  # a hard link is the same file only once it exists
+                config.write_text("an earlier file\n")
+                os.link(config, hard)
+            for jobs_out in (config, link) + ((hard,) if exists else ()):
+                code, out, err = _run_main(
+                    capsys,
+                    ["generate", "--seed", "7", "--m", "2", "--m1", "1", "--e0", "0.5",
+                     "--n", "5", "--config-out", str(config), "--jobs-out", str(jobs_out)],
+                )
+                assert code == 2
+                assert err == f"streamspan: error: cannot write {jobs_out}: it is also the config output\n"
+                assert out == ""
+                assert config.exists() == exists
+                assert not exists or config.read_text() == "an earlier file\n"
+
     def test_bad_intervals_flag_is_2(self, capsys, tmp_path):
         code, _, err = _run_main(
             capsys,
@@ -1251,3 +1221,37 @@ def test_importing_the_package_leaves_the_cli_out():
     code = "import sys, streamspan; sys.exit('streamspan.cli' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_ENV)
     assert res.returncode == 0, res.stderr
+
+
+def test_every_export_resolves():
+    for info in pkgutil.iter_modules(streamspan.__path__):
+        name = f"streamspan.{info.name}"
+        module = importlib.import_module(name)
+        for export in vars(module).get("__all__", ()):
+            assert hasattr(module, export), (name, export)
+        exec(f"from {name} import *", {})
+    for export in streamspan.__all__:
+        assert hasattr(streamspan, export), export
+
+
+def test_the_benchmark_hooks_see_every_call(capsys, instance, tmp_path, monkeypatch):
+    # perfbench times these layers by replacing cli's own globals, and
+    # benchmarks/makespan_gap.py captures reports the same way
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("run_stream", "write_schedule_csv"):
+        monkeypatch.setattr(cli_mod, name, counting(name, getattr(cli_mod, name)))
+    cfg, jobs = instance
+    code, _, err = _run_main(
+        capsys,
+        ["run", "--config", cfg, "--jobs", jobs, "--mode", "two-pass",
+         "--schedule-out", str(tmp_path / "s.csv")],
+    )
+    assert code == 0, err
+    assert sorted(calls) == ["run_stream", "write_schedule_csv"]

@@ -140,8 +140,8 @@ def params_tight():
 class TestKnownPmaxLedger:
     def test_single_small_and_single_large(self, params_small):
         led = make_ledger(params_small, "pmax-given", pmax=100.0)
-        led.ingest(1.0)
-        led.ingest(100.0)
+        led.ingest_many([1.0])
+        led.ingest_many([100.0])
         # window anchored at ceil_log2(100)=7: bands cover (16,32],(32,64],(64,128]
         assert led.snapshot() == (4, 1, ((7, 1, ((1, 100.0),)),))
         assert led.total_load == 101.0
@@ -168,25 +168,25 @@ class TestKnownPmaxLedger:
 
     def test_pmax_contract(self, params_small):
         led = make_ledger(params_small, "pmax-given", pmax=8.0)
-        led.ingest(8.0)
+        led.ingest_many([8.0])
         with pytest.raises(PmaxContractError, match="position 1"):
-            led.ingest(8.5)
+            led.ingest_many([8.5])
         led2 = make_ledger(params_small, "pmax-given", pmax=8.0)
         with pytest.raises(PmaxContractError, match="position 2") as exc:
             led2.ingest_many(np.array([1.0, 2.0, 9.0, 1.0]))
         assert exc.value.position == 2
         # a declared p_max above the band of the stream's maximum
         led3 = make_ledger(params_small, "pmax-given", pmax=16.0)
-        led3.ingest(8.0)
+        led3.ingest_many([8.0])
         with pytest.raises(PmaxContractError, match="observed maximum 8.0"):
             led3.finalize()
 
     def test_rejects_bad_values(self, params_small):
         led = make_ledger(params_small, "pmax-given", pmax=8.0)
-        led.ingest(1.0)
+        led.ingest_many([1.0])
         for bad in (0.0, -3.0, math.nan):
             with pytest.raises(JobValueError, match="position 1"):
-                led.ingest(bad)
+                led.ingest_many([bad])
         with pytest.raises(JobValueError) as exc:
             led.ingest_many(np.array([2.0, -1.0]))
         assert exc.value.position == 2
@@ -198,7 +198,7 @@ class TestKnownPmaxLedger:
         a.ingest_many(jobs)
         b = make_ledger(params_small, "pmax-given", pmax=100.0)
         for p in jobs:
-            b.ingest(float(p))
+            b.ingest_many([float(p)])
         assert a.snapshot() == b.snapshot()
         assert a.total_load == b.total_load
         assert a.peak_retained == b.peak_retained
@@ -206,11 +206,11 @@ class TestKnownPmaxLedger:
     def test_retention_resets_at_limit_for_good(self, params_tight):
         led = make_ledger(params_tight, "pmax-given", pmax=8.0)
         for _ in range(3):
-            led.ingest(8.0)
+            led.ingest_many([8.0])
         assert led.retained_in_band(2) == [(0, 8.0), (1, 8.0), (2, 8.0)]
-        led.ingest(8.0)  # fourth arrival reaches the limit
+        led.ingest_many([8.0])  # fourth arrival reaches the limit
         assert led.retained_in_band(2) == []
-        led.ingest(8.0)  # and the band never retains again
+        led.ingest_many([8.0])  # and the band never retains again
         assert led.retained_in_band(2) == []
         state = led.snapshot()
         assert state[2] == ((3, 5, ()),)
@@ -269,10 +269,10 @@ class TestEstimatePmaxLedger:
     def test_estimate_contract_violations(self, params_small):
         est = make_ledger(params_small, "pmax-estimate", pmax_estimate=8.0, alpha=2.0)
         with pytest.raises(PmaxContractError, match="position 0"):
-            est.ingest(8.5)  # above the declared estimate
+            est.ingest_many([8.5])  # above the declared estimate
         # stream max far below estimate/alpha: the declared pair was a lie
         est2 = make_ledger(params_small, "pmax-estimate", pmax_estimate=80.0, alpha=2.0)
-        est2.ingest(1.0)
+        est2.ingest_many([1.0])
         with pytest.raises(PmaxContractError, match="alpha"):
             est2.finalize()
 
@@ -291,14 +291,14 @@ class TestEstimatePmaxLedger:
 class TestUnknownPmaxLedger:
     def test_first_job_anchors(self, params_small):
         led = make_ledger(params_small, "pmax-unknown")
-        led.ingest(1.0)
+        led.ingest_many([1.0])
         assert led.band_offset == -3
         assert led.snapshot() == (-3, 0, ((0, 1, ((0, 1.0),)),))
 
     def test_growth_rebases_and_folds(self, params_small):
         led = make_ledger(params_small, "pmax-unknown")
-        led.ingest(1.0)
-        led.ingest(100.0)
+        led.ingest_many([1.0])
+        led.ingest_many([100.0])
         known = make_ledger(params_small, "pmax-given", pmax=100.0)
         known.ingest_many(np.array([1.0, 100.0]))
         assert led.snapshot() == known.snapshot()
@@ -309,7 +309,7 @@ class TestUnknownPmaxLedger:
         jobs = rng.integers(1, 2000, size=120).astype(np.float64)
         led = make_ledger(params_small, "pmax-unknown")
         for i, p in enumerate(jobs, start=1):
-            led.ingest(float(p))
+            led.ingest_many([float(p)])
             fresh = make_ledger(params_small, "pmax-given", pmax=float(jobs[:i].max()))
             fresh.ingest_many(jobs[:i])
             assert led.snapshot() == fresh.snapshot()
@@ -319,7 +319,7 @@ class TestUnknownPmaxLedger:
         rng = np.random.default_rng(5)
         led = make_ledger(params_tight, "pmax-unknown")
         for p in rng.integers(1, 5000, size=400):
-            led.ingest(float(p))
+            led.ingest_many([float(p)])
             assert led.retained_total <= led.retained_bound
             assert led.peak_group_records <= led.group_record_bound
         assert led.peak_retained <= led.retained_bound
@@ -327,7 +327,7 @@ class TestUnknownPmaxLedger:
     def test_rejects_bad_values(self, params_small):
         led = make_ledger(params_small, "pmax-unknown")
         with pytest.raises(JobValueError, match="position 0"):
-            led.ingest(-2.0)
+            led.ingest_many([-2.0])
 
     def test_rejects_an_overflowing_total(self, params_small):
         led = make_ledger(params_small, "pmax-unknown")

@@ -14,12 +14,13 @@ from streamspan import (
     exact_optimum,
     make_ledger,
 )
-from streamspan.capacity import capacity_at, completion_time
+from streamspan.capacity import capacity_at
 from streamspan.oracle import grid_scan_t, naive_capacity_at
 from streamspan.search import enumerate_and_select
 
 from _support import (
     brute_force_selection,
+    completion_time,
     identity_park,
     make_instance,
     quiet_params,

@@ -18,12 +18,13 @@ from streamspan import (
     second_pass,
     validate_schedule,
 )
-from streamspan.capacity import completion_time
-from streamspan.schedule import _GreedyFill, crossing_counts, fingerprint_update
+from streamspan.schedule import _GreedyFill, fingerprint_update
 from streamspan.search import crossing_allowance
 
 from _support import (
     column_bytes,
+    completion_time,
+    crossing_counts,
     hand_artifacts,
     identity_park,
     make_instance,

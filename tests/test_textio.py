@@ -1,0 +1,65 @@
+"""Tests of streamspan.textio's schedule CSV formatting."""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import streamspan.textio as textio
+
+
+def _formatted(values):
+    """Each value as the schedule CSV's float formatter writes it."""
+    fields = textio._float_fields(np.array(values, np.float64))
+    return [row[row != textio._FILL].tobytes().decode() for row in fields]
+
+
+FORMAT_EDGES = (
+    1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), 1e16,
+    math.nextafter(1e16, 0.0), 2.0**53, 2.0**53 + 2, 2.0**53 - 1, 0.0, -0.0, 5e-324,
+    1e15, 999999999999999.0, 123456789012345.5, 0.5, 0.25, 0.0001220703125,
+    2.0**-15, 2.0**-16, 1.5 + 2.0**-14, 0.1, 0.3, 1.1, 1e-5, 123.0, math.inf, -math.inf,
+    math.nan, -1.25, 1e300, 2.2250738585072014e-308, -2.2250738585072014e-308,
+)
+
+
+class TestFloatFields:
+    def test_edges_match_repr(self):
+        assert _formatted(FORMAT_EDGES) == [repr(v) for v in FORMAT_EDGES]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.floats(1e-4, 1e16),
+                st.integers(0, 2**56).map(lambda q: q / 4.0),
+                st.integers(0, 10**12).map(lambda q: q * 0.1),
+                st.builds(lambda i, k: i / 2.0**k, st.integers(0, 2**53), st.integers(0, 60)),
+                st.sampled_from(FORMAT_EDGES),
+            ),
+            max_size=40,
+        ),
+        st.integers(1, 8),
+    )
+    @example([0.25, 0.1, 3.0, 2.0**53], 1)
+    def test_fields_match_repr(self, values, rows):
+        # formatted in blocks of `rows` values, as the writer formats a
+        # block's fields, so blocks of differing widths are compared too
+        pieces = [values[i : i + rows] for i in range(0, len(values), rows)]
+        assert [text for piece in pieces for text in _formatted(piece)] == [
+            repr(float(v)) for v in values
+        ]
+
+
+def test_job_ids_match_their_decimal_text():
+    # ids from any first id on, across boundaries of 10**4 and 10**k
+    for first, n in ((0, 12), (9995, 10), (10**4, 3), (12345, 20007), (99990, 20),
+                     (10**8 - 5, 9)):
+        width = len(str(first + n - 1))
+        rows = np.zeros((n, width), np.uint8)
+        textio._job_ids(rows, first, width)
+        assert [row[row != textio._FILL].tobytes().decode() for row in rows] == [
+            str(i) for i in range(first, first + n)
+        ]
