@@ -4,11 +4,13 @@ Two subcommands: `run` executes a scheduling pass over a machine config
 and a job stream; `generate` writes a seeded random instance.  Reports go
 to stdout as `key: value` lines; schedules to a CSV file, written by
 streamspan.textio.  The two-pass and offline modes share one path and
-the default pmax-unknown ledger: a first pass over parsed chunks, then
-a second pass over the same chunks, re-read from the file (two-pass) or
-from an in-memory buffer (offline), that writes each chunk's schedule
-rows as it goes, to a temporary file renamed on success.  Every error
-class has its own exit code so pipelines can branch on failures:
+the default pmax-unknown ledger: a first pass over chunks parsed by one
+timed reader, then a second pass over the same chunks, re-read from the
+file (two-pass) or replayed from the chunks the first pass kept in
+memory (offline, which reads the stream once), that writes each chunk's
+schedule rows as it goes, to a temporary file renamed on success.
+Every error class has its own exit code so pipelines can branch on
+failures:
 
     0  success
     1  internal contract violation (should not happen)
@@ -405,13 +407,16 @@ def _cmd_run(args) -> int:
 def _run_passes(args, park: MachinePark, params, out: BinaryIO | None):
     """The first pass, then, when out is a file, the second pass written to it."""
     read = partial(_job_chunks, args.jobs)
-    if args.mode == "offline":  # two-pass over an in-memory buffer
-        read = list(read()).__iter__
+    chunks = read()
+    if args.mode == "offline":  # the second pass replays the chunks the first one parsed
+        kept = []
+        chunks = (kept.append(chunk) or chunk for chunk in chunks)
+        read = kept.__iter__
     ledger = make_ledger(
         params, args.regime or "pmax-unknown",
         pmax=args.pmax, pmax_estimate=args.pmax_estimate, alpha=args.alpha,
     )
-    report, artifacts = run_stream(park, ledger, read(), mode=args.mode, budget=args.budget)
+    report, artifacts = run_stream(park, ledger, chunks, mode=args.mode, budget=args.budget)
     if out is None:
         return report
     stage = SecondPass(park, artifacts, read())

@@ -106,12 +106,14 @@ _CHUNK_CELLS = 1 << 22
 
 def completion_from_zero(timeline: MachineTimeline, loads: np.ndarray) -> np.ndarray:
     """A_i^{-1} of each load: its completion from 0, written apart from
-    capacity.completion_chain and equal to that chain's inversion."""
-    cum = np.asarray(timeline.cumulative, np.float64)
-    if cum.size == 0:
-        return loads.copy()
+    capacity.completion_chain and equal to that chain's inversion.  The
+    capacity at each breakpoint is folded here, as naive_capacity_at
+    folds it, not read from the timeline's table."""
     bps = np.asarray(timeline.breakpoints, np.float64)
     rs = np.asarray(timeline.ratios, np.float64)
+    if bps.size == 0:
+        return loads.copy()
+    cum = np.cumsum(np.diff(bps, prepend=0.0) * rs)
     j = np.searchsorted(cum, loads, side="left")
     jj = np.minimum(j, cum.size - 1)
     left_t = np.where(jj > 0, bps[jj - 1], 0.0)

@@ -8,7 +8,7 @@ them and tests can compare runs with the timing fields masked out.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 import numpy as np
@@ -21,9 +21,14 @@ from .search import DEFAULT_BUDGET, enumerate_and_select
 __all__ = ["RunReport", "run_stream"]
 
 
-@dataclass(frozen=True)
+_STATS = {"stats": True}
+
+
+@dataclass(frozen=True, kw_only=True)
 class RunReport:
-    """Everything one run exposes.  Keys ending in _seconds are timing
+    """Everything one run exposes, one field per key, in print order.  A
+    field whose default is None prints only when set; one with _STATS
+    metadata prints only with --stats.  Keys ending in _seconds are timing
     and excluded from determinism comparisons."""
 
     mode: str
@@ -36,79 +41,38 @@ class RunReport:
     search_jobs: int
     total_load: float
     job_count: int
-    max_seen: float
-    small_bound: float
-    assignments: int
-    search_nodes: int
-    lower_bound: float
-    upper_bound: float
-    epsilon: float
-    top_band: int
-    retain_limit: int
-    override_mode: bool
     peak_retained_jobs: int
-    retained_job_bound: int
     peak_group_records: int
-    group_record_bound: int
-    ingest_seconds: float
-    parse_seconds: float
-    search_seconds: float
     wall_seconds: float
     mean_ingest_seconds: float
     makespan: float | None = None
     schedule_path: str | None = None
-    second_pass_seconds: float | None = None
-    write_seconds: float | None = None
-
-    _CORE = (
-        "mode",
-        "regime",
-        "value",
-        "selected_t",
-        "grid_exponent",
-        "saturated_band",
-        "band_offset",
-        "search_jobs",
-        "total_load",
-        "job_count",
-        "peak_retained_jobs",
-        "peak_group_records",
-        "wall_seconds",
-        "mean_ingest_seconds",
-    )
-    _EXTRA = (
-        "max_seen",
-        "small_bound",
-        "assignments",
-        "search_nodes",
-        "lower_bound",
-        "upper_bound",
-        "epsilon",
-        "top_band",
-        "retain_limit",
-        "override_mode",
-        "retained_job_bound",
-        "group_record_bound",
-        "ingest_seconds",
-        "parse_seconds",
-        "search_seconds",
-    )
-    # stage times of a run that wrote a schedule, after the extras
-    _SCHEDULE_STAGES = ("second_pass_seconds", "write_seconds")
+    max_seen: float = field(metadata=_STATS)
+    small_bound: float = field(metadata=_STATS)
+    assignments: int = field(metadata=_STATS)
+    search_nodes: int = field(metadata=_STATS)
+    lower_bound: float = field(metadata=_STATS)
+    upper_bound: float = field(metadata=_STATS)
+    epsilon: float = field(metadata=_STATS)
+    top_band: int = field(metadata=_STATS)
+    retain_limit: int = field(metadata=_STATS)
+    override_mode: bool = field(metadata=_STATS)
+    retained_job_bound: int = field(metadata=_STATS)
+    group_record_bound: int = field(metadata=_STATS)
+    ingest_seconds: float = field(metadata=_STATS)
+    parse_seconds: float = field(metadata=_STATS)
+    search_seconds: float = field(metadata=_STATS)
+    # stage times of a run that wrote a schedule
+    second_pass_seconds: float | None = field(default=None, metadata=_STATS)
+    write_seconds: float | None = field(default=None, metadata=_STATS)
 
     def as_lines(self, stats: bool = False) -> list[str]:
-        keys = list(self._CORE)
-        if self.makespan is not None:
-            keys.append("makespan")
-        if self.schedule_path is not None:
-            keys.append("schedule_path")
-        if stats:
-            keys.extend(self._EXTRA)
-            keys.extend(k for k in self._SCHEDULE_STAGES if getattr(self, k) is not None)
         out = []
-        for key in keys:
-            val = getattr(self, key)
-            out.append(f"{key}: {val!r}" if isinstance(val, str) else f"{key}: {val}")
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if (val is None and f.default is None) or (f.metadata.get("stats") and not stats):
+                continue
+            out.append(f"{f.name}: {val!r}" if isinstance(val, str) else f"{f.name}: {val}")
         return out
 
 

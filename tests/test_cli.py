@@ -307,7 +307,7 @@ class TestRunCommand:
 
     def test_regimes_report_the_same_value(self, capsys, instance):
         cfg, jobs = instance
-        pmax = str(max(float(t) for t in open(jobs).read().split()))
+        pmax = str(max(float(t) for t in Path(jobs).read_text().split()))
         values = {}
         for extra in (
             ["--regime", "pmax-given", "--pmax", pmax],
@@ -352,7 +352,7 @@ class TestRunCommand:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "job_id,machine,start,completion"
         assert lines[-1] == f"makespan,{report['makespan']}"
-        n_jobs = len(open(jobs).read().split())
+        n_jobs = len(Path(jobs).read_text().split())
         assert len(lines) == n_jobs + 2
         assert float(report["makespan"]) <= float(report["value"])
 
@@ -511,12 +511,49 @@ class TestRunCommand:
             assert (tmp_path / "offline.csv").read_bytes() == (tmp_path / "two-pass.csv").read_bytes()
         assert int(reports["offline"]["peak_retained_jobs"]) >= 120
 
+    def test_offline_times_its_parse(self, capsys, instance, tmp_path, monkeypatch):
+        cfg, jobs = instance
+        real_job_chunks = cli_mod._job_chunks
+        sleeps = []
+
+        def slow_job_chunks(path):
+            for chunk in real_job_chunks(path):
+                time.sleep(0.02)
+                sleeps.append(0.02)
+                yield chunk
+
+        monkeypatch.setattr(cli_mod, "_job_chunks", slow_job_chunks)
+        code, out, err = _run_main(
+            capsys, ["run", "--config", cfg, "--jobs", jobs, "--mode", "offline", "--stats",
+                     "--schedule-out", str(tmp_path / "s.csv")],
+        )
+        assert code == 0, err
+        report = {k: float(v) for k, v in _report_dict(out).items() if k.endswith("_seconds")}
+        assert sleeps and report["parse_seconds"] >= sum(sleeps)
+        stages = report["parse_seconds"] + report["ingest_seconds"] + report["search_seconds"]
+        assert stages <= report["wall_seconds"]
+
+    def test_offline_reports_the_first_fault_two_pass_does(self, capsys, instance, tmp_path):
+        cfg, _ = instance
+        # a bad size in the first read block, an unparsable token in a later one
+        jobs = tmp_path / "jobs.txt"
+        jobs.write_text("-1\n" + "1\n" * 40_000 + "abc\n")
+        errs = {}
+        for mode in ("two-pass", "offline"):
+            code, out, errs[mode] = _run_main(
+                capsys, ["run", "--config", cfg, "--jobs", str(jobs), "--mode", mode,
+                         "--schedule-out", str(tmp_path / "s.csv")],
+            )
+            assert (code, out) == (3, "")
+        assert errs["offline"] == errs["two-pass"]
+        assert "at position 0" in errs["offline"]
+
     def test_offline_reads_stdin(self, capsys, instance, tmp_path, monkeypatch):
         cfg, jobs = instance
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["run", "--config", cfg, "--mode", "offline"]
         _, out_file, _ = _run_main(capsys, argv + ["--jobs", jobs, "--schedule-out", str(a)])
-        monkeypatch.setattr(sys, "stdin", io.StringIO(open(jobs).read()))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(Path(jobs).read_text()))
         code, out_stdin, _ = _run_main(capsys, argv + ["--schedule-out", str(b)])
         assert code == 0
         assert a.read_text() == b.read_text()
@@ -530,7 +567,7 @@ class TestRunCommand:
         assert code == 0
         report = _report_dict(out)
         park = parse_machine_config(cfg)
-        stream = [float(t) for t in open(jobs).read().split()]
+        stream = [float(t) for t in Path(jobs).read_text().split()]
         want = exact_optimum(park, stream)
         assert float(report["optimal_makespan"]) == want.makespan
 
@@ -556,7 +593,7 @@ class TestRunCommand:
 
     def test_stdin_works_for_one_pass(self, capsys, instance, monkeypatch):
         cfg, jobs = instance
-        stream = open(jobs).read()
+        stream = Path(jobs).read_text()
         monkeypatch.setattr(sys, "stdin", io.StringIO(stream))
         code, out, _ = _run_main(capsys, ["run", "--config", cfg])
         assert code == 0
@@ -691,15 +728,15 @@ class TestExitCodes:
         cfg, jobs = tmp_path / "park.cfg", tmp_path / "jobs.txt"
         cfg.write_text(config_text)
         jobs.write_text(jobs_text)
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "streamspan.cli", "run", "--config", str(cfg), "--jobs",
              str(jobs), "--mode", "two-pass", "--schedule-out", "/dev/stdout"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_ENV,
-        )
-        assert proc.stdout.readline() == b"job_id,machine,start,completion\r\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 7, err
+        ) as proc:
+            assert proc.stdout.readline() == b"job_id,machine,start,completion\r\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 7, err
         assert b"Traceback" not in err
 
     @pytest.mark.parametrize("mode", ["one-pass", "two-pass", "offline"])
@@ -829,7 +866,7 @@ class TestExitCodes:
                                                        flags, e0):
         cfg, jobs = instance
         tiny = tmp_path / "tiny.cfg"
-        tiny.write_text(open(cfg).read().replace("e0 0.5", f"e0 {e0}"))
+        tiny.write_text(Path(cfg).read_text().replace("e0 0.5", f"e0 {e0}"))
         code, out, err = _run_main(capsys, ["run", "--config", str(tiny), "--jobs", jobs, *flags])
         assert code == 2
         assert "not finite" in err
@@ -923,7 +960,7 @@ class TestExitCodes:
         cfg, jobs = instance
         out_csv = tmp_path / "sched.csv"
         real_open = open
-        text = real_open(jobs).read()
+        text = Path(jobs).read_text()
         calls = []
 
         def flaky_open(path, *a, **kw):

@@ -15,7 +15,7 @@ from streamspan import (
     make_ledger,
 )
 from streamspan.capacity import capacity_at
-from streamspan.oracle import grid_scan_t, naive_capacity_at
+from streamspan.oracle import completion_from_zero, grid_scan_t, naive_capacity_at
 from streamspan.search import enumerate_and_select
 
 from _support import (
@@ -52,6 +52,15 @@ class TestNaiveCapacity:
     def test_agreement_is_exact_not_approximate(self, seed, t):
         tl = random_timeline(random.Random(seed), 1)
         assert naive_capacity_at(tl, t) == capacity_at(tl, t)
+
+
+def test_completion_from_zero_inverts_by_definition_whatever_the_timeline_caches():
+    tl = ramp()
+    object.__setattr__(tl, "cumulative", (10.0, 30.0))  # a wrong table
+    loads = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 5.0])
+    done = completion_from_zero(tl, loads)
+    assert done.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 6.0]
+    assert [naive_capacity_at(tl, t) for t in done] == loads.tolist()
 
 
 def _brute_makespan(park, jobs):

@@ -20,7 +20,7 @@ from streamspan import (
     run_stream,
     second_pass,
 )
-from streamspan.cli import write_schedule_csv
+from streamspan.cli import generate_instance, main, write_schedule_csv
 from streamspan.schedule import SecondPass
 
 from _support import identity_park, make_instance, quiet_params
@@ -172,24 +172,37 @@ class TestReportLines:
         report, _ = run_stream(park, ledger, [jobs])
         return dataclasses.replace(report, **overrides) if overrides else report
 
+    CORE = ["mode", "regime", "value", "selected_t", "grid_exponent", "saturated_band",
+            "band_offset", "search_jobs", "total_load", "job_count", "peak_retained_jobs",
+            "peak_group_records", "wall_seconds", "mean_ingest_seconds"]
+    EXTRA = ["max_seen", "small_bound", "assignments", "search_nodes", "lower_bound",
+             "upper_bound", "epsilon", "top_band", "retain_limit", "override_mode",
+             "retained_job_bound", "group_record_bound", "ingest_seconds", "parse_seconds",
+             "search_seconds"]
+
     def test_core_lines_only_by_default(self):
         lines = self._report().as_lines()
         keys = [ln.split(":", 1)[0] for ln in lines]
-        assert keys == list(RunReport._CORE)
+        assert keys == self.CORE
 
     def test_stats_appends_the_extras(self):
         lines = self._report().as_lines(stats=True)
         keys = [ln.split(":", 1)[0] for ln in lines]
-        assert keys == list(RunReport._CORE) + list(RunReport._EXTRA)
+        assert keys == self.CORE + self.EXTRA
 
     def test_stats_appends_the_schedule_stage_times(self):
         report = self._report(makespan=3.5, schedule_path="out.csv",
                               second_pass_seconds=0.25, write_seconds=0.5)
         keys = [ln.split(":", 1)[0] for ln in report.as_lines(stats=True)]
-        assert keys == (list(RunReport._CORE) + ["makespan", "schedule_path"]
-                        + list(RunReport._EXTRA) + ["second_pass_seconds", "write_seconds"])
+        assert keys == (self.CORE + ["makespan", "schedule_path"]
+                        + self.EXTRA + ["second_pass_seconds", "write_seconds"])
         keys = [ln.split(":", 1)[0] for ln in report.as_lines()]
-        assert keys == list(RunReport._CORE) + ["makespan", "schedule_path"]
+        assert keys == self.CORE + ["makespan", "schedule_path"]
+
+    def test_an_empty_stream_prints_band_offset_none(self):
+        park, _ = make_instance(11, 2, 1, 0.5, 6)
+        report, _ = run_stream(park, make_ledger(quiet_params(2, 1, 0.5, 0.5), "pmax-unknown"), [])
+        assert "band_offset: None" in report.as_lines()
 
     def test_schedule_fields_appear_when_set(self):
         report = self._report(makespan=3.5, schedule_path="out.csv")
@@ -227,3 +240,28 @@ def test_the_readme_library_example_runs():
     exec(block, scope)
     assert scope["report"].regime == "pmax-unknown"
     assert scope["schedule"].makespan <= scope["report"].value
+
+
+def test_the_readme_key_table_is_the_report_in_print_order(tmp_path, capsys, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("\n## Report keys\n", 1)[1].split("\n## ", 1)[0]
+    first_cells = [ln.split("|")[1] for ln in table.splitlines() if ln.startswith("| `")]
+    keys = [key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)]
+    assert keys == [f.name for f in dataclasses.fields(RunReport)]
+
+    config_text, jobs_text = generate_instance(3, 2, 1, 0.5, 40)
+    cfg, jobs = tmp_path / "park.cfg", tmp_path / "jobs.txt"
+    cfg.write_text(config_text)
+    jobs.write_text(jobs_text)
+
+    def report_on_a_clock(step):
+        ticks = iter(range(0, 10**9, step))
+        monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+        assert main(["run", "--config", str(cfg), "--jobs", str(jobs), "--mode", "two-pass",
+                     "--schedule-out", str(tmp_path / "s.csv"), "--stats"]) == 0
+        return dict(ln.split(": ", 1) for ln in capsys.readouterr().out.splitlines())
+
+    slow, fast = report_on_a_clock(2), report_on_a_clock(1)
+    assert list(slow) == keys
+    # the timing fields are the keys that follow the clock
+    assert [k for k in keys if slow[k] != fast[k]] == [k for k in keys if k.endswith("_seconds")]
