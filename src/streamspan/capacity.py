@@ -10,15 +10,14 @@ A machine's run completes job by job where A_i has delivered the run's
 prefix load, its target: A_i(start) plus the left fold of the sizes so
 far (completion_chain).  completions_at inverts the targets in one
 vectorized expression, with a running max that keeps the completions
-non-decreasing: a target on an entry of the cumulative table can invert
-an ulp later than the next target does.  Whoever folds the targets can
-invert them piece by piece, each piece from the last completion of the
-one before, bit for bit the whole run.
+non-decreasing: a target on an entry of seg_cap can invert an ulp later
+than the next target does.  Whoever folds the targets can invert them
+piece by piece, each piece from the last completion of the one before,
+bit for bit the whole run.
 """
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -51,13 +50,12 @@ class MachineTimeline:
     machine_index: int  # 1-based
     breakpoints: tuple[float, ...]
     ratios: tuple[float, ...]
-    cumulative: tuple[float, ...] = field(init=False, compare=False)
     # Segment k (k = 0..len(breakpoints)) starts at time seg_time[k] with
     # capacity seg_cap[k] and runs at rate seg_rate[k]; the last segment is
-    # the exclusive tail at rate 1.
-    seg_time: tuple[float, ...] = field(init=False, compare=False, repr=False)
-    seg_cap: tuple[float, ...] = field(init=False, compare=False, repr=False)
-    seg_rate: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    # the exclusive tail at rate 1.  Read-only float64 arrays.
+    seg_time: np.ndarray = field(init=False, compare=False, repr=False)
+    seg_cap: np.ndarray = field(init=False, compare=False, repr=False)
+    seg_rate: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         bps = tuple(float(b) for b in self.breakpoints)
@@ -83,32 +81,15 @@ class MachineTimeline:
                 raise ConfigError(
                     f"machine {self.machine_index}: ratio {k + 1} ({r}) outside (0, 1]"
                 )
-        # Running capacity at each breakpoint.  capacity_at recomputes the
-        # last step with this exact expression, so boundary lookups agree
-        # bit for bit.
-        cum = []
-        total = 0.0
-        prev = 0.0
-        for b, r in zip(bps, rs):
-            total = total + (b - prev) * r
-            cum.append(total)
-            prev = b
-        object.__setattr__(self, "cumulative", tuple(cum))
-        object.__setattr__(self, "seg_time", (0.0,) + bps)
-        object.__setattr__(self, "seg_cap", (0.0,) + tuple(cum))
-        object.__setattr__(self, "seg_rate", rs + (1.0,))
-
-    @functools.cached_property
-    def tables(self) -> tuple[np.ndarray, ...]:
-        """cumulative, seg_time, seg_cap and seg_rate as read-only float64
-        arrays for the vectorized chain, built on first use."""
-        tables = tuple(
-            np.array(column, np.float64)
-            for column in (self.cumulative, self.seg_time, self.seg_cap, self.seg_rate)
-        )
-        for table in tables:
+        # Capacity at each breakpoint, one left fold of (b - prev) * r.
+        # capacity_at recomputes the last step with this exact expression,
+        # so boundary lookups agree bit for bit.
+        seg_time = np.array((0.0,) + bps)
+        seg_rate = np.array(rs + (1.0,))
+        seg_cap = np.cumsum(np.diff(seg_time, prepend=0.0) * np.array((0.0,) + rs))
+        for name, table in (("seg_time", seg_time), ("seg_cap", seg_cap), ("seg_rate", seg_rate)):
             table.flags.writeable = False
-        return tables
+            object.__setattr__(self, name, table)
 
 
 @dataclass(frozen=True)
@@ -158,7 +139,7 @@ def capacity_at(timeline: MachineTimeline, t: float) -> float:
     if t < 0:
         raise ConfigError(f"time must be >= 0, got {t}")
     i = bisect_left(timeline.breakpoints, t)  # t lies in segment i
-    return timeline.seg_cap[i] + (t - timeline.seg_time[i]) * timeline.seg_rate[i]
+    return float(timeline.seg_cap[i] + (t - timeline.seg_time[i]) * timeline.seg_rate[i])
 
 
 def park_capacity_at(park: MachinePark, t: float) -> float:
@@ -189,15 +170,16 @@ def completions_at(timeline: MachineTimeline, start: float, targets: np.ndarray)
     """Completion times (float64) of a run from start whose jobs end where
     the machine has delivered the non-decreasing float64 targets, each
     never before start or the completion before it."""
-    cum, seg_time, seg_cap, seg_rate = timeline.tables
-    # a target equal to cumulative[k] ends segment k: bisect_left, not
+    seg_time, seg_cap, seg_rate = timeline.seg_time, timeline.seg_cap, timeline.seg_rate
+    cum = seg_cap[1:]
+    # a target equal to seg_cap[k + 1] ends segment k: bisect_left, not
     # right.  The targets do not decrease, so k steps up at each entry's
     # place among them, found by one search per entry instead of per target.
     steps = np.searchsorted(targets, cum, side="right")
     k = np.repeat(np.arange(cum.size + 1), np.diff(steps, prepend=0, append=targets.size))
     t = seg_time[k] + (targets - seg_cap[k]) / seg_rate[k]
     if t.size:
-        # a target on a cumulative entry can invert an ulp past the next one's
+        # a target on a seg_cap entry can invert an ulp past the next one's
         t[0] = max(t[0], start)
         np.maximum.accumulate(t, out=t)
     return t

@@ -75,6 +75,11 @@ EXIT_CODES = {
 # --- machine config ---------------------------------------------------------
 
 
+# each scalar line's type and what its value must be, in the order that
+# missing lines are reported
+_SCALARS = {"m": (int, "an integer"), "m1": (int, "an integer"), "e0": (float, "a number")}
+
+
 def parse_machine_config_text(text: str, source: str = "<config>") -> MachinePark:
     """Build a MachinePark from the structured text format.
 
@@ -82,8 +87,7 @@ def parse_machine_config_text(text: str, source: str = "<config>") -> MachinePar
     `machine <index> <breakpoint> <ratio> ...` line per machine; `#`
     starts a comment.  Every machine 1..m must appear exactly once.
     """
-    m = m1 = None
-    e0 = None
+    scalars: dict[str, int | float] = {}
     machine_lines: dict[int, tuple[int, list[str]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -95,31 +99,17 @@ def parse_machine_config_text(text: str, source: str = "<config>") -> MachinePar
         def bad(msg: str):
             return ConfigError(f"{source}:{lineno}: {msg}")
 
-        if field in ("m", "m1"):
+        if field in _SCALARS:
+            kind, what = _SCALARS[field]
             if len(args) != 1:
                 raise bad(f"{field} takes exactly one value")
             try:
-                val = int(args[0])
+                val = kind(args[0])
             except ValueError:
-                raise bad(f"{field} must be an integer, got {args[0]!r}") from None
-            if field == "m":
-                if m is not None:
-                    raise bad("duplicate m line")
-                m = val
-            else:
-                if m1 is not None:
-                    raise bad("duplicate m1 line")
-                m1 = val
-        elif field == "e0":
-            if len(args) != 1:
-                raise bad("e0 takes exactly one value")
-            try:
-                val = float(args[0])
-            except ValueError:
-                raise bad(f"e0 must be a number, got {args[0]!r}") from None
-            if e0 is not None:
-                raise bad("duplicate e0 line")
-            e0 = val
+                raise bad(f"{field} must be {what}, got {args[0]!r}") from None
+            if field in scalars:
+                raise bad(f"duplicate {field} line")
+            scalars[field] = val
         elif field == "machine":
             if not args:
                 raise bad("machine line needs an index")
@@ -132,12 +122,10 @@ def parse_machine_config_text(text: str, source: str = "<config>") -> MachinePar
             machine_lines[idx] = (lineno, args[1:])
         else:
             raise bad(f"unknown field {field!r}")
-    if m is None:
-        raise ConfigError(f"{source}: missing m line")
-    if m1 is None:
-        raise ConfigError(f"{source}: missing m1 line")
-    if e0 is None:
-        raise ConfigError(f"{source}: missing e0 line")
+    for field in _SCALARS:
+        if field not in scalars:
+            raise ConfigError(f"{source}: missing {field} line")
+    m, m1, e0 = (scalars[field] for field in _SCALARS)
     missing = m - sum(1 <= i <= m for i in machine_lines)
     if missing > 0:
         # the first few gaps lie among the first len(machine_lines) + 5 indices

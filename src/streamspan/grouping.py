@@ -155,35 +155,6 @@ class LargeJobSet:
         return len(self.jobs)
 
 
-_EMPTY_LARGE_SET = LargeJobSet(
-    saturated_band=-1, jobs=(), total_load=0.0, small_bound=0.0, band_offset=None
-)
-
-
-def _extract_large_set(params, state, total_load) -> LargeJobSet:
-    offset, low_count, entries = state
-    if offset is None:
-        return _EMPTY_LARGE_SET
-    saturated = -1
-    for top, count, retained in entries:
-        k = top - offset - 1
-        if not (0 <= k <= params.top_band):
-            raise ConfigError(f"band {k} outside the window after merging")
-        if count >= params.retain_limit and k > saturated:
-            saturated = k
-    jobs: list[tuple[int, float]] = []
-    for top, count, retained in entries:
-        if top - offset - 1 > saturated:
-            jobs.extend(retained)
-    return LargeJobSet(
-        saturated_band=saturated,
-        jobs=tuple(jobs),
-        total_load=total_load,
-        small_bound=math.ldexp(1.0, offset + saturated + 1),
-        band_offset=offset,
-    )
-
-
 class _BandedLedger:
     """Array-backed band statistics over a window of bounded bands.
 
@@ -372,7 +343,19 @@ class _BandedLedger:
         return (self._offset + sunk, int(self._counts[: sunk + 1].sum()), entries)
 
     def finalize(self) -> LargeJobSet:
-        return _extract_large_set(self.params, self.snapshot(), self.total_load)
+        offset, _, entries = self.snapshot()
+        saturated, jobs = -1, []
+        for top, count, retained in entries:  # band-ascending
+            jobs.extend(retained)
+            if count >= self.params.retain_limit:  # every job so far is small
+                saturated, jobs = top - offset - 1, []
+        return LargeJobSet(
+            saturated_band=saturated,
+            jobs=tuple(jobs),
+            total_load=self.total_load,
+            small_bound=0.0 if offset is None else math.ldexp(1.0, offset + saturated + 1),
+            band_offset=offset,
+        )
 
 
 # the arguments each regime reads, its anchor first

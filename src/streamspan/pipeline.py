@@ -94,6 +94,11 @@ def run_stream(
         raise ConfigError(
             f"parameters were derived for {params.m} machines, park has {park.m}"
         )
+    if (params.floor_machines, params.ratio_floor) != (park.floor_machines, park.ratio_floor):
+        raise ConfigError(
+            f"parameters were derived for m1 {params.floor_machines}, e0 {params.ratio_floor}; "
+            f"park has m1 {park.floor_machines}, e0 {park.ratio_floor}"
+        )
     t0 = time.perf_counter()
     parse = ingest = 0.0
     fingerprint = 0

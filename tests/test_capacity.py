@@ -29,12 +29,12 @@ def ramp():
 class TestMachineTimeline:
     def test_cumulative_table(self):
         tl = ramp()
-        assert tl.cumulative == (1.0, 3.0)
+        assert tl.seg_cap[1:].tolist() == [1.0, 3.0]
         assert len(tl.breakpoints) == 2
 
     def test_never_shared(self):
         tl = MachineTimeline(1, (), ())
-        assert tl.cumulative == ()
+        assert tl.seg_cap[1:].size == 0
         assert capacity_at(tl, 7.25) == 7.25
 
     def test_rejects_nonincreasing_breakpoints(self):
@@ -257,8 +257,9 @@ def test_a_chain_continued_piece_by_piece_is_the_whole_chain(tl, data):
 
 def test_chain_tables_are_read_only_float64_arrays():
     tl = ramp()
-    for table, column in zip(tl.tables, (tl.cumulative, tl.seg_time, tl.seg_cap, tl.seg_rate)):
-        assert table.dtype == np.float64 and table.tolist() == list(column)
+    columns = ([0.0, 2.0, 4.0], [0.0, 1.0, 3.0], [0.5, 1.0, 1.0])
+    for table, column in zip((tl.seg_time, tl.seg_cap, tl.seg_rate), columns):
+        assert table.dtype == np.float64 and table.tolist() == column
         with pytest.raises(ValueError):
             table[0] = 1.0
 
@@ -293,10 +294,10 @@ def test_a_chain_that_turns_inexact_keeps_the_prefix_rule():
 
 
 def test_targets_on_the_cumulative_table_take_the_segment_they_end():
-    # 1.1 == cumulative[2] ends segment 2, and inverting it there gives
+    # 1.1 == seg_cap[3] ends segment 2, and inverting it there gives
     # 3.000000000000001, not breakpoint 3.0: bisect_left, not bisect_right
     tl = MachineTimeline(1, (1.0, 2.0, 3.0, 4.5), (0.3, 0.7, 0.1, 1 / 3))
-    for target in tl.cumulative:
+    for target in tl.seg_cap[1:].tolist():
         amounts = [target] + [0.25] * 9  # more keys than table entries
         got = completion_chain(tl, 0.0, amounts)
         assert got.tobytes() == prefix_chain(tl, 0.0, amounts).tobytes()
@@ -304,13 +305,13 @@ def test_targets_on_the_cumulative_table_take_the_segment_they_end():
 
 
 def test_completions_never_decrease_past_a_cumulative_entry():
-    # the first target is cumulative[0] and inverts to 15.148962555767325;
+    # the first target is seg_cap[1] and inverts to 15.148962555767325;
     # one ulp more lies in segment 1 and inverts to the breakpoint, an ulp
     # earlier, so the running max holds the chain at the first completion
     tl = MachineTimeline(
         1, (15.148962555767323, 24.976174043273883, 44.633088698840595), (0.1, 1.0, 0.1)
     )
-    c = tl.cumulative[0]
+    c = float(tl.seg_cap[1])
     ulp = float(np.spacing(c))
     raw = completion_from_zero(tl, np.add.accumulate([c, ulp, ulp]))
     assert raw.tolist() == [15.148962555767325, 15.148962555767323, 15.148962555767323]
@@ -338,7 +339,9 @@ def test_boundary_lookups_match_cumulative_table():
     for _ in range(200):
         k = rng.randint(1, 5)
         bps = sorted(rng.sample(range(1, 40), k))
-        rs = [rng.choice([0.25, 0.5, 1.0]) for _ in range(k)]
+        # inexact ratios too: the table must be the left fold capacity_at ends
+        rs = [rng.choice([0.25, 0.5, 1.0, 0.3, 1 / 3]) for _ in range(k)]
         tl = MachineTimeline(1, tuple(map(float, bps)), tuple(rs))
         for i, b in enumerate(tl.breakpoints):
-            assert capacity_at(tl, b) == tl.cumulative[i]
+            assert capacity_at(tl, b) == tl.seg_cap[i + 1]
+            assert type(capacity_at(tl, b)) is float

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import errno
 import importlib
+import importlib.util
 import io
 import os
 import pkgutil
@@ -83,6 +84,9 @@ class TestConfigParsing:
             ("banana 3", "unknown field 'banana'"),
             ("machine", "machine line needs an index"),
             ("m 2 3", "m takes exactly one value"),
+            ("m1 2 3", "m1 takes exactly one value"),
+            ("e0 1 2", "e0 takes exactly one value"),
+            ("m1 x", "m1 must be an integer"),
         ],
     )
     def test_line_level_rejections_carry_the_line_number(self, mutation, message):
@@ -570,6 +574,13 @@ class TestRunCommand:
         stream = [float(t) for t in Path(jobs).read_text().split()]
         want = exact_optimum(park, stream)
         assert float(report["optimal_makespan"]) == want.makespan
+        code, out, _ = _run_main(
+            capsys, ["run", "--config", cfg, "--jobs", jobs, "--mode", "oracle", "--stats"]
+        )
+        assert code == 0
+        report = _report_dict(out)
+        assert list(report) == ["mode", "job_count", "optimal_makespan", "witness_ordinal"]
+        assert int(report["witness_ordinal"]) == want.ordinal
 
     @pytest.mark.parametrize("flags", [
         ["--regime", "pmax-unknown"],
@@ -1239,7 +1250,12 @@ class TestGenerateCommand:
         "flag, value, message",
         [("--n", "-3", "job count must be >= 0"),
          ("--e0", "-0.5", "e0 must be in (0, 1]"),
-         ("--e0", "0", "e0 must be in (0, 1]")],
+         ("--e0", "0", "e0 must be in (0, 1]"),
+         ("--jobs-max", "0", "jobs-max must be >= 1"),
+         ("--ratios", "0.5,2", "ratio choice 2.0 outside (0, 1]"),
+         ("--ratios", "a,b", "--ratios must be comma-separated numbers"),
+         ("--intervals", "0:30", "cannot fit in [1, 20]"),
+         ("--ratios", "0.25", "no ratio choice is >= e0")],
     )
     def test_instance_that_run_refuses_is_2(self, capsys, tmp_path, flag, value, message):
         # the last of a repeated flag wins
@@ -1269,6 +1285,16 @@ def test_every_export_resolves():
         exec(f"from {name} import *", {})
     for export in streamspan.__all__:
         assert hasattr(streamspan, export), export
+
+
+def test_benchmark_scripts_import():
+    # each script's main runs only under __main__, so loading it checks
+    # that every name it imports from the package still exists
+    scripts = sorted(Path(__file__).resolve().parents[1].glob("benchmarks/*.py"))
+    assert len(scripts) >= 3
+    for script in scripts:
+        spec = importlib.util.spec_from_file_location(f"_bench_{script.stem}", script)
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 def test_the_benchmark_hooks_see_every_call(capsys, instance, tmp_path, monkeypatch):

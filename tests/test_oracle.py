@@ -56,7 +56,7 @@ class TestNaiveCapacity:
 
 def test_completion_from_zero_inverts_by_definition_whatever_the_timeline_caches():
     tl = ramp()
-    object.__setattr__(tl, "cumulative", (10.0, 30.0))  # a wrong table
+    object.__setattr__(tl, "seg_cap", np.array([0.0, 10.0, 30.0]))  # a wrong table
     loads = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 5.0])
     done = completion_from_zero(tl, loads)
     assert done.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 6.0]

@@ -156,6 +156,14 @@ class TestRunStream:
         with pytest.raises(ConfigError, match="3 machines, park has 2"):
             run_stream(park, ledger, [jobs])
 
+    @pytest.mark.parametrize("m1, e0", [(3, 1.0), (1, 0.5), (3, 0.25)])
+    def test_floor_mismatch_is_rejected(self, m1, e0):
+        # params for another m1 or e0 would pick another band count silently
+        park = identity_park(3, m1=1, e0=0.25)
+        ledger = make_ledger(quiet_params(3, m1, e0, 0.5), "pmax-unknown")
+        with pytest.raises(ConfigError, match=f"derived for m1 {m1}, e0 {e0}; park has m1 1, e0 0.25"):
+            run_stream(park, ledger, [np.arange(1.0, 200.0)])
+
     def test_memory_peaks_within_bounds(self):
         park, params, jobs = self._instance()
         ledger = make_ledger(params, "pmax-given", pmax=max(jobs))
