@@ -4,7 +4,7 @@
 parse: textio's job-stream parser over the ingest stream as text, once
 as integers (the digit path) and once times 0.37 written with repr (the
 split-and-convert path).
-ingest: the vectorized ingest kernel, _kernels.ingest_block, alone, with
+ingest: the vectorized ingest kernel, grouping.ingest_block, alone, with
 the np.frexp of each block that gives it the band tops.
 ledgers: the same stream through make_ledger(...).ingest_many per regime.
 schedule: the streamed second pass, a SecondPass written by
@@ -38,10 +38,10 @@ import time
 
 import numpy as np
 
-from streamspan import _kernels, make_ledger, run_stream
+from streamspan import make_ledger, run_stream
 from streamspan.capacity import MachinePark, MachineTimeline, completion_chain
 from streamspan.cli import generate_instance, parse_machine_config_text
-from streamspan.grouping import LargeJobSet, derive_params
+from streamspan.grouping import LargeJobSet, derive_params, ingest_block
 from streamspan.schedule import SecondPass
 from streamspan.search import enumerate_and_select
 from streamspan.textio import float_chunks, write_schedule_csv
@@ -88,7 +88,7 @@ def bench_ingest(stream, offset, retain_limit, n_bounded, chunk, repeats):
             block = stream[lo : lo + chunk]
             mant, ex = np.frexp(block)
             tops = ex.astype(np.int64) - (mant == 0.5)
-            retained, _ = _kernels.ingest_block(block, tops, lo, offset, retain_limit, *state, retained)
+            retained, _ = ingest_block(block, tops, lo, offset, retain_limit, *state, retained)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -218,7 +218,7 @@ def main():
         figures[f"parse_{key}_ns_per_token"] = secs / stream.size * 1e9
         print(f"  {key:>6}: {figures[f'parse_{key}_ns_per_token']:7.1f} ns/token")
 
-    print(f"ingest: _kernels.ingest_block, {args.jobs} jobs, chunk {args.chunk}, "
+    print(f"ingest: grouping.ingest_block, {args.jobs} jobs, chunk {args.chunk}, "
           f"retain_limit {retain_limit}")
     secs = bench_ingest(stream, offset, retain_limit, n_bounded, args.chunk, args.repeats)
     per_job = secs / stream.size

@@ -294,6 +294,10 @@ def generate_instance(
     from ratio_choices, restricted to >= e0 on machines 1..m1; job times
     are integers in [1, jobs_max].
     """
+    if m < 1:
+        raise ConfigError(f"m must be >= 1, got {m}")
+    if not (1 <= m1 <= m):
+        raise ConfigError(f"m1 must be in [1, {m}], got {m1}")
     if n < 0:
         raise ConfigError(f"job count must be >= 0, got {n}")
     if not (0.0 < e0 <= 1.0):
@@ -431,8 +435,6 @@ def _cmd_generate(args) -> int:
         ratio_choices = tuple(float(tok) for tok in args.ratios.split(","))
     except ValueError:
         raise ConfigError(f"--ratios must be comma-separated numbers, got {args.ratios!r}") from None
-    if not (1 <= args.m1 <= args.m):
-        raise ConfigError(f"m1 must be in [1, {args.m}], got {args.m1}")
     config_text, jobs_text = generate_instance(
         seed=args.seed,
         m=args.m,

@@ -1,17 +1,10 @@
 """Streaming job-size bands and the bounded-memory large-job ledger.
 
-Jobs are bucketed by size into one-doubling bands anchored at the largest
-processing time: band k holds p in (2^(offset+k), 2^(offset+k+1)] for
-k = 0..top_band, and the open low band collects everything at or below
-2^offset.  Each bounded band keeps its count and its retained jobs; a
-band stops retaining the moment its count reaches retain_limit, because
-a band that full makes every job at or below its upper edge "small" for
-the search.  The small jobs' mass is in the stream's total load.  One
-array ledger serves the three REGIMES, which differ only in how the
-anchor is known: given exactly (the window is fixed), given as an
-overestimate (the window is widened and re-anchored at the end), or not
-given at all (the window rebases mid-stream whenever a larger job
-arrives).  make_ledger builds the ledger for a regime.
+derive_params sizes the bands; _BandedLedger keeps them over one pass,
+through ingest_block, and its finalize hands the search a LargeJobSet.
+The three REGIMES differ only in how the window's anchor is known: given
+exactly, given as an overestimate, or not given at all.  make_ledger
+builds the ledger for a regime.
 """
 
 from __future__ import annotations
@@ -22,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConfigError, JobValueError, PmaxContractError
 
 __all__ = [
@@ -30,6 +22,7 @@ __all__ = [
     "derive_params",
     "ceil_log2",
     "LargeJobSet",
+    "ingest_block",
     "REGIMES",
     "make_ledger",
 ]
@@ -158,21 +151,28 @@ class LargeJobSet:
 class _BandedLedger:
     """Array-backed band statistics over a window of bounded bands.
 
-    Slot 0 of counts is the open low band; slot k+1 is bounded band k,
-    i.e. p in (2^(offset+k), 2^(offset+k+1)].  A regime is an anchor and a
-    widening.  With an anchor, the declared maximum or its overestimate,
-    no job may exceed it and the window's top edge is the anchor's band
-    for the whole stream; the window carries `widening` bounded bands
-    below the usual ones, which retain jobs too, and at the end it
-    re-anchors at the observed maximum's band, folding whole bands into
-    the low band.  Without one the window follows the largest job seen:
-    each chunk is split where its running maximum passes the top, and
-    between the pieces the window shifts up, folding the bands that sink
-    below it into the low band.  label names the anchor in messages.
+    Slot 0 of counts is the open low band, every p <= 2^offset; slot k+1
+    is bounded band k, p in (2^(offset+k), 2^(offset+k+1)], whose retained
+    jobs are the first ret_len[k] of ret_ids[k] and ret_ps[k].  A bounded
+    band appends arrivals until its count reaches retain_limit; that
+    arrival empties its retained list for good, because a band that full
+    makes every job at or below its upper edge "small" for the search.
+    The small jobs' mass is in the stream's total load.
+
+    A regime is an anchor and a widening.  With an anchor, the declared
+    maximum or its overestimate, no job may exceed it and the window's top
+    edge is the anchor's band for the whole stream; the window carries
+    `widening` bounded bands below the usual ones, which retain jobs too,
+    and at the end it re-anchors at the observed maximum's band, folding
+    whole bands into the low band.  Without one the window follows the
+    largest job seen: each chunk is split where its running maximum passes
+    the top, and between the pieces the window shifts up, folding the
+    bands that sink below it into the low band.  label names the anchor in
+    messages.
 
     job_count, total_load (the left fold of the jobs in arrival order),
-    max_seen, retained_total and peak_retained are plain fields; the
-    ingest kernel accounts only the bands and returns the retained total.
+    max_seen, retained_total and peak_retained are plain fields;
+    ingest_block accounts only the bands and returns the retained total.
     """
 
     def __init__(
@@ -239,7 +239,7 @@ class _BandedLedger:
     # -- streaming -----------------------------------------------------
 
     def ingest_many(self, ps) -> None:
-        """Account a chunk of jobs through the ingest kernel.
+        """Account a chunk of jobs through ingest_block.
 
         The whole chunk is validated before any of it is accounted.
         """
@@ -295,7 +295,7 @@ class _BandedLedger:
 
     def _ingest_segment(self, ps: np.ndarray, tops: np.ndarray, start: int) -> None:
         """Account one piece of a chunk that fits the current window."""
-        self.retained_total, peak = _kernels.ingest_block(
+        self.retained_total, peak = ingest_block(
             ps, tops, start, self._offset, self.params.retain_limit,
             self._counts, self._ret_len, self._ret_ids, self._ret_ps, self.retained_total,
         )
@@ -356,6 +356,45 @@ class _BandedLedger:
             small_bound=0.0 if offset is None else math.ldexp(1.0, offset + saturated + 1),
             band_offset=offset,
         )
+
+
+def ingest_block(ps, tops, start_id, offset, retain_limit, counts, ret_len, ret_ids, ret_ps,
+                 retained_total):
+    """Account the jobs ps, with ids from start_id on, into a ledger's band
+    state in place; return the retained total after the block and the
+    largest it reached, counting the retained_total it started from.
+    The caller guarantees 0 < p, each p's exact ceil(log2 p) in tops, and
+    every p inside the window (band index <= ret_len.size - 1); the
+    stream's total, maximum and job count are the caller's."""
+    b = tops - offset
+    np.maximum(b, 0, out=b)  # slot: 0 for the low band, else k + 1
+    added = np.bincount(b, minlength=counts.shape[0])
+    # bounded bands that take arrivals while still retaining
+    live = np.flatnonzero((added[1:] > 0) & (counts[1:] < retain_limit)) + 1
+    if live.size == 0:
+        counts += added
+        return retained_total, retained_total
+    # running[0] is the retained total before the block; running[i+1]
+    # changes by job i's delta, for exact running-peak tracking
+    running = np.zeros(ps.shape[0] + 1, np.int64)
+    running[0] = retained_total
+    deltas = running[1:]
+    for band in live:
+        pos = np.flatnonzero(b == band)
+        bk = band - 1
+        prior_l = int(ret_len[bk])
+        # arrivals retained before one reaches the limit
+        keep = min(retain_limit - int(counts[band]) - 1, pos.shape[0])
+        ret_ids[bk, prior_l:prior_l + keep] = start_id + pos[:keep]
+        ret_ps[bk, prior_l:prior_l + keep] = ps[pos[:keep]]
+        deltas[pos[:keep]] = 1
+        ret_len[bk] = prior_l + keep
+        if keep < pos.shape[0]:  # arrival keep saturates: the band stops retaining
+            deltas[pos[keep]] = -(prior_l + keep)
+            ret_len[bk] = 0
+    counts += added
+    np.cumsum(running, out=running)
+    return int(running[-1]), int(running.max())
 
 
 # the arguments each regime reads, its anchor first

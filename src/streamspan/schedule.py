@@ -233,12 +233,12 @@ class SecondPass:
     def __iter__(self) -> Iterator[ScheduleBlock]:
         began = time.perf_counter()
         park, artifacts = self.park, self.artifacts
-        assignment = artifacts.outcome.assignment
+        outcome = artifacts.outcome
         n = artifacts.job_count
-        fill = _GreedyFill(park, artifacts.outcome.t, assignment.per_machine_load)
+        fill = _GreedyFill(park, outcome.t, outcome.per_machine_load)
         # a machine runs its large jobs first, in the search's job order
-        large_sizes = np.array([p for _, p in assignment.jobs], np.float64)
-        large_machine = np.array(assignment.machine_of, np.int64)
+        large_sizes = np.array([p for _, p in outcome.jobs], np.float64)
+        large_machine = np.array(outcome.machine_of, np.int64)
         large_start, large_completion = np.zeros(large_sizes.size), np.empty(large_sizes.size)
         clocks = []  # each machine's last completion so far
         for i, tl in enumerate(park.machines):
@@ -247,7 +247,7 @@ class SecondPass:
             large_completion[run] = done
             large_start[run[1:]] = done[:-1]
             clocks.append(float(done[-1]) if run.size else 0.0)
-        large_ids = np.array([job_id for job_id, _ in assignment.jobs], np.int64)
+        large_ids = np.array([job_id for job_id, _ in outcome.jobs], np.int64)
         order = np.argsort(large_ids)
         large_ids, large_sizes, large_machine, large_start, large_completion = (
             column[order] for column in
@@ -319,12 +319,12 @@ def second_pass(park: MachinePark, artifacts: FirstPassArtifacts, chunks: Iterab
         for name, dtype in (("machine", np.int64), ("start", np.float64),
                             ("completion", np.float64))
     )
-    assignment = artifacts.outcome.assignment
+    outcome = artifacts.outcome
     small = np.ones(machine.size, bool)
-    small[[job_id for job_id, _ in assignment.jobs]] = False
+    small[[job_id for job_id, _ in outcome.jobs]] = False
     runs = tuple(
         np.concatenate((
-            np.array([job_id for (job_id, _), on in zip(assignment.jobs, assignment.machine_of)
+            np.array([job_id for (job_id, _), on in zip(outcome.jobs, outcome.machine_of)
                       if on == i], np.int64),
             np.flatnonzero(small & (machine == i)),
         ))

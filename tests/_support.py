@@ -21,7 +21,7 @@ from streamspan.capacity import capacity_at, completion_chain
 from streamspan.cli import generate_instance, parse_machine_config_text
 from streamspan.oracle import completion_from_zero, grid_scan_t, naive_capacity_at
 from streamspan.schedule import FirstPassArtifacts, fingerprint_update
-from streamspan.search import LargeAssignment, SearchOutcome, _grid_shape
+from streamspan.search import SearchOutcome, _grid_shape
 
 
 def quiet_params(m, m1, e0, epsilon, **kw):
@@ -99,6 +99,15 @@ def assignment_grid_exponents(park, large, epsilon):
         yield None if t is None else grid.index(t)
 
 
+def ordinal(machine_of, m):
+    """The mixed-radix rank of an assignment, job 0 varying fastest;
+    machine_of holds 1-based machines, as SearchOutcome does."""
+    rank = 0
+    for machine in reversed(machine_of):
+        rank = rank * m + machine - 1
+    return rank
+
+
 def brute_force_selection(park, large, epsilon):
     """Reference selection: (smallest exponent, earliest ordinal) by trying
     every ordinal in order; None when no assignment is feasible."""
@@ -155,7 +164,7 @@ def reference_search(job_ps, m, capgrid, x_floor, n_total):
 
 def reference_ingest(ps, tops, start_id, offset, retain_limit, counts, ret_len, ret_ids, ret_ps,
                      retained_total):
-    """_kernels.ingest_block one job at a time: the same band state, updated
+    """grouping.ingest_block one job at a time: the same band state, updated
     in place by a plain loop in arrival order, and the same (retained
     total, peak) return.  tops is ignored: each band is recomputed from p."""
     peak = retained_total
@@ -221,7 +230,7 @@ def hand_artifacts(park, jobs, large, t):
     for j, p in pairs:
         loads[large[j] - 1] += p
     outcome = SearchOutcome(
-        assignment=LargeAssignment(pairs, tuple(large.values()), tuple(loads), 0),
+        jobs=pairs, machine_of=tuple(large.values()), per_machine_load=tuple(loads),
         t=t, grid_exponent=0, nodes=0, value=t, lower_bound=0.0, upper_bound=t,
     )
     arr = np.asarray(jobs, np.float64)
@@ -291,9 +300,9 @@ def prefix_chain(tl, start, amounts):
 def reference_second_pass(park, artifacts, jobs):
     """second_pass rebuilt per job: place each small job on its own, then
     time each machine's run with prefix_chain."""
-    assignment = artifacts.outcome.assignment
-    placer = _PerJobPlacer(park, artifacts.outcome.t, assignment.per_machine_load)
-    large_ids = {job_id for job_id, _ in assignment.jobs}
+    outcome = artifacts.outcome
+    placer = _PerJobPlacer(park, outcome.t, outcome.per_machine_load)
+    large_ids = {job_id for job_id, _ in outcome.jobs}
     for job_id, p in enumerate(jobs):
         if job_id not in large_ids:
             placer.place(job_id, float(p))
@@ -304,7 +313,7 @@ def reference_second_pass(park, artifacts, jobs):
     runs = []
     makespan = 0.0
     for i, tl in enumerate(park.machines):
-        seq = [(j, p) for (j, p), mach in zip(assignment.jobs, assignment.machine_of)
+        seq = [(j, p) for (j, p), mach in zip(outcome.jobs, outcome.machine_of)
                if mach == i + 1]
         seq += placer.smalls[i] + placer.movers[i]
         run = np.array([j for j, _ in seq], np.int64)

@@ -4,6 +4,7 @@ import errno
 import importlib
 import importlib.util
 import io
+import json
 import os
 import pkgutil
 import random
@@ -34,6 +35,8 @@ from streamspan.cli import (
     parse_machine_config_text,
 )
 import streamspan.cli as cli_mod
+import streamspan.grouping as grouping_mod
+import streamspan.search as search_mod
 import streamspan.textio as textio
 from streamspan.textio import float_chunks, write_schedule_csv
 from streamspan import make_ledger, run_stream, second_pass
@@ -275,6 +278,13 @@ class TestGenerator:
         with pytest.raises(ConfigError, match="0 <= lo <= hi"):
             generate_instance(0, 2, 1, 1.0, 4, intervals=(3, 1))
 
+    def test_machine_counts_are_checked(self):
+        # each would write a config that the parser refuses
+        with pytest.raises(ConfigError, match=r"m1 must be in \[1, 2\], got 3"):
+            generate_instance(1, m=2, m1=3, e0=0.5, n=4)
+        with pytest.raises(ConfigError, match="m must be >= 1, got 0"):
+            generate_instance(1, m=0, m1=0, e0=0.5, n=4)
+
 
 @pytest.fixture
 def instance(tmp_path):
@@ -404,7 +414,7 @@ class TestRunCommand:
             assert written == expected.getvalue().encode()
         # small jobs that start where a job of their block two or more rows
         # up completes, one of them just below a large job of its machine
-        large = {j for j, _ in artifacts.outcome.assignment.jobs}
+        large = {j for j, _ in artifacts.outcome.jobs}
         assert len(large) == 4
         after = {int(b): int(a) for run in sched.runs for a, b in zip(run[:-1], run[1:])}
         far = [j for j, a in after.items() if j not in large and a // 16 == j // 16 and a < j - 1]
@@ -826,6 +836,26 @@ class TestExitCodes:
             assert "grid overflows" in err
             assert out == ""
 
+    def test_subnormal_total_load_is_3(self, capsys, tmp_path):
+        # P/m rounds to 0, so no power of the grid ratio reaches P/e0
+        cfg = tmp_path / "park.cfg"
+        cfg.write_text("m 2\nm1 1\ne0 0.5\nmachine 1\nmachine 2\n")
+        jobs = tmp_path / "jobs.txt"
+        sched = tmp_path / "s.csv"
+        jobs.write_text("5e-324\n")
+        for extra in ([], ["--mode", "two-pass", "--schedule-out", str(sched)]):
+            code, out, err = _run_main(
+                capsys, ["run", "--config", str(cfg), "--jobs", str(jobs), *extra]
+            )
+            assert code == 3, extra
+            assert "total load 5e-324 is too small: P/m rounds to 0" in err
+            assert out == ""
+            assert not sched.exists()
+        for stream in ("1e-320\n", "5e-324 5e-324\n"):  # P/m stays above 0
+            jobs.write_text(stream)
+            code, _, err = _run_main(capsys, ["run", "--config", str(cfg), "--jobs", str(jobs)])
+            assert code == 0, (stream, err)
+
     @pytest.mark.parametrize("stream, position", [("-4\n", 0), ("1 nan 3\n", 1)])
     def test_offline_without_a_valid_maximum_is_3(self, capsys, instance, tmp_path,
                                                  stream, position):
@@ -1245,6 +1275,18 @@ class TestGenerateCommand:
         )
         assert code == 2
         assert "m1 must be in [1, 2]" in err
+        assert not (tmp_path / "c").exists() and not (tmp_path / "j").exists()
+
+    def test_no_machines_is_2(self, capsys, tmp_path):
+        code, _, err = _run_main(
+            capsys,
+            ["generate", "--seed", "7", "--m", "0", "--m1", "0", "--e0", "0.5",
+             "--n", "5", "--config-out", str(tmp_path / "c"), "--jobs-out",
+             str(tmp_path / "j")],
+        )
+        assert code == 2
+        assert "m must be >= 1, got 0" in err
+        assert not (tmp_path / "c").exists() and not (tmp_path / "j").exists()
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -1298,8 +1340,9 @@ def test_benchmark_scripts_import():
 
 
 def test_the_benchmark_hooks_see_every_call(capsys, instance, tmp_path, monkeypatch):
-    # perfbench times these layers by replacing cli's own globals, and
-    # benchmarks/makespan_gap.py captures reports the same way
+    # perfbench times these layers by replacing the module globals their
+    # callers resolve, and benchmarks/makespan_gap.py captures reports the
+    # same way
     calls = []
 
     def counting(name, real):
@@ -1308,8 +1351,10 @@ def test_the_benchmark_hooks_see_every_call(capsys, instance, tmp_path, monkeypa
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("run_stream", "write_schedule_csv"):
-        monkeypatch.setattr(cli_mod, name, counting(name, getattr(cli_mod, name)))
+    hooks = ((cli_mod, "run_stream"), (cli_mod, "write_schedule_csv"),
+             (grouping_mod, "ingest_block"), (search_mod, "search_assignments"))
+    for module, name in hooks:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     cfg, jobs = instance
     code, _, err = _run_main(
         capsys,
@@ -1317,4 +1362,26 @@ def test_the_benchmark_hooks_see_every_call(capsys, instance, tmp_path, monkeypa
          "--schedule-out", str(tmp_path / "s.csv")],
     )
     assert code == 0, err
-    assert sorted(calls) == ["run_stream", "write_schedule_csv"]
+    assert calls.count("run_stream") == 1
+    assert calls.count("write_schedule_csv") == 1
+    assert calls.count("ingest_block") >= 1
+    assert calls.count("search_assignments") >= 1
+
+
+def test_the_benchmark_tracer_records_every_stage(tmp_path):
+    config_text, jobs_text = generate_instance(21, 3, 1, 0.5, 2000)
+    cfg, jobs = tmp_path / "park.cfg", tmp_path / "jobs.txt"
+    cfg.write_text(config_text)
+    jobs.write_text(jobs_text)
+    spans = tmp_path / "spans.json"
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    res = subprocess.run(
+        [sys.executable, str(tracer), str(spans), "run", "--config", str(cfg), "--jobs",
+         str(jobs), "--mode", "two-pass", "--schedule-out", str(tmp_path / "s.csv")],
+        capture_output=True, text=True, env=_ENV, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    stages = {"cli.main", "pipeline.run_stream", "grouping.ingest_many", "grouping.finalize",
+              "search.enumerate_and_select", "cli.write_schedule_csv"}
+    assert stages <= names, stages - names

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamspan import BudgetExceededError, _kernels
+from streamspan import BudgetExceededError
+from streamspan.grouping import ingest_block
+from streamspan.search import search_assignments
 
-from _support import reference_ingest, reference_search
+from _support import ordinal, reference_ingest, reference_search
 
 
 def _fresh_state(n_bounded, retain_limit):
@@ -63,7 +65,7 @@ def test_ingest_matches_scalar_reference(retain_limit, seed):
     offset, n_bounded = -1, 6
     stream = _random_stream(rng, 700, offset, n_bounded)
     want = _run_ingest(reference_ingest, [stream], offset, retain_limit, n_bounded)
-    got = _run_ingest(_kernels.ingest_block, [stream], offset, retain_limit, n_bounded)
+    got = _run_ingest(ingest_block, [stream], offset, retain_limit, n_bounded)
     _assert_states_equal(want, got)
 
 
@@ -74,7 +76,7 @@ def test_ingest_is_chunk_invariant(split):
     stream = _random_stream(rng, 700, offset, n_bounded)
     whole = _run_ingest(reference_ingest, [stream], offset, retain_limit, n_bounded)
     pieces = [stream[i:i + split] for i in range(0, stream.size, split)]
-    got = _run_ingest(_kernels.ingest_block, pieces, offset, retain_limit, n_bounded)
+    got = _run_ingest(ingest_block, pieces, offset, retain_limit, n_bounded)
     _assert_states_equal(whole, got)
 
 
@@ -88,7 +90,7 @@ def test_saturation_straddles_chunk_boundaries():
     for split in range(1, len(stream)):
         want = _run_ingest(reference_ingest, [stream], offset, retain_limit, n_bounded)
         pieces = [stream[:split], stream[split:]]
-        got = _run_ingest(_kernels.ingest_block, pieces, offset, retain_limit, n_bounded)
+        got = _run_ingest(ingest_block, pieces, offset, retain_limit, n_bounded)
         _assert_states_equal(want, got)
 
 
@@ -96,7 +98,7 @@ def test_peak_retained_tracks_within_chunk_maximum():
     # fill two bands, then saturate both: the peak happens mid-chunk
     offset, n_bounded, retain_limit = 0, 2, 3
     stream = np.array([1.5, 3.0, 1.5, 3.0, 1.5, 3.0, 1.5, 3.0])
-    got = _run_ingest(_kernels.ingest_block, [stream], offset, retain_limit, n_bounded)
+    got = _run_ingest(ingest_block, [stream], offset, retain_limit, n_bounded)
     assert got["retained_total"] == 0  # both bands cleared by their third arrival
     assert got["peak"] == 4  # but four jobs were retained at once
 
@@ -114,19 +116,20 @@ def test_block_into_saturated_bands_touches_only_counts():
     reference_ingest(block, tops, 7, offset, retain_limit, want_counts,
                      state["ret_len"].copy(), state["ret_ids"].copy(), state["ret_ps"].copy(), 1)
     ret_before = [state[k].tobytes() for k in ("ret_len", "ret_ids", "ret_ps")]
-    got = _kernels.ingest_block(block, tops, 7, offset, retain_limit, state["counts"],
-                                state["ret_len"], state["ret_ids"], state["ret_ps"], 1)
+    got = ingest_block(block, tops, 7, offset, retain_limit, state["counts"],
+                       state["ret_len"], state["ret_ids"], state["ret_ps"], 1)
     assert got == (1, 1)
     assert np.array_equal(state["counts"], want_counts)
     assert [state[k].tobytes() for k in ("ret_len", "ret_ids", "ret_ps")] == ret_before
 
 
 def _search(job_ps, m, capgrid, x_floor, budget=10**9):
-    """search_assignments over a full capacity table: (best_x, best_ordinal)."""
-    best_x, best_ord, _ = _kernels.search_assignments(
+    """search_assignments over a full capacity table: (best_x, the
+    selection's ordinal, -1 when nothing fits), as the enumeration reports."""
+    best_x, machines, _ = search_assignments(
         job_ps, m, lambda x: capgrid[:, x], x_floor, capgrid.shape[1], budget
     )
-    return best_x, best_ord
+    return best_x, -1 if machines is None else ordinal([i + 1 for i in machines], m)
 
 
 def _reference(job_ps, m, capgrid, x_floor):
@@ -156,8 +159,8 @@ def test_search_reports_infeasible_as_grid_size():
 
 def test_search_counts_one_node_per_job_when_the_first_ordinal_fits():
     capgrid = np.full((3, 4), 100.0)
-    got = _kernels.search_assignments([5.0, 7.0, 9.0], 3, lambda x: capgrid[:, x], 1, 4, 3)
-    assert got == (1, 0, 3)
+    got = search_assignments([5.0, 7.0, 9.0], 3, lambda x: capgrid[:, x], 1, 4, 3)
+    assert got == (1, [0, 0, 0], 3)
 
 
 def test_search_stops_at_the_node_budget():
@@ -166,9 +169,9 @@ def test_search_stops_at_the_node_budget():
     # first; at room 9 the path 4+4+4 fails at its leaf and job 0 moves over
     capgrid = np.array([[6.0, 9.0], [6.0, 9.0]])
     args = ([4.0, 4.0, 4.0], 2, lambda x: capgrid[:, x], 0, 2)
-    assert _kernels.search_assignments(*args, 5) == (1, 1, 5)
+    assert search_assignments(*args, 5) == (1, [1, 0, 0], 5)
     with pytest.raises(BudgetExceededError, match="node budget 4"):
-        _kernels.search_assignments(*args, 4)
+        search_assignments(*args, 4)
 
 
 def test_search_bounds_integer_rooms_by_subset_sums():
@@ -178,11 +181,10 @@ def test_search_bounds_integer_rooms_by_subset_sums():
     # backtracking through the 3**20 assignments
     ps = [10.0, 14, 10, 14, 14, 12, 14, 8, 12, 2, 10, 6, 12, 4, 8, 10, 10, 4, 4, 16]
     rooms = (65.0, 85.0)
-    best_x, best_ord, nodes = _kernels.search_assignments(ps, 3, lambda x: [rooms[x]] * 3, 0, 2, 40)
+    best_x, machines, nodes = search_assignments(ps, 3, lambda x: [rooms[x]] * 3, 0, 2, 40)
     loads = [0.0] * 3
-    for p in ps:
-        loads[best_ord % 3] += p
-        best_ord //= 3
+    for i, p in zip(machines, ps):
+        loads[i] += p
     assert best_x == 1
     assert max(loads) <= rooms[1]
     assert nodes <= 2 * len(ps)

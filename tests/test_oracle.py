@@ -23,6 +23,7 @@ from _support import (
     completion_time,
     identity_park,
     make_instance,
+    ordinal,
     quiet_params,
     random_timeline,
 )
@@ -157,7 +158,7 @@ class TestGridScan:
         led.ingest_many(jobs)
         large = led.finalize()
         out = enumerate_and_select(park, large, 0.5)
-        assert (out.grid_exponent, out.assignment.ordinal) == brute_force_selection(
+        assert (out.grid_exponent, ordinal(out.machine_of, park.m)) == brute_force_selection(
             park, large, 0.5
         )
 

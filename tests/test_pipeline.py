@@ -121,7 +121,7 @@ class TestRunStream:
         report, art = run_stream(park, ledger, [jobs])
         assert art.job_count == len(jobs)
         assert art.max_seen == max(jobs)
-        assert len({j for j, _ in art.outcome.assignment.jobs}) == report.search_jobs
+        assert len({j for j, _ in art.outcome.jobs}) == report.search_jobs
         assert art.outcome.value == report.value
 
     def test_empty_stream_reports_zero(self):
@@ -133,7 +133,7 @@ class TestRunStream:
         assert report.job_count == 0
         assert report.search_jobs == 0
         assert report.mean_ingest_seconds == 0.0
-        assert art.outcome.assignment.jobs == ()
+        assert art.outcome.jobs == ()
 
     def test_parse_time_is_the_chunk_iterators(self):
         park, params, jobs = self._instance()

@@ -21,6 +21,7 @@ from _support import (
     brute_force_selection,
     identity_park,
     integer_loads_fit,
+    ordinal,
     quiet_params,
     random_timeline,
     time_grid,
@@ -91,7 +92,7 @@ class TestSmallestGridT:
             1.0,
         )
         out = enumerate_and_select(park, large_set([(0, 8.0)]), 1.0)
-        assert out.assignment.machine_of == (1,)
+        assert out.machine_of == (1,)
 
 
 def test_crossing_allowance():
@@ -114,8 +115,8 @@ class TestEnumerateAndSelect:
         out = enumerate_and_select(park, large, 1.0)
         assert out.t == 4.0
         assert out.grid_exponent == 0
-        assert out.assignment.ordinal == 1
-        assert sorted(out.assignment.per_machine_load) == [4.0, 4.0]
+        assert out.machine_of == (2, 1)
+        assert sorted(out.per_machine_load) == [4.0, 4.0]
 
     def test_empty_large_set_with_load_uses_aggregate_floor(self):
         park = identity_park(2, m1=1, e0=1.0)
@@ -126,7 +127,7 @@ class TestEnumerateAndSelect:
         # grid starts at 16 and A(16) = 32 covers P immediately
         assert out.t == 16.0
         assert out.grid_exponent == 0
-        assert out.assignment.machine_of == ()
+        assert out.machine_of == ()
 
     def test_empty_stream_reports_zero(self):
         park = identity_park(2, m1=1, e0=1.0)
@@ -153,9 +154,9 @@ class TestEnumerateAndSelect:
         large = large_set([(0, 5.0), (1, 3.0), (2, 2.0), (3, 7.0)])
         out = enumerate_and_select(park, large, 0.5)
         loads = [0.0] * park.m
-        for (job_id, p), machine in zip(out.assignment.jobs, out.assignment.machine_of):
+        for (job_id, p), machine in zip(out.jobs, out.machine_of):
             loads[machine - 1] += p
-        assert tuple(loads) == out.assignment.per_machine_load
+        assert tuple(loads) == out.per_machine_load
 
 
 @settings(max_examples=60, deadline=None)
@@ -177,10 +178,10 @@ def test_selection_matches_brute_force(data):
     out = enumerate_and_select(park, large, epsilon)
     want = brute_force_selection(park, large, epsilon)
     assert want is not None
-    assert (out.grid_exponent, out.assignment.ordinal) == want
+    assert (out.grid_exponent, ordinal(out.machine_of, park.m)) == want
     grid = time_grid(park, large.total_load, epsilon)
     assert out.t == grid[out.grid_exponent]
-    assert grid_scan_t(park, out.assignment.per_machine_load, large.total_load, epsilon) == out.t
+    assert grid_scan_t(park, out.per_machine_load, large.total_load, epsilon) == out.t
     assert out.value == makespan_value(park, large, out.t)
 
 
@@ -195,7 +196,7 @@ def test_selection_skips_unreachable_exponents_below_aggregate_floor():
     large = large_set([(0, 4.0), (1, 4.0)])
     out = enumerate_and_select(park, large, 1.0)
     want = brute_force_selection(park, large, 1.0)
-    assert (out.grid_exponent, out.assignment.ordinal) == want
+    assert (out.grid_exponent, ordinal(out.machine_of, park.m)) == want
 
 
 def test_search_consumes_ledger_output():
@@ -229,10 +230,10 @@ def test_generated_streams_settle_within_the_default_budget(n, tmp_path, capsys)
         grid = time_grid(park, report.total_load, 0.5)
         assert outcome.t == grid[outcome.grid_exponent]
         caps = [capacity_at(tl, outcome.t) for tl in park.machines]
-        assert all(load <= cap for load, cap in zip(outcome.assignment.per_machine_load, caps))
+        assert all(load <= cap for load, cap in zip(outcome.per_machine_load, caps))
         x_floor = next(x for x, t in enumerate(grid) if park_capacity_at(park, t) >= report.total_load)
         if outcome.grid_exponent > x_floor:
             below = grid[outcome.grid_exponent - 1]
             limits = [math.floor(capacity_at(tl, below)) for tl in park.machines]
-            sizes = [int(p) for _, p in outcome.assignment.jobs]
+            sizes = [int(p) for _, p in outcome.jobs]
             assert not integer_loads_fit(sizes, limits), (n, seed)
