@@ -1,9 +1,9 @@
 """Slow, by-definition recomputations used to cross-check the fast paths.
 
 Nothing here shares code with the streaming ledgers or the search kernels:
-capacities are linear scans instead of bisects, the grid is walked point
-by point instead of binary-searched, the optimum enumerates assignments
-directly, and the band replay works a plain dict one job at a time.
+capacities are linear scans instead of bisects, the optimum enumerates
+assignments directly, and the band replay works a plain dict one job at
+a time.
 Floating-point folds deliberately mirror the production order so agreement
 can be asserted exactly, not within a tolerance.
 """
@@ -23,7 +23,6 @@ from .grouping import SchedulingParams
 __all__ = [
     "naive_capacity_at",
     "completion_from_zero",
-    "grid_scan_t",
     "OracleResult",
     "exact_optimum",
     "group_index",
@@ -41,49 +40,6 @@ def naive_capacity_at(timeline: MachineTimeline, t: float) -> float:
         total = total + (b - prev) * r
         prev = b
     return total + (t - prev)
-
-
-def _naive_feasible(
-    park: MachinePark,
-    per_machine_load: Sequence[float],
-    total_load: float,
-    t: float,
-) -> bool:
-    agg = 0.0
-    for tl in park.machines:
-        agg += naive_capacity_at(tl, t)
-    if agg < total_load:
-        return False
-    for tl, load in zip(park.machines, per_machine_load):
-        if naive_capacity_at(tl, t) < load:
-            return False
-    return True
-
-
-def grid_scan_t(
-    park: MachinePark,
-    per_machine_load: Sequence[float],
-    total_load: float,
-    epsilon: float,
-) -> float | None:
-    """First feasible grid point by linear walk; None when none is."""
-    if total_load <= 0:
-        t = 0.0
-        return t if _naive_feasible(park, per_machine_load, total_load, t) else None
-    m = len(park.machines)
-    lower = total_load / m
-    upper = total_load / park.ratio_floor
-    base = 1.0 + epsilon / 2.0
-    top = math.ceil(math.log(m / park.ratio_floor, base))
-    if top < 0:
-        top = 0
-    while lower * base**top < upper:
-        top += 1
-    for x in range(top + 1):
-        t = lower * base**x
-        if _naive_feasible(park, per_machine_load, total_load, t):
-            return t
-    return None
 
 
 @dataclass(frozen=True)
@@ -139,10 +95,9 @@ def exact_optimum(
     if n == 0:
         return OracleResult(0.0, (), 0)
     total = m**n
-    if total > budget:
+    if total > budget:  # m**n unexpanded: its decimal can pass int's digit limit
         raise BudgetExceededError(
-            f"enumerating m**n = {m}**{n} = {total} assignments exceeds "
-            f"the budget {budget}"
+            f"enumerating m**n = {m}**{n} assignments exceeds the budget {budget}"
         )
     ps = np.asarray(jobs, np.float64)
     cols_per_chunk = max(1, _CHUNK_CELLS // max(1, n * m))

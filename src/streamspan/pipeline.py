@@ -72,7 +72,13 @@ class RunReport:
             val = getattr(self, f.name)
             if (val is None and f.default is None) or (f.metadata.get("stats") and not stats):
                 continue
-            out.append(f"{f.name}: {val!r}" if isinstance(val, str) else f"{f.name}: {val}")
+            try:
+                text = repr(val) if isinstance(val, str) else str(val)
+            except ValueError:  # assignments, an int past int's decimal digit limit
+                import decimal
+
+                text = str(decimal.Decimal(val))
+            out.append(f"{f.name}: {text}")
         return out
 
 

@@ -4,11 +4,12 @@ A candidate time t is feasible for an assignment of the large jobs when
 the park's aggregate capacity covers the total load and each machine's
 own capacity covers its assigned large load.  Both conditions are
 monotone in t, so the search works on a geometric grid LB * (1+eps/2)^x
-whose points it computes only where it looks: enumerate_and_select
-bisects for the first point the aggregate covers, and the branch and
-bound in search_assignments finds the first point some assignment fits.
-The returned value adds the worst-case tail of small jobs that may
-finish after t.
+whose points it computes only where it looks.  _grid_shape ends the grid
+where the aggregate covers the total load and every large job fits on
+machine 1, so some point always qualifies.  _first finds the first point
+the aggregate covers, and then the branch and bound in
+search_assignments the first point some assignment fits.  The returned
+value adds the worst-case tail of small jobs that may finish after t.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .capacity import MachinePark, capacity_at, park_capacity_at, search_bounds
-from .errors import BudgetExceededError, JobValueError, StreamspanError
+from .errors import BudgetExceededError, JobValueError
 from .grouping import LargeJobSet
 
 __all__ = [
@@ -52,21 +53,44 @@ class SearchOutcome:
     upper_bound: float
 
 
-def _grid_shape(park: MachinePark, total_load: float, epsilon: float) -> tuple[float, float, int]:
-    """(lower, base, size) of the candidate times: point x is
-    lower * base**x for 0 <= x < size, from P/m up to at least P/e0."""
+def _grid_shape(
+    park: MachinePark, total_load: float, fold: float, epsilon: float
+) -> tuple[float, float, float, int]:
+    """(lower, upper, base, size) of the candidate times: point x is
+    lower * base**x for 0 <= x < size, from lower = P/m up to the first
+    point that is at least upper = P/e0, where the park covers P and
+    machine 1, a floor machine, alone takes fold, the large jobs' job-order
+    left fold.  So at the last point the aggregate condition holds and
+    every large job on machine 1 is an assignment that fits."""
     lower, upper = search_bounds(park, total_load)
     base = 1.0 + epsilon / 2.0
     if total_load <= 0:
-        return lower, base, 1
+        return lower, upper, base, 1
     if lower == 0:  # base**top would overflow before reaching upper
         raise JobValueError(f"total load {total_load} is too small: P/m rounds to 0")
-    top = math.ceil(math.log(park.m / park.ratio_floor, base))
-    if top < 0:
-        top = 0
-    while lower * base**top < upper:  # guard against log() rounding short
+    top = max(0, math.ceil(math.log(park.m / park.ratio_floor, base)))
+    while True:  # log() can round short, and P/e0 fall an ulp short of P or fold
+        t = lower * base**top
+        if (t >= upper and park_capacity_at(park, t) >= total_load
+                and capacity_at(park.machines[0], t) >= fold):
+            return lower, upper, base, top + 1
         top += 1
-    return lower, base, top + 1
+
+
+def _first(lo: int, hi: int, holds) -> int:
+    """The least x in [lo, hi) at which holds(x), for holds monotone in
+    x, or hi when there is none.  lo is tried first, then the rest is
+    bisected."""
+    if holds(lo):
+        return lo
+    lo += 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
 
 
 def crossing_allowance(park: MachinePark) -> int:
@@ -90,7 +114,7 @@ def makespan_value(park: MachinePark, large: LargeJobSet, t: float) -> float:
 # x >= x_floor at which some assignment fits and the earliest assignment
 # that fits there: what trying all m**J assignments in order would select.
 #
-# Fit is monotone in x, so x is bisected, x_floor first.  Each probe is a
+# Fit is monotone in x, so _first bisects x, x_floor first.  Each probe is a
 # depth-first search that places job J-1 first and job 0 last, trying
 # machines in index order, so it meets leaves in that order and the
 # first leaf whose exact fold fits is the earliest.  A branch is cut only
@@ -151,11 +175,12 @@ def search_assignments(job_ps, m, capacity, x_floor, grid_size, budget):
             if ps[j] == ps[j + 1]:
                 twin[j] = j + 1
     nodes = 0
+    best = None
 
-    def first_fit(x):
-        """Each job's machine in the earliest assignment that fits at grid
-        point x, or None."""
-        nonlocal nodes
+    def fits(x):
+        """Whether some assignment fits at grid point x; if so, best is
+        each job's machine in the earliest one."""
+        nonlocal nodes, best
         caps = [float(c) for c in capacity(x)]
         if exact:
             limits = [math.floor(c) for c in caps]
@@ -173,7 +198,7 @@ def search_assignments(job_ps, m, capacity, x_floor, grid_size, budget):
             if i == m:  # every machine tried for job d: back up to job d+1
                 d += 1
                 if d == njobs:
-                    return None
+                    return False
                 i = machines[d]
                 loads[i] = before[d]
                 i += 1
@@ -206,20 +231,11 @@ def search_assignments(job_ps, m, capacity, x_floor, grid_size, budget):
             else:
                 loads[i] = before[d]
                 i += 1
-        return machines
+        best = machines
+        return True
 
-    best = first_fit(x_floor)
-    if best is not None:
-        return x_floor, best, nodes
-    lo, hi = x_floor + 1, grid_size
-    while lo < hi:
-        mid = (lo + hi) // 2
-        found = first_fit(mid)
-        if found is not None:
-            hi, best = mid, found
-        else:
-            lo = mid + 1
-    return hi, best, nodes
+    best_x = _first(x_floor, grid_size, fits)
+    return best_x, best, nodes
 
 
 def _room(loads, limits, rest, smallest, reach):
@@ -257,35 +273,20 @@ def enumerate_and_select(
     within budget search nodes."""
     m = park.m
     total_load = large.total_load
-    lower, base, grid_size = _grid_shape(park, total_load, epsilon)
-
-    def point(x: int) -> float:
-        return lower * base**x
-
     job_ps = [p for _, p in large.jobs]
     fold = 0.0
     for p in job_ps:
         fold += p
-    # P/e0 can fall an ulp short of the large jobs' job-order fold: extend
-    # the grid until they all fit on machine 1, a floor machine
-    while capacity_at(park.machines[0], point(grid_size - 1)) < fold:
-        grid_size += 1
+    lower, upper, base, grid_size = _grid_shape(park, total_load, fold, epsilon)
+
+    def point(x: int) -> float:
+        return lower * base**x
+
     if not math.isfinite(point(grid_size - 1)):
         raise JobValueError(
             f"total load {total_load} is too large: the search grid overflows"
         )
-    # aggregate-coverage floor: first grid point whose park capacity
-    # reaches the total load (machine 1 alone guarantees one exists)
-    lo, hi = 0, grid_size
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if park_capacity_at(park, point(mid)) >= total_load:
-            hi = mid
-        else:
-            lo = mid + 1
-    if lo == grid_size:
-        raise StreamspanError("no grid point covers the total load")
-    x_floor = lo
+    x_floor = _first(0, grid_size, lambda x: park_capacity_at(park, point(x)) >= total_load)
 
     def capacities(x: int) -> list[float]:
         t = point(x)
@@ -294,13 +295,10 @@ def enumerate_and_select(
     best_x, machines, nodes = search_assignments(
         job_ps, m, capacities, x_floor, grid_size, budget
     )
-    if machines is None:
-        raise StreamspanError("no feasible assignment within the grid")
     t = point(best_x)
     value = makespan_value(park, large, t)
     if not math.isfinite(value):
         raise JobValueError(f"the makespan value overflows at t = {t}")
-    _, upper = search_bounds(park, total_load)
     return SearchOutcome(
         jobs=large.jobs,
         machine_of=tuple(i + 1 for i in machines),

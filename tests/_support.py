@@ -19,7 +19,7 @@ from streamspan import (
 )
 from streamspan.capacity import capacity_at, completion_chain
 from streamspan.cli import generate_instance, parse_machine_config_text
-from streamspan.oracle import completion_from_zero, grid_scan_t, naive_capacity_at
+from streamspan.oracle import completion_from_zero, naive_capacity_at
 from streamspan.schedule import FirstPassArtifacts, fingerprint_update
 from streamspan.search import SearchOutcome, _grid_shape
 
@@ -78,16 +78,34 @@ def crossing_counts(park, schedule, jobs, t):
     ]
 
 
-def time_grid(park, total_load, epsilon):
-    """Every candidate time of the search, as a list."""
-    lower, base, size = _grid_shape(park, total_load, epsilon)
+def time_grid(park, total_load, epsilon, fold=0.0):
+    """Every candidate time of the search, as a list; fold is the large
+    jobs' job-order left fold, which machine 1 takes at the last point."""
+    lower, _, base, size = _grid_shape(park, total_load, fold, epsilon)
     return [lower * base**x for x in range(size)]
 
 
+def grid_scan_t(park, per_machine_load, total_load, epsilon, fold=0.0):
+    """The first point of the search's grid at which the park covers
+    total_load and each machine its load, by linear walk with the
+    oracle's capacity scan; None when none is."""
+    for t in time_grid(park, total_load, epsilon, fold):
+        caps = [naive_capacity_at(tl, t) for tl in park.machines]
+        agg = 0.0
+        for cap in caps:
+            agg += cap
+        if agg >= total_load and all(c >= load for c, load in zip(caps, per_machine_load)):
+            return t
+    return None
+
+
 def assignment_grid_exponents(park, large, epsilon):
-    """Per mixed-radix ordinal (job 0 fastest), the oracle's first feasible
-    grid exponent for that assignment of large.jobs, or None."""
-    grid = time_grid(park, large.total_load, epsilon)
+    """Per mixed-radix ordinal (job 0 fastest), the linear walk's first
+    feasible grid exponent for that assignment of large.jobs, or None."""
+    fold = 0.0
+    for _, p in large.jobs:
+        fold += p
+    grid = time_grid(park, large.total_load, epsilon, fold)
     m = park.m
     for ordinal in range(m**large.job_count):
         loads = [0.0] * m
@@ -95,7 +113,7 @@ def assignment_grid_exponents(park, large, epsilon):
         for _, p in large.jobs:
             loads[rem % m] += p
             rem //= m
-        t = grid_scan_t(park, loads, large.total_load, epsilon)
+        t = grid_scan_t(park, loads, large.total_load, epsilon, fold)
         yield None if t is None else grid.index(t)
 
 

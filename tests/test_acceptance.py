@@ -15,13 +15,14 @@ import pytest
 from streamspan import exact_optimum, make_ledger, run_stream, second_pass, validate_schedule
 from streamspan.capacity import capacity_at
 from streamspan.grouping import LargeJobSet
-from streamspan.oracle import grid_scan_t, naive_capacity_at
+from streamspan.oracle import naive_capacity_at
 from streamspan.search import crossing_allowance, enumerate_and_select
 
 from _support import (
     assignment_grid_exponents,
     brute_force_selection,
     crossing_counts,
+    grid_scan_t,
     make_instance,
     offline,
     ordinal,

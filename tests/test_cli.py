@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import decimal
 import errno
 import importlib
 import importlib.util
@@ -25,8 +26,10 @@ from streamspan import (
     ConfigError,
     JobValueError,
     MachinePark,
+    Schedule,
     ScheduleContractError,
     exact_optimum,
+    validate_schedule,
 )
 from streamspan.cli import (
     generate_instance,
@@ -306,6 +309,20 @@ def _run_main(capsys, argv):
 def _report_dict(stdout):
     pairs = [ln.partition(": ") for ln in stdout.splitlines() if ln]
     return {k: v for k, _, v in pairs}
+
+
+def _read_schedule(path, m):
+    """A schedule CSV, rows in job id order, back as a Schedule; each run
+    in start order."""
+    rows = [row.split(",") for row in path.read_text().splitlines()]
+    machine = np.array([int(r[1]) for r in rows[1:-1]], np.int64)
+    start = np.array([float(r[2]) for r in rows[1:-1]])
+    completion = np.array([float(r[3]) for r in rows[1:-1]])
+    runs = tuple(
+        np.flatnonzero(machine == i)[np.argsort(start[machine == i], kind="stable")]
+        for i in range(1, m + 1)
+    )
+    return Schedule(machine, start, completion, runs, float(rows[-1][1]))
 
 
 class TestRunCommand:
@@ -856,6 +873,49 @@ class TestExitCodes:
             code, _, err = _run_main(capsys, ["run", "--config", str(cfg), "--jobs", str(jobs)])
             assert code == 0, (stream, err)
 
+    def test_grid_ending_an_ulp_short_of_the_load_is_0(self, capsys, tmp_path):
+        # e0 = 1.1**-4 and eps 0.2 put P/e0 on grid point 4, where machine 1
+        # delivers 182.99999999999997 of P = 183: the grid must go on a point
+        e0 = 1.1**-4
+        cfg = tmp_path / "park.cfg"
+        cfg.write_text(f"m 1\nm1 1\ne0 {e0!r}\nmachine 1 1000000000 {e0!r}\n")
+        jobs = tmp_path / "jobs.txt"
+        jobs.write_text("92 90 1\n")
+        sched = tmp_path / "s.csv"
+        park = parse_machine_config(str(cfg))
+        stream = [92.0, 90.0, 1.0]
+        optimum = exact_optimum(park, stream).makespan
+        argv = ["run", "--config", str(cfg), "--jobs", str(jobs), "--epsilon", "0.2"]
+        for extra in ([], ["--mode", "two-pass", "--schedule-out", str(sched)]):
+            code, out, err = _run_main(capsys, argv + extra)
+            assert code == 0, (extra, err)
+            report = _report_dict(out)
+            assert float(report["value"]) >= optimum, extra
+        schedule = _read_schedule(sched, 1)
+        validate_schedule(park, schedule, stream)
+        assert schedule.makespan == float(report["makespan"]) <= float(report["value"])
+
+    def test_more_assignments_than_int_prints_is_0_and_the_oracle_5(self, capsys, tmp_path):
+        # 5000 retained jobs on 8 machines: m**J = 8**5000 has 4516 digits,
+        # past the 4300 that str(int) converts by default
+        cfg, jobs = tmp_path / "park.cfg", tmp_path / "jobs.txt"
+        code, _, _ = _run_main(capsys, [
+            "generate", "--seed", "1", "--m", "8", "--m1", "1", "--e0", "0.5", "--n", "5000",
+            "--config-out", str(cfg), "--jobs-out", str(jobs),
+        ])
+        assert code == 0
+        argv = ["run", "--config", str(cfg), "--jobs", str(jobs), "--epsilon", "0.2"]
+        code, out, err = _run_main(capsys, argv + ["--stats"])
+        assert code == 0, err
+        report = _report_dict(out)
+        assert report["search_jobs"] == "5000"
+        assert report["assignments"].isdigit()
+        assert decimal.Decimal(report["assignments"]) == 8**5000
+        code, out, err = _run_main(capsys, argv + ["--mode", "oracle"])
+        assert code == 5
+        assert "8**5000" in err
+        assert out == ""
+
     @pytest.mark.parametrize("stream, position", [("-4\n", 0), ("1 nan 3\n", 1)])
     def test_offline_without_a_valid_maximum_is_3(self, capsys, instance, tmp_path,
                                                  stream, position):
@@ -1385,3 +1445,43 @@ def test_the_benchmark_tracer_records_every_stage(tmp_path):
     stages = {"cli.main", "pipeline.run_stream", "grouping.ingest_many", "grouping.finalize",
               "search.enumerate_and_select", "cli.write_schedule_csv"}
     assert stages <= names, stages - names
+
+
+def test_the_benchmark_output_checks_hold_on_a_small_run(capsys, tmp_path, monkeypatch):
+    # perfbench judges each run with these checks, which read the oracle's
+    # replay, derive_params and MachineTimeline; a run they refuse shows
+    # there only as outputs_incorrect
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as checked out
+    checks = importlib.import_module("checks")
+    workloads = importlib.import_module("workloads")
+    rng = np.random.default_rng(21)
+    jobs = rng.integers(1, workloads.PMAX + 1, size=2000)
+    horizon = int(2 * jobs.sum() / workloads.PARK_M)
+    park = workloads.Park(
+        tuple(np.sort(rng.choice(horizon, size=4, replace=False) + 1).astype(np.float64)
+              for _ in range(workloads.PARK_M)),
+        tuple(rng.choice(workloads.FLOOR_RATIOS if i < workloads.PARK_M1
+                         else workloads.SHARED_RATIOS, size=4)
+              for i in range(workloads.PARK_M)),
+    )
+    inputs = workloads.Inputs(
+        workload=workloads.WORKLOADS["twopass-dense-1m"], seed=21,
+        jobs=jobs.astype(np.float64), park=park, config=tmp_path / "park.cfg",
+        jobs_file=tmp_path / "jobs.txt", empty_jobs=tmp_path / "empty.txt",
+        schedule_out=tmp_path / "schedule.csv",
+    )
+    inputs.config.write_text(park.config_text())
+    inputs.jobs_file.write_text("\n".join(map(str, jobs.tolist())) + "\n")
+    code, out, err = _run_main(capsys, inputs.argv())
+    assert code == 0, err
+    report = checks.parse_report(out)
+    assert checks.check_report(report, inputs) == []
+    assert checks.check_schedule(inputs.schedule_out, report, inputs) == []
+    rows = inputs.schedule_out.read_text().split("\n")
+    fields = rows[1].split(",")
+    fields[3] = repr(float(fields[3]) + 1.0)
+    rows[1] = ",".join(fields)
+    altered = tmp_path / "altered.csv"
+    altered.write_text("\n".join(rows))
+    assert checks.check_schedule(altered, report, inputs) != []

@@ -3,14 +3,13 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamspan import BudgetExceededError, MachinePark, MachineTimeline, make_ledger, run_stream
 from streamspan.capacity import capacity_at, park_capacity_at, search_bounds
 from streamspan.cli import generate_instance, main, parse_machine_config_text
 from streamspan.grouping import LargeJobSet
-from streamspan.oracle import grid_scan_t
 from streamspan.search import (
     crossing_allowance,
     enumerate_and_select,
@@ -19,6 +18,7 @@ from streamspan.search import (
 
 from _support import (
     brute_force_selection,
+    grid_scan_t,
     identity_park,
     integer_loads_fit,
     ordinal,
@@ -64,6 +64,51 @@ class TestTimeGrid:
         base = 1.0 + eps / 2.0
         for x in range(1, len(grid)):
             assert grid[x] == grid[0] * base**x
+
+
+@st.composite
+def sharing_parks(draw):
+    """(park, epsilon): 1-4 machines sharing at ratios such as 0.3, 0.35 and
+    0.7, with e0 = (1 + eps/2)**-k, so that P/e0 can land on a grid point."""
+    epsilon = draw(st.one_of(st.sampled_from([0.1, 0.2, 0.5, 1.0]), st.floats(0.1, 1.0)))
+    e0 = (1.0 + epsilon / 2.0) ** -draw(st.integers(0, 6))
+    m = draw(st.integers(1, 4))
+    m1 = draw(st.integers(1, m))
+    machines = []
+    for i in range(1, m + 1):
+        ratios = [r for r in (0.3, 0.35, 0.7, 1.0, e0) if i > m1 or r >= e0]
+        bps = sorted(draw(st.sets(st.sampled_from([1, 5, 40, 150, 600, 10**9]), max_size=3)))
+        machines.append(MachineTimeline(
+            i, tuple(float(b) for b in bps), tuple(draw(st.sampled_from(ratios)) for _ in bps)
+        ))
+    return MachinePark(tuple(machines), m1, e0), epsilon
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=sharing_parks(),
+    sizes=st.lists(st.integers(1, 100), min_size=1, max_size=6),
+    scale=st.sampled_from([1.0, 0.37]),
+)
+# P/e0 is grid point 4, where machine 1 delivers 182.99999999999997 of P = 183
+@example(
+    shape=(MachinePark((MachineTimeline(1, (1e9,), (1.1**-4,)),), 1, 1.1**-4), 0.2),
+    sizes=[92, 90, 1],
+    scale=1.0,
+)
+def test_the_last_grid_point_covers_the_load_and_takes_every_retained_job(shape, sizes, scale):
+    park, epsilon = shape
+    params = quiet_params(park.m, park.floor_machines, park.ratio_floor, epsilon)
+    led = make_ledger(params, "pmax-unknown")
+    led.ingest_many(np.array(sizes, np.float64) * scale)
+    large = led.finalize()
+    fold = 0.0
+    for _, p in large.jobs:
+        fold += p
+    last = time_grid(park, large.total_load, epsilon, fold)[-1]
+    assert park_capacity_at(park, last) >= large.total_load
+    assert capacity_at(park.machines[0], last) >= fold
+    assert enumerate_and_select(park, large, epsilon).t <= last
 
 
 class TestSmallestGridT:
