@@ -7,7 +7,12 @@ capacities are piecewise linear and invertible.
 
 The names below take a stream to a validated schedule; everything else
 lives in its submodule.  The command line is `streamspan.cli`.
+exact_optimum, Schedule, second_pass and validate_schedule load their
+modules (streamspan.oracle, streamspan.schedule) on first use, so a
+one-pass run never loads them.
 """
+
+import importlib
 
 from .capacity import MachinePark, MachineTimeline
 from .errors import (
@@ -20,9 +25,7 @@ from .errors import (
     TwoPassMismatchError,
 )
 from .grouping import REGIMES, SchedulingParams, derive_params, make_ledger
-from .oracle import exact_optimum
 from .pipeline import RunReport, run_stream
-from .schedule import Schedule, second_pass, validate_schedule
 
 __version__ = "0.1.0"
 
@@ -48,3 +51,17 @@ __all__ = [
     "validate_schedule",
     "exact_optimum",
 ]
+
+# name -> the submodule that defines it, imported on first access (PEP 562)
+_LAZY = {
+    "exact_optimum": "oracle",
+    "Schedule": "schedule",
+    "second_pass": "schedule",
+    "validate_schedule": "schedule",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import os
-import random
 import sys
 import time
 from dataclasses import replace
@@ -47,11 +47,15 @@ from .errors import (
     TwoPassMismatchError,
 )
 from .grouping import REGIMES, derive_params, make_ledger
-from .oracle import exact_optimum
 from .pipeline import run_stream
-from .schedule import SecondPass
 from .search import DEFAULT_BUDGET
 from .textio import float_chunks, write_schedule_csv
+
+# What the imports built lives until the process exits.  Frozen, it is
+# left out of every later collection, the one at exit included, which
+# would otherwise walk and free all of it: about a tenth of a short run.
+# Done once here, not in main, which tests call many times in one process.
+gc.freeze()
 
 __all__ = [
     "EXIT_CODES",
@@ -319,6 +323,8 @@ def generate_instance(
     floor_choices = [r for r in ratio_choices if r >= e0]
     if not floor_choices:
         raise ConfigError(f"no ratio choice is >= e0 ({e0})")
+    import random  # only generate needs it
+
     rng = random.Random(seed)
     lines = [f"m {m}", f"m1 {m1}", f"e0 {e0!r}"]
     for i in range(1, m + 1):
@@ -371,6 +377,8 @@ def _cmd_run(args) -> int:
         for chunk in buffer:
             checker.ingest_many(chunk)
         jobs = np.concatenate(buffer) if buffer else np.empty(0, np.float64)
+        from .oracle import exact_optimum  # the reference, loaded only by this mode
+
         result = exact_optimum(park, jobs, budget=args.budget)
         print(f"mode: {args.mode!r}")
         print(f"job_count: {len(jobs)}")
@@ -411,6 +419,8 @@ def _run_passes(args, park: MachinePark, params, out: BinaryIO | None):
     report, artifacts = run_stream(park, ledger, chunks, mode=args.mode, budget=args.budget)
     if out is None:
         return report
+    from .schedule import SecondPass  # one-pass runs never load the second pass
+
     stage = SecondPass(park, artifacts, read())
     t0 = time.perf_counter()
     write_schedule_csv(out, stage)

@@ -1,4 +1,5 @@
-"""One streaming pass: ingest chunks, finalize, search, report.
+"""One streaming pass: ingest chunks, finalize, search, report, and keep
+what a second pass needs (FirstPassArtifacts).
 
 The report carries every figure a run is judged by (value, selected time,
 band state, memory peaks, timings) as plain fields so the CLI can print
@@ -15,10 +16,9 @@ import numpy as np
 
 from .capacity import MachinePark
 from .errors import ConfigError
-from .schedule import FirstPassArtifacts, fingerprint_update
-from .search import DEFAULT_BUDGET, enumerate_and_select
+from .search import DEFAULT_BUDGET, SearchOutcome, enumerate_and_select
 
-__all__ = ["RunReport", "run_stream"]
+__all__ = ["RunReport", "FirstPassArtifacts", "fingerprint_update", "run_stream"]
 
 
 _STATS = {"stats": True}
@@ -80,6 +80,43 @@ class RunReport:
                 text = str(decimal.Decimal(val))
             out.append(f"{f.name}: {text}")
         return out
+
+
+@dataclass(frozen=True)
+class FirstPassArtifacts:
+    """What the streaming pass must remember to build the schedule later.
+
+    fingerprint is the fingerprint_update fold over the whole stream, so
+    the second pass can tell a changed stream from the one it replays.
+    """
+
+    outcome: SearchOutcome
+    job_count: int
+    max_seen: float
+    fingerprint: int
+
+
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_POSITION_KEY = np.uint64(0x9E3779B97F4A7C15)
+
+
+def fingerprint_update(fingerprint: int, values: np.ndarray, start: int) -> int:
+    """Fold the float64 values at stream positions start.. into fingerprint.
+
+    Each value's bits, xor-ed with its position times a key, go through
+    the splitmix64 finalizer; the hashes add up mod 2**64.  The sum does
+    not depend on how the stream is chunked, and a change of any value or
+    of the order of two different values changes it.
+    """
+    positions = np.arange(start, start + values.size, dtype=np.uint64)
+    z = values.view(np.uint64) ^ (positions * _POSITION_KEY)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return (fingerprint + int(z.sum(dtype=np.uint64))) % (1 << 64)
 
 
 def run_stream(

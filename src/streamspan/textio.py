@@ -5,12 +5,14 @@ write_schedule_csv writes times as repr() does."""
 from __future__ import annotations
 
 import functools
-from typing import BinaryIO, Iterator, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Iterator, TextIO
 
 import numpy as np
 
 from .errors import JobValueError
-from .schedule import SecondPass
+
+if TYPE_CHECKING:
+    from .schedule import SecondPass
 
 __all__ = ["float_chunks", "write_schedule_csv"]
 
@@ -271,12 +273,15 @@ def write_schedule_csv(out: BinaryIO, stage: SecondPass) -> None:
     Each completion is formatted once.  A row's start field is the
     completion field of the row above it in the block when the two floats
     have the same bits, as they do for most small jobs, and is formatted
-    from the block's start column otherwise.
+    from the block's start column otherwise.  The rows of every block are
+    laid out in one buffer, grown only when a block needs more, so the
+    pages it touched once are not faulted in again for the next block.
     """
     m = stage.park.m
     # ",i," for machine i, padded at the end with NUL bytes, that is _FILL
     machines = np.array([f",{i},".encode() for i in range(m + 1)], f"S{len(str(m)) + 2}")
     out.write(b"job_id,machine,start,completion\r\n")
+    buffer = np.empty(0, np.uint8)
     for block in stage:
         n = block.machine.size
         if not n:
@@ -290,7 +295,9 @@ def write_schedule_csv(out: BinaryIO, stage: SecondPass) -> None:
         b = a + machines.dtype.itemsize
         c = b + times.shape[1]
         d = c + 1 + times.shape[1]
-        rows = np.empty((n, d + 2), np.uint8)
+        if buffer.size < n * (d + 2):
+            buffer = np.empty(n * (d + 2), np.uint8)
+        rows = buffer[: n * (d + 2)].reshape(n, d + 2)
         _job_ids(rows, block.first, a)
         rows[:, a:b].view(f"V{b - a}")[:, 0] = np.take(machines, block.machine).view(f"V{b - a}")
         _put(rows[1:], b, times[: n - 1])

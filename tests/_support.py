@@ -20,7 +20,7 @@ from streamspan import (
 from streamspan.capacity import capacity_at, completion_chain
 from streamspan.cli import generate_instance, parse_machine_config_text
 from streamspan.oracle import completion_from_zero, naive_capacity_at
-from streamspan.schedule import FirstPassArtifacts, fingerprint_update
+from streamspan.pipeline import FirstPassArtifacts, fingerprint_update
 from streamspan.search import SearchOutcome, _grid_shape
 
 

@@ -1378,6 +1378,43 @@ def test_importing_the_package_leaves_the_cli_out():
     assert res.returncode == 0, res.stderr
 
 
+_FOOTPRINT = """
+import gc, json, sys
+sys.modules.pop("random", None)  # the interpreter's site hooks may load it
+watched = ("streamspan.schedule", "streamspan.oracle", "random")
+loaded = lambda: [name for name in watched if name in sys.modules]
+import streamspan.cli as cli
+seen = {"import": loaded(), "frozen": gc.get_freeze_count()}
+argv = ["run", "--config", sys.argv[1], "--jobs", sys.argv[2], "--stats"]
+seen["one-pass"] = (cli.main(argv), loaded())
+seen["two-pass"] = (cli.main(argv + ["--mode", "two-pass", "--schedule-out", sys.argv[3]]),
+                    loaded())
+print(json.dumps(seen))
+"""
+
+
+def test_a_one_pass_process_loads_only_what_it_runs(tmp_path):
+    # the imports and the objects they build are a fixed cost of every run:
+    # a one-pass run loads neither the second pass, nor the oracle, nor the
+    # generator's random, and the import-time heap is frozen out of the
+    # collections, the one at exit included
+    config_text, jobs_text = generate_instance(3, 3, 1, 0.5, 300)
+    cfg, jobs = tmp_path / "park.cfg", tmp_path / "jobs.txt"
+    cfg.write_text(config_text)
+    jobs.write_text(jobs_text)
+    res = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, str(cfg), str(jobs), str(tmp_path / "s.csv")],
+        capture_output=True, text=True, env=_ENV, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    seen = json.loads(res.stdout.splitlines()[-1])
+    assert seen["import"] == []
+    assert seen["frozen"] > 0
+    assert seen["one-pass"] == [0, []]
+    code, loaded = seen["two-pass"]
+    assert code == 0 and "streamspan.schedule" in loaded
+
+
 def test_every_export_resolves():
     for info in pkgutil.iter_modules(streamspan.__path__):
         name = f"streamspan.{info.name}"
@@ -1387,6 +1424,20 @@ def test_every_export_resolves():
         exec(f"from {name} import *", {})
     for export in streamspan.__all__:
         assert hasattr(streamspan, export), export
+    # the names the package loads on first use are their modules' own objects
+    for export, owner in (("exact_optimum", "oracle"), ("Schedule", "schedule"),
+                          ("second_pass", "schedule"), ("validate_schedule", "schedule")):
+        module = importlib.import_module(f"streamspan.{owner}")
+        assert getattr(streamspan, export) is getattr(module, export), export
+    with pytest.raises(AttributeError, match="no_such_name"):
+        streamspan.no_such_name
+    assert not hasattr(streamspan, "no_such_name")
+    # a star import, the first use in a fresh interpreter, binds every name
+    code = ("import streamspan; names = {}; exec('from streamspan import *', names); "
+            "print(sorted(set(streamspan.__all__) - set(names)))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_ENV)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
 
 
 def test_benchmark_scripts_import():

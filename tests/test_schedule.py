@@ -18,7 +18,8 @@ from streamspan import (
     second_pass,
     validate_schedule,
 )
-from streamspan.schedule import _GreedyFill, fingerprint_update
+from streamspan.pipeline import fingerprint_update
+from streamspan.schedule import _GreedyFill
 from streamspan.search import crossing_allowance
 
 from _support import (

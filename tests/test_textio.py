@@ -1,12 +1,15 @@
 """Tests of streamspan.textio's schedule CSV formatting."""
 
+import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import streamspan.textio as textio
+from streamspan.schedule import ScheduleBlock
 
 
 def _formatted(values):
@@ -63,3 +66,40 @@ def test_job_ids_match_their_decimal_text():
         assert [row[row != textio._FILL].tobytes().decode() for row in rows] == [
             str(i) for i in range(first, first + n)
         ]
+
+
+class _Stage:
+    """What write_schedule_csv reads of a SecondPass: the park's machine
+    count, the blocks, then the makespan."""
+
+    def __init__(self, m, blocks, makespan):
+        self.park = SimpleNamespace(m=m)
+        self.blocks, self.makespan = blocks, makespan
+
+    def __iter__(self):
+        return iter(self.blocks)
+
+
+def test_blocks_that_shrink_and_grow_write_the_bytes_of_one_block():
+    # every block's rows are laid out in one buffer that only grows, so a
+    # byte a smaller block left unwritten would show the larger one's text
+    rng = np.random.default_rng(5)
+    sizes = (5, 70_000, 3, 20_000)
+    n = sum(sizes)
+    completion = np.cumsum(rng.integers(1, 64, n) / 8.0)
+    completion[rng.random(n) < 0.1] *= 0.37  # real-valued fields, wider than the dyadic ones
+    start = np.concatenate(([0.0], completion[:-1]))
+    start[rng.random(n) < 0.05] += 0.5  # starts that are not the row above's completion
+    machine = rng.integers(1, 4, n)
+    cuts = np.cumsum((0,) + sizes)
+    blocks = [
+        ScheduleBlock(int(lo), machine[lo:hi], start[lo:hi], completion[lo:hi])
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
+    written = []
+    for parts in ([ScheduleBlock(0, machine, start, completion)], blocks):
+        out = io.BytesIO()
+        textio.write_schedule_csv(out, _Stage(3, parts, float(completion.max())))
+        written.append(out.getvalue())
+    assert written[0].count(b"\r\n") == n + 2
+    assert written[1] == written[0]
