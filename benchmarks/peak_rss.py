@@ -10,6 +10,12 @@ and ratios 1/4, 1/2 and 1.  It then runs `streamspan run` on it in
 (ru_maxrss from os.wait4) per mode and job count, the median of the
 repeats.
 
+For each job count it also runs a rising stream: the 16-machine park of
+`generate --seed 1 --m 16 --m1 1 --e0 0.5` with sizes 1, 2, ..., n in
+ascending order, so the band window rebases as the maximum rises, one-pass
+at epsilon 0.01, in the default regime and with the maximum declared
+(`--regime pmax-given --pmax n`).
+
 The launcher imports no numpy and holds no instance: the instance is
 written by a child process, and each timed run is started from this
 small process.  A child's ru_maxrss starts from the memory its launcher
@@ -41,7 +47,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ENTRY = "import sys; from streamspan.cli import main; sys.exit(main())"
 KIB_PER_MB = 1024.0  # ru_maxrss is in KiB on Linux
 
-# run in a child process: write park.cfg and jobs.txt for n jobs into a folder
+# run in a child process: write the uniform park.cfg and jobs.txt for n jobs into a folder
 GENERATE = """
 import sys
 import numpy as np
@@ -60,10 +66,27 @@ with open(f"{folder}/jobs.txt", "w") as fh:
     fh.write("\\n".join(map(str, jobs.tolist())) + "\\n")
 """
 
-MODES = {
-    "one-pass": [],
-    "two-pass": ["--mode", "two-pass", "--regime", "pmax-given", "--pmax", "1024",
-                 "--schedule-out", "{folder}/schedule.csv"],
+# run in a child process: the rising instance for n jobs into a folder
+RISING = """
+import sys
+from streamspan.cli import generate_instance
+folder, n = sys.argv[1], int(sys.argv[2])
+with open(f"{folder}/park.cfg", "w") as fh:
+    fh.write(generate_instance(1, 16, 1, 0.5, 0)[0])
+with open(f"{folder}/jobs.txt", "w") as fh:
+    fh.write("\\n".join(map(str, range(1, n + 1))) + "\\n")
+"""
+
+GENERATORS = {"uniform": GENERATE, "rising": RISING}
+
+# each case: the instance it runs on and its flags
+CASES = {
+    "one-pass": ("uniform", []),
+    "two-pass": ("uniform", ["--mode", "two-pass", "--regime", "pmax-given", "--pmax", "1024",
+                             "--schedule-out", "{folder}/schedule.csv"]),
+    "rising-default": ("rising", ["--epsilon", "0.01"]),
+    "rising-pmax-given": ("rising", ["--epsilon", "0.01", "--regime", "pmax-given",
+                                     "--pmax", "{n}"]),
 }
 
 
@@ -83,16 +106,17 @@ def measure(src, job_counts, repeats, workdir, seed):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     figures = {}
     for n in job_counts:
-        folder = os.path.join(workdir, f"jobs{n}")
-        if not os.path.exists(os.path.join(folder, "jobs.txt")):
-            os.makedirs(folder, exist_ok=True)
-            subprocess.run([sys.executable, "-c", GENERATE, folder, str(n), str(seed)], check=True)
-        for mode, flags in MODES.items():
+        for mode, (family, flags) in CASES.items():
+            folder = os.path.join(workdir, f"{family}{n}")
+            if not os.path.exists(os.path.join(folder, "jobs.txt")):
+                os.makedirs(folder, exist_ok=True)
+                subprocess.run([sys.executable, "-c", GENERATORS[family], folder, str(n),
+                                str(seed)], env=env, check=True)
             argv = [sys.executable, "-c", ENTRY, "run", "--config", f"{folder}/park.cfg",
-                    "--jobs", f"{folder}/jobs.txt", *(f.format(folder=folder) for f in flags)]
+                    "--jobs", f"{folder}/jobs.txt", *(f.format(folder=folder, n=n) for f in flags)]
             runs = [peak_mb(argv, env) for _ in range(repeats)]
             figures[f"{mode}_{n}_peak_rss_mb"] = statistics.median(runs)
-            print(f"{mode:>8} {n:>9} jobs: peak RSS {statistics.median(runs):7.1f} MB "
+            print(f"{mode:>17} {n:>9} jobs: peak RSS {statistics.median(runs):7.1f} MB "
                   f"(median of {repeats}: {', '.join(f'{r:.1f}' for r in runs)})")
     return figures
 

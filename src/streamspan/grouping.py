@@ -2,9 +2,9 @@
 
 derive_params sizes the bands; _BandedLedger keeps them over one pass,
 through ingest_block, and its finalize hands the search a LargeJobSet.
-The three REGIMES differ only in how the window's anchor is known: given
-exactly, given as an overestimate, or not given at all.  make_ledger
-builds the ledger for a regime.
+The three REGIMES share one window and differ only in the contract they
+check: a maximum given exactly, given as an overestimate, or not given at
+all.  make_ledger builds the ledger for a regime.
 """
 
 from __future__ import annotations
@@ -159,16 +159,13 @@ class _BandedLedger:
     makes every job at or below its upper edge "small" for the search.
     The small jobs' mass is in the stream's total load.
 
-    A regime is an anchor and a widening.  With an anchor, the declared
-    maximum or its overestimate, no job may exceed it and the window's top
-    edge is the anchor's band for the whole stream; the window carries
-    `widening` bounded bands below the usual ones, which retain jobs too,
-    and at the end it re-anchors at the observed maximum's band, folding
-    whole bands into the low band.  Without one the window follows the
-    largest job seen: each chunk is split where its running maximum passes
-    the top, and between the pieces the window shifts up, folding the
-    bands that sink below it into the low band.  label names the anchor in
-    messages.
+    The window follows the largest job seen: its offset is None until the
+    first job, each chunk is split where its running maximum passes the
+    top, and between the pieces the window rebases, shifting up and
+    folding the bands that sink below it into the low band.  A regime is
+    only a contract: no job may exceed limit, the declared maximum or its
+    overestimate, and at the end the observed maximum's band may lie at
+    most reach bands below limit's.  label names limit in messages.
 
     job_count, total_load (the left fold of the jobs in arrival order),
     max_seen, retained_total and peak_retained are plain fields;
@@ -179,16 +176,16 @@ class _BandedLedger:
         self,
         params: SchedulingParams,
         regime: str = "pmax-unknown",
-        anchor: float | None = None,
-        widening: int = 0,
+        limit: float = math.inf,
+        reach: int = 0,
         label: str = "p_max",
     ):
         self.params = params
         self.regime = regime
-        n = params.bounded_bands + widening
-        self._n_bounded = n
-        self._offset = None if anchor is None else ceil_log2(anchor) - n
-        self._p_limit = math.inf if anchor is None else anchor
+        n = params.bounded_bands
+        self._offset = None
+        self._p_limit = limit
+        self._lowest_top = -math.inf if math.isinf(limit) else ceil_log2(limit) - reach
         self._limit_label = label
         cap = max(params.retain_limit - 1, 1)
         try:  # numpy refuses shapes past its size limit with ValueError
@@ -213,8 +210,7 @@ class _BandedLedger:
 
     @property
     def band_offset(self) -> int | None:
-        """Offset of the streaming window; None before an unanchored
-        ledger sees its first job."""
+        """Offset of the streaming window; None before the first job."""
         return self._offset
 
     @property
@@ -226,11 +222,11 @@ class _BandedLedger:
 
     @property
     def retained_bound(self) -> int:
-        return self._n_bounded * self.params.retain_limit
+        return self.params.bounded_bands * self.params.retain_limit
 
     @property
     def group_record_bound(self) -> int:
-        return self._n_bounded + 1
+        return self.params.bounded_bands + 1
 
     def retained_in_band(self, k: int) -> list[tuple[int, float]]:
         ln = int(self._ret_len[k])
@@ -277,8 +273,8 @@ class _BandedLedger:
         mant, ex = np.frexp(arr)
         tops = ex.astype(np.int64) - (mant == 0.5)  # exact ceil(log2 p)
         chunk_max = float(arr.max())
-        n = self._n_bounded
-        if self._offset is None:  # an unanchored window rises to meet its first job
+        n = self.params.bounded_bands
+        if self._offset is None:  # the window rises to meet the first job
             self._rebase(int(tops[0]) - n)
         cut = 0
         window_top = self._offset + n
@@ -302,45 +298,46 @@ class _BandedLedger:
         self.peak_retained = max(self.peak_retained, peak)
 
     def _rebase(self, offset: int) -> None:
-        """Move the window up to a larger offset, folding sunk bands."""
+        """Move the window up to a larger offset, folding sunk bands.  Only
+        kept bands' retained prefixes move: no slot past ret_len is read."""
         if self._offset is not None:
             self._peak_records = self.peak_group_records
-            sunk = min(offset - self._offset, self._n_bounded)
+            n = self.params.bounded_bands
+            sunk = min(offset - self._offset, n)
             self._counts[0] = self._counts[: sunk + 1].sum()
             self.retained_total -= int(self._ret_len[:sunk].sum())
-            keep = self._n_bounded - sunk
-            for a in (self._counts[1:], self._ret_len, self._ret_ids, self._ret_ps):
-                a[:keep] = a[sunk:]
-                a[keep:] = 0
+            for k in np.flatnonzero(self._ret_len[sunk:]) + sunk:
+                ln = self._ret_len[k]
+                self._ret_ids[k - sunk, :ln] = self._ret_ids[k, :ln]
+                self._ret_ps[k - sunk, :ln] = self._ret_ps[k, :ln]
+            for a in (self._counts[1:], self._ret_len):
+                a[: n - sunk] = a[sunk:]
+                a[n - sunk:] = 0
         self._offset = offset
 
     # -- state extraction ------------------------------------------------
 
     def snapshot(self):
-        """Canonical (offset, low_count, entries) of the final window, each
-        entry (top, count, retained) of a band holding a job: what finalize
-        reads and equality tests compare.
-
-        The final window's top is the observed maximum's band.  An
-        unanchored window already sits there; an anchored one re-anchors
-        by folding the sunk bands below it, and an anchor above the
-        widened window's reach breaks the declared contract.
+        """Canonical (offset, low_count, entries) of the window, each entry
+        (top, count, retained) of a band holding a job: what finalize reads
+        and equality tests compare.  The window's top is the observed
+        maximum's band; a limit more than reach bands above it breaks the
+        declared contract.
         """
         if self.job_count == 0:
             return (None, 0, ())
-        sunk = ceil_log2(self.max_seen) - self.params.top_band - 1 - self._offset
-        if sunk < 0:
+        if ceil_log2(self.max_seen) < self._lowest_top:
             raise PmaxContractError(
                 f"the declared {self._limit_label} {self._p_limit} is too far above the "
-                f"observed maximum {self.max_seen} for the window to re-anchor; for an upper "
-                f"bound use --regime pmax-estimate with alpha >= {self._p_limit / self.max_seen!r}"
+                f"observed maximum {self.max_seen}; for an upper bound use "
+                f"--regime pmax-estimate with alpha >= {self._p_limit / self.max_seen!r}"
             )
         entries = tuple(
             (self._offset + k + 1, int(self._counts[k + 1]), tuple(self.retained_in_band(k)))
-            for k in range(sunk, self._n_bounded)
+            for k in range(self.params.bounded_bands)
             if self._counts[k + 1]
         )
-        return (self._offset + sunk, int(self._counts[: sunk + 1].sum()), entries)
+        return (self._offset, int(self._counts[0]), entries)
 
     def finalize(self) -> LargeJobSet:
         offset, _, entries = self.snapshot()
@@ -397,7 +394,7 @@ def ingest_block(ps, tops, start_id, offset, retain_limit, counts, ret_len, ret_
     return int(running[-1]), int(running.max())
 
 
-# the arguments each regime reads, its anchor first
+# the arguments each regime reads, its declared maximum first
 _READS = {"pmax-given": ("pmax",), "pmax-estimate": ("pmax_estimate", "alpha"), "pmax-unknown": ()}
 _ARGUMENTS = {
     "pmax": "a largest processing time (--pmax)",
@@ -413,12 +410,12 @@ def make_ledger(
     pmax_estimate: float | None = None,
     alpha: float | None = None,
 ) -> _BandedLedger:
-    """The ledger for one of REGIMES.
-
-    pmax-given anchors at pmax, which must lie in the power-of-two band of
-    the stream's maximum; pmax-estimate at pmax_estimate, at most alpha
-    (default 1) times the maximum; pmax-unknown has no anchor.  A regime
-    refuses the arguments it does not read.
+    """The ledger for one of REGIMES: the same window, and the regime's
+    contract.  pmax-given: no job exceeds pmax, which lies in the band of
+    the stream's maximum; pmax-estimate: no job exceeds pmax_estimate,
+    whose band lies at most ceil(log2 alpha) bands above the maximum's
+    (alpha defaults to 1); pmax-unknown: none.  A regime refuses the
+    arguments it does not read.
     """
     if regime not in REGIMES:
         raise ConfigError(f"unknown regime {regime!r}; expected one of {', '.join(REGIMES)}")
@@ -428,14 +425,14 @@ def make_ledger(
             raise ConfigError(f"regime {regime} does not take {_ARGUMENTS[arg]}")
     if regime == "pmax-unknown":
         return _BandedLedger(params, regime)
-    anchor_arg = _READS[regime][0]
-    anchor = given[anchor_arg]
-    if anchor is None:
-        raise ConfigError(f"regime {regime} needs {_ARGUMENTS[anchor_arg]}")
+    limit_arg = _READS[regime][0]
+    limit = given[limit_arg]
+    if limit is None:
+        raise ConfigError(f"regime {regime} needs {_ARGUMENTS[limit_arg]}")
     label = "p_max" if regime == "pmax-given" else "p_max estimate"
-    if not (anchor > 0) or math.isinf(anchor):
-        raise ConfigError(f"{label} must be finite and > 0, got {anchor}")
+    if not (limit > 0) or math.isinf(limit):
+        raise ConfigError(f"{label} must be finite and > 0, got {limit}")
     alpha = 1.0 if alpha is None else alpha
     if not alpha >= 1.0 or math.isinf(alpha):
         raise ConfigError(f"estimate factor alpha must be finite and >= 1, got {alpha}")
-    return _BandedLedger(params, regime, float(anchor), ceil_log2(alpha), label)
+    return _BandedLedger(params, regime, float(limit), ceil_log2(alpha), label)

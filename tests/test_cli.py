@@ -523,8 +523,8 @@ class TestRunCommand:
 
     def test_offline_equals_two_pass(self, capsys, instance, tmp_path):
         cfg, jobs = instance
-        # small jobs, then a few large ones: a ledger anchored at the
-        # maximum would never have retained the small ones
+        # small jobs, then a few large ones: the window follows the
+        # maximum, so it retains the small ones before the large arrive
         rising = tmp_path / "rising.txt"
         rising.write_text(" ".join(["1", "2", "3"] * 40 + ["900", "1000", "1100"]) + "\n")
         for stream in (jobs, str(rising)):
@@ -1003,8 +1003,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("mode", ["one-pass", "two-pass"])
     def test_a_pmax_above_the_band_of_the_maximum_is_4(self, capsys, tmp_path, mode):
-        # a window anchored 20 bands above every job holds none of them:
-        # the value would be 65537 against an optimum of 1
+        # a --pmax 20 bands above the band of the stream's maximum breaks
+        # the declared contract, which the end of the pass checks
         cfg, jobs, out_csv = tmp_path / "park.cfg", tmp_path / "jobs.txt", tmp_path / "s.csv"
         cfg.write_text("m 2\nm1 1\ne0 1\nmachine 1\nmachine 2\n")
         jobs.write_text("1 1\n")
@@ -1018,6 +1018,46 @@ class TestExitCodes:
         assert "observed maximum 1.0" in err and "--regime pmax-estimate" in err
         assert out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.txt", "park.cfg"]
+
+    @pytest.mark.parametrize("mode", ["one-pass", "two-pass"])
+    @pytest.mark.parametrize("flags, message", [
+        # the stream's maximum, 6 at position 3, lies in the band (4, 8]
+        (["--regime", "pmax-given", "--pmax", "6"], None),
+        (["--regime", "pmax-given", "--pmax", "7"], None),
+        (["--regime", "pmax-given", "--pmax", "8"], None),
+        (["--regime", "pmax-given", "--pmax", "8.000000000000002"],
+         "observed maximum 6.0; for an upper bound use --regime pmax-estimate with alpha >= 1.33"),
+        (["--regime", "pmax-given", "--pmax", "5.999"], "position 3"),
+        # alpha 5 lets the estimate's band lie ceil(log2 5) = 3 bands up: (32, 64]
+        (["--regime", "pmax-estimate", "--pmax-estimate", "6", "--alpha", "5"], None),
+        (["--regime", "pmax-estimate", "--pmax-estimate", "64", "--alpha", "5"], None),
+        (["--regime", "pmax-estimate", "--pmax-estimate", "64.5", "--alpha", "5"],
+         "observed maximum 6.0; for an upper bound use --regime pmax-estimate with alpha >= 10.75"),
+        (["--regime", "pmax-estimate", "--pmax-estimate", "5.5", "--alpha", "5"], "position 3"),
+    ], ids=["pmax-at-max", "pmax-in-band", "pmax-at-band-top", "pmax-next-band", "job-above-pmax",
+            "estimate-at-max", "estimate-at-reach", "estimate-past-reach", "job-above-estimate"])
+    def test_each_contract_holds_to_its_edges(self, capsys, instance, tmp_path, mode, flags,
+                                              message):
+        # a run that keeps its contract prints the default run's report but
+        # for its regime; one that breaks it exits 4 and writes no schedule
+        cfg, _ = instance
+        jobs = tmp_path / "jobs.txt"
+        jobs.write_text("3 1 5 6 2\n")
+        outputs = []
+        for regime in ([], flags):
+            out_csv = tmp_path / f"s{len(outputs)}.csv"
+            sched = [] if mode == "one-pass" else ["--mode", mode, "--schedule-out", str(out_csv)]
+            code, out, err = _run_main(
+                capsys, ["run", "--config", cfg, "--jobs", str(jobs), "--stats", *regime, *sched])
+            if message is not None and regime:
+                assert code == 4 and message in err and out == ""
+                assert not out_csv.exists()
+                return
+            assert code == 0, err
+            report = {k: v for k, v in _report_dict(out).items()
+                      if k not in ("regime", "schedule_path") and not k.endswith("_seconds")}
+            outputs.append((report, out_csv.exists() and out_csv.read_bytes()))
+        assert message is None and outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("mode, flags, message", [
         ("one-pass", ["--pmax", "10"],
@@ -1413,6 +1453,38 @@ def test_a_one_pass_process_loads_only_what_it_runs(tmp_path):
     assert seen["one-pass"] == [0, []]
     code, loaded = seen["two-pass"]
     assert code == 0 and "streamspan.schedule" in loaded
+
+
+# run argv[2:] from this small process and print its exit code and peak RSS
+# in KiB: a child's ru_maxrss starts from its launcher's, and pytest's is large
+_PEAK = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+err = proc.stderr.read()
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, err)
+"""
+
+
+def test_a_rising_stream_costs_no_more_memory_than_a_declared_maximum(tmp_path):
+    # 32 machines at eps 0.02 retain up to 14 * 409,600 jobs, 92 MB of
+    # slots; each of the 11 rebases moves only the jobs the window holds,
+    # so the slots are touched no more than under a declared maximum
+    cfg, jobs = tmp_path / "park.cfg", tmp_path / "jobs.txt"
+    cfg.write_text("m 32\nm1 1\ne0 0.5\n" + "".join(f"machine {i}\n" for i in range(1, 33)))
+    jobs.write_text(" ".join(str(2**k) for k in range(12)) + "\n")
+    peaks = []
+    for regime in ([], ["--regime", "pmax-given", "--pmax", "2048"]):
+        res = subprocess.run(
+            [sys.executable, "-c", _PEAK, sys.executable, "-c",
+             "import sys; from streamspan.cli import main; sys.exit(main())",
+             "run", "--config", str(cfg), "--jobs", str(jobs), "--epsilon", "0.02", *regime],
+            capture_output=True, text=True, env=_ENV, timeout=120,
+        )
+        code, peak_kib, err = res.stdout.split(" ", 2)
+        assert res.returncode == 0 and code == "0", (res.stderr, err)
+        peaks.append(int(peak_kib) / 1024)
+    assert peaks[0] - peaks[1] < 10, peaks
 
 
 def test_every_export_resolves():

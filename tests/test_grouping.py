@@ -142,7 +142,7 @@ class TestKnownPmaxLedger:
         led = make_ledger(params_small, "pmax-given", pmax=100.0)
         led.ingest_many([1.0])
         led.ingest_many([100.0])
-        # window anchored at ceil_log2(100)=7: bands cover (16,32],(32,64],(64,128]
+        # the window tops out at ceil_log2(100)=7: bands (16,32],(32,64],(64,128]
         assert led.snapshot() == (4, 1, ((7, 1, ((1, 100.0),)),))
         assert led.total_load == 101.0
         assert led.max_seen == 100.0
@@ -247,15 +247,16 @@ class TestEstimatePmaxLedger:
         assert est.retained_bound == known.retained_bound  # alpha 1 widens nothing
 
     def test_overestimate_reanchors(self, params_small):
-        # estimate 80 with alpha=8, true max 10: window re-anchors with no
-        # band above the true top, folding nothing here
+        # estimate 80 with alpha=8, true max 10: the window is placed by the
+        # first job, not the estimate, and tops out at the true maximum
         est = make_ledger(params_small, "pmax-estimate", pmax_estimate=80.0, alpha=8.0)
-        assert est.band_offset == ceil_log2(80.0) - params_small.bounded_bands - 3
+        assert est.band_offset is None
         jobs = np.array([10.0, 3.0, 1.7, 5.0, 2.0])
         est.ingest_many(jobs)
         known = make_ledger(params_small, "pmax-given", pmax=10.0)
         known.ingest_many(jobs)
         assert est.snapshot() == known.snapshot()
+        assert est.band_offset == known.band_offset == ceil_log2(10.0) - params_small.bounded_bands
 
     def test_reanchor_folds_sunk_bands(self, params_small):
         est = make_ledger(params_small, "pmax-estimate", pmax_estimate=80.0, alpha=8.0)
@@ -283,9 +284,12 @@ class TestEstimatePmaxLedger:
             make_ledger(params_small, "pmax-estimate", pmax_estimate=8.0, alpha=0.5)
 
     def test_memory_properties_widened(self, params_small):
+        # alpha widens the contract, not the window: the unknown regime's bounds
         est = make_ledger(params_small, "pmax-estimate", pmax_estimate=80.0, alpha=8.0)
-        assert est.group_record_bound == params_small.bounded_bands + 3 + 1
-        assert est.retained_bound == (params_small.bounded_bands + 3) * params_small.retain_limit
+        unknown = make_ledger(params_small, "pmax-unknown")
+        assert est.group_record_bound == unknown.group_record_bound == params_small.bounded_bands + 1
+        assert est.retained_bound == unknown.retained_bound == (
+            params_small.bounded_bands * params_small.retain_limit)
 
 
 class TestUnknownPmaxLedger:
@@ -314,6 +318,37 @@ class TestUnknownPmaxLedger:
             fresh.ingest_many(jobs[:i])
             assert led.snapshot() == fresh.snapshot()
             assert led.total_load == fresh.total_load
+
+    @pytest.mark.parametrize("saturating", [False, True])
+    @pytest.mark.parametrize("size", [1, 5])
+    def test_a_rebase_reads_and_writes_only_retained_prefixes(self, params_small, params_tight,
+                                                              saturating, size):
+        # every slot past a band's ret_len holds poison, refilled after each
+        # chunk: a rebase that reads one, or moves less than each kept band's
+        # prefix, changes the result.  One job per chunk, with no band
+        # saturating (which empties a list in place), rebases before it
+        # appends, so a slot still past ret_len keeps its poison
+        params = params_tight if saturating else params_small
+        jobs = np.repeat(1.3 ** np.arange(40), 2)  # rising: about 11 rebases
+
+        def past(led):
+            return np.arange(led._ret_ids.shape[1]) >= led._ret_len[:, None]
+
+        clean, dirty = make_ledger(params, "pmax-unknown"), make_ledger(params, "pmax-unknown")
+        for i in range(0, jobs.size, size):
+            poisoned = past(dirty)
+            dirty._ret_ids[poisoned] = -1
+            dirty._ret_ps[poisoned] = np.nan
+            clean.ingest_many(jobs[i:i + size])
+            dirty.ingest_many(jobs[i:i + size])
+            kept = poisoned & past(dirty)
+            assert saturating or size > 1 or (
+                (dirty._ret_ids[kept] == -1).all() and np.isnan(dirty._ret_ps[kept]).all())
+        assert dirty.snapshot() == clean.snapshot()
+        assert dirty.finalize() == clean.finalize()
+        assert (dirty.retained_total, dirty.peak_retained, dirty.peak_group_records) == (
+            clean.retained_total, clean.peak_retained, clean.peak_group_records)
+        assert (clean.finalize().saturated_band >= 0) == saturating
 
     def test_bounds_hold_throughout(self, params_tight):
         rng = np.random.default_rng(5)

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import io
+import math
 import operator
 import re
 import time
@@ -21,6 +22,7 @@ from streamspan import (
     second_pass,
 )
 from streamspan.cli import generate_instance, main, write_schedule_csv
+from streamspan.grouping import ceil_log2
 from streamspan.schedule import SecondPass
 
 from _support import identity_park, make_instance, quiet_params
@@ -43,9 +45,8 @@ class TestMakeLedger:
         estimate = make_ledger(self.params, "pmax-estimate", pmax_estimate=8.0, alpha=2.0)
         unknown = make_ledger(self.params, "pmax-unknown")
         assert [led.regime for led in (given, estimate, unknown)] == list(REGIMES)
-        # anchored at the band of 4 and of 8, the latter widened by one band
-        assert (given.band_offset, estimate.band_offset, unknown.band_offset) == (
-            2 - self.params.bounded_bands, 3 - self.params.bounded_bands - 1, None)
+        # one window for every regime, placed by the first job
+        assert (given.band_offset, estimate.band_offset, unknown.band_offset) == (None,) * 3
 
     def test_missing_pmax_names_the_flag(self):
         with pytest.raises(ConfigError, match="--pmax"):
@@ -114,6 +115,64 @@ class TestRunStream:
             assert ledger.max_seen == max(jobs.tolist())
             assert ledger.job_count == len(jobs)
         assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 16),
+        m1=st.integers(1, 16),
+        e0=st.sampled_from([0.25, 0.5, 1.0]),
+        epsilon=st.sampled_from([0.05, 0.3, 0.5, 0.9]),
+        n=st.integers(1, 300),
+        jobs_max=st.sampled_from([16, 1024]),
+        family=st.sampled_from(["integer", "scaled", "ascending"]),
+        retain_limit=st.sampled_from([None, 2, 3, 5]),
+        size=st.sampled_from([1, 7, 65536]),
+        inside=st.floats(0.0, 1.0),
+        alpha=st.sampled_from([1.0, 1.5, 2.0, 8.0, 1000.0]),
+        above=st.integers(0, 10),
+    )
+    def test_every_regime_reports_what_the_unknown_one_does(
+        self, seed, m, m1, e0, epsilon, n, jobs_max, family, retain_limit, size, inside,
+        alpha, above,
+    ):
+        """One window serves every regime: a run whose declared maximum or
+        estimate keeps its contract reports what the pmax-unknown run does,
+        `regime` and timings masked, and writes the same schedule bytes.
+        The declared values sit anywhere in the maximum's band, and an
+        estimate up to ceil(log2 alpha) bands above it."""
+        if retain_limit is None:
+            n = min(n, 8)  # every job may stay large: keep the search small
+        if epsilon == 0.05:
+            m, n = min(m, 4), min(n, 40)
+        m1 = min(m1, m)
+        park, _ = make_instance(seed, m, m1, e0, 0)
+        jobs = np.ceil(jobs_max ** np.random.default_rng(seed).random(n) ** 2)
+        if family == "scaled":
+            jobs *= 0.37
+        elif family == "ascending":  # the maximum arrives last
+            jobs.sort()
+        params = quiet_params(m, m1, e0, epsilon, retain_limit_override=retain_limit)
+        pmax = float(jobs.max())
+        top = math.ldexp(1.0, ceil_log2(pmax))
+        in_band = pmax + inside * (top - pmax)  # in [pmax, top]: the maximum's band
+        estimate = math.ldexp(in_band, min(above, ceil_log2(alpha)))
+        chunks = [jobs[i:i + size] for i in range(0, n, size)]
+        outcomes = []
+        for regime, kw in [("pmax-unknown", {}), ("pmax-given", {"pmax": pmax}),
+                           ("pmax-given", {"pmax": in_band}),
+                           ("pmax-estimate", {"pmax_estimate": estimate, "alpha": alpha})]:
+            ledger = make_ledger(params, regime, **kw)
+            try:
+                report, artifacts = run_stream(park, ledger, chunks, budget=20000)
+                csv = io.BytesIO()
+                write_schedule_csv(csv, SecondPass(park, artifacts, chunks))
+                masked = _masked(report)
+                assert masked.pop("regime") == regime
+                outcomes.append((masked, csv.getvalue()))
+            except StreamspanError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[1:] == outcomes[:1] * 3
 
     def test_artifacts_describe_the_pass(self):
         park, params, jobs = self._instance()
