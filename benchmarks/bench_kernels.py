@@ -4,9 +4,8 @@
 parse: textio's job-stream parser over the ingest stream as text, once
 as integers (the digit path) and once times 0.37 written with repr (the
 split-and-convert path).
-ingest: the vectorized ingest kernel, grouping.ingest_block, alone, with
-the np.frexp of each block that gives it the band tops.
-ledgers: the same stream through make_ledger(...).ingest_many per regime.
+ingest: the same stream, as integers, through make_ledger(...).ingest_many
+per regime, in --chunk chunks.
 schedule: the streamed second pass, a SecondPass written by
 write_schedule_csv, over 1M jobs on a 3-machine park with 400 shared
 intervals per machine: the whole stage, and its second pass (the time
@@ -41,7 +40,7 @@ import numpy as np
 from streamspan import make_ledger, run_stream
 from streamspan.capacity import MachinePark, MachineTimeline, completion_chain
 from streamspan.cli import generate_instance, parse_machine_config_text
-from streamspan.grouping import LargeJobSet, derive_params, ingest_block
+from streamspan.grouping import LargeJobSet, derive_params
 from streamspan.schedule import SecondPass
 from streamspan.search import enumerate_and_select
 from streamspan.textio import float_chunks, write_schedule_csv
@@ -58,37 +57,12 @@ def make_park(m):
     return MachinePark(tuple(machines), 1, 0.5)
 
 
-def _fresh_state(n_bounded, retain_limit):
-    cap = max(retain_limit - 1, 1)
-    return (
-        np.zeros(n_bounded + 1, np.int64),
-        np.zeros(n_bounded, np.int64),
-        np.zeros((n_bounded, cap), np.int64),
-        np.zeros((n_bounded, cap), np.float64),
-    )
-
-
 def bench_parse(text, repeats):
     best = math.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
         for _chunk in float_chunks(io.StringIO(text)):
             pass
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def bench_ingest(stream, offset, retain_limit, n_bounded, chunk, repeats):
-    best = math.inf
-    for _ in range(repeats):
-        state = _fresh_state(n_bounded, retain_limit)
-        retained = 0
-        t0 = time.perf_counter()
-        for lo in range(0, stream.size, chunk):
-            block = stream[lo : lo + chunk]
-            mant, ex = np.frexp(block)
-            tops = ex.astype(np.int64) - (mant == 0.5)
-            retained, _ = ingest_block(block, tops, lo, offset, retain_limit, *state, retained)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -204,11 +178,8 @@ def main():
     figures = {}
 
     params = derive_params(m=2, floor_machines=1, ratio_floor=0.5, epsilon=0.5)
-    n_bounded = params.bounded_bands
-    retain_limit = params.retain_limit
     rng = np.random.default_rng(7)
     stream = rng.integers(1, 1025, size=args.jobs).astype(np.float64)
-    offset = 10 - params.top_band - 1  # anchor for p_max 1024
 
     # one job per line, as `streamspan generate` and the benchmark inputs write them
     print(f"parse: float_chunks, {args.jobs} tokens")
@@ -218,19 +189,13 @@ def main():
         figures[f"parse_{key}_ns_per_token"] = secs / stream.size * 1e9
         print(f"  {key:>6}: {figures[f'parse_{key}_ns_per_token']:7.1f} ns/token")
 
-    print(f"ingest: grouping.ingest_block, {args.jobs} jobs, chunk {args.chunk}, "
-          f"retain_limit {retain_limit}")
-    secs = bench_ingest(stream, offset, retain_limit, n_bounded, args.chunk, args.repeats)
-    per_job = secs / stream.size
-    figures["ingest_numpy_ns_per_job"] = per_job * 1e9  # the key of earlier runs in BENCH_kernels.json
-    print(f"  {per_job * 1e9:9.1f} ns/job   ({1.0 / per_job:,.0f} jobs/s)")
-
     ledgers = (
         ("pmax-given", {"pmax": 1024.0}),
         ("pmax-estimate", {"pmax_estimate": 8192.0, "alpha": 8.0}),
         ("pmax-unknown", {}),
     )
-    print("ledgers: make_ledger(...).ingest_many")
+    print(f"ingest: make_ledger(...).ingest_many, {args.jobs} jobs, chunk {args.chunk}, "
+          f"retain_limit {params.retain_limit}")
     given = None
     for regime, ledger_args in ledgers:
         secs = bench_ledger(params, regime, ledger_args, stream, args.chunk, args.repeats)

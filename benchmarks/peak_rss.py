@@ -16,6 +16,12 @@ ascending order, so the band window rebases as the maximum rises, one-pass
 at epsilon 0.01, in the default regime and with the maximum declared
 (`--regime pmax-given --pmax n`).
 
+Once per run it also reads a ledger with much room and few jobs: 32
+identical full-speed machines (m1 1, e0 0.5) at epsilon 0.02, 14 bands
+with room for 409,599 retained jobs each, fed the 12 jobs 1, 2, 4, ...,
+2048 and the empty stream, figure keys many-machines_12_peak_rss_mb and
+many-machines_0_peak_rss_mb.
+
 The launcher imports no numpy and holds no instance: the instance is
 written by a child process, and each timed run is started from this
 small process.  A child's ru_maxrss starts from the memory its launcher
@@ -77,7 +83,17 @@ with open(f"{folder}/jobs.txt", "w") as fh:
     fh.write("\\n".join(map(str, range(1, n + 1))) + "\\n")
 """
 
-GENERATORS = {"uniform": GENERATE, "rising": RISING}
+# run in a child process: 32 identical full-speed machines and the n jobs 1, 2, 4, ..., 2^(n-1)
+DOUBLING = """
+import sys
+folder, n = sys.argv[1], int(sys.argv[2])
+with open(f"{folder}/park.cfg", "w") as fh:
+    fh.write("m 32\\nm1 1\\ne0 0.5\\n" + "".join(f"machine {i}\\n" for i in range(1, 33)))
+with open(f"{folder}/jobs.txt", "w") as fh:
+    fh.write(" ".join(str(2 ** i) for i in range(n)) + "\\n")
+"""
+
+GENERATORS = {"uniform": GENERATE, "rising": RISING, "doubling": DOUBLING}
 
 # each case: the instance it runs on and its flags
 CASES = {
@@ -88,6 +104,8 @@ CASES = {
     "rising-pmax-given": ("rising", ["--epsilon", "0.01", "--regime", "pmax-given",
                                      "--pmax", "{n}"]),
 }
+# each case run at its own job counts, whatever --jobs says
+FIXED_CASES = {"many-machines": ("doubling", ["--epsilon", "0.02"], (0, 12))}
 
 
 def peak_mb(argv, env):
@@ -104,20 +122,23 @@ def peak_mb(argv, env):
 
 def measure(src, job_counts, repeats, workdir, seed):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    runs = [(n, mode, family, flags) for n in job_counts
+            for mode, (family, flags) in CASES.items()]
+    runs += [(n, mode, family, flags) for mode, (family, flags, counts) in FIXED_CASES.items()
+             for n in counts]
     figures = {}
-    for n in job_counts:
-        for mode, (family, flags) in CASES.items():
-            folder = os.path.join(workdir, f"{family}{n}")
-            if not os.path.exists(os.path.join(folder, "jobs.txt")):
-                os.makedirs(folder, exist_ok=True)
-                subprocess.run([sys.executable, "-c", GENERATORS[family], folder, str(n),
-                                str(seed)], env=env, check=True)
-            argv = [sys.executable, "-c", ENTRY, "run", "--config", f"{folder}/park.cfg",
-                    "--jobs", f"{folder}/jobs.txt", *(f.format(folder=folder, n=n) for f in flags)]
-            runs = [peak_mb(argv, env) for _ in range(repeats)]
-            figures[f"{mode}_{n}_peak_rss_mb"] = statistics.median(runs)
-            print(f"{mode:>17} {n:>9} jobs: peak RSS {statistics.median(runs):7.1f} MB "
-                  f"(median of {repeats}: {', '.join(f'{r:.1f}' for r in runs)})")
+    for n, mode, family, flags in runs:
+        folder = os.path.join(workdir, f"{family}{n}")
+        if not os.path.exists(os.path.join(folder, "jobs.txt")):
+            os.makedirs(folder, exist_ok=True)
+            subprocess.run([sys.executable, "-c", GENERATORS[family], folder, str(n),
+                            str(seed)], env=env, check=True)
+        argv = [sys.executable, "-c", ENTRY, "run", "--config", f"{folder}/park.cfg",
+                "--jobs", f"{folder}/jobs.txt", *(f.format(folder=folder, n=n) for f in flags)]
+        peaks = [peak_mb(argv, env) for _ in range(repeats)]
+        figures[f"{mode}_{n}_peak_rss_mb"] = statistics.median(peaks)
+        print(f"{mode:>17} {n:>9} jobs: peak RSS {statistics.median(peaks):7.1f} MB "
+              f"(median of {repeats}: {', '.join(f'{r:.1f}' for r in peaks)})")
     return figures
 
 

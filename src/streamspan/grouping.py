@@ -1,7 +1,7 @@
 """Streaming job-size bands and the bounded-memory large-job ledger.
 
 derive_params sizes the bands; _BandedLedger keeps them over one pass,
-through ingest_block, and its finalize hands the search a LargeJobSet.
+and its finalize hands the search a LargeJobSet.
 The three REGIMES share one window and differ only in the contract they
 check: a maximum given exactly, given as an overestimate, or not given at
 all.  make_ledger builds the ledger for a regime.
@@ -22,7 +22,6 @@ __all__ = [
     "derive_params",
     "ceil_log2",
     "LargeJobSet",
-    "ingest_block",
     "REGIMES",
     "make_ledger",
 ]
@@ -36,6 +35,11 @@ def ceil_log2(p: float) -> int:
         raise JobValueError(f"need a finite positive value, got {p}")
     frac, ex = math.frexp(p)
     return ex - 1 if frac == 0.5 else ex
+
+
+def _ceil_log2s(ps: np.ndarray) -> np.ndarray:
+    mant, ex = np.frexp(ps)  # ceil_log2 of each finite positive p
+    return ex.astype(np.int64) - (mant == 0.5)
 
 
 @dataclass(frozen=True)
@@ -152,12 +156,14 @@ class _BandedLedger:
     """Array-backed band statistics over a window of bounded bands.
 
     Slot 0 of counts is the open low band, every p <= 2^offset; slot k+1
-    is bounded band k, p in (2^(offset+k), 2^(offset+k+1)], whose retained
-    jobs are the first ret_len[k] of ret_ids[k] and ret_ps[k].  A bounded
-    band appends arrivals until its count reaches retain_limit; that
-    arrival empties its retained list for good, because a band that full
-    makes every job at or below its upper edge "small" for the search.
-    The small jobs' mass is in the stream's total load.
+    is bounded band k, p in (2^(offset+k), 2^(offset+k+1)].  A bounded
+    band retains each arrival until its count reaches retain_limit; that
+    arrival drops the band's retain_limit - 1 jobs for good, because a
+    band that full makes every job at or below its upper edge "small" for
+    the search.  So a band is only its count: the retained jobs of all
+    bands are one list in arrival order, the first retained_total entries
+    of ids and ps, each entry's band read off its size.  The small jobs'
+    mass is in the stream's total load.
 
     The window follows the largest job seen: its offset is None until the
     first job, each chunk is split where its running maximum passes the
@@ -168,8 +174,7 @@ class _BandedLedger:
     most reach bands below limit's.  label names limit in messages.
 
     job_count, total_load (the left fold of the jobs in arrival order),
-    max_seen, retained_total and peak_retained are plain fields;
-    ingest_block accounts only the bands and returns the retained total.
+    max_seen, retained_total and peak_retained are plain fields.
     """
 
     def __init__(
@@ -187,12 +192,10 @@ class _BandedLedger:
         self._p_limit = limit
         self._lowest_top = -math.inf if math.isinf(limit) else ceil_log2(limit) - reach
         self._limit_label = label
-        cap = max(params.retain_limit - 1, 1)
         try:  # numpy refuses shapes past its size limit with ValueError
             self._counts = np.zeros(n + 1, np.int64)
-            self._ret_len = np.zeros(n, np.int64)
-            self._ret_ids = np.zeros((n, cap), np.int64)
-            self._ret_ps = np.zeros((n, cap), np.float64)
+            self._ids = np.zeros(n * (params.retain_limit - 1), np.int64)
+            self._ps = np.zeros(self._ids.size, np.float64)
         except (MemoryError, ValueError):
             raise ConfigError(
                 f"cannot allocate {n} bounded bands with room for retained_job_bound = "
@@ -228,17 +231,18 @@ class _BandedLedger:
     def group_record_bound(self) -> int:
         return self.params.bounded_bands + 1
 
+    def _slots(self) -> np.ndarray:
+        """Each list entry's counts slot, k + 1 for bounded band k."""
+        return _ceil_log2s(self._ps[: self.retained_total]) - self._offset
+
     def retained_in_band(self, k: int) -> list[tuple[int, float]]:
-        ln = int(self._ret_len[k])
-        return [(int(self._ret_ids[k, s]), float(self._ret_ps[k, s])) for s in range(ln)]
+        at = np.flatnonzero(self._slots() == k + 1)
+        return list(zip(self._ids[at].tolist(), self._ps[at].tolist()))
 
     # -- streaming -----------------------------------------------------
 
     def ingest_many(self, ps) -> None:
-        """Account a chunk of jobs through ingest_block.
-
-        The whole chunk is validated before any of it is accounted.
-        """
+        """Account a chunk of jobs, all validated before any is accounted."""
         arr = np.ascontiguousarray(ps, dtype=np.float64)
         if arr.ndim != 1:
             raise ConfigError("job chunk must be one-dimensional")
@@ -270,8 +274,7 @@ class _BandedLedger:
             raise JobValueError(
                 f"total load overflows to infinity at position {pos}", position=pos
             )
-        mant, ex = np.frexp(arr)
-        tops = ex.astype(np.int64) - (mant == 0.5)  # exact ceil(log2 p)
+        tops = _ceil_log2s(arr)
         chunk_max = float(arr.max())
         n = self.params.bounded_bands
         if self._offset is None:  # the window rises to meet the first job
@@ -290,29 +293,58 @@ class _BandedLedger:
         self.max_seen = max(self.max_seen, chunk_max)
 
     def _ingest_segment(self, ps: np.ndarray, tops: np.ndarray, start: int) -> None:
-        """Account one piece of a chunk that fits the current window."""
-        self.retained_total, peak = ingest_block(
-            ps, tops, start, self._offset, self.params.retain_limit,
-            self._counts, self._ret_len, self._ret_ids, self._ret_ps, self.retained_total,
-        )
-        self.peak_retained = max(self.peak_retained, peak)
+        """Account the jobs ps, ids from start on and exact ceil(log2 p) in
+        tops, inside the window.  An arrival into a band below the limit
+        joins the list, unless the band fills here: then the filling
+        arrival drops the band's entries, this segment's among them."""
+        slots = np.maximum(tops - self._offset, 0)  # 0 for the low band, else k + 1
+        added = np.bincount(slots, minlength=self._counts.size)
+        room = self.params.retain_limit - 1 - self._counts  # arrivals a band still retains
+        room[0] = -1  # the low band retains none
+        self._counts += added
+        if not ((added > 0) & (room >= 0)).any():
+            return
+        joins = (room >= added)[slots]
+        fills = np.flatnonzero((room >= 0) & (added > room))
+        if fills.size:  # the running retained total peaks before a filling arrival
+            steps = joins.astype(np.int64)
+            for slot in fills.tolist():
+                pos = np.flatnonzero(slots == slot)
+                steps[pos[: room[slot]]] = 1
+                steps[pos[room[slot]]] = -(self.params.retain_limit - 1)
+            self.peak_retained = max(self.peak_retained,
+                                     self.retained_total + int(np.cumsum(steps).max()))
+            for top in (fills + self._offset).tolist():
+                self._drop(top - 1, top)
+        new = np.flatnonzero(joins)
+        end = self.retained_total + new.size
+        self._ids[self.retained_total:end] = new + start
+        self._ps[self.retained_total:end] = ps[new]
+        self.retained_total = end
+        self.peak_retained = max(self.peak_retained, end)
+
+    def _drop(self, low: int, top: int) -> None:
+        """Drop the list entries with 2^low < p <= 2^top, in place."""
+        total = self.retained_total
+        hi = math.ldexp(1.0, top) if top < 1024 else math.inf  # 2^1024 is past every float
+        gone = (self._ps[:total] > math.ldexp(1.0, low)) & (self._ps[:total] <= hi)
+        at = np.flatnonzero(gone)
+        if at.size:
+            first, end = at[0], total - at.size
+            for a in (self._ids, self._ps):  # the entries after first slide down
+                a[first:end] = a[first:total][~gone[first:]]
+            self.retained_total = end
 
     def _rebase(self, offset: int) -> None:
-        """Move the window up to a larger offset, folding sunk bands.  Only
-        kept bands' retained prefixes move: no slot past ret_len is read."""
+        """Move the window up to a larger offset: the sunk bands' counts
+        fold into the low band and their entries leave the list."""
         if self._offset is not None:
             self._peak_records = self.peak_group_records
-            n = self.params.bounded_bands
-            sunk = min(offset - self._offset, n)
-            self._counts[0] = self._counts[: sunk + 1].sum()
-            self.retained_total -= int(self._ret_len[:sunk].sum())
-            for k in np.flatnonzero(self._ret_len[sunk:]) + sunk:
-                ln = self._ret_len[k]
-                self._ret_ids[k - sunk, :ln] = self._ret_ids[k, :ln]
-                self._ret_ps[k - sunk, :ln] = self._ret_ps[k, :ln]
-            for a in (self._counts[1:], self._ret_len):
-                a[: n - sunk] = a[sunk:]
-                a[n - sunk:] = 0
+            sunk = min(offset - self._offset, self.params.bounded_bands)
+            low = self._counts[: sunk + 1].sum()
+            self._counts = np.concatenate(
+                ([low], self._counts[sunk + 1 :], np.zeros(sunk, np.int64)))
+            self._drop(self._offset, offset)
         self._offset = offset
 
     # -- state extraction ------------------------------------------------
@@ -332,10 +364,13 @@ class _BandedLedger:
                 f"observed maximum {self.max_seen}; for an upper bound use "
                 f"--regime pmax-estimate with alpha >= {self._p_limit / self.max_seen!r}"
             )
+        slots = self._slots()
+        order = np.argsort(slots, kind="stable")  # band-ascending, then arrival order
+        jobs = list(zip(self._ids[order].tolist(), self._ps[order].tolist()))
+        ends = np.searchsorted(slots[order], np.arange(self._counts.size), side="right")
         entries = tuple(
-            (self._offset + k + 1, int(self._counts[k + 1]), tuple(self.retained_in_band(k)))
-            for k in range(self.params.bounded_bands)
-            if self._counts[k + 1]
+            (self._offset + s, int(self._counts[s]), tuple(jobs[ends[s - 1]:ends[s]]))
+            for s in (np.flatnonzero(self._counts[1:]) + 1).tolist()
         )
         return (self._offset, int(self._counts[0]), entries)
 
@@ -353,45 +388,6 @@ class _BandedLedger:
             small_bound=0.0 if offset is None else math.ldexp(1.0, offset + saturated + 1),
             band_offset=offset,
         )
-
-
-def ingest_block(ps, tops, start_id, offset, retain_limit, counts, ret_len, ret_ids, ret_ps,
-                 retained_total):
-    """Account the jobs ps, with ids from start_id on, into a ledger's band
-    state in place; return the retained total after the block and the
-    largest it reached, counting the retained_total it started from.
-    The caller guarantees 0 < p, each p's exact ceil(log2 p) in tops, and
-    every p inside the window (band index <= ret_len.size - 1); the
-    stream's total, maximum and job count are the caller's."""
-    b = tops - offset
-    np.maximum(b, 0, out=b)  # slot: 0 for the low band, else k + 1
-    added = np.bincount(b, minlength=counts.shape[0])
-    # bounded bands that take arrivals while still retaining
-    live = np.flatnonzero((added[1:] > 0) & (counts[1:] < retain_limit)) + 1
-    if live.size == 0:
-        counts += added
-        return retained_total, retained_total
-    # running[0] is the retained total before the block; running[i+1]
-    # changes by job i's delta, for exact running-peak tracking
-    running = np.zeros(ps.shape[0] + 1, np.int64)
-    running[0] = retained_total
-    deltas = running[1:]
-    for band in live:
-        pos = np.flatnonzero(b == band)
-        bk = band - 1
-        prior_l = int(ret_len[bk])
-        # arrivals retained before one reaches the limit
-        keep = min(retain_limit - int(counts[band]) - 1, pos.shape[0])
-        ret_ids[bk, prior_l:prior_l + keep] = start_id + pos[:keep]
-        ret_ps[bk, prior_l:prior_l + keep] = ps[pos[:keep]]
-        deltas[pos[:keep]] = 1
-        ret_len[bk] = prior_l + keep
-        if keep < pos.shape[0]:  # arrival keep saturates: the band stops retaining
-            deltas[pos[keep]] = -(prior_l + keep)
-            ret_len[bk] = 0
-    counts += added
-    np.cumsum(running, out=running)
-    return int(running[-1]), int(running.max())
 
 
 # the arguments each regime reads, its declared maximum first

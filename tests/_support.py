@@ -180,33 +180,40 @@ def reference_search(job_ps, m, capgrid, x_floor, n_total):
     return best_x, best_ord
 
 
-def reference_ingest(ps, tops, start_id, offset, retain_limit, counts, ret_len, ret_ids, ret_ps,
-                     retained_total):
-    """grouping.ingest_block one job at a time: the same band state, updated
-    in place by a plain loop in arrival order, and the same (retained
-    total, peak) return.  tops is ignored: each band is recomputed from p."""
-    peak = retained_total
-    for i in range(ps.shape[0]):
-        p = ps[i]
+def reference_ingest(jobs, params):
+    """The unknown-maximum ledger one job at a time in a plain dict: the
+    reference for how arrivals fill bands, how a rebase folds sunk bands
+    into the low band, and for the peaks.  Returns (snapshot, retained
+    total, peak retained, peak group records), the ledger's snapshot and
+    fields after the stream.  Each band is recomputed from p."""
+    offset, low_count = None, 0
+    bands: dict[int, list] = {}  # band top exponent -> [count, retained]
+    retained = peak_retained = 0
+    peak_records = 1
+    for job_id, p in enumerate(float(p) for p in jobs):
         frac, ex = math.frexp(p)
         top = ex - 1 if frac == 0.5 else ex  # exact ceil(log2 p)
-        k = top - offset - 1
-        if k < 0:
-            counts[0] += 1
+        if offset is None or top - offset - 1 > params.top_band:
+            offset = top - params.top_band - 1
+            for key in sorted(k for k in bands if k <= offset):
+                count, kept = bands.pop(key)
+                low_count += count
+                retained -= len(kept)
+        if top <= offset:
+            low_count += 1
+            continue
+        rec = bands.setdefault(top, [0, []])
+        peak_records = max(peak_records, 1 + len(bands))
+        rec[0] += 1
+        if rec[0] >= params.retain_limit:
+            retained -= len(rec[1])
+            rec[1] = []
         else:
-            b = k + 1
-            counts[b] += 1
-            if counts[b] >= retain_limit:
-                retained_total -= ret_len[k]
-                ret_len[k] = 0
-            else:
-                slot = ret_len[k]
-                ret_ids[k, slot] = start_id + i
-                ret_ps[k, slot] = p
-                ret_len[k] = slot + 1
-                retained_total += 1
-                peak = max(peak, retained_total)
-    return retained_total, peak
+            rec[1].append((job_id, p))
+            retained += 1
+            peak_retained = max(peak_retained, retained)
+    entries = tuple((top, c, tuple(kept)) for top, (c, kept) in sorted(bands.items()))
+    return (offset, low_count, entries), retained, peak_retained, peak_records
 
 
 def integer_loads_fit(sizes, limits):

@@ -6,12 +6,16 @@ equivalence, bounded memory, flat per-job cost, exact feasibility
 arithmetic, and the schedule contract.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import streamspan
 from streamspan import exact_optimum, make_ledger, run_stream, second_pass, validate_schedule
 from streamspan.capacity import capacity_at
 from streamspan.grouping import LargeJobSet
@@ -187,6 +191,37 @@ def test_streaming_memory_stays_within_the_declared_bounds():
         assert ledger.peak_group_records <= ledger.group_record_bound, name
         assert ledger.retained_bound <= 1024, name  # independent of n
         assert ledger.group_record_bound <= 16, name
+
+
+# a launcher that imports nothing big: a child's ru_maxrss starts from the
+# memory of the process that started it
+_PEAK_RSS = """
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-m", "streamspan.cli", *sys.argv[1:]],
+                         stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB")
+def test_a_few_jobs_on_many_machines_cost_what_no_jobs_cost(tmp_path):
+    # 32 identical full-speed machines at eps 0.02: 14 bands with room for
+    # 409,599 retained jobs each.  One job in each of 12 bands must cost
+    # memory for 12 jobs, not for the bands' room
+    cfg, jobs = tmp_path / "park.cfg", tmp_path / "jobs.txt"
+    cfg.write_text("m 32\nm1 1\ne0 0.5\n" + "".join(f"machine {i}\n" for i in range(1, 33)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(streamspan.__file__)))
+    peaks = []
+    for sizes in ([], [2**i for i in range(12)]):
+        jobs.write_text(" ".join(map(str, sizes)) + "\n")
+        out = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, "run", "--config", str(cfg), "--jobs", str(jobs),
+             "--epsilon", "0.02"], capture_output=True, text=True, env=env, check=True).stdout
+        code, kib = map(int, out.split())
+        assert code == 0
+        peaks.append(kib / 1024)
+    assert peaks[1] - peaks[0] <= 5.0, peaks
 
 
 def test_ingest_cost_per_job_is_flat():

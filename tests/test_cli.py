@@ -38,7 +38,6 @@ from streamspan.cli import (
     parse_machine_config_text,
 )
 import streamspan.cli as cli_mod
-import streamspan.grouping as grouping_mod
 import streamspan.search as search_mod
 import streamspan.textio as textio
 from streamspan.textio import float_chunks, write_schedule_csv
@@ -1535,7 +1534,7 @@ def test_the_benchmark_hooks_see_every_call(capsys, instance, tmp_path, monkeypa
         return wrapper
 
     hooks = ((cli_mod, "run_stream"), (cli_mod, "write_schedule_csv"),
-             (grouping_mod, "ingest_block"), (search_mod, "search_assignments"))
+             (search_mod, "search_assignments"))
     for module, name in hooks:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     cfg, jobs = instance
@@ -1547,7 +1546,6 @@ def test_the_benchmark_hooks_see_every_call(capsys, instance, tmp_path, monkeypa
     assert code == 0, err
     assert calls.count("run_stream") == 1
     assert calls.count("write_schedule_csv") == 1
-    assert calls.count("ingest_block") >= 1
     assert calls.count("search_assignments") >= 1
 
 

@@ -10,7 +10,7 @@ from streamspan import ConfigError, JobValueError, PmaxContractError, derive_par
 from streamspan.grouping import ceil_log2
 from streamspan.oracle import group_index, replay_grouping
 
-from _support import quiet_params
+from _support import quiet_params, reference_ingest
 
 
 class TestCeilLog2:
@@ -323,27 +323,22 @@ class TestUnknownPmaxLedger:
     @pytest.mark.parametrize("size", [1, 5])
     def test_a_rebase_reads_and_writes_only_retained_prefixes(self, params_small, params_tight,
                                                               saturating, size):
-        # every slot past a band's ret_len holds poison, refilled after each
-        # chunk: a rebase that reads one, or moves less than each kept band's
-        # prefix, changes the result.  One job per chunk, with no band
-        # saturating (which empties a list in place), rebases before it
-        # appends, so a slot still past ret_len keeps its poison
+        # every list entry past retained_total holds poison, refilled after
+        # each chunk: a rebase or a filling band that reads one changes the
+        # result.  One job per chunk rebases or fills before it appends, so
+        # no entry past those the ledger keeps is written
         params = params_tight if saturating else params_small
         jobs = np.repeat(1.3 ** np.arange(40), 2)  # rising: about 11 rebases
-
-        def past(led):
-            return np.arange(led._ret_ids.shape[1]) >= led._ret_len[:, None]
-
         clean, dirty = make_ledger(params, "pmax-unknown"), make_ledger(params, "pmax-unknown")
         for i in range(0, jobs.size, size):
-            poisoned = past(dirty)
-            dirty._ret_ids[poisoned] = -1
-            dirty._ret_ps[poisoned] = np.nan
+            before = dirty.retained_total
+            dirty._ids[before:] = -1
+            dirty._ps[before:] = np.nan
             clean.ingest_many(jobs[i:i + size])
             dirty.ingest_many(jobs[i:i + size])
-            kept = poisoned & past(dirty)
-            assert saturating or size > 1 or (
-                (dirty._ret_ids[kept] == -1).all() and np.isnan(dirty._ret_ps[kept]).all())
+            past = max(before, dirty.retained_total)
+            assert size > 1 or (
+                (dirty._ids[past:] == -1).all() and np.isnan(dirty._ps[past:]).all())
         assert dirty.snapshot() == clean.snapshot()
         assert dirty.finalize() == clean.finalize()
         assert (dirty.retained_total, dirty.peak_retained, dirty.peak_group_records) == (
@@ -407,38 +402,6 @@ def test_all_ledgers_agree_with_replay(jobs, retain_limit, chunk):
     assert known.finalize() == unknown.finalize() == estimate.finalize()
 
 
-def _rebasing_replay(jobs, params):
-    """Per-job dict replay of the unknown-maximum ledger: the reference for
-    how a rebase folds sunk bands into the low band, and for the peaks."""
-    offset, low_count = None, 0
-    bands: dict[int, list] = {}  # band top exponent -> [count, retained]
-    retained = peak_retained = 0
-    peak_records = 1
-    for job_id, p in enumerate(jobs):
-        top = ceil_log2(p)
-        if offset is None or top - offset - 1 > params.top_band:
-            offset = top - params.top_band - 1
-            for key in sorted(k for k in bands if k <= offset):
-                count, kept = bands.pop(key)
-                low_count += count
-                retained -= len(kept)
-        if top <= offset:
-            low_count += 1
-            continue
-        rec = bands.setdefault(top, [0, []])
-        peak_records = max(peak_records, 1 + len(bands))
-        rec[0] += 1
-        if rec[0] >= params.retain_limit:
-            retained -= len(rec[1])
-            rec[1] = []
-        else:
-            rec[1].append((job_id, p))
-            retained += 1
-            peak_retained = max(peak_retained, retained)
-    entries = tuple((top, c, tuple(kept)) for top, (c, kept) in sorted(bands.items()))
-    return (offset, low_count, entries), peak_retained, peak_records
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     jobs=st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=1, max_size=80),
@@ -455,6 +418,21 @@ def test_unknown_ledger_matches_a_per_job_rebasing_replay(jobs, retain_limit, ch
     ledger = make_ledger(params, "pmax-unknown")
     for lo in range(0, arr.size, step):
         ledger.ingest_many(arr[lo:lo + step])
-    snapshot, peak_retained, peak_records = _rebasing_replay(jobs, params)
-    assert ledger.snapshot() == snapshot
-    assert (ledger.peak_retained, ledger.peak_group_records) == (peak_retained, peak_records)
+    want = reference_ingest(jobs, params)
+    assert (ledger.snapshot(), ledger.retained_total, ledger.peak_retained,
+            ledger.peak_group_records) == want
+
+
+@pytest.mark.parametrize("retain_limit", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_the_top_band_below_2_to_the_1024_fills_and_retains(retain_limit, chunk):
+    # 2^1024 is past the largest float: the band of 1.7e308 has no finite
+    # upper edge, and at retain_limit 1 its first arrival fills it
+    params = quiet_params(2, 1, 1.0, 1.0, retain_limit_override=retain_limit)
+    jobs = [3.0, 1.7e308, 5.0]
+    ledger = make_ledger(params, "pmax-unknown")
+    for lo in range(0, len(jobs), chunk):
+        ledger.ingest_many(jobs[lo:lo + chunk])
+    assert ledger.band_offset == 1024 - params.bounded_bands
+    assert (ledger.snapshot(), ledger.retained_total, ledger.peak_retained,
+            ledger.peak_group_records) == reference_ingest(jobs, params)

@@ -1,5 +1,5 @@
-"""The vectorized ingest kernel must leave the band state bit for bit as
-the per-job reference loop in _support leaves it, however the stream is
+"""The ledger's vectorized ingest must leave the band state and the peaks
+as the per-job reference in _support leaves them, however the stream is
 chunked.  The search must select what enumerating every assignment
 selects."""
 
@@ -10,44 +10,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamspan import BudgetExceededError
-from streamspan.grouping import ingest_block
+from streamspan import BudgetExceededError, derive_params, make_ledger
 from streamspan.search import search_assignments
 
 from _support import ordinal, reference_ingest, reference_search
 
 
-def _fresh_state(n_bounded, retain_limit):
-    cap = max(retain_limit - 1, 1)
-    return dict(
-        counts=np.zeros(n_bounded + 1, np.int64),
-        ret_len=np.zeros(n_bounded, np.int64),
-        ret_ids=np.zeros((n_bounded, cap), np.int64),
-        ret_ps=np.zeros((n_bounded, cap), np.float64),
-        retained_total=0,
-        peak=0,
-    )
+def _params(n_bounded, retain_limit):
+    return derive_params(2, 1, 1.0, 0.5, top_band_override=n_bounded - 1,
+                         retain_limit_override=retain_limit)
 
 
-def _run_ingest(fn, chunks, offset, retain_limit, n_bounded):
-    state = _fresh_state(n_bounded, retain_limit)
-    start = 0
+def _run_ingest(chunks, params):
+    """(snapshot, retained total, peak retained, peak group records) of a
+    ledger fed chunks, as reference_ingest returns them."""
+    ledger = make_ledger(params, "pmax-unknown")
     for chunk in chunks:
-        arr = np.asarray(chunk, np.float64)
-        mant, ex = np.frexp(arr)
-        tops = ex.astype(np.int64) - (mant == 0.5)
-        retained, peak = fn(arr, tops, start, offset, retain_limit, state["counts"],
-                            state["ret_len"], state["ret_ids"], state["ret_ps"],
-                            state["retained_total"])
-        state["retained_total"] = retained
-        state["peak"] = max(state["peak"], peak)
-        start += arr.size
-    return state
-
-
-def _assert_states_equal(a, b):
-    for key in a:
-        assert np.array_equal(a[key], b[key]), key
+        ledger.ingest_many(chunk)
+    return (ledger.snapshot(), ledger.retained_total, ledger.peak_retained,
+            ledger.peak_group_records)
 
 
 def _random_stream(rng, size, offset, n_bounded):
@@ -63,64 +44,56 @@ def _random_stream(rng, size, offset, n_bounded):
 def test_ingest_matches_scalar_reference(retain_limit, seed):
     rng = np.random.default_rng(seed)
     offset, n_bounded = -1, 6
+    params = _params(n_bounded, retain_limit)
     stream = _random_stream(rng, 700, offset, n_bounded)
-    want = _run_ingest(reference_ingest, [stream], offset, retain_limit, n_bounded)
-    got = _run_ingest(ingest_block, [stream], offset, retain_limit, n_bounded)
-    _assert_states_equal(want, got)
+    want = reference_ingest(stream, params)
+    assert want[0][0] == offset  # the window ends where the stream was drawn
+    assert _run_ingest([stream], params) == want
 
 
 @pytest.mark.parametrize("split", [1, 3, 7, 64, 699, 700])
 def test_ingest_is_chunk_invariant(split):
     rng = np.random.default_rng(9)
     offset, n_bounded, retain_limit = 0, 5, 3
+    params = _params(n_bounded, retain_limit)
     stream = _random_stream(rng, 700, offset, n_bounded)
-    whole = _run_ingest(reference_ingest, [stream], offset, retain_limit, n_bounded)
     pieces = [stream[i:i + split] for i in range(0, stream.size, split)]
-    got = _run_ingest(ingest_block, pieces, offset, retain_limit, n_bounded)
-    _assert_states_equal(whole, got)
+    assert _run_ingest(pieces, params) == reference_ingest(stream, params)
 
 
 def test_saturation_straddles_chunk_boundaries():
     # retain_limit 3: the third arrival into a band clears it; place that
     # arrival before, at, and after a chunk split
-    offset, n_bounded, retain_limit = 0, 2, 3
+    params = _params(2, 3)
     p = 1.5  # band 0
     q = 3.0  # band 1
     stream = np.array([p, p, q, p, q, p, q])
+    want = reference_ingest(stream, params)
     for split in range(1, len(stream)):
-        want = _run_ingest(reference_ingest, [stream], offset, retain_limit, n_bounded)
-        pieces = [stream[:split], stream[split:]]
-        got = _run_ingest(ingest_block, pieces, offset, retain_limit, n_bounded)
-        _assert_states_equal(want, got)
+        assert _run_ingest([stream[:split], stream[split:]], params) == want
 
 
 def test_peak_retained_tracks_within_chunk_maximum():
     # fill two bands, then saturate both: the peak happens mid-chunk
-    offset, n_bounded, retain_limit = 0, 2, 3
     stream = np.array([1.5, 3.0, 1.5, 3.0, 1.5, 3.0, 1.5, 3.0])
-    got = _run_ingest(ingest_block, [stream], offset, retain_limit, n_bounded)
-    assert got["retained_total"] == 0  # both bands cleared by their third arrival
-    assert got["peak"] == 4  # but four jobs were retained at once
+    _, retained, peak, _ = _run_ingest([stream], _params(2, 3))
+    assert retained == 0  # both bands cleared by their third arrival
+    assert peak == 4  # but four jobs were retained at once
 
 
 def test_block_into_saturated_bands_touches_only_counts():
     # bands 0 and 1 saturate at their third arrival; band 2 keeps one job
-    offset, n_bounded, retain_limit = 0, 3, 3
-    state = _run_ingest(reference_ingest, [[1.5, 3.0, 1.5, 3.0, 1.5, 3.0, 5.0]], offset,
-                        retain_limit, n_bounded)
-    assert state["retained_total"] == 1
-    block = np.array([1.25, 0.5, 3.5, 1.75, 0.25, 2.5])  # bands 0, 1 and the low band
-    mant, ex = np.frexp(block)
-    tops = ex.astype(np.int64) - (mant == 0.5)
-    want_counts = state["counts"].copy()
-    reference_ingest(block, tops, 7, offset, retain_limit, want_counts,
-                     state["ret_len"].copy(), state["ret_ids"].copy(), state["ret_ps"].copy(), 1)
-    ret_before = [state[k].tobytes() for k in ("ret_len", "ret_ids", "ret_ps")]
-    got = ingest_block(block, tops, 7, offset, retain_limit, state["counts"],
-                       state["ret_len"], state["ret_ids"], state["ret_ps"], 1)
-    assert got == (1, 1)
-    assert np.array_equal(state["counts"], want_counts)
-    assert [state[k].tobytes() for k in ("ret_len", "ret_ids", "ret_ps")] == ret_before
+    params = _params(3, 3)
+    first = [1.5, 3.0, 1.5, 3.0, 1.5, 3.0, 5.0]
+    ledger = make_ledger(params, "pmax-unknown")
+    ledger.ingest_many(first)
+    assert (ledger.retained_total, ledger.band_offset) == (1, 0)
+    kept = ledger._ids.tobytes(), ledger._ps.tobytes()
+    block = [1.25, 0.5, 3.5, 1.75, 0.25, 2.5]  # bands 0, 1 and the low band
+    ledger.ingest_many(block)
+    assert (ledger._ids.tobytes(), ledger._ps.tobytes()) == kept
+    assert (ledger.snapshot(), ledger.retained_total, ledger.peak_retained) == (
+        reference_ingest(first + block, params)[:3])
 
 
 def _search(job_ps, m, capgrid, x_floor, budget=10**9):
