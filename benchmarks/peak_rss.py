@@ -8,7 +8,9 @@ and ratios 1/4, 1/2 and 1.  It then runs `streamspan run` on it in
 `one-pass` mode and in `two-pass` mode with a schedule CSV (pmax-given
 1024), each --repeats times, and reports the process's own peak RSS
 (ru_maxrss from os.wait4) per mode and job count, the median of the
-repeats.
+repeats.  It also reports each case's minor page faults (ru_minflt from
+the same os.wait4), the median of the repeats: a page the process
+touched for the first time, or again after handing it back to the OS.
 
 For each job count it also runs a rising stream: the 16-machine park of
 `generate --seed 1 --m 16 --m1 1 --e0 0.5` with sizes 1, 2, ..., n in
@@ -109,7 +111,8 @@ FIXED_CASES = {"many-machines": ("doubling", ["--epsilon", "0.02"], (0, 12))}
 
 
 def peak_mb(argv, env):
-    """The peak RSS in MB of the process argv, which must exit 0."""
+    """The peak RSS in MB and the minor page faults of the process argv,
+    which must exit 0."""
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
     with proc.stderr:
         err = proc.stderr.read().decode()  # to the end: the process has closed it
@@ -117,7 +120,7 @@ def peak_mb(argv, env):
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode:
         raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}: {err}")
-    return usage.ru_maxrss / KIB_PER_MB
+    return usage.ru_maxrss / KIB_PER_MB, usage.ru_minflt
 
 
 def measure(src, job_counts, repeats, workdir, seed):
@@ -135,10 +138,12 @@ def measure(src, job_counts, repeats, workdir, seed):
                             str(seed)], env=env, check=True)
         argv = [sys.executable, "-c", ENTRY, "run", "--config", f"{folder}/park.cfg",
                 "--jobs", f"{folder}/jobs.txt", *(f.format(folder=folder, n=n) for f in flags)]
-        peaks = [peak_mb(argv, env) for _ in range(repeats)]
+        peaks, faults = zip(*(peak_mb(argv, env) for _ in range(repeats)))
         figures[f"{mode}_{n}_peak_rss_mb"] = statistics.median(peaks)
+        figures[f"{mode}_{n}_minor_faults"] = statistics.median(faults)
         print(f"{mode:>17} {n:>9} jobs: peak RSS {statistics.median(peaks):7.1f} MB "
-              f"(median of {repeats}: {', '.join(f'{r:.1f}' for r in peaks)})")
+              f"(median of {repeats}: {', '.join(f'{r:.1f}' for r in peaks)}), "
+              f"minor faults {statistics.median(faults):,.0f}")
     return figures
 
 

@@ -8,8 +8,8 @@ capacities are piecewise linear and invertible.
 The names below take a stream to a validated schedule; everything else
 lives in its submodule.  The command line is `streamspan.cli`.
 exact_optimum, Schedule, second_pass and validate_schedule load their
-modules (streamspan.oracle, streamspan.schedule) on first use, so a
-one-pass run never loads them.
+modules on first use: a one-pass run loads neither streamspan.schedule
+nor streamspan.oracle, a two-pass run only streamspan.schedule.
 """
 
 import importlib

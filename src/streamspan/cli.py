@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import gc
 import os
 import sys
@@ -56,6 +57,17 @@ from .textio import float_chunks, write_schedule_csv
 # would otherwise walk and free all of it: about a tenth of a short run.
 # Done once here, not in main, which tests call many times in one process.
 gc.freeze()
+
+# Each block of the stream allocates and frees arrays and bytes of a few
+# hundred KB.  By default glibc serves such sizes from fresh mmaps and
+# trims the freed heap, so every block faults its pages in again; fixed
+# thresholds keep the freed memory in the heap for the next block.  Both
+# are set: setting either turns off glibc's dynamic mmap threshold.
+# Without glibc's mallopt this does nothing.
+with contextlib.suppress(AttributeError, OSError, TypeError):
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    _mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 __all__ = [
     "EXIT_CODES",

@@ -37,6 +37,11 @@ def ceil_log2(p: float) -> int:
     return ex - 1 if frac == 0.5 else ex
 
 
+def _pow2(top: int) -> float:
+    """2^top as a float, inf for 2^1024, which is past every float."""
+    return math.ldexp(1.0, top) if top < 1024 else math.inf
+
+
 def _ceil_log2s(ps: np.ndarray) -> np.ndarray:
     mant, ex = np.frexp(ps)  # ceil_log2 of each finite positive p
     return ex.astype(np.int64) - (mant == 0.5)
@@ -138,7 +143,8 @@ class LargeJobSet:
     saturated_band: largest band whose count reached retain_limit (-1 when
         none did).  jobs: the retained (id, p) pairs of every band above
         it, band-ascending then arrival order.  Every job not listed has
-        p <= small_bound.  band_offset is None only for an empty stream.
+        p <= small_bound, inf when the saturated band is band 1024, past
+        every float.  band_offset is None only for an empty stream.
     """
 
     saturated_band: int
@@ -326,8 +332,7 @@ class _BandedLedger:
     def _drop(self, low: int, top: int) -> None:
         """Drop the list entries with 2^low < p <= 2^top, in place."""
         total = self.retained_total
-        hi = math.ldexp(1.0, top) if top < 1024 else math.inf  # 2^1024 is past every float
-        gone = (self._ps[:total] > math.ldexp(1.0, low)) & (self._ps[:total] <= hi)
+        gone = (self._ps[:total] > math.ldexp(1.0, low)) & (self._ps[:total] <= _pow2(top))
         at = np.flatnonzero(gone)
         if at.size:
             first, end = at[0], total - at.size
@@ -385,7 +390,7 @@ class _BandedLedger:
             saturated_band=saturated,
             jobs=tuple(jobs),
             total_load=self.total_load,
-            small_bound=0.0 if offset is None else math.ldexp(1.0, offset + saturated + 1),
+            small_bound=0.0 if offset is None else _pow2(offset + saturated + 1),
             band_offset=offset,
         )
 

@@ -27,7 +27,9 @@ the blocks into one Schedule for library use.
 The validator does not rerun that chain: it checks every job's start
 against the completion before it in its run, and recomputes every
 completion from the run's prefix loads with the oracle's independent
-inversion of A_i.
+inversion of A_i.  It loads streamspan.oracle when first called, so a
+two-pass run, which builds a schedule but does not validate it, never
+does.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import numpy as np
 
 from .capacity import MachinePark, capacity_at, completion_chain, completions_at
 from .errors import JobValueError, ScheduleContractError, TwoPassMismatchError
-from .oracle import completion_from_zero
 from .pipeline import FirstPassArtifacts, fingerprint_update
 
 __all__ = [
@@ -322,6 +323,8 @@ def validate_schedule(park: MachinePark, schedule: Schedule, jobs: Sequence[floa
     where the machine has delivered the run's prefix load, with the
     chain's running max, recomputed by the oracle's inversion.
     """
+    from .oracle import completion_from_zero  # the reference, which a run never loads
+
     sizes = np.asarray(jobs, dtype=np.float64)
     n = sizes.size
     for column in (schedule.machine, schedule.start, schedule.completion):

@@ -100,8 +100,11 @@ def crossing_allowance(park: MachinePark) -> int:
 
 def makespan_value(park: MachinePark, large: LargeJobSet, t: float) -> float:
     """t plus the worst-case tail: each late small job is at most
-    small_bound long and runs at ratio >= the floor after t."""
-    return t + crossing_allowance(park) * (large.small_bound / park.ratio_floor)
+    small_bound long and runs at ratio >= the floor after t.  A park
+    whose floor machines take no late job has no tail, even when
+    small_bound is inf."""
+    late = crossing_allowance(park)
+    return t + late * (large.small_bound / park.ratio_floor) if late else t
 
 
 # --- exact assignment search ----------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import dataclasses
 import decimal
 import errno
@@ -852,6 +853,30 @@ class TestExitCodes:
             assert "grid overflows" in err
             assert out == ""
 
+    def test_a_saturated_top_band_is_3_or_a_finite_value(self, capsys, tmp_path):
+        # at retain limit 1 the one job 1.7e308 fills band 1024, whose upper
+        # edge 2^1024 is past every float: every job is small, with no finite
+        # bound.  Two machines each owe a late small job and the grid
+        # overflows; one machine owes none and its value is the grid time
+        jobs = tmp_path / "jobs.txt"
+        jobs.write_text("1.7e308\n")
+        sched = ["--schedule-out", str(tmp_path / "s.csv")]
+        parks = {"m 2\nm1 1\ne0 0.5\nmachine 1\nmachine 2\n": 3, "m 1\nm1 1\ne0 1\nmachine 1\n": 0}
+        for park, want in parks.items():
+            cfg = tmp_path / "park.cfg"
+            cfg.write_text(park)
+            for extra in ([], ["--mode", "two-pass", *sched], ["--mode", "offline", *sched]):
+                code, out, err = _run_main(capsys, [
+                    "run", "--config", str(cfg), "--jobs", str(jobs), "--n0-override", "1",
+                    "--stats", *extra])
+                assert code == want, (park, extra, err)
+                if want:
+                    assert "grid overflows" in err and out == ""
+                else:
+                    report = _report_dict(out)
+                    assert report["value"] == "1.7e+308", extra
+                    assert report["small_bound"] == "inf"
+
     def test_subnormal_total_load_is_3(self, capsys, tmp_path):
         # P/m rounds to 0, so no power of the grid ratio reaches P/e0
         cfg = tmp_path / "park.cfg"
@@ -1435,8 +1460,9 @@ print(json.dumps(seen))
 def test_a_one_pass_process_loads_only_what_it_runs(tmp_path):
     # the imports and the objects they build are a fixed cost of every run:
     # a one-pass run loads neither the second pass, nor the oracle, nor the
-    # generator's random, and the import-time heap is frozen out of the
-    # collections, the one at exit included
+    # generator's random, a two-pass run loads the second pass alone, and
+    # the import-time heap is frozen out of the collections, the one at
+    # exit included
     config_text, jobs_text = generate_instance(3, 3, 1, 0.5, 300)
     cfg, jobs = tmp_path / "park.cfg", tmp_path / "jobs.txt"
     cfg.write_text(config_text)
@@ -1450,8 +1476,43 @@ def test_a_one_pass_process_loads_only_what_it_runs(tmp_path):
     assert seen["import"] == []
     assert seen["frozen"] > 0
     assert seen["one-pass"] == [0, []]
-    code, loaded = seen["two-pass"]
-    assert code == 0 and "streamspan.schedule" in loaded
+    assert seen["two-pass"] == [0, ["streamspan.schedule"]]
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):  # no C library to load by name
+        return False
+
+
+# after the CLI is imported, allocate and free three ~700 KB arrays a round,
+# the size of a stream block's temporaries, and print each round's minor
+# page faults
+_CHURN = """
+import json, resource
+import numpy as np
+import streamspan.cli
+faults = []
+for _ in range(20):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(90_000) for _ in range(3)]
+    del arrays
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_freed_block_memory_stays_in_the_heap():
+    # the CLI's allocator thresholds keep freed arrays in the heap, so only
+    # the first round faults its pages in; glibc's defaults serve these
+    # sizes from fresh mmaps or trim them, some 300 faults every round
+    res = subprocess.run([sys.executable, "-c", _CHURN],
+                         capture_output=True, text=True, env=_ENV, timeout=120)
+    assert res.returncode == 0, res.stderr
+    faults = json.loads(res.stdout)
+    assert sum(faults[1:]) < 60, faults
 
 
 # run argv[2:] from this small process and print its exit code and peak RSS

@@ -436,3 +436,10 @@ def test_the_top_band_below_2_to_the_1024_fills_and_retains(retain_limit, chunk)
     assert ledger.band_offset == 1024 - params.bounded_bands
     assert (ledger.snapshot(), ledger.retained_total, ledger.peak_retained,
             ledger.peak_group_records) == reference_ingest(jobs, params)
+    large = ledger.finalize()
+    if retain_limit == 1:  # every job is small, and no float bounds them
+        assert (large.saturated_band, large.jobs, large.small_bound) == (
+            params.top_band, (), math.inf)
+    else:
+        assert large.jobs == ((1, 1.7e308),)
+        assert large.small_bound == 2.0**large.band_offset
