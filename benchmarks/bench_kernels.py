@@ -106,7 +106,7 @@ def bench_schedule(park, stream, chunk, repeats):
     params = derive_params(m=3, floor_machines=1, ratio_floor=0.5, epsilon=0.5)
     chunks = [stream[lo : lo + chunk] for lo in range(0, stream.size, chunk)]
     ledger = make_ledger(params, "pmax-given", pmax=float(stream.max()))
-    _, artifacts = run_stream(park, ledger, chunks)
+    _, artifacts = run_stream(park, ledger, chunks, mode="two-pass")
     best_pass = best_write = best_stage = math.inf
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "schedule.csv")

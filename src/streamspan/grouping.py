@@ -255,33 +255,32 @@ class _BandedLedger:
         if arr.size == 0:
             return
         start = self.job_count
-        bad = np.flatnonzero(~(np.isfinite(arr) & (arr > 0)))
-        if bad.size:
-            pos = start + int(bad[0])
-            raise JobValueError(
-                f"processing time must be finite and > 0, got {float(arr[bad[0]])} "
-                f"at position {pos}",
-                position=pos,
-            )
-        over = np.flatnonzero(arr > self._p_limit)
-        if over.size:
-            pos = start + int(over[0])
-            raise PmaxContractError(
-                f"job at position {pos} has processing time {float(arr[over[0]])} above "
-                f"the declared {self._limit_label} {self._p_limit}",
-                position=pos,
-            )
-        # one seeded left fold: the overflow check and the new total load
+        # one seeded left fold: the new total load, finite when every job is
         folds = np.concatenate(([self.total_load], arr))
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             np.cumsum(folds, out=folds)
-        if np.isinf(folds[-1]):
-            pos = start + int(np.argmax(np.isinf(folds[1:])))
-            raise JobValueError(
-                f"total load overflows to infinity at position {pos}", position=pos
-            )
-        tops = _ceil_log2s(arr)
         chunk_max = float(arr.max())
+        # a NaN fails both comparisons; each fault is searched for only then
+        if not (arr.min() > 0 and chunk_max <= self._p_limit and math.isfinite(folds[-1])):
+            bad = np.flatnonzero(~(np.isfinite(arr) & (arr > 0)))
+            over = np.flatnonzero(arr > self._p_limit)
+            if bad.size:
+                pos = start + int(bad[0])
+                raise JobValueError(
+                    f"processing time must be finite and > 0, got {float(arr[bad[0]])} "
+                    f"at position {pos}",
+                    position=pos,
+                )
+            if over.size:
+                pos = start + int(over[0])
+                raise PmaxContractError(
+                    f"job at position {pos} has processing time {float(arr[over[0]])} above "
+                    f"the declared {self._limit_label} {self._p_limit}",
+                    position=pos,
+                )
+            pos = start + int(np.argmax(np.isinf(folds[1:])))
+            raise JobValueError(f"total load overflows to infinity at position {pos}", position=pos)
+        tops = _ceil_log2s(arr)
         n = self.params.bounded_bands
         if self._offset is None:  # the window rises to meet the first job
             self._rebase(int(tops[0]) - n)

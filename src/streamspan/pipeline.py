@@ -86,14 +86,14 @@ class RunReport:
 class FirstPassArtifacts:
     """What the streaming pass must remember to build the schedule later.
 
-    fingerprint is the fingerprint_update fold over the whole stream, so
-    the second pass can tell a changed stream from the one it replays.
+    fingerprint, the fingerprint_update fold over the whole stream, tells
+    a second pass a changed stream; a one-pass run keeps None.
     """
 
     outcome: SearchOutcome
     job_count: int
     max_seen: float
-    fingerprint: int
+    fingerprint: int | None
 
 
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -129,8 +129,8 @@ def run_stream(
     """Feed every chunk to the ledger, then search the retained jobs.
 
     The parameters and the regime are the ledger's.  Returns the run
-    report plus what a second pass needs.  An empty stream reports value 0
-    through the same code path.
+    report plus what a second pass needs; mode "one-pass", the default,
+    keeps no fingerprint.  An empty stream takes the same path to value 0.
     """
     params = ledger.params
     if params.m != park.m:
@@ -144,7 +144,7 @@ def run_stream(
         )
     t0 = time.perf_counter()
     parse = ingest = 0.0
-    fingerprint = 0
+    fingerprint = None if mode == "one-pass" else 0  # only a second pass reads it
     seen = 0
     chunks = iter(chunks)
     while True:
@@ -157,7 +157,7 @@ def run_stream(
         s = time.perf_counter()
         ledger.ingest_many(arr)
         ingest += time.perf_counter() - s
-        fingerprint = fingerprint_update(fingerprint, arr, seen)
+        fingerprint = None if fingerprint is None else fingerprint_update(fingerprint, arr, seen)
         seen += arr.size
     large = ledger.finalize()
     s = time.perf_counter()

@@ -14,7 +14,8 @@ The second pass streams: SecondPass replays the stream chunk by chunk
 and yields one ScheduleBlock per chunk, the rows of that chunk's jobs.
 In a chunk the open machine takes a whole run of small jobs at once,
 found by a left fold of its load over their sizes, and only the job at
-a run's end goes through the per-job rule.  Each machine runs its large
+a run's end goes through the per-job rule, so a machine's share of a
+chunk is a few ranges, filled by slices.  Each machine runs its large
 jobs first, then its small jobs in stream order, then its rerouted
 jobs; since every floor machine is closed before the first reroute,
 that is stream order after the large jobs.  So a machine's greedy load
@@ -27,9 +28,8 @@ the blocks into one Schedule for library use.
 The validator does not rerun that chain: it checks every job's start
 against the completion before it in its run, and recomputes every
 completion from the run's prefix loads with the oracle's independent
-inversion of A_i.  It loads streamspan.oracle when first called, so a
-two-pass run, which builds a schedule but does not validate it, never
-does.
+inversion of A_i.  It loads streamspan.oracle on first call, which a
+two-pass run never makes.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .capacity import MachinePark, capacity_at, completion_chain, completions_at
-from .errors import JobValueError, ScheduleContractError, TwoPassMismatchError
+from .errors import ConfigError, JobValueError, ScheduleContractError, TwoPassMismatchError
 from .pipeline import FirstPassArtifacts, fingerprint_update
 
 __all__ = [
@@ -131,9 +131,7 @@ class _GreedyFill:
                     reroute(q)
                 break
             # fold[q] is the load before job k+q: an exact left fold
-            fold = np.empty(n - k + 1)
-            fold[0] = loads[i]
-            fold[1:] = sizes[k:]
+            fold = np.concatenate(([loads[i]], sizes[k:]))
             np.add.accumulate(fold, out=fold)
             # job k+q fits while fold[q] < cap and fold[q+1] <= cap
             below = int(np.searchsorted(fold, cap[i], side="left"))
@@ -186,6 +184,8 @@ class SecondPass:
     """
 
     def __init__(self, park: MachinePark, artifacts: FirstPassArtifacts, chunks: Iterable):
+        if artifacts.fingerprint is None:
+            raise ConfigError("a one-pass run keeps no fingerprint for a second pass to check")
         self.park = park
         self.artifacts = artifacts
         self.chunks = chunks
@@ -215,53 +215,51 @@ class SecondPass:
             column[order] for column in
             (large_ids, large_sizes, large_machine, large_start, large_completion)
         )
-        fingerprint = 0
-        seen = 0
+        fingerprint = seen = 0
         lo = 0  # large_ids[lo:] lie at or after the current chunk
         for chunk in self.chunks:
             arr = np.asarray(chunk, dtype=np.float64)
-            first = seen
-            seen += arr.size
+            first, seen = seen, seen + arr.size
             head = arr[:max(n - first, 0)]
             hi = lo + int(np.searchsorted(large_ids[lo:], first + head.size))
             here = large_ids[lo:hi] - first
-            bad = ~(head > 0) | (head > artifacts.max_seen)
-            bad[here[head[here] != large_sizes[lo:hi]]] = True
-            faults = np.flatnonzero(bad)
-            if faults.size:
-                _raise_fault(artifacts, head, first, int(faults[0]), here, large_sizes[lo:hi])
+            if (not (head.min(initial=np.inf) > 0 and head.max(initial=0.0) <= artifacts.max_seen)
+                    or (head[here] != large_sizes[lo:hi]).any()):
+                _raise_fault(artifacts, head, first, here, large_sizes[lo:hi])
             if head.size < arr.size:
                 raise TwoPassMismatchError(
                     f"second stream is longer than the first pass ({n} jobs)"
                 )
             fingerprint = fingerprint_update(fingerprint, arr, first)
-            machine = np.empty(arr.size, np.int64)
-            start = np.empty(arr.size, np.float64)
-            completion = np.empty(arr.size, np.float64)
-            machine[here] = large_machine[lo:hi]
-            start[here] = large_start[lo:hi]
-            completion[here] = large_completion[lo:hi]
-            offsets = np.delete(np.arange(arr.size), here) if here.size else None
-            taken, targets = fill.place(arr if offsets is None else arr[offsets])
+            sizes = np.delete(arr, here) if here.size else arr  # the small jobs
+            taken, targets = fill.place(sizes)
+            # the small jobs' columns, a machine's ranges at a time
+            machine = np.empty(sizes.size, np.int64)
+            start, completion = np.empty(sizes.size), np.empty(sizes.size)
             for i, parts in enumerate(taken):
                 if not parts:
                     continue
-                pos = np.concatenate([np.arange(p.start, p.stop) for p in parts])
-                rows = pos if offsets is None else offsets[pos]
-                done = completions_at(park.machines[i], clocks[i], targets[pos])
-                machine[rows] = i + 1
-                completion[rows] = done
-                start[rows[0]] = clocks[i]
-                start[rows[1:]] = done[:-1]
+                done = completions_at(park.machines[i], clocks[i],
+                                      np.concatenate([targets[p.start : p.stop] for p in parts]))
+                begin = np.concatenate(([clocks[i]], done[:-1]))  # where each job starts
+                at = 0
+                for p in parts:
+                    machine[p.start : p.stop] = i + 1
+                    completion[p.start : p.stop] = done[at : at + len(p)]
+                    start[p.start : p.stop] = begin[at : at + len(p)]
+                    at += len(p)
                 clocks[i] = float(done[-1])
+            if here.size:  # the large jobs' rows go back in, job k after here[k] - k small ones
+                machine, start, completion = (
+                    np.insert(small, here - np.arange(here.size), large[lo:hi]) for small, large in
+                    ((machine, large_machine), (start, large_start), (completion, large_completion))
+                )
             lo = hi
             self.seconds += time.perf_counter() - began
             yield ScheduleBlock(first, machine, start, completion)
             began = time.perf_counter()
         if seen != n:
-            raise TwoPassMismatchError(
-                f"second stream ended after {seen} jobs; first pass saw {n}"
-            )
+            raise TwoPassMismatchError(f"second stream ended after {seen} jobs; first pass saw {n}")
         if fingerprint != artifacts.fingerprint:
             raise TwoPassMismatchError(
                 "second stream has the first pass's length and maximum but not its "
@@ -295,8 +293,11 @@ def second_pass(park: MachinePark, artifacts: FirstPassArtifacts, chunks: Iterab
     return Schedule(machine, start, completion, runs, stage.makespan)
 
 
-def _raise_fault(artifacts, head, start, q, here, kept) -> None:
-    """Raise for the fault at chunk offset q."""
+def _raise_fault(artifacts, head, start, here, kept) -> None:
+    """Raise for the chunk's earliest fault."""
+    bad = ~(head > 0) | (head > artifacts.max_seen)
+    bad[here[head[here] != kept]] = True
+    q = int(np.flatnonzero(bad)[0])
     job_id = start + q
     p = float(head[q])
     if not p > 0:

@@ -108,12 +108,10 @@ def float_chunks(fh: TextIO) -> Iterator[np.ndarray]:
             return
 
 
-
 # --- schedule output ----------------------------------------------------------
 
 
 _FILL = 0  # pads fixed-width byte fields; never part of the text
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
 _FRACTION_BITS = 15  # a fraction j / 2**15 is j * 5**15 / 10**15
 
 
@@ -163,16 +161,17 @@ def _put(rows: np.ndarray, at: int, fields: np.ndarray) -> None:
 
 
 def _integer_quads(fields: np.ndarray, quads: int, values: np.ndarray) -> None:
-    """Write the last 4 * quads decimal digits of the non-negative values
-    into the first 4 * quads columns of fields, leading zeros as _FILL;
-    0 keeps one '0'."""
+    """Write the decimal digits of the non-negative values into the first
+    4 * quads columns of fields, leading zeros as _FILL; 0 keeps one '0'.
+    A value of more than 4 * quads digits gets a row of clipped digits."""
     lowest, others = _quad_tables()[:2]
-    for c in range(quads - 1, -1, -1):
+    for c in range(quads - 1, 0, -1):
         higher = values // 10000
         index = values - higher * 10000
         index += (higher > 0) * 10000  # a nonzero digit further left
         _quad(fields, 4 * c)[:] = np.take(lowest if c == quads - 1 else others, index)
         values = higher
+    _quad(fields, 0)[:] = np.take(lowest if quads == 1 else others, values, mode="clip")
 
 
 def _integers(values: np.ndarray, width: int) -> np.ndarray:
@@ -211,12 +210,12 @@ def _float_fields(values: np.ndarray) -> np.ndarray:
     """uint8 [n, w]: repr of each value, padded with _FILL.
 
     A value in [1e-4, 1e16) whose fractional part is j / 2**k (k <= 15)
-    and whose exact decimal has at most 15 integer and fraction digits
-    together is written as that decimal in int64 digit arithmetic: a
-    decimal of at most 15 significant digits round-trips, and no shorter
-    decimal lies within half an ulp of it, so it is repr's shortest form
-    ('.0' for a whole number).  Other values go through repr.  Each field
-    is a row of fixed width whose unused columns hold _FILL.
+    is written as its exact decimal in int64 digit arithmetic when its
+    integer digits and the block's largest k, at least 1, number at most
+    15: a decimal of at most 15 significant digits round-trips, and no
+    shorter decimal lies within half an ulp of it, so it is repr's
+    shortest form.  Other values go through repr.  Each field is a row of
+    fixed width whose unused columns hold _FILL.
 
     The digits are written four at a time from the quad tables: the
     integer part's leading zeros and the fraction's trailing zeros (past
@@ -229,12 +228,14 @@ def _float_fields(values: np.ndarray) -> np.ndarray:
     scaled = (w - whole) * 2.0**_FRACTION_BITS
     j = scaled.astype(np.int64)
     integer = whole.astype(np.int64)
-    # the fraction's binary places k are also its decimal places
-    places = np.where(j > 0, _FRACTION_BITS + 1 - np.frexp(j & -j)[1], 0)
-    exact = usual & (scaled == j) & (integer < _POW10[15 - places])
+    dyadic = scaled == j
+    # the lowest bit of the fractions gives their most binary places, also
+    # decimal places; the initial 2**14 stands for 0.5, one place
+    low = int(np.bitwise_or.reduce(j, where=dyadic, initial=1 << _FRACTION_BITS - 1))
+    f = _FRACTION_BITS + 1 - (low & -low).bit_length()
+    exact = usual & dyadic & (integer < 10 ** (_FRACTION_BITS - f))
     inexact = np.flatnonzero(~exact)
     a = len(str(integer.max(where=exact, initial=0)))
-    f = max(int(places.max(where=exact, initial=0)), 1)
     qi, qf = -(-a // 4), -(-f // 4)
     texts = np.array(list(map(repr, values[inexact].tolist())), "S24")
     chars = texts.view(np.uint8).reshape(inexact.size, 24)
@@ -246,18 +247,15 @@ def _float_fields(values: np.ndarray) -> np.ndarray:
         _integer_quads(fields, qi, integer)
         fields[:, 4 * qi] = ord(".")
         first, later = _quad_tables()[2:]
-        # the fraction's first 4 * qf of its 15 decimal places
-        digits = j * 5**_FRACTION_BITS
-        if 4 * qf <= _FRACTION_BITS:
-            digits //= 10 ** (_FRACTION_BITS - 4 * qf)
-        else:
-            digits *= 10 ** (4 * qf - _FRACTION_BITS)
-        for c in range(qf - 1, -1, -1):
+        # the fraction in 4 * qf places: j / 2**15 is (j >> 15 - f) * 5**f / 10**f
+        digits = (j >> _FRACTION_BITS - f) * (5**f * 10 ** (4 * qf - f))
+        further = 0  # 10000 where a nonzero digit lies further right: a quad keeps its zeros
+        for c in range(qf - 1, 0, -1):
             higher = digits // 10000
-            index = digits - higher * 10000
-            index += (places > 4 * c + 4) * 10000  # a nonzero digit further right
-            _quad(fields, 4 * qi + 1 + 4 * c)[:] = np.take(first if c == 0 else later, index)
-            digits = higher
+            index = digits - higher * 10000 + further
+            _quad(fields, 4 * qi + 1 + 4 * c)[:] = np.take(later, index)
+            further, digits = (index > 0) * 10000, higher
+        _quad(fields, 4 * qi + 1)[:] = np.take(first, digits + further)
         fields[:, 4 * (qi + qf) + 1 : lo + width] = _FILL
     if inexact.size:
         fields[inexact, lo : lo + used] = chars[:, :used]
@@ -278,8 +276,10 @@ def write_schedule_csv(out: BinaryIO, stage: SecondPass) -> None:
     pages it touched once are not faulted in again for the next block.
     """
     m = stage.park.m
-    # ",i," for machine i, padded at the end with NUL bytes, that is _FILL
-    machines = np.array([f",{i},".encode() for i in range(m + 1)], f"S{len(str(m)) + 2}")
+    # ",i," for machine i, padded with _FILL to whole 8-byte words
+    word_bytes = -(-(len(str(m)) + 2) // 8) * 8
+    machines = np.array([f",{i},".encode() for i in range(m + 1)], f"S{word_bytes}")
+    machines = machines.view(np.uint64).reshape(m + 1, -1)
     out.write(b"job_id,machine,start,completion\r\n")
     buffer = np.empty(0, np.uint8)
     for block in stage:
@@ -292,20 +292,20 @@ def write_schedule_csv(out: BinaryIO, stage: SecondPass) -> None:
         times = _float_fields(np.concatenate((block.completion, block.start[fresh])))
         # row layout: job_id, ",machine,", start, ",", completion, CRLF
         a = len(str(block.first + n - 1))
-        b = a + machines.dtype.itemsize
+        b = a + len(str(m)) + 2
         c = b + times.shape[1]
         d = c + 1 + times.shape[1]
         if buffer.size < n * (d + 2):
             buffer = np.empty(n * (d + 2), np.uint8)
         rows = buffer[: n * (d + 2)].reshape(n, d + 2)
         _job_ids(rows, block.first, a)
-        rows[:, a:b].view(f"V{b - a}")[:, 0] = np.take(machines, block.machine).view(f"V{b - a}")
+        # whole words: the bytes past ",i," spill into the fields written next
+        rows[:, a : a + word_bytes].view(np.uint64)[:] = np.take(machines, block.machine, axis=0)
         _put(rows[1:], b, times[: n - 1])
         rows[fresh, b:c] = times[n:]
         rows[:, c] = ord(",")
         _put(rows, c + 1, times[:n])
-        rows[:, d] = ord("\r")
-        rows[:, d + 1] = ord("\n")
+        rows[:, d : d + 2].view(np.uint16)[:] = np.frombuffer(b"\r\n", np.uint16)
         # rows hold a few _FILL bytes each: bytes.replace drops them faster
         # than a boolean mask does
         out.write(rows.tobytes().replace(bytes([_FILL]), b""))

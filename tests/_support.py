@@ -59,7 +59,8 @@ def random_timeline(rng: random.Random, index=1, max_intervals=4, bp_max=20,
 def offline(park, params, jobs):
     """In-memory two-pass run on the pmax-unknown ledger, as `--mode
     offline` runs it: (schedule, report)."""
-    report, artifacts = run_stream(park, make_ledger(params, "pmax-unknown"), [jobs])
+    report, artifacts = run_stream(park, make_ledger(params, "pmax-unknown"), [jobs],
+                                   mode="offline")
     return second_pass(park, artifacts, [jobs]), report
 
 

@@ -70,7 +70,7 @@ class SolvedInstance:
         }
         self.values = {}
         for name, ledger in ledgers.items():
-            report, artifacts = run_stream(self.park, ledger, [self.jobs])
+            report, artifacts = run_stream(self.park, ledger, [self.jobs], mode="two-pass")
             self.values[name] = report.value
             if name == "pmax-given":
                 self.artifacts = artifacts

@@ -418,7 +418,7 @@ class TestRunCommand:
         for jobs in (sizes, mixed):
             jobs = [p * 0.37 for p in jobs]  # real-valued completions
             ledger = make_ledger(params, "pmax-given", pmax=max(jobs))
-            _, artifacts = run_stream(park, ledger, [jobs])
+            _, artifacts = run_stream(park, ledger, [jobs], mode="two-pass")
             chunks = [jobs[i : i + 16] for i in range(0, len(jobs), 16)]
             written, sched = self._written(tmp_path / "s.csv", park, artifacts, chunks)
             expected = io.StringIO(newline="")

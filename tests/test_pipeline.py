@@ -103,7 +103,7 @@ class TestRunStream:
                 "pmax-unknown": {},
             }[regime])
             try:
-                report, artifacts = run_stream(park, ledger, chunks)
+                report, artifacts = run_stream(park, ledger, chunks, mode="two-pass")
                 csv = io.BytesIO()
                 write_schedule_csv(csv, SecondPass(park, artifacts, chunks))
                 outcomes.append((_masked(report), second_pass(park, artifacts, chunks),
@@ -164,7 +164,8 @@ class TestRunStream:
                            ("pmax-estimate", {"pmax_estimate": estimate, "alpha": alpha})]:
             ledger = make_ledger(params, regime, **kw)
             try:
-                report, artifacts = run_stream(park, ledger, chunks, budget=20000)
+                report, artifacts = run_stream(park, ledger, chunks, mode="two-pass",
+                                               budget=20000)
                 csv = io.BytesIO()
                 write_schedule_csv(csv, SecondPass(park, artifacts, chunks))
                 masked = _masked(report)

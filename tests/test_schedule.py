@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import random
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamspan import (
+    ConfigError,
     JobValueError,
     MachinePark,
     MachineTimeline,
@@ -19,8 +21,9 @@ from streamspan import (
     validate_schedule,
 )
 from streamspan.pipeline import fingerprint_update
-from streamspan.schedule import _GreedyFill
+from streamspan.schedule import SecondPass, _GreedyFill
 from streamspan.search import crossing_allowance
+from streamspan.textio import write_schedule_csv
 
 from _support import (
     column_bytes,
@@ -132,7 +135,8 @@ class TestOfflineAgainstOracle:
 class TestSecondPass:
     def _artifacts(self, park, params, jobs, epsilon):
         assert params.epsilon == epsilon
-        _, artifacts = run_stream(park, make_ledger(params, "pmax-given", pmax=max(jobs)), [jobs])
+        _, artifacts = run_stream(park, make_ledger(params, "pmax-given", pmax=max(jobs)), [jobs],
+                                  mode="two-pass")
         return artifacts
 
     def test_matches_offline_placement_exactly(self):
@@ -207,7 +211,7 @@ class TestSecondPass:
         params = quiet_params(2, 1, 1.0, 1.0)
         jobs = [4.0, 1.0, 3.0, 2.0, 4.0]
         led = make_ledger(params, "pmax-given", pmax=4.0)
-        report, art = run_stream(park, led, [jobs])
+        report, art = run_stream(park, led, [jobs], mode="two-pass")
         sched = second_pass(park, art, [jobs])
         validate_schedule(park, sched, jobs)
         assert sched.makespan <= report.value
@@ -218,7 +222,8 @@ class TestStreamFingerprint:
         park = identity_park(2, m1=1, e0=1.0)
         params = quiet_params(2, 1, 1.0, 0.5)
         first = [5.0, 3.0, 8.0, 2.0, 7.0, 1.0]
-        _, art = run_stream(park, make_ledger(params, "pmax-given", pmax=8.0), [first])
+        _, art = run_stream(park, make_ledger(params, "pmax-given", pmax=8.0), [first],
+                            mode="two-pass")
         with pytest.raises(TwoPassMismatchError):
             second_pass(park, art, [[1.0, 1.0, 8.0, 1.0, 1.0, 1.0]])
 
@@ -239,6 +244,24 @@ class TestStreamFingerprint:
         # a bad value earlier in the chunk still wins
         with pytest.raises(JobValueError, match="position 0"):
             second_pass(park, art, [[-1.0, 3.0, 2.0]])
+
+    def test_a_one_pass_run_keeps_no_fingerprint_and_cannot_be_replayed(self):
+        park = identity_park(2, m1=1, e0=1.0)
+        params = quiet_params(2, 1, 1.0, 0.5)
+        jobs = [5.0, 3.0, 8.0, 2.0]
+        lines = {}
+        for mode in ("one-pass", "two-pass"):
+            report, art = run_stream(park, make_ledger(params, "pmax-unknown"), [jobs], mode=mode)
+            # the same report but for its mode line and timings
+            lines[mode] = [ln for ln in report.as_lines(stats=True)[1:] if "_seconds" not in ln]
+        assert lines["one-pass"] == lines["two-pass"]
+        assert art.fingerprint == fingerprint_update(0, np.array(jobs), 0)
+        _, art = run_stream(park, make_ledger(params, "pmax-unknown"), [jobs])
+        assert art.fingerprint is None
+        with pytest.raises(ConfigError, match="one-pass run keeps no fingerprint"):
+            second_pass(park, art, [jobs])
+        with pytest.raises(ConfigError, match="one-pass run keeps no fingerprint"):
+            SecondPass(park, art, [jobs])
 
     def test_the_fingerprint_ignores_chunking_and_sees_order(self):
         values = np.random.default_rng(3).uniform(0.1, 9.0, 50)
@@ -358,6 +381,41 @@ class TestColumnarMatchesPerJob:
         art = hand_artifacts(park, jobs, {3: 1, 1: 2}, 6.0)
         # jobs 0 and 2 fill the machines to 6; job 4 is late on the floor
         self._check(park, jobs, art, [[3, 0, 4], [1, 2]])
+
+
+class TestChunkingInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.sampled_from([1, 2, 3, 11]),
+        room=st.sampled_from([0.2, 0.6, 1.0, 1.5]),
+        dyadic=st.booleans(),
+    )
+    def test_every_chunking_gives_one_schedule_and_one_csv(self, seed, m, room, dyadic):
+        # large jobs inside chunks, machines above the floor rerouting the
+        # job that closes them, and targets tight enough that every machine
+        # fills: a chunk places runs on several machines, in several ranges
+        rng = random.Random(seed)
+        m1 = rng.randint(1, m)
+        ratios = (0.25, 0.5, 1.0) if dyadic else _RATIOS
+        machines = tuple(
+            random_timeline(rng, i, max_intervals=5, bp_max=30, ratio_choices=ratios)
+            for i in range(1, m + 1)
+        )
+        park = MachinePark(machines, m1, min((r for tl in machines[:m1] for r in tl.ratios),
+                                             default=1.0))
+        n = rng.randint(50, 400)
+        jobs = [float(rng.randint(1, 8)) if dyadic else rng.uniform(0.05, 9.0) for _ in range(n)]
+        large = {j: rng.randint(1, m) for j in rng.sample(range(n), rng.randint(1, 6))}
+        art = hand_artifacts(park, jobs, large, room * sum(jobs) / m)
+        schedules, csvs = [], []
+        for size in (1, 7, 64, n):
+            schedules.append(second_pass(park, art, _chunked(jobs, size)))
+            out = io.BytesIO()
+            write_schedule_csv(out, SecondPass(park, art, _chunked(jobs, size)))
+            csvs.append(out.getvalue())
+        assert all(schedule == schedules[0] for schedule in schedules[1:])
+        assert len(set(csvs)) == 1
 
 
 class TestValidator:

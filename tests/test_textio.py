@@ -47,6 +47,14 @@ class TestFloatFields:
         st.integers(1, 8),
     )
     @example([0.25, 0.1, 3.0, 2.0**53], 1)
+    # 1-place fractions among 5-, 9-, 13- and 15-place ones: the zeros inside
+    # a wide fraction stay and each value's trailing ones drop
+    @example([0.5, 0.03125, 0.5 + 2.0**-9, 0.5 + 2.0**-15, 0.75, 2.0**-13, 3.0 + 2.0**-15], 8)
+    @example([0.5, 12.03125, 100.001953125, 7.0, 0.0625, 0.5 + 2.0**-9], 8)
+    # dyadic values with one 0.1, which alone goes through repr
+    @example([0.25, 1.5, 2.75, 0.1, 1024.125, 3.0, 96.5], 8)
+    # whole numbers of 1 to 11 digits
+    @example([float(10**k + k) for k in range(11)], 11)
     def test_fields_match_repr(self, values, rows):
         # formatted in blocks of `rows` values, as the writer formats a
         # block's fields, so blocks of differing widths are compared too
