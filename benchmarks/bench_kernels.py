@@ -2,8 +2,9 @@
 """Time the hot kernels and the stages around them.
 
 parse: textio's job-stream parser over the ingest stream as text, once
-as integers (the digit path) and once times 0.37 written with repr (the
-split-and-convert path).
+as integers (the digit path), once times 0.37 written with repr (the
+split-and-convert path), and once as integers of 9 to 18 digits, evenly
+spread over the widths (the digit path's second and third lanes).
 ingest: the same stream, as integers, through make_ledger(...).ingest_many
 per regime, in --chunk chunks.
 schedule: the streamed second pass, a SecondPass written by
@@ -183,7 +184,10 @@ def main():
 
     # one job per line, as `streamspan generate` and the benchmark inputs write them
     print(f"parse: float_chunks, {args.jobs} tokens")
-    for key, sizes in (("digits", stream.astype(np.int64)), ("real", stream * 0.37)):
+    widths = np.random.default_rng(8).integers(9, 19, size=stream.size)
+    wide = np.random.default_rng(9).integers(10 ** (widths - 1), 10**widths)
+    for key, sizes in (("digits", stream.astype(np.int64)), ("real", stream * 0.37),
+                       ("wide", wide)):
         text = "\n".join(map(repr, sizes.tolist())) + "\n"
         secs = bench_parse(text, args.repeats)
         figures[f"parse_{key}_ns_per_token"] = secs / stream.size * 1e9

@@ -11,9 +11,11 @@ prefix load, its target: A_i(start) plus the left fold of the sizes so
 far (completion_chain).  completions_at inverts the targets in one
 vectorized expression, with a running max that keeps the completions
 non-decreasing: a target on an entry of seg_cap can invert an ulp later
-than the next target does.  Whoever folds the targets can invert them
-piece by piece, each piece from the last completion of the one before,
-bit for bit the whole run.
+than the next target does.  That is rare, so one comparison of each
+completion with the one before decides whether the running max runs at
+all.  Whoever folds the targets can invert them piece by piece, each
+piece from the last completion of the one before, bit for bit the
+whole run.
 """
 
 from __future__ import annotations
@@ -179,9 +181,11 @@ def completions_at(timeline: MachineTimeline, start: float, targets: np.ndarray)
     k = np.repeat(np.arange(cum.size + 1), np.diff(steps, prepend=0, append=targets.size))
     t = seg_time[k] + (targets - seg_cap[k]) / seg_rate[k]
     if t.size:
-        # a target on a seg_cap entry can invert an ulp past the next one's
+        # a target on a seg_cap entry can invert an ulp past the next one's;
+        # the running max, a slow scan, runs only when one does
         t[0] = max(t[0], start)
-        np.maximum.accumulate(t, out=t)
+        if (t[1:] < t[:-1]).any():
+            np.maximum.accumulate(t, out=t)
     return t
 
 

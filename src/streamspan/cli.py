@@ -24,39 +24,48 @@ failures:
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import ctypes
 import gc
-import os
-import sys
-import time
-from dataclasses import replace
-from functools import partial
-from stat import S_IMODE, S_ISDIR, S_ISREG
-from typing import BinaryIO, Iterator, Sequence
 
-import numpy as np
+# The collector stays off from here to gc.freeze() below: the imports
+# allocate many objects and free few, so a collection would only walk them.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import contextlib
+    import ctypes
+    import os
+    import sys
+    import time
+    from dataclasses import replace
+    from functools import partial
+    from stat import S_IMODE, S_ISDIR, S_ISREG
+    from typing import BinaryIO, Iterator, Sequence
 
-from .capacity import MachinePark, MachineTimeline
-from .errors import (
-    BudgetExceededError,
-    ConfigError,
-    JobValueError,
-    PmaxContractError,
-    StreamspanError,
-    TwoPassMismatchError,
-)
-from .grouping import REGIMES, derive_params, make_ledger
-from .pipeline import run_stream
-from .search import DEFAULT_BUDGET
-from .textio import float_chunks, write_schedule_csv
+    import numpy as np
 
-# What the imports built lives until the process exits.  Frozen, it is
-# left out of every later collection, the one at exit included, which
-# would otherwise walk and free all of it: about a tenth of a short run.
-# Done once here, not in main, which tests call many times in one process.
-gc.freeze()
+    from .capacity import MachinePark, MachineTimeline
+    from .errors import (
+        BudgetExceededError,
+        ConfigError,
+        JobValueError,
+        PmaxContractError,
+        StreamspanError,
+        TwoPassMismatchError,
+    )
+    from .grouping import REGIMES, derive_params, make_ledger
+    from .pipeline import run_stream
+    from .search import DEFAULT_BUDGET
+    from .textio import float_chunks, write_schedule_csv
+
+    # What the imports built lives until the process exits.  Frozen, it is
+    # left out of every later collection, the one at exit included, which
+    # would otherwise walk and free all of it: about a tenth of a short run.
+    # Done once here, not in main, which tests call many times in one process.
+    gc.freeze()
+finally:
+    if _collecting:
+        gc.enable()
 
 # Each block of the stream allocates and frees arrays and bytes of a few
 # hundred KB.  By default glibc serves such sizes from fresh mmaps and

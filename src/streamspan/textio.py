@@ -34,6 +34,38 @@ def _parse_job(tok: str, position: int) -> float:
         raise JobValueError(f"{what} at position {position}", position=position) from None
 
 
+_PAIRS = np.uint64(0x00FF00FF00FF00FF)
+_QUADS = np.uint64(0x0000FFFF0000FFFF)
+
+
+def _lane_values(words: np.ndarray, end: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """uint64 value of each run of 1 to 8 digits whose last digit is the
+    top byte of words[end]; size holds the runs' digit counts.
+
+    A lane holds a digit's value in each byte, the run's first digit at
+    its lowest: the shifts zero the 8 - size bytes below the run, which
+    then read as leading zeros.  Each multiply-shift step adds
+    neighbouring digits, then pairs, then quads, into the lower byte,
+    byte pair or byte quad.
+    """
+    lanes = words.take(end)
+    below = 8 - size
+    below <<= 3
+    below = below.view(np.uint64)
+    lanes >>= below
+    lanes <<= below
+    # every byte is at most 9, so the digits need no mask
+    lanes *= np.uint64(10 << 8 | 1)
+    lanes >>= np.uint64(8)
+    lanes &= _PAIRS
+    lanes *= np.uint64(100 << 16 | 1)
+    lanes >>= np.uint64(16)
+    lanes &= _QUADS
+    lanes *= np.uint64(10000 << 32 | 1)
+    lanes >>= np.uint64(32)
+    return lanes
+
+
 def _plain_values(text: str) -> np.ndarray | None:
     """float64 values of an ASCII text of digit runs and whitespace, or None
     when it holds any other byte or a run of more than _PLAIN_DIGITS digits.
@@ -41,33 +73,41 @@ def _plain_values(text: str) -> np.ndarray | None:
     The whitespace is the six bytes that both str.split() and bytes.split()
     split on: tab, newline, vertical tab, form feed, carriage return, space.
 
-    Each run is read as an int64, one place at a time, and converted once;
-    an int64 of at most 18 digits is exact and its conversion is correctly
-    rounded, so each value is float() of its run bit for bit.
+    Each run is read eight digits at a time, as one uint64 lane: the eight
+    bytes that end at its last digit, or at the digit eight or sixteen
+    places before it for the longer runs (see _lane_values).  The lanes
+    make an int64 of at most 18 digits, which is exact and whose
+    conversion is correctly rounded, so each value is float() of its run
+    bit for bit.
     """
     chars = np.frombuffer(text.encode("ascii"), np.uint8)
-    # digit[i] for chars[i - 1], padded with a non-digit at both ends;
-    # z holds the digits' values and 0 for everything else
-    z = np.full(chars.size + 2, 255, np.uint8)
-    np.subtract(chars, ord("0"), out=z[1:-1])  # whitespace wraps past 9
+    # z[8 + i] is chars[i] minus "0": a digit's value, and past 9 for
+    # whitespace, which wraps, and for the padding, 8 bytes in front so
+    # that every lane lies inside z and one behind the last run
+    z = np.empty(chars.size + 9, np.uint8)
+    z[:8] = z[-1] = 255
+    np.subtract(chars, ord("0"), out=z[8:-1])
     digit = z < 10
     # any byte that is neither a digit nor one of the six whitespaces
-    if ((chars - 9 >= 5) & (chars != 32) & ~digit[1:-1]).any():
+    if ((chars - 9 >= 5) & (chars != 32) & ~digit[8:-1]).any():
         return None
-    z *= digit
-    flips = np.flatnonzero(digit[1:] != digit[:-1])
-    before, last = flips[0::2], flips[1::2]  # the z index before each run, its last digit
-    width = int((last - before).max(initial=0))
+    ahead = digit[7:]  # ahead[i] for chars[i - 1]
+    flips = np.flatnonzero(ahead[1:] != ahead[:-1])
+    first, end = flips[0::2], flips[1::2]  # each run's first chars index, and one past its last
+    size = end - first
+    width = int(size.max(initial=0))
     if width > _PLAIN_DIGITS:
         return None
-    values = np.zeros(last.size, np.int64)
-    at = np.empty_like(last)
-    for place in range(width - 1, -1, -1):
-        # a run shorter than place + 1 reads the 0 just before it
-        np.maximum(np.subtract(last, place, out=at), before, out=at)
-        values *= 10
-        values += z.take(at)
-    return values.astype(np.float64)
+    # words[i] is the little-endian uint64 of z[i : i + 8], the eight bytes
+    # that end at chars[i - 1]
+    words = np.ndarray((z.size - 7,), "<u8", z, strides=(1,))
+    values = _lane_values(words, end, size if width <= 8 else np.minimum(size, 8))
+    for lane in range(1, -(-width // 8)):
+        # the eight digits before the lane above, in the runs that reach them
+        long = np.flatnonzero(size > 8 * lane)
+        more = _lane_values(words, end[long] - 8 * lane, np.minimum(size[long] - 8 * lane, 8))
+        values[long] += more * np.uint64(10 ** (8 * lane))
+    return values.view(np.int64).astype(np.float64)
 
 
 def float_chunks(fh: TextIO) -> Iterator[np.ndarray]:

@@ -318,6 +318,30 @@ def test_completions_never_decrease_past_a_cumulative_entry():
     assert completion_chain(tl, 0.0, [c, ulp, ulp]).tolist() == [15.148962555767325] * 3
 
 
+def _always_held(tl, start, targets):
+    """completions_at with its running max run every time: each target
+    inverted in the segment it ends, then np.maximum.accumulate."""
+    k = np.searchsorted(tl.seg_cap[1:], targets, side="left")
+    t = tl.seg_time[k] + (targets - tl.seg_cap[k]) / tl.seg_rate[k]
+    if t.size:
+        t[0] = max(t[0], start)
+    return np.maximum.accumulate(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tl=st.one_of(_exact_timelines, _real_timelines), data=st.data())
+def test_the_running_max_runs_only_when_it_changes_a_completion(tl, data):
+    # targets on the seg_cap entries and one ulp above them are where an
+    # inversion can fall an ulp below the one before
+    caps = tl.seg_cap.tolist()
+    near = caps + [math.nextafter(c, math.inf) for c in caps]
+    targets = np.sort(data.draw(st.lists(
+        st.one_of(st.sampled_from(near), st.floats(0.0, 2 * caps[-1] + 10.0)), max_size=40)))
+    start = data.draw(st.one_of(_quarters, st.sampled_from((0.0,) + tl.breakpoints)))
+    got = completions_at(tl, start, targets)
+    assert got.tobytes() == _always_held(tl, start, targets).tobytes()
+
+
 def test_single_completions_are_one_job_chains():
     tl = _dense_timeline()
     rng = random.Random(9)

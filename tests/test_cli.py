@@ -1442,6 +1442,17 @@ def test_importing_the_package_leaves_the_cli_out():
     assert res.returncode == 0, res.stderr
 
 
+@pytest.mark.parametrize("module", ["streamspan", "streamspan.cli"])
+@pytest.mark.parametrize("collecting", [True, False])
+def test_importing_leaves_the_collector_as_it_was(module, collecting):
+    # the imports run with the collector off and restore the state they found
+    code = (f"import gc; gc.{'enable' if collecting else 'disable'}(); import {module}; "
+            "print(gc.isenabled())")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_ENV)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == [str(collecting)]
+
+
 _FOOTPRINT = """
 import gc, json, sys
 sys.modules.pop("random", None)  # the interpreter's site hooks may load it

@@ -1,15 +1,79 @@
-"""Tests of streamspan.textio's schedule CSV formatting."""
+"""Tests of streamspan.textio: the digit-run parser's lanes and the
+schedule CSV formatting."""
 
 import io
 import math
+import random
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import streamspan.textio as textio
 from streamspan.schedule import ScheduleBlock
+
+from _support import BlockStage
+
+
+def _float_bits(tokens):
+    return np.array([float(tok) for tok in tokens], np.float64).tobytes()
+
+
+def _digit_run(width, rng):
+    """A random run of width digits, its first one nonzero."""
+    return rng.choice("123456789") + "".join(rng.choice("0123456789") for _ in range(width - 1))
+
+
+class TestPlainValues:
+    """_plain_values reads a run eight digits to a lane: one lane up to 8
+    digits, two up to 16, three up to 18.  Each value must be float() of
+    its run, bit for bit."""
+
+    @pytest.mark.parametrize("digits", [1, 7, 8, 9, 15, 16, 17, 18])
+    def test_runs_of_each_width_read_as_float(self, digits):
+        rng = random.Random(digits)
+        runs = ["9" * digits, "0" * digits, "1" + "0" * (digits - 1), "0" * (digits - 1) + "7"]
+        for _ in range(40):
+            zeros = rng.randint(0, digits - 1)  # leading zeros
+            runs.append("0" * zeros + "".join(rng.choice("0123456789")
+                                              for _ in range(digits - zeros)))
+        # after runs of every other width, so a lane's low bytes hold the
+        # digits of the run before
+        mixed = [run for width in range(1, 19) for run in ("8" * width, _digit_run(width, rng))]
+        text = " ".join(mixed + runs)
+        assert textio._plain_values(text).tobytes() == _float_bits(mixed + runs)
+
+    @pytest.mark.parametrize("space", list(" \t\n\x0b\x0c\r"))
+    def test_each_whitespace_byte_separates_runs(self, space):
+        runs = ["12345678", "9", "123456789012345678", "0042", "99999999999999999"]
+        for text in (space.join(runs), space + space.join(runs) + space * 2):
+            assert textio._plain_values(text).tobytes() == _float_bits(runs)
+
+    def test_runs_at_the_first_and_last_byte_of_a_block(self, monkeypatch):
+        # blocks start with the token carried from the block before and end
+        # before the token carried to the next, so small blocks put runs of
+        # every width at both edges
+        texts = []  # every text the parser was given
+        plain = textio._plain_values
+        monkeypatch.setattr(textio, "_plain_values", lambda text: texts.append(text) or plain(text))
+        rng = random.Random(11)
+        tokens = [_digit_run(rng.randint(1, 18), rng) for _ in range(300)]
+        stream = "".join(tok + rng.choice(" \t\n\x0b\x0c\r") for tok in tokens)
+        for read_chars in (1, 5, 19, 24, 64):
+            monkeypatch.setattr(textio, "_READ_CHARS", read_chars)
+            values = np.concatenate(list(textio.float_chunks(io.StringIO(stream))))
+            assert values.tobytes() == _float_bits(tokens)
+        widths = range(1, 19)
+        assert {len(text.split()[0]) for text in texts if text[:1].isdigit()} >= set(widths)
+        assert {len(text.split()[-1]) for text in texts if text[-1:].isdigit()} >= set(widths)
+
+    def test_a_run_of_19_digits_falls_back(self):
+        text = "7 1234567890123456789 00000000000000000001 3"
+        assert textio._plain_values(text) is None
+        (values,) = list(textio.float_chunks(io.StringIO(text + "\n")))
+        assert values.tobytes() == _float_bits(text.split())
 
 
 def _formatted(values):
@@ -76,18 +140,6 @@ def test_job_ids_match_their_decimal_text():
         ]
 
 
-class _Stage:
-    """What write_schedule_csv reads of a SecondPass: the park's machine
-    count, the blocks, then the makespan."""
-
-    def __init__(self, m, blocks, makespan):
-        self.park = SimpleNamespace(m=m)
-        self.blocks, self.makespan = blocks, makespan
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-
 def test_blocks_that_shrink_and_grow_write_the_bytes_of_one_block():
     # every block's rows are laid out in one buffer that only grows, so a
     # byte a smaller block left unwritten would show the larger one's text
@@ -107,7 +159,8 @@ def test_blocks_that_shrink_and_grow_write_the_bytes_of_one_block():
     written = []
     for parts in ([ScheduleBlock(0, machine, start, completion)], blocks):
         out = io.BytesIO()
-        textio.write_schedule_csv(out, _Stage(3, parts, float(completion.max())))
+        textio.write_schedule_csv(out, BlockStage(SimpleNamespace(m=3), parts,
+                                                  float(completion.max())))
         written.append(out.getvalue())
     assert written[0].count(b"\r\n") == n + 2
     assert written[1] == written[0]
