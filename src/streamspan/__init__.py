@@ -12,29 +12,20 @@ modules on first use: a one-pass run loads neither streamspan.schedule
 nor streamspan.oracle, a two-pass run only streamspan.schedule.
 """
 
-import gc
 import importlib
 
-# The imports allocate many objects and free few, so a collection during
-# them would only walk what they built: the collector stays off for them.
-_collecting = gc.isenabled()
-gc.disable()
-try:
-    from .capacity import MachinePark, MachineTimeline
-    from .errors import (
-        BudgetExceededError,
-        ConfigError,
-        JobValueError,
-        PmaxContractError,
-        ScheduleContractError,
-        StreamspanError,
-        TwoPassMismatchError,
-    )
-    from .grouping import REGIMES, SchedulingParams, derive_params, make_ledger
-    from .pipeline import RunReport, run_stream
-finally:
-    if _collecting:
-        gc.enable()
+from .capacity import MachinePark, MachineTimeline
+from .errors import (
+    BudgetExceededError,
+    ConfigError,
+    JobValueError,
+    PmaxContractError,
+    ScheduleContractError,
+    StreamspanError,
+    TwoPassMismatchError,
+)
+from .grouping import REGIMES, SchedulingParams, derive_params, make_ledger
+from .pipeline import RunReport, run_stream
 
 __version__ = "0.1.0"
 

@@ -15,17 +15,15 @@ and yields one ScheduleBlock per chunk, the rows of that chunk's jobs.
 In a chunk the open machine takes a whole run of small jobs at once,
 found by a left fold of its load over their sizes, and only the job at
 a run's end goes through the per-job rule, so a machine's share of a
-chunk is a few ranges, filled by slices.  Once every machine is full,
-the floor machines take the late jobs in turn, one strided range each.
-Each machine runs its large jobs first, then its small jobs in stream
-order, then its rerouted jobs; since every floor machine is closed
-before the first reroute, that is stream order after the large jobs.
-So a machine's greedy load is its run's prefix load, and each job
-completes where the machine has delivered the load it reached with
-that job (see streamspan.capacity): a job's machine, start and
-completion are final when the replay reaches it.  Memory does not grow
-with the stream.  second_pass concatenates the blocks into one Schedule
-for library use.
+chunk is a few ranges, filled by slices.  Each machine runs its large
+jobs first, then its small jobs in stream order, then its rerouted
+jobs; since every floor machine is closed before the first reroute,
+that is stream order after the large jobs.  So a machine's greedy load
+is its run's prefix load, and each job completes where the machine has
+delivered the load it reached with that job (see streamspan.capacity):
+a job's machine, start and completion are final when the replay reaches
+it.  Memory does not grow with the stream.  second_pass concatenates
+the blocks into one Schedule for library use.
 
 The validator does not rerun that chain: it checks every job's start
 against the completion before it in its run, and recomputes every
@@ -108,8 +106,7 @@ class _GreedyFill:
 
         Returns per machine the ranges of positions in sizes of the jobs
         it takes, in order, and each job's completion target: its
-        machine's load once the job is done.  A range of late jobs dealt
-        over the floor machines steps by their count.
+        machine's load once the job is done.
         """
         m, cap, loads, late = len(self.cap), self.cap, self.loads, self.late
         taken: list[list[range]] = [[] for _ in range(m)]
@@ -130,18 +127,8 @@ class _GreedyFill:
             self.open = i
             if i == m:
                 # every machine is full at t; each job is late wherever it goes
-                while k < n and min(late[: self.floor]) < max(late[: self.floor]):
-                    reroute(k)
-                    k += 1
-                # with their late counts level, the floor machines take the
-                # rest in turn: one strided range each, folded at once
-                for i in range(min(self.floor, n - k)):
-                    fold = np.concatenate(([loads[i]], sizes[k + i :: self.floor]))
-                    np.add.accumulate(fold, out=fold)
-                    taken[i].append(range(k + i, n, self.floor))
-                    targets[k + i :: self.floor] = fold[1:]
-                    late[i] += fold.size - 1
-                    loads[i] = float(fold[-1])
+                for q in range(k, n):
+                    reroute(q)
                 break
             # fold[q] is the load before job k+q: an exact left fold
             fold = np.concatenate(([loads[i]], sizes[k:]))
@@ -252,15 +239,14 @@ class SecondPass:
             for i, parts in enumerate(taken):
                 if not parts:
                     continue
-                rows = [slice(p.start, p.stop, p.step) for p in parts]
                 done = completions_at(park.machines[i], clocks[i],
-                                      np.concatenate([targets[r] for r in rows]))
+                                      np.concatenate([targets[p.start : p.stop] for p in parts]))
                 begin = np.concatenate(([clocks[i]], done[:-1]))  # where each job starts
                 at = 0
-                for p, r in zip(parts, rows):
-                    machine[r] = i + 1
-                    completion[r] = done[at : at + len(p)]
-                    start[r] = begin[at : at + len(p)]
+                for p in parts:
+                    machine[p.start : p.stop] = i + 1
+                    completion[p.start : p.stop] = done[at : at + len(p)]
+                    start[p.start : p.stop] = begin[at : at + len(p)]
                     at += len(p)
                 clocks[i] = float(done[-1])
             if here.size:  # the large jobs' rows go back in, job k after here[k] - k small ones

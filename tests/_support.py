@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 import random
 import warnings
@@ -22,9 +21,7 @@ from streamspan.capacity import capacity_at, completion_chain
 from streamspan.cli import generate_instance, parse_machine_config_text
 from streamspan.oracle import completion_from_zero, naive_capacity_at
 from streamspan.pipeline import FirstPassArtifacts, fingerprint_update
-from streamspan.schedule import ScheduleBlock
 from streamspan.search import SearchOutcome, _grid_shape
-from streamspan.textio import write_schedule_csv
 
 
 def quiet_params(m, m1, e0, epsilon, **kw):
@@ -355,25 +352,6 @@ def reference_second_pass(park, artifacts, jobs):
         start[run] = np.concatenate(([0.0], done[:-1]))
         makespan = max(makespan, float(done[-1]))
     return Schedule(machine, start, completion, tuple(runs), makespan)
-
-
-class BlockStage:
-    """What write_schedule_csv reads of a SecondPass: the park (only its
-    machine count m), the blocks, then the makespan."""
-
-    def __init__(self, park, blocks, makespan):
-        self.park, self.blocks, self.makespan = park, blocks, makespan
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-
-def schedule_csv(park, schedule):
-    """The CSV bytes write_schedule_csv writes for schedule, as one block."""
-    block = ScheduleBlock(0, schedule.machine, schedule.start, schedule.completion)
-    out = io.BytesIO()
-    write_schedule_csv(out, BlockStage(park, [block], schedule.makespan))
-    return out.getvalue()
 
 
 def column_bytes(schedule):

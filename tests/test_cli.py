@@ -1445,7 +1445,7 @@ def test_importing_the_package_leaves_the_cli_out():
 @pytest.mark.parametrize("module", ["streamspan", "streamspan.cli"])
 @pytest.mark.parametrize("collecting", [True, False])
 def test_importing_leaves_the_collector_as_it_was(module, collecting):
-    # the imports run with the collector off and restore the state they found
+    # the CLI imports with the collector off; neither import may leave it changed
     code = (f"import gc; gc.{'enable' if collecting else 'disable'}(); import {module}; "
             "print(gc.isenabled())")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_ENV)

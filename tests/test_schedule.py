@@ -36,7 +36,6 @@ from _support import (
     quiet_params,
     random_timeline,
     reference_second_pass,
-    schedule_csv,
 )
 
 
@@ -375,30 +374,6 @@ class TestColumnarMatchesPerJob:
         # job 2 would cross on machine 2: it moves to machine 1, and so
         # does job 3, since machine 2 accepts nothing after closing
         self._check(park, jobs, art, [[0, 2, 3], [1]])
-
-    @pytest.mark.parametrize("m, m1, t", [(3, 2, 2.0), (4, 3, 5.0), (5, 2, 7.5), (2, 1, 3.0)])
-    def test_late_jobs_dealt_in_turn_match_the_per_job_replay(self, m, m1, t):
-        # the machines fill within the first few dozen jobs; every job after
-        # that is late and dealt over the floor machines, which may enter the
-        # deal with unequal late counts
-        park = identity_park(m, m1=m1, e0=1.0)
-        rng = random.Random(m * 10 + m1)
-        jobs = [1.0] * 6 + [rng.choice([0.5, 1.0, 1.5, 2.25, 0.1]) for _ in range(3000)]
-        large = {3: m, 10: 1}
-        art = hand_artifacts(park, jobs, large, t)
-        expected = schedule_csv(park, reference_second_pass(park, art, jobs))
-        for size in (1, 7, 1000, len(jobs)):
-            out = io.BytesIO()
-            write_schedule_csv(out, SecondPass(park, art, _chunked(jobs, size)))
-            assert out.getvalue() == expected
-        # a chunk's late jobs are one strided range per floor machine, after
-        # at most a few single jobs that level the late counts
-        fill = _GreedyFill(park, t, art.outcome.per_machine_load)
-        small = np.delete(np.array(jobs), sorted(large))
-        for lo in range(0, small.size, 1000):
-            taken, _ = fill.place(small[lo : lo + 1000])
-            assert all(len(parts) <= 2 * m + 2 for parts in taken)
-        assert sum(fill.late) > small.size - 100
 
     def test_large_jobs_run_first_and_are_masked_out(self):
         park = identity_park(2, m1=1, e0=1.0)

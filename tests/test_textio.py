@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 import streamspan.textio as textio
 from streamspan.schedule import ScheduleBlock
 
-from _support import BlockStage
-
 
 def _float_bits(tokens):
     return np.array([float(tok) for tok in tokens], np.float64).tobytes()
@@ -140,6 +138,18 @@ def test_job_ids_match_their_decimal_text():
         ]
 
 
+class _Stage:
+    """What write_schedule_csv reads of a SecondPass: the park's machine
+    count, the blocks, then the makespan."""
+
+    def __init__(self, m, blocks, makespan):
+        self.park = SimpleNamespace(m=m)
+        self.blocks, self.makespan = blocks, makespan
+
+    def __iter__(self):
+        return iter(self.blocks)
+
+
 def test_blocks_that_shrink_and_grow_write_the_bytes_of_one_block():
     # every block's rows are laid out in one buffer that only grows, so a
     # byte a smaller block left unwritten would show the larger one's text
@@ -159,8 +169,7 @@ def test_blocks_that_shrink_and_grow_write_the_bytes_of_one_block():
     written = []
     for parts in ([ScheduleBlock(0, machine, start, completion)], blocks):
         out = io.BytesIO()
-        textio.write_schedule_csv(out, BlockStage(SimpleNamespace(m=3), parts,
-                                                  float(completion.max())))
+        textio.write_schedule_csv(out, _Stage(3, parts, float(completion.max())))
         written.append(out.getvalue())
     assert written[0].count(b"\r\n") == n + 2
     assert written[1] == written[0]
