@@ -29,7 +29,6 @@ other labels' entries, so one file holds a change's before and after.
 
 import argparse
 import io
-import json
 import math
 import os
 import platform
@@ -38,6 +37,7 @@ import time
 
 import numpy as np
 
+from _figures import save_runs
 from streamspan import make_ledger, run_stream
 from streamspan.capacity import MachinePark, MachineTimeline, completion_chain
 from streamspan.cli import generate_instance, parse_machine_config_text
@@ -121,29 +121,6 @@ def bench_schedule(park, stream, chunk, repeats):
             best_write = min(best_write, total - stage.seconds)
             best_stage = min(best_stage, total)
     return best_pass, best_write, best_stage
-
-
-def save_figures(path, label, args, figures):
-    """Add this run's figures to the JSON file at path under label."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        doc = {"runs": {}}
-    options = {k: v for k, v in vars(args).items() if k not in ("json", "label")}
-    doc["runs"][label] = {
-        "env": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpus": os.cpu_count(),
-            "machine": platform.machine(),
-        },
-        "options": options,
-        "figures": figures,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def bench_search(park, large, repeats):
@@ -243,7 +220,16 @@ def main():
               f"{secs * 1e3:8.3f} ms  ({nodes / secs:,.0f} nodes/s)")
 
     if args.json:
-        save_figures(args.json, args.label, args, figures)
+        save_runs(args.json, {args.label: {
+            "env": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "cpus": os.cpu_count(),
+                "machine": platform.machine(),
+            },
+            "options": {k: v for k, v in vars(args).items() if k not in ("json", "label")},
+            "figures": figures,
+        }})
 
 
 if __name__ == "__main__":

@@ -43,13 +43,14 @@ the file under --label, keeping the other labels' entries.
 """
 
 import argparse
-import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
 import tempfile
+
+from _figures import save_runs
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ENTRY = "import sys; from streamspan.cli import main; sys.exit(main())"
@@ -147,29 +148,6 @@ def measure(src, job_counts, repeats, workdir, seed):
     return figures
 
 
-def save_figures(path, label, args, figures):
-    """Add this run's figures to the JSON file at path under label."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        doc = {"runs": {}}
-    options = {k: v for k, v in vars(args).items()
-               if k not in ("json", "label", "workdir", "src")}
-    doc["runs"][label] = {
-        "env": {
-            "python": platform.python_version(),
-            "cpus": os.cpu_count(),
-            "machine": platform.machine(),
-        },
-        "options": options,
-        "figures": figures,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--jobs", type=int, nargs="+", default=[1_000_000, 4_000_000])
@@ -188,7 +166,16 @@ def main():
         with tempfile.TemporaryDirectory() as workdir:
             figures = measure(args.src, args.jobs, args.repeats, workdir, args.seed)
     if args.json:
-        save_figures(args.json, args.label, args, figures)
+        save_runs(args.json, {args.label: {
+            "env": {
+                "python": platform.python_version(),
+                "cpus": os.cpu_count(),
+                "machine": platform.machine(),
+            },
+            "options": {k: v for k, v in vars(args).items()
+                        if k not in ("json", "label", "workdir", "src")},
+            "figures": figures,
+        }})
 
 
 if __name__ == "__main__":

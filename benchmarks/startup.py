@@ -37,7 +37,6 @@ checkout's `src` as "current"); with two or more, their runs alternate.
 
 import argparse
 import compileall
-import json
 import os
 import platform
 import random
@@ -47,6 +46,8 @@ import subprocess
 import sys
 import tempfile
 import time
+
+from _figures import save_runs
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 RUN = "import sys; from streamspan.cli import main; sys.exit(main())"
@@ -132,28 +133,6 @@ def summary(runs):
     return {"median_ms": round(median, 2), "q1_ms": round(q1, 2), "q3_ms": round(q3, 2)}
 
 
-def save_figures(path, rounds, figures):
-    """Add each name's figures to the JSON file at path."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        doc = {"runs": {}}
-    for name, by_copy in figures.items():
-        doc["runs"][name] = {
-            "env": {
-                "python": platform.python_version(),
-                "cpus": os.cpu_count(),
-                "machine": platform.machine(),
-            },
-            "rounds": rounds,
-            "figures": by_copy,
-        }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", action="append", default=None, metavar="NAME=PATH",
@@ -188,7 +167,13 @@ def main():
                 f"{c['median_ms']:8.1f} ({c['q1_ms']:.1f}-{c['q3_ms']:.1f})".rjust(22)
                 for c in cells))
     if args.json:
-        save_figures(args.json, args.rounds, figures)
+        env = {
+            "python": platform.python_version(),
+            "cpus": os.cpu_count(),
+            "machine": platform.machine(),
+        }
+        save_runs(args.json, {name: {"env": env, "rounds": args.rounds, "figures": by_copy}
+                              for name, by_copy in figures.items()})
 
 
 if __name__ == "__main__":

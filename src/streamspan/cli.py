@@ -374,8 +374,6 @@ def _cmd_run(args) -> int:
         floor_machines=park.floor_machines,
         ratio_floor=park.ratio_floor,
         epsilon=args.epsilon,
-        top_band_override=args.gamma0_override,
-        retain_limit_override=args.n0_override,
     )
     needs_schedule = args.mode in ("two-pass", "offline")
     if needs_schedule and not args.schedule_out:
@@ -522,10 +520,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="overestimate of the largest processing time")
     run.add_argument("--alpha", type=float, default=None,
                      help="estimate is at most alpha times the true maximum (default 1)")
-    run.add_argument("--gamma0-override", type=int, default=None,
-                     help="override the derived band count (drops the guarantee)")
-    run.add_argument("--n0-override", type=int, default=None,
-                     help="override the derived retain limit (drops the guarantee)")
     run.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                      help="max search nodes (oracle mode: max assignments)")
     run.add_argument("--schedule-out", default=None,

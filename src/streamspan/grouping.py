@@ -63,7 +63,6 @@ class SchedulingParams:
     epsilon: float
     top_band: int
     retain_limit: int
-    override_mode: bool = False
 
     @property
     def bounded_bands(self) -> int:
@@ -75,14 +74,8 @@ def derive_params(
     floor_machines: int,
     ratio_floor: float,
     epsilon: float,
-    top_band_override: int | None = None,
-    retain_limit_override: int | None = None,
 ) -> SchedulingParams:
-    """Pick the band count and retain limit for a (1+epsilon) guarantee.
-
-    Overrides bypass the derivation for desk-scale experiments; the report
-    then flags override mode and the guarantee is off the table.
-    """
+    """Pick the band count and retain limit for a (1+epsilon) guarantee."""
     if m < 1:
         raise ConfigError(f"m must be >= 1, got {m}")
     if not (1 <= floor_machines <= m):
@@ -113,26 +106,13 @@ def derive_params(
             f"epsilon {epsilon} is too small: the candidate grid ratio 1 + epsilon/2 "
             "rounds to 1"
         )
-    top_band = (need - 1).bit_length()  # minimal g with 2^g >= need
-    override = False
-    if top_band_override is not None:
-        if top_band_override < 0:
-            raise ConfigError(f"top band override must be >= 0, got {top_band_override}")
-        top_band = top_band_override
-        override = True
-    if retain_limit_override is not None:
-        if retain_limit_override < 1:
-            raise ConfigError(f"retain limit override must be >= 1, got {retain_limit_override}")
-        retain_limit = retain_limit_override
-        override = True
     return SchedulingParams(
         m=m,
         floor_machines=floor_machines,
         ratio_floor=ratio_floor,
         epsilon=epsilon,
-        top_band=top_band,
+        top_band=(need - 1).bit_length(),  # minimal g with 2^g >= need
         retain_limit=retain_limit,
-        override_mode=override,
     )
 
 
@@ -205,8 +185,7 @@ class _BandedLedger:
         except (MemoryError, ValueError):
             raise ConfigError(
                 f"cannot allocate {n} bounded bands with room for retained_job_bound = "
-                f"{self.retained_bound} jobs; raise epsilon or lower the band count "
-                "or the retain limit"
+                f"{self.retained_bound} jobs; raise epsilon or the ratio floor"
             ) from None
         self.job_count = 0
         self.total_load = 0.0
@@ -240,10 +219,6 @@ class _BandedLedger:
     def _slots(self) -> np.ndarray:
         """Each list entry's counts slot, k + 1 for bounded band k."""
         return _ceil_log2s(self._ps[: self.retained_total]) - self._offset
-
-    def retained_in_band(self, k: int) -> list[tuple[int, float]]:
-        at = np.flatnonzero(self._slots() == k + 1)
-        return list(zip(self._ids[at].tolist(), self._ps[at].tolist()))
 
     # -- streaming -----------------------------------------------------
 

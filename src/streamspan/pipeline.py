@@ -56,7 +56,6 @@ class RunReport:
     epsilon: float = field(metadata=_STATS)
     top_band: int = field(metadata=_STATS)
     retain_limit: int = field(metadata=_STATS)
-    override_mode: bool = field(metadata=_STATS)
     retained_job_bound: int = field(metadata=_STATS)
     group_record_bound: int = field(metadata=_STATS)
     ingest_seconds: float = field(metadata=_STATS)
@@ -185,7 +184,6 @@ def run_stream(
         epsilon=params.epsilon,
         top_band=params.top_band,
         retain_limit=params.retain_limit,
-        override_mode=params.override_mode,
         peak_retained_jobs=ledger.peak_retained,
         retained_job_bound=ledger.retained_bound,
         peak_group_records=ledger.peak_group_records,

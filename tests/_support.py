@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import warnings
@@ -24,11 +25,15 @@ from streamspan.pipeline import FirstPassArtifacts, fingerprint_update
 from streamspan.search import SearchOutcome, _grid_shape
 
 
-def quiet_params(m, m1, e0, epsilon, **kw):
-    """derive_params without the epsilon >= 1 warning cluttering output."""
+def quiet_params(m, m1, e0, epsilon, **fields):
+    """derive_params without the epsilon >= 1 warning cluttering output,
+    with the given fields (top_band=, retain_limit=) replaced, so a few
+    jobs can saturate a band.  A field given as None keeps its derived
+    value."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return derive_params(m, m1, e0, epsilon, **kw)
+        params = derive_params(m, m1, e0, epsilon)
+    return dataclasses.replace(params, **{k: v for k, v in fields.items() if v is not None})
 
 
 def make_instance(seed, m, m1, e0, n, **kw):

@@ -414,7 +414,7 @@ class TestRunCommand:
         # small ones as in the search-j14 workload
         mixed = sizes + [150, 170, 60, 80]
         random.Random(4).shuffle(mixed)
-        params = quiet_params(3, 1, 0.5, 0.5, retain_limit_override=3)  # a small search
+        params = quiet_params(3, 1, 0.5, 0.5, retain_limit=3)  # a small search
         for jobs in (sizes, mixed):
             jobs = [p * 0.37 for p in jobs]  # real-valued completions
             ledger = make_ledger(params, "pmax-given", pmax=max(jobs))
@@ -637,18 +637,35 @@ class TestRunCommand:
         assert code == 0
         assert float(_report_dict(out)["value"]) > 0
 
-    def test_overrides_flip_the_flag_in_the_report(self, capsys, instance):
-        cfg, jobs = instance
-        code, out, _ = _run_main(
-            capsys,
-            ["run", "--config", cfg, "--jobs", jobs, "--stats",
-             "--gamma0-override", "6", "--n0-override", "9"],
-        )
+    @pytest.mark.parametrize("mode", ["two-pass", "offline"])
+    @pytest.mark.parametrize("config, stream", [
+        ("m 1\nm1 1\ne0 1\nmachine 1 10 1.0\n", "0.6 5.1 5.2\n"),
+        ("m 1\nm1 1\ne0 0.5\nmachine 1\n",
+         "2.0000000000014078 2.0000000000003837 42 29 63\n"),
+    ], ids=["breakpoint", "no-breakpoint"])
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+    def test_one_machine_makespan_is_at_most_value(self, capsys, tmp_path, config, stream,
+                                                   mode):
+        # on one machine V is the grid time t = P, the arrival-order fold,
+        # and the second pass folds the large jobs first: an ulp more
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(config)
+        jobs = tmp_path / "jobs.txt"
+        jobs.write_text(stream)
+        code, out, _ = _run_main(capsys, [
+            "run", "--config", str(cfg), "--jobs", str(jobs), "--mode", mode,
+            "--schedule-out", str(tmp_path / "s.csv")])
         assert code == 0
         report = _report_dict(out)
-        assert report["override_mode"] == "True"
-        assert report["top_band"] == "6"
-        assert report["retain_limit"] == "9"
+        assert float(report["makespan"]) <= float(report["value"])
+
+    @pytest.mark.parametrize("flag", ["--gamma0-override", "--n0-override"])
+    def test_the_band_parameters_cannot_be_overridden(self, capsys, instance, flag):
+        cfg, jobs = instance
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "--config", cfg, "--jobs", jobs, flag, "3"])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -854,10 +871,11 @@ class TestExitCodes:
             assert out == ""
 
     def test_a_saturated_top_band_is_3_or_a_finite_value(self, capsys, tmp_path):
-        # at retain limit 1 the one job 1.7e308 fills band 1024, whose upper
-        # edge 2^1024 is past every float: every job is small, with no finite
-        # bound.  Two machines each owe a late small job and the grid
-        # overflows; one machine owes none and its value is the grid time
+        # epsilon 32 derives retain limit 1 and top band 0 on both parks, so
+        # the one job 1.7e308 fills band 1024, whose upper edge 2^1024 is
+        # past every float: every job is small, with no finite bound.  Two
+        # machines each owe a late small job and the grid overflows; one
+        # machine owes none and its value is the grid time
         jobs = tmp_path / "jobs.txt"
         jobs.write_text("1.7e308\n")
         sched = ["--schedule-out", str(tmp_path / "s.csv")]
@@ -866,9 +884,10 @@ class TestExitCodes:
             cfg = tmp_path / "park.cfg"
             cfg.write_text(park)
             for extra in ([], ["--mode", "two-pass", *sched], ["--mode", "offline", *sched]):
-                code, out, err = _run_main(capsys, [
-                    "run", "--config", str(cfg), "--jobs", str(jobs), "--n0-override", "1",
-                    "--stats", *extra])
+                with pytest.warns(RuntimeWarning, match="epsilon"):
+                    code, out, err = _run_main(capsys, [
+                        "run", "--config", str(cfg), "--jobs", str(jobs), "--epsilon", "32",
+                        "--stats", *extra])
                 assert code == want, (park, extra, err)
                 if want:
                     assert "grid overflows" in err and out == ""
@@ -998,16 +1017,15 @@ class TestExitCodes:
         assert out == ""
 
     def test_epsilon_too_small_for_a_grid_is_2(self, capsys, tmp_path):
-        # 1 + epsilon/2 rounds to 1, so the candidate grid has no ratio; the
-        # overrides keep the retained-job arrays small enough to allocate
+        # 1 + epsilon/2 rounds to 1, so the candidate grid has no ratio;
+        # derive_params refuses before any ledger is sized
         cfg = tmp_path / "one.cfg"
         cfg.write_text("m 1\nm1 1\ne0 1\nmachine 1\n")
         jobs = tmp_path / "jobs.txt"
         jobs.write_text("3 4 5\n")
         code, out, err = _run_main(
             capsys,
-            ["run", "--config", str(cfg), "--jobs", str(jobs), "--epsilon", "1e-17",
-             "--n0-override", "4", "--gamma0-override", "2"],
+            ["run", "--config", str(cfg), "--jobs", str(jobs), "--epsilon", "1e-17"],
         )
         assert code == 2
         assert "rounds to 1" in err
@@ -1303,15 +1321,19 @@ class TestExitCodes:
         assert code == 2
         assert "stdin" in err
 
-    @pytest.mark.parametrize("flag", ["--gamma0-override", "--n0-override"])
-    def test_oversized_override_is_2(self, capsys, instance, flag):
-        # numpy refuses a ledger this large before allocating any of it
-        cfg, jobs = instance
-        code, _, err = _run_main(
-            capsys, ["run", "--config", cfg, "--jobs", jobs, flag, str(2**62)]
+    def test_oversized_ledger_is_2(self, capsys, tmp_path):
+        # e0 1e-5 at epsilon 3e-16 derives a retain limit of ~1.3e21: numpy
+        # refuses a ledger this large before allocating any of it
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("m 1\nm1 1\ne0 1e-5\nmachine 1\n")
+        jobs = tmp_path / "jobs.txt"
+        jobs.write_text("3 4 5\n")
+        code, out, err = _run_main(
+            capsys, ["run", "--config", str(cfg), "--jobs", str(jobs), "--epsilon", "3e-16"]
         )
         assert code == 2
         assert "cannot allocate" in err and "retained_job_bound" in err
+        assert out == ""
 
     def test_no_arguments_is_usage_error(self):
         with pytest.raises(SystemExit) as exc_info:
@@ -1583,10 +1605,13 @@ def test_every_export_resolves():
     assert res.stdout == "[]\n"
 
 
-def test_benchmark_scripts_import():
+def test_benchmark_scripts_import(monkeypatch):
     # each script's main runs only under __main__, so loading it checks
-    # that every name it imports from the package still exists
-    scripts = sorted(Path(__file__).resolve().parents[1].glob("benchmarks/*.py"))
+    # that every name it imports from the package still exists; the
+    # scripts' folder leads the path, as when one runs as a script
+    folder = Path(__file__).resolve().parents[1] / "benchmarks"
+    monkeypatch.syspath_prepend(str(folder))
+    scripts = sorted(folder.glob("*.py"))
     assert len(scripts) >= 3
     for script in scripts:
         spec = importlib.util.spec_from_file_location(f"_bench_{script.stem}", script)

@@ -77,7 +77,6 @@ class TestDeriveParams:
         assert params.top_band == top_band
         assert params.retain_limit == retain_limit
         assert params.bounded_bands == top_band + 1
-        assert not params.override_mode
 
     @settings(max_examples=200)
     @given(
@@ -114,15 +113,10 @@ class TestDeriveParams:
         with pytest.warns(RuntimeWarning, match="epsilon"):
             derive_params(2, 1, 1.0, 1.0)
 
-    def test_overrides(self):
-        params = quiet_params(2, 1, 1.0, 0.5, top_band_override=1, retain_limit_override=3)
-        assert params.top_band == 1
-        assert params.retain_limit == 3
-        assert params.override_mode
-        with pytest.raises(ConfigError):
-            quiet_params(2, 1, 1.0, 0.5, top_band_override=-1)
-        with pytest.raises(ConfigError):
-            quiet_params(2, 1, 1.0, 0.5, retain_limit_override=0)
+    def test_the_band_parameters_are_always_derived(self):
+        for arg in ("top_band_override", "retain_limit_override"):
+            with pytest.raises(TypeError):
+                derive_params(2, 1, 1.0, 0.5, **{arg: 3})
 
 
 @pytest.fixture
@@ -134,7 +128,7 @@ def params_small():
 @pytest.fixture
 def params_tight():
     # tiny retain limit to trigger saturation with few jobs
-    return quiet_params(2, 1, 1.0, 1.0, retain_limit_override=4)
+    return quiet_params(2, 1, 1.0, 1.0, retain_limit=4)
 
 
 class TestKnownPmaxLedger:
@@ -207,13 +201,11 @@ class TestKnownPmaxLedger:
         led = make_ledger(params_tight, "pmax-given", pmax=8.0)
         for _ in range(3):
             led.ingest_many([8.0])
-        assert led.retained_in_band(2) == [(0, 8.0), (1, 8.0), (2, 8.0)]
+        assert led.snapshot()[2] == ((3, 3, ((0, 8.0), (1, 8.0), (2, 8.0))),)
         led.ingest_many([8.0])  # fourth arrival reaches the limit
-        assert led.retained_in_band(2) == []
+        assert led.snapshot()[2] == ((3, 4, ()),)
         led.ingest_many([8.0])  # and the band never retains again
-        assert led.retained_in_band(2) == []
-        state = led.snapshot()
-        assert state[2] == ((3, 5, ()),)
+        assert led.snapshot()[2] == ((3, 5, ()),)
 
     def test_finalize_saturation_and_small_bound(self, params_tight):
         led = make_ledger(params_tight, "pmax-given", pmax=8.0)
@@ -376,7 +368,7 @@ class TestUnknownPmaxLedger:
     chunk=st.sampled_from([1, 7, None]),
 )
 def test_all_ledgers_agree_with_replay(jobs, retain_limit, chunk):
-    params = quiet_params(2, 1, 1.0, 1.0, retain_limit_override=retain_limit)
+    params = quiet_params(2, 1, 1.0, 1.0, retain_limit=retain_limit)
     arr = np.array(jobs, np.float64)
     pmax = float(arr.max())
     # chunk None feeds the whole stream at once; 1 and 7 put window rebases
@@ -412,7 +404,7 @@ def test_all_ledgers_agree_with_replay(jobs, retain_limit, chunk):
 # record peak lies before the rebase
 @example(jobs=[0.7, 0.1, 0.2, 0.35, 100.0], retain_limit=5, chunk=None)
 def test_unknown_ledger_matches_a_per_job_rebasing_replay(jobs, retain_limit, chunk):
-    params = quiet_params(2, 1, 1.0, 1.0, retain_limit_override=retain_limit)
+    params = quiet_params(2, 1, 1.0, 1.0, retain_limit=retain_limit)
     arr = np.array(jobs, np.float64)
     step = chunk or arr.size
     ledger = make_ledger(params, "pmax-unknown")
@@ -428,7 +420,7 @@ def test_unknown_ledger_matches_a_per_job_rebasing_replay(jobs, retain_limit, ch
 def test_the_top_band_below_2_to_the_1024_fills_and_retains(retain_limit, chunk):
     # 2^1024 is past the largest float: the band of 1.7e308 has no finite
     # upper edge, and at retain_limit 1 its first arrival fills it
-    params = quiet_params(2, 1, 1.0, 1.0, retain_limit_override=retain_limit)
+    params = quiet_params(2, 1, 1.0, 1.0, retain_limit=retain_limit)
     jobs = [3.0, 1.7e308, 5.0]
     ledger = make_ledger(params, "pmax-unknown")
     for lo in range(0, len(jobs), chunk):

@@ -10,15 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamspan import BudgetExceededError, derive_params, make_ledger
+from streamspan import BudgetExceededError, make_ledger
 from streamspan.search import search_assignments
 
-from _support import ordinal, reference_ingest, reference_search
+from _support import ordinal, quiet_params, reference_ingest, reference_search
 
 
 def _params(n_bounded, retain_limit):
-    return derive_params(2, 1, 1.0, 0.5, top_band_override=n_bounded - 1,
-                         retain_limit_override=retain_limit)
+    return quiet_params(2, 1, 1.0, 0.5, top_band=n_bounded - 1, retain_limit=retain_limit)
 
 
 def _run_ingest(chunks, params):

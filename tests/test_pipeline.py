@@ -92,7 +92,7 @@ class TestRunStream:
         park, _ = make_instance(seed, m, m1, e0, 0)
         # sizes skewed small, so low bands saturate under sparse high ones
         jobs = np.ceil(jobs_max ** np.random.default_rng(seed).random(n) ** 2) * scale
-        params = quiet_params(m, m1, e0, epsilon, retain_limit_override=retain_limit)
+        params = quiet_params(m, m1, e0, epsilon, retain_limit=retain_limit)
         pmax = float(jobs.max())
         outcomes = []
         for size in (1, 7, 65536):
@@ -152,7 +152,7 @@ class TestRunStream:
             jobs *= 0.37
         elif family == "ascending":  # the maximum arrives last
             jobs.sort()
-        params = quiet_params(m, m1, e0, epsilon, retain_limit_override=retain_limit)
+        params = quiet_params(m, m1, e0, epsilon, retain_limit=retain_limit)
         pmax = float(jobs.max())
         top = math.ldexp(1.0, ceil_log2(pmax))
         in_band = pmax + inside * (top - pmax)  # in [pmax, top]: the maximum's band
@@ -244,9 +244,8 @@ class TestReportLines:
             "band_offset", "search_jobs", "total_load", "job_count", "peak_retained_jobs",
             "peak_group_records", "wall_seconds", "mean_ingest_seconds"]
     EXTRA = ["max_seen", "small_bound", "assignments", "search_nodes", "lower_bound",
-             "upper_bound", "epsilon", "top_band", "retain_limit", "override_mode",
-             "retained_job_bound", "group_record_bound", "ingest_seconds", "parse_seconds",
-             "search_seconds"]
+             "upper_bound", "epsilon", "top_band", "retain_limit", "retained_job_bound",
+             "group_record_bound", "ingest_seconds", "parse_seconds", "search_seconds"]
 
     def test_core_lines_only_by_default(self):
         lines = self._report().as_lines()

@@ -496,7 +496,7 @@ class TestValidator:
         # each run is recomputed from its prefix loads by the oracle's inversion
         park, jobs = make_instance(4, 3, 1, 0.5, 400, ratio_choices=(0.3, 0.7, 1.0))
         jobs = [p * 0.37 for p in jobs]
-        sched, _ = offline(park, quiet_params(3, 1, 0.5, 0.5, retain_limit_override=3), jobs)
+        sched, _ = offline(park, quiet_params(3, 1, 0.5, 0.5, retain_limit=3), jobs)
 
         def refuse(*args):
             raise AssertionError("validate_schedule ran the completion chain")
