@@ -6,7 +6,10 @@ benchmark's two-pass workload: integer sizes uniform in [1, 1024], one
 per line, on 3 machines (m1 1, e0 0.5) with 400 shared intervals each
 and ratios 1/4, 1/2 and 1.  It then runs `streamspan run` on it in
 `one-pass` mode and in `two-pass` mode with a schedule CSV (pmax-given
-1024), each --repeats times, and reports the process's own peak RSS
+1024), once with the job file as --jobs and once fed it on standard
+input (`--jobs -`, case two-pass-stdin), which a second pass cannot read
+again, so the run holds the whole stream in memory.  It runs each case
+--repeats times, and reports the process's own peak RSS
 (ru_maxrss from os.wait4) per mode and job count, the median of the
 repeats.  It also reports each case's minor page faults (ru_minflt from
 the same os.wait4), the median of the repeats: a page the process
@@ -43,6 +46,7 @@ the file under --label, keeping the other labels' entries.
 """
 
 import argparse
+import contextlib
 import os
 import platform
 import statistics
@@ -98,23 +102,29 @@ with open(f"{folder}/jobs.txt", "w") as fh:
 
 GENERATORS = {"uniform": GENERATE, "rising": RISING, "doubling": DOUBLING}
 
+TWO_PASS = ["--mode", "two-pass", "--regime", "pmax-given", "--pmax", "1024",
+            "--schedule-out", "{folder}/schedule.csv"]
 # each case: the instance it runs on and its flags
 CASES = {
     "one-pass": ("uniform", []),
-    "two-pass": ("uniform", ["--mode", "two-pass", "--regime", "pmax-given", "--pmax", "1024",
-                             "--schedule-out", "{folder}/schedule.csv"]),
+    "two-pass": ("uniform", TWO_PASS),
+    "two-pass-stdin": ("uniform", TWO_PASS),
     "rising-default": ("rising", ["--epsilon", "0.01"]),
     "rising-pmax-given": ("rising", ["--epsilon", "0.01", "--regime", "pmax-given",
                                      "--pmax", "{n}"]),
 }
 # each case run at its own job counts, whatever --jobs says
 FIXED_CASES = {"many-machines": ("doubling", ["--epsilon", "0.02"], (0, 12))}
+# cases fed the job file on standard input instead of naming it
+STDIN_CASES = {"two-pass-stdin"}
 
 
-def peak_mb(argv, env):
+def peak_mb(argv, env, stdin_path=None):
     """The peak RSS in MB and the minor page faults of the process argv,
-    which must exit 0."""
-    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    which must exit 0, with standard input on the file stdin_path if given."""
+    with open(stdin_path, "rb") if stdin_path else contextlib.nullcontext() as stdin:
+        proc = subprocess.Popen(argv, env=env, stdin=stdin, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE)
     with proc.stderr:
         err = proc.stderr.read().decode()  # to the end: the process has closed it
     _, status, usage = os.wait4(proc.pid, 0)
@@ -137,9 +147,11 @@ def measure(src, job_counts, repeats, workdir, seed):
             os.makedirs(folder, exist_ok=True)
             subprocess.run([sys.executable, "-c", GENERATORS[family], folder, str(n),
                             str(seed)], env=env, check=True)
+        jobs = f"{folder}/jobs.txt"
+        stdin = jobs if mode in STDIN_CASES else None
         argv = [sys.executable, "-c", ENTRY, "run", "--config", f"{folder}/park.cfg",
-                "--jobs", f"{folder}/jobs.txt", *(f.format(folder=folder, n=n) for f in flags)]
-        peaks, faults = zip(*(peak_mb(argv, env) for _ in range(repeats)))
+                "--jobs", "-" if stdin else jobs, *(f.format(folder=folder, n=n) for f in flags)]
+        peaks, faults = zip(*(peak_mb(argv, env, stdin) for _ in range(repeats)))
         figures[f"{mode}_{n}_peak_rss_mb"] = statistics.median(peaks)
         figures[f"{mode}_{n}_minor_faults"] = statistics.median(faults)
         print(f"{mode:>17} {n:>9} jobs: peak RSS {statistics.median(peaks):7.1f} MB "

@@ -3,12 +3,11 @@
 Two subcommands: `run` executes a scheduling pass over a machine config
 and a job stream; `generate` writes a seeded random instance.  Reports go
 to stdout as `key: value` lines; schedules to a CSV file, written by
-streamspan.textio.  The two-pass and offline modes share one path and
-the default pmax-unknown ledger: a first pass over chunks parsed by one
-timed reader, then a second pass over the same chunks, re-read from the
-file (two-pass) or replayed from the chunks the first pass kept in
-memory (offline, which reads the stream once), that writes each chunk's
-schedule rows as it goes, to a temporary file renamed on success.
+streamspan.textio.  Two-pass mode runs a first pass over chunks parsed by
+one timed reader, then a second pass over the same chunks, re-read when
+the stream is a regular file and otherwise (stdin, a pipe, a FIFO)
+replayed from the chunks the first pass kept in memory, that writes each
+chunk's schedule rows as it goes, to a temporary file renamed on success.
 Every error class has its own exit code so pipelines can branch on
 failures:
 
@@ -86,7 +85,7 @@ __all__ = [
     "main",
 ]
 
-MODES = ("one-pass", "two-pass", "offline", "oracle")
+MODES = ("one-pass", "two-pass", "oracle")
 
 EXIT_CODES = {
     ConfigError: 2,
@@ -172,16 +171,8 @@ def parse_machine_config_text(text: str, source: str = "<config>") -> MachinePar
         try:
             nums = [float(tok) for tok in rest]
         except ValueError:
-            raise ConfigError(
-                f"{source}:{lineno}: machine {idx} has a non-numeric value"
-            ) from None
-        timelines.append(
-            MachineTimeline(
-                machine_index=idx,
-                breakpoints=tuple(nums[0::2]),
-                ratios=tuple(nums[1::2]),
-            )
-        )
+            raise ConfigError(f"{source}:{lineno}: machine {idx} has a non-numeric value") from None
+        timelines.append(MachineTimeline(idx, tuple(nums[0::2]), tuple(nums[1::2])))
     return MachinePark(machines=tuple(timelines), floor_machines=m1, ratio_floor=e0)
 
 
@@ -219,6 +210,19 @@ def _job_chunks(path: str) -> Iterator[np.ndarray]:
                 yield from float_chunks(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read job stream {path}: {exc.strerror}") from None
+
+
+def _is_regular_file(path: str) -> bool:
+    """Whether the job stream path ('-': stdin) is a regular file, which can
+    be read again.  One that cannot be read is refused when first read."""
+    with contextlib.suppress(OSError):
+        return path != "-" and S_ISREG(os.stat(path).st_mode)
+    return False
+
+
+def _kept(chunks: Iterator[np.ndarray], kept: list) -> Iterator[np.ndarray]:
+    """chunks, each appended to kept as it is read."""
+    return (kept.append(chunk) or chunk for chunk in chunks)
 
 
 def _standard_stream_on(st: os.stat_result) -> int | None:
@@ -369,31 +373,23 @@ def generate_instance(
 
 def _cmd_run(args) -> int:
     park = parse_machine_config(args.config)
-    params = derive_params(
-        m=park.m,
-        floor_machines=park.floor_machines,
-        ratio_floor=park.ratio_floor,
-        epsilon=args.epsilon,
-    )
-    needs_schedule = args.mode in ("two-pass", "offline")
+    params = derive_params(park.m, park.floor_machines, park.ratio_floor, args.epsilon)
+    needs_schedule = args.mode == "two-pass"
     if needs_schedule and not args.schedule_out:
         raise ConfigError(f"mode {args.mode} writes a schedule; pass --schedule-out")
     if args.schedule_out and not needs_schedule:
-        raise ConfigError("--schedule-out only applies to two-pass and offline modes")
-    if args.mode == "two-pass" and args.jobs == "-":
-        raise ConfigError("two-pass reads the stream twice; pass a file, not stdin")
+        raise ConfigError("--schedule-out only applies to two-pass mode")
     if args.budget < 1:
         raise ConfigError(f"--budget must be >= 1, got {args.budget}")
-    if args.mode in ("offline", "oracle"):
+
+    if args.mode == "oracle":
         for flag in ("--regime", "--pmax", "--pmax-estimate", "--alpha"):
             if getattr(args, flag[2:].replace("-", "_")) is not None:
                 raise ConfigError(f"{flag} only applies to one-pass and two-pass modes")
-
-    if args.mode == "oracle":
-        buffer = list(_job_chunks(args.jobs))
-        # the ledger's value checks: finite, positive, no overflowing total
+        buffer = []
+        # the ledger's value checks, block by block: finite, positive, no overflowing total
         checker = make_ledger(params, "pmax-unknown")
-        for chunk in buffer:
+        for chunk in _kept(_job_chunks(args.jobs), buffer):
             checker.ingest_many(chunk)
         jobs = np.concatenate(buffer) if buffer else np.empty(0, np.float64)
         from .oracle import exact_optimum  # the reference, loaded only by this mode
@@ -424,12 +420,14 @@ def _cmd_run(args) -> int:
 
 
 def _run_passes(args, park: MachinePark, params, out: BinaryIO | None):
-    """The first pass, then, when out is a file, the second pass written to it."""
+    """The first pass, then, when out is a file, the second pass written to
+    it: over the job stream read again when it is a regular file, else
+    over the chunks the first pass parsed."""
     read = partial(_job_chunks, args.jobs)
     chunks = read()
-    if args.mode == "offline":  # the second pass replays the chunks the first one parsed
+    if out is not None and not _is_regular_file(args.jobs):
         kept = []
-        chunks = (kept.append(chunk) or chunk for chunk in chunks)
+        chunks = _kept(chunks, kept)
         read = kept.__iter__
     ledger = make_ledger(
         params, args.regime or "pmax-unknown",
@@ -457,9 +455,7 @@ def _cmd_generate(args) -> int:
         lo_s, hi_s = args.intervals.split(":")
         intervals = (int(lo_s), int(hi_s))
     except ValueError:
-        raise ConfigError(
-            f"--intervals must look like LO:HI, got {args.intervals!r}"
-        ) from None
+        raise ConfigError(f"--intervals must look like LO:HI, got {args.intervals!r}") from None
     try:
         ratio_choices = tuple(float(tok) for tok in args.ratios.split(","))
     except ValueError:
@@ -523,7 +519,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                      help="max search nodes (oracle mode: max assignments)")
     run.add_argument("--schedule-out", default=None,
-                     help="schedule CSV path (two-pass and offline modes)")
+                     help="schedule CSV path (two-pass mode)")
     run.add_argument("--stats", action="store_true",
                      help="print derived parameters, bounds, and split timings")
     run.set_defaults(func=_cmd_run)

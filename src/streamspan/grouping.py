@@ -101,6 +101,7 @@ def derive_params(
             f"epsilon {epsilon} with ratio floor {ratio_floor} is too small: "
             "the derived band count or retain limit is not finite"
         ) from None
+    need, retain_limit = max(need, 1), max(retain_limit, 1)  # 0 when a divisor overflows to inf
     if 1.0 + epsilon / 2.0 == 1.0:
         raise ConfigError(
             f"epsilon {epsilon} is too small: the candidate grid ratio 1 + epsilon/2 "

@@ -61,11 +61,11 @@ def random_timeline(rng: random.Random, index=1, max_intervals=4, bp_max=20,
     )
 
 
-def offline(park, params, jobs):
-    """In-memory two-pass run on the pmax-unknown ledger, as `--mode
-    offline` runs it: (schedule, report)."""
+def two_pass(park, params, jobs):
+    """Two-pass run of the jobs, one chunk held in memory, on the default
+    pmax-unknown ledger: (schedule, report)."""
     report, artifacts = run_stream(park, make_ledger(params, "pmax-unknown"), [jobs],
-                                   mode="offline")
+                                   mode="two-pass")
     return second_pass(park, artifacts, [jobs]), report
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import ctypes
 import dataclasses
@@ -306,6 +307,17 @@ def _run_main(capsys, argv):
     return code, out.out, out.err
 
 
+def _mode_args(run, jobs, monkeypatch):
+    """--mode and --jobs of run on the job file jobs.  Run "two-pass-stdin"
+    is two-pass mode fed the file on standard input, which it cannot read
+    twice."""
+    if run != "two-pass-stdin":
+        return ["--mode", run, "--jobs", str(jobs)]
+    stdin = io.TextIOWrapper(io.BytesIO(Path(jobs).read_bytes()), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    return ["--mode", "two-pass", "--jobs", "-"]
+
+
 def _report_dict(stdout):
     pairs = [ln.partition(": ") for ln in stdout.splitlines() if ln]
     return {k: v for k, _, v in pairs}
@@ -387,15 +399,14 @@ class TestRunCommand:
         assert len(lines) == n_jobs + 2
         assert float(report["makespan"]) <= float(report["value"])
 
-    def test_stats_time_the_schedule_stages(self, capsys, instance, tmp_path):
+    def test_stats_time_the_schedule_stages(self, capsys, instance, tmp_path, monkeypatch):
         cfg, jobs = instance
-        argv = ["run", "--config", cfg, "--jobs", jobs, "--stats"]
-        _, out, _ = _run_main(capsys, argv)
+        argv = ["run", "--config", cfg, "--stats"]
+        _, out, _ = _run_main(capsys, argv + ["--jobs", jobs])
         assert "second_pass_seconds" not in _report_dict(out)
-        for mode in ("two-pass", "offline"):
-            code, out, _ = _run_main(
-                capsys, argv + ["--mode", mode, "--schedule-out", str(tmp_path / "s.csv")]
-            )
+        for run in ("two-pass", "two-pass-stdin"):
+            code, out, _ = _run_main(capsys, argv + [
+                *_mode_args(run, jobs, monkeypatch), "--schedule-out", str(tmp_path / "s.csv")])
             assert code == 0
             keys = list(_report_dict(out))
             assert keys[-2:] == ["second_pass_seconds", "write_seconds"]
@@ -521,28 +532,89 @@ class TestRunCommand:
         assert out_csv.read_text().startswith("job_id,machine,start,completion")
         assert out_csv.stat().st_mode & 0o777 == 0o640
 
-    def test_offline_equals_two_pass(self, capsys, instance, tmp_path):
+    @pytest.mark.parametrize("regime", [[], ["--regime", "pmax-given", "--pmax", "1100"]])
+    def test_two_pass_from_stdin_equals_two_pass_from_the_file(self, capsys, instance, tmp_path,
+                                                              monkeypatch, regime):
         cfg, jobs = instance
         # small jobs, then a few large ones: the window follows the
         # maximum, so it retains the small ones before the large arrive
         rising = tmp_path / "rising.txt"
         rising.write_text(" ".join(["1", "2", "3"] * 40 + ["900", "1000", "1100"]) + "\n")
-        for stream in (jobs, str(rising)):
+        for stream, flags in ((jobs, []), (rising, regime)):
             reports = {}
-            for mode in ("two-pass", "offline"):
+            for run in ("two-pass", "two-pass-stdin"):
                 code, out, err = _run_main(
                     capsys,
-                    ["run", "--config", cfg, "--jobs", stream, "--mode", mode, "--stats",
-                     "--schedule-out", str(tmp_path / f"{mode}.csv")],
+                    ["run", "--config", cfg, *_mode_args(run, stream, monkeypatch), *flags,
+                     "--stats", "--schedule-out", str(tmp_path / f"{run}.csv")],
                 )
                 assert code == 0, err
-                reports[mode] = {k: v for k, v in _report_dict(out).items()
-                                 if k not in ("mode", "schedule_path") and not k.endswith("_seconds")}
-            assert reports["offline"] == reports["two-pass"]
-            assert (tmp_path / "offline.csv").read_bytes() == (tmp_path / "two-pass.csv").read_bytes()
-        assert int(reports["offline"]["peak_retained_jobs"]) >= 120
+                reports[run] = {k: v for k, v in _report_dict(out).items()
+                                if k != "schedule_path" and not k.endswith("_seconds")}
+            assert reports["two-pass-stdin"] == reports["two-pass"]
+            assert ((tmp_path / "two-pass-stdin.csv").read_bytes()
+                    == (tmp_path / "two-pass.csv").read_bytes())
+        assert int(reports["two-pass"]["peak_retained_jobs"]) >= 120
 
-    def test_offline_times_its_parse(self, capsys, instance, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("source", ["stdin", "pipe", "fifo"])
+    def test_two_pass_on_a_stream_read_once_matches_the_file(self, tmp_path, source):
+        # a stream that cannot be opened again is replayed from what the
+        # first pass parsed; 30K jobs span two read blocks.  Each run is a
+        # process of its own, killed if it hangs, as one that opened the
+        # FIFO a second time would
+        config_text, jobs_text = generate_instance(8, 3, 1, 0.5, 30_000)
+        cfg, jobs = tmp_path / "park.cfg", tmp_path / "jobs.txt"
+        cfg.write_text(config_text)
+        jobs.write_text(jobs_text)
+
+        def run(stream, name, **popen):
+            csv = tmp_path / f"{name}.csv"
+            argv = [sys.executable, "-m", "streamspan.cli", "run", "--config", str(cfg),
+                    "--jobs", stream, "--mode", "two-pass", "--stats", "--schedule-out", str(csv)]
+            with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  env=_ENV, **popen) as proc:
+                try:
+                    out, err = proc.communicate(jobs_text.encode() if stream == "-" else None,
+                                                timeout=60)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    proc.communicate()
+                    pytest.fail(f"two-pass on {source} did not finish")
+            assert proc.returncode == 0, err
+            report = {k: v for k, v in _report_dict(out.decode()).items()
+                      if k != "schedule_path" and not k.endswith("_seconds")}
+            return report, csv.read_bytes()
+
+        def feed(path_or_fd):
+            with contextlib.suppress(BrokenPipeError), open(path_or_fd, "wb") as fh:
+                fh.write(jobs_text.encode())
+
+        want = run(str(jobs), "file")
+        if source == "stdin":
+            got = run("-", source, stdin=subprocess.PIPE)
+        elif source == "pipe":
+            r, w = os.pipe()
+            writer = threading.Thread(target=feed, args=(w,))
+            writer.start()
+            try:
+                got = run(f"/dev/fd/{r}", source, pass_fds=(r,))
+            finally:
+                os.close(r)
+                writer.join()
+        else:
+            fifo = tmp_path / "jobs.fifo"
+            os.mkfifo(fifo)
+            writer = threading.Thread(target=feed, args=(fifo,))
+            writer.start()
+            try:
+                got = run(str(fifo), source)
+            finally:
+                # a writer still waiting for its reader is let go
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+                writer.join()
+        assert got == want
+
+    def test_two_pass_from_stdin_times_its_parse(self, capsys, instance, tmp_path, monkeypatch):
         cfg, jobs = instance
         real_job_chunks = cli_mod._job_chunks
         sleeps = []
@@ -555,8 +627,8 @@ class TestRunCommand:
 
         monkeypatch.setattr(cli_mod, "_job_chunks", slow_job_chunks)
         code, out, err = _run_main(
-            capsys, ["run", "--config", cfg, "--jobs", jobs, "--mode", "offline", "--stats",
-                     "--schedule-out", str(tmp_path / "s.csv")],
+            capsys, ["run", "--config", cfg, *_mode_args("two-pass-stdin", jobs, monkeypatch),
+                     "--stats", "--schedule-out", str(tmp_path / "s.csv")],
         )
         assert code == 0, err
         report = {k: float(v) for k, v in _report_dict(out).items() if k.endswith("_seconds")}
@@ -564,31 +636,18 @@ class TestRunCommand:
         stages = report["parse_seconds"] + report["ingest_seconds"] + report["search_seconds"]
         assert stages <= report["wall_seconds"]
 
-    def test_offline_reports_the_first_fault_two_pass_does(self, capsys, instance, tmp_path):
+    @pytest.mark.parametrize("run", ["one-pass", "two-pass", "two-pass-stdin", "oracle"])
+    def test_every_mode_reports_the_first_fault(self, capsys, instance, tmp_path, monkeypatch,
+                                                run):
         cfg, _ = instance
         # a bad size in the first read block, an unparsable token in a later one
         jobs = tmp_path / "jobs.txt"
-        jobs.write_text("-1\n" + "1\n" * 40_000 + "abc\n")
-        errs = {}
-        for mode in ("two-pass", "offline"):
-            code, out, errs[mode] = _run_main(
-                capsys, ["run", "--config", cfg, "--jobs", str(jobs), "--mode", mode,
-                         "--schedule-out", str(tmp_path / "s.csv")],
-            )
-            assert (code, out) == (3, "")
-        assert errs["offline"] == errs["two-pass"]
-        assert "at position 0" in errs["offline"]
-
-    def test_offline_reads_stdin(self, capsys, instance, tmp_path, monkeypatch):
-        cfg, jobs = instance
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        argv = ["run", "--config", cfg, "--mode", "offline"]
-        _, out_file, _ = _run_main(capsys, argv + ["--jobs", jobs, "--schedule-out", str(a)])
-        monkeypatch.setattr(sys, "stdin", io.StringIO(Path(jobs).read_text()))
-        code, out_stdin, _ = _run_main(capsys, argv + ["--schedule-out", str(b)])
-        assert code == 0
-        assert a.read_text() == b.read_text()
-        assert _report_dict(out_file)["value"] == _report_dict(out_stdin)["value"]
+        jobs.write_text("0\n" + "1\n" * 40_000 + "abc\n")
+        sched = ["--schedule-out", str(tmp_path / "s.csv")] if "two-pass" in run else []
+        code, out, err = _run_main(
+            capsys, ["run", "--config", cfg, *_mode_args(run, jobs, monkeypatch), *sched])
+        assert (code, out) == (3, "")
+        assert err.endswith("must be finite and > 0, got 0.0 at position 0\n"), err
 
     def test_oracle_mode_matches_the_library(self, capsys, instance):
         cfg, jobs = instance
@@ -614,9 +673,9 @@ class TestRunCommand:
         ["--regime", "pmax-given", "--pmax", "371.85"],
         ["--regime", "pmax-estimate", "--pmax-estimate", "500", "--alpha", "2"],
         ["--mode", "two-pass"],
-        ["--mode", "offline"],
+        ["--mode", "two-pass-stdin"],
     ])
-    def test_grid_covers_the_large_jobs_on_machine_1(self, capsys, tmp_path, flags):
+    def test_grid_covers_the_large_jobs_on_machine_1(self, capsys, tmp_path, monkeypatch, flags):
         # P/e0 = 2275.5 is the top of the grid's usual span, but the ten
         # jobs, all large, fold band by band to 2275.5000000000005
         cfg = tmp_path / "one.cfg"
@@ -624,8 +683,11 @@ class TestRunCommand:
         jobs = tmp_path / "jobs.txt"
         jobs.write_text("329.67 194.25 192.77 371.85 128.39 235.32 83.25 159.47 261.96 318.57\n")
         if "--mode" in flags:
-            flags = flags + ["--schedule-out", str(tmp_path / "s.csv")]
-        code, out, err = _run_main(capsys, ["run", "--config", str(cfg), "--jobs", str(jobs), *flags])
+            flags = _mode_args(flags[1], jobs, monkeypatch) + [
+                "--schedule-out", str(tmp_path / "s.csv")]
+        else:
+            flags = flags + ["--jobs", str(jobs)]
+        code, out, err = _run_main(capsys, ["run", "--config", str(cfg), *flags])
         assert code == 0, err
         assert _report_dict(out)["value"] == "2844.375"
 
@@ -637,15 +699,15 @@ class TestRunCommand:
         assert code == 0
         assert float(_report_dict(out)["value"]) > 0
 
-    @pytest.mark.parametrize("mode", ["two-pass", "offline"])
+    @pytest.mark.parametrize("run", ["two-pass", "two-pass-stdin"], ids=["file", "stdin"])
     @pytest.mark.parametrize("config, stream", [
         ("m 1\nm1 1\ne0 1\nmachine 1 10 1.0\n", "0.6 5.1 5.2\n"),
         ("m 1\nm1 1\ne0 0.5\nmachine 1\n",
          "2.0000000000014078 2.0000000000003837 42 29 63\n"),
     ], ids=["breakpoint", "no-breakpoint"])
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
-    def test_one_machine_makespan_is_at_most_value(self, capsys, tmp_path, config, stream,
-                                                   mode):
+    def test_one_machine_makespan_is_at_most_value(self, capsys, tmp_path, monkeypatch, config,
+                                                   stream, run):
         # on one machine V is the grid time t = P, the arrival-order fold,
         # and the second pass folds the large jobs first: an ulp more
         cfg = tmp_path / "one.cfg"
@@ -653,7 +715,7 @@ class TestRunCommand:
         jobs = tmp_path / "jobs.txt"
         jobs.write_text(stream)
         code, out, _ = _run_main(capsys, [
-            "run", "--config", str(cfg), "--jobs", str(jobs), "--mode", mode,
+            "run", "--config", str(cfg), *_mode_args(run, jobs, monkeypatch),
             "--schedule-out", str(tmp_path / "s.csv")])
         assert code == 0
         report = _report_dict(out)
@@ -709,7 +771,7 @@ class TestExitCodes:
         assert out == ""
 
     @pytest.mark.parametrize("which", ["missing", "directory"])
-    @pytest.mark.parametrize("mode", ["one-pass", "two-pass", "offline"])
+    @pytest.mark.parametrize("mode", ["one-pass", "two-pass"])
     def test_unreadable_job_stream_is_2(self, capsys, instance, tmp_path, which, mode):
         cfg, _ = instance
         jobs = tmp_path / "nothing.txt" if which == "missing" else tmp_path
@@ -724,9 +786,9 @@ class TestExitCodes:
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("target", ["nodir/x.csv", "."])
-    @pytest.mark.parametrize("mode", ["two-pass", "offline"])
+    @pytest.mark.parametrize("run", ["two-pass", "two-pass-stdin"])
     def test_unwritable_schedule_out_is_2_before_any_job_is_read(
-        self, capsys, instance, tmp_path, monkeypatch, target, mode
+        self, capsys, instance, tmp_path, monkeypatch, target, run
     ):
         cfg, _ = instance
         jobs = tmp_path / "jobs.txt"
@@ -734,18 +796,19 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         code, out, err = _run_main(
             capsys,
-            ["run", "--config", cfg, "--jobs", str(jobs), "--mode", mode,
-             "--schedule-out", target],
+            ["run", "--config", cfg, *_mode_args(run, jobs, monkeypatch), "--schedule-out", target],
         )
         assert code == 2
         assert f"cannot write the schedule to {target}" in err
         assert out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.txt", "park.cfg"]
 
-    @pytest.mark.parametrize("mode", ["two-pass", "offline"])
-    @pytest.mark.parametrize("which", ["job stream", "config"])
+    # a job stream on stdin: test_a_schedule_out_that_is_standard_input_is_2
+    @pytest.mark.parametrize("which, run", [
+        ("job stream", "two-pass"), ("config", "two-pass"), ("config", "two-pass-stdin"),
+    ])
     def test_a_schedule_out_that_is_an_input_is_2_and_leaves_it(
-        self, capsys, instance, tmp_path, mode, which
+        self, capsys, instance, tmp_path, monkeypatch, which, run
     ):
         cfg, jobs = instance
         target = jobs if which == "job stream" else cfg
@@ -754,7 +817,8 @@ class TestExitCodes:
         kept = Path(target).read_bytes()
         code, out, err = _run_main(
             capsys,
-            ["run", "--config", cfg, "--jobs", jobs, "--mode", mode, "--schedule-out", str(link)],
+            ["run", "--config", cfg, *_mode_args(run, jobs, monkeypatch),
+             "--schedule-out", str(link)],
         )
         assert code == 2
         assert f"cannot write the schedule to {link}: it is the {which}" in err
@@ -768,7 +832,7 @@ class TestExitCodes:
         with open(jobs, "rb") as stdin:
             res = subprocess.run(
                 [sys.executable, "-m", "streamspan.cli", "run", "--config", cfg,
-                 "--mode", "offline", "--schedule-out", jobs],
+                 "--mode", "two-pass", "--schedule-out", jobs],
                 stdin=stdin, capture_output=True, env=_ENV,
             )
         assert res.returncode == 2, res.stderr
@@ -794,15 +858,15 @@ class TestExitCodes:
             assert proc.wait(timeout=60) == 7, err
         assert b"Traceback" not in err
 
-    @pytest.mark.parametrize("mode", ["one-pass", "two-pass", "offline"])
+    @pytest.mark.parametrize("run", ["one-pass", "two-pass", "two-pass-stdin"])
     def test_a_byte_that_is_not_utf8_is_3_with_its_position(self, capsys, instance, tmp_path,
-                                                            mode):
+                                                            monkeypatch, run):
         cfg, _ = instance
         jobs = tmp_path / "jobs.txt"
         jobs.write_bytes(b"3 4 5\xff 6\n")
-        sched = [] if mode == "one-pass" else ["--schedule-out", str(tmp_path / "s.csv")]
+        sched = [] if run == "one-pass" else ["--schedule-out", str(tmp_path / "s.csv")]
         code, out, err = _run_main(
-            capsys, ["run", "--config", cfg, "--jobs", str(jobs), "--mode", mode, *sched]
+            capsys, ["run", "--config", cfg, *_mode_args(run, jobs, monkeypatch), *sched]
         )
         assert code == 3
         assert "byte 0xff, which is not UTF-8, at position 2" in err
@@ -856,21 +920,21 @@ class TestExitCodes:
             assert "position 1" in err
             assert "inf" not in out
 
-    def test_overflowing_search_grid_is_3(self, capsys, instance, tmp_path):
+    def test_overflowing_search_grid_is_3(self, capsys, instance, tmp_path, monkeypatch):
         # one job is a finite load, but the grid tops out near P/e0 = 3.4e308
         cfg, _ = instance
         jobs = tmp_path / "jobs.txt"
         jobs.write_text("1.7e308\n")
         sched = ["--schedule-out", str(tmp_path / "s.csv")]
-        for extra in ([], ["--mode", "two-pass", *sched], ["--mode", "offline", *sched]):
-            code, out, err = _run_main(
-                capsys, ["run", "--config", cfg, "--jobs", str(jobs), *extra]
-            )
-            assert code == 3, extra
+        for run in ("one-pass", "two-pass", "two-pass-stdin"):
+            code, out, err = _run_main(capsys, [
+                "run", "--config", cfg, *_mode_args(run, jobs, monkeypatch),
+                *(sched if "two-pass" in run else [])])
+            assert code == 3, run
             assert "grid overflows" in err
             assert out == ""
 
-    def test_a_saturated_top_band_is_3_or_a_finite_value(self, capsys, tmp_path):
+    def test_a_saturated_top_band_is_3_or_a_finite_value(self, capsys, tmp_path, monkeypatch):
         # epsilon 32 derives retain limit 1 and top band 0 on both parks, so
         # the one job 1.7e308 fills band 1024, whose upper edge 2^1024 is
         # past every float: every job is small, with no finite bound.  Two
@@ -883,17 +947,17 @@ class TestExitCodes:
         for park, want in parks.items():
             cfg = tmp_path / "park.cfg"
             cfg.write_text(park)
-            for extra in ([], ["--mode", "two-pass", *sched], ["--mode", "offline", *sched]):
+            for run in ("one-pass", "two-pass", "two-pass-stdin"):
                 with pytest.warns(RuntimeWarning, match="epsilon"):
                     code, out, err = _run_main(capsys, [
-                        "run", "--config", str(cfg), "--jobs", str(jobs), "--epsilon", "32",
-                        "--stats", *extra])
-                assert code == want, (park, extra, err)
+                        "run", "--config", str(cfg), *_mode_args(run, jobs, monkeypatch),
+                        "--epsilon", "32", "--stats", *(sched if "two-pass" in run else [])])
+                assert code == want, (park, run, err)
                 if want:
                     assert "grid overflows" in err and out == ""
                 else:
                     report = _report_dict(out)
-                    assert report["value"] == "1.7e+308", extra
+                    assert report["value"] == "1.7e+308", run
                     assert report["small_bound"] == "inf"
 
     def test_subnormal_total_load_is_3(self, capsys, tmp_path):
@@ -960,14 +1024,14 @@ class TestExitCodes:
         assert out == ""
 
     @pytest.mark.parametrize("stream, position", [("-4\n", 0), ("1 nan 3\n", 1)])
-    def test_offline_without_a_valid_maximum_is_3(self, capsys, instance, tmp_path,
-                                                 stream, position):
+    def test_two_pass_from_stdin_without_a_valid_maximum_is_3(self, capsys, instance, tmp_path,
+                                                               monkeypatch, stream, position):
         cfg, _ = instance
         jobs = tmp_path / "jobs.txt"
         jobs.write_text(stream)
         code, _, err = _run_main(
             capsys,
-            ["run", "--config", cfg, "--jobs", str(jobs), "--mode", "offline",
+            ["run", "--config", cfg, *_mode_args("two-pass-stdin", jobs, monkeypatch),
              "--schedule-out", str(tmp_path / "s.csv")],
         )
         assert code == 3
@@ -982,6 +1046,25 @@ class TestExitCodes:
         assert code == 2
         assert "retained_job_bound" in err
         assert out == ""
+
+    def test_a_huge_epsilon_is_0(self, capsys, tmp_path):
+        # at 1e308 a divisor of the band parameters overflows to inf on 8
+        # floor machines; they must come out as at 1e307, not as 0
+        cfg, jobs = tmp_path / "park.cfg", tmp_path / "jobs.txt"
+        cfg.write_text("m 8\nm1 8\ne0 1\n" + "".join(f"machine {i}\n" for i in range(1, 9)))
+        jobs.write_text("1 2 3\n")
+        reports = []
+        for epsilon in ("1e307", "1e308"):
+            with pytest.warns(RuntimeWarning, match="epsilon"):
+                code, out, err = _run_main(capsys, [
+                    "run", "--config", str(cfg), "--jobs", str(jobs), "--epsilon", epsilon,
+                    "--stats"])
+            assert code == 0, err
+            report = _report_dict(out)
+            assert (report["top_band"], report["retain_limit"]) == ("0", "1")
+            reports.append({k: v for k, v in report.items()
+                            if k != "epsilon" and not k.endswith("_seconds")})
+        assert reports[0] == reports[1]
 
     def test_budget_below_one_is_2(self, capsys, instance):
         cfg, jobs = instance
@@ -1111,20 +1194,20 @@ class TestExitCodes:
          "regime pmax-given does not take an overestimate (--pmax-estimate)"),
         ("two-pass", ["--regime", "pmax-given", "--pmax", "16", "--alpha", "1"],
          "regime pmax-given does not take an estimate factor (--alpha)"),
-        ("offline", ["--regime", "pmax-estimate", "--pmax-estimate", "5", "--alpha", "2"],
-         "--regime only applies to one-pass and two-pass modes"),
-        ("offline", ["--pmax", "16"], "--pmax only applies"),
+        ("two-pass-stdin", ["--regime", "pmax-unknown", "--pmax-estimate", "5"],
+         "regime pmax-unknown does not take an overestimate (--pmax-estimate)"),
+        ("oracle", ["--pmax", "16"], "--pmax only applies to one-pass and two-pass modes"),
         ("oracle", ["--regime", "pmax-given", "--pmax", "1"], "--regime only applies"),
         ("oracle", ["--pmax-estimate", "16"], "--pmax-estimate only applies"),
         ("oracle", ["--alpha", "1"], "--alpha only applies"),
     ])
     def test_a_regime_flag_the_run_does_not_read_is_2(self, capsys, instance, tmp_path,
-                                                       mode, flags, message):
+                                                       monkeypatch, mode, flags, message):
         cfg, jobs = instance
         out_csv = tmp_path / "s.csv"
-        sched = ["--schedule-out", str(out_csv)] if mode in ("two-pass", "offline") else []
+        sched = ["--schedule-out", str(out_csv)] if "two-pass" in mode else []
         code, out, err = _run_main(
-            capsys, ["run", "--config", cfg, "--jobs", jobs, "--mode", mode, *flags, *sched]
+            capsys, ["run", "--config", cfg, *_mode_args(mode, jobs, monkeypatch), *flags, *sched]
         )
         assert code == 2
         assert message in err
@@ -1237,12 +1320,12 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.txt", "park.cfg", "s.csv"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("mode", ["two-pass", "offline"])
-    def test_a_schedule_out_that_fills_up_is_2(self, capsys, instance, mode):
+    @pytest.mark.parametrize("run", ["two-pass", "two-pass-stdin"])
+    def test_a_schedule_out_that_fills_up_is_2(self, capsys, instance, monkeypatch, run):
         cfg, jobs = instance
         code, out, err = _run_main(
             capsys,
-            ["run", "--config", cfg, "--jobs", jobs, "--mode", mode,
+            ["run", "--config", cfg, *_mode_args(run, jobs, monkeypatch),
              "--schedule-out", "/dev/full"],
         )
         assert code == 2
@@ -1310,16 +1393,6 @@ class TestExitCodes:
              "--schedule-out", str(tmp_path / "x.csv")],
         )
         assert code == 2 and "only applies" in err
-
-    def test_two_pass_refuses_stdin(self, capsys, instance, tmp_path):
-        cfg, _ = instance
-        code, _, err = _run_main(
-            capsys,
-            ["run", "--config", cfg, "--mode", "two-pass",
-             "--schedule-out", str(tmp_path / "x.csv")],
-        )
-        assert code == 2
-        assert "stdin" in err
 
     def test_oversized_ledger_is_2(self, capsys, tmp_path):
         # e0 1e-5 at epsilon 3e-16 derives a retain limit of ~1.3e21: numpy

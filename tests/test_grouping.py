@@ -113,6 +113,14 @@ class TestDeriveParams:
         with pytest.warns(RuntimeWarning, match="epsilon"):
             derive_params(2, 1, 1.0, 1.0)
 
+    def test_a_huge_epsilon_keeps_one_band_and_one_slot(self):
+        # (epsilon / 2) * m1 * e0 overflows to inf at 1e308 on 8 floor
+        # machines, so both quotients are 0; 1e307 stays finite
+        with pytest.warns(RuntimeWarning, match="epsilon"):
+            huge = derive_params(8, 8, 1.0, 1e308)
+            finite = derive_params(8, 8, 1.0, 1e307)
+        assert (huge.top_band, huge.retain_limit) == (finite.top_band, finite.retain_limit) == (0, 1)
+
     def test_the_band_parameters_are_always_derived(self):
         for arg in ("top_band_override", "retain_limit_override"):
             with pytest.raises(TypeError):

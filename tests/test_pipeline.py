@@ -21,7 +21,7 @@ from streamspan import (
     run_stream,
     second_pass,
 )
-from streamspan.cli import generate_instance, main, write_schedule_csv
+from streamspan.cli import MODES, generate_instance, main, write_schedule_csv
 from streamspan.grouping import ceil_log2
 from streamspan.schedule import SecondPass
 
@@ -332,3 +332,15 @@ def test_the_readme_key_table_is_the_report_in_print_order(tmp_path, capsys, mon
     assert list(slow) == keys
     # the timing fields are the keys that follow the clock
     assert [k for k in keys if slow[k] != fast[k]] == [k for k in keys if k.endswith("_seconds")]
+
+
+def test_the_readme_modes_and_run_help_list_the_modes_in_order(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Modes\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^- `([\w-]+)`", section, re.M) == list(MODES)
+
+    with pytest.raises(SystemExit) as exc_info:
+        main(["run", "--help"])
+    assert exc_info.value.code == 0
+    listed = re.findall(r"--mode \{([\w,-]+)\}", capsys.readouterr().out)
+    assert listed and all(choices.split(",") == list(MODES) for choices in listed)

@@ -32,10 +32,10 @@ from _support import (
     hand_artifacts,
     identity_park,
     make_instance,
-    offline,
     quiet_params,
     random_timeline,
     reference_second_pass,
+    two_pass,
 )
 
 
@@ -49,7 +49,7 @@ class TestPlaceSmallJobs:
         park = identity_park(2, m1=1, e0=1.0)
         params = quiet_params(2, 1, 1.0, 1.0)
         jobs = [4.0, 4.0]
-        sched, report = offline(park, params, jobs)
+        sched, report = two_pass(park, params, jobs)
         assert report.search_jobs == 2
         assert sched.makespan <= report.selected_t
         validate_schedule(park, sched, jobs)
@@ -58,7 +58,7 @@ class TestPlaceSmallJobs:
         park = identity_park(1)
         params = quiet_params(1, 1, 1.0, 1.0)
         jobs = [3.0, 1.0, 2.0]
-        sched, report = offline(park, params, jobs)
+        sched, report = two_pass(park, params, jobs)
         assert sched.makespan == completion_time(park.machines[0], 0.0, 6.0)
         assert sched.machine.tolist() == [1, 1, 1]
         assert sorted(sched.runs[0].tolist()) == [0, 1, 2]
@@ -70,7 +70,7 @@ class TestPlaceSmallJobs:
         park = identity_park(2, m1=1, e0=1.0)
         params = quiet_params(2, 1, 1.0, 1.0)
         jobs = [4.0, 3.0, 3.0]
-        sched, report = offline(park, params, jobs)
+        sched, report = two_pass(park, params, jobs)
         validate_schedule(park, sched, jobs)
         opt = exact_optimum(park, jobs)
         assert opt.makespan <= sched.makespan <= report.value
@@ -101,7 +101,7 @@ class TestPlaceSmallJobs:
     def test_empty_instance(self):
         park = identity_park(2, m1=1, e0=1.0)
         params = quiet_params(2, 1, 1.0, 1.0)
-        sched, report = offline(park, params, [])
+        sched, report = two_pass(park, params, [])
         assert sched.machine.size == sched.start.size == sched.completion.size == 0
         assert [run.size for run in sched.runs] == [0, 0]
         assert sched.makespan == 0.0
@@ -119,7 +119,7 @@ class TestOfflineAgainstOracle:
         epsilon = rng.choice([0.5, 1.0])
         park, jobs = make_instance(seed + 1000, m, m1, e0, rng.randint(0, 8))
         params = quiet_params(m, m1, e0, epsilon)
-        sched, report = offline(park, params, jobs)
+        sched, report = two_pass(park, params, jobs)
         validate_schedule(park, sched, jobs)
         assert sched.makespan <= report.value
         if jobs:
@@ -146,7 +146,7 @@ class TestSecondPass:
             m1 = rng.randint(1, m)
             park, jobs = make_instance(seed + 2000, m, m1, 0.5, rng.randint(1, 8))
             params = quiet_params(m, m1, 0.5, 0.5)
-            whole, _ = offline(park, params, jobs)
+            whole, _ = two_pass(park, params, jobs)
             art = self._artifacts(park, params, jobs, 0.5)
             one_by_one = second_pass(park, art, [[p] for p in jobs])
             assert one_by_one == whole
@@ -423,7 +423,7 @@ class TestValidator:
         park = identity_park(2, m1=1, e0=1.0)
         params = quiet_params(2, 1, 1.0, 1.0)
         jobs = [4.0, 3.0, 1.0, 2.0]
-        sched, _ = offline(park, params, jobs)
+        sched, _ = two_pass(park, params, jobs)
         return park, jobs, sched
 
     def _edited(self, sched, **columns):
@@ -496,7 +496,7 @@ class TestValidator:
         # each run is recomputed from its prefix loads by the oracle's inversion
         park, jobs = make_instance(4, 3, 1, 0.5, 400, ratio_choices=(0.3, 0.7, 1.0))
         jobs = [p * 0.37 for p in jobs]
-        sched, _ = offline(park, quiet_params(3, 1, 0.5, 0.5, retain_limit=3), jobs)
+        sched, _ = two_pass(park, quiet_params(3, 1, 0.5, 0.5, retain_limit=3), jobs)
 
         def refuse(*args):
             raise AssertionError("validate_schedule ran the completion chain")
@@ -546,7 +546,7 @@ def test_crossing_counts_by_hand():
     )
     params = quiet_params(2, 2, 0.5, 1.0)
     jobs = [1.0, 1.0, 1.0, 1.0, 1.0]
-    sched, _ = offline(park, params, jobs)
+    sched, _ = two_pass(park, params, jobs)
     validate_schedule(park, sched, jobs)
     counts = crossing_counts(park, sched, jobs, 4.0)
     per_machine_load = {m: len(ids) for m, ids in _machine_sequences(sched).items()}
