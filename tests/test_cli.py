@@ -614,6 +614,19 @@ class TestRunCommand:
                 writer.join()
         assert got == want
 
+    def test_two_pass_reads_stdin_when_no_jobs_path_is_given(self, capsys, instance, tmp_path,
+                                                             monkeypatch):
+        # a text stdin with no reconfigure, as an embedding program may set
+        cfg, jobs = instance
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["run", "--config", cfg, "--mode", "two-pass"]
+        _, out_file, _ = _run_main(capsys, argv + ["--jobs", jobs, "--schedule-out", str(a)])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(Path(jobs).read_text()))
+        code, out_stdin, err = _run_main(capsys, argv + ["--schedule-out", str(b)])
+        assert code == 0, err
+        assert a.read_text() == b.read_text()
+        assert _report_dict(out_file)["value"] == _report_dict(out_stdin)["value"]
+
     def test_two_pass_from_stdin_times_its_parse(self, capsys, instance, tmp_path, monkeypatch):
         cfg, jobs = instance
         real_job_chunks = cli_mod._job_chunks
@@ -786,7 +799,7 @@ class TestExitCodes:
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("target", ["nodir/x.csv", "."])
-    @pytest.mark.parametrize("run", ["two-pass", "two-pass-stdin"])
+    @pytest.mark.parametrize("run", ["two-pass", pytest.param("two-pass-stdin", id="stdin")])
     def test_unwritable_schedule_out_is_2_before_any_job_is_read(
         self, capsys, instance, tmp_path, monkeypatch, target, run
     ):
@@ -805,7 +818,8 @@ class TestExitCodes:
 
     # a job stream on stdin: test_a_schedule_out_that_is_standard_input_is_2
     @pytest.mark.parametrize("which, run", [
-        ("job stream", "two-pass"), ("config", "two-pass"), ("config", "two-pass-stdin"),
+        ("job stream", "two-pass"), ("config", "two-pass"),
+        pytest.param("config", "two-pass-stdin", id="config-stdin"),
     ])
     def test_a_schedule_out_that_is_an_input_is_2_and_leaves_it(
         self, capsys, instance, tmp_path, monkeypatch, which, run
