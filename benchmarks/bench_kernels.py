@@ -109,10 +109,10 @@ def bench_schedule(park, stream, chunk, repeats):
     ledger = make_ledger(params, "pmax-given", pmax=float(stream.max()))
     _, artifacts = run_stream(park, ledger, chunks, mode="two-pass")
     best_pass = best_write = best_stage = math.inf
-    with tempfile.TemporaryDirectory() as tmp:
+    with artifacts.spill, tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "schedule.csv")
         for _ in range(repeats):
-            stage = SecondPass(park, artifacts, chunks)
+            stage = SecondPass(park, artifacts)
             with open(path, "wb") as fh:
                 t0 = time.perf_counter()
                 write_schedule_csv(fh, stage)

@@ -7,8 +7,10 @@ per line, on 3 machines (m1 1, e0 0.5) with 400 shared intervals each
 and ratios 1/4, 1/2 and 1.  It then runs `streamspan run` on it in
 `one-pass` mode and in `two-pass` mode with a schedule CSV (pmax-given
 1024), once with the job file as --jobs and once fed it on standard
-input (`--jobs -`, case two-pass-stdin), which a second pass cannot read
-again, so the run holds the whole stream in memory.  It runs each case
+input (`--jobs -`, case two-pass-stdin).  Either way the second pass
+reads the first pass's copy of the parsed stream from a temporary file in
+TMPDIR, not the source, so neither run holds the stream in memory and the
+two should peak alike.  It runs each case
 --repeats times, and reports the process's own peak RSS
 (ru_maxrss from os.wait4) per mode and job count, the median of the
 repeats.  It also reports each case's minor page faults (ru_minflt from

@@ -22,7 +22,6 @@ from .errors import (
     PmaxContractError,
     ScheduleContractError,
     StreamspanError,
-    TwoPassMismatchError,
 )
 from .grouping import REGIMES, SchedulingParams, derive_params, make_ledger
 from .pipeline import RunReport, run_stream
@@ -38,7 +37,6 @@ __all__ = [
     "JobValueError",
     "PmaxContractError",
     "BudgetExceededError",
-    "TwoPassMismatchError",
     "ScheduleContractError",
     "SchedulingParams",
     "derive_params",

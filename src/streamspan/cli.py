@@ -4,21 +4,23 @@ Two subcommands: `run` executes a scheduling pass over a machine config
 and a job stream; `generate` writes a seeded random instance.  Reports go
 to stdout as `key: value` lines; schedules to a CSV file, written by
 streamspan.textio.  Two-pass mode runs a first pass over chunks parsed by
-one timed reader, then a second pass over the same chunks, re-read when
-the stream is a regular file and otherwise (stdin, a pipe, a FIFO)
-replayed from the chunks the first pass kept in memory, that writes each
+one timed reader, which spills them to a temporary file, then a second
+pass over the spilled chunks, whatever the stream was, that writes each
 chunk's schedule rows as it goes, to a temporary file renamed on success.
 Every error class has its own exit code so pipelines can branch on
 failures:
 
     0  success
     1  internal contract violation (should not happen)
-    2  bad usage, config file, or machine park
+    2  bad usage, config file, or machine park; a file that cannot be
+       read or written, the spill included
     3  bad job value (position reported)
     4  declared maximum or estimate contract violated
     5  search budget exceeded
-    6  second pass saw a different stream than the first
     7  an output was closed by its reader
+
+Code 6 (a second pass that saw another stream) is retired: the second
+pass reads the first pass's own spill.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ try:
     import sys
     import time
     from dataclasses import replace
-    from functools import partial
     from stat import S_IMODE, S_ISDIR, S_ISREG
     from typing import BinaryIO, Iterator, Sequence
 
@@ -50,7 +51,6 @@ try:
         JobValueError,
         PmaxContractError,
         StreamspanError,
-        TwoPassMismatchError,
     )
     from .grouping import REGIMES, derive_params, make_ledger
     from .pipeline import run_stream
@@ -92,7 +92,6 @@ EXIT_CODES = {
     JobValueError: 3,
     PmaxContractError: 4,
     BudgetExceededError: 5,
-    TwoPassMismatchError: 6,
 }
 
 
@@ -210,19 +209,6 @@ def _job_chunks(path: str) -> Iterator[np.ndarray]:
                 yield from float_chunks(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read job stream {path}: {exc.strerror}") from None
-
-
-def _is_regular_file(path: str) -> bool:
-    """Whether the job stream path ('-': stdin) is a regular file, which can
-    be read again.  One that cannot be read is refused when first read."""
-    with contextlib.suppress(OSError):
-        return path != "-" and S_ISREG(os.stat(path).st_mode)
-    return False
-
-
-def _kept(chunks: Iterator[np.ndarray], kept: list) -> Iterator[np.ndarray]:
-    """chunks, each appended to kept as it is read."""
-    return (kept.append(chunk) or chunk for chunk in chunks)
 
 
 def _standard_stream_on(st: os.stat_result) -> int | None:
@@ -389,8 +375,9 @@ def _cmd_run(args) -> int:
         buffer = []
         # the ledger's value checks, block by block: finite, positive, no overflowing total
         checker = make_ledger(params, "pmax-unknown")
-        for chunk in _kept(_job_chunks(args.jobs), buffer):
+        for chunk in _job_chunks(args.jobs):
             checker.ingest_many(chunk)
+            buffer.append(chunk)
         jobs = np.concatenate(buffer) if buffer else np.empty(0, np.float64)
         from .oracle import exact_optimum  # the reference, loaded only by this mode
 
@@ -420,27 +407,22 @@ def _cmd_run(args) -> int:
 
 
 def _run_passes(args, park: MachinePark, params, out: BinaryIO | None):
-    """The first pass, then, when out is a file, the second pass written to
-    it: over the job stream read again when it is a regular file, else
-    over the chunks the first pass parsed."""
-    read = partial(_job_chunks, args.jobs)
-    chunks = read()
-    if out is not None and not _is_regular_file(args.jobs):
-        kept = []
-        chunks = _kept(chunks, kept)
-        read = kept.__iter__
+    """The first pass, then, when out is a file, the second pass over the
+    first pass's spill, written to it."""
     ledger = make_ledger(
         params, args.regime or "pmax-unknown",
         pmax=args.pmax, pmax_estimate=args.pmax_estimate, alpha=args.alpha,
     )
-    report, artifacts = run_stream(park, ledger, chunks, mode=args.mode, budget=args.budget)
+    report, artifacts = run_stream(park, ledger, _job_chunks(args.jobs), mode=args.mode,
+                                   budget=args.budget)
     if out is None:
         return report
     from .schedule import SecondPass  # one-pass runs never load the second pass
 
-    stage = SecondPass(park, artifacts, read())
-    t0 = time.perf_counter()
-    write_schedule_csv(out, stage)
+    with artifacts.spill:
+        stage = SecondPass(park, artifacts)
+        t0 = time.perf_counter()
+        write_schedule_csv(out, stage)
     return replace(
         report,
         makespan=stage.makespan,

@@ -35,9 +35,5 @@ class BudgetExceededError(StreamspanError):
     """The search, or the oracle's enumeration, would exceed its budget."""
 
 
-class TwoPassMismatchError(StreamspanError):
-    """The second pass saw a stream inconsistent with the first."""
-
-
 class ScheduleContractError(StreamspanError):
     """A constructed schedule violated an internal invariant."""

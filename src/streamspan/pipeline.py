@@ -8,17 +8,18 @@ them and tests can compare runs with the timing fields masked out.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field, fields
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .capacity import MachinePark
-from .errors import ConfigError
+from .errors import ConfigError, ScheduleContractError
 from .search import DEFAULT_BUDGET, SearchOutcome, enumerate_and_select
 
-__all__ = ["RunReport", "FirstPassArtifacts", "fingerprint_update", "run_stream"]
+__all__ = ["RunReport", "FirstPassArtifacts", "Spill", "run_stream"]
 
 
 _STATS = {"stats": True}
@@ -85,37 +86,67 @@ class RunReport:
 class FirstPassArtifacts:
     """What the streaming pass must remember to build the schedule later.
 
-    fingerprint, the fingerprint_update fold over the whole stream, tells
-    a second pass a changed stream; a one-pass run keeps None.
+    spill holds the stream's parsed chunks for the second pass to read
+    back; a one-pass run keeps None.
     """
 
     outcome: SearchOutcome
-    job_count: int
-    max_seen: float
-    fingerprint: int | None
+    spill: Spill | None
 
 
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_POSITION_KEY = np.uint64(0x9E3779B97F4A7C15)
+class Spill:
+    """The chunks of a stream, each appended behind its length to an
+    unlinked temporary file in TMPDIR, and read back in the same chunks.
 
-
-def fingerprint_update(fingerprint: int, values: np.ndarray, start: int) -> int:
-    """Fold the float64 values at stream positions start.. into fingerprint.
-
-    Each value's bits, xor-ed with its position times a key, go through
-    the splitmix64 finalizer; the hashes add up mod 2**64.  The sum does
-    not depend on how the stream is chunked, and a change of any value or
-    of the order of two different values changes it.
+    Memory does not grow with the stream: the file holds 8 bytes a job.
+    A file that cannot be made, written or read is a ConfigError that
+    names its directory.  Iterating reads the chunks from the start, one
+    iteration at a time.  close(), or leaving a with block, deletes the
+    file; so does collecting the spill.
     """
-    positions = np.arange(start, start + values.size, dtype=np.uint64)
-    z = values.view(np.uint64) ^ (positions * _POSITION_KEY)
-    z ^= z >> np.uint64(30)
-    z *= _MIX1
-    z ^= z >> np.uint64(27)
-    z *= _MIX2
-    z ^= z >> np.uint64(31)
-    return (fingerprint + int(z.sum(dtype=np.uint64))) % (1 << 64)
+
+    def __init__(self):
+        import tempfile  # only a run with a second pass spills
+        import weakref
+
+        # TMPDIR as given: tempfile would pass over a missing one unnoticed
+        self.folder = os.environ.get("TMPDIR") or tempfile.gettempdir()
+        try:
+            self.file = tempfile.TemporaryFile(dir=self.folder)
+        except OSError as exc:
+            raise self._fault(exc) from None
+        self.close = weakref.finalize(self, self.file.close)
+
+    def __enter__(self) -> Spill:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _fault(self, exc: OSError) -> ConfigError:
+        return ConfigError(
+            f"cannot use a spill file in {self.folder}: {exc.strerror or exc}"
+        )
+
+    def append(self, values: np.ndarray) -> None:
+        """Append a contiguous float64 array."""
+        try:
+            self.file.write(values.size.to_bytes(8, "little"))
+            self.file.write(values)
+        except OSError as exc:
+            raise self._fault(exc) from None
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        file = self.file
+        try:
+            file.seek(0)  # flushes what append left buffered
+            while head := file.read(8):
+                values = np.empty(int.from_bytes(head, "little"))
+                if file.readinto(values) != values.nbytes:
+                    raise ScheduleContractError("the spill file ends inside a chunk")
+                yield values
+        except OSError as exc:
+            raise self._fault(exc) from None
 
 
 def run_stream(
@@ -128,8 +159,9 @@ def run_stream(
     """Feed every chunk to the ledger, then search the retained jobs.
 
     The parameters and the regime are the ledger's.  Returns the run
-    report plus what a second pass needs; mode "one-pass", the default,
-    keeps no fingerprint.  An empty stream takes the same path to value 0.
+    report plus what a second pass needs: any mode but "one-pass", the
+    default, spills the parsed chunks for it.  An empty stream takes the
+    same path to value 0.
     """
     params = ledger.params
     if params.m != park.m:
@@ -143,25 +175,29 @@ def run_stream(
         )
     t0 = time.perf_counter()
     parse = ingest = 0.0
-    fingerprint = None if mode == "one-pass" else 0  # only a second pass reads it
-    seen = 0
-    chunks = iter(chunks)
-    while True:
+    spill = None if mode == "one-pass" else Spill()  # only a second pass reads it
+    try:
+        chunks = iter(chunks)
+        while True:
+            s = time.perf_counter()
+            chunk = next(chunks, None)
+            parse += time.perf_counter() - s
+            if chunk is None:
+                break
+            arr = np.ascontiguousarray(chunk, dtype=np.float64)
+            s = time.perf_counter()
+            ledger.ingest_many(arr)
+            ingest += time.perf_counter() - s
+            if spill is not None:
+                spill.append(arr)
+        large = ledger.finalize()
         s = time.perf_counter()
-        chunk = next(chunks, None)
-        parse += time.perf_counter() - s
-        if chunk is None:
-            break
-        arr = np.asarray(chunk, dtype=np.float64)
-        s = time.perf_counter()
-        ledger.ingest_many(arr)
-        ingest += time.perf_counter() - s
-        fingerprint = None if fingerprint is None else fingerprint_update(fingerprint, arr, seen)
-        seen += arr.size
-    large = ledger.finalize()
-    s = time.perf_counter()
-    outcome = enumerate_and_select(park, large, params.epsilon, budget=budget)
-    search = time.perf_counter() - s
+        outcome = enumerate_and_select(park, large, params.epsilon, budget=budget)
+        search = time.perf_counter() - s
+    except BaseException:
+        if spill is not None:
+            spill.close()
+        raise
     wall = time.perf_counter() - t0
     n = ledger.job_count
     report = RunReport(
@@ -194,10 +230,4 @@ def run_stream(
         wall_seconds=wall,
         mean_ingest_seconds=ingest / n if n else 0.0,
     )
-    artifacts = FirstPassArtifacts(
-        outcome=outcome,
-        job_count=n,
-        max_seen=ledger.max_seen,
-        fingerprint=fingerprint,
-    )
-    return report, artifacts
+    return report, FirstPassArtifacts(outcome=outcome, spill=spill)

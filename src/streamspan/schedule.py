@@ -10,8 +10,9 @@ fewest late jobs so far.  Machines close in index order under this
 greedy, so reroute decisions never lack information and the second pass
 can place each job the moment it arrives.
 
-The second pass streams: SecondPass replays the stream chunk by chunk
-and yields one ScheduleBlock per chunk, the rows of that chunk's jobs.
+The second pass streams: SecondPass reads back the first pass's spill,
+the stream's own parsed chunks, and yields one ScheduleBlock per chunk,
+the rows of that chunk's jobs.
 In a chunk the open machine takes a whole run of small jobs at once,
 found by a left fold of its load over their sizes, and only the job at
 a run's end goes through the per-job rule, so a machine's share of a
@@ -36,13 +37,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .capacity import MachinePark, capacity_at, completion_chain, completions_at
-from .errors import ConfigError, JobValueError, ScheduleContractError, TwoPassMismatchError
-from .pipeline import FirstPassArtifacts, fingerprint_update
+from .errors import ConfigError, ScheduleContractError
+from .pipeline import FirstPassArtifacts
 
 __all__ = [
     "Schedule",
@@ -168,27 +169,24 @@ class ScheduleBlock(NamedTuple):
 class SecondPass:
     """The second pass as a stream of ScheduleBlocks, one per replayed chunk.
 
-    Iterating replays the chunks once.  Each chunk is checked against the
-    first pass, its small jobs are placed, and each machine's run is
+    Iterating reads the first pass's spill once, in the first pass's
+    chunks.  Each chunk's small jobs are placed, and each machine's run is
     continued through them from the completion it reached in the chunk
     before; the large jobs, which open the runs, are timed up front.
     A job's machine, start and completion are final when the replay
     reaches it, so blocks hold only their own chunk's jobs.
 
-    The replayed stream must match the first pass: same length, no
-    processing time above the recorded maximum, every retained large job
-    at its id with its size, and the same fingerprint.  Of the faults at
-    positions, the earliest is reported.  When the iteration ends, the
-    whole stream has passed these checks and makespan holds the
-    schedule's makespan; seconds is the time spent inside the iteration.
+    Every retained large job must be in its chunk at its id with its
+    size, an internal contract (ScheduleContractError).  When the
+    iteration ends, makespan holds the schedule's makespan; seconds is the
+    time spent inside the iteration, reading the spill included.
     """
 
-    def __init__(self, park: MachinePark, artifacts: FirstPassArtifacts, chunks: Iterable):
-        if artifacts.fingerprint is None:
-            raise ConfigError("a one-pass run keeps no fingerprint for a second pass to check")
+    def __init__(self, park: MachinePark, artifacts: FirstPassArtifacts):
+        if artifacts.spill is None:
+            raise ConfigError("a one-pass run keeps no spill for a second pass to read")
         self.park = park
         self.artifacts = artifacts
-        self.chunks = chunks
         self.makespan: float | None = None
         self.seconds = 0.0
 
@@ -196,7 +194,6 @@ class SecondPass:
         began = time.perf_counter()
         park, artifacts = self.park, self.artifacts
         outcome = artifacts.outcome
-        n = artifacts.job_count
         fill = _GreedyFill(park, outcome.t, outcome.per_machine_load)
         # a machine runs its large jobs first, in the search's job order
         large_sizes = np.array([p for _, p in outcome.jobs], np.float64)
@@ -215,22 +212,18 @@ class SecondPass:
             column[order] for column in
             (large_ids, large_sizes, large_machine, large_start, large_completion)
         )
-        fingerprint = seen = 0
-        lo = 0  # large_ids[lo:] lie at or after the current chunk
-        for chunk in self.chunks:
-            arr = np.asarray(chunk, dtype=np.float64)
+        seen = lo = 0  # large_ids[lo:] lie at or after the current chunk
+        for arr in artifacts.spill:
             first, seen = seen, seen + arr.size
-            head = arr[:max(n - first, 0)]
-            hi = lo + int(np.searchsorted(large_ids[lo:], first + head.size))
+            hi = lo + int(np.searchsorted(large_ids[lo:], seen))
             here = large_ids[lo:hi] - first
-            if (not (head.min(initial=np.inf) > 0 and head.max(initial=0.0) <= artifacts.max_seen)
-                    or (head[here] != large_sizes[lo:hi]).any()):
-                _raise_fault(artifacts, head, first, here, large_sizes[lo:hi])
-            if head.size < arr.size:
-                raise TwoPassMismatchError(
-                    f"second stream is longer than the first pass ({n} jobs)"
+            wrong = np.flatnonzero(arr[here] != large_sizes[lo:hi])
+            if wrong.size:
+                q = int(here[wrong[0]])
+                raise ScheduleContractError(
+                    f"job at position {first + q} has processing time {arr[q]}; the first "
+                    f"pass kept it as a large job of size {large_sizes[lo + wrong[0]]}"
                 )
-            fingerprint = fingerprint_update(fingerprint, arr, first)
             sizes = np.delete(arr, here) if here.size else arr  # the small jobs
             taken, targets = fill.place(sizes)
             # the small jobs' columns, a machine's ranges at a time
@@ -258,21 +251,14 @@ class SecondPass:
             self.seconds += time.perf_counter() - began
             yield ScheduleBlock(first, machine, start, completion)
             began = time.perf_counter()
-        if seen != n:
-            raise TwoPassMismatchError(f"second stream ended after {seen} jobs; first pass saw {n}")
-        if fingerprint != artifacts.fingerprint:
-            raise TwoPassMismatchError(
-                "second stream has the first pass's length and maximum but not its "
-                "values in the same order (fingerprint mismatch)"
-            )
         self.makespan = max(clocks)
         self.seconds += time.perf_counter() - began
 
 
-def second_pass(park: MachinePark, artifacts: FirstPassArtifacts, chunks: Iterable) -> Schedule:
-    """Replay the stream, chunk by chunk, and route each small job: the
-    blocks of SecondPass, concatenated into one Schedule."""
-    stage = SecondPass(park, artifacts, chunks)
+def second_pass(park: MachinePark, artifacts: FirstPassArtifacts) -> Schedule:
+    """Replay the first pass's spill, chunk by chunk, and route each small
+    job: the blocks of SecondPass, concatenated into one Schedule."""
+    stage = SecondPass(park, artifacts)
     blocks = list(stage)
     machine, start, completion = (
         np.concatenate([getattr(b, name) for b in blocks]) if blocks else np.empty(0, dtype)
@@ -291,30 +277,6 @@ def second_pass(park: MachinePark, artifacts: FirstPassArtifacts, chunks: Iterab
         for i in range(1, park.m + 1)
     )
     return Schedule(machine, start, completion, runs, stage.makespan)
-
-
-def _raise_fault(artifacts, head, start, here, kept) -> None:
-    """Raise for the chunk's earliest fault."""
-    bad = ~(head > 0) | (head > artifacts.max_seen)
-    bad[here[head[here] != kept]] = True
-    q = int(np.flatnonzero(bad)[0])
-    job_id = start + q
-    p = float(head[q])
-    if not p > 0:
-        raise JobValueError(
-            f"processing time must be > 0, got {p} at position {job_id}",
-            position=job_id,
-        )
-    if p > artifacts.max_seen:
-        raise TwoPassMismatchError(
-            f"job at position {job_id} has processing time {p} above the "
-            f"first-pass maximum {artifacts.max_seen}"
-        )
-    size = float(kept[int(np.searchsorted(here, q))])
-    raise TwoPassMismatchError(
-        f"job at position {job_id} has processing time {p}; the first pass "
-        f"kept it as a large job of size {size}"
-    )
 
 
 def validate_schedule(park: MachinePark, schedule: Schedule, jobs: Sequence[float]) -> None:

@@ -6,10 +6,11 @@ own capacity covers its assigned large load.  Both conditions are
 monotone in t, so the search works on a geometric grid LB * (1+eps/2)^x
 whose points it computes only where it looks.  _grid_shape ends the grid
 where the aggregate covers the total load and every large job fits on
-machine 1, so some point always qualifies.  _first finds the first point
-the aggregate covers, and then the branch and bound in
-search_assignments the first point some assignment fits.  The returned
-value adds the worst-case tail of small jobs that may finish after t.
+machine 1, so some point qualifies, unless the grid overflows first.
+_first finds the first point the aggregate covers, and then the branch
+and bound in search_assignments the first point some assignment fits.
+The returned value adds the worst-case tail of small jobs that may
+finish after t.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ def _grid_shape(
     point that is at least upper = P/e0, where the park covers P and
     machine 1, a floor machine, alone takes fold, the large jobs' job-order
     left fold.  So at the last point the aggregate condition holds and
-    every large job on machine 1 is an assignment that fits."""
+    every large job on machine 1 is an assignment that fits.  A grid that
+    overflows before that point ends at its last finite point instead."""
     lower, upper = search_bounds(park, total_load)
     base = 1.0 + epsilon / 2.0
     if total_load <= 0:
@@ -71,6 +73,10 @@ def _grid_shape(
     top = max(0, math.ceil(math.log(park.m / park.ratio_floor, base)))
     while True:  # log() can round short, and P/e0 fall an ulp short of P or fold
         t = lower * base**top
+        if t == math.inf:
+            while lower * base ** (top - 1) == math.inf:  # point 0, P/m, is finite
+                top -= 1
+            return lower, upper, base, top
         if (t >= upper and park_capacity_at(park, t) >= total_load
                 and capacity_at(park.machines[0], t) >= fold):
             return lower, upper, base, top + 1
@@ -188,8 +194,10 @@ def search_assignments(job_ps, m, capacity, x_floor, grid_size, budget):
         if exact:
             limits = [math.floor(c) for c in caps]
         else:
-            # partial sums and the final folds each err by under J ulps
-            tol = (njobs + m + 2) * 2.0**-50 * (math.fsum(caps) + open_load[-1])
+            # partial sums and the final folds each err by under J ulps; the
+            # sum is halved, exactly, so that near the largest float it stays finite
+            half = math.fsum(c / 2 for c in caps) + open_load[-1] / 2
+            tol = (njobs + m + 2) * 2.0**-49 * half
             limits = [c + tol for c in caps]
         same_cap = [[a for a in range(i) if caps[a] == caps[i]] for i in range(m)]
         loads = [zero] * m
@@ -285,19 +293,22 @@ def enumerate_and_select(
     def point(x: int) -> float:
         return lower * base**x
 
-    if not math.isfinite(point(grid_size - 1)):
-        raise JobValueError(
-            f"total load {total_load} is too large: the search grid overflows"
-        )
     x_floor = _first(0, grid_size, lambda x: park_capacity_at(park, point(x)) >= total_load)
 
     def capacities(x: int) -> list[float]:
         t = point(x)
         return [capacity_at(tl, t) for tl in park.machines]
 
-    best_x, machines, nodes = search_assignments(
-        job_ps, m, capacities, x_floor, grid_size, budget
-    )
+    machines = None  # the grid overflowed before the aggregate covers P
+    if x_floor < grid_size:
+        best_x, machines, nodes = search_assignments(
+            job_ps, m, capacities, x_floor, grid_size, budget
+        )
+    if machines is None:  # only a grid that ends at its last finite point
+        raise JobValueError(
+            f"the search grid overflows before any point fits (total load {total_load}, "
+            f"epsilon {epsilon})"
+        )
     t = point(best_x)
     value = makespan_value(park, large, t)
     if not math.isfinite(value):

@@ -21,7 +21,7 @@ from streamspan import (
 from streamspan.capacity import capacity_at, completion_chain
 from streamspan.cli import generate_instance, parse_machine_config_text
 from streamspan.oracle import completion_from_zero, naive_capacity_at
-from streamspan.pipeline import FirstPassArtifacts, fingerprint_update
+from streamspan.pipeline import FirstPassArtifacts, Spill
 from streamspan.search import SearchOutcome, _grid_shape
 
 
@@ -62,11 +62,12 @@ def random_timeline(rng: random.Random, index=1, max_intervals=4, bp_max=20,
 
 
 def two_pass(park, params, jobs):
-    """Two-pass run of the jobs, one chunk held in memory, on the default
-    pmax-unknown ledger: (schedule, report)."""
+    """Two-pass run of the jobs, in one chunk, on the default pmax-unknown
+    ledger: (schedule, report)."""
     report, artifacts = run_stream(park, make_ledger(params, "pmax-unknown"), [jobs],
                                    mode="two-pass")
-    return second_pass(park, artifacts, [jobs]), report
+    with artifacts.spill:
+        return second_pass(park, artifacts), report
 
 
 def completion_time(timeline, start, amount):
@@ -253,9 +254,10 @@ def integer_loads_fit(sizes, limits):
     return True
 
 
-def hand_artifacts(park, jobs, large, t):
+def hand_artifacts(park, jobs, large, t, chunks=None):
     """First-pass artifacts for jobs with a chosen placement of large jobs
-    (a {job id: machine} dict, 1-based machines) and target time t."""
+    (a {job id: machine} dict, 1-based machines) and target time t, whose
+    spill holds the jobs in the given chunks (default: one chunk)."""
     pairs = tuple((j, float(jobs[j])) for j in large)
     loads = [0.0] * park.m
     for j, p in pairs:
@@ -264,13 +266,10 @@ def hand_artifacts(park, jobs, large, t):
         jobs=pairs, machine_of=tuple(large.values()), per_machine_load=tuple(loads),
         t=t, grid_exponent=0, nodes=0, value=t, lower_bound=0.0, upper_bound=t,
     )
-    arr = np.asarray(jobs, np.float64)
-    return FirstPassArtifacts(
-        outcome=outcome,
-        job_count=len(jobs),
-        max_seen=max(jobs, default=0.0),
-        fingerprint=fingerprint_update(0, arr, 0),
-    )
+    spill = Spill()
+    for chunk in [jobs] if chunks is None else chunks:
+        spill.append(np.asarray(chunk, np.float64))
+    return FirstPassArtifacts(outcome=outcome, spill=spill)
 
 
 class _PerJobPlacer:

@@ -77,7 +77,8 @@ class SolvedInstance:
         # the default regime's own two-pass run
         self.unknown_two_pass, report = two_pass(self.park, self.params, self.jobs)
         self.unknown_value = report.value
-        self.two_pass = second_pass(self.park, self.artifacts, [self.jobs])
+        with self.artifacts.spill:
+            self.two_pass = second_pass(self.park, self.artifacts)
         self.optimum = exact_optimum(self.park, self.jobs).makespan
 
 

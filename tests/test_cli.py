@@ -14,6 +14,7 @@ import random
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -318,6 +319,49 @@ def _mode_args(run, jobs, monkeypatch):
     return ["--mode", "two-pass", "--jobs", "-"]
 
 
+class _SpillFile:
+    """A spill's temporary file that fails as told: "write" fails its first
+    write with ENOSPC, "read" the read of the last chunk with EIO, and
+    "halve" halves the values of the last chunk it reads."""
+
+    def __init__(self, file, dir, fail):
+        self.file, self.dir, self.fail = file, dir, fail
+        self.chunks = 0
+
+    def __getattr__(self, name):
+        return getattr(self.file, name)
+
+    def write(self, data):
+        if self.fail == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.chunks += isinstance(data, np.ndarray)
+        return self.file.write(data)
+
+    def readinto(self, values):
+        self.chunks -= 1
+        if self.chunks or self.fail is None:
+            return self.file.readinto(values)
+        if self.fail == "read":
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        got = self.file.readinto(values)
+        values /= 2
+        return got
+
+
+def _spill_files(monkeypatch, fail=None):
+    """Make each spill's temporary file a _SpillFile that fails as told;
+    the list of those made."""
+    made = []
+    real = tempfile.TemporaryFile
+
+    def spill_file(dir=None):
+        made.append(_SpillFile(real(dir=dir), dir, fail))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", spill_file)
+    return made
+
+
 def _report_dict(stdout):
     pairs = [ln.partition(": ") for ln in stdout.splitlines() if ln]
     return {k: v for k, _, v in pairs}
@@ -412,12 +456,13 @@ class TestRunCommand:
             assert keys[-2:] == ["second_pass_seconds", "write_seconds"]
 
     @staticmethod
-    def _written(path, park, artifacts, chunks):
-        """The CSV write_schedule_csv makes of the stage over chunks, and the
-        schedule second_pass builds from them."""
-        with open(path, "wb") as fh:
-            write_schedule_csv(fh, SecondPass(park, artifacts, chunks))
-        return path.read_bytes(), second_pass(park, artifacts, chunks)
+    def _written(path, park, artifacts):
+        """The CSV write_schedule_csv makes of the stage over the artifacts'
+        spill, and the schedule second_pass builds from it."""
+        with artifacts.spill:
+            with open(path, "wb") as fh:
+                write_schedule_csv(fh, SecondPass(park, artifacts))
+            return path.read_bytes(), second_pass(park, artifacts)
 
     def test_schedule_csv_matches_the_csv_module(self, tmp_path):
         park, sizes = make_instance(5, 3, 1, 0.5, 200, ratio_choices=(0.3, 0.7, 1.0))
@@ -429,9 +474,9 @@ class TestRunCommand:
         for jobs in (sizes, mixed):
             jobs = [p * 0.37 for p in jobs]  # real-valued completions
             ledger = make_ledger(params, "pmax-given", pmax=max(jobs))
-            _, artifacts = run_stream(park, ledger, [jobs], mode="two-pass")
             chunks = [jobs[i : i + 16] for i in range(0, len(jobs), 16)]
-            written, sched = self._written(tmp_path / "s.csv", park, artifacts, chunks)
+            _, artifacts = run_stream(park, ledger, chunks, mode="two-pass")
+            written, sched = self._written(tmp_path / "s.csv", park, artifacts)
             expected = io.StringIO(newline="")
             w = csv.writer(expected)
             w.writerow(["job_id", "machine", "start", "completion"])
@@ -454,9 +499,10 @@ class TestRunCommand:
         # every job large and dealt round robin, so every machine number is
         # written and most starts lie in other blocks of 7 rows
         park, jobs = make_instance(3, m, 1, 0.5, 300, jobs_max=4000)
-        artifacts = hand_artifacts(park, jobs, {j: j % m + 1 for j in range(len(jobs))}, 0.0)
         chunks = [jobs[i : i + 7] for i in range(0, len(jobs), 7)]
-        written, sched = self._written(tmp_path / "s.csv", park, artifacts, chunks)
+        artifacts = hand_artifacts(park, jobs, {j: j % m + 1 for j in range(len(jobs))}, 0.0,
+                                   chunks)
+        written, sched = self._written(tmp_path / "s.csv", park, artifacts)
         rows = [f"{j},{int(sched.machine[j])},{float(sched.start[j])!r},"
                 f"{float(sched.completion[j])!r}" for j in range(len(jobs))]
         expected = "\r\n".join(["job_id,machine,start,completion", *rows,
@@ -558,10 +604,10 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("source", ["stdin", "pipe", "fifo"])
     def test_two_pass_on_a_stream_read_once_matches_the_file(self, tmp_path, source):
-        # a stream that cannot be opened again is replayed from what the
-        # first pass parsed; 30K jobs span two read blocks.  Each run is a
-        # process of its own, killed if it hangs, as one that opened the
-        # FIFO a second time would
+        # a stream that cannot be opened again is replayed from the first
+        # pass's spill, as a file is; 30K jobs span two read blocks.  Each
+        # run is a process of its own, killed if it hangs, as one that
+        # opened the FIFO a second time would
         config_text, jobs_text = generate_instance(8, 3, 1, 0.5, 30_000)
         cfg, jobs = tmp_path / "park.cfg", tmp_path / "jobs.txt"
         cfg.write_text(config_text)
@@ -952,8 +998,9 @@ class TestExitCodes:
         # epsilon 32 derives retain limit 1 and top band 0 on both parks, so
         # the one job 1.7e308 fills band 1024, whose upper edge 2^1024 is
         # past every float: every job is small, with no finite bound.  Two
-        # machines each owe a late small job and the grid overflows; one
-        # machine owes none and its value is the grid time
+        # machines each owe a late small job, so the value overflows at the
+        # grid's first point, P/m; one machine owes none and its value is
+        # the grid time
         jobs = tmp_path / "jobs.txt"
         jobs.write_text("1.7e308\n")
         sched = ["--schedule-out", str(tmp_path / "s.csv")]
@@ -968,7 +1015,7 @@ class TestExitCodes:
                         "--epsilon", "32", "--stats", *(sched if "two-pass" in run else [])])
                 assert code == want, (park, run, err)
                 if want:
-                    assert "grid overflows" in err and out == ""
+                    assert "value overflows at t = 8.5e+307" in err and out == ""
                 else:
                     report = _report_dict(out)
                     assert report["value"] == "1.7e+308", run
@@ -1079,6 +1126,43 @@ class TestExitCodes:
             reports.append({k: v for k, v in report.items()
                             if k != "epsilon" and not k.endswith("_seconds")})
         assert reports[0] == reports[1]
+
+    def test_a_grid_past_the_largest_float_ends_at_its_last_finite_point(self, capsys,
+                                                                        tmp_path):
+        # at 1e308 the grid ratio 1 + eps/2 takes point 1 past the largest
+        # float; point 0, P/m, is where 8 full-speed machines cover P
+        cfg, jobs = tmp_path / "park.cfg", tmp_path / "jobs.txt"
+        cfg.write_text("m 8\nm1 8\ne0 1\n" + "".join(f"machine {i}\n" for i in range(1, 9)))
+        jobs.write_text("3 1 4 1 5 9 2 6\n")
+        reports = []
+        for epsilon in ("1e307", "1e308"):
+            with pytest.warns(RuntimeWarning, match="epsilon"):
+                code, out, err = _run_main(capsys, [
+                    "run", "--config", str(cfg), "--jobs", str(jobs), "--epsilon", epsilon,
+                    "--stats"])
+            assert code == 0, err
+            report = _report_dict(out)
+            assert report["selected_t"] == "3.875"
+            reports.append({k: v for k, v in report.items()
+                            if k != "epsilon" and not k.endswith("_seconds")})
+        assert reports[0] == reports[1]
+
+    def test_a_grid_that_overflows_before_any_point_fits_is_3(self, capsys, tmp_path):
+        # machine 2 runs at half speed, so P/m does not cover P, and at
+        # 1e308 the next point is past the largest float; at 1e307 it fits
+        cfg, jobs = tmp_path / "park.cfg", tmp_path / "jobs.txt"
+        cfg.write_text("m 2\nm1 1\ne0 0.5\nmachine 1\nmachine 2 1000 0.5\n")
+        jobs.write_text("3 1 4 1 5 9 2 6\n")
+        argv = ["run", "--config", str(cfg), "--jobs", str(jobs), "--epsilon"]
+        with pytest.warns(RuntimeWarning, match="epsilon"):
+            code, out, err = _run_main(capsys, argv + ["1e307"])
+        assert code == 0, err
+        assert _report_dict(out)["grid_exponent"] == "1"
+        with pytest.warns(RuntimeWarning, match="epsilon"):
+            code, out, err = _run_main(capsys, argv + ["1e308"])
+        assert (code, out) == (3, "")
+        assert "grid overflows before any point fits" in err
+        assert "epsilon 1e+308" in err
 
     def test_budget_below_one_is_2(self, capsys, instance):
         cfg, jobs = instance
@@ -1236,90 +1320,28 @@ class TestExitCodes:
         assert code == 5
         assert "budget 1" in err
 
-    def test_stream_drift_between_passes_is_6(self, capsys, instance, tmp_path, monkeypatch):
-        cfg, jobs = instance
-        out_csv = tmp_path / "sched.csv"
-        real_open = open
-        text = Path(jobs).read_text()
-        calls = []
-
-        def flaky_open(path, *a, **kw):
-            if str(path) == jobs:
-                calls.append(path)
-                if len(calls) > 1:
-                    return io.StringIO(text + " 1")
-            return real_open(path, *a, **kw)
-
-        monkeypatch.setattr("builtins.open", flaky_open)
-        code, _, err = _run_main(
-            capsys,
-            ["run", "--config", cfg, "--jobs", jobs, "--mode", "two-pass",
-             "--schedule-out", str(out_csv)],
-        )
-        assert code == 6
-        assert "longer" in err
-
-    def test_a_reordered_stream_between_passes_is_6(self, capsys, instance, tmp_path,
-                                                   monkeypatch):
-        # same length and maximum, different values: only the fingerprint
-        # and the retained large jobs can tell
-        cfg, _ = instance
-        jobs = str(tmp_path / "jobs.txt")
-        with open(jobs, "w") as fh:
-            fh.write("5 3 8 2 7 1\n")
-        out_csv = tmp_path / "sched.csv"
-        real_open = open
-        calls = []
-
-        def replaying_open(path, *a, **kw):
-            if str(path) == jobs:
-                calls.append(path)
-                if len(calls) > 1:
-                    return io.StringIO("1 1 8 1 1 1\n")
-            return real_open(path, *a, **kw)
-
-        monkeypatch.setattr("builtins.open", replaying_open)
-        code, _, err = _run_main(
-            capsys,
-            ["run", "--config", cfg, "--jobs", jobs, "--mode", "two-pass",
-             "--schedule-out", str(out_csv)],
-        )
-        assert code == 6, err
-        assert "second stream" in err or "first pass" in err
-        assert not out_csv.exists()
-
     @pytest.mark.parametrize("fault, code", [
-        ("a longer stream", 6),
-        ("a changed value", 6),
+        ("a spill that fails to read", 2),
+        ("a spill that lost a large job", 1),
         ("an unparsable token", 3),
         ("a declared maximum broken", 4),
     ])
     def test_a_failed_run_leaves_no_file_and_keeps_the_old_one(
         self, capsys, tmp_path, monkeypatch, fault, code
     ):
-        # blocks of 4 characters: the replay writes rows before the fault
+        # blocks of 4 characters: the second pass writes rows before a
+        # fault in its last block
         monkeypatch.setattr(textio, "_READ_CHARS", 4)
         config_text, jobs_text = generate_instance(21, 2, 1, 0.5, 60)
         cfg, jobs = tmp_path / "park.cfg", tmp_path / "jobs.txt"
         cfg.write_text(config_text)
+        if fault == "an unparsable token":
+            jobs_text = " ".join(jobs_text.split()[:-1] + ["x"])
         jobs.write_text(jobs_text)
-        toks = jobs_text.split()
-        replay = {
-            "a longer stream": " ".join(toks + ["1"]),
-            "a changed value": " ".join(toks[:-1] + ["0.5"]),  # caught at the end
-            "an unparsable token": " ".join(toks[:-1] + ["x"]),
-        }.get(fault)
-        real_open = open
-        reads = []
-
-        def replaying_open(path, *a, **kw):
-            if str(path) == str(jobs):
-                reads.append(path)
-                if len(reads) > 1 and replay is not None:
-                    return io.StringIO(replay)
-            return real_open(path, *a, **kw)
-
-        monkeypatch.setattr("builtins.open", replaying_open)
+        if fault == "a spill that fails to read":
+            _spill_files(monkeypatch, "read")
+        elif fault == "a spill that lost a large job":
+            _spill_files(monkeypatch, "halve")
         out_csv = tmp_path / "s.csv"
         out_csv.write_bytes(b"an earlier schedule\r\n")
         flags = ["--regime", "pmax-given", "--pmax", "1" if code == 4 else "16"]
@@ -1332,6 +1354,53 @@ class TestExitCodes:
         assert out == ""
         assert out_csv.read_bytes() == b"an earlier schedule\r\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.txt", "park.cfg", "s.csv"]
+
+    @pytest.mark.parametrize("run", ["two-pass", "two-pass-stdin"])
+    def test_a_spill_folder_that_is_missing_is_2_and_keeps_the_old_schedule(
+        self, capsys, instance, tmp_path, monkeypatch, run
+    ):
+        cfg, jobs = instance
+        missing = tmp_path / "no-such-folder"
+        monkeypatch.setenv("TMPDIR", str(missing))
+        out_csv = tmp_path / "s.csv"
+        out_csv.write_bytes(b"an earlier schedule\r\n")
+        code, out, err = _run_main(capsys, [
+            "run", "--config", cfg, *_mode_args(run, jobs, monkeypatch),
+            "--schedule-out", str(out_csv)])
+        assert (code, out) == (2, "")
+        assert f"spill file in {missing}: No such file or directory" in err
+        assert out_csv.read_bytes() == b"an earlier schedule\r\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.txt", "park.cfg", "s.csv"]
+        # a one-pass run makes no spill
+        code, out, err = _run_main(capsys, ["run", "--config", cfg, "--jobs", jobs])
+        assert code == 0, err
+
+    def test_a_spill_that_fills_up_is_2(self, capsys, instance, tmp_path, monkeypatch):
+        cfg, jobs = instance
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        _spill_files(monkeypatch, "write")
+        code, out, err = _run_main(capsys, [
+            "run", "--config", cfg, "--jobs", jobs, "--mode", "two-pass",
+            "--schedule-out", str(tmp_path / "s.csv")])
+        assert (code, out) == (2, "")
+        assert f"spill file in {tmp_path}: No space left on device" in err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_the_spill_leaves_its_folder_empty(self, capsys, instance, tmp_path, monkeypatch):
+        cfg, jobs = instance
+        folder = tmp_path / "spill"
+        folder.mkdir()
+        monkeypatch.setenv("TMPDIR", str(folder))
+        made = _spill_files(monkeypatch)
+        bad = tmp_path / "bad.txt"
+        bad.write_text(Path(jobs).read_text() + " 1 x 2\n")  # a bad token mid-stream
+        for stream, want in ((jobs, 0), (str(bad), 3)):
+            code, _, err = _run_main(capsys, [
+                "run", "--config", cfg, "--jobs", stream, "--mode", "two-pass",
+                "--schedule-out", str(tmp_path / "s.csv")])
+            assert code == want, err
+            assert list(folder.iterdir()) == []
+        assert [(f.dir, f.closed) for f in made] == [(str(folder), True)] * 2
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("run", ["two-pass", "two-pass-stdin"])
@@ -1352,24 +1421,24 @@ class TestExitCodes:
     def test_a_job_stream_that_fails_to_read_is_2_and_no_write_error(
         self, capsys, instance, tmp_path, monkeypatch, failing_read
     ):
-        # the second read runs while the schedule is being written
+        # the second read, of the first pass's spill, runs while the
+        # schedule is being written
         cfg, jobs = instance
+        reason = os.strerror(errno.EIO)
+        if failing_read == 1:
 
-        class Failing(io.StringIO):
-            def read(self, *args):
-                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            class Failing(io.StringIO):
+                def read(self, *args):
+                    raise OSError(errno.EIO, reason)
 
-        real_open = open
-        reads = []
-
-        def failing_open(path, *a, **kw):
-            if str(path) == jobs:
-                reads.append(path)
-                if len(reads) == failing_read:
-                    return Failing()
-            return real_open(path, *a, **kw)
-
-        monkeypatch.setattr("builtins.open", failing_open)
+            real_open = open
+            monkeypatch.setattr("builtins.open", lambda path, *a, **kw: (
+                Failing() if str(path) == jobs else real_open(path, *a, **kw)))
+            message = f"cannot read job stream {jobs}: {reason}"
+        else:
+            monkeypatch.setenv("TMPDIR", str(tmp_path))
+            _spill_files(monkeypatch, "read")
+            message = f"cannot use a spill file in {tmp_path}: {reason}"
         out_csv = tmp_path / "s.csv"
         code, out, err = _run_main(
             capsys,
@@ -1377,8 +1446,7 @@ class TestExitCodes:
              "--schedule-out", str(out_csv)],
         )
         assert code == 2
-        reason = os.strerror(errno.EIO)
-        assert err == f"streamspan: error: cannot read job stream {jobs}: {reason}\n"
+        assert err == f"streamspan: error: {message}\n"
         assert out == ""
         assert not out_csv.exists()
 

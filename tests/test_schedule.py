@@ -13,14 +13,13 @@ from streamspan import (
     MachinePark,
     MachineTimeline,
     ScheduleContractError,
-    TwoPassMismatchError,
     exact_optimum,
     make_ledger,
     run_stream,
     second_pass,
     validate_schedule,
 )
-from streamspan.pipeline import fingerprint_update
+from streamspan.pipeline import Spill
 from streamspan.schedule import SecondPass, _GreedyFill
 from streamspan.search import crossing_allowance
 from streamspan.textio import write_schedule_csv
@@ -133,10 +132,10 @@ class TestOfflineAgainstOracle:
 
 
 class TestSecondPass:
-    def _artifacts(self, park, params, jobs, epsilon):
+    def _artifacts(self, park, params, jobs, epsilon, chunks=None):
         assert params.epsilon == epsilon
-        _, artifacts = run_stream(park, make_ledger(params, "pmax-given", pmax=max(jobs)), [jobs],
-                                  mode="two-pass")
+        _, artifacts = run_stream(park, make_ledger(params, "pmax-given", pmax=max(jobs)),
+                                  [jobs] if chunks is None else chunks, mode="two-pass")
         return artifacts
 
     def test_matches_offline_placement_exactly(self):
@@ -147,8 +146,9 @@ class TestSecondPass:
             park, jobs = make_instance(seed + 2000, m, m1, 0.5, rng.randint(1, 8))
             params = quiet_params(m, m1, 0.5, 0.5)
             whole, _ = two_pass(park, params, jobs)
-            art = self._artifacts(park, params, jobs, 0.5)
-            one_by_one = second_pass(park, art, [[p] for p in jobs])
+            art = self._artifacts(park, params, jobs, 0.5, [[p] for p in jobs])
+            with art.spill:
+                one_by_one = second_pass(park, art)
             assert one_by_one == whole
 
     def test_large_jobs_are_skipped_not_replaced(self):
@@ -156,55 +156,32 @@ class TestSecondPass:
         params = quiet_params(2, 1, 1.0, 1.0)
         jobs = [4.0, 1.0, 4.0]
         art = self._artifacts(park, params, jobs, 1.0)
-        sched = second_pass(park, art, [jobs])
+        sched = second_pass(park, art)
         validate_schedule(park, sched, jobs)
         seqs = _machine_sequences(sched)
         placed = sorted(j for ids in seqs.values() for j in ids)
         assert placed == [0, 1, 2]
 
-    def test_longer_stream_rejected(self):
-        park = identity_park(2, m1=1, e0=1.0)
-        params = quiet_params(2, 1, 1.0, 1.0)
-        jobs = [4.0, 2.0]
-        art = self._artifacts(park, params, jobs, 1.0)
-        with pytest.raises(TwoPassMismatchError, match="longer"):
-            second_pass(park, art, [jobs, [1.0]])
-
     def test_shorter_stream_rejected(self):
+        # a spill cut inside a chunk, which no run writes
         park = identity_park(2, m1=1, e0=1.0)
         params = quiet_params(2, 1, 1.0, 1.0)
-        jobs = [4.0, 2.0]
-        art = self._artifacts(park, params, jobs, 1.0)
-        with pytest.raises(TwoPassMismatchError, match="ended after 1"):
-            second_pass(park, art, [jobs[:1]])
+        art = self._artifacts(park, params, [4.0, 2.0], 1.0)
+        with art.spill:
+            art.spill.file.truncate(16)
+            with pytest.raises(ScheduleContractError, match="ends inside a chunk"):
+                second_pass(park, art)
 
-    def test_grown_maximum_rejected(self):
+    def test_bad_value_rejected_with_position(self, monkeypatch):
+        # by the first pass, which closes its spill
         park = identity_park(2, m1=1, e0=1.0)
         params = quiet_params(2, 1, 1.0, 1.0)
-        jobs = [4.0, 2.0]
-        art = self._artifacts(park, params, jobs, 1.0)
-        with pytest.raises(TwoPassMismatchError, match="maximum"):
-            second_pass(park, art, [[4.0, 5.0]])
-
-    def test_bad_value_rejected_with_position(self):
-        park = identity_park(2, m1=1, e0=1.0)
-        params = quiet_params(2, 1, 1.0, 1.0)
-        jobs = [4.0, 2.0]
-        art = self._artifacts(park, params, jobs, 1.0)
+        spills = []
+        made = Spill.__init__
+        monkeypatch.setattr(Spill, "__init__", lambda spill: made(spill) or spills.append(spill))
         with pytest.raises(JobValueError, match="position 1"):
-            second_pass(park, art, [[4.0, -2.0]])
-
-    def test_the_earliest_fault_wins(self):
-        park = identity_park(2, m1=1, e0=1.0)
-        params = quiet_params(2, 1, 1.0, 1.0)
-        jobs = [4.0, 2.0]
-        art = self._artifacts(park, params, jobs, 1.0)
-        with pytest.raises(JobValueError, match="position 1"):
-            second_pass(park, art, [[4.0, -2.0, 1.0]])
-        with pytest.raises(TwoPassMismatchError, match="position 0"):
-            second_pass(park, art, [[5.0, -2.0]])
-        with pytest.raises(TwoPassMismatchError, match="longer"):
-            second_pass(park, art, [[4.0, 2.0, -1.0]])
+            self._artifacts(park, params, [4.0, 2.0], 1.0, [[4.0, -2.0]])
+        assert len(spills) == 1 and spills[0].file.closed
 
     def test_roundtrip_through_pipeline_chunks(self):
         park = identity_park(2, m1=1, e0=1.0)
@@ -212,40 +189,24 @@ class TestSecondPass:
         jobs = [4.0, 1.0, 3.0, 2.0, 4.0]
         led = make_ledger(params, "pmax-given", pmax=4.0)
         report, art = run_stream(park, led, [jobs], mode="two-pass")
-        sched = second_pass(park, art, [jobs])
+        with art.spill:
+            sched = second_pass(park, art)
         validate_schedule(park, sched, jobs)
         assert sched.makespan <= report.value
 
 
-class TestStreamFingerprint:
-    def test_a_changed_stream_of_the_same_length_and_maximum_is_rejected(self):
-        park = identity_park(2, m1=1, e0=1.0)
-        params = quiet_params(2, 1, 1.0, 0.5)
-        first = [5.0, 3.0, 8.0, 2.0, 7.0, 1.0]
-        _, art = run_stream(park, make_ledger(params, "pmax-given", pmax=8.0), [first],
-                            mode="two-pass")
-        with pytest.raises(TwoPassMismatchError):
-            second_pass(park, art, [[1.0, 1.0, 8.0, 1.0, 1.0, 1.0]])
-
-    def test_swapped_small_jobs_fail_the_fingerprint(self):
-        park = identity_park(2, m1=1, e0=1.0)
-        jobs = [1.0, 2.0, 3.0]
-        art = hand_artifacts(park, jobs, {}, 4.0)
-        second_pass(park, art, [jobs])
-        with pytest.raises(TwoPassMismatchError, match="fingerprint"):
-            second_pass(park, art, [[2.0, 1.0, 3.0]])
-
+class TestSpill:
     def test_a_changed_large_job_is_named_by_position(self):
+        # a spill that disagrees with the first pass's large jobs breaks an
+        # internal contract
         park = identity_park(2, m1=1, e0=1.0)
         jobs = [1.0, 4.0, 2.0]
-        art = hand_artifacts(park, jobs, {1: 1}, 4.0)
-        with pytest.raises(TwoPassMismatchError, match="position 1 .* large job of size 4.0"):
-            second_pass(park, art, [[1.0], [3.0, 2.0]])
-        # a bad value earlier in the chunk still wins
-        with pytest.raises(JobValueError, match="position 0"):
-            second_pass(park, art, [[-1.0, 3.0, 2.0]])
+        art = hand_artifacts(park, jobs, {1: 1}, 4.0, [[1.0], [3.0, 2.0]])
+        with pytest.raises(ScheduleContractError,
+                           match="position 1 .* large job of size 4.0"):
+            second_pass(park, art)
 
-    def test_a_one_pass_run_keeps_no_fingerprint_and_cannot_be_replayed(self):
+    def test_a_one_pass_run_keeps_no_spill_and_cannot_be_replayed(self):
         park = identity_park(2, m1=1, e0=1.0)
         params = quiet_params(2, 1, 1.0, 0.5)
         jobs = [5.0, 3.0, 8.0, 2.0]
@@ -255,34 +216,34 @@ class TestStreamFingerprint:
             # the same report but for its mode line and timings
             lines[mode] = [ln for ln in report.as_lines(stats=True)[1:] if "_seconds" not in ln]
         assert lines["one-pass"] == lines["two-pass"]
-        assert art.fingerprint == fingerprint_update(0, np.array(jobs), 0)
+        with art.spill:
+            assert [c.tolist() for c in art.spill] == [jobs]
         _, art = run_stream(park, make_ledger(params, "pmax-unknown"), [jobs])
-        assert art.fingerprint is None
-        with pytest.raises(ConfigError, match="one-pass run keeps no fingerprint"):
-            second_pass(park, art, [jobs])
-        with pytest.raises(ConfigError, match="one-pass run keeps no fingerprint"):
-            SecondPass(park, art, [jobs])
+        assert art.spill is None
+        with pytest.raises(ConfigError, match="one-pass run keeps no spill"):
+            second_pass(park, art)
+        with pytest.raises(ConfigError, match="one-pass run keeps no spill"):
+            SecondPass(park, art)
 
-    def test_the_fingerprint_ignores_chunking_and_sees_order(self):
+    def test_the_spill_gives_back_the_first_pass_chunks(self):
         values = np.random.default_rng(3).uniform(0.1, 9.0, 50)
-        whole = fingerprint_update(0, values, 0)
-        for size in (1, 7, 49):
-            folded = 0
-            for lo in range(0, values.size, size):
-                folded = fingerprint_update(folded, values[lo : lo + size], lo)
-            assert folded == whole
-        swapped = values.copy()
-        swapped[[3, 4]] = swapped[[4, 3]]
-        assert fingerprint_update(0, swapped, 0) != whole
-        assert 0 <= whole < 2**64
-
+        chunks = [values[:7], values[7:7], values[7:49], values[49:]]
+        with Spill() as spill:
+            for chunk in chunks:
+                spill.append(chunk)
+            for _ in range(2):  # each iteration reads from the start
+                back = list(spill)
+                assert [c.dtype for c in back] == [np.float64] * 4
+                assert [c.tobytes() for c in back] == [c.tobytes() for c in chunks]
+        assert spill.file.closed
 
 _RATIOS = (0.3, 0.7, 0.25, 0.5, 1.0)
 
 
-def _random_case(seed):
+def _random_case(seed, size):
     """A park, real-valued jobs, hand-placed large jobs and a target time
-    that is tight as often as it is loose."""
+    that is tight as often as it is loose, the jobs spilled in chunks of
+    size."""
     rng = random.Random(seed)
     m = rng.randint(1, 3)
     m1 = rng.randint(1, m)
@@ -296,7 +257,7 @@ def _random_case(seed):
     jobs = [rng.choice([rng.uniform(0.05, 9.0), float(rng.randint(1, 8))]) for _ in range(n)]
     large = {j: rng.randint(1, m) for j in rng.sample(range(n), min(n, rng.randint(0, 3)))}
     t = rng.choice([0.0, rng.uniform(0.0, 1.3 * sum(jobs) / m)])
-    return park, jobs, hand_artifacts(park, jobs, large, t)
+    return park, jobs, hand_artifacts(park, jobs, large, t, _chunked(jobs, size))
 
 
 def _chunked(jobs, size):
@@ -307,9 +268,8 @@ class TestColumnarMatchesPerJob:
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), size=st.sampled_from([1, 7, 65536]))
     def test_random_streams_bit_for_bit(self, seed, size):
-        park, jobs, art = _random_case(seed)
-        chunks = _chunked(jobs, size)
-        fast = second_pass(park, art, chunks)
+        park, jobs, art = _random_case(seed, size)
+        fast = second_pass(park, art)
         assert column_bytes(fast) == column_bytes(reference_second_pass(park, art, jobs))
         validate_schedule(park, fast, jobs)
 
@@ -337,50 +297,45 @@ class TestColumnarMatchesPerJob:
         n = rng.randint(0, 200)
         jobs = [float(rng.randint(1, 8)) if dyadic else rng.uniform(0.05, 9.0) for _ in range(n)]
         large = {j: rng.randint(1, m) for j in rng.sample(range(n), min(n, rng.randint(0, 3)))}
-        art = hand_artifacts(park, jobs, large, room * sum(jobs) / m)
+        art = hand_artifacts(park, jobs, large, room * sum(jobs) / m, _chunked(jobs, size))
         ref = reference_second_pass(park, art, jobs)
-        fast = second_pass(park, art, _chunked(jobs, size))
+        fast = second_pass(park, art)
         assert column_bytes(fast) == column_bytes(ref)
         validate_schedule(park, fast, jobs)
 
-    def _check(self, park, jobs, art, runs):
-        ref = reference_second_pass(park, art, jobs)
+    def _check(self, park, jobs, large, t, runs):
+        ref = reference_second_pass(park, hand_artifacts(park, jobs, large, t), jobs)
         assert [run.tolist() for run in ref.runs] == runs
         for size in (1, 7, len(jobs)):
-            fast = second_pass(park, art, _chunked(jobs, size))
+            fast = second_pass(park, hand_artifacts(park, jobs, large, t, _chunked(jobs, size)))
             assert column_bytes(fast) == column_bytes(ref)
 
     def test_jobs_after_every_machine_is_full_go_to_the_floor(self):
         park = identity_park(3, m1=2, e0=1.0)
         jobs = [1.0] * 10
-        art = hand_artifacts(park, jobs, {}, 2.0)
         # the fewest late jobs first, the lowest index on ties
-        self._check(park, jobs, art, [[0, 1, 6, 8], [2, 3, 7, 9], [4, 5]])
+        self._check(park, jobs, {}, 2.0, [[0, 1, 6, 8], [2, 3, 7, 9], [4, 5]])
 
     def test_an_exact_fill_closes_the_machine_without_a_late_job(self):
         park = identity_park(2, m1=1, e0=1.0)
         jobs = [2.0, 2.0, 1.0]
-        art = hand_artifacts(park, jobs, {}, 4.0)
-        self._check(park, jobs, art, [[0, 1], [2]])
+        self._check(park, jobs, {}, 4.0, [[0, 1], [2]])
         # 2**53 + 1 rounds back to 2**53: the machine is full all the same
         jobs = [2.0**53 - 2.0, 2.0, 1.0]
-        art = hand_artifacts(park, jobs, {}, 2.0**53)
-        self._check(park, jobs, art, [[0, 1], [2]])
+        self._check(park, jobs, {}, 2.0**53, [[0, 1], [2]])
 
     def test_a_machine_above_the_floor_closes_and_reroutes(self):
         park = identity_park(2, m1=1, e0=1.0)
         jobs = [4.0, 3.0, 3.0, 1.0]
-        art = hand_artifacts(park, jobs, {}, 4.0)
         # job 2 would cross on machine 2: it moves to machine 1, and so
         # does job 3, since machine 2 accepts nothing after closing
-        self._check(park, jobs, art, [[0, 2, 3], [1]])
+        self._check(park, jobs, {}, 4.0, [[0, 2, 3], [1]])
 
     def test_large_jobs_run_first_and_are_masked_out(self):
         park = identity_park(2, m1=1, e0=1.0)
         jobs = [1.0, 5.0, 1.0, 5.0, 1.0]
-        art = hand_artifacts(park, jobs, {3: 1, 1: 2}, 6.0)
         # jobs 0 and 2 fill the machines to 6; job 4 is late on the floor
-        self._check(park, jobs, art, [[3, 0, 4], [1, 2]])
+        self._check(park, jobs, {3: 1, 1: 2}, 6.0, [[3, 0, 4], [1, 2]])
 
 
 class TestChunkingInvariance:
@@ -407,12 +362,12 @@ class TestChunkingInvariance:
         n = rng.randint(50, 400)
         jobs = [float(rng.randint(1, 8)) if dyadic else rng.uniform(0.05, 9.0) for _ in range(n)]
         large = {j: rng.randint(1, m) for j in rng.sample(range(n), rng.randint(1, 6))}
-        art = hand_artifacts(park, jobs, large, room * sum(jobs) / m)
         schedules, csvs = [], []
         for size in (1, 7, 64, n):
-            schedules.append(second_pass(park, art, _chunked(jobs, size)))
+            art = hand_artifacts(park, jobs, large, room * sum(jobs) / m, _chunked(jobs, size))
+            schedules.append(second_pass(park, art))
             out = io.BytesIO()
-            write_schedule_csv(out, SecondPass(park, art, _chunked(jobs, size)))
+            write_schedule_csv(out, SecondPass(park, art))
             csvs.append(out.getvalue())
         assert all(schedule == schedules[0] for schedule in schedules[1:])
         assert len(set(csvs)) == 1
