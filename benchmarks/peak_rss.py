@@ -10,7 +10,9 @@ and ratios 1/4, 1/2 and 1.  It then runs `streamspan run` on it in
 input (`--jobs -`, case two-pass-stdin).  Either way the second pass
 reads the first pass's copy of the parsed stream from a temporary file in
 TMPDIR, not the source, so neither run holds the stream in memory and the
-two should peak alike.  It runs each case
+two should peak alike.  That copy, 8 bytes a job, is in none of the
+figures: ru_maxrss counts neither page-cache pages nor a tmpfs's, so when
+TMPDIR is a tmpfs the copy is RAM this script does not see.  It runs each case
 --repeats times, and reports the process's own peak RSS
 (ru_maxrss from os.wait4) per mode and job count, the median of the
 repeats.  It also reports each case's minor page faults (ru_minflt from

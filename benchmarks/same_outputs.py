@@ -2,7 +2,7 @@
 """Check that this checkout's `streamspan run` gives another revision's outputs.
 
     python3 benchmarks/same_outputs.py --parent REV
-    python3 benchmarks/same_outputs.py --parent REV --mask search_nodes --cases 40
+    python3 benchmarks/same_outputs.py --parent REV --mask search_nodes
 
 REV's `src/` is extracted with a local `git archive` into a temporary
 folder.  A fixed seeded corpus then runs through both trees, each run a
@@ -202,9 +202,8 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="the revision to compare with")
     ap.add_argument("--mask", action="append", default=[], metavar="KEY",
                     help="a report key whose value may differ (repeatable)")
-    ap.add_argument("--cases", type=int, default=160, help="generated cases")
     args = ap.parse_args(argv)
-    cases = corpus(args.cases)
+    cases = corpus()
     with tempfile.TemporaryDirectory() as tmp:
         parent_src = extract_src(args.parent, tmp)
         found = compare(parent_src, os.path.join(ROOT, "src"), cases, args.mask)

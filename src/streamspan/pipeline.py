@@ -98,9 +98,11 @@ class Spill:
     """The chunks of a stream, each appended behind its length to an
     unlinked temporary file in TMPDIR, and read back in the same chunks.
 
-    Memory does not grow with the stream: the file holds 8 bytes a job.
-    A file that cannot be made, written or read is a ConfigError that
-    names its directory.  Iterating reads the chunks from the start, one
+    Process memory does not grow with the stream: the file holds 8 bytes
+    a job in TMPDIR, which is RAM when TMPDIR is a tmpfs.  A file that
+    cannot be made, written or read is a ConfigError that names its
+    directory; one that gives back fewer jobs than were appended is a
+    ScheduleContractError.  Iterating reads the chunks from the start, one
     iteration at a time.  close(), or leaving a with block, deletes the
     file; so does collecting the spill.
     """
@@ -115,7 +117,10 @@ class Spill:
             self.file = tempfile.TemporaryFile(dir=self.folder)
         except OSError as exc:
             raise self._fault(exc) from None
+        # closes a collected spill without the ResourceWarning an unclosed
+        # file gives
         self.close = weakref.finalize(self, self.file.close)
+        self.jobs = 0
 
     def __enter__(self) -> Spill:
         return self
@@ -135,18 +140,25 @@ class Spill:
             self.file.write(values)
         except OSError as exc:
             raise self._fault(exc) from None
+        self.jobs += values.size
 
     def __iter__(self) -> Iterator[np.ndarray]:
         file = self.file
+        read = 0
         try:
             file.seek(0)  # flushes what append left buffered
             while head := file.read(8):
                 values = np.empty(int.from_bytes(head, "little"))
-                if file.readinto(values) != values.nbytes:
+                if len(head) < 8 or file.readinto(values) != values.nbytes:
                     raise ScheduleContractError("the spill file ends inside a chunk")
+                read += values.size
                 yield values
         except OSError as exc:
             raise self._fault(exc) from None
+        if read != self.jobs:
+            raise ScheduleContractError(
+                f"the spill file ends after {read} of its {self.jobs} jobs"
+            )
 
 
 def run_stream(

@@ -172,6 +172,20 @@ class TestSecondPass:
             with pytest.raises(ScheduleContractError, match="ends inside a chunk"):
                 second_pass(park, art)
 
+    @pytest.mark.parametrize("size, message", [
+        (16, "ends after 1 of its 2 jobs"),  # at the boundary between chunks
+        (20, "ends inside a chunk"),  # inside the second chunk's length
+        (0, "ends after 0 of its 2 jobs"),
+    ])
+    def test_a_spill_cut_between_or_before_values_is_rejected(self, size, message):
+        park = identity_park(2, m1=1, e0=1.0)
+        params = quiet_params(2, 1, 1.0, 1.0)
+        art = self._artifacts(park, params, [4.0, 2.0], 1.0, [[4.0], [2.0]])
+        with art.spill:
+            art.spill.file.truncate(size)
+            with pytest.raises(ScheduleContractError, match=message):
+                second_pass(park, art)
+
     def test_bad_value_rejected_with_position(self, monkeypatch):
         # by the first pass, which closes its spill
         park = identity_park(2, m1=1, e0=1.0)
