@@ -6,7 +6,8 @@ as integers (the digit path), once times 0.37 written with repr (the
 split-and-convert path), and once as integers of 9 to 18 digits, evenly
 spread over the widths (the digit path's second and third lanes).
 ingest: the same stream, as integers, through make_ledger(...).ingest_many
-per regime, in --chunk chunks.
+with the maximum declared (pmax-given) and without (pmax-unknown), in
+--chunk chunks.
 schedule: the streamed second pass, a SecondPass written by
 write_schedule_csv, over 1M jobs on a 3-machine park with 400 shared
 intervals per machine: the whole stage, and its second pass (the time
@@ -68,10 +69,10 @@ def bench_parse(text, repeats):
     return best
 
 
-def bench_ledger(params, regime, ledger_args, stream, chunk, repeats):
+def bench_ledger(params, pmax, stream, chunk, repeats):
     best = math.inf
     for _ in range(repeats):
-        ledger = make_ledger(params, regime, **ledger_args)
+        ledger = make_ledger(params, pmax)
         t0 = time.perf_counter()
         for lo in range(0, stream.size, chunk):
             ledger.ingest_many(stream[lo : lo + chunk])
@@ -106,7 +107,7 @@ def bench_schedule(park, stream, chunk, repeats):
     second pass over a two-pass run."""
     params = derive_params(m=3, floor_machines=1, ratio_floor=0.5, epsilon=0.5)
     chunks = [stream[lo : lo + chunk] for lo in range(0, stream.size, chunk)]
-    ledger = make_ledger(params, "pmax-given", pmax=float(stream.max()))
+    ledger = make_ledger(params, pmax=float(stream.max()))
     _, artifacts = run_stream(park, ledger, chunks, mode="two-pass")
     best_pass = best_write = best_stage = math.inf
     with artifacts.spill, tempfile.TemporaryDirectory() as tmp:
@@ -138,7 +139,7 @@ def sweep_instance(n, seed=0):
     (m1 1, e0 0.5) under default flags."""
     config_text, jobs_text = generate_instance(seed, 3, 1, 0.5, n)
     params = derive_params(m=3, floor_machines=1, ratio_floor=0.5, epsilon=0.5)
-    ledger = make_ledger(params, "pmax-unknown")
+    ledger = make_ledger(params)
     ledger.ingest_many(np.array(jobs_text.split(), np.float64))
     return parse_machine_config_text(config_text), ledger.finalize()
 
@@ -170,16 +171,12 @@ def main():
         figures[f"parse_{key}_ns_per_token"] = secs / stream.size * 1e9
         print(f"  {key:>6}: {figures[f'parse_{key}_ns_per_token']:7.1f} ns/token")
 
-    ledgers = (
-        ("pmax-given", {"pmax": 1024.0}),
-        ("pmax-estimate", {"pmax_estimate": 8192.0, "alpha": 8.0}),
-        ("pmax-unknown", {}),
-    )
+    ledgers = (("pmax-given", 1024.0), ("pmax-unknown", None))
     print(f"ingest: make_ledger(...).ingest_many, {args.jobs} jobs, chunk {args.chunk}, "
           f"retain_limit {params.retain_limit}")
     given = None
-    for regime, ledger_args in ledgers:
-        secs = bench_ledger(params, regime, ledger_args, stream, args.chunk, args.repeats)
+    for regime, pmax in ledgers:
+        secs = bench_ledger(params, pmax, stream, args.chunk, args.repeats)
         per_job = secs / stream.size
         given = given or per_job
         figures[f"ledger_{regime}_ns_per_job"] = per_job * 1e9

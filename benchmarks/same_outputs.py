@@ -18,8 +18,9 @@ The corpus depends on nothing but numpy's seeded generator:
   0.5 and 1, up to three shared intervals per machine; integer sizes, the
   same sizes times 0.37 written with repr, and sorted sizes; each case
   run one-pass, two-pass on the job file, two-pass fed on stdin, or,
-  when m**n is small, oracle, with the pmax regimes, epsilon and --stats
-  in turn;
+  when m**n is small, oracle, with no regime, `--regime pmax-given
+  --pmax` at the stream's maximum and an explicit `--regime pmax-unknown`,
+  epsilon and --stats in turn;
 - error streams: a bad token, a zero, a byte that is not UTF-8 and a load
   that overflows, each in every mode.
 Every run has --budget 200000, so a case that outgrows the search exits
@@ -98,7 +99,7 @@ def _generated(i: int) -> Case:
     if mode != "oracle" and regime == 1:
         flags += ["--regime", "pmax-given", "--pmax", repr(top)]
     elif mode != "oracle" and regime == 2:
-        flags += ["--regime", "pmax-estimate", "--pmax-estimate", repr(2 * top), "--alpha", "2"]
+        flags += ["--regime", "pmax-unknown"]
     if i % 2:
         flags.append("--stats")
     name = f"generated {i}: m {m}, n {n}, {family}, {mode}"

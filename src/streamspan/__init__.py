@@ -23,7 +23,7 @@ from .errors import (
     ScheduleContractError,
     StreamspanError,
 )
-from .grouping import REGIMES, SchedulingParams, derive_params, make_ledger
+from .grouping import SchedulingParams, derive_params, make_ledger
 from .pipeline import RunReport, run_stream
 
 __version__ = "0.1.0"
@@ -41,7 +41,6 @@ __all__ = [
     "SchedulingParams",
     "derive_params",
     "RunReport",
-    "REGIMES",
     "make_ledger",
     "run_stream",
     "Schedule",

@@ -15,7 +15,8 @@ failures:
     2  bad usage, config file, or machine park; a file that cannot be
        read or written, the spill included
     3  bad job value (position reported)
-    4  declared maximum or estimate contract violated
+    4  a job above --pmax, or a --pmax above the band of the stream's
+       maximum
     5  search budget exceeded
     7  an output was closed by its reader
 
@@ -52,7 +53,7 @@ try:
         PmaxContractError,
         StreamspanError,
     )
-    from .grouping import REGIMES, derive_params, make_ledger
+    from .grouping import derive_params, make_ledger
     from .pipeline import run_stream
     from .search import DEFAULT_BUDGET
     from .textio import float_chunks, write_schedule_csv
@@ -369,12 +370,12 @@ def _cmd_run(args) -> int:
         raise ConfigError(f"--budget must be >= 1, got {args.budget}")
 
     if args.mode == "oracle":
-        for flag in ("--regime", "--pmax", "--pmax-estimate", "--alpha"):
-            if getattr(args, flag[2:].replace("-", "_")) is not None:
+        for flag in ("--regime", "--pmax"):
+            if getattr(args, flag[2:]) is not None:
                 raise ConfigError(f"{flag} only applies to one-pass and two-pass modes")
         buffer = []
         # the ledger's value checks, block by block: finite, positive, no overflowing total
-        checker = make_ledger(params, "pmax-unknown")
+        checker = make_ledger(params)
         for chunk in _job_chunks(args.jobs):
             checker.ingest_many(chunk)
             buffer.append(chunk)
@@ -409,10 +410,11 @@ def _cmd_run(args) -> int:
 def _run_passes(args, park: MachinePark, params, out: BinaryIO | None):
     """The first pass, then, when out is a file, the second pass over the
     first pass's spill, written to it."""
-    ledger = make_ledger(
-        params, args.regime or "pmax-unknown",
-        pmax=args.pmax, pmax_estimate=args.pmax_estimate, alpha=args.alpha,
-    )
+    if args.regime == "pmax-given" and args.pmax is None:
+        raise ConfigError("regime pmax-given needs a largest processing time (--pmax)")
+    if args.regime != "pmax-given" and args.pmax is not None:
+        raise ConfigError("regime pmax-unknown does not take a largest processing time (--pmax)")
+    ledger = make_ledger(params, args.pmax)
     report, artifacts = run_stream(park, ledger, _job_chunks(args.jobs), mode=args.mode,
                                    budget=args.budget)
     if out is None:
@@ -489,15 +491,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="machine config file")
     run.add_argument("--jobs", default="-", help="job stream file, or - for stdin")
     run.add_argument("--mode", choices=MODES, default="one-pass")
-    run.add_argument("--regime", choices=REGIMES, default=None,
+    # --regime only names what --pmax says; it stays for the command lines that pass it
+    run.add_argument("--regime", choices=("pmax-given", "pmax-unknown"), default=None,
                      help="how the largest processing time is known (default pmax-unknown)")
     run.add_argument("--epsilon", type=float, default=0.5, help="approximation slack")
     run.add_argument("--pmax", type=float, default=None,
                      help="exact largest processing time (regime pmax-given)")
-    run.add_argument("--pmax-estimate", type=float, default=None,
-                     help="overestimate of the largest processing time")
-    run.add_argument("--alpha", type=float, default=None,
-                     help="estimate is at most alpha times the true maximum (default 1)")
     run.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                      help="max search nodes (oracle mode: max assignments)")
     run.add_argument("--schedule-out", default=None,

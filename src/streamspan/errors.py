@@ -24,7 +24,8 @@ class JobValueError(StreamspanError):
 
 
 class PmaxContractError(StreamspanError):
-    """A processing time exceeded the declared p_max or its estimate."""
+    """A processing time exceeded the declared p_max, or the stream's maximum
+    ended below p_max's band."""
 
     def __init__(self, message: str, position: int | None = None):
         super().__init__(message)

@@ -1,10 +1,9 @@
 """Streaming job-size bands and the bounded-memory large-job ledger.
 
-derive_params sizes the bands; _BandedLedger keeps them over one pass,
-and its finalize hands the search a LargeJobSet.
-The three REGIMES share one window and differ only in the contract they
-check: a maximum given exactly, given as an overestimate, or not given at
-all.  make_ledger builds the ledger for a regime.
+derive_params sizes the bands; make_ledger builds the _BandedLedger that
+keeps them over one pass, and its finalize hands the search a LargeJobSet.
+The window follows the largest job seen, so a declared maximum changes
+nothing but the contract the ledger checks on the stream.
 """
 
 from __future__ import annotations
@@ -22,11 +21,8 @@ __all__ = [
     "derive_params",
     "ceil_log2",
     "LargeJobSet",
-    "REGIMES",
     "make_ledger",
 ]
-
-REGIMES = ("pmax-given", "pmax-estimate", "pmax-unknown")
 
 
 def ceil_log2(p: float) -> int:
@@ -155,30 +151,22 @@ class _BandedLedger:
     The window follows the largest job seen: its offset is None until the
     first job, each chunk is split where its running maximum passes the
     top, and between the pieces the window rebases, shifting up and
-    folding the bands that sink below it into the low band.  A regime is
-    only a contract: no job may exceed limit, the declared maximum or its
-    overestimate, and at the end the observed maximum's band may lie at
-    most reach bands below limit's.  label names limit in messages.
+    folding the bands that sink below it into the low band.  A declared
+    maximum pmax is only a contract: no job may exceed it, and at the end
+    the observed maximum must lie in pmax's band.  regime names the run:
+    pmax-given with a pmax, else pmax-unknown.
 
     job_count, total_load (the left fold of the jobs in arrival order),
     max_seen, retained_total and peak_retained are plain fields.
     """
 
-    def __init__(
-        self,
-        params: SchedulingParams,
-        regime: str = "pmax-unknown",
-        limit: float = math.inf,
-        reach: int = 0,
-        label: str = "p_max",
-    ):
+    def __init__(self, params: SchedulingParams, pmax: float | None = None):
         self.params = params
-        self.regime = regime
+        self.regime = "pmax-unknown" if pmax is None else "pmax-given"
         n = params.bounded_bands
         self._offset = None
-        self._p_limit = limit
-        self._lowest_top = -math.inf if math.isinf(limit) else ceil_log2(limit) - reach
-        self._limit_label = label
+        self._p_limit = math.inf if pmax is None else pmax
+        self._lowest_top = -math.inf if pmax is None else ceil_log2(pmax)
         try:  # numpy refuses shapes past its size limit with ValueError
             self._counts = np.zeros(n + 1, np.int64)
             self._ids = np.zeros(n * (params.retain_limit - 1), np.int64)
@@ -251,7 +239,7 @@ class _BandedLedger:
                 pos = start + int(over[0])
                 raise PmaxContractError(
                     f"job at position {pos} has processing time {float(arr[over[0]])} above "
-                    f"the declared {self._limit_label} {self._p_limit}",
+                    f"the declared p_max {self._p_limit}",
                     position=pos,
                 )
             pos = start + int(np.argmax(np.isinf(folds[1:])))
@@ -333,16 +321,15 @@ class _BandedLedger:
         """Canonical (offset, low_count, entries) of the window, each entry
         (top, count, retained) of a band holding a job: what finalize reads
         and equality tests compare.  The window's top is the observed
-        maximum's band; a limit more than reach bands above it breaks the
-        declared contract.
+        maximum's band; a declared maximum above it breaks the contract.
         """
         if self.job_count == 0:
             return (None, 0, ())
         if ceil_log2(self.max_seen) < self._lowest_top:
             raise PmaxContractError(
-                f"the declared {self._limit_label} {self._p_limit} is too far above the "
-                f"observed maximum {self.max_seen}; for an upper bound use "
-                f"--regime pmax-estimate with alpha >= {self._p_limit / self.max_seen!r}"
+                f"the declared p_max {self._p_limit} is too far above the observed "
+                f"maximum {self.max_seen}; for an upper bound leave out --pmax: "
+                "the report is the same"
             )
         slots = self._slots()
         order = np.argsort(slots, kind="stable")  # band-ascending, then arrival order
@@ -370,45 +357,11 @@ class _BandedLedger:
         )
 
 
-# the arguments each regime reads, its declared maximum first
-_READS = {"pmax-given": ("pmax",), "pmax-estimate": ("pmax_estimate", "alpha"), "pmax-unknown": ()}
-_ARGUMENTS = {
-    "pmax": "a largest processing time (--pmax)",
-    "pmax_estimate": "an overestimate (--pmax-estimate)",
-    "alpha": "an estimate factor (--alpha)",
-}
-
-
-def make_ledger(
-    params: SchedulingParams,
-    regime: str,
-    pmax: float | None = None,
-    pmax_estimate: float | None = None,
-    alpha: float | None = None,
-) -> _BandedLedger:
-    """The ledger for one of REGIMES: the same window, and the regime's
-    contract.  pmax-given: no job exceeds pmax, which lies in the band of
-    the stream's maximum; pmax-estimate: no job exceeds pmax_estimate,
-    whose band lies at most ceil(log2 alpha) bands above the maximum's
-    (alpha defaults to 1); pmax-unknown: none.  A regime refuses the
-    arguments it does not read.
+def make_ledger(params: SchedulingParams, pmax: float | None = None) -> _BandedLedger:
+    """The ledger for one pass.  With pmax, the stream's declared largest
+    processing time, no job may exceed pmax and pmax must lie in the band
+    of the stream's maximum; without it, the window checks nothing.
     """
-    if regime not in REGIMES:
-        raise ConfigError(f"unknown regime {regime!r}; expected one of {', '.join(REGIMES)}")
-    given = {"pmax": pmax, "pmax_estimate": pmax_estimate, "alpha": alpha}
-    for arg, value in given.items():
-        if value is not None and arg not in _READS[regime]:
-            raise ConfigError(f"regime {regime} does not take {_ARGUMENTS[arg]}")
-    if regime == "pmax-unknown":
-        return _BandedLedger(params, regime)
-    limit_arg = _READS[regime][0]
-    limit = given[limit_arg]
-    if limit is None:
-        raise ConfigError(f"regime {regime} needs {_ARGUMENTS[limit_arg]}")
-    label = "p_max" if regime == "pmax-given" else "p_max estimate"
-    if not (limit > 0) or math.isinf(limit):
-        raise ConfigError(f"{label} must be finite and > 0, got {limit}")
-    alpha = 1.0 if alpha is None else alpha
-    if not alpha >= 1.0 or math.isinf(alpha):
-        raise ConfigError(f"estimate factor alpha must be finite and >= 1, got {alpha}")
-    return _BandedLedger(params, regime, float(limit), ceil_log2(alpha), label)
+    if pmax is not None and (not (pmax > 0) or math.isinf(pmax)):
+        raise ConfigError(f"p_max must be finite and > 0, got {pmax}")
+    return _BandedLedger(params, None if pmax is None else float(pmax))

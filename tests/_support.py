@@ -64,7 +64,7 @@ def random_timeline(rng: random.Random, index=1, max_intervals=4, bp_max=20,
 def two_pass(park, params, jobs):
     """Two-pass run of the jobs, in one chunk, on the default pmax-unknown
     ledger: (schedule, report)."""
-    report, artifacts = run_stream(park, make_ledger(params, "pmax-unknown"), [jobs],
+    report, artifacts = run_stream(park, make_ledger(params), [jobs],
                                    mode="two-pass")
     with artifacts.spill:
         return second_pass(park, artifacts), report

@@ -6,6 +6,7 @@ equivalence, bounded memory, flat per-job cost, exact feasibility
 arithmetic, and the schedule contract.
 """
 
+import math
 import os
 import random
 import subprocess
@@ -18,7 +19,7 @@ import pytest
 import streamspan
 from streamspan import exact_optimum, make_ledger, run_stream, second_pass, validate_schedule
 from streamspan.capacity import capacity_at
-from streamspan.grouping import LargeJobSet
+from streamspan.grouping import LargeJobSet, ceil_log2
 from streamspan.oracle import naive_capacity_at
 from streamspan.search import crossing_allowance, enumerate_and_select
 
@@ -61,12 +62,10 @@ class SolvedInstance:
         self.params = quiet_params(m, m1, e0, epsilon)
         pmax = max(self.jobs) if self.jobs else 1.0
         ledgers = {
-            "pmax-given": make_ledger(self.params, "pmax-given", pmax=pmax),
-            "estimate-exact": make_ledger(
-                self.params, "pmax-estimate", pmax_estimate=pmax, alpha=1.0),
-            "estimate-loose": make_ledger(
-                self.params, "pmax-estimate", pmax_estimate=8.0 * pmax, alpha=8.0),
-            "pmax-unknown": make_ledger(self.params, "pmax-unknown"),
+            "pmax-given": make_ledger(self.params, pmax=pmax),
+            # the most a declared maximum may overestimate: the top of its band
+            "pmax-band-top": make_ledger(self.params, pmax=math.ldexp(1.0, ceil_log2(pmax))),
+            "pmax-unknown": make_ledger(self.params),
         }
         self.values = {}
         for name, ledger in ledgers.items():
@@ -124,11 +123,11 @@ def test_discovering_the_maximum_online_matches_declaring_it():
         checkpoints = set(range(1, n + 1)) if n <= 60 else (
             set(range(1, n + 1, 13)) | {n}
         )
-        online = make_ledger(params, "pmax-unknown")
+        online = make_ledger(params)
         for i, p in enumerate(stream, start=1):
             online.ingest_many([p])
             if i in checkpoints:
-                declared = make_ledger(params, "pmax-given", pmax=max(stream[:i]))
+                declared = make_ledger(params, pmax=max(stream[:i]))
                 declared.ingest_many(stream[:i])
                 assert online.snapshot() == declared.snapshot(), (i, stream[:i])
 
@@ -172,10 +171,8 @@ def _million_job_stream():
 def _ledgers_for(params, stream):
     pmax = float(stream.max())
     return {
-        "pmax-given": lambda: make_ledger(params, "pmax-given", pmax=pmax),
-        "estimate-loose": lambda: make_ledger(
-            params, "pmax-estimate", pmax_estimate=8.0 * pmax, alpha=8.0),
-        "pmax-unknown": lambda: make_ledger(params, "pmax-unknown"),
+        "pmax-given": lambda: make_ledger(params, pmax=pmax),
+        "pmax-unknown": lambda: make_ledger(params),
     }
 
 
@@ -301,7 +298,7 @@ def test_saturated_band_evicts_it_and_everything_below():
     params = quiet_params(2, 1, 1.0, 1.0)
     assert (params.top_band, params.retain_limit) == (2, 16)
 
-    ledger = make_ledger(params, "pmax-given", pmax=16.0)
+    ledger = make_ledger(params, pmax=16.0)
     ledger.ingest_many([4.0] * 16 + [16.0] * 3)
     large = ledger.finalize()
     assert large.saturated_band == 0
@@ -309,7 +306,7 @@ def test_saturated_band_evicts_it_and_everything_below():
     assert [job_id for job_id, _ in large.jobs] == [16, 17, 18]
     assert [p for _, p in large.jobs] == [16.0, 16.0, 16.0]
 
-    ledger = make_ledger(params, "pmax-given", pmax=16.0)
+    ledger = make_ledger(params, pmax=16.0)
     ledger.ingest_many([16.0] * 16)
     large = ledger.finalize()
     assert large.saturated_band == params.top_band  # the top band itself

@@ -398,10 +398,8 @@ class TestRunCommand:
         values = {}
         for extra in (
             ["--regime", "pmax-given", "--pmax", pmax],
-            ["--regime", "pmax-estimate", "--pmax-estimate", pmax, "--alpha", "1"],
-            ["--regime", "pmax-estimate", "--pmax-estimate",
-             str(8 * float(pmax)), "--alpha", "8"],
             ["--regime", "pmax-unknown"],
+            [],
         ):
             code, out, _ = _run_main(
                 capsys, ["run", "--config", cfg, "--jobs", jobs] + extra
@@ -473,7 +471,7 @@ class TestRunCommand:
         params = quiet_params(3, 1, 0.5, 0.5, retain_limit=3)  # a small search
         for jobs in (sizes, mixed):
             jobs = [p * 0.37 for p in jobs]  # real-valued completions
-            ledger = make_ledger(params, "pmax-given", pmax=max(jobs))
+            ledger = make_ledger(params, pmax=max(jobs))
             chunks = [jobs[i : i + 16] for i in range(0, len(jobs), 16)]
             _, artifacts = run_stream(park, ledger, chunks, mode="two-pass")
             written, sched = self._written(tmp_path / "s.csv", park, artifacts)
@@ -598,6 +596,8 @@ class TestRunCommand:
                 reports[run] = {k: v for k, v in _report_dict(out).items()
                                 if k != "schedule_path" and not k.endswith("_seconds")}
             assert reports["two-pass-stdin"] == reports["two-pass"]
+            # regime1 on the file is perfbench twopass-dense-1m's flag shape
+            assert reports["two-pass"]["regime"] == repr(flags[1] if flags else "pmax-unknown")
             assert ((tmp_path / "two-pass-stdin.csv").read_bytes()
                     == (tmp_path / "two-pass.csv").read_bytes())
         assert int(reports["two-pass"]["peak_retained_jobs"]) >= 120
@@ -730,7 +730,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("flags", [
         ["--regime", "pmax-unknown"],
         ["--regime", "pmax-given", "--pmax", "371.85"],
-        ["--regime", "pmax-estimate", "--pmax-estimate", "500", "--alpha", "2"],
+        ["--regime", "pmax-given", "--pmax", "500"],  # 371.85's band is (256, 512]
         ["--mode", "two-pass"],
         ["--mode", "two-pass-stdin"],
     ])
@@ -1238,7 +1238,7 @@ class TestExitCodes:
              "--regime", "pmax-given", "--pmax", "1048576", *sched],
         )
         assert code == 4
-        assert "observed maximum 1.0" in err and "--regime pmax-estimate" in err
+        assert "observed maximum 1.0" in err and "leave out --pmax" in err
         assert out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.txt", "park.cfg"]
 
@@ -1249,14 +1249,15 @@ class TestExitCodes:
         (["--regime", "pmax-given", "--pmax", "7"], None),
         (["--regime", "pmax-given", "--pmax", "8"], None),
         (["--regime", "pmax-given", "--pmax", "8.000000000000002"],
-         "observed maximum 6.0; for an upper bound use --regime pmax-estimate with alpha >= 1.33"),
+         "observed maximum 6.0; for an upper bound leave out --pmax: the report is the same"),
         (["--regime", "pmax-given", "--pmax", "5.999"], "position 3"),
-        # alpha 5 lets the estimate's band lie ceil(log2 5) = 3 bands up: (32, 64]
-        (["--regime", "pmax-estimate", "--pmax-estimate", "6", "--alpha", "5"], None),
-        (["--regime", "pmax-estimate", "--pmax-estimate", "64", "--alpha", "5"], None),
-        (["--regime", "pmax-estimate", "--pmax-estimate", "64.5", "--alpha", "5"],
-         "observed maximum 6.0; for an upper bound use --regime pmax-estimate with alpha >= 10.75"),
-        (["--regime", "pmax-estimate", "--pmax-estimate", "5.5", "--alpha", "5"], "position 3"),
+        # an estimate, an upper bound on the maximum, runs without --pmax; given
+        # as --pmax it must still lie in the maximum's band
+        (["--regime", "pmax-unknown"], None),
+        (["--regime", "pmax-given", "--pmax", "64"],
+         "observed maximum 6.0; for an upper bound leave out --pmax: the report is the same"),
+        (["--regime", "pmax-given", "--pmax", "64.5"], "the declared p_max 64.5 is too far above"),
+        (["--regime", "pmax-given", "--pmax", "5.5"], "position 3"),
     ], ids=["pmax-at-max", "pmax-in-band", "pmax-at-band-top", "pmax-next-band", "job-above-pmax",
             "estimate-at-max", "estimate-at-reach", "estimate-past-reach", "job-above-estimate"])
     def test_each_contract_holds_to_its_edges(self, capsys, instance, tmp_path, mode, flags,
@@ -1285,19 +1286,18 @@ class TestExitCodes:
     @pytest.mark.parametrize("mode, flags, message", [
         ("one-pass", ["--pmax", "10"],
          "regime pmax-unknown does not take a largest processing time (--pmax)"),
-        ("one-pass", ["--alpha", "2"], "regime pmax-unknown does not take an estimate factor"),
-        ("two-pass", ["--regime", "pmax-estimate", "--pmax-estimate", "16", "--pmax", "16"],
-         "regime pmax-estimate does not take a largest processing time"),
-        ("one-pass", ["--regime", "pmax-given", "--pmax", "16", "--pmax-estimate", "16"],
-         "regime pmax-given does not take an overestimate (--pmax-estimate)"),
-        ("two-pass", ["--regime", "pmax-given", "--pmax", "16", "--alpha", "1"],
-         "regime pmax-given does not take an estimate factor (--alpha)"),
-        ("two-pass-stdin", ["--regime", "pmax-unknown", "--pmax-estimate", "5"],
-         "regime pmax-unknown does not take an overestimate (--pmax-estimate)"),
+        ("one-pass", ["--regime", "pmax-given"],
+         "regime pmax-given needs a largest processing time (--pmax)"),
+        ("two-pass", ["--regime", "pmax-unknown", "--pmax", "16"],
+         "regime pmax-unknown does not take a largest processing time (--pmax)"),
+        ("one-pass", ["--regime", "pmax-unknown", "--pmax", "16"],
+         "regime pmax-unknown does not take a largest processing time (--pmax)"),
+        ("two-pass", ["--regime", "pmax-given"],
+         "regime pmax-given needs a largest processing time (--pmax)"),
+        ("two-pass-stdin", ["--pmax", "5"],
+         "regime pmax-unknown does not take a largest processing time (--pmax)"),
         ("oracle", ["--pmax", "16"], "--pmax only applies to one-pass and two-pass modes"),
         ("oracle", ["--regime", "pmax-given", "--pmax", "1"], "--regime only applies"),
-        ("oracle", ["--pmax-estimate", "16"], "--pmax-estimate only applies"),
-        ("oracle", ["--alpha", "1"], "--alpha only applies"),
     ])
     def test_a_regime_flag_the_run_does_not_read_is_2(self, capsys, instance, tmp_path,
                                                        monkeypatch, mode, flags, message):
@@ -1311,6 +1311,17 @@ class TestExitCodes:
         assert message in err
         assert out == ""
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("flag", ["--pmax-estimate", "--alpha"])
+    def test_the_estimate_flags_are_gone_and_2(self, capsys, instance, flag):
+        # an upper bound on the maximum runs without --pmax (README "Regimes");
+        # --regime pmax-estimate is test_pipeline's test_unknown_regime_lists_the_choices
+        cfg, jobs = instance
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "--config", cfg, "--jobs", jobs, flag, "8"])
+        out, err = capsys.readouterr()
+        assert exc_info.value.code == 2 and f"unrecognized arguments: {flag} 8" in err
+        assert out == ""
 
     def test_budget_exhaustion_is_5(self, capsys, instance):
         cfg, jobs = instance

@@ -141,7 +141,7 @@ def params_tight():
 
 class TestKnownPmaxLedger:
     def test_single_small_and_single_large(self, params_small):
-        led = make_ledger(params_small, "pmax-given", pmax=100.0)
+        led = make_ledger(params_small, pmax=100.0)
         led.ingest_many([1.0])
         led.ingest_many([100.0])
         # the window tops out at ceil_log2(100)=7: bands (16,32],(32,64],(64,128]
@@ -150,12 +150,12 @@ class TestKnownPmaxLedger:
         assert led.max_seen == 100.0
 
     def test_order_swap_changes_only_ids(self, params_small):
-        led = make_ledger(params_small, "pmax-given", pmax=100.0)
+        led = make_ledger(params_small, pmax=100.0)
         led.ingest_many(np.array([100.0, 1.0]))
         assert led.snapshot() == (4, 1, ((7, 1, ((0, 100.0),)),))
 
     def test_empty(self, params_small):
-        led = make_ledger(params_small, "pmax-given", pmax=8.0)
+        led = make_ledger(params_small, pmax=8.0)
         assert led.snapshot() == (None, 0, ())
         large = led.finalize()
         assert large.job_count == 0
@@ -164,27 +164,27 @@ class TestKnownPmaxLedger:
 
     def test_rejects_bad_pmax(self, params_small):
         with pytest.raises(ConfigError):
-            make_ledger(params_small, "pmax-given", pmax=0.0)
+            make_ledger(params_small, pmax=0.0)
         with pytest.raises(ConfigError):
-            make_ledger(params_small, "pmax-given", pmax=math.inf)
+            make_ledger(params_small, pmax=math.inf)
 
     def test_pmax_contract(self, params_small):
-        led = make_ledger(params_small, "pmax-given", pmax=8.0)
+        led = make_ledger(params_small, pmax=8.0)
         led.ingest_many([8.0])
         with pytest.raises(PmaxContractError, match="position 1"):
             led.ingest_many([8.5])
-        led2 = make_ledger(params_small, "pmax-given", pmax=8.0)
+        led2 = make_ledger(params_small, pmax=8.0)
         with pytest.raises(PmaxContractError, match="position 2") as exc:
             led2.ingest_many(np.array([1.0, 2.0, 9.0, 1.0]))
         assert exc.value.position == 2
         # a declared p_max above the band of the stream's maximum
-        led3 = make_ledger(params_small, "pmax-given", pmax=16.0)
+        led3 = make_ledger(params_small, pmax=16.0)
         led3.ingest_many([8.0])
         with pytest.raises(PmaxContractError, match="observed maximum 8.0"):
             led3.finalize()
 
     def test_rejects_bad_values(self, params_small):
-        led = make_ledger(params_small, "pmax-given", pmax=8.0)
+        led = make_ledger(params_small, pmax=8.0)
         led.ingest_many([1.0])
         for bad in (0.0, -3.0, math.nan):
             with pytest.raises(JobValueError, match="position 1"):
@@ -196,9 +196,9 @@ class TestKnownPmaxLedger:
     def test_chunked_equals_streamed(self, params_small):
         rng = np.random.default_rng(3)
         jobs = rng.integers(1, 100, size=500).astype(np.float64)
-        a = make_ledger(params_small, "pmax-given", pmax=100.0)
+        a = make_ledger(params_small, pmax=100.0)
         a.ingest_many(jobs)
-        b = make_ledger(params_small, "pmax-given", pmax=100.0)
+        b = make_ledger(params_small, pmax=100.0)
         for p in jobs:
             b.ingest_many([float(p)])
         assert a.snapshot() == b.snapshot()
@@ -206,7 +206,7 @@ class TestKnownPmaxLedger:
         assert a.peak_retained == b.peak_retained
 
     def test_retention_resets_at_limit_for_good(self, params_tight):
-        led = make_ledger(params_tight, "pmax-given", pmax=8.0)
+        led = make_ledger(params_tight, pmax=8.0)
         for _ in range(3):
             led.ingest_many([8.0])
         assert led.snapshot()[2] == ((3, 3, ((0, 8.0), (1, 8.0), (2, 8.0))),)
@@ -216,7 +216,7 @@ class TestKnownPmaxLedger:
         assert led.snapshot()[2] == ((3, 5, ()),)
 
     def test_finalize_saturation_and_small_bound(self, params_tight):
-        led = make_ledger(params_tight, "pmax-given", pmax=8.0)
+        led = make_ledger(params_tight, pmax=8.0)
         # saturate band 0 (sizes in (1,2]), keep band 2 (sizes in (4,8]) alive
         led.ingest_many(np.array([2.0, 2.0, 2.0, 2.0, 8.0, 7.0]))
         large = led.finalize()
@@ -227,7 +227,7 @@ class TestKnownPmaxLedger:
         assert large.total_load == 23.0
 
     def test_unsaturated_finalize_keeps_band_order(self, params_small):
-        led = make_ledger(params_small, "pmax-given", pmax=8.0)
+        led = make_ledger(params_small, pmax=8.0)
         led.ingest_many(np.array([8.0, 1.5, 3.0]))
         large = led.finalize()
         # bands ascend: (1,2] then (2,4] then (4,8]
@@ -237,56 +237,61 @@ class TestKnownPmaxLedger:
 
 
 class TestEstimatePmaxLedger:
+    """A declared maximum that overestimates the stream's: inside the band
+    of the maximum it reports as the exact one; past it the contract breaks."""
+
     def test_exact_estimate_matches_known(self, params_small):
         jobs = np.array([10.0, 1.0, 6.0, 2.5, 10.0])
-        known = make_ledger(params_small, "pmax-given", pmax=10.0)
+        known = make_ledger(params_small, pmax=10.0)
         known.ingest_many(jobs)
-        est = make_ledger(params_small, "pmax-estimate", pmax_estimate=10.0, alpha=1.0)
+        est = make_ledger(params_small, pmax=16.0)  # the top of 10's band (8, 16]
         est.ingest_many(jobs)
         assert est.snapshot() == known.snapshot()
-        assert est.retained_bound == known.retained_bound  # alpha 1 widens nothing
+        assert est.finalize() == known.finalize()
 
     def test_overestimate_reanchors(self, params_small):
-        # estimate 80 with alpha=8, true max 10: the window is placed by the
-        # first job, not the estimate, and tops out at the true maximum
-        est = make_ledger(params_small, "pmax-estimate", pmax_estimate=80.0, alpha=8.0)
+        # declared 16, true max 10, first job 3: the window is placed by the
+        # first job, not the declared value, and tops out at the true maximum
+        est = make_ledger(params_small, pmax=16.0)
         assert est.band_offset is None
-        jobs = np.array([10.0, 3.0, 1.7, 5.0, 2.0])
+        est.ingest_many([3.0])
+        assert est.band_offset == ceil_log2(3.0) - params_small.bounded_bands
+        jobs = np.array([10.0, 1.7, 5.0, 2.0])
         est.ingest_many(jobs)
-        known = make_ledger(params_small, "pmax-given", pmax=10.0)
-        known.ingest_many(jobs)
-        assert est.snapshot() == known.snapshot()
-        assert est.band_offset == known.band_offset == ceil_log2(10.0) - params_small.bounded_bands
+        unknown = make_ledger(params_small)
+        unknown.ingest_many(np.concatenate(([3.0], jobs)))
+        assert est.snapshot() == unknown.snapshot()
+        assert est.band_offset == ceil_log2(10.0) - params_small.bounded_bands
 
     def test_reanchor_folds_sunk_bands(self, params_small):
-        est = make_ledger(params_small, "pmax-estimate", pmax_estimate=80.0, alpha=8.0)
-        # max stays at 80: nothing folds, all five stream bands survive
-        jobs = np.array([80.0, 3.0, 1.7, 5.0, 2.0])
+        # declared 80, arriving last: the window starts at the first job's
+        # band and rises with 5.0 and 80.0, folding the bands that sink
+        est = make_ledger(params_small, pmax=80.0)
+        jobs = np.array([3.0, 1.7, 5.0, 2.0, 80.0])
         est.ingest_many(jobs)
-        known = make_ledger(params_small, "pmax-given", pmax=80.0)
-        known.ingest_many(jobs)
-        assert est.snapshot() == known.snapshot()
+        unknown = make_ledger(params_small)
+        unknown.ingest_many(jobs)
+        assert est.snapshot() == unknown.snapshot() == (4, 4, ((7, 1, ((4, 80.0),)),))
 
     def test_estimate_contract_violations(self, params_small):
-        est = make_ledger(params_small, "pmax-estimate", pmax_estimate=8.0, alpha=2.0)
+        est = make_ledger(params_small, pmax=8.0)
         with pytest.raises(PmaxContractError, match="position 0"):
-            est.ingest_many([8.5])  # above the declared estimate
-        # stream max far below estimate/alpha: the declared pair was a lie
-        est2 = make_ledger(params_small, "pmax-estimate", pmax_estimate=80.0, alpha=2.0)
+            est.ingest_many([8.5])  # above the declared maximum
+        # stream max far below the declared maximum: an upper bound is no p_max
+        est2 = make_ledger(params_small, pmax=80.0)
         est2.ingest_many([1.0])
-        with pytest.raises(PmaxContractError, match="alpha"):
+        with pytest.raises(PmaxContractError, match="leave out --pmax: the report is the same"):
             est2.finalize()
 
     def test_validation(self, params_small):
-        with pytest.raises(ConfigError):
-            make_ledger(params_small, "pmax-estimate", pmax_estimate=0.0)
-        with pytest.raises(ConfigError):
-            make_ledger(params_small, "pmax-estimate", pmax_estimate=8.0, alpha=0.5)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ConfigError, match="p_max must be finite and > 0"):
+                make_ledger(params_small, pmax=bad)
 
     def test_memory_properties_widened(self, params_small):
-        # alpha widens the contract, not the window: the unknown regime's bounds
-        est = make_ledger(params_small, "pmax-estimate", pmax_estimate=80.0, alpha=8.0)
-        unknown = make_ledger(params_small, "pmax-unknown")
+        # a declared maximum widens and narrows nothing: the unknown maximum's bounds
+        est = make_ledger(params_small, pmax=80.0)
+        unknown = make_ledger(params_small)
         assert est.group_record_bound == unknown.group_record_bound == params_small.bounded_bands + 1
         assert est.retained_bound == unknown.retained_bound == (
             params_small.bounded_bands * params_small.retain_limit)
@@ -294,16 +299,16 @@ class TestEstimatePmaxLedger:
 
 class TestUnknownPmaxLedger:
     def test_first_job_anchors(self, params_small):
-        led = make_ledger(params_small, "pmax-unknown")
+        led = make_ledger(params_small)
         led.ingest_many([1.0])
         assert led.band_offset == -3
         assert led.snapshot() == (-3, 0, ((0, 1, ((0, 1.0),)),))
 
     def test_growth_rebases_and_folds(self, params_small):
-        led = make_ledger(params_small, "pmax-unknown")
+        led = make_ledger(params_small)
         led.ingest_many([1.0])
         led.ingest_many([100.0])
-        known = make_ledger(params_small, "pmax-given", pmax=100.0)
+        known = make_ledger(params_small, pmax=100.0)
         known.ingest_many(np.array([1.0, 100.0]))
         assert led.snapshot() == known.snapshot()
         assert led.band_offset == 4
@@ -311,10 +316,10 @@ class TestUnknownPmaxLedger:
     def test_matches_known_on_every_prefix(self, params_small):
         rng = np.random.default_rng(11)
         jobs = rng.integers(1, 2000, size=120).astype(np.float64)
-        led = make_ledger(params_small, "pmax-unknown")
+        led = make_ledger(params_small)
         for i, p in enumerate(jobs, start=1):
             led.ingest_many([float(p)])
-            fresh = make_ledger(params_small, "pmax-given", pmax=float(jobs[:i].max()))
+            fresh = make_ledger(params_small, pmax=float(jobs[:i].max()))
             fresh.ingest_many(jobs[:i])
             assert led.snapshot() == fresh.snapshot()
             assert led.total_load == fresh.total_load
@@ -329,7 +334,7 @@ class TestUnknownPmaxLedger:
         # no entry past those the ledger keeps is written
         params = params_tight if saturating else params_small
         jobs = np.repeat(1.3 ** np.arange(40), 2)  # rising: about 11 rebases
-        clean, dirty = make_ledger(params, "pmax-unknown"), make_ledger(params, "pmax-unknown")
+        clean, dirty = make_ledger(params), make_ledger(params)
         for i in range(0, jobs.size, size):
             before = dirty.retained_total
             dirty._ids[before:] = -1
@@ -347,7 +352,7 @@ class TestUnknownPmaxLedger:
 
     def test_bounds_hold_throughout(self, params_tight):
         rng = np.random.default_rng(5)
-        led = make_ledger(params_tight, "pmax-unknown")
+        led = make_ledger(params_tight)
         for p in rng.integers(1, 5000, size=400):
             led.ingest_many([float(p)])
             assert led.retained_total <= led.retained_bound
@@ -355,12 +360,12 @@ class TestUnknownPmaxLedger:
         assert led.peak_retained <= led.retained_bound
 
     def test_rejects_bad_values(self, params_small):
-        led = make_ledger(params_small, "pmax-unknown")
+        led = make_ledger(params_small)
         with pytest.raises(JobValueError, match="position 0"):
             led.ingest_many([-2.0])
 
     def test_rejects_an_overflowing_total(self, params_small):
-        led = make_ledger(params_small, "pmax-unknown")
+        led = make_ledger(params_small)
         led.ingest_many(np.array([5e307, 5e307, 5e307]))  # near the float range, finite
         assert math.isfinite(led.total_load)
         with pytest.raises(JobValueError, match="position 4") as exc:
@@ -383,10 +388,9 @@ def test_all_ledgers_agree_with_replay(jobs, retain_limit, chunk):
     # on chunk boundaries and inside chunks
     step = chunk or arr.size
 
-    known = make_ledger(params, "pmax-given", pmax=pmax)
-    unknown = make_ledger(params, "pmax-unknown")
-    estimate = make_ledger(params, "pmax-estimate", pmax_estimate=4.0 * pmax, alpha=4.0)
-    for ledger in (known, unknown, estimate):
+    known = make_ledger(params, pmax=pmax)
+    unknown = make_ledger(params)
+    for ledger in (known, unknown):
         for lo in range(0, arr.size, step):
             ledger.ingest_many(arr[lo:lo + step])
 
@@ -395,11 +399,9 @@ def test_all_ledgers_agree_with_replay(jobs, retain_limit, chunk):
     expected = (offset, low_count, tuple((top, c, kept) for top, c, _, kept in entries))
     assert known.snapshot() == expected
     assert unknown.snapshot() == expected
-    assert estimate.snapshot() == expected
 
     assert known.peak_retained <= known.retained_bound
-    assert estimate.peak_retained <= estimate.retained_bound
-    assert known.finalize() == unknown.finalize() == estimate.finalize()
+    assert known.finalize() == unknown.finalize()
 
 
 @settings(max_examples=100, deadline=None)
@@ -415,7 +417,7 @@ def test_unknown_ledger_matches_a_per_job_rebasing_replay(jobs, retain_limit, ch
     params = quiet_params(2, 1, 1.0, 1.0, retain_limit=retain_limit)
     arr = np.array(jobs, np.float64)
     step = chunk or arr.size
-    ledger = make_ledger(params, "pmax-unknown")
+    ledger = make_ledger(params)
     for lo in range(0, arr.size, step):
         ledger.ingest_many(arr[lo:lo + step])
     want = reference_ingest(jobs, params)
@@ -430,7 +432,7 @@ def test_the_top_band_below_2_to_the_1024_fills_and_retains(retain_limit, chunk)
     # upper edge, and at retain_limit 1 its first arrival fills it
     params = quiet_params(2, 1, 1.0, 1.0, retain_limit=retain_limit)
     jobs = [3.0, 1.7e308, 5.0]
-    ledger = make_ledger(params, "pmax-unknown")
+    ledger = make_ledger(params)
     for lo in range(0, len(jobs), chunk):
         ledger.ingest_many(jobs[lo:lo + chunk])
     assert ledger.band_offset == 1024 - params.bounded_bands

@@ -23,7 +23,7 @@ def _params(n_bounded, retain_limit):
 def _run_ingest(chunks, params):
     """(snapshot, retained total, peak retained, peak group records) of a
     ledger fed chunks, as reference_ingest returns them."""
-    ledger = make_ledger(params, "pmax-unknown")
+    ledger = make_ledger(params)
     for chunk in chunks:
         ledger.ingest_many(chunk)
     return (ledger.snapshot(), ledger.retained_total, ledger.peak_retained,
@@ -84,7 +84,7 @@ def test_block_into_saturated_bands_touches_only_counts():
     # bands 0 and 1 saturate at their third arrival; band 2 keeps one job
     params = _params(3, 3)
     first = [1.5, 3.0, 1.5, 3.0, 1.5, 3.0, 5.0]
-    ledger = make_ledger(params, "pmax-unknown")
+    ledger = make_ledger(params)
     ledger.ingest_many(first)
     assert (ledger.retained_total, ledger.band_offset) == (1, 0)
     kept = ledger._ids.tobytes(), ledger._ps.tobytes()

@@ -155,7 +155,7 @@ class TestGridScan:
         e0 = rng.choice([0.25, 0.5, 1.0])
         park, jobs = make_instance(seed + 5000, m, m1, e0, rng.randint(1, 8))
         params = quiet_params(m, m1, e0, 0.5)
-        led = make_ledger(params, "pmax-given", pmax=max(jobs))
+        led = make_ledger(params, pmax=max(jobs))
         led.ingest_many(jobs)
         large = led.finalize()
         out = enumerate_and_select(park, large, 0.5)

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamspan import (
-    REGIMES,
     ConfigError,
     RunReport,
     StreamspanError,
@@ -41,24 +40,31 @@ class TestMakeLedger:
         self.params = quiet_params(2, 1, 1.0, 1.0)
 
     def test_each_regime_builds_its_ledger(self):
-        given = make_ledger(self.params, "pmax-given", pmax=4.0)
-        estimate = make_ledger(self.params, "pmax-estimate", pmax_estimate=8.0, alpha=2.0)
-        unknown = make_ledger(self.params, "pmax-unknown")
-        assert [led.regime for led in (given, estimate, unknown)] == list(REGIMES)
-        # one window for every regime, placed by the first job
-        assert (given.band_offset, estimate.band_offset, unknown.band_offset) == (None,) * 3
+        # the regime is read off the declared maximum
+        given = make_ledger(self.params, pmax=4.0)
+        unknown = make_ledger(self.params)
+        assert [led.regime for led in (given, unknown)] == ["pmax-given", "pmax-unknown"]
+        # one window either way, placed by the first job
+        assert (given.band_offset, unknown.band_offset) == (None, None)
 
-    def test_missing_pmax_names_the_flag(self):
-        with pytest.raises(ConfigError, match="--pmax"):
-            make_ledger(self.params, "pmax-given")
+    def _run_argv(self, tmp_path, *flags):
+        cfg, jobs = tmp_path / "park.cfg", tmp_path / "jobs.txt"
+        cfg.write_text("m 2\nm1 1\ne0 1\nmachine 1\nmachine 2\n")
+        jobs.write_text("1 2\n")
+        return ["run", "--config", str(cfg), "--jobs", str(jobs), *flags]
 
-    def test_missing_estimate_names_the_flag(self):
-        with pytest.raises(ConfigError, match="--pmax-estimate"):
-            make_ledger(self.params, "pmax-estimate")
+    def test_missing_pmax_names_the_flag(self, capsys, tmp_path):
+        # the command line pairs --regime with --pmax; the library reads only pmax
+        assert main(self._run_argv(tmp_path, "--regime", "pmax-given")) == 2
+        assert "regime pmax-given needs a largest processing time (--pmax)" in (
+            capsys.readouterr().err)
 
-    def test_unknown_regime_lists_the_choices(self):
-        with pytest.raises(ConfigError, match="pmax-given, pmax-estimate, pmax-unknown"):
-            make_ledger(self.params, "bogus")
+    def test_unknown_regime_lists_the_choices(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc_info:
+            main(self._run_argv(tmp_path, "--regime", "pmax-estimate", "--pmax", "8"))
+        assert exc_info.value.code == 2
+        assert re.search(r"invalid choice: 'pmax-estimate' \(choose from .*pmax-given.*pmax-unknown",
+                         capsys.readouterr().err)
 
 
 class TestRunStream:
@@ -78,7 +84,7 @@ class TestRunStream:
         jobs_max=st.sampled_from([16, 1024]),
         scale=st.sampled_from([1.0, 0.37]),
         retain_limit=st.sampled_from([None, 2, 3, 5]),
-        regime=st.sampled_from(["pmax-given", "pmax-estimate", "pmax-unknown"]),
+        regime=st.sampled_from(["pmax-given", "pmax-unknown"]),
     )
     def test_chunking_does_not_change_the_report(
         self, seed, m, m1, e0, epsilon, n, jobs_max, scale, retain_limit, regime
@@ -97,11 +103,7 @@ class TestRunStream:
         outcomes = []
         for size in (1, 7, 65536):
             chunks = [jobs[i:i + size] for i in range(0, n, size)]
-            ledger = make_ledger(params, regime, **{
-                "pmax-given": {"pmax": pmax},
-                "pmax-estimate": {"pmax_estimate": 3 * pmax, "alpha": 4.0},
-                "pmax-unknown": {},
-            }[regime])
+            ledger = make_ledger(params, pmax if regime == "pmax-given" else None)
             try:
                 report, artifacts = run_stream(park, ledger, chunks, mode="two-pass")
                 csv = io.BytesIO()
@@ -129,18 +131,14 @@ class TestRunStream:
         retain_limit=st.sampled_from([None, 2, 3, 5]),
         size=st.sampled_from([1, 7, 65536]),
         inside=st.floats(0.0, 1.0),
-        alpha=st.sampled_from([1.0, 1.5, 2.0, 8.0, 1000.0]),
-        above=st.integers(0, 10),
     )
     def test_every_regime_reports_what_the_unknown_one_does(
         self, seed, m, m1, e0, epsilon, n, jobs_max, family, retain_limit, size, inside,
-        alpha, above,
     ):
-        """One window serves every regime: a run whose declared maximum or
-        estimate keeps its contract reports what the pmax-unknown run does,
-        `regime` and timings masked, and writes the same schedule bytes.
-        The declared values sit anywhere in the maximum's band, and an
-        estimate up to ceil(log2 alpha) bands above it."""
+        """One window serves both regimes: a run whose declared maximum keeps
+        its contract reports what the pmax-unknown run does, `regime` and
+        timings masked, and writes the same schedule bytes.  The declared
+        value sits anywhere in the maximum's band."""
         if retain_limit is None:
             n = min(n, 8)  # every job may stay large: keep the search small
         if epsilon == 0.05:
@@ -156,13 +154,11 @@ class TestRunStream:
         pmax = float(jobs.max())
         top = math.ldexp(1.0, ceil_log2(pmax))
         in_band = pmax + inside * (top - pmax)  # in [pmax, top]: the maximum's band
-        estimate = math.ldexp(in_band, min(above, ceil_log2(alpha)))
         chunks = [jobs[i:i + size] for i in range(0, n, size)]
         outcomes = []
-        for regime, kw in [("pmax-unknown", {}), ("pmax-given", {"pmax": pmax}),
-                           ("pmax-given", {"pmax": in_band}),
-                           ("pmax-estimate", {"pmax_estimate": estimate, "alpha": alpha})]:
-            ledger = make_ledger(params, regime, **kw)
+        for regime, declared in [("pmax-unknown", None), ("pmax-given", pmax),
+                                 ("pmax-given", in_band)]:
+            ledger = make_ledger(params, declared)
             try:
                 report, artifacts = run_stream(park, ledger, chunks, mode="two-pass",
                                                budget=20000)
@@ -173,11 +169,11 @@ class TestRunStream:
                 outcomes.append((masked, csv.getvalue()))
             except StreamspanError as exc:
                 outcomes.append((type(exc), str(exc)))
-        assert outcomes[1:] == outcomes[:1] * 3
+        assert outcomes[1:] == outcomes[:1] * 2
 
     def test_artifacts_describe_the_pass(self):
         park, params, jobs = self._instance()
-        ledger = make_ledger(params, "pmax-given", pmax=max(jobs))
+        ledger = make_ledger(params, pmax=max(jobs))
         report, art = run_stream(park, ledger, [jobs])
         assert art.spill is None  # a one-pass run, the default
         assert len({j for j, _ in art.outcome.jobs}) == report.search_jobs
@@ -185,7 +181,7 @@ class TestRunStream:
 
     def test_empty_stream_reports_zero(self):
         park, params, _ = self._instance()
-        ledger = make_ledger(params, "pmax-unknown")
+        ledger = make_ledger(params)
         report, art = run_stream(park, ledger, [])
         assert report.value == 0.0
         assert report.selected_t == 0.0
@@ -202,7 +198,7 @@ class TestRunStream:
                 time.sleep(0.02)
                 yield chunk
 
-        ledger = make_ledger(params, "pmax-given", pmax=max(jobs))
+        ledger = make_ledger(params, pmax=max(jobs))
         report, _ = run_stream(park, ledger, slow_chunks())
         assert report.parse_seconds >= 0.04
         stages = report.parse_seconds + report.ingest_seconds + report.search_seconds
@@ -211,7 +207,7 @@ class TestRunStream:
     def test_machine_count_mismatch_is_rejected(self):
         park, _, jobs = self._instance()
         wrong = quiet_params(3, 1, 0.5, 0.5)
-        ledger = make_ledger(wrong, "pmax-given", pmax=max(jobs))
+        ledger = make_ledger(wrong, pmax=max(jobs))
         with pytest.raises(ConfigError, match="3 machines, park has 2"):
             run_stream(park, ledger, [jobs])
 
@@ -219,13 +215,13 @@ class TestRunStream:
     def test_floor_mismatch_is_rejected(self, m1, e0):
         # params for another m1 or e0 would pick another band count silently
         park = identity_park(3, m1=1, e0=0.25)
-        ledger = make_ledger(quiet_params(3, m1, e0, 0.5), "pmax-unknown")
+        ledger = make_ledger(quiet_params(3, m1, e0, 0.5))
         with pytest.raises(ConfigError, match=f"derived for m1 {m1}, e0 {e0}; park has m1 1, e0 0.25"):
             run_stream(park, ledger, [np.arange(1.0, 200.0)])
 
     def test_memory_peaks_within_bounds(self):
         park, params, jobs = self._instance()
-        ledger = make_ledger(params, "pmax-given", pmax=max(jobs))
+        ledger = make_ledger(params, pmax=max(jobs))
         report, _ = run_stream(park, ledger, [jobs])
         assert report.peak_retained_jobs <= report.retained_job_bound
         assert report.peak_group_records <= report.group_record_bound
@@ -235,7 +231,7 @@ class TestReportLines:
     def _report(self, **overrides):
         park, jobs = make_instance(11, 2, 1, 0.5, 6)
         params = quiet_params(2, 1, 0.5, 0.5)
-        ledger = make_ledger(params, "pmax-given", pmax=max(jobs))
+        ledger = make_ledger(params, pmax=max(jobs))
         report, _ = run_stream(park, ledger, [jobs])
         return dataclasses.replace(report, **overrides) if overrides else report
 
@@ -267,7 +263,7 @@ class TestReportLines:
 
     def test_an_empty_stream_prints_band_offset_none(self):
         park, _ = make_instance(11, 2, 1, 0.5, 6)
-        report, _ = run_stream(park, make_ledger(quiet_params(2, 1, 0.5, 0.5), "pmax-unknown"), [])
+        report, _ = run_stream(park, make_ledger(quiet_params(2, 1, 0.5, 0.5)), [])
         assert "band_offset: None" in report.as_lines()
 
     def test_schedule_fields_appear_when_set(self):
@@ -287,16 +283,12 @@ def test_regimes_agree_on_one_instance():
     park, jobs = make_instance(29, 3, 2, 0.5, 8)
     params = quiet_params(3, 2, 0.5, 0.5)
     values = []
-    for regime, kwargs in [
-        ("pmax-given", {"pmax": max(jobs)}),
-        ("pmax-estimate", {"pmax_estimate": 4 * max(jobs), "alpha": 4.0}),
-        ("pmax-unknown", {}),
-    ]:
-        ledger = make_ledger(params, regime, **kwargs)
+    for regime, declared in [("pmax-given", max(jobs)), ("pmax-unknown", None)]:
+        ledger = make_ledger(params, declared)
         report, _ = run_stream(park, ledger, [jobs])
         assert report.regime == ledger.regime == regime
         values.append(report.value)
-    assert values[0] == values[1] == values[2]
+    assert values[0] == values[1]
 
 
 def test_the_readme_library_example_runs():
@@ -335,11 +327,18 @@ def test_the_readme_key_table_is_the_report_in_print_order(tmp_path, capsys, mon
 
 def test_the_readme_modes_and_run_help_list_the_modes_in_order(capsys):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    section = readme.split("\n## Modes\n", 1)[1].split("\n## ", 1)[0]
-    assert re.findall(r"^- `([\w-]+)`", section, re.M) == list(MODES)
+    def bullets(heading):
+        section = readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+        return re.findall(r"^- `([\w-]+)`", section, re.M)
+
+    assert bullets("Modes") == list(MODES)
 
     with pytest.raises(SystemExit) as exc_info:
         main(["run", "--help"])
     assert exc_info.value.code == 0
-    listed = re.findall(r"--mode \{([\w,-]+)\}", capsys.readouterr().out)
+    usage = capsys.readouterr().out
+    listed = re.findall(r"--mode \{([\w,-]+)\}", usage)
     assert listed and all(choices.split(",") == list(MODES) for choices in listed)
+    # the README's regimes are the --regime choices, in order
+    regimes = re.findall(r"--regime \{([\w,-]+)\}", usage)
+    assert regimes and all(choices.split(",") == bullets("Regimes") for choices in regimes)

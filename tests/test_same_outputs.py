@@ -27,7 +27,7 @@ def test_the_corpus_covers_every_mode_park_size_and_error(harness):
     assert {case.config.split("\n")[0] for case in cases} == {f"m {m}" for m in range(1, 9)}
     assert {case.name.split(", ")[2] for case in cases[:160]} == {"integer", "scaled", "sorted"}
     flags = {flag for case in cases for flag in case.flags}
-    assert {"pmax-given", "pmax-estimate", "--stats"} <= flags
+    assert {"pmax-given", "pmax-unknown", "--stats"} <= flags
     assert harness.corpus() == cases  # seeded
 
 

@@ -134,7 +134,7 @@ class TestOfflineAgainstOracle:
 class TestSecondPass:
     def _artifacts(self, park, params, jobs, epsilon, chunks=None):
         assert params.epsilon == epsilon
-        _, artifacts = run_stream(park, make_ledger(params, "pmax-given", pmax=max(jobs)),
+        _, artifacts = run_stream(park, make_ledger(params, pmax=max(jobs)),
                                   [jobs] if chunks is None else chunks, mode="two-pass")
         return artifacts
 
@@ -201,7 +201,7 @@ class TestSecondPass:
         park = identity_park(2, m1=1, e0=1.0)
         params = quiet_params(2, 1, 1.0, 1.0)
         jobs = [4.0, 1.0, 3.0, 2.0, 4.0]
-        led = make_ledger(params, "pmax-given", pmax=4.0)
+        led = make_ledger(params, pmax=4.0)
         report, art = run_stream(park, led, [jobs], mode="two-pass")
         with art.spill:
             sched = second_pass(park, art)
@@ -226,13 +226,13 @@ class TestSpill:
         jobs = [5.0, 3.0, 8.0, 2.0]
         lines = {}
         for mode in ("one-pass", "two-pass"):
-            report, art = run_stream(park, make_ledger(params, "pmax-unknown"), [jobs], mode=mode)
+            report, art = run_stream(park, make_ledger(params), [jobs], mode=mode)
             # the same report but for its mode line and timings
             lines[mode] = [ln for ln in report.as_lines(stats=True)[1:] if "_seconds" not in ln]
         assert lines["one-pass"] == lines["two-pass"]
         with art.spill:
             assert [c.tolist() for c in art.spill] == [jobs]
-        _, art = run_stream(park, make_ledger(params, "pmax-unknown"), [jobs])
+        _, art = run_stream(park, make_ledger(params), [jobs])
         assert art.spill is None
         with pytest.raises(ConfigError, match="one-pass run keeps no spill"):
             second_pass(park, art)

@@ -99,7 +99,7 @@ def sharing_parks(draw):
 def test_the_last_grid_point_covers_the_load_and_takes_every_retained_job(shape, sizes, scale):
     park, epsilon = shape
     params = quiet_params(park.m, park.floor_machines, park.ratio_floor, epsilon)
-    led = make_ledger(params, "pmax-unknown")
+    led = make_ledger(params)
     led.ingest_many(np.array(sizes, np.float64) * scale)
     large = led.finalize()
     fold = 0.0
@@ -246,7 +246,7 @@ def test_selection_skips_unreachable_exponents_below_aggregate_floor():
 
 def test_search_consumes_ledger_output():
     params = quiet_params(2, 1, 1.0, 1.0)
-    led = make_ledger(params, "pmax-given", pmax=4.0)
+    led = make_ledger(params, pmax=4.0)
     led.ingest_many(np.array([4.0, 1.0, 3.0, 2.0, 4.0]))
     out = enumerate_and_select(identity_park(2, m1=1, e0=1.0), led.finalize(), 1.0)
     assert out.t == 7.0  # P=14, LB=7, balanced split 7/7 fits exactly
@@ -265,7 +265,7 @@ def test_generated_streams_settle_within_the_default_budget(n, tmp_path, capsys)
         assert main(["run", "--config", str(cfg), "--jobs", str(jobs)]) == 0, seed
         printed = capsys.readouterr().out
         park = parse_machine_config_text(config_text)
-        ledger = make_ledger(params, "pmax-unknown")
+        ledger = make_ledger(params)
         report, artifacts = run_stream(park, ledger, [[float(p) for p in jobs_text.split()]])
         def untimed(lines):
             return [ln for ln in lines if not ln.split(":", 1)[0].endswith("_seconds")]
