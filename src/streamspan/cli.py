@@ -15,8 +15,7 @@ failures:
     2  bad usage, config file, or machine park; a file that cannot be
        read or written, the spill included
     3  bad job value (position reported)
-    4  a job above --pmax, or a --pmax above the band of the stream's
-       maximum
+    4  a job above --pmax, the declared upper bound
     5  search budget exceeded
     7  an output was closed by its reader
 
@@ -26,46 +25,37 @@ pass reads the first pass's own spill.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import ctypes
 import gc
+import os
+import sys
+import time
+from dataclasses import replace
+from stat import S_IMODE, S_ISDIR, S_ISREG
+from typing import BinaryIO, Iterator, Sequence
 
-# The collector stays off from here to gc.freeze() below: the imports
-# allocate many objects and free few, so a collection would only walk them.
-_collecting = gc.isenabled()
-gc.disable()
-try:
-    import argparse
-    import contextlib
-    import ctypes
-    import os
-    import sys
-    import time
-    from dataclasses import replace
-    from stat import S_IMODE, S_ISDIR, S_ISREG
-    from typing import BinaryIO, Iterator, Sequence
+import numpy as np
 
-    import numpy as np
+from .capacity import MachinePark, MachineTimeline
+from .errors import (
+    BudgetExceededError,
+    ConfigError,
+    JobValueError,
+    PmaxContractError,
+    StreamspanError,
+)
+from .grouping import derive_params, make_ledger
+from .pipeline import run_stream
+from .search import DEFAULT_BUDGET
+from .textio import float_chunks, write_schedule_csv
 
-    from .capacity import MachinePark, MachineTimeline
-    from .errors import (
-        BudgetExceededError,
-        ConfigError,
-        JobValueError,
-        PmaxContractError,
-        StreamspanError,
-    )
-    from .grouping import derive_params, make_ledger
-    from .pipeline import run_stream
-    from .search import DEFAULT_BUDGET
-    from .textio import float_chunks, write_schedule_csv
-
-    # What the imports built lives until the process exits.  Frozen, it is
-    # left out of every later collection, the one at exit included, which
-    # would otherwise walk and free all of it: about a tenth of a short run.
-    # Done once here, not in main, which tests call many times in one process.
-    gc.freeze()
-finally:
-    if _collecting:
-        gc.enable()
+# What the imports built lives until the process exits.  Frozen, it is
+# left out of every later collection, the one at exit included, which
+# would otherwise walk and free all of it: about a tenth of a short run.
+# Done once here, not in main, which tests call many times in one process.
+gc.freeze()
 
 # Each block of the stream allocates and frees arrays and bytes of a few
 # hundred KB.  By default glibc serves such sizes from fresh mmaps and
@@ -496,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="how the largest processing time is known (default pmax-unknown)")
     run.add_argument("--epsilon", type=float, default=0.5, help="approximation slack")
     run.add_argument("--pmax", type=float, default=None,
-                     help="exact largest processing time (regime pmax-given)")
+                     help="upper bound on every processing time (regime pmax-given)")
     run.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                      help="max search nodes (oracle mode: max assignments)")
     run.add_argument("--schedule-out", default=None,

@@ -24,8 +24,7 @@ class JobValueError(StreamspanError):
 
 
 class PmaxContractError(StreamspanError):
-    """A processing time exceeded the declared p_max, or the stream's maximum
-    ended below p_max's band."""
+    """A processing time exceeded the declared p_max, an upper bound."""
 
     def __init__(self, message: str, position: int | None = None):
         super().__init__(message)

@@ -2,8 +2,8 @@
 
 derive_params sizes the bands; make_ledger builds the _BandedLedger that
 keeps them over one pass, and its finalize hands the search a LargeJobSet.
-The window follows the largest job seen, so a declared maximum changes
-nothing but the contract the ledger checks on the stream.
+The window follows the largest job seen, so a declared maximum is only
+an upper bound the ledger checks each job against.
 """
 
 from __future__ import annotations
@@ -19,18 +19,9 @@ from .errors import ConfigError, JobValueError, PmaxContractError
 __all__ = [
     "SchedulingParams",
     "derive_params",
-    "ceil_log2",
     "LargeJobSet",
     "make_ledger",
 ]
-
-
-def ceil_log2(p: float) -> int:
-    """Exact ceil(log2 p) for p > 0, read off the float representation."""
-    if not (p > 0) or math.isinf(p):
-        raise JobValueError(f"need a finite positive value, got {p}")
-    frac, ex = math.frexp(p)
-    return ex - 1 if frac == 0.5 else ex
 
 
 def _pow2(top: int) -> float:
@@ -39,7 +30,7 @@ def _pow2(top: int) -> float:
 
 
 def _ceil_log2s(ps: np.ndarray) -> np.ndarray:
-    mant, ex = np.frexp(ps)  # ceil_log2 of each finite positive p
+    mant, ex = np.frexp(ps)  # the exact ceil(log2 p) of each finite positive p
     return ex.astype(np.int64) - (mant == 0.5)
 
 
@@ -152,9 +143,8 @@ class _BandedLedger:
     first job, each chunk is split where its running maximum passes the
     top, and between the pieces the window rebases, shifting up and
     folding the bands that sink below it into the low band.  A declared
-    maximum pmax is only a contract: no job may exceed it, and at the end
-    the observed maximum must lie in pmax's band.  regime names the run:
-    pmax-given with a pmax, else pmax-unknown.
+    maximum pmax is only an upper bound: no job may exceed it.  regime
+    names the run: pmax-given with a pmax, else pmax-unknown.
 
     job_count, total_load (the left fold of the jobs in arrival order),
     max_seen, retained_total and peak_retained are plain fields.
@@ -166,7 +156,6 @@ class _BandedLedger:
         n = params.bounded_bands
         self._offset = None
         self._p_limit = math.inf if pmax is None else pmax
-        self._lowest_top = -math.inf if pmax is None else ceil_log2(pmax)
         try:  # numpy refuses shapes past its size limit with ValueError
             self._counts = np.zeros(n + 1, np.int64)
             self._ids = np.zeros(n * (params.retain_limit - 1), np.int64)
@@ -250,7 +239,7 @@ class _BandedLedger:
             self._rebase(int(tops[0]) - n)
         cut = 0
         window_top = self._offset + n
-        if ceil_log2(chunk_max) > window_top:
+        if chunk_max > _pow2(window_top):  # a job above the window's top edge
             running = np.maximum.accumulate(np.maximum(tops, window_top))
             for rise in np.flatnonzero(np.diff(running, prepend=window_top) > 0):
                 self._ingest_segment(arr[cut:rise], tops[cut:rise], start + cut)
@@ -321,16 +310,10 @@ class _BandedLedger:
         """Canonical (offset, low_count, entries) of the window, each entry
         (top, count, retained) of a band holding a job: what finalize reads
         and equality tests compare.  The window's top is the observed
-        maximum's band; a declared maximum above it breaks the contract.
+        maximum's band, whatever maximum was declared.
         """
         if self.job_count == 0:
             return (None, 0, ())
-        if ceil_log2(self.max_seen) < self._lowest_top:
-            raise PmaxContractError(
-                f"the declared p_max {self._p_limit} is too far above the observed "
-                f"maximum {self.max_seen}; for an upper bound leave out --pmax: "
-                "the report is the same"
-            )
         slots = self._slots()
         order = np.argsort(slots, kind="stable")  # band-ascending, then arrival order
         jobs = list(zip(self._ids[order].tolist(), self._ps[order].tolist()))
@@ -358,10 +341,8 @@ class _BandedLedger:
 
 
 def make_ledger(params: SchedulingParams, pmax: float | None = None) -> _BandedLedger:
-    """The ledger for one pass.  With pmax, the stream's declared largest
-    processing time, no job may exceed pmax and pmax must lie in the band
-    of the stream's maximum; without it, the window checks nothing.
-    """
+    """The ledger for one pass.  With pmax, an upper bound, a job above pmax
+    is refused; nothing else changes but the regime."""
     if pmax is not None and (not (pmax > 0) or math.isinf(pmax)):
         raise ConfigError(f"p_max must be finite and > 0, got {pmax}")
     return _BandedLedger(params, None if pmax is None else float(pmax))

@@ -153,8 +153,9 @@ def replay_grouping(
     count, load, retained): the ledgers' (offset, low_count, entries)
     snapshot, each entry (top, count, retained), with every band's load,
     the left fold of its sizes in arrival order, added.  Anchored at p_max
-    when given, else at the stream maximum.  Assumes a valid stream (all
-    sizes positive, none above the anchor).
+    when given, else at the stream maximum: the ledgers' window follows
+    the maximum, so a p_max must lie in the maximum's band to replay them.
+    Assumes a valid stream (all sizes positive, none above the anchor).
     """
     vals = [float(p) for p in ps]
     if not vals:

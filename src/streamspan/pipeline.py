@@ -8,7 +8,9 @@ them and tests can compare runs with the timing fields masked out.
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator
@@ -50,7 +52,7 @@ class RunReport:
     schedule_path: str | None = None
     max_seen: float = field(metadata=_STATS)
     small_bound: float = field(metadata=_STATS)
-    assignments: int = field(metadata=_STATS)
+    assignments: int = field(metadata=_STATS)  # a Decimal past int's digit limit
     search_nodes: int = field(metadata=_STATS)
     lower_bound: float = field(metadata=_STATS)
     upper_bound: float = field(metadata=_STATS)
@@ -72,12 +74,7 @@ class RunReport:
             val = getattr(self, f.name)
             if (val is None and f.default is None) or (f.metadata.get("stats") and not stats):
                 continue
-            try:
-                text = repr(val) if isinstance(val, str) else str(val)
-            except ValueError:  # assignments, an int past int's decimal digit limit
-                import decimal
-
-                text = str(decimal.Decimal(val))
+            text = repr(val) if isinstance(val, str) else str(val)
             out.append(f"{f.name}: {text}")
         return out
 
@@ -161,6 +158,17 @@ class Spill:
             )
 
 
+def _assignments(m: int, jobs: int):
+    """m**jobs, a Decimal with the same digits past int's decimal digit
+    limit, where str() of the int raises and Decimal(int) is quadratic."""
+    digits = int(jobs * math.log10(m)) + 1
+    limit = sys.get_int_max_str_digits()  # 0 when there is none
+    if not limit or digits < limit:
+        return m ** jobs
+    import decimal  # only a run with thousands of retained jobs
+    return decimal.Context(prec=digits + 2, Emax=decimal.MAX_EMAX).power(m, jobs)
+
+
 def run_stream(
     park: MachinePark,
     ledger,
@@ -225,7 +233,7 @@ def run_stream(
         job_count=n,
         max_seen=ledger.max_seen,
         small_bound=large.small_bound,
-        assignments=park.m ** large.job_count,
+        assignments=_assignments(park.m, large.job_count),
         search_nodes=outcome.nodes,
         lower_bound=outcome.lower_bound,
         upper_bound=outcome.upper_bound,

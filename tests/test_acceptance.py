@@ -6,7 +6,6 @@ equivalence, bounded memory, flat per-job cost, exact feasibility
 arithmetic, and the schedule contract.
 """
 
-import math
 import os
 import random
 import subprocess
@@ -19,7 +18,7 @@ import pytest
 import streamspan
 from streamspan import exact_optimum, make_ledger, run_stream, second_pass, validate_schedule
 from streamspan.capacity import capacity_at
-from streamspan.grouping import LargeJobSet, ceil_log2
+from streamspan.grouping import LargeJobSet
 from streamspan.oracle import naive_capacity_at
 from streamspan.search import crossing_allowance, enumerate_and_select
 
@@ -63,8 +62,8 @@ class SolvedInstance:
         pmax = max(self.jobs) if self.jobs else 1.0
         ledgers = {
             "pmax-given": make_ledger(self.params, pmax=pmax),
-            # the most a declared maximum may overestimate: the top of its band
-            "pmax-band-top": make_ledger(self.params, pmax=math.ldexp(1.0, ceil_log2(pmax))),
+            # a declared maximum is an upper bound: twice the stream's reports the same
+            "pmax-twice": make_ledger(self.params, pmax=2.0 * pmax),
             "pmax-unknown": make_ledger(self.params),
         }
         self.values = {}

@@ -1226,42 +1226,44 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("mode", ["one-pass", "two-pass"])
     def test_a_pmax_above_the_band_of_the_maximum_is_4(self, capsys, tmp_path, mode):
-        # a --pmax 20 bands above the band of the stream's maximum breaks
-        # the declared contract, which the end of the pass checks
+        # a --pmax 20 bands above the band of the stream's maximum is an upper
+        # bound: the run exits 0, and only a job above the bound exits 4
         cfg, jobs, out_csv = tmp_path / "park.cfg", tmp_path / "jobs.txt", tmp_path / "s.csv"
         cfg.write_text("m 2\nm1 1\ne0 1\nmachine 1\nmachine 2\n")
-        jobs.write_text("1 1\n")
         sched = [] if mode == "one-pass" else ["--mode", mode, "--schedule-out", str(out_csv)]
-        code, out, err = _run_main(
-            capsys,
-            ["run", "--config", str(cfg), "--jobs", str(jobs),
-             "--regime", "pmax-given", "--pmax", "1048576", *sched],
-        )
+        argv = ["run", "--config", str(cfg), "--jobs", str(jobs),
+                "--regime", "pmax-given", "--pmax", "1048576", *sched]
+        jobs.write_text("1 1\n")
+        code, out, err = _run_main(capsys, argv)
+        assert code == 0, err
+        assert _report_dict(out)["regime"] == "'pmax-given'"
+        assert out_csv.exists() == (mode == "two-pass")
+        out_csv.unlink(missing_ok=True)
+        jobs.write_text("1 1 2097152\n")
+        code, out, err = _run_main(capsys, argv)
         assert code == 4
-        assert "observed maximum 1.0" in err and "leave out --pmax" in err
+        assert err == ("streamspan: error: job at position 2 has processing time 2097152.0 "
+                       "above the declared p_max 1048576.0\n")
         assert out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.txt", "park.cfg"]
 
-    @pytest.mark.parametrize("mode", ["one-pass", "two-pass"])
+    @pytest.mark.parametrize("mode", ["one-pass", "two-pass", "two-pass-stdin"])
     @pytest.mark.parametrize("flags, message", [
         # the stream's maximum, 6 at position 3, lies in the band (4, 8]
         (["--regime", "pmax-given", "--pmax", "6"], None),
         (["--regime", "pmax-given", "--pmax", "7"], None),
         (["--regime", "pmax-given", "--pmax", "8"], None),
-        (["--regime", "pmax-given", "--pmax", "8.000000000000002"],
-         "observed maximum 6.0; for an upper bound leave out --pmax: the report is the same"),
+        (["--regime", "pmax-given", "--pmax", "8.000000000000002"], None),
         (["--regime", "pmax-given", "--pmax", "5.999"], "position 3"),
-        # an estimate, an upper bound on the maximum, runs without --pmax; given
-        # as --pmax it must still lie in the maximum's band
+        # an estimate, an upper bound on the maximum, runs with or without --pmax
         (["--regime", "pmax-unknown"], None),
-        (["--regime", "pmax-given", "--pmax", "64"],
-         "observed maximum 6.0; for an upper bound leave out --pmax: the report is the same"),
-        (["--regime", "pmax-given", "--pmax", "64.5"], "the declared p_max 64.5 is too far above"),
+        (["--regime", "pmax-given", "--pmax", "64"], None),
+        (["--regime", "pmax-given", "--pmax", "64.5"], None),
         (["--regime", "pmax-given", "--pmax", "5.5"], "position 3"),
     ], ids=["pmax-at-max", "pmax-in-band", "pmax-at-band-top", "pmax-next-band", "job-above-pmax",
             "estimate-at-max", "estimate-at-reach", "estimate-past-reach", "job-above-estimate"])
-    def test_each_contract_holds_to_its_edges(self, capsys, instance, tmp_path, mode, flags,
-                                              message):
+    def test_each_contract_holds_to_its_edges(self, capsys, instance, tmp_path, monkeypatch,
+                                              mode, flags, message):
         # a run that keeps its contract prints the default run's report but
         # for its regime; one that breaks it exits 4 and writes no schedule
         cfg, _ = instance
@@ -1270,9 +1272,9 @@ class TestExitCodes:
         outputs = []
         for regime in ([], flags):
             out_csv = tmp_path / f"s{len(outputs)}.csv"
-            sched = [] if mode == "one-pass" else ["--mode", mode, "--schedule-out", str(out_csv)]
-            code, out, err = _run_main(
-                capsys, ["run", "--config", cfg, "--jobs", str(jobs), "--stats", *regime, *sched])
+            sched = [] if mode == "one-pass" else ["--schedule-out", str(out_csv)]
+            code, out, err = _run_main(capsys, ["run", "--config", cfg, "--stats", *regime,
+                                                *_mode_args(mode, jobs, monkeypatch), *sched])
             if message is not None and regime:
                 assert code == 4 and message in err and out == ""
                 assert not out_csv.exists()
@@ -1633,7 +1635,7 @@ def test_importing_the_package_leaves_the_cli_out():
 @pytest.mark.parametrize("module", ["streamspan", "streamspan.cli"])
 @pytest.mark.parametrize("collecting", [True, False])
 def test_importing_leaves_the_collector_as_it_was(module, collecting):
-    # the CLI imports with the collector off; neither import may leave it changed
+    # the CLI freezes what its imports built; neither import may turn the collector on or off
     code = (f"import gc; gc.{'enable' if collecting else 'disable'}(); import {module}; "
             "print(gc.isenabled())")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_ENV)

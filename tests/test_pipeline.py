@@ -21,7 +21,7 @@ from streamspan import (
     second_pass,
 )
 from streamspan.cli import MODES, generate_instance, main, write_schedule_csv
-from streamspan.grouping import ceil_log2
+from streamspan.grouping import _ceil_log2s
 from streamspan.schedule import SecondPass
 
 from _support import identity_park, make_instance, quiet_params
@@ -138,7 +138,7 @@ class TestRunStream:
         """One window serves both regimes: a run whose declared maximum keeps
         its contract reports what the pmax-unknown run does, `regime` and
         timings masked, and writes the same schedule bytes.  The declared
-        value sits anywhere in the maximum's band."""
+        value sits anywhere in the maximum's band, or above it."""
         if retain_limit is None:
             n = min(n, 8)  # every job may stay large: keep the search small
         if epsilon == 0.05:
@@ -152,12 +152,13 @@ class TestRunStream:
             jobs.sort()
         params = quiet_params(m, m1, e0, epsilon, retain_limit=retain_limit)
         pmax = float(jobs.max())
-        top = math.ldexp(1.0, ceil_log2(pmax))
+        top = math.ldexp(1.0, int(_ceil_log2s(np.array([pmax]))[0]))
         in_band = pmax + inside * (top - pmax)  # in [pmax, top]: the maximum's band
+        above = math.ldexp(in_band, 1 + int(20 * inside))  # past the band: an upper bound
         chunks = [jobs[i:i + size] for i in range(0, n, size)]
         outcomes = []
         for regime, declared in [("pmax-unknown", None), ("pmax-given", pmax),
-                                 ("pmax-given", in_band)]:
+                                 ("pmax-given", in_band), ("pmax-given", above)]:
             ledger = make_ledger(params, declared)
             try:
                 report, artifacts = run_stream(park, ledger, chunks, mode="two-pass",
@@ -169,7 +170,7 @@ class TestRunStream:
                 outcomes.append((masked, csv.getvalue()))
             except StreamspanError as exc:
                 outcomes.append((type(exc), str(exc)))
-        assert outcomes[1:] == outcomes[:1] * 2
+        assert outcomes[1:] == outcomes[:1] * 3
 
     def test_artifacts_describe_the_pass(self):
         park, params, jobs = self._instance()
